@@ -13,9 +13,17 @@ all: vet build test
 build:
 	$(GO) build ./...
 
-# Tier-1 gate: everything must pass.
+# Tier-1 gate: everything must pass. The AllocsPerRun gates then run again
+# at forced pool sizes: "0 allocs/op" must hold whatever the host's core
+# count makes the default pool.
+ALLOC_GATES = Alloc
+ALLOC_PKGS = ./internal/tensor ./internal/compiler ./internal/nn ./internal/obs ./internal/rtmobile ./internal/sched
+
 test:
 	$(GO) test ./...
+	RTMOBILE_WORKERS=1 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
+	RTMOBILE_WORKERS=2 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
+	RTMOBILE_WORKERS=8 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
 
 # Full suite under the race detector; the concurrency stress tests in
 # internal/rtmobile and internal/compiler are written for this target. The
@@ -39,9 +47,13 @@ race:
 	RTMOBILE_METRICS=1 RTMOBILE_WORKERS=8 $(GO) test -race -run 'Trace|Tail|SLO' ./internal/obs ./internal/sched ./internal/serve
 	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Swap|Registry' ./internal/registry ./cmd/rtmobile
 	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Swap|Registry' ./internal/registry ./cmd/rtmobile
+	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Differential|LoadersLower' ./internal/rtmobile
+	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Differential|LoadersLower' ./internal/rtmobile
 
 # Short run of every fuzz target (decoder hardening + compiler shapes +
-# pack lowering + fast-tier tolerance equivalence + bundle mapping).
+# pack lowering with its dense-order property: packed RunAdd ≡
+# tensor.MatVecAdd on BSP-projected matrices + fast-tier tolerance
+# equivalence + bundle mapping).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFastEquiv -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=FuzzEpilogueEquiv -fuzztime=$(FUZZTIME) ./internal/tensor

@@ -44,6 +44,23 @@
 // (compiler.ParallelBreakEvenMACs), so small programs never pay for
 // workers they cannot feed.
 //
+// The packed programs are what a deployed Engine serves from: every entry
+// point (Stream.Step/StepInto, Infer, BatchStream, BatchLease.Step,
+// InferBatchInto, and through leases the scheduler and the HTTP tier) runs
+// nn's steppers — which own the GRU/LSTM/Dense step order — bound to the
+// weight matrices' compiled programs through their accumulate entries
+// (RunAdd/RunBatchAdd), on either tier and at any storage width; there is
+// no dense path beside it. Model.NewStream/NewBatchStream bind
+// tensor.MatVecAdd(Batch) instead and stay the training-side reference.
+// The dense-order contract makes the two comparable bit for bit: the BSPC
+// lowering emits one segment per (lane, row group) whose dots span the
+// group's kept columns in ascending order, so a row is one float64 chain
+// rounded once — Program.Execute, packed Run and tensor.MatVecAdd on the
+// projected matrix agree exactly for finite inputs (a pruned weight times a
+// non-finite input is 0·Inf = NaN in the dense reference and skipped by the
+// program). Compile lowers once; the v5 bundle stores those programs and
+// MapBundle runs them in place, leaving the dense weight pages untouched.
+//
 // Because the hot path is bound by the weight stream, the packed backend
 // also runs quantized: compiler.PackQuant stores the same flat layout
 // with int8 (8-bit) or int16 (12/16-bit) values plus per-row float32
@@ -68,8 +85,9 @@
 // comes from DeployConfig.Workers / the -workers CLI flag, falling back to
 // the RTMOBILE_WORKERS environment variable, then runtime.NumCPU().
 //
-// The ownership rule that makes shared use safe: an Engine's weights and
-// compiled plan are immutable after Compile (fp16 rounding included), and
+// The ownership rule that makes shared use safe: an Engine's weights,
+// compiled plan and programs are immutable after Compile (fp16 rounding
+// included), and
 // every inference entry point — Infer, InferBatch, NewStream — allocates
 // its own mutable state. One Engine may therefore serve any number of
 // goroutines concurrently. The exception is training: Model.Forward and

@@ -184,9 +184,17 @@ func lowerCSR(w *tensor.Matrix, chunks [][]int) [][]Instr {
 	return out
 }
 
-// lowerBSPC emits, per (thread, block), one shared gather (when the
-// elimination pass is on) and the block's row dots; with the pass off,
-// each row re-gathers.
+// lowerBSPC emits, per (thread, row group), one shared gather (when the
+// elimination pass is on) and one dot per surviving row; with the pass off,
+// each row re-gathers. The blocks of a row group share their surviving rows,
+// so the group's gather is its blocks' kept columns concatenated in
+// ascending order and every dot spans that whole width: a row is accumulated
+// in one float64 chain over ascending columns and rounded once — the order
+// tensor.MatVecAdd uses, which makes a BSPC program bit-equal to the dense
+// reference on the projected matrix (a pruned weight contributes +0 there
+// for any finite input). Gather and stream counts equal the per-block
+// lowering's: each (thread, block) pair still loads the block's kept columns
+// exactly once.
 func lowerBSPC(w *tensor.Matrix, scheme prune.BSP, chunks [][]int, eliminate bool) [][]Instr {
 	b := sparse.NewBSPC(w, scheme)
 	threadOf := make([]int, w.Rows)
@@ -199,26 +207,34 @@ func lowerBSPC(w *tensor.Matrix, scheme prune.BSP, chunks [][]int, eliminate boo
 		}
 	}
 	out := make([][]Instr, len(chunks))
-	for _, blk := range b.Blocks {
-		nc := len(blk.ColIdx)
-		if nc == 0 {
-			continue
+	// NewBSPC lists blocks row group by row group, column blocks ascending.
+	for lo := 0; lo < len(b.Blocks); {
+		hi := lo + 1
+		for hi < len(b.Blocks) && b.Blocks[hi].RowLo == b.Blocks[lo].RowLo {
+			hi++
 		}
-		// Group the block's rows by owning thread, preserving order.
+		group := b.Blocks[lo:hi]
+		lo = hi
+		var cols []int32
+		for _, blk := range group {
+			cols = append(cols, blk.ColIdx...)
+		}
 		gathered := make(map[int]bool)
-		for ri, r := range blk.RowIdx {
+		for ri, r := range group[0].RowIdx {
 			t := threadOf[r]
 			if t < 0 {
 				continue
 			}
 			if !eliminate || !gathered[t] {
-				out[t] = append(out[t], Instr{Op: OpGather, Cols: blk.ColIdx})
+				out[t] = append(out[t], Instr{Op: OpGather, Cols: cols})
 				gathered[t] = true
 			}
-			out[t] = append(out[t], Instr{
-				Op: OpDotGathered, Row: int(r),
-				Vals: blk.Vals[ri*nc : (ri+1)*nc],
-			})
+			vals := make([]float32, 0, len(cols))
+			for _, blk := range group {
+				nc := len(blk.ColIdx)
+				vals = append(vals, blk.Vals[ri*nc:(ri+1)*nc]...)
+			}
+			out[t] = append(out[t], Instr{Op: OpDotGathered, Row: int(r), Vals: vals})
 		}
 	}
 	return out

@@ -82,8 +82,10 @@ func FuzzCompileProgram(f *testing.F) {
 // FuzzPackProgram drives the pack lowering over adversarially-shaped
 // compiled programs and checks that packing never panics, that every
 // successfully packed program executes byte-for-byte like the interpreter
-// (serial and parallel, at arbitrary unroll factors), and that the static
-// stats match the interpreter's dynamic count.
+// (serial and parallel, at arbitrary unroll factors), that the static
+// stats match the interpreter's dynamic count, and the dense-order
+// contract: accumulating the program into a biased y is tensor.MatVecAdd on
+// the (BSP-projected) matrix bit for bit, in every format.
 func FuzzPackProgram(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint16(8), uint8(0), int16(4), uint8(3), uint8(3), uint8(4), false)
 	f.Add(uint64(2), uint16(8), uint16(0), uint8(1), int16(4), uint8(2), uint8(2), uint8(1), false)
@@ -91,6 +93,7 @@ func FuzzPackProgram(f *testing.F) {
 	f.Add(uint64(4), uint16(1), uint16(16), uint8(2), int16(8), uint8(4), uint8(4), uint8(0), true)
 	f.Add(uint64(5), uint16(13), uint16(17), uint8(2), int16(5), uint8(5), uint8(7), uint8(2), false)
 	f.Add(uint64(6), uint16(12), uint16(12), uint8(0), int16(64), uint8(1), uint8(1), uint8(255), true)
+	f.Add(uint64(7), uint16(48), uint16(63), uint8(2), int16(4), uint8(3), uint8(7), uint8(4), false) // bspc, 8 column blocks per row group
 	f.Fuzz(func(t *testing.T, seed uint64, rows, cols uint16, formatSel uint8,
 		threads int16, rowGroups, colBlocks, unroll uint8, allZero bool) {
 		forceParallel(t)
@@ -142,6 +145,19 @@ func FuzzPackProgram(f *testing.F) {
 			}
 		}
 		equalStats(t, wantStats, gotStats, "fuzz")
+
+		bias := randVec(seed+13, r)
+		acc, ref := append([]float32(nil), bias...), append([]float32(nil), bias...)
+		if err := pp.RunAdd(acc, x, nil); err != nil {
+			t.Fatalf("packed RunAdd: %v", err)
+		}
+		tensor.MatVecAdd(ref, w, x)
+		for i := range acc {
+			if acc[i] != ref[i] {
+				t.Fatalf("row %d: packed RunAdd %v != tensor.MatVecAdd %v (fmt=%s %dx%d grid %dx%d)",
+					i, acc[i], ref[i], format, r, c, scheme.NumRowGroups, scheme.NumColBlocks)
+			}
+		}
 
 		pool := parallel.NewPool(int(seed%5) + 2)
 		defer pool.Close()

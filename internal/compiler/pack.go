@@ -119,13 +119,13 @@ func (p *PackedProgram) stageKind() obs.StageKind {
 	return obs.StageKernel
 }
 
-// observe records one finished execution of bw lanes into the metrics set
-// and the attached tracer. Allocation-free.
+// observe records one finished execution of bw lanes: a kernel-latency
+// sample and, with a tracer attached, one kernel span. Work counters
+// (MACsTotal, BytesStreamed) are metered once per step by the engine that
+// drives the programs, at the plan's prices, not here. Allocation-free.
 func (p *PackedProgram) observe(t0 time.Time, bw int, m *obs.Metrics) {
 	dur := time.Since(t0).Nanoseconds()
 	if m != nil {
-		m.MACsTotal.Add(uint64(p.totalMACs * bw))
-		m.BytesStreamed.Add(uint64(p.streamBytes))
 		m.KernelLatency.Observe(dur)
 	}
 	if p.trace != nil {
@@ -456,12 +456,20 @@ func blockDot(y []float32, rows []int32, vals, g []float32, nc, unroll int) {
 	}
 }
 
-// Run executes the program serially on x, writing y (len Rows). With a
-// reused scratch it performs zero heap allocations — the inference-path
+// Run executes the program serially on x, writing y = W·x (len Rows). With
+// a reused scratch it performs zero heap allocations — the inference-path
 // contract the allocation-regression tests enforce. A nil scratch allocates
 // one internally (convenience path). Results are bit-identical to the
 // interpreter's Execute.
 func (p *PackedProgram) Run(y, x []float32, s *PackedScratch) error {
+	tensor.ZeroVec(y)
+	return p.RunAdd(y, x, s)
+}
+
+// RunAdd is Run without the clear: y += W·x, each row's dot rounded to
+// float32 once and then added — tensor.MatVecAdd's contract, which is what
+// lets the nn steppers stage a bias in y and apply the program on top.
+func (p *PackedProgram) RunAdd(y, x []float32, s *PackedScratch) error {
 	if len(x) != p.Cols || len(y) != p.Rows {
 		return fmt.Errorf("compiler: packed Run shape mismatch")
 	}
@@ -476,7 +484,6 @@ func (p *PackedProgram) Run(y, x []float32, s *PackedScratch) error {
 	if track {
 		t0 = time.Now()
 	}
-	tensor.ZeroVec(y)
 	xbuf := s.xbuf[:cap(s.xbuf)]
 	for t := range p.Lanes {
 		p.runLane(&p.Lanes[t], y, x, xbuf)
@@ -510,7 +517,7 @@ func (p *PackedProgram) RunParallel(y, x []float32, pool *parallel.Pool, s *Pack
 		pool = parallel.Default()
 	}
 	if pool.Workers() < 2 || len(p.Lanes) < 2 ||
-		!parallelWorthwhile(p.totalMACs, min(pool.Workers(), len(p.Lanes))) {
+		!ParallelWorthwhile(p.totalMACs, min(pool.Workers(), len(p.Lanes))) {
 		return p.Run(y, x, s)
 	}
 	if len(x) != p.Cols || len(y) != p.Rows {

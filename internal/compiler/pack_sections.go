@@ -56,6 +56,25 @@ type PackedSections struct {
 	LaneRowCounts []int32
 }
 
+// RowsOnce reports whether every output row is produced by at most one dot.
+// That is what makes accumulating the program into y tensor.MatVecAdd's
+// per-row contract (one float64 chain, one rounding, one add); the
+// per-block BSPC lowering of earlier bundle writers listed a row once per
+// column block and fails it.
+func (s *PackedSections) RowsOnce() bool {
+	if s.Rows < 0 {
+		return false
+	}
+	seen := make([]bool, s.Rows)
+	for _, r := range s.RowIdx {
+		if r < 0 || int(r) >= s.Rows || seen[r] {
+			return false
+		}
+		seen[r] = true
+	}
+	return true
+}
+
 // flattenLanes serializes the shared lane structure (segments + rows) of a
 // packed program.
 func flattenLanes(lanes []PackedLane) (segWords, rowIdx, segCounts, rowCounts []int32) {

@@ -188,8 +188,15 @@ func blockDotBatch(y []float32, rows []int32, vals, g []float32, nc, bw, unroll 
 // bit-identical to Run on lane l's vector alone. With a reused scratch the
 // steady state performs zero heap allocations; bw == 1 is exactly Run.
 func (p *PackedProgram) RunBatch(y, x []float32, bw int, s *PackedScratch) error {
+	tensor.ZeroVec(y)
+	return p.RunBatchAdd(y, x, bw, s)
+}
+
+// RunBatchAdd is RunBatch without the clear: lane l of y receives RunAdd's
+// result on lane l's vector (tensor.MatVecAddBatch's contract).
+func (p *PackedProgram) RunBatchAdd(y, x []float32, bw int, s *PackedScratch) error {
 	if bw == 1 {
-		return p.Run(y, x, s)
+		return p.RunAdd(y, x, s)
 	}
 	if bw < 1 {
 		return fmt.Errorf("compiler: packed RunBatch width %d < 1", bw)
@@ -207,7 +214,6 @@ func (p *PackedProgram) RunBatch(y, x []float32, bw int, s *PackedScratch) error
 	if track {
 		t0 = time.Now()
 	}
-	tensor.ZeroVec(y)
 	pbuf := s.pbuf[:cap(s.pbuf)]
 	acc := s.acc[:2*bw]
 	facc := s.facc[:bw]
@@ -237,7 +243,7 @@ func (p *PackedProgram) RunBatchParallel(y, x []float32, bw int, pool *parallel.
 		pool = parallel.Default()
 	}
 	if pool.Workers() < 2 || len(p.Lanes) < 2 ||
-		!parallelWorthwhile(p.totalMACs*bw, min(pool.Workers(), len(p.Lanes))) {
+		!ParallelWorthwhile(p.totalMACs*bw, min(pool.Workers(), len(p.Lanes))) {
 		return p.RunBatch(y, x, bw, s)
 	}
 	if bw < 1 {

@@ -243,12 +243,12 @@ func (p *PackedQProgram) stageKind() obs.StageKind {
 	return obs.StageKernelQ16
 }
 
-// observe records one finished execution of bw lanes. Allocation-free.
+// observe records one finished execution of bw lanes (latency sample and
+// kernel span; work counters are the engine's, see PackedProgram.observe).
+// Allocation-free.
 func (p *PackedQProgram) observe(t0 time.Time, bw int, m *obs.Metrics) {
 	dur := time.Since(t0).Nanoseconds()
 	if m != nil {
-		m.MACsTotal.Add(uint64(p.totalMACs * bw))
-		m.BytesStreamed.Add(uint64(p.streamBytes))
 		m.KernelLatency.Observe(dur)
 	}
 	if p.trace != nil {
@@ -474,10 +474,17 @@ func blockDotQ16(y []float32, rows []int32, vals []int16, scales, g []float32, n
 	}
 }
 
-// Run executes the program serially on x, writing y (len Rows). With a
-// reused scratch it performs zero heap allocations — the same inference-path
-// contract as the float32 backend. A nil scratch allocates one internally.
+// Run executes the program serially on x, writing y = W·x (len Rows). With
+// a reused scratch it performs zero heap allocations — the same
+// inference-path contract as the float32 backend. A nil scratch allocates
+// one internally.
 func (p *PackedQProgram) Run(y, x []float32, s *PackedScratch) error {
+	tensor.ZeroVec(y)
+	return p.RunAdd(y, x, s)
+}
+
+// RunAdd is Run without the clear: y += W·x, as PackedProgram.RunAdd.
+func (p *PackedQProgram) RunAdd(y, x []float32, s *PackedScratch) error {
 	if len(x) != p.Cols || len(y) != p.Rows {
 		return fmt.Errorf("compiler: packed quant Run shape mismatch")
 	}
@@ -492,7 +499,6 @@ func (p *PackedQProgram) Run(y, x []float32, s *PackedScratch) error {
 	if track {
 		t0 = time.Now()
 	}
-	tensor.ZeroVec(y)
 	xbuf := s.xbuf[:cap(s.xbuf)]
 	for t := range p.Lanes {
 		p.runLane(&p.Lanes[t], y, x, xbuf)
@@ -520,7 +526,7 @@ func (p *PackedQProgram) RunParallel(y, x []float32, pool *parallel.Pool, s *Pac
 		pool = parallel.Default()
 	}
 	if pool.Workers() < 2 || len(p.Lanes) < 2 ||
-		!parallelWorthwhile(p.totalMACs, min(pool.Workers(), len(p.Lanes))) {
+		!ParallelWorthwhile(p.totalMACs, min(pool.Workers(), len(p.Lanes))) {
 		return p.Run(y, x, s)
 	}
 	if len(x) != p.Cols || len(y) != p.Rows {

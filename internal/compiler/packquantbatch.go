@@ -195,8 +195,14 @@ func blockDotQ16Batch(y []float32, rows []int32, vals []int16, scales, g []float
 // element i of stream l lives at panel[i*bw+l]. With a reused scratch the
 // steady state performs zero heap allocations; bw == 1 is exactly Run.
 func (p *PackedQProgram) RunBatch(y, x []float32, bw int, s *PackedScratch) error {
+	tensor.ZeroVec(y)
+	return p.RunBatchAdd(y, x, bw, s)
+}
+
+// RunBatchAdd is RunBatch without the clear, as PackedProgram.RunBatchAdd.
+func (p *PackedQProgram) RunBatchAdd(y, x []float32, bw int, s *PackedScratch) error {
 	if bw == 1 {
-		return p.Run(y, x, s)
+		return p.RunAdd(y, x, s)
 	}
 	if bw < 1 {
 		return fmt.Errorf("compiler: packed quant RunBatch width %d < 1", bw)
@@ -214,7 +220,6 @@ func (p *PackedQProgram) RunBatch(y, x []float32, bw int, s *PackedScratch) erro
 	if track {
 		t0 = time.Now()
 	}
-	tensor.ZeroVec(y)
 	pbuf := s.pbuf[:cap(s.pbuf)]
 	acc := s.acc[:2*bw]
 	facc := s.facc[:bw]
@@ -239,7 +244,7 @@ func (p *PackedQProgram) RunBatchParallel(y, x []float32, bw int, pool *parallel
 		pool = parallel.Default()
 	}
 	if pool.Workers() < 2 || len(p.Lanes) < 2 ||
-		!parallelWorthwhile(p.totalMACs*bw, min(pool.Workers(), len(p.Lanes))) {
+		!ParallelWorthwhile(p.totalMACs*bw, min(pool.Workers(), len(p.Lanes))) {
 		return p.RunBatch(y, x, bw, s)
 	}
 	if bw < 1 {

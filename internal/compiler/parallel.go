@@ -29,9 +29,10 @@ import (
 // A machine without a second CPU never forks regardless of the threshold.
 var ParallelBreakEvenMACs = 1 << 18
 
-// parallelWorthwhile reports whether `work` MACs spread over `workers`
-// clears the fork-join break-even.
-func parallelWorthwhile(work, workers int) bool {
+// ParallelWorthwhile reports whether `work` MACs spread over `workers`
+// clears the fork-join break-even. The engine's batch entry point applies
+// the same test before sharding panel groups across its pool.
+func ParallelWorthwhile(work, workers int) bool {
 	if ParallelBreakEvenMACs <= 0 {
 		return true
 	}
@@ -54,7 +55,7 @@ func (p *Program) ExecuteParallel(y, x []float32, pool *parallel.Pool) (ExecStat
 		pool = parallel.Default()
 	}
 	if pool.Workers() < 2 || len(p.Threads) < 2 ||
-		!parallelWorthwhile(p.totalMACs(), min(pool.Workers(), len(p.Threads))) {
+		!ParallelWorthwhile(p.totalMACs(), min(pool.Workers(), len(p.Threads))) {
 		return p.Execute(y, x)
 	}
 	if len(x) != p.Cols || len(y) != p.Rows {

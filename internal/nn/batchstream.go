@@ -59,58 +59,47 @@ func zeroLane(panel []float32, n, bw, l int) {
 	}
 }
 
-// matVecAddBatch selects the kernel tier for a batch stepper's panel
-// projections, mirroring the serial matVecAdd selector in stream.go.
-func matVecAddBatch(fast bool) func(y []float32, w *tensor.Matrix, x []float32, bw int) {
-	if fast {
-		return tensor.MatVecAddBatchFast
-	}
-	return tensor.MatVecAddBatch
-}
-
 // gruBatchStream is a GRU cell's batched streaming state. The column-major
 // [3H × bw] gate panels flattened row-major are exactly the [z | r | c]
 // layout tensor.GRUEpilogue expects with n = H·bw, so one fused call blends
 // the whole panel — element (i, l) sees the same float operations as the
 // historical per-row lane loop, keeping lane/serial bit-identity.
 type gruBatchStream struct {
-	g      *GRU
+	hidden int
 	bw     int
+	bx, bh []float32
+	wx, wh MatVec
 	h      []float32
 	ax, ah []float32
-	mv     func(y []float32, w *tensor.Matrix, x []float32, bw int)
 	ep     func(h, ax, ah []float32)
 	tracer *obs.Tracer
 	layer  int32
 }
 
-// BatchStream returns a stepper advancing bw independent streams over this
-// GRU's (shared, read-only) weights.
-func (g *GRU) BatchStream(bw int) BatchStepper { return g.batchStream(bw, false, false) }
+// BatchStream returns a reference stepper advancing bw independent streams
+// over this GRU's (shared, read-only) weights.
+func (g *GRU) BatchStream(bw int) BatchStepper { return g.batchStream(bw, ReferenceKernels()) }
 
-// BatchStreamFast is BatchStream on the relaxed-precision kernel tier.
-func (g *GRU) BatchStreamFast(bw int) BatchStepper { return g.batchStream(bw, true, true) }
-
-func (g *GRU) batchStream(bw int, fastMV, fastEp bool) BatchStepper {
+func (g *GRU) batchStream(bw int, k Kernels) BatchStepper {
 	return &gruBatchStream{
-		g:  g,
-		bw: bw,
+		hidden: g.Hidden,
+		bw:     bw,
+		bx:     g.Bx.W.Data, bh: g.Bh.W.Data,
+		wx: k.MatVec(g.Wx, bw), wh: k.MatVec(g.Wh, bw),
 		h:  make([]float32, g.Hidden*bw),
 		ax: make([]float32, 3*g.Hidden*bw),
 		ah: make([]float32, 3*g.Hidden*bw),
-		mv: matVecAddBatch(fastMV),
-		ep: gruEpilogue(fastEp),
+		ep: gruEpilogue(k.FastEpilogue),
 	}
 }
 
 // StepBatch implements BatchStepper.
 func (s *gruBatchStream) StepBatch(x []float32) []float32 {
-	g := s.g
 	bw := s.bw
-	broadcastRows(s.ax, g.Bx.W.Data, bw)
-	s.mv(s.ax, g.Wx.W, x, bw)
-	broadcastRows(s.ah, g.Bh.W.Data, bw)
-	s.mv(s.ah, g.Wh.W, s.h, bw)
+	broadcastRows(s.ax, s.bx, bw)
+	s.wx(s.ax, x)
+	broadcastRows(s.ah, s.bh, bw)
+	s.wh(s.ah, s.h)
 	if s.tracer != nil {
 		t0 := time.Now()
 		s.ep(s.h, s.ax, s.ah)
@@ -125,7 +114,7 @@ func (s *gruBatchStream) StepBatch(x []float32) []float32 {
 func (s *gruBatchStream) Reset() { tensor.ZeroVec(s.h) }
 
 // ResetLane implements BatchStepper.
-func (s *gruBatchStream) ResetLane(l int) { zeroLane(s.h, s.g.Hidden, s.bw, l) }
+func (s *gruBatchStream) ResetLane(l int) { zeroLane(s.h, s.hidden, s.bw, l) }
 
 // setStageTracer implements stageTraced.
 func (s *gruBatchStream) setStageTracer(tr *obs.Tracer, layerID int32) {
@@ -134,41 +123,39 @@ func (s *gruBatchStream) setStageTracer(tr *obs.Tracer, layerID int32) {
 
 // lstmBatchStream is an LSTM cell's batched streaming state.
 type lstmBatchStream struct {
-	l    *LSTM
-	bw   int
-	h, c []float32
-	act  []float32
-	out  []float32
-	mv   func(y []float32, w *tensor.Matrix, x []float32, bw int)
+	hidden int
+	bw     int
+	bx, bh []float32
+	wx, wh MatVec
+	h, c   []float32
+	act    []float32
+	out    []float32
 }
 
-// BatchStream returns a stepper advancing bw independent streams over this
-// LSTM's weights.
-func (l *LSTM) BatchStream(bw int) BatchStepper { return l.batchStream(bw, false) }
+// BatchStream returns a reference stepper advancing bw independent streams
+// over this LSTM's weights.
+func (l *LSTM) BatchStream(bw int) BatchStepper { return l.batchStream(bw, ReferenceKernels()) }
 
-// BatchStreamFast is BatchStream on the relaxed-precision kernel tier.
-func (l *LSTM) BatchStreamFast(bw int) BatchStepper { return l.batchStream(bw, true) }
-
-func (l *LSTM) batchStream(bw int, fast bool) BatchStepper {
+func (l *LSTM) batchStream(bw int, k Kernels) BatchStepper {
 	return &lstmBatchStream{
-		l:   l,
-		bw:  bw,
+		hidden: l.Hidden,
+		bw:     bw,
+		bx:     l.Bx.W.Data, bh: l.Bh.W.Data,
+		wx: k.MatVec(l.Wx, bw), wh: k.MatVec(l.Wh, bw),
 		h:   make([]float32, l.Hidden*bw),
 		c:   make([]float32, l.Hidden*bw),
 		act: make([]float32, 4*l.Hidden*bw),
 		out: make([]float32, l.Hidden*bw),
-		mv:  matVecAddBatch(fast),
 	}
 }
 
 // StepBatch implements BatchStepper.
 func (s *lstmBatchStream) StepBatch(x []float32) []float32 {
-	l := s.l
-	H, bw := l.Hidden, s.bw
-	broadcastRows(s.act, l.Bx.W.Data, bw)
-	addBroadcastRows(s.act, l.Bh.W.Data, bw)
-	s.mv(s.act, l.Wx.W, x, bw)
-	s.mv(s.act, l.Wh.W, s.h, bw)
+	H, bw := s.hidden, s.bw
+	broadcastRows(s.act, s.bx, bw)
+	addBroadcastRows(s.act, s.bh, bw)
+	s.wx(s.act, x)
+	s.wh(s.act, s.h)
 	out := s.out
 	for j := 0; j < H; j++ {
 		ai := s.act[j*bw : (j+1)*bw]
@@ -198,37 +185,34 @@ func (s *lstmBatchStream) Reset() {
 
 // ResetLane implements BatchStepper.
 func (s *lstmBatchStream) ResetLane(l int) {
-	zeroLane(s.h, s.l.Hidden, s.bw, l)
-	zeroLane(s.c, s.l.Hidden, s.bw, l)
+	zeroLane(s.h, s.hidden, s.bw, l)
+	zeroLane(s.c, s.hidden, s.bw, l)
 }
 
 // denseBatchStream steps a Dense layer over panels (stateless; the
 // persistent output panel keeps steady-state streaming allocation-free).
 type denseBatchStream struct {
-	d   *Dense
-	bw  int
-	out []float32
-	mv  func(y []float32, w *tensor.Matrix, x []float32, bw int)
+	bias []float32
+	w    MatVec
+	bw   int
+	out  []float32
 }
 
-// BatchStream returns a batched stepper over the Dense layer.
-func (d *Dense) BatchStream(bw int) BatchStepper { return d.batchStream(bw, false) }
+// BatchStream returns a reference batched stepper over the Dense layer.
+func (d *Dense) BatchStream(bw int) BatchStepper { return d.batchStream(bw, ReferenceKernels()) }
 
-// BatchStreamFast is BatchStream on the relaxed-precision kernel tier.
-func (d *Dense) BatchStreamFast(bw int) BatchStepper { return d.batchStream(bw, true) }
-
-func (d *Dense) batchStream(bw int, fast bool) BatchStepper {
+func (d *Dense) batchStream(bw int, k Kernels) BatchStepper {
 	return &denseBatchStream{
-		d: d, bw: bw, out: make([]float32, d.OutDimN*bw),
-		mv: matVecAddBatch(fast),
+		bias: d.Bias.W.Data, w: k.MatVec(d.Weight, bw), bw: bw,
+		out: make([]float32, d.OutDimN*bw),
 	}
 }
 
 // StepBatch implements BatchStepper.
 func (s *denseBatchStream) StepBatch(x []float32) []float32 {
 	y := s.out
-	broadcastRows(y, s.d.Bias.W.Data, s.bw)
-	s.mv(y, s.d.Weight.W, x, s.bw)
+	broadcastRows(y, s.bias, s.bw)
+	s.w(y, x)
 	return y
 }
 
@@ -266,18 +250,16 @@ func (s *BatchStream) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// NewBatchStream builds a lockstep pipeline of width bw sharing the model's
-// weights. Panics if bw < 1 or a layer type has no streaming form.
-func (m *Model) NewBatchStream(bw int) *BatchStream { return m.NewBatchStreamTiers(bw, false, false) }
+// NewBatchStream builds the reference lockstep pipeline of width bw over
+// the model's dense weights (ReferenceKernels). Panics if bw < 1 or a layer
+// type has no streaming form.
+func (m *Model) NewBatchStream(bw int) *BatchStream {
+	return m.NewKernelBatchStream(bw, ReferenceKernels())
+}
 
-// NewBatchStreamFast is NewBatchStream on the relaxed-precision kernel
-// tier: lane l is tolerance-close to a NewStreamFast session fed lane l's
-// frames, and lanes still never mix.
-func (m *Model) NewBatchStreamFast(bw int) *BatchStream { return m.NewBatchStreamTiers(bw, true, true) }
-
-// NewBatchStreamTiers picks the panel-projection and gate-epilogue kernel
-// tiers independently, mirroring Model.NewStreamTiers.
-func (m *Model) NewBatchStreamTiers(bw int, fastMV, fastEpilogue bool) *BatchStream {
+// NewKernelBatchStream is NewBatchStream over the given kernels, mirroring
+// Model.NewKernelStream: k.MatVec is asked for bw-wide panel kernels.
+func (m *Model) NewKernelBatchStream(bw int, k Kernels) *BatchStream {
 	if bw < 1 {
 		panic("nn: batch width must be >= 1")
 	}
@@ -288,11 +270,11 @@ func (m *Model) NewBatchStreamTiers(bw int, fastMV, fastEpilogue bool) *BatchStr
 	for _, layer := range m.Layers {
 		switch v := layer.(type) {
 		case *GRU:
-			s.steppers = append(s.steppers, v.batchStream(bw, fastMV, fastEpilogue))
+			s.steppers = append(s.steppers, v.batchStream(bw, k))
 		case *LSTM:
-			s.steppers = append(s.steppers, v.batchStream(bw, fastMV))
+			s.steppers = append(s.steppers, v.batchStream(bw, k))
 		case *Dense:
-			s.steppers = append(s.steppers, v.batchStream(bw, fastMV))
+			s.steppers = append(s.steppers, v.batchStream(bw, k))
 		default:
 			panic("nn: layer has no streaming form")
 		}

@@ -23,6 +23,20 @@ import (
 // stream-vs-forward tolerance used elsewhere in this package.
 const epilogueStreamTol = 1e-3
 
+// tierKernels binds the dense projections on either matvec tier and selects
+// the epilogue tier — the (matvec, epilogue) ablation axis of this suite.
+func tierKernels(fastMV, fastEpilogue bool) Kernels {
+	k := ReferenceKernels()
+	k.FastEpilogue = fastEpilogue
+	if fastMV {
+		k.MatVec = func(p *Param, bw int) MatVec {
+			w := p.W
+			return func(y, x []float32) { tensor.MatVecAddBatchFast(y, w, x, bw) }
+		}
+	}
+	return k
+}
+
 func TestStreamTiersFusedEpilogue(t *testing.T) {
 	m := NewGRUModel(ModelSpec{InputDim: 9, Hidden: 24, NumLayers: 2, OutputDim: 6, Seed: 17})
 	const T = 12
@@ -30,10 +44,10 @@ func TestStreamTiersFusedEpilogue(t *testing.T) {
 	for i := range frames {
 		frames[i] = batchFrame(5, 0, i, 9)
 	}
-	exact := m.NewStreamTiers(false, false)
+	exact := m.NewKernelStream(tierKernels(false, false))
 	ref := m.NewStream()
 	for _, tiers := range [][2]bool{{true, false}, {false, true}, {true, true}} {
-		s := m.NewStreamTiers(tiers[0], tiers[1])
+		s := m.NewKernelStream(tierKernels(tiers[0], tiers[1]))
 		exact.Reset()
 		ref.Reset()
 		for step, f := range frames {
@@ -67,9 +81,9 @@ func TestBatchStreamFusedEpilogueLanes(t *testing.T) {
 		label := fmt.Sprintf("fastEp=%v", fastEp)
 		refs := make([]*Stream, bw)
 		for l := range refs {
-			refs[l] = m.NewStreamTiers(false, fastEp)
+			refs[l] = m.NewKernelStream(tierKernels(false, fastEp))
 		}
-		bs := m.NewBatchStreamTiers(bw, false, fastEp)
+		bs := m.NewKernelBatchStream(bw, tierKernels(false, fastEp))
 		panel := make([]float32, in*bw)
 		for step := 0; step < T; step++ {
 			for l := 0; l < bw; l++ {
@@ -102,7 +116,7 @@ func TestBatchStreamFusedEpilogueLanes(t *testing.T) {
 // per GRU layer per step, nested inside the layer spans.
 func TestStreamEpilogueSpans(t *testing.T) {
 	m := NewGRUModel(ModelSpec{InputDim: 6, Hidden: 16, NumLayers: 2, OutputDim: 4, Seed: 23})
-	s := m.NewStreamFast()
+	s := m.NewKernelStream(tierKernels(true, true))
 	tr := obs.NewTracer(256, 8)
 	s.SetTracer(tr)
 	const steps = 5
@@ -129,7 +143,7 @@ func TestStreamEpilogueSpans(t *testing.T) {
 	}
 
 	// Batch panels record epilogue spans with the panel width.
-	bs := m.NewBatchStreamFast(3)
+	bs := m.NewKernelBatchStream(3, tierKernels(true, true))
 	trb := obs.NewTracer(256, 8)
 	bs.SetTracer(trb)
 	bs.StepBatch(make([]float32, 6*3))
@@ -150,7 +164,7 @@ func TestStreamFusedStepZeroAlloc(t *testing.T) {
 	x := make([]float32, 8)
 	tr := obs.NewTracer(256, 8)
 	for _, tiers := range [][2]bool{{false, false}, {true, true}} {
-		s := m.NewStreamTiers(tiers[0], tiers[1])
+		s := m.NewKernelStream(tierKernels(tiers[0], tiers[1]))
 		s.Step(x)
 		if n := testing.AllocsPerRun(50, func() { s.Step(x) }); n != 0 {
 			t.Errorf("tiers %v untraced Step allocates %.0f/op, want 0", tiers, n)
@@ -159,7 +173,7 @@ func TestStreamFusedStepZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { s.Step(x) }); n != 0 {
 			t.Errorf("tiers %v traced Step allocates %.0f/op, want 0", tiers, n)
 		}
-		bs := m.NewBatchStreamTiers(4, tiers[0], tiers[1])
+		bs := m.NewKernelBatchStream(4, tierKernels(tiers[0], tiers[1]))
 		panel := make([]float32, 8*4)
 		bs.StepBatch(panel)
 		if n := testing.AllocsPerRun(50, func() { bs.StepBatch(panel) }); n != 0 {

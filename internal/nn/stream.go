@@ -25,22 +25,43 @@ type Stepper interface {
 	Reset()
 }
 
-// matVecAdd selects the kernel tier for a stepper's projections: the
-// exact tier runs the bit-pinned float64-accumulation reference, the fast
-// tier the FMA'd float32-accumulation twins (tolerance-verified, see
-// tensor.FastClose). Steppers capture the choice once at construction so
-// the per-step hot loop stays branch-cheap.
-func matVecAdd(fast bool) func(y []float32, w *tensor.Matrix, x []float32) {
-	if fast {
-		return tensor.MatVecAddFast
-	}
-	return tensor.MatVecAdd
+// MatVec is one weight matrix bound to its y += W·x kernel: plain vectors
+// for a serial stepper, bw-wide column-major panels (element i of lane l at
+// panel[i*bw+l]) for a batch stepper. Each row's dot is rounded to float32
+// once and then added to y — tensor.MatVecAdd's contract, which the bias
+// staging in every stepper relies on.
+type MatVec func(y, x []float32)
+
+// Kernels is the arithmetic a stream's steppers run. The steppers own the
+// step order (bias, projections, gate epilogue); Kernels says what executes
+// each projection and which epilogue tier blends the gates — the dense
+// reference here, a deployment's compiled programs in internal/rtmobile.
+type Kernels struct {
+	// MatVec binds weight matrix p for bw-wide panels (bw == 1: vectors).
+	MatVec func(p *Param, bw int) MatVec
+	// FastEpilogue selects the SIMD polynomial σ/tanh gate blend
+	// (tolerance-verified, see tensor.FastActClose) over the bit-pinned
+	// exact one.
+	FastEpilogue bool
+}
+
+// ReferenceKernels binds every projection to tensor.MatVecAdd(Batch) over
+// the model's own dense weights with the exact epilogue: the training-side
+// reference whose steps replay Forward's float operation order bit for bit.
+func ReferenceKernels() Kernels {
+	return Kernels{MatVec: func(p *Param, bw int) MatVec {
+		w := p.W
+		if bw == 1 {
+			return func(y, x []float32) { tensor.MatVecAdd(y, w, x) }
+		}
+		return func(y, x []float32) { tensor.MatVecAddBatch(y, w, x, bw) }
+	}}
 }
 
 // gruEpilogue selects the gate-epilogue tier: the exact fused kernel is
 // bit-identical to the historical unfused gate loop, the fast kernel runs
-// the SIMD polynomial σ/tanh blend (tolerance-verified, see
-// tensor.FastActClose). Like matVecAdd, captured once at construction.
+// the SIMD polynomial σ/tanh blend. Captured once at construction so the
+// per-step hot loop stays branch-cheap.
 func gruEpilogue(fast bool) func(h, ax, ah []float32) {
 	if fast {
 		return tensor.GRUEpilogueFast
@@ -59,41 +80,37 @@ type stageTraced interface {
 // H-sized copy per step than the historical unfused loop, with bit-equal
 // results on the exact tier.
 type gruStream struct {
-	g      *GRU
+	bx, bh []float32
+	wx, wh MatVec
 	h      []float32
 	ax, ah []float32
-	mv     func(y []float32, w *tensor.Matrix, x []float32)
 	ep     func(h, ax, ah []float32)
 	tracer *obs.Tracer
 	layer  int32
 }
 
-// Stream returns a stateful stepper over this GRU's weights. The stepper
-// shares weights with the layer (training would be visible) but owns its
-// state.
-func (g *GRU) Stream() Stepper { return g.stream(false, false) }
+// Stream returns a stateful reference stepper over this GRU's weights. The
+// stepper shares weights with the layer (training would be visible) but
+// owns its state.
+func (g *GRU) Stream() Stepper { return g.stream(ReferenceKernels()) }
 
-// StreamFast is Stream on the relaxed-precision kernel tier.
-func (g *GRU) StreamFast() Stepper { return g.stream(true, true) }
-
-func (g *GRU) stream(fastMV, fastEp bool) Stepper {
+func (g *GRU) stream(k Kernels) Stepper {
 	return &gruStream{
-		g:  g,
+		bx: g.Bx.W.Data, bh: g.Bh.W.Data,
+		wx: k.MatVec(g.Wx, 1), wh: k.MatVec(g.Wh, 1),
 		h:  make([]float32, g.Hidden),
 		ax: make([]float32, 3*g.Hidden),
 		ah: make([]float32, 3*g.Hidden),
-		mv: matVecAdd(fastMV),
-		ep: gruEpilogue(fastEp),
+		ep: gruEpilogue(k.FastEpilogue),
 	}
 }
 
 // Step implements Stepper.
 func (s *gruStream) Step(x []float32) []float32 {
-	g := s.g
-	copy(s.ax, g.Bx.W.Data)
-	s.mv(s.ax, g.Wx.W, x)
-	copy(s.ah, g.Bh.W.Data)
-	s.mv(s.ah, g.Wh.W, s.h)
+	copy(s.ax, s.bx)
+	s.wx(s.ax, x)
+	copy(s.ah, s.bh)
+	s.wh(s.ah, s.h)
 	if s.tracer != nil {
 		t0 := time.Now()
 		s.ep(s.h, s.ax, s.ah)
@@ -114,38 +131,36 @@ func (s *gruStream) setStageTracer(tr *obs.Tracer, layerID int32) {
 
 // lstmStream is an LSTM cell's streaming state.
 type lstmStream struct {
-	l    *LSTM
-	h, c []float32
-	act  []float32
-	out  []float32
-	mv   func(y []float32, w *tensor.Matrix, x []float32)
+	hidden int
+	bx, bh []float32
+	wx, wh MatVec
+	h, c   []float32
+	act    []float32
+	out    []float32
 }
 
-// Stream returns a stateful stepper over this LSTM's weights.
-func (l *LSTM) Stream() Stepper { return l.stream(false) }
+// Stream returns a stateful reference stepper over this LSTM's weights.
+func (l *LSTM) Stream() Stepper { return l.stream(ReferenceKernels()) }
 
-// StreamFast is Stream on the relaxed-precision kernel tier.
-func (l *LSTM) StreamFast() Stepper { return l.stream(true) }
-
-func (l *LSTM) stream(fast bool) Stepper {
+func (l *LSTM) stream(k Kernels) Stepper {
 	return &lstmStream{
-		l:   l,
+		hidden: l.Hidden,
+		bx:     l.Bx.W.Data, bh: l.Bh.W.Data,
+		wx: k.MatVec(l.Wx, 1), wh: k.MatVec(l.Wh, 1),
 		h:   make([]float32, l.Hidden),
 		c:   make([]float32, l.Hidden),
 		act: make([]float32, 4*l.Hidden),
 		out: make([]float32, l.Hidden),
-		mv:  matVecAdd(fast),
 	}
 }
 
 // Step implements Stepper.
 func (s *lstmStream) Step(x []float32) []float32 {
-	l := s.l
-	H := l.Hidden
-	copy(s.act, l.Bx.W.Data)
-	tensor.Axpy(1, l.Bh.W.Data, s.act)
-	s.mv(s.act, l.Wx.W, x)
-	s.mv(s.act, l.Wh.W, s.h)
+	H := s.hidden
+	copy(s.act, s.bx)
+	tensor.Axpy(1, s.bh, s.act)
+	s.wx(s.act, x)
+	s.wh(s.act, s.h)
 	out := s.out
 	for j := 0; j < H; j++ {
 		i := sigmoid(s.act[j])
@@ -168,26 +183,24 @@ func (s *lstmStream) Reset() {
 // denseStream steps a Dense layer (stateless, but it still owns a
 // persistent output buffer so streaming stays allocation-free).
 type denseStream struct {
-	d   *Dense
-	out []float32
-	mv  func(y []float32, w *tensor.Matrix, x []float32)
+	bias []float32
+	w    MatVec
+	out  []float32
 }
 
-// Stream returns a stepper over the Dense layer.
-func (d *Dense) Stream() Stepper { return d.stream(false) }
+// Stream returns a reference stepper over the Dense layer.
+func (d *Dense) Stream() Stepper { return d.stream(ReferenceKernels()) }
 
-// StreamFast is Stream on the relaxed-precision kernel tier.
-func (d *Dense) StreamFast() Stepper { return d.stream(true) }
-
-func (d *Dense) stream(fast bool) Stepper {
-	return &denseStream{d: d, out: make([]float32, d.OutDimN), mv: matVecAdd(fast)}
+func (d *Dense) stream(k Kernels) Stepper {
+	return &denseStream{bias: d.Bias.W.Data, w: k.MatVec(d.Weight, 1),
+		out: make([]float32, d.OutDimN)}
 }
 
 // Step implements Stepper.
 func (s *denseStream) Step(x []float32) []float32 {
 	y := s.out
-	copy(y, s.d.Bias.W.Data)
-	s.mv(y, s.d.Weight.W, x)
+	copy(y, s.bias)
+	s.w(y, x)
 	return y
 }
 
@@ -215,30 +228,24 @@ func (s *Stream) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// NewStream builds a streaming pipeline sharing the model's weights.
-// Panics if a layer type has no streaming form.
-func (m *Model) NewStream() *Stream { return m.NewStreamTiers(false, false) }
+// NewStream builds the reference streaming pipeline over the model's dense
+// weights (ReferenceKernels): what training-side code, the tests and the
+// benchmark's oracle step. Panics if a layer type has no streaming form.
+func (m *Model) NewStream() *Stream { return m.NewKernelStream(ReferenceKernels()) }
 
-// NewStreamFast is NewStream on the relaxed-precision kernel tier: every
-// layer's projections run the FMA'd float32-accumulation kernels instead
-// of the bit-pinned exact reference, and recurrent gate epilogues run the
-// fused SIMD polynomial kernels. Outputs are tolerance-close to
-// NewStream's, not bit-identical (see tensor.FastClose/FastActClose).
-func (m *Model) NewStreamFast() *Stream { return m.NewStreamTiers(true, true) }
-
-// NewStreamTiers picks the projection (matvec) and gate-epilogue kernel
-// tiers independently — the ablation axis the epilogue bench sweeps. The
-// public constructors are (false,false) and (true,true).
-func (m *Model) NewStreamTiers(fastMV, fastEpilogue bool) *Stream {
+// NewKernelStream builds a streaming pipeline whose projections run the given
+// kernels. The steppers keep the step order and the model's biases; only
+// the y += W·x executors and the epilogue tier come from k.
+func (m *Model) NewKernelStream(k Kernels) *Stream {
 	s := &Stream{}
 	for _, l := range m.Layers {
 		switch v := l.(type) {
 		case *GRU:
-			s.steppers = append(s.steppers, v.stream(fastMV, fastEpilogue))
+			s.steppers = append(s.steppers, v.stream(k))
 		case *LSTM:
-			s.steppers = append(s.steppers, v.stream(fastMV))
+			s.steppers = append(s.steppers, v.stream(k))
 		case *Dense:
-			s.steppers = append(s.steppers, v.stream(fastMV))
+			s.steppers = append(s.steppers, v.stream(k))
 		default:
 			panic("nn: layer has no streaming form")
 		}

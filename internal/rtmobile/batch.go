@@ -40,17 +40,15 @@ type BatchStream struct {
 	qbuf  []float32
 	lane  []float32
 	post  []float32
-	// shard/macs/bytes/qkind/qspan/tracer: see Stream. macs is per
-	// timestep per lane; the lockstep executes bw lanes' worth of
-	// arithmetic every panel step (retired lanes keep computing), so
-	// MACsTotal is metered at bw×macs. bytes is NOT scaled by bw: the
-	// panel shares one weight stream per step — the amortization batching
-	// exists for — so BytesStreamed advances once per panel step.
+	// shard/macs/bytes/tracer: see Stream. macs is per timestep per lane;
+	// the lockstep executes bw lanes' worth of arithmetic every panel step
+	// (retired lanes keep computing), so MACsTotal is metered at bw×macs.
+	// bytes is NOT scaled by bw: the panel shares one weight stream per
+	// step — the amortization batching exists for — so BytesStreamed
+	// advances once per panel step.
 	shard  uint32
 	macs   uint64
 	bytes  uint64
-	qkind  obs.StageKind
-	qspan  bool
 	tracer *obs.Tracer
 	// sm is the per-lane posterior softmax on the engine's kernel tier
 	// (see softmaxTier) — each lane's row is extracted to a serial buffer
@@ -67,14 +65,8 @@ type BatchStream struct {
 // NewBatchStream opens a lockstep session of width bw. State persists
 // across StepBatch calls until Reset (all lanes) or ResetLane (one slot).
 func (e *Engine) NewBatchStream(bw int) *BatchStream {
-	var inner *nn.BatchStream
-	if e.precision == compiler.PrecisionFast {
-		inner = e.model.NewBatchStreamFast(bw)
-	} else {
-		inner = e.model.NewBatchStream(bw)
-	}
 	s := &BatchStream{
-		inner: inner,
+		inner: e.model.NewKernelBatchStream(bw, e.kernels(&compiler.PackedScratch{})),
 		bw:    bw,
 		out:   e.model.Spec.OutputDim,
 		fp16:  e.fp16,
@@ -83,7 +75,6 @@ func (e *Engine) NewBatchStream(bw int) *BatchStream {
 		bytes: e.stepBytes,
 		sm:    softmaxTier(e.precision == compiler.PrecisionFast),
 	}
-	s.qkind, s.qspan = e.quantStageKind()
 	if e.tracer != nil {
 		s.tracer = e.tracer
 		s.inner.SetTracer(e.tracer)
@@ -168,9 +159,6 @@ func (s *BatchStream) StepBatchInto(dst, panel []float32) {
 		}
 		if s.tracer != nil {
 			s.tracer.Record(obs.StageBatchStep, 0, int32(s.bw), t0.UnixNano(), dur)
-			if s.qspan {
-				s.tracer.Record(s.qkind, 0, int32(s.bw), t0.UnixNano(), dur)
-			}
 		}
 	}
 }
@@ -365,8 +353,10 @@ func (e *Engine) inferPanel(dst [][][]float32, utts [][][]float32, bw int) {
 // batched path, writing per-frame posteriors into dst. dst must mirror
 // batch's shape: dst[i] has one row per frame of batch[i], each row the
 // model's output width. Steady-state calls with a stable batch shape
-// perform zero heap allocations — the arena free list and the lockstep
-// session's panels are all reused.
+// below the fork-join break-even perform zero heap allocations — the arena
+// free list and the lockstep session's panels are all reused; above it the
+// pool's fork-join costs a handful of allocations per call, amortized over
+// at least compiler.ParallelBreakEvenMACs of arithmetic per worker.
 //
 // Output is bit-identical to calling Infer on each utterance serially:
 // grouping changes memory layout and weight-stream amortization, never a
@@ -383,7 +373,21 @@ func (e *Engine) InferBatchInto(dst, batch [][][]float32) {
 	if pool == nil {
 		pool = parallel.Default()
 	}
-	bw := batchWidth(n, pool.Workers())
+	// Shard panel groups across the pool only when the batch carries enough
+	// arithmetic per worker to pay for the fork-join (the packed executors'
+	// own break-even); below it one wide panel on the caller is faster, and
+	// allocation-free at any worker count.
+	workers := pool.Workers()
+	if workers > 1 {
+		frames := 0
+		for _, u := range batch {
+			frames += len(u)
+		}
+		if !compiler.ParallelWorthwhile(int(e.stepMACs)*frames, workers) {
+			workers = 1
+		}
+	}
+	bw := batchWidth(n, workers)
 	groups := (n + bw - 1) / bw
 	m := obs.M()
 	track := m != nil || e.tracer != nil
@@ -391,9 +395,9 @@ func (e *Engine) InferBatchInto(dst, batch [][][]float32) {
 	if track {
 		t0 = time.Now()
 	}
-	if groups == 1 || pool.Workers() < 2 {
+	if groups == 1 || workers < 2 {
 		// Inline loop instead of pool.For: the closure-free path is what
-		// keeps steady-state single-worker serving at zero allocations.
+		// keeps steady-state serving at zero allocations.
 		for g := 0; g < groups; g++ {
 			lo := g * bw
 			hi := min(lo+bw, n)

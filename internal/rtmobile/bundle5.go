@@ -17,15 +17,16 @@ import (
 // Bundle v5: the zero-copy section-table format. Versions 1–4 serialize
 // every weight through per-element binary encoding and rebuild the engine
 // with a full recompile at load, so loading is O(weights) in time and heap.
-// v5 instead writes every flat array the runtime executes from — the dense
-// weight matrices functional inference streams, and the packed / quantized
-// program arrays (vals, qvals, colIdx, segment descriptors, scales) the
-// packed backend executes — as raw little-endian sections with 64-byte
-// aligned payloads, plus one JSON metadata section carrying the model spec,
-// the compiled Plan (including the tuned plan cache), and the section
-// directory of each param and program. MapBundle then mmaps the file and
-// aliases those sections in place: no per-weight decode, no repack, no
-// recompile.
+// v5 instead writes every flat array the runtime holds — the packed /
+// quantized program arrays (vals, qvals, colIdx, segment descriptors,
+// scales) every inference entry point executes, and the dense weight
+// matrices they were lowered from (biases, retiering, re-export) — as raw
+// little-endian sections with 64-byte aligned payloads, plus one JSON
+// metadata section carrying the model spec, the compiled Plan (including
+// the tuned plan cache), and the section directory of each param and
+// program. MapBundle then mmaps the file and aliases those sections in
+// place: no per-weight decode, no repack, no recompile, and serving never
+// touches the dense weight pages.
 //
 // Layout (little-endian):
 //
@@ -172,40 +173,6 @@ func (e *Engine) SaveBundleVersion(w io.Writer, scheme prune.BSP, version int) e
 	}
 }
 
-// packedSectionsFor lowers the engine's weight matrices into packed (or
-// quantized packed) section form, exactly as the packed backend would
-// execute them: ModelSources (+ fusion when the deployment fused),
-// CompileProgram per matrix, then Pack / PackQuant at the plan's tuned
-// unroll.
-func (e *Engine) packedSectionsFor(scheme prune.BSP) ([]*compiler.PackedSections, error) {
-	opt := e.plan.Options
-	srcs := ModelSources(e.model, scheme, opt.Format)
-	if e.fused {
-		srcs = compiler.FuseSources(srcs)
-	}
-	out := make([]*compiler.PackedSections, 0, len(srcs))
-	for _, src := range srcs {
-		prog, err := compiler.CompileProgram(src, opt, e.target.Threads())
-		if err != nil {
-			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
-		}
-		if e.quant != 0 {
-			pq, err := compiler.PackQuant(prog, e.quant, quant.PerRow, opt.Tile.Unroll)
-			if err != nil {
-				return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
-			}
-			out = append(out, pq.Sections())
-			continue
-		}
-		pp, err := compiler.Pack(prog, opt.Tile.Unroll)
-		if err != nil {
-			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
-		}
-		out = append(out, pp.Sections())
-	}
-	return out, nil
-}
-
 // saveBundleV5 writes the section-table artifact.
 func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
 	vw := newV5Writer()
@@ -219,9 +186,9 @@ func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
 		Plan:      e.plan,
 	}
 
-	// Dense weight sections: the exact post-rounding values functional
-	// inference streams (fp16 / integer round-trips already happened at
-	// Compile), so a mapped engine is bit-identical by construction.
+	// Dense weight sections: the exact post-rounding values the programs
+	// were lowered from (fp16 / integer round-trips already happened at
+	// Compile). Serving reads only the biases among them.
 	for _, p := range e.model.Params() {
 		meta.Params = append(meta.Params, v5ParamMeta{
 			Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
@@ -229,12 +196,11 @@ func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
 		})
 	}
 
-	// Packed program sections: the flat executable arrays.
-	secs, err := e.packedSectionsFor(scheme)
-	if err != nil {
-		return err
-	}
-	for _, s := range secs {
+	// Packed program sections: the flat arrays of the very programs the
+	// engine executes (lowered once, at Compile), so a mapped load serves
+	// from them in place.
+	for _, p := range e.progs {
+		s := p.run.Sections()
 		pm := v5ProgramMeta{
 			Name: s.Name, Rows: s.Rows, Cols: s.Cols,
 			Format: s.Format, ValueBits: s.ValueBits,

@@ -39,12 +39,18 @@ func testScheme() (s prune.BSP) {
 // returns the path.
 func writeBundleFile(t *testing.T, eng *Engine, version int) string {
 	t.Helper()
+	return writeBundleFileScheme(t, eng, testScheme(), version)
+}
+
+// writeBundleFileScheme is writeBundleFile recording the given scheme.
+func writeBundleFileScheme(t *testing.T, eng *Engine, scheme prune.BSP, version int) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "model.rtmb")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SaveBundleVersion(f, testScheme(), version); err != nil {
+	if err := eng.SaveBundleVersion(f, scheme, version); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

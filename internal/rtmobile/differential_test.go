@@ -1,0 +1,256 @@
+package rtmobile
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"testing"
+
+	"rtmobile/internal/compiler"
+	"rtmobile/internal/device"
+	"rtmobile/internal/nn"
+	"rtmobile/internal/prune"
+	"rtmobile/internal/tensor"
+)
+
+// The differential suite: every way of obtaining an engine × every entry
+// point × BSP rates × worker counts × kernel tiers, each checked against the
+// training-side reference nn.Posteriors(model.Forward(..)) under the tier's
+// contract. The exact float tier must be bit-equal — the dense-order
+// contract of the compiled programs. The fast tier must satisfy
+// tensor.FastActClose with the engine-level absolute arm, the quantized
+// tiers the dequantize-then-dot bound. Whatever the tier, an engine loaded
+// from a bundle must reproduce the compiled engine bit for bit: it runs the
+// same programs.
+
+// diffTier is one kernel tier and its contract against the reference.
+type diffTier struct {
+	name      string
+	quant     int
+	precision compiler.Precision
+	// close reports whether got is acceptable for the reference value want.
+	close func(got, want float32) bool
+}
+
+var diffTiers = []diffTier{
+	{"exact", 0, compiler.PrecisionExact, func(got, want float32) bool { return got == want }},
+	// Posteriors live in [0, 1]; the fast tier reorders float rounding in
+	// each projection and approximates the gates, and the recurrence
+	// compounds both: the engine-level absolute arm is 1e-3.
+	{"fast", 0, compiler.PrecisionFast, func(got, want float32) bool {
+		return tensor.FastActClose(got, want, 1e-3)
+	}},
+	// A quantized program dequantizes in float64 (scale·q exactly) where
+	// the reference model holds float32(scale·q): per weight a relative
+	// 2⁻²⁴, per row γ·Σ|w·x| — far below 1e-4 on a posterior.
+	{"q8", 8, compiler.PrecisionExact, func(got, want float32) bool {
+		return math.Abs(float64(got)-float64(want)) <= 1e-4
+	}},
+	{"q16", 16, compiler.PrecisionExact, func(got, want float32) bool {
+		return math.Abs(float64(got)-float64(want)) <= 1e-4
+	}},
+}
+
+var diffRates = []struct {
+	name     string
+	col, row float64
+}{
+	{"1x", 1, 1},
+	{"10x", 10, 1},
+	{"245x", 20, 12.25},
+}
+
+// diffUtterances is a ragged set, one utterance empty.
+func diffUtterances(dim int) [][][]float32 {
+	var utts [][][]float32
+	for i, n := range []int{7, 3, 0, 5, 1, 6} {
+		utts = append(utts, testFrames(uint64(300+i), n, dim))
+	}
+	return utts
+}
+
+// diffEntries are the engine's entry points, each scoring every utterance.
+var diffEntries = []struct {
+	name string
+	run  func(e *Engine, utts [][][]float32) [][][]float32
+}{
+	{"StepInto", func(e *Engine, utts [][][]float32) [][][]float32 {
+		s := e.NewStream()
+		out := make([][][]float32, len(utts))
+		for i, u := range utts {
+			s.Reset()
+			for _, f := range u {
+				dst := make([]float32, e.OutputDim())
+				s.StepInto(dst, f)
+				out[i] = append(out[i], dst)
+			}
+		}
+		return out
+	}},
+	{"Infer", func(e *Engine, utts [][][]float32) [][][]float32 {
+		out := make([][][]float32, len(utts))
+		for i, u := range utts {
+			out[i] = e.Infer(u)
+		}
+		return out
+	}},
+	{"InferBatchInto", func(e *Engine, utts [][][]float32) [][][]float32 {
+		return e.InferBatch(utts) // allocates dst, then InferBatchInto
+	}},
+	{"BatchLease", diffLease},
+}
+
+// diffLease drives a width-3 lease the way the scheduler does: lanes are
+// seated from a queue with ResetLane while their neighbours keep streaming,
+// retired when their utterance ends, and sit one step retired before the
+// next utterance takes the slot.
+func diffLease(e *Engine, utts [][][]float32) [][][]float32 {
+	const width = 3
+	lease := e.AcquireBatch(width)
+	defer lease.Release()
+	in, post := lease.In(), lease.Out()
+	out := make([][][]float32, len(utts))
+	cur, pos, idle := [width]int{}, [width]int{}, [width]int{}
+	for l := range cur {
+		cur[l] = -1
+		lease.Retire(l)
+	}
+	next, done := 0, 0
+	for done < len(utts) {
+		for l := range cur {
+			if cur[l] >= 0 {
+				continue
+			}
+			if idle[l]++; idle[l] < 2 || next == len(utts) {
+				continue
+			}
+			if len(utts[next]) == 0 {
+				next, done = next+1, done+1
+				continue
+			}
+			cur[l], pos[l], next = next, 0, next+1
+			lease.ResetLane(l)
+		}
+		for l, u := range cur {
+			if u >= 0 {
+				for i, v := range utts[u][pos[l]] {
+					in[i*width+l] = v
+				}
+			}
+		}
+		lease.Step()
+		for l, u := range cur {
+			if u < 0 {
+				continue
+			}
+			row := make([]float32, e.OutputDim())
+			for i := range row {
+				row[i] = post[i*width+l]
+			}
+			out[u] = append(out[u], row)
+			if pos[l]++; pos[l] == len(utts[u]) {
+				cur[l], idle[l], done = -1, 0, done+1
+				lease.Retire(l)
+			}
+		}
+	}
+	return out
+}
+
+// diffLoaders are the ways of obtaining an engine from a compiled one.
+var diffLoaders = []struct {
+	name string
+	load func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine
+}{
+	{"Compile", func(t *testing.T, eng *Engine, _ prune.BSP) *Engine { return eng }},
+	{"MapBundleV5", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
+		mb, err := MapBundle(writeBundleFileScheme(t, eng, scheme, 5), device.MobileCPU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mb.Close() })
+		return mb.Engine()
+	}},
+	{"LoadBundleV4", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
+		var buf bytes.Buffer
+		if err := eng.SaveBundleVersion(&buf, scheme, 4); err != nil {
+			t.Fatal(err)
+		}
+		loaded, _, err := LoadBundle(&buf, device.MobileCPU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}},
+}
+
+func TestEngineDifferential(t *testing.T) {
+	spec := nn.ModelSpec{InputDim: 13, Hidden: 64, NumLayers: 2, OutputDim: 9, Seed: 77}
+	utts := diffUtterances(spec.InputDim)
+	// Workers 2 and 8 must really fork: the test model is far below the
+	// fork-join break-even.
+	defer func(prev int) { compiler.ParallelBreakEvenMACs = prev }(compiler.ParallelBreakEvenMACs)
+	compiler.ParallelBreakEvenMACs = 0
+
+	for _, rate := range diffRates {
+		for _, tier := range diffTiers {
+			model := nn.NewModel(spec)
+			res := Prune(model, nil, PruneConfig{ColRate: rate.col, RowRate: rate.row})
+			eng, err := Compile(model, res.Scheme, DeployConfig{
+				Target: device.MobileCPU(), Quant: tier.quant, Precision: tier.precision,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The engine's model after Compile's weight rounding: what the
+			// programs were lowered from.
+			ref := make([][][]float32, len(utts))
+			for i, u := range utts {
+				ref[i] = nn.Posteriors(model.Forward(u))
+			}
+			compiled := map[string][][][]float32{}
+			for _, loader := range diffLoaders {
+				t.Run(fmt.Sprintf("%s/%s/%s", rate.name, tier.name, loader.name), func(t *testing.T) {
+					e := loader.load(t, eng, res.Scheme)
+					for _, workers := range []int{1, 2, 8} {
+						e.SetWorkers(workers)
+						for _, entry := range diffEntries {
+							got := entry.run(e, utts)
+							label := fmt.Sprintf("%s/w%d", entry.name, workers)
+							diffCheck(t, label, got, ref, tier.close)
+							// Same entry, same worker count (hence the same panel
+							// widths, which the fast tier's lane grouping follows).
+							if loader.name == "Compile" {
+								compiled[label] = got
+								continue
+							}
+							diffCheck(t, label+" vs compiled", got, compiled[label],
+								func(got, want float32) bool { return got == want })
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// diffCheck compares per-utterance, per-frame posteriors under a contract.
+func diffCheck(t *testing.T, label string, got, want [][][]float32, ok func(got, want float32) bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d utterances, want %d", label, len(got), len(want))
+	}
+	for u := range want {
+		if len(got[u]) != len(want[u]) {
+			t.Fatalf("%s: utterance %d has %d frames, want %d", label, u, len(got[u]), len(want[u]))
+		}
+		for f := range want[u] {
+			for j := range want[u][f] {
+				if !ok(got[u][f][j], want[u][f][j]) {
+					t.Fatalf("%s: utterance %d frame %d phone %d: %v, want %v",
+						label, u, f, j, got[u][f][j], want[u][f][j])
+				}
+			}
+		}
+	}
+}

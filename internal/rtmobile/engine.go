@@ -20,13 +20,22 @@ import (
 // pruning and fp16 quantization is measurable); Latency/GOPs/Efficiency
 // report the cost model's per-frame predictions for the compiled plan.
 //
-// Ownership rule: after Compile returns, the engine's weights are
-// read-only — every inference entry point (Infer, InferBatch, NewStream)
-// allocates its own recurrent state and only reads the model, so one
-// Engine may serve any number of goroutines concurrently. The one-time
-// fp16 weight rounding happens inside Compile, before the engine is
-// published. Training a deployed engine's model while serving from it is
-// the only unsupported combination.
+// Every inference entry point executes the compiled packed programs: nn's
+// steppers keep the step order (bias, projections, gate epilogue) and each
+// projection runs its weight matrix's PackedProgram / PackedQProgram. On
+// the exact tier with float weights that is bit-identical to
+// nn.Posteriors(model.Forward(..)) — the programs keep tensor.MatVecAdd's
+// per-row order (see compiler.PackedProgram.RunAdd) — with one caveat: a
+// pruned weight times a non-finite input is 0·Inf = NaN in the dense
+// reference and skipped by the program.
+//
+// Ownership rule: after Compile returns, the engine's weights and programs
+// are read-only — every inference entry point (Infer, InferBatch,
+// NewStream) allocates its own recurrent state and scratch, so one Engine
+// may serve any number of goroutines concurrently. The one-time fp16 weight
+// rounding happens inside Compile, before the programs are lowered and the
+// engine is published. Training a deployed engine's model does not reach
+// the programs.
 type Engine struct {
 	model  *nn.Model
 	plan   *compiler.Plan
@@ -35,6 +44,13 @@ type Engine struct {
 	fp16   bool
 	fused  bool
 	tuned  TuneRecord
+
+	// progs holds one executable program per prunable weight matrix, in
+	// ModelSources order (for an unfused plan, position = plan matrix
+	// index). Lowered once at Compile (or once at load for bundles that
+	// carry none) and serialized as-is by the v5 writer; a mapped engine's
+	// programs alias file pages.
+	progs []namedProgram
 
 	// quant is the integer weight-quantization width (0 = float weights);
 	// quantPERDelta / quantFallback record the accuracy guardrail's verdict
@@ -68,29 +84,87 @@ type Engine struct {
 	tracer    *obs.Tracer
 }
 
-// quantStageKind maps the engine's quantization width and precision tier
-// to the per-format kernel-span kind streams record per step; ok is false
-// only for exact-tier float deployments (which record no kernel spans at
-// the engine level — the pre-existing behavior). Fast-tier deployments
-// always record a span, so /statz can attribute time to the tier.
-func (e *Engine) quantStageKind() (obs.StageKind, bool) {
-	fast := e.precision == compiler.PrecisionFast
-	switch e.quant {
-	case 8:
-		if fast {
-			return obs.StageKernelQ8Fast, true
+// program is a weight matrix's compiled executable: a PackedProgram or a
+// PackedQProgram behind the accumulate pair they share.
+type program interface {
+	RunAdd(y, x []float32, s *compiler.PackedScratch) error
+	RunBatchAdd(y, x []float32, bw int, s *compiler.PackedScratch) error
+	SetTracer(tr *obs.Tracer, id int32)
+	Sections() *compiler.PackedSections
+}
+
+// namedProgram is a program under its weight matrix's parameter name.
+type namedProgram struct {
+	name string
+	run  program
+}
+
+// program returns the named weight matrix's program, or nil.
+func (e *Engine) program(name string) program {
+	for _, p := range e.progs {
+		if p.name == name {
+			return p.run
 		}
-		return obs.StageKernelQ8, true
-	case 12, 16:
-		if fast {
-			return obs.StageKernelQ16Fast, true
+	}
+	return nil
+}
+
+// lowerPrograms compiles and packs every prunable weight matrix of the
+// model under the plan's options — the one lowering a deployment performs.
+// Sources are never fused: a GRU keeps Wx·x and Wh·h apart (the reset gate
+// scales only the recurrent half), so a fused plan prices [Wx|Wh] kernels
+// while the engine still executes one program per matrix.
+func lowerPrograms(model *nn.Model, scheme prune.BSP, opt compiler.Options, threads, quantBits int) ([]namedProgram, error) {
+	srcs := ModelSources(model, scheme, opt.Format)
+	progs := make([]namedProgram, 0, len(srcs))
+	for _, src := range srcs {
+		prog, err := compiler.CompileProgram(src, opt, threads)
+		if err != nil {
+			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
 		}
-		return obs.StageKernelQ16, true
+		var run program
+		if quantBits != 0 {
+			run, err = compiler.PackQuant(prog, quantBits, quant.PerRow, opt.Tile.Unroll)
+		} else {
+			run, err = compiler.Pack(prog, opt.Tile.Unroll)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
+		}
+		progs = append(progs, namedProgram{src.Name, run})
 	}
-	if fast {
-		return obs.StageKernelFast, true
+	return progs, nil
+}
+
+// kernels binds nn's steppers to the engine's programs. scratch is the
+// opening stream's private gather/accumulator arena, shared by all of its
+// programs (they run one after another). A program's run entries only fail
+// on a shape mismatch, which Compile and the bundle loaders rule out, so a
+// failure here is a bug and panics like tensor.MatVecAdd does.
+func (e *Engine) kernels(scratch *compiler.PackedScratch) nn.Kernels {
+	return nn.Kernels{
+		FastEpilogue: e.precision == compiler.PrecisionFast,
+		MatVec: func(p *nn.Param, bw int) nn.MatVec {
+			prog := e.program(p.Name)
+			if prog == nil {
+				// A 1-wide "matrix" (InputDim or OutputDim of 1) is not
+				// prunable and has no program; it is a plain dot.
+				return nn.ReferenceKernels().MatVec(p, bw)
+			}
+			if bw == 1 {
+				return func(y, x []float32) {
+					if err := prog.RunAdd(y, x, scratch); err != nil {
+						panic(err)
+					}
+				}
+			}
+			return func(y, x []float32) {
+				if err := prog.RunBatchAdd(y, x, bw, scratch); err != nil {
+					panic(err)
+				}
+			}
+		},
 	}
-	return 0, false
 }
 
 // TuneMode records how an engine's tile configuration was chosen.
@@ -230,10 +304,11 @@ func (e *Engine) SetWorkers(n int) {
 // half precision at the model boundary.
 //
 // The call owns all mutable state (it steps a private stream over the
-// shared weights), so concurrent Infer calls on one Engine are safe and
+// shared programs), so concurrent Infer calls on one Engine are safe and
 // each produces exactly the bytes a solo call would. The layer steppers
-// replay the batch Forward pass's float operation order, so results are
-// also bit-identical to the training-side Forward.
+// replay the batch Forward pass's float operation order and the exact-tier
+// float programs keep the dense per-row order, so those results are also
+// bit-identical to the training-side Forward.
 //
 // Per-frame state lives in flat arenas carved up front (the stream's
 // persistent buffers, one logits arena, one posteriors arena), so the
@@ -318,18 +393,16 @@ type Stream struct {
 	// shard is the stream's stable counter-stripe hint (one atomic stripe
 	// per stream keeps concurrent sessions off each other's cache lines);
 	// macs/bytes are the engine's plan-priced per-timestep MAC count and
-	// weight-stream traffic; qkind (valid when qspan) is the per-format
-	// kernel-span kind of a quantized deployment; tracer is the engine
+	// weight-stream traffic — the one place work counters are metered (the
+	// programs record only kernel latency and spans); tracer is the engine
 	// tracer captured at open time (nil = untraced fast path).
 	shard  uint32
 	macs   uint64
 	bytes  uint64
-	qkind  obs.StageKind
-	qspan  bool
 	tracer *obs.Tracer
 	// sm is the posterior softmax on the engine's kernel tier (exact
 	// float64-sum reference, or the vectorized-exp fast kernel), captured
-	// once at open time like the steppers' matvec/epilogue selections.
+	// once at open time like the steppers' epilogue selection.
 	sm func(dst, src []float32)
 }
 
@@ -347,17 +420,12 @@ func softmaxTier(fast bool) func(dst, src []float32) {
 // NewStream opens a streaming session. State persists across Step calls
 // until Reset.
 func (e *Engine) NewStream() *Stream {
-	var inner *nn.Stream
-	if e.precision == compiler.PrecisionFast {
-		inner = e.model.NewStreamFast()
-	} else {
-		inner = e.model.NewStream()
-	}
-	s := &Stream{inner: inner, fp16: e.fp16,
+	s := &Stream{
+		inner: e.model.NewKernelStream(e.kernels(&compiler.PackedScratch{})),
+		fp16:  e.fp16,
 		shard: obs.NextShard(), macs: e.stepMACs, bytes: e.stepBytes,
 		tracer: e.tracer,
 		sm:     softmaxTier(e.precision == compiler.PrecisionFast)}
-	s.qkind, s.qspan = e.quantStageKind()
 	if e.tracer != nil {
 		s.inner.SetTracer(e.tracer)
 	}
@@ -396,9 +464,6 @@ func (s *Stream) step(frame []float32) []float32 {
 		}
 		if s.tracer != nil {
 			s.tracer.Record(obs.StageStep, 0, 1, t0.UnixNano(), dur)
-			if s.qspan {
-				s.tracer.Record(s.qkind, 0, 1, t0.UnixNano(), dur)
-			}
 		}
 	}
 	return out

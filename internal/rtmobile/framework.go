@@ -260,6 +260,12 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	if eng.fp16 {
 		eng.quantizeWeights()
 	}
+	// Lower after the rounding, so the programs execute exactly the weights
+	// nn.Forward reads from the engine's model.
+	eng.progs, err = lowerPrograms(model, scheme, opt, cfg.Target.Threads(), eng.quant)
+	if err != nil {
+		return nil, err
+	}
 	return eng, nil
 }
 

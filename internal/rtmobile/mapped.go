@@ -28,14 +28,11 @@ import (
 // / big-endian build that cannot alias) reads the file into one arena and
 // parses the identical format there.
 
-// v5Image is a parsed v5 bundle: the engine plus the packed programs, all
-// potentially aliasing the backing bytes.
+// v5Image is a parsed v5 bundle: the engine (its weights and programs
+// potentially aliasing the backing bytes) and the stored scheme.
 type v5Image struct {
-	eng     *Engine
-	scheme  prune.BSP
-	packed  map[string]*compiler.PackedProgram
-	packedQ map[string]*compiler.PackedQProgram
-	names   []string
+	eng    *Engine
+	scheme prune.BSP
 }
 
 // MappedBundle is a loaded deployment whose storage may alias a shared
@@ -66,16 +63,29 @@ func (b *MappedBundle) Mapped() bool { return b.mapped }
 // Version reports the on-disk format version that was loaded.
 func (b *MappedBundle) Version() int { return b.version }
 
-// Packed returns the named matrix's packed float program (nil if the
-// bundle is quantized, holds no packed sections, or the name is unknown).
-func (b *MappedBundle) Packed(name string) *compiler.PackedProgram { return b.img.packed[name] }
+// Packed returns the packed float program the engine executes for the named
+// weight matrix (nil for quantized deployments or unknown names).
+func (b *MappedBundle) Packed(name string) *compiler.PackedProgram {
+	p, _ := b.img.eng.program(name).(*compiler.PackedProgram)
+	return p
+}
 
-// PackedQ returns the named matrix's quantized packed program (nil for
-// float bundles or unknown names).
-func (b *MappedBundle) PackedQ(name string) *compiler.PackedQProgram { return b.img.packedQ[name] }
+// PackedQ returns the quantized packed program the engine executes for the
+// named weight matrix (nil for float deployments or unknown names).
+func (b *MappedBundle) PackedQ(name string) *compiler.PackedQProgram {
+	p, _ := b.img.eng.program(name).(*compiler.PackedQProgram)
+	return p
+}
 
-// ProgramNames lists the packed program names in the bundle, sorted.
-func (b *MappedBundle) ProgramNames() []string { return b.img.names }
+// ProgramNames lists the engine's program names, sorted.
+func (b *MappedBundle) ProgramNames() []string {
+	names := make([]string, 0, len(b.img.eng.progs))
+	for _, p := range b.img.eng.progs {
+		names = append(names, p.name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // Close releases the mapping. The engine and every program obtained from
 // this bundle become invalid: their weight slices alias the unmapped
@@ -416,66 +426,93 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		stepBytes: uint64(meta.Plan.WeightBytes()),
 	}
 
-	img := v5Image{
-		eng: eng, scheme: meta.Scheme,
-		packed:  make(map[string]*compiler.PackedProgram),
-		packedQ: make(map[string]*compiler.PackedQProgram),
+	eng.progs, err = storedPrograms(sections, &meta, model)
+	if err != nil {
+		return zero, err
 	}
-	for _, pm := range meta.Programs {
-		ps := &compiler.PackedSections{
-			Name: pm.Name, Rows: pm.Rows, Cols: pm.Cols,
-			Format: pm.Format, ValueBits: pm.ValueBits,
-			Unroll: pm.Unroll, Precision: pm.Precision,
-			Bits: pm.Bits, Scheme: pm.Scheme, NumScales: pm.NumScales,
-		}
-		what := "program " + pm.Name
-		if ps.ColIdx, err = v5I32(sections, pm.SecColIdx, what+" colidx"); err != nil {
+	if eng.progs == nil {
+		eng.progs, err = lowerPrograms(model, meta.Scheme, meta.Plan.Options,
+			target.Threads(), meta.QuantBits)
+		if err != nil {
 			return zero, err
 		}
-		if ps.SegWords, err = v5I32(sections, pm.SecSegs, what+" segments"); err != nil {
-			return zero, err
-		}
-		if ps.RowIdx, err = v5I32(sections, pm.SecRows, what+" rows"); err != nil {
-			return zero, err
-		}
-		if ps.LaneSegCounts, err = v5I32(sections, pm.SecLaneSegs, what+" lane seg counts"); err != nil {
-			return zero, err
-		}
-		if ps.LaneRowCounts, err = v5I32(sections, pm.SecLaneRows, what+" lane row counts"); err != nil {
-			return zero, err
-		}
-		switch {
-		case pm.Bits == 8:
-			if ps.Vals8, err = v5I8(sections, pm.SecQVals, what+" qvals"); err != nil {
-				return zero, err
-			}
-		case pm.Bits != 0:
-			if ps.Vals16, err = v5I16(sections, pm.SecQVals, what+" qvals"); err != nil {
-				return zero, err
-			}
-		default:
-			if ps.Vals, err = v5F32(sections, pm.SecVals, what+" vals", -1); err != nil {
-				return zero, err
-			}
-		}
-		if pm.Bits != 0 {
-			if ps.Scales, err = v5F32(sections, pm.SecScales, what+" scales", pm.Rows); err != nil {
-				return zero, err
-			}
-			pq, err := compiler.NewPackedQFromSections(ps)
-			if err != nil {
-				return zero, err
-			}
-			img.packedQ[pm.Name] = pq
-		} else {
-			pp, err := compiler.NewPackedFromSections(ps)
-			if err != nil {
-				return zero, err
-			}
-			img.packed[pm.Name] = pp
-		}
-		img.names = append(img.names, pm.Name)
 	}
-	sort.Strings(img.names)
-	return img, nil
+	return v5Image{eng: eng, scheme: meta.Scheme}, nil
+}
+
+// storedPrograms rebuilds the bundle's programs over their sections and
+// returns them when they are what the engine executes: one per prunable
+// weight matrix, on the deployment's width and tier, each output row
+// produced by a single dot (so accumulating the program is
+// tensor.MatVecAdd's per-row order). It returns nil programs for bundles
+// that carry anything else — a fused plan's [Wx|Wh] programs, which sum
+// what a GRU keeps apart, or a file written by the per-block lowering —
+// and the caller lowers from the weights instead. Corrupt sections are an
+// error either way.
+func storedPrograms(sections map[uint32][]byte, meta *v5Meta, model *nn.Model) ([]namedProgram, error) {
+	srcs := ModelSources(model, meta.Scheme, meta.Plan.Options.Format)
+	progs := make([]namedProgram, 0, len(meta.Programs))
+	usable := len(meta.Programs) == len(srcs)
+	for i, pm := range meta.Programs {
+		run, ps, err := v5Program(sections, pm)
+		if err != nil {
+			return nil, err
+		}
+		progs = append(progs, namedProgram{pm.Name, run})
+		usable = usable && pm.Name == srcs[i].Name &&
+			ps.Rows == srcs[i].W.Rows && ps.Cols == srcs[i].W.Cols &&
+			ps.Bits == meta.QuantBits && ps.Precision == meta.Plan.Options.Precision &&
+			ps.RowsOnce()
+	}
+	if !usable {
+		return nil, nil
+	}
+	return progs, nil
+}
+
+// v5Program rebuilds one stored program, aliasing its sections in place.
+func v5Program(sections map[uint32][]byte, pm v5ProgramMeta) (program, *compiler.PackedSections, error) {
+	ps := &compiler.PackedSections{
+		Name: pm.Name, Rows: pm.Rows, Cols: pm.Cols,
+		Format: pm.Format, ValueBits: pm.ValueBits,
+		Unroll: pm.Unroll, Precision: pm.Precision,
+		Bits: pm.Bits, Scheme: pm.Scheme, NumScales: pm.NumScales,
+	}
+	what := "program " + pm.Name
+	var err error
+	if ps.ColIdx, err = v5I32(sections, pm.SecColIdx, what+" colidx"); err != nil {
+		return nil, nil, err
+	}
+	if ps.SegWords, err = v5I32(sections, pm.SecSegs, what+" segments"); err != nil {
+		return nil, nil, err
+	}
+	if ps.RowIdx, err = v5I32(sections, pm.SecRows, what+" rows"); err != nil {
+		return nil, nil, err
+	}
+	if ps.LaneSegCounts, err = v5I32(sections, pm.SecLaneSegs, what+" lane seg counts"); err != nil {
+		return nil, nil, err
+	}
+	if ps.LaneRowCounts, err = v5I32(sections, pm.SecLaneRows, what+" lane row counts"); err != nil {
+		return nil, nil, err
+	}
+	if pm.Bits == 0 {
+		if ps.Vals, err = v5F32(sections, pm.SecVals, what+" vals", -1); err != nil {
+			return nil, nil, err
+		}
+		pp, err := compiler.NewPackedFromSections(ps)
+		return pp, ps, err
+	}
+	if pm.Bits == 8 {
+		ps.Vals8, err = v5I8(sections, pm.SecQVals, what+" qvals")
+	} else {
+		ps.Vals16, err = v5I16(sections, pm.SecQVals, what+" qvals")
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if ps.Scales, err = v5F32(sections, pm.SecScales, what+" scales", pm.Rows); err != nil {
+		return nil, nil, err
+	}
+	pq, err := compiler.NewPackedQFromSections(ps)
+	return pq, ps, err
 }

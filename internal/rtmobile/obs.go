@@ -15,8 +15,7 @@ import (
 
 // stepPricedMACs sums the plan's per-matrix MAC prices for one timestep
 // (every matrix is applied once per timestep), the unit streams use to
-// meter obs MACsTotal. It is exact for the interpreter and packed
-// backends, and a cost-model figure for the dense nn fallback.
+// meter obs MACsTotal: the nonzero weights the step's programs multiply.
 func stepPricedMACs(plan *compiler.Plan) uint64 {
 	n := 0
 	for i := range plan.Matrices {
@@ -27,24 +26,36 @@ func stepPricedMACs(plan *compiler.Plan) uint64 {
 
 // EnableTracing installs a per-stage tracer on the engine: streams and
 // lockstep sessions opened afterwards record per-layer timing spans
-// (obs.StageLayer), plus one span per stream step (obs.StageStep) and
-// per lockstep panel step (obs.StageBatchStep). ringCap bounds the span
-// ring (rounded up to a power of two, minimum 64). Returns the tracer;
-// read it with Spans/Stage or via Engine.LayerStats. Not safe to call
-// concurrently with in-flight inference; already-open streams are
-// unaffected.
+// (obs.StageLayer, with the GRU epilogue nested as obs.StageEpilogue),
+// plus one span per stream step (obs.StageStep) and per lockstep panel
+// step (obs.StageBatchStep); the engine's programs record one kernel span
+// per execution, labeled with their matrix index (the plan's, for an
+// unfused plan) — shared by every stream, already open or not. ringCap
+// bounds the span ring (rounded up to a power of two, minimum 64). Returns
+// the tracer; read it with Spans/Stage or via Engine.LayerStats. Not safe
+// to call concurrently with in-flight inference.
 func (e *Engine) EnableTracing(ringCap int) *obs.Tracer {
-	maxIDs := len(e.model.Layers)
-	if n := len(e.plan.Matrices); n > maxIDs {
-		maxIDs = n
-	}
+	maxIDs := max(len(e.model.Layers), len(e.plan.Matrices), len(e.progs))
 	e.tracer = obs.NewTracer(ringCap, maxIDs)
+	e.traceProgs(e.tracer)
 	return e.tracer
 }
 
 // DisableTracing detaches the engine's tracer. Streams opened while it
-// was attached keep recording into it.
-func (e *Engine) DisableTracing() { e.tracer = nil }
+// was attached keep recording their step, layer and epilogue spans into
+// it; kernel spans stop at once (the programs are shared). Not safe to
+// call concurrently with in-flight inference.
+func (e *Engine) DisableTracing() {
+	e.tracer = nil
+	e.traceProgs(nil)
+}
+
+// traceProgs attaches tr (or detaches, with nil) on every program.
+func (e *Engine) traceProgs(tr *obs.Tracer) {
+	for i, p := range e.progs {
+		p.run.SetTracer(tr, int32(i))
+	}
+}
 
 // Tracer returns the engine's stage tracer, or nil when tracing is off.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }

@@ -1,6 +1,8 @@
 package rtmobile
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"rtmobile/internal/device"
@@ -94,7 +96,7 @@ func TestStreamStepMetersCounters(t *testing.T) {
 // TestStreamStepMetersBytesStreamed: each step streams the plan-priced
 // weight+index traffic, and quantization shrinks it — an int8 deployment
 // advances BytesStreamed by strictly less per step than the float one.
-// A quantized stream also records the per-format kernel span each step.
+// The engine's programs also record their per-format kernel span each step.
 func TestStreamStepMetersBytesStreamed(t *testing.T) {
 	stepBytes := func(t *testing.T, quantBits int) uint64 {
 		t.Helper()
@@ -123,13 +125,18 @@ func TestStreamStepMetersBytesStreamed(t *testing.T) {
 			if advanced%N != 0 {
 				t.Fatalf("BytesStreamed advanced %d, not a multiple of %d steps", advanced, N)
 			}
-			wantKind := obs.StageKernelQ8
-			wantSpans := uint64(N)
-			if quantBits == 0 {
-				wantSpans = 0
+			// Every program records one kernel span per step, of its own
+			// format's kind and of no other.
+			kind, other := obs.StageKernel, obs.StageKernelQ8
+			if quantBits == 8 {
+				kind, other = other, kind
 			}
-			if got, _ := tr.KindTotal(wantKind); got != wantSpans {
-				t.Fatalf("quant=%d: %d kernel_q8 spans, want %d", quantBits, got, wantSpans)
+			wantSpans := uint64(N * len(eng.Plan().Matrices))
+			if got, _ := tr.KindTotal(kind); got != wantSpans {
+				t.Fatalf("quant=%d: %d %s spans, want %d", quantBits, got, kind, wantSpans)
+			}
+			if got, _ := tr.KindTotal(other); got != 0 {
+				t.Fatalf("quant=%d: %d %s spans, want 0", quantBits, got, other)
 			}
 			advanced /= N
 		})
@@ -281,4 +288,48 @@ func TestMetricsDisabledFastPath(t *testing.T) {
 	if got := m.StepsTotal.Value(); got != steps0 {
 		t.Fatalf("disabled collector advanced StepsTotal %d → %d", steps0, got)
 	}
+}
+
+// TestStepIntoMetersMACsOnce: with collection on (the RTMOBILE_METRICS=1
+// state, forced by withMetrics whatever the environment says), one StepInto advances the exported rtmobile_macs_total by exactly the plan's
+// per-step price — the step is the one metering site; the programs it runs
+// add nothing on top — on float and quantized deployments, compiled or
+// mapped.
+func TestStepIntoMetersMACsOnce(t *testing.T) {
+	exported := func(m *obs.Metrics) uint64 {
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var flat map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes(), &flat); err != nil {
+			t.Fatal(err)
+		}
+		var v uint64
+		if err := json.Unmarshal(flat["rtmobile_macs_total"], &v); err != nil {
+			t.Fatalf("rtmobile_macs_total: %v", err)
+		}
+		return v
+	}
+	withMetrics(t, func(m *obs.Metrics) {
+		for _, quantBits := range []int{0, 8} {
+			eng, _ := v5TestEngine(t, 111, DeployConfig{Target: device.MobileCPU(), Quant: quantBits})
+			mb, err := MapBundle(writeBundleFile(t, eng, 5), device.MobileCPU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mb.Close()
+			for name, e := range map[string]*Engine{"compiled": eng, "mapped": mb.Engine()} {
+				s := e.NewStream()
+				dst := make([]float32, e.OutputDim())
+				frame := testFrames(112, 1, e.InputDim())[0]
+				before := exported(m)
+				s.StepInto(dst, frame)
+				if got, want := exported(m)-before, stepPricedMACs(e.Plan()); got != want {
+					t.Fatalf("quant=%d %s: one StepInto advanced rtmobile_macs_total by %d, want %d",
+						quantBits, name, got, want)
+				}
+			}
+		}
+	})
 }
