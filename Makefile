@@ -6,7 +6,7 @@ QUANT_COVER_FLOOR ?= 90.0
 SCHED_COVER_FLOOR ?= 90.0
 REGISTRY_COVER_FLOOR ?= 90.0
 
-.PHONY: all build test race fuzz-smoke vet bench cover
+.PHONY: all build test race fuzz-smoke vet bench cover loc
 
 all: vet build test
 
@@ -15,28 +15,32 @@ build:
 
 # Tier-1 gate: everything must pass. The AllocsPerRun gates then run again
 # at forced pool sizes: "0 allocs/op" must hold whatever the host's core
-# count makes the default pool.
+# count makes the default pool (internal/compiler never touches the pool).
+# The purego run covers the portable kernels and the copy-decoding bundle
+# loader — the only ones a non-amd64 (i.e. mobile) target runs.
 ALLOC_GATES = Alloc
-ALLOC_PKGS = ./internal/tensor ./internal/compiler ./internal/nn ./internal/obs ./internal/rtmobile ./internal/sched
+ALLOC_PKGS = ./internal/tensor ./internal/nn ./internal/obs ./internal/rtmobile ./internal/sched
 
 test:
 	$(GO) test ./...
+	$(GO) test -tags=purego ./internal/tensor ./internal/compiler ./internal/rtmobile
 	RTMOBILE_WORKERS=1 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
 	RTMOBILE_WORKERS=2 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
 	RTMOBILE_WORKERS=8 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
 
 # Full suite under the race detector; the concurrency stress tests in
 # internal/rtmobile and internal/compiler are written for this target. The
-# second invocation re-runs the batched equivalence suites with forced pool
-# sizes so the lane-sharded merge paths race-test at several widths.
+# following invocations re-run the engine's batched suites with forced pool
+# sizes so InferBatchInto's panel-group sharding race-tests at several
+# widths.
 race:
 	$(GO) test -race ./...
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Batch' ./internal/compiler ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Batch' ./internal/compiler ./internal/rtmobile
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Quant' ./internal/compiler ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Quant' ./internal/compiler ./internal/rtmobile
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Fast|Precision' ./internal/compiler ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Fast|Precision' ./internal/compiler ./internal/rtmobile
+	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Batch' ./internal/rtmobile
+	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Batch' ./internal/rtmobile
+	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Quant' ./internal/rtmobile
+	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Quant' ./internal/rtmobile
+	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Fast|Precision' ./internal/rtmobile
+	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Fast|Precision' ./internal/rtmobile
 	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Epilogue|Fused' ./internal/tensor ./internal/nn ./internal/rtmobile
 	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Epilogue|Fused' ./internal/tensor ./internal/nn ./internal/rtmobile
 	RTMOBILE_METRICS=1 $(GO) test -race ./internal/obs
@@ -76,20 +80,21 @@ vet:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-# Regenerates the paper tables plus the worker-scaling study, then the
-# packed-vs-interpreter, batched-execution, quantized-execution, and
-# precision-tier studies as machine-readable artifacts.
+# Regenerates the paper tables, then the three studies no `go run
+# ./benchmark` workload covers yet — quantized kernels, precision tiers and
+# the open-loop saturation knee — as machine-readable artifacts.
 bench:
 	$(GO) test -bench=. -benchmem
-	$(GO) run ./cmd/rtmobile bench -exp packed -json BENCH_2.json
-	$(GO) run ./cmd/rtmobile bench -exp batch -json BENCH_3.json
-	$(GO) run ./cmd/rtmobile bench -exp obs -json BENCH_4.json
 	$(GO) run ./cmd/rtmobile bench -exp quant -json BENCH_5.json
-	$(GO) run ./cmd/rtmobile bench -exp serve -json BENCH_6.json
 	$(GO) run ./cmd/rtmobile bench -exp precision -json BENCH_7.json
-	$(GO) run ./cmd/rtmobile bench -exp mmap -json BENCH_8.json
 	$(GO) run ./cmd/rtmobile bench -exp slo -json BENCH_9.json
-	$(GO) run ./cmd/rtmobile bench -exp epilogue -json BENCH_10.json
+
+# Non-test source lines (*.go and *.s) per package and in total, benchmark/
+# excluded: the size a simplicity change states itself in.
+loc:
+	@find . -path ./benchmark -prune -o \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Coverage gates: the observability primitives and the quantization
 # package must each stay above their statement-coverage floor.

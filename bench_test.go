@@ -19,7 +19,6 @@ import (
 	"rtmobile/internal/device"
 	"rtmobile/internal/dsp"
 	"rtmobile/internal/nn"
-	"rtmobile/internal/parallel"
 	"rtmobile/internal/prune"
 	"rtmobile/internal/rtmobile"
 	"rtmobile/internal/sparse"
@@ -287,40 +286,10 @@ func BenchmarkDeviceLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkProgramExecWorkers measures the real parallel runtime on the
-// Table-I-sized GRU recurrent projection (3072×1024, BSP 16×/2×): one
-// compiled kernel program executed wall-clock at several worker-pool
-// sizes. On multicore hardware the 4-worker row should clear ~1.5× over
-// the 1-worker row; outputs are bit-identical at every size (the bench
-// harness asserts this in RunWorkerSweep, and the equivalence suite in
-// internal/compiler asserts it per lowering).
-func BenchmarkProgramExecWorkers(b *testing.B) {
-	cfg := bench.DefaultWorkerSweepConfig()
-	prog, x, err := bench.BuildSweepProgram(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y := make([]float32, prog.Rows)
-	for _, workers := range cfg.Workers {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pool := parallel.NewPool(workers)
-			defer pool.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := prog.ExecuteParallel(y, x, pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkProgramExec is the packed-backend acceptance benchmark: the
 // interpreter vs the packed executor on the Table-I-sized GRU recurrent
-// projection (3072×1024, BSP 16×/2×), serial and at equal worker counts.
-// The packed rows should clear ≥1.5× over the matching interpreter rows;
-// `rtmobile bench -exp packed -json BENCH_2.json` records the same
-// measurement machine-readably.
+// projection (3072×1024, BSP 16×/2×). The packed row should clear ≥1.5×
+// over the interpreter row.
 func BenchmarkProgramExec(b *testing.B) {
 	cfg := bench.DefaultWorkerSweepConfig()
 	prog, x, err := bench.BuildSweepProgram(cfg)
@@ -349,26 +318,6 @@ func BenchmarkProgramExec(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range cfg.Workers {
-		pool := parallel.NewPool(workers)
-		b.Run(fmt.Sprintf("interp/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := prog.ExecuteParallel(y, x, pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("packed/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := pp.RunParallel(y, x, pool, scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		pool.Close()
-	}
 }
 
 // BenchmarkStreamStep measures the zero-allocation streaming path: one
@@ -398,9 +347,7 @@ func BenchmarkStreamStep(b *testing.B) {
 // BenchmarkRunBatch measures the batched packed executor on the
 // Table-I-sized GRU recurrent projection at several lockstep panel widths.
 // ns/op grows with B, but MACs/s (each lane's work is real) should grow
-// past packed/serial as the weight stream amortizes over the panel;
-// `rtmobile bench -exp batch -json BENCH_3.json` records the same
-// measurement machine-readably, with the arithmetic-intensity column.
+// past packed/serial as the weight stream amortizes over the panel.
 func BenchmarkRunBatch(b *testing.B) {
 	cfg := bench.DefaultWorkerSweepConfig()
 	prog, x, err := bench.BuildSweepProgram(cfg)

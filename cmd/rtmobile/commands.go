@@ -289,10 +289,10 @@ func cmdAutotune(args []string) error {
 
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	exp := fs.String("exp", "all", "experiment: table1, table2, fig4, ablation, blocksize, quant, precision, epilogue, scaling, workers, packed, batch, obs, serve, mmap, slo, or all")
+	exp := fs.String("exp", "all", "experiment: table1, table2, fig4, ablation, blocksize, scaling, quant, precision, slo, or all")
 	full := fs.Bool("full", false, "full-scale Table I (minutes of training)")
 	stages := fs.Int("stages", 0, "override the BSP gradual-pruning stage count (0 = config default)")
-	jsonOut := fs.String("json", "", "with -exp packed, batch, obs, quant, precision, epilogue, serve, mmap, or slo: also write the rows as JSON to this path (e.g. BENCH_10.json)")
+	jsonOut := fs.String("json", "", "with -exp quant, precision, or slo: also write the rows as JSON to this path (e.g. BENCH_9.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -340,133 +340,6 @@ func cmdBench(args []string) error {
 			return err
 		}
 		fmt.Println(bench.RenderScaling(rows, cfg.ProbeColRate))
-	case "workers":
-		cfg := bench.DefaultWorkerSweepConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		rows, err := bench.RunWorkerSweep(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderWorkerSweep(rows, cfg))
-	case "packed":
-		cfg := bench.DefaultWorkerSweepConfig()
-		rows, err := bench.RunPackedBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderPackedBench(rows, cfg))
-		gains := bench.PackedSpeedup(rows)
-		ops := make([]string, 0, len(gains))
-		for op := range gains {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for _, op := range ops {
-			fmt.Printf("  packed vs interp @ %s: %.2fx\n", op, gains[op])
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WritePackedJSON(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	case "batch":
-		cfg := bench.DefaultBatchSweepConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		rows, err := bench.RunBatchBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderBatchBench(rows, cfg))
-		gains := bench.BatchSpeedup(rows)
-		ops := make([]string, 0, len(gains))
-		for op := range gains {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for _, op := range ops {
-			fmt.Printf("  MACs/s vs packed/serial @ %s: %.2fx\n", op, gains[op])
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteBatchJSON(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	case "obs":
-		rows, err := bench.RunObsBench(bench.DefaultObsBenchConfig())
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderObsBench(rows))
-		if over, ok := bench.ObsOverhead(rows, "packed/serial"); ok {
-			verdict := "within"
-			if over >= bench.ObsOverheadTargetPct {
-				verdict = "OVER"
-			}
-			fmt.Printf("  metrics overhead on packed/serial: %+.2f%% (%s the %.0f%% target)\n",
-				over, verdict, bench.ObsOverheadTargetPct)
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteObsJSON(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	case "serve":
-		cfg := bench.DefaultServeBenchConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		rows, err := bench.RunServeBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderServeBench(rows, cfg))
-		if speed, ok := bench.ServeSpeedup(rows, bench.ServeSpeedupClients); ok {
-			verdict := "meets"
-			if speed < bench.ServeSpeedupTarget {
-				verdict = "MISSES"
-			}
-			fmt.Printf("  batched goodput @ %d clients: %.2fx direct (%s the %.0fx target)\n",
-				bench.ServeSpeedupClients, speed, verdict, bench.ServeSpeedupTarget)
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteServeJSON(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
 	case "slo":
 		cfg := bench.DefaultLoadgenConfig()
 		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
@@ -493,34 +366,6 @@ func cmdBench(args []string) error {
 				return err
 			}
 			if err := bench.WriteLoadgenJSON(f, rep); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	case "mmap":
-		cfg := bench.DefaultMmapBenchConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		res, err := bench.RunMmapBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderMmapBench(res))
-		verdict := "meets"
-		if res.SpeedupX < bench.MmapSpeedupTarget {
-			verdict = "MISSES"
-		}
-		fmt.Printf("  v5 map load: %.1fx faster than v4 decode (%s the %.0fx target)\n",
-			res.SpeedupX, verdict, bench.MmapSpeedupTarget)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteMmapJSON(f, res); err != nil {
 				f.Close()
 				return err
 			}
@@ -604,45 +449,6 @@ func cmdBench(args []string) error {
 				return err
 			}
 			if err := bench.WritePrecisionJSON(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	case "epilogue":
-		cfg := bench.DefaultEpilogueBenchConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		rows, err := bench.RunEpilogueBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderEpilogueBench(rows, cfg))
-		gains := bench.EpilogueSpeedup(rows)
-		ops := make([]string, 0, len(gains))
-		for op := range gains {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for _, op := range ops {
-			fmt.Printf("  fused/fast gain @ %s: %.2fx\n", op, gains[op])
-		}
-		if speed, ok := gains[bench.EpilogueHeadlineOp]; ok {
-			verdict := "meets"
-			if speed < bench.EpilogueStepSpeedupTarget {
-				verdict = "MISSES"
-			}
-			fmt.Printf("  headline fused step: %.2fx the scalar-epilogue step (%s the %.2fx target)\n",
-				speed, verdict, bench.EpilogueStepSpeedupTarget)
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteEpilogueJSON(f, rows); err != nil {
 				f.Close()
 				return err
 			}

@@ -169,7 +169,14 @@ func cmdServe(args []string) error {
 		fmt.Printf("note: metrics collection is disabled (%s); /metrics will return 503\n", obs.EnvMetrics)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: srv.Mux()}
+	// No WriteTimeout: an NDJSON stream session writes for as long as it
+	// lasts (its reads are bounded per frame, see internal/serve).
+	server := &http.Server{
+		Addr: *addr, Handler: srv.Mux(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second, // a full 16 MiB /infer body at ≥ 0.5 MB/s
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

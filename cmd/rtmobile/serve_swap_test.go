@@ -82,13 +82,16 @@ func TestServeHotSwapConcurrent(t *testing.T) {
 			srv := httptest.NewServer(newServeMux(reg))
 			defer srv.Close()
 
-			const swaps = 6
+			// The swapper publishes up to 6 replacements and stops early if the
+			// clients finish first; swaps (read after swapDone) counts the ones
+			// it made.
+			swaps := 0
 			stopSwaps := make(chan struct{})
 			swapDone := make(chan struct{})
 			go func() {
 				defer close(swapDone)
 				paths := [2]string{p2, p1}
-				for i := 0; i < swaps; i++ {
+				for i := 0; i < 6; i++ {
 					select {
 					case <-stopSwaps:
 						return
@@ -98,6 +101,7 @@ func TestServeHotSwapConcurrent(t *testing.T) {
 						t.Errorf("swap %d: %v", i, err)
 						return
 					}
+					swaps++
 					time.Sleep(200 * time.Microsecond)
 				}
 			}()
@@ -149,7 +153,7 @@ func TestServeHotSwapConcurrent(t *testing.T) {
 			// their mappings.
 			waitFor(t, "retired versions drained", func() bool {
 				st, ok := reg.Stats("asr")
-				return ok && st.Retired == swaps && st.Leases == 0
+				return ok && st.Retired == uint64(swaps) && st.Leases == 0
 			})
 			st, _ := reg.Stats("asr")
 			if st.Errors != 0 {

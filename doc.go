@@ -39,10 +39,18 @@
 // run (lanes never mix, so batch width changes layout, not summation
 // order). On amd64 with AVX2 the panel kernels run in assembly, vectorized
 // across lanes with separate multiply and add (never FMA) so the bytes
-// match the portable path; -tags=purego restores pure Go. Parallel entry
-// points fall back to serial below a fork-join break-even
-// (compiler.ParallelBreakEvenMACs), so small programs never pay for
-// workers they cannot feed.
+// match the portable path; -tags=purego restores pure Go.
+//
+// There is one packed program type and one executor. A PackedProgram's
+// value storage (float32, int8, int16), kernel tier (exact, fast) and
+// unroll factor are resolved once, when the program is built, into the
+// segment kernels its lane loops call; nothing is selected per execution.
+// The compiler's thread lanes are its load-balancing and statistics unit
+// and are visited in order — a lane-parallel executor existed, never beat
+// the serial one at any measured width or worker count, and was deleted
+// (DESIGN.md records the numbers). Parallelism lives one level up:
+// InferBatchInto shards whole lockstep panels across the pool once a batch
+// carries enough arithmetic per worker to pay for the fork-join.
 //
 // The packed programs are what a deployed Engine serves from: every entry
 // point (Stream.Step/StepInto, Infer, BatchStream, BatchLease.Step,
@@ -61,8 +69,8 @@
 // program). Compile lowers once; the v5 bundle stores those programs and
 // MapBundle runs them in place, leaving the dense weight pages untouched.
 //
-// Because the hot path is bound by the weight stream, the packed backend
-// also runs quantized: compiler.PackQuant stores the same flat layout
+// Because the hot path is bound by the weight stream, the packed program
+// also stores quantized values: compiler.PackQuant keeps the same flat layout
 // with int8 (8-bit) or int16 (12/16-bit) values plus per-row float32
 // scales, streaming a quarter or half the bytes, and the kernels
 // dequantize in register in the exact serial accumulation order — so
@@ -75,10 +83,9 @@
 //
 // # Concurrency and the ownership rule
 //
-// The runtime is parallel but deterministic. Compiled programs execute
-// their thread lanes on a worker pool (internal/parallel), dense training
-// kernels chunk large loops over the same pool, and Engine.InferBatch
-// scores independent utterances concurrently. Every parallel path is
+// The runtime is parallel but deterministic. Dense training kernels chunk
+// large loops over a worker pool (internal/parallel), and Engine.InferBatch
+// scores independent utterance groups concurrently on the same pool. Every parallel path is
 // bit-identical to its serial counterpart: work is partitioned so each
 // output element is produced by exactly one worker in the serial float op
 // order, so results never depend on worker count or scheduling. Pool size

@@ -42,11 +42,9 @@ func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
 		name                  string
 		format                compiler.Format
 		noReorder, noLoadElim bool
-		fuse                  bool
 	}
 	variants := []variant{
 		{name: "full RTMobile (BSPC+reorder+loadelim)", format: compiler.FormatBSPC},
-		{name: "+ kernel fusion (extension)", format: compiler.FormatBSPC, fuse: true},
 		{name: "no matrix reorder", format: compiler.FormatBSPC, noReorder: true},
 		{name: "no load elimination", format: compiler.FormatBSPC, noLoadElim: true},
 		{name: "CSR instead of BSPC", format: compiler.FormatCSR, noReorder: true, noLoadElim: true},
@@ -65,7 +63,6 @@ func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
 		eng, err := rtmobile.Compile(model, res.Scheme, rtmobile.DeployConfig{
 			Target: target, Format: v.format,
 			DisableReorder: v.noReorder, DisableLoadElim: v.noLoadElim,
-			FuseKernels: v.fuse,
 		})
 		if err != nil {
 			return 0, err

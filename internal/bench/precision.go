@@ -65,15 +65,15 @@ type PrecisionBenchRow struct {
 	MACsPerSec  float64 `json:"macs_per_sec"`
 }
 
-// precExec pairs one format's exact and fast packed backends.
+// precExec pairs one format's exact and fast packed programs.
 type precExec struct {
 	format string
 	bits   int
-	run    [2]func(y, x []float32) error           // [exact, fast]
-	batch  [2]func(yp, xp []float32, bw int) error // [exact, fast]
+	pp     [2]*compiler.PackedProgram // [exact, fast]
+	s      *compiler.PackedScratch
 }
 
-// tierName indexes precExec's backend pairs.
+// tierName indexes precExec's program pairs.
 var tierName = [2]string{"exact", "fast"}
 
 // RunPrecisionBench measures exact vs fast packed execution for every
@@ -86,38 +86,19 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 	// Pack each format once per tier; the tier is a pack-time property, so
 	// the exact and fast programs share the IR but select different kernel
 	// families.
-	macs := 0
-	execs := make([]precExec, 0, 3)
-	for tier := 0; tier < 2; tier++ {
-		prog.Precision = compiler.PrecisionExact
-		if tier == 1 {
-			prog.Precision = compiler.PrecisionFast
-		}
-		pp, err := compiler.Pack(prog, 0)
-		if err != nil {
-			return nil, err
-		}
-		fs := pp.NewScratch()
-		if tier == 0 {
-			macs = pp.TotalMACs()
-			execs = append(execs, precExec{format: "f32", bits: 32})
-		}
-		execs[0].run[tier] = func(y, x []float32) error { return pp.Run(y, x, fs) }
-		execs[0].batch[tier] = func(yp, xp []float32, bw int) error { return pp.RunBatch(yp, xp, bw, fs) }
-		for qi, bits := range []int{8, 16} {
-			pq, err := compiler.PackQuant(prog, bits, quant.PerRow, 0)
+	execs := []precExec{{format: "f32", bits: 32}, {format: "q8", bits: 8}, {format: "q16", bits: 16}}
+	for tier, prec := range []compiler.Precision{compiler.PrecisionExact, compiler.PrecisionFast} {
+		prog.Precision = prec
+		for i, bits := range []int{0, 8, 16} {
+			pp, err := compiler.PackQuant(prog, bits, quant.PerRow, 0)
 			if err != nil {
 				return nil, err
 			}
-			qs := pq.NewScratch()
-			if tier == 0 {
-				execs = append(execs, precExec{format: fmt.Sprintf("q%d", bits), bits: bits})
-			}
-			execs[1+qi].run[tier] = func(y, x []float32) error { return pq.Run(y, x, qs) }
-			execs[1+qi].batch[tier] = func(yp, xp []float32, bw int) error { return pq.RunBatch(yp, xp, bw, qs) }
+			execs[i].pp[tier], execs[i].s = pp, pp.NewScratch()
 		}
 	}
 	prog.Precision = compiler.PrecisionExact
+	macs := execs[0].pp[0].TotalMACs()
 
 	maxB := 1
 	for _, b := range cfg.Batches {
@@ -140,7 +121,7 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 		refs := make([][]float32, maxB)
 		for l := range refs {
 			refs[l] = make([]float32, prog.Rows)
-			if err := ex.run[0](refs[l], lanes[l]); err != nil {
+			if err := ex.pp[0].Run(refs[l], lanes[l], ex.s); err != nil {
 				return nil, err
 			}
 		}
@@ -156,7 +137,7 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 
 		for tier := 0; tier < 2; tier++ {
 			y := make([]float32, prog.Rows)
-			if err := ex.run[tier](y, x); err != nil {
+			if err := ex.pp[tier].Run(y, x, ex.s); err != nil {
 				return nil, err
 			}
 			if err := checkLane(y, 0, tierName[tier]+"/serial"); err != nil {
@@ -166,7 +147,7 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 			rows = append(rows, precisionRow(ex, tierName[tier], 1, benchRow(op, macs, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ex.run[tier](y, x)
+					ex.pp[tier].Run(y, x, ex.s)
 				}
 			})))
 			for _, bw := range cfg.Batches {
@@ -177,7 +158,7 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 					}
 				}
 				yp := make([]float32, prog.Rows*bw)
-				if err := ex.batch[tier](yp, xp, bw); err != nil {
+				if err := ex.pp[tier].RunBatch(yp, xp, bw, ex.s); err != nil {
 					return nil, err
 				}
 				lane := make([]float32, prog.Rows)
@@ -193,7 +174,7 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 				rows = append(rows, precisionRow(ex, tierName[tier], bw, benchRow(op, macs*bw, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						ex.batch[tier](yp, xp, bw)
+						ex.pp[tier].RunBatch(yp, xp, bw, ex.s)
 					}
 				})))
 			}

@@ -52,14 +52,12 @@ type QuantBenchRow struct {
 	MACsPerStreamedByte float64 `json:"macs_per_streamed_byte"`
 }
 
-// quantExec abstracts the float and quantized packed backends so the
-// study times them through one code path.
+// quantExec is one storage format's packed program and its scratch.
 type quantExec struct {
 	format string
 	bits   int
-	stream int
-	run    func(y, x []float32) error
-	batch  func(yp, xp []float32, bw int) error
+	pp     *compiler.PackedProgram
+	s      *compiler.PackedScratch
 }
 
 // RunQuantBench measures f32 vs q8 vs q16 packed execution, serial and
@@ -69,29 +67,19 @@ func RunQuantBench(cfg QuantBenchConfig) ([]QuantBenchRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp, err := compiler.Pack(prog, 0)
-	if err != nil {
-		return nil, err
-	}
-	macs := pp.TotalMACs()
-	fs := pp.NewScratch()
-	execs := []quantExec{{
-		format: "f32", bits: 32, stream: pp.StreamBytes(),
-		run:   func(y, x []float32) error { return pp.Run(y, x, fs) },
-		batch: func(yp, xp []float32, bw int) error { return pp.RunBatch(yp, xp, bw, fs) },
-	}}
-	for _, bits := range []int{8, 16} {
-		pq, err := compiler.PackQuant(prog, bits, quant.PerRow, 0)
+	var execs []quantExec
+	for _, bits := range []int{0, 8, 16} {
+		pp, err := compiler.PackQuant(prog, bits, quant.PerRow, 0)
 		if err != nil {
 			return nil, err
 		}
-		qs := pq.NewScratch()
-		execs = append(execs, quantExec{
-			format: fmt.Sprintf("q%d", bits), bits: bits, stream: pq.StreamBytes(),
-			run:   func(y, x []float32) error { return pq.Run(y, x, qs) },
-			batch: func(yp, xp []float32, bw int) error { return pq.RunBatch(yp, xp, bw, qs) },
-		})
+		ex := quantExec{format: fmt.Sprintf("q%d", bits), bits: bits, pp: pp, s: pp.NewScratch()}
+		if bits == 0 {
+			ex.format, ex.bits = "f32", 32
+		}
+		execs = append(execs, ex)
 	}
+	macs := execs[0].pp.TotalMACs()
 
 	maxB := 1
 	for _, b := range cfg.Batches {
@@ -109,10 +97,10 @@ func RunQuantBench(cfg QuantBenchConfig) ([]QuantBenchRow, error) {
 		row := QuantBenchRow{
 			Op: r.Op, Format: ex.format, Bits: ex.bits, Batch: bw,
 			NsPerOp: r.NsPerOp, AllocsPerOp: r.AllocsPerOp, MACsPerSec: r.MACsPerSec,
-			WeightBytesStreamed: ex.stream,
+			WeightBytesStreamed: ex.pp.StreamBytes(),
 		}
-		if ex.stream > 0 {
-			row.MACsPerStreamedByte = float64(bw) * float64(macs) / float64(ex.stream)
+		if stream := ex.pp.StreamBytes(); stream > 0 {
+			row.MACsPerStreamedByte = float64(bw) * float64(macs) / float64(stream)
 		}
 		return row
 	}
@@ -124,7 +112,7 @@ func RunQuantBench(cfg QuantBenchConfig) ([]QuantBenchRow, error) {
 		refs := make([][]float32, maxB)
 		for l := range refs {
 			refs[l] = make([]float32, prog.Rows)
-			if err := ex.run(refs[l], lanes[l]); err != nil {
+			if err := ex.pp.Run(refs[l], lanes[l], ex.s); err != nil {
 				return nil, err
 			}
 		}
@@ -133,7 +121,7 @@ func RunQuantBench(cfg QuantBenchConfig) ([]QuantBenchRow, error) {
 		rows = append(rows, toRow(ex, 1, benchRow(op, macs, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ex.run(y, x)
+				ex.pp.Run(y, x, ex.s)
 			}
 		})))
 		for _, bw := range cfg.Batches {
@@ -144,7 +132,7 @@ func RunQuantBench(cfg QuantBenchConfig) ([]QuantBenchRow, error) {
 				}
 			}
 			yp := make([]float32, prog.Rows*bw)
-			if err := ex.batch(yp, xp, bw); err != nil {
+			if err := ex.pp.RunBatch(yp, xp, bw, ex.s); err != nil {
 				return nil, err
 			}
 			for l := 0; l < bw; l++ {
@@ -159,7 +147,7 @@ func RunQuantBench(cfg QuantBenchConfig) ([]QuantBenchRow, error) {
 			rows = append(rows, toRow(ex, bw, benchRow(op, macs*bw, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ex.batch(yp, xp, bw)
+					ex.pp.RunBatch(yp, xp, bw, ex.s)
 				}
 			})))
 		}

@@ -5,7 +5,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"rtmobile/internal/compiler"
 )
+
+// smallSweepConfig keeps the kernel studies fast for the unit-test tier
+// while still exercising program build, timing, and the serial cross-check.
+func smallSweepConfig() WorkerSweepConfig {
+	return WorkerSweepConfig{
+		Hidden: 96, ColRate: 4, RowRate: 1,
+		Format: compiler.FormatBSPC, Lanes: 4,
+	}
+}
 
 func smallQuantBenchConfig() QuantBenchConfig {
 	return QuantBenchConfig{

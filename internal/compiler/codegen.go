@@ -78,7 +78,7 @@ func CompileMatrix(src MatrixSource, opt Options, threads int) (MatrixStats, err
 	}
 
 	// Quantized storage: recompute the weight footprint from the real
-	// PackedQProgram layout rather than the bit-width multiplier, so Table
+	// packed layout rather than the bit-width multiplier, so Table
 	// II-style accounting reports exactly what the backend streams (per-row
 	// scales are metadata, reported separately via NumScales, not here).
 	if opt.QuantBits != 0 {

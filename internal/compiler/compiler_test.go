@@ -408,54 +408,3 @@ func TestPlacementString(t *testing.T) {
 		t.Fatal("placement names wrong")
 	}
 }
-
-func TestFuseSources(t *testing.T) {
-	scheme := prune.BSP{ColRate: 4, RowRate: 1, NumRowGroups: 2, NumColBlocks: 2}
-	wx := bspMat(80, 12, 8, scheme)
-	wh := bspMat(81, 12, 16, scheme)
-	out := bspMat(82, 4, 16, scheme)
-	fused := FuseSources([]MatrixSource{
-		{Name: "Wx", W: wx, Scheme: &scheme},
-		{Name: "Wh", W: wh, Scheme: &scheme},
-		{Name: "out", W: out, Scheme: &scheme},
-	})
-	if len(fused) != 2 {
-		t.Fatalf("fused into %d sources, want 2", len(fused))
-	}
-	f := fused[0]
-	if f.Name != "Wx+Wh" {
-		t.Fatalf("fused name %q", f.Name)
-	}
-	if f.W.Rows != 12 || f.W.Cols != 24 {
-		t.Fatalf("fused shape %dx%d", f.W.Rows, f.W.Cols)
-	}
-	// Column-concatenation preserves values and therefore MACs.
-	if f.W.NNZ() != wx.NNZ()+wh.NNZ() {
-		t.Fatal("fusion changed nonzero count")
-	}
-	for r := 0; r < 12; r++ {
-		for c := 0; c < 8; c++ {
-			if f.W.At(r, c) != wx.At(r, c) {
-				t.Fatal("left half corrupted")
-			}
-		}
-		for c := 0; c < 16; c++ {
-			if f.W.At(r, 8+c) != wh.At(r, c) {
-				t.Fatal("right half corrupted")
-			}
-		}
-	}
-	// Non-fusable trailing matrix untouched.
-	if fused[1].Name != "out" || fused[1].W != out {
-		t.Fatal("unfusable matrix modified")
-	}
-}
-
-func TestFuseSourcesNoPairs(t *testing.T) {
-	a := tensor.NewMatrix(4, 4)
-	b := tensor.NewMatrix(6, 4)
-	fused := FuseSources([]MatrixSource{{Name: "a", W: a}, {Name: "b", W: b}})
-	if len(fused) != 2 {
-		t.Fatal("unequal-row matrices must not fuse")
-	}
-}

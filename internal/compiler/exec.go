@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"sync"
 
 	"rtmobile/internal/prune"
 	"rtmobile/internal/sparse"
@@ -48,28 +47,6 @@ type Program struct {
 	ValueBits  int
 	Precision  Precision
 	Threads    [][]Instr
-
-	// macsOnce/macsTotal lazily cache the program's total MAC count for the
-	// parallel break-even test. Programs are treated as immutable once they
-	// start executing, so a one-shot walk over the instructions is safe.
-	macsOnce  sync.Once
-	macsTotal int
-}
-
-// totalMACs returns (and caches) the program's total multiply-accumulate
-// count — the work term of the fork-join break-even test.
-func (p *Program) totalMACs() int {
-	p.macsOnce.Do(func() {
-		for _, lane := range p.Threads {
-			for i := range lane {
-				ins := &lane[i]
-				if ins.Op == OpDotGathered || ins.Op == OpDotStream {
-					p.macsTotal += len(ins.Vals)
-				}
-			}
-		}
-	})
-	return p.macsTotal
 }
 
 // ExecStats counts the events of one program execution.
@@ -240,7 +217,7 @@ func lowerBSPC(w *tensor.Matrix, scheme prune.BSP, chunks [][]int, eliminate boo
 	return out
 }
 
-// laneCounts are one thread-lane's event counts; the executors merge them
+// laneCounts are one thread-lane's event counts; the executors sum them
 // into ExecStats in lane index order.
 type laneCounts struct {
 	gathers  int
@@ -251,9 +228,7 @@ type laneCounts struct {
 // runLane executes one thread-lane's instruction sequence, accumulating
 // row results into y (indexed by absolute row) and gathering through xbuf
 // (cleared at each OpGather; pass a buffer with capacity len(x) to avoid
-// growth). Both the serial and the parallel executor run lanes through
-// this one function, so their per-lane float operation sequences are
-// identical by construction.
+// growth).
 func runLane(prog []Instr, y, x, xbuf []float32) (laneCounts, error) {
 	var c laneCounts
 	for _, ins := range prog {
@@ -293,9 +268,8 @@ func runLane(prog []Instr, y, x, xbuf []float32) (laneCounts, error) {
 
 // Execute runs the program on x, writing y (len Rows) and returning the
 // event counts. Threads execute deterministically in index order; each
-// thread's partial results accumulate into y (BSPC rows may be touched by
-// several blocks, but every row belongs to exactly one thread — the
-// invariant ExecuteParallel relies on).
+// thread's partial results accumulate into y (every row belongs to exactly
+// one thread).
 func (p *Program) Execute(y, x []float32) (ExecStats, error) {
 	if len(x) != p.Cols || len(y) != p.Rows {
 		return ExecStats{}, fmt.Errorf("compiler: Execute shape mismatch")

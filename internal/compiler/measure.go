@@ -17,16 +17,8 @@ import (
 // bundle (see internal/rtmobile's plan cache) so deployment never
 // re-measures.
 
-// packedRunner is the execution surface MeasurePackedNs times — satisfied
-// by both the float32 PackedProgram and the quantized PackedQProgram, so
-// the tuner prices whichever backend opt.QuantBits selects.
-type packedRunner interface {
-	Run(y, x []float32, s *PackedScratch) error
-	NewScratch() *PackedScratch
-}
-
 // MeasurePackedNs compiles every source, lowers it through the packed
-// backend at opt.Tile.Unroll (the quantized backend when opt.QuantBits is
+// backend at opt.Tile.Unroll (integer storage when opt.QuantBits is
 // 8/12/16), and returns the best-of-reps wall time in nanoseconds for one
 // serial pass over all matrices (the per-timestep GEMV work of a model).
 // Inputs are deterministic; minimum-of-reps is the standard noise filter
@@ -39,7 +31,7 @@ func MeasurePackedNs(srcs []MatrixSource, opt Options, threads, reps int) (float
 		reps = 8
 	}
 	type unit struct {
-		pp   packedRunner
+		pp   *PackedProgram
 		x, y []float32
 		s    *PackedScratch
 	}
@@ -50,12 +42,7 @@ func MeasurePackedNs(srcs []MatrixSource, opt Options, threads, reps int) (float
 		if err != nil {
 			return 0, err
 		}
-		var pp packedRunner
-		if opt.QuantBits != 0 {
-			pp, err = PackQuant(prog, opt.QuantBits, quant.PerRow, opt.Tile.Unroll)
-		} else {
-			pp, err = Pack(prog, opt.Tile.Unroll)
-		}
+		pp, err := PackQuant(prog, opt.QuantBits, quant.PerRow, opt.Tile.Unroll)
 		if err != nil {
 			return 0, err
 		}

@@ -69,7 +69,7 @@ func TestTuneTilingMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]float32, prog.Rows)
-	if _, err := pp.Execute(got, x); err != nil {
+	if err := pp.Run(got, x, nil); err != nil {
 		t.Fatal(err)
 	}
 	for r := range got {

@@ -2,10 +2,11 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rtmobile/internal/obs"
-	"rtmobile/internal/parallel"
+	"rtmobile/internal/quant"
 	"rtmobile/internal/tensor"
 )
 
@@ -16,17 +17,33 @@ import (
 // create — PatDNN and GRIM (see PAPERS.md) both observe that structured
 // sparsity only pays off once the generated code is flattened into packed
 // arrays with unrolled inner loops. Pack lowers a compiled Program into that
-// form: one contiguous vals array, one contiguous column-index array, and a
+// form: one contiguous value array, one contiguous column-index array, and a
 // per-lane segment-descriptor array, executed by tight unrolled dot kernels.
 //
-// Determinism contract: packed execution is bit-identical to the
-// interpreter. Each output row accumulates its terms in exactly the
-// interpreter's order (the unrolled kernels in internal/tensor add in index
-// order with a single float64 accumulator per row), rows are visited in the
-// same lane-major order, and the parallel merge reuses the interpreter's
-// one-lane-per-row invariant. Event counts are static per program — every
-// gather and dot width is known at pack time — so ExecStats are precomputed
-// once and returned without instrumenting the hot loop.
+// There is one program type. Its values are stored as float32, int8 or int16
+// (PackQuant; integers carry one scale per output row), and it executes on
+// the exact or the fast kernel tier at one unroll factor. Those three
+// choices are resolved once, when the program is built, into the two segment
+// kernels the lane loops call (packkernels.go) — nothing is selected per
+// execution, as in the paper's compiler, which fixes every tuning choice
+// offline. Lanes are the compiler's load-balancing and statistics unit; the
+// executor visits them in index order on the calling goroutine.
+//
+// Determinism contract, exact tier: float programs are bit-identical to the
+// interpreter and, accumulated into y, to tensor.MatVecAdd on the matrix
+// they were lowered from — every output row accumulates its terms in index
+// order in a single float64 and is rounded once. Quantized programs
+// dequantize in-register, wd = float64(scale)·float64(q), and accumulate
+// wd·float64(x) in the same order, so they are bit-identical to a scalar
+// dequantize-then-dot reference. The batched entries run the same program
+// over B input vectors laid out as a column-major panel (element i of stream
+// l at x[i*B+l]), reading each weight once per step for the whole panel;
+// lane l of the output panel is bit-identical to the serial entry on lane
+// l's vector, because batch width changes data layout, never summation
+// order. The fast tier replaces bit-equality with the tolerance contract of
+// precision.go. Event counts are static per program — every gather and dot
+// width is known at pack time — so ExecStats are precomputed and returned
+// without instrumenting the hot loop.
 
 // Segment kinds. A segment is one gather (or dense window) plus the run of
 // row dots that consume it — the packed equivalent of an OpGather followed
@@ -37,14 +54,14 @@ const (
 	segStream              // dot NR rows against x[Arg : Arg+NC] directly
 )
 
-// PackedSeg is one segment descriptor. Payload rows live at
-// Vals[ValOff + i*NC : ...] for i in [0, NR); their output rows are
+// PackedSeg is one segment descriptor. Payload rows live at value offsets
+// [ValOff + i*NC, ValOff + (i+1)*NC) for i in [0, NR); their output rows are
 // Lane.Rows[RowOff : RowOff+NR].
 type PackedSeg struct {
 	Kind   uint8
 	NC     int32 // dot width (gather width / dense window width)
 	Arg    int32 // segGather: offset into ColIdx; segStream: first column
-	ValOff int32 // offset into Vals
+	ValOff int32 // offset into the value array
 	RowOff int32 // offset into the lane's Rows
 	NR     int32 // number of row dots sharing this gather/window
 }
@@ -62,39 +79,58 @@ type PackedProgram struct {
 	Name       string
 	Rows, Cols int
 	Format     Format
-	ValueBits  int
+	// ValueBits is the float value width of the source program; 0 on a
+	// quantized program, whose storage width is Bits.
+	ValueBits int
 	// Unroll is the inner dot kernel's unroll factor (1, 2, 4 or 8); every
 	// factor produces bit-identical results, the auto-tuner picks by
-	// measured time.
+	// measured time. The fast tier fixes its own vector shape and ignores it.
 	Unroll int
-	// Precision selects the kernel tier the hot path executes:
-	// PrecisionExact runs the bit-exact float64-accumulation kernels,
-	// PrecisionFast the FMA + float32-accumulation family (see
-	// precision.go). Fast-tier outputs satisfy the tolerance contract
-	// against the exact tier, not bit-equality; Unroll is ignored on the
-	// fast path (the fast kernels fix their own vector shape).
+	// Precision is the kernel tier: PrecisionExact runs the bit-exact
+	// float64-accumulation kernels, PrecisionFast the FMA +
+	// float32-accumulation family (see precision.go).
 	Precision Precision
 
-	Vals   []float32 // all dot payloads, lane-major, contiguous
-	ColIdx []int32   // all gather indices, lane-major, contiguous
+	// Bits selects the value storage: 0 keeps float32 values in Vals; 8
+	// stores int8 in Vals8; 12 and 16 store int16 in Vals16 (12-bit values
+	// occupy int16 in host memory for kernel addressing; the device format
+	// packs them, so footprint accounting uses Bits). Exactly one of the
+	// three arrays is populated: all dot payloads, lane-major, contiguous.
+	Bits   int
+	Vals   []float32
+	Vals8  []int8
+	Vals16 []int16
+	// Scheme and Scales describe a quantized program's scales. Scales always
+	// holds one scale per output row (PerTensor repeats the single scale), so
+	// kernels index it by row without a scheme branch.
+	Scheme quant.Scheme
+	Scales []float32
+	// numScales is the stored scale count of the scheme (1 or Rows) — what
+	// a serialized artifact ships.
+	numScales int
+
+	ColIdx []int32 // all gather indices, lane-major, contiguous
 	Lanes  []PackedLane
 
 	// MaxGather is the widest gather — the scratch buffer size Run needs.
 	MaxGather int
 
-	// totalMACs is the program's precomputed work term, summed from the lane
-	// counts at pack time, for the fork-join break-even test.
-	totalMACs int
-
-	// streamBytes is the static weight bytes streamed per execution
-	// (4 bytes per packed float32 value; a batched execution streams the
-	// weights once for the whole panel).
+	// totalMACs is the program's static work term, summed from the lane
+	// counts; streamBytes the host weight bytes streamed per execution (a
+	// batched execution streams the weights once for the whole panel).
+	totalMACs   int
 	streamBytes int
 
-	// trace, when non-nil, receives one StageKernel span per execution
-	// (Run/RunParallel/RunBatch/RunBatchParallel), labeled traceID and the
-	// batch width. Event counts are static, so the span plus the program's
-	// Stats() fully price an execution without hot-loop instrumentation.
+	// seg and segBatch are the segment kernels (storage, tier, unroll)
+	// resolve to, and kind the matching kernel span kind; see bind.
+	seg      segKernel
+	segBatch segBatchKernel
+	kind     obs.StageKind
+
+	// trace, when non-nil, receives one kernel span per execution, labeled
+	// traceID and the batch width. Event counts are static, so the span plus
+	// the program's Stats() fully price an execution without hot-loop
+	// instrumentation.
 	trace   *obs.Tracer
 	traceID int32
 }
@@ -111,12 +147,30 @@ func (p *PackedProgram) SetTracer(tr *obs.Tracer, id int32) {
 // execution — the priced work term behind the MACs counter.
 func (p *PackedProgram) TotalMACs() int { return p.totalMACs }
 
-// stageKind selects the per-tier kernel span kind.
-func (p *PackedProgram) stageKind() obs.StageKind {
-	if p.Precision == PrecisionFast {
-		return obs.StageKernelFast
+// StreamBytes reports the static host weight bytes this program streams per
+// execution (once per batched execution, regardless of width): 4 bytes per
+// float32 value, 1 at 8 bits, 2 at 12/16.
+func (p *PackedProgram) StreamBytes() int { return p.streamBytes }
+
+// NumScales reports the stored scale count of a quantized program's scheme
+// (1 for PerTensor, Rows for PerRow) — the count a serialized artifact
+// ships; 0 for a float program.
+func (p *PackedProgram) NumScales() int { return p.numScales }
+
+// numVals returns the packed value count.
+func (p *PackedProgram) numVals() int { return len(p.Vals) + len(p.Vals8) + len(p.Vals16) }
+
+// WeightBytes returns the device-format weight storage in bytes: the
+// storage width per stored value, bit-packed — the footprint Table II
+// accounts (12-bit entries pack to 1.5 bytes on device even though host
+// kernels address them as int16). Scales are excluded (accounted like other
+// per-row metadata, with the index stream).
+func (p *PackedProgram) WeightBytes() int {
+	bits := p.Bits
+	if bits == 0 {
+		bits = p.ValueBits
 	}
-	return obs.StageKernel
+	return (p.numVals()*bits + 7) / 8
 }
 
 // observe records one finished execution of bw lanes: a kernel-latency
@@ -129,7 +183,7 @@ func (p *PackedProgram) observe(t0 time.Time, bw int, m *obs.Metrics) {
 		m.KernelLatency.Observe(dur)
 	}
 	if p.trace != nil {
-		p.trace.Record(p.stageKind(), p.traceID, int32(bw), t0.UnixNano(), dur)
+		p.trace.Record(p.kind, p.traceID, int32(bw), t0.UnixNano(), dur)
 	}
 }
 
@@ -154,12 +208,52 @@ func normalizeUnroll(u int) int {
 	}
 }
 
-// Pack lowers a Program into its packed form, validating it up front (row
-// and column indices in range, every gathered dot's width matching its
+// QuantBitsValid reports whether bits selects an implemented quantized
+// packed format (8, 12, or 16; 0 means unquantized).
+func QuantBitsValid(bits int) bool {
+	return bits == 8 || bits == 12 || bits == 16
+}
+
+// Pack lowers a Program into its float32 packed form, validating it up front
+// (row and column indices in range, every gathered dot's width matching its
 // gather) so the execution hot path can run without per-instruction checks.
 // The returned program shares no mutable state with p and is safe for
 // concurrent use; per-execution scratch lives in PackedScratch.
 func Pack(p *Program, unroll int) (*PackedProgram, error) {
+	return PackQuant(p, 0, quant.PerRow, unroll)
+}
+
+// PackQuant is Pack with the value storage chosen: bits 0 keeps float32
+// values; 8, 12 or 16 quantizes the packed values symmetrically through
+// internal/quant's scale mapping into int8 (8) or int16 (12, 16) with
+// per-row or per-tensor scales, so the hot-path weight stream shrinks 2–4×
+// — the storage/kernel co-design of ESE's 12-bit entries, E-RNN's quantized
+// block-circulant weights, and the formats GRIM and CSB-RNN execute from
+// (see PAPERS.md). Row scales are computed over the packed nonzeros, which
+// equal the row's true nonzeros (every stored value is packed exactly once),
+// so requantizing an already-dequantized model reproduces identical integers
+// — the bundle round-trip relies on this. What quantization does not
+// preserve is the original float32 weights; the accuracy delta is the
+// engine-level guardrail's job (internal/rtmobile), not the executor's.
+func PackQuant(p *Program, bits int, scheme quant.Scheme, unroll int) (*PackedProgram, error) {
+	if bits != 0 && !QuantBitsValid(bits) {
+		return nil, fmt.Errorf("compiler: PackQuant bits must be 0, 8, 12 or 16, got %d", bits)
+	}
+	pp, err := lower(p, unroll)
+	if err != nil {
+		return nil, err
+	}
+	if bits != 0 {
+		if err := pp.quantize(bits, scheme); err != nil {
+			return nil, err
+		}
+	}
+	pp.bind()
+	return pp, nil
+}
+
+// lower flattens p's instruction lanes into segments over float32 values.
+func lower(p *Program, unroll int) (*PackedProgram, error) {
 	pp := &PackedProgram{
 		Name: p.Name, Rows: p.Rows, Cols: p.Cols,
 		Format: p.Format, ValueBits: p.ValueBits,
@@ -275,17 +369,91 @@ func Pack(p *Program, unroll int) (*PackedProgram, error) {
 	for t := range pp.Lanes {
 		pp.totalMACs += pp.Lanes[t].counts.macs
 	}
-	pp.streamBytes = 4 * len(pp.Vals)
 	return pp, nil
 }
 
-// StreamBytes reports the static weight bytes this program streams per
-// execution (once per batched execution, regardless of width).
-func (p *PackedProgram) StreamBytes() int { return p.streamBytes }
+// quantize replaces the program's float32 values with integers of the given
+// width and their scales.
+func (p *PackedProgram) quantize(bits int, scheme quant.Scheme) error {
+	// Row maxAbs over the packed vals. A row's packed values are its true
+	// nonzeros (possibly split across segments under column tiling), so this
+	// equals the dense row maxAbs restricted to stored weights.
+	rowMax := make([]float64, p.Rows)
+	p.forEachRowVals(func(row int32, _ int, vals []float32) {
+		mx := rowMax[row]
+		for _, v := range vals {
+			if a := math.Abs(float64(v)); a > mx {
+				mx = a
+			}
+		}
+		rowMax[row] = mx
+	})
+	p.Scales = make([]float32, p.Rows)
+	switch scheme {
+	case quant.PerTensor:
+		mx := 0.0
+		for _, m := range rowMax {
+			if m > mx {
+				mx = m
+			}
+		}
+		sc := quant.ScaleFor(mx, bits)
+		for r := range p.Scales {
+			p.Scales[r] = sc
+		}
+		p.numScales = 1
+	case quant.PerRow:
+		for r := range p.Scales {
+			p.Scales[r] = quant.ScaleFor(rowMax[r], bits)
+		}
+		p.numScales = p.Rows
+	default:
+		return fmt.Errorf("compiler: PackQuant unknown scheme %v", scheme)
+	}
+
+	qmax := quant.QMax(bits)
+	if bits == 8 {
+		p.Vals8 = make([]int8, len(p.Vals))
+	} else {
+		p.Vals16 = make([]int16, len(p.Vals))
+	}
+	p.forEachRowVals(func(row int32, off int, vals []float32) {
+		s := float64(p.Scales[row])
+		if bits == 8 {
+			for i, v := range vals {
+				p.Vals8[off+i] = int8(quant.ClampRound(float64(v)/s, qmax))
+			}
+		} else {
+			for i, v := range vals {
+				p.Vals16[off+i] = int16(quant.ClampRound(float64(v)/s, qmax))
+			}
+		}
+	})
+	p.Bits, p.Scheme, p.ValueBits, p.Vals = bits, scheme, 0, nil
+	return nil
+}
+
+// forEachRowVals walks every packed float32 row-dot payload: fn receives the
+// output row, the payload's offset into Vals and its contiguous slice, once
+// per (segment, row) pair.
+func (p *PackedProgram) forEachRowVals(fn func(row int32, off int, vals []float32)) {
+	for t := range p.Lanes {
+		l := &p.Lanes[t]
+		for si := range l.Segs {
+			sg := &l.Segs[si]
+			nc := int(sg.NC)
+			for i := 0; i < int(sg.NR); i++ {
+				off := int(sg.ValOff) + i*nc
+				fn(l.Rows[int(sg.RowOff)+i], off, p.Vals[off:off+nc])
+			}
+		}
+	}
+}
 
 // Stats returns the program's execution event counts. They are static —
-// every gather and dot width is fixed at pack time — and identical to what
-// the interpreter counts while executing.
+// every gather and dot width is fixed at pack time — identical to what the
+// interpreter counts while executing, and the same whatever the storage
+// (quantization changes bytes, not events).
 func (p *PackedProgram) Stats() ExecStats {
 	stats := ExecStats{ThreadMACs: make([]int, len(p.Lanes))}
 	for t := range p.Lanes {
@@ -307,72 +475,39 @@ func (p *PackedProgram) NumSegs() int {
 }
 
 // PackedScratch is the reusable per-goroutine scratch arena of the packed
-// executor: the gather buffer for serial runs plus per-lane private
-// accumulators and gather buffers for parallel runs. One scratch must not be
-// shared by concurrent Run/RunParallel calls; allocate one per goroutine
-// (steady-state reuse is what makes Run allocation-free).
+// executor, shared by programs of any storage, tier and width. One scratch
+// must not be shared by concurrent executions; allocate one per goroutine
+// (steady-state reuse is what makes Run and RunBatch allocation-free).
 type PackedScratch struct {
-	xbuf     []float32
-	partials [][]float32
-	lanebufs [][]float32
-
-	// Batched (RunBatch) buffers: the gather panel and the per-row lane
-	// accumulators, plus per-lane private panels for RunBatchParallel.
-	// facc/bfaccs are the fast tier's float32 accumulators (the exact tier
-	// accumulates in acc/baccs float64).
-	pbuf      []float32
-	acc       []float64
-	facc      []float32
-	bpartials [][]float32
-	blanebufs [][]float32
-	baccs     [][]float64
-	bfaccs    [][]float32
+	// gather stages gathered input columns: MaxGather values for a serial
+	// run, MaxGather×bw (lane-contiguous) for a panel.
+	gather []float32
+	// acc holds the exact tier's per-lane float64 accumulators for a row
+	// pair (2×bw); facc the fast tier's float32 accumulators (bw).
+	acc  []float64
+	facc []float32
 }
 
-// NewScratch returns a scratch arena sized for this program's serial path.
-// The parallel buffers are grown on first RunParallel.
+// NewScratch returns a scratch arena sized for this program's serial path;
+// the panel buffers grow on the first batched execution.
 func (p *PackedProgram) NewScratch() *PackedScratch {
-	return &PackedScratch{xbuf: make([]float32, p.MaxGather)}
+	return &PackedScratch{gather: make([]float32, p.MaxGather)}
 }
 
-// ensureSerial grows the gather buffer to this program's needs.
-func (s *PackedScratch) ensureSerial(p *PackedProgram) {
-	s.ensureSerialDims(p.MaxGather)
-}
-
-// ensureSerialDims grows the gather buffer for a program with the given
-// widest gather. Shared by the float32 and quantized backends.
-func (s *PackedScratch) ensureSerialDims(maxGather int) {
-	if cap(s.xbuf) < maxGather {
-		s.xbuf = make([]float32, maxGather)
+// ensure grows the buffers for a program with the given widest gather at
+// width bw.
+func (s *PackedScratch) ensure(maxGather, bw int) {
+	if cap(s.gather) < maxGather*bw {
+		s.gather = make([]float32, maxGather*bw)
 	}
-}
-
-// ensureParallel grows the per-lane buffers to this program's needs.
-func (s *PackedScratch) ensureParallel(p *PackedProgram) {
-	s.ensureParallelDims(len(p.Lanes), p.Rows, p.MaxGather)
-}
-
-// ensureParallelDims grows the per-lane buffers for a program with the given
-// lane count, output rows, and widest gather.
-func (s *PackedScratch) ensureParallelDims(lanes, rows, maxGather int) {
-	if len(s.partials) < lanes {
-		s.partials = append(s.partials, make([][]float32, lanes-len(s.partials))...)
-		s.lanebufs = append(s.lanebufs, make([][]float32, lanes-len(s.lanebufs))...)
-	}
-	for t := 0; t < lanes; t++ {
-		if cap(s.partials[t]) < rows {
-			s.partials[t] = make([]float32, rows)
-		}
-		if cap(s.lanebufs[t]) < maxGather {
-			s.lanebufs[t] = make([]float32, maxGather)
-		}
+	if bw > 1 && cap(s.acc) < 2*bw {
+		s.acc = make([]float64, 2*bw)
+		s.facc = make([]float32, bw)
 	}
 }
 
 // runLane executes one lane's segments, accumulating into y.
 func (p *PackedProgram) runLane(l *PackedLane, y, x, xbuf []float32) {
-	unroll := p.Unroll
 	for si := range l.Segs {
 		sg := &l.Segs[si]
 		nc := int(sg.NC)
@@ -389,78 +524,41 @@ func (p *PackedProgram) runLane(l *PackedLane, y, x, xbuf []float32) {
 		if sg.NR == 0 {
 			continue
 		}
-		rows := l.Rows[sg.RowOff : int(sg.RowOff)+int(sg.NR)]
-		vals := p.Vals[sg.ValOff : int(sg.ValOff)+len(rows)*nc]
-		if p.Precision == PrecisionFast {
-			blockDotFast(y, rows, vals, g, nc)
+		p.seg(y, l.Rows[sg.RowOff:int(sg.RowOff)+int(sg.NR)], int(sg.ValOff), nc, g)
+	}
+}
+
+// runLaneBatch executes one lane's segments over a bw-wide input panel,
+// accumulating into the output panel y. The gather panel pbuf stages
+// gathered columns lane-contiguously; stream segments slice the input panel
+// directly (a window [lo, lo+nc) of columns is the contiguous panel range
+// [lo*bw, (lo+nc)*bw)).
+func (p *PackedProgram) runLaneBatch(l *PackedLane, y, x []float32, bw int, s *PackedScratch) {
+	pbuf := s.gather[:cap(s.gather)]
+	for si := range l.Segs {
+		sg := &l.Segs[si]
+		nc := int(sg.NC)
+		var g []float32
+		if sg.Kind == segGather {
+			cols := p.ColIdx[sg.Arg : int(sg.Arg)+nc]
+			g = pbuf[:nc*bw]
+			for i, c := range cols {
+				copy(g[i*bw:(i+1)*bw], x[int(c)*bw:(int(c)+1)*bw])
+			}
 		} else {
-			blockDot(y, rows, vals, g, nc, unroll)
+			g = x[int(sg.Arg)*bw : (int(sg.Arg)+nc)*bw]
 		}
+		if sg.NR == 0 {
+			continue
+		}
+		p.segBatch(y, l.Rows[sg.RowOff:int(sg.RowOff)+int(sg.NR)], int(sg.ValOff), nc, g, bw, s)
 	}
 }
 
-// blockDotFast is the fast-tier blockDot: the whole segment runs through
-// the FMA'd f32-accumulation segment driver when the host has it, and any
-// remainder (or the no-SIMD case) falls to per-row fast dots with the same
-// f32 index-order semantics. Outputs satisfy the tolerance contract
-// against blockDot, not bit-equality.
-func blockDotFast(y []float32, rows []int32, vals, g []float32, nc int) {
-	ri := tensor.DotSegFastF32(vals, rows, g, y)
-	for ; ri < len(rows); ri++ {
-		y[rows[ri]] += tensor.DotFastF32(vals[ri*nc:ri*nc+nc], g)
-	}
-}
-
-// blockDot accumulates one segment's row dots into y: rows are processed in
-// pairs so two accumulators share each conversion of the gathered input,
-// with per-row accumulation order identical to the serial reference.
-func blockDot(y []float32, rows []int32, vals, g []float32, nc, unroll int) {
-	ri := 0
-	switch unroll {
-	case 1:
-		for ; ri+2 <= len(rows); ri += 2 {
-			s0, s1 := tensor.DotPairF64(vals[ri*nc:ri*nc+nc], vals[(ri+1)*nc:(ri+1)*nc+nc], g)
-			y[rows[ri]] += float32(s0)
-			y[rows[ri+1]] += float32(s1)
-		}
-		if ri < len(rows) {
-			y[rows[ri]] += float32(tensor.DotF64(vals[ri*nc:ri*nc+nc], g))
-		}
-	case 2:
-		for ; ri+2 <= len(rows); ri += 2 {
-			s0, s1 := tensor.DotPairF64x2(vals[ri*nc:ri*nc+nc], vals[(ri+1)*nc:(ri+1)*nc+nc], g)
-			y[rows[ri]] += float32(s0)
-			y[rows[ri+1]] += float32(s1)
-		}
-		if ri < len(rows) {
-			y[rows[ri]] += float32(tensor.DotF64x2(vals[ri*nc:ri*nc+nc], g))
-		}
-	case 8:
-		for ; ri+2 <= len(rows); ri += 2 {
-			s0, s1 := tensor.DotPairF64x8(vals[ri*nc:ri*nc+nc], vals[(ri+1)*nc:(ri+1)*nc+nc], g)
-			y[rows[ri]] += float32(s0)
-			y[rows[ri+1]] += float32(s1)
-		}
-		if ri < len(rows) {
-			y[rows[ri]] += float32(tensor.DotF64x8(vals[ri*nc:ri*nc+nc], g))
-		}
-	default: // 4
-		for ; ri+2 <= len(rows); ri += 2 {
-			s0, s1 := tensor.DotPairF64x4(vals[ri*nc:ri*nc+nc], vals[(ri+1)*nc:(ri+1)*nc+nc], g)
-			y[rows[ri]] += float32(s0)
-			y[rows[ri+1]] += float32(s1)
-		}
-		if ri < len(rows) {
-			y[rows[ri]] += float32(tensor.DotF64x4(vals[ri*nc:ri*nc+nc], g))
-		}
-	}
-}
-
-// Run executes the program serially on x, writing y = W·x (len Rows). With
-// a reused scratch it performs zero heap allocations — the inference-path
-// contract the allocation-regression tests enforce. A nil scratch allocates
-// one internally (convenience path). Results are bit-identical to the
-// interpreter's Execute.
+// Run executes the program on x, writing y = W·x (len Rows). With a reused
+// scratch it performs zero heap allocations — the inference-path contract
+// the allocation-regression tests enforce. A nil scratch allocates one
+// internally (convenience path).
 func (p *PackedProgram) Run(y, x []float32, s *PackedScratch) error {
 	tensor.ZeroVec(y)
 	return p.RunAdd(y, x, s)
@@ -476,7 +574,7 @@ func (p *PackedProgram) RunAdd(y, x []float32, s *PackedScratch) error {
 	if s == nil {
 		s = p.NewScratch()
 	} else {
-		s.ensureSerial(p)
+		s.ensure(p.MaxGather, 1)
 	}
 	m := obs.M()
 	track := m != nil || p.trace != nil
@@ -484,7 +582,7 @@ func (p *PackedProgram) RunAdd(y, x []float32, s *PackedScratch) error {
 	if track {
 		t0 = time.Now()
 	}
-	xbuf := s.xbuf[:cap(s.xbuf)]
+	xbuf := s.gather[:cap(s.gather)]
 	for t := range p.Lanes {
 		p.runLane(&p.Lanes[t], y, x, xbuf)
 	}
@@ -494,72 +592,42 @@ func (p *PackedProgram) RunAdd(y, x []float32, s *PackedScratch) error {
 	return nil
 }
 
-// Execute runs serially and returns the (static) event counts, mirroring
-// the interpreter's Execute signature.
-func (p *PackedProgram) Execute(y, x []float32) (ExecStats, error) {
-	if err := p.Run(y, x, nil); err != nil {
-		return ExecStats{}, err
-	}
-	return p.Stats(), nil
+// RunBatch executes the program over a bw-wide input panel, writing the
+// output panel y (len Rows*bw). Panels are column-major: element i of
+// stream l lives at panel[i*bw+l]. With a reused scratch the steady state
+// performs zero heap allocations; bw == 1 is exactly Run.
+func (p *PackedProgram) RunBatch(y, x []float32, bw int, s *PackedScratch) error {
+	tensor.ZeroVec(y)
+	return p.RunBatchAdd(y, x, bw, s)
 }
 
-// RunParallel executes the program's lanes on the pool, writing y. Each lane
-// gets a private accumulator and gather buffer from the scratch, and the
-// merge adds lane partials in lane index order — exactly the interpreter's
-// parallel scheme, so results are bit-identical to Run at any worker count.
-// A nil pool uses parallel.Default(); a 1-worker pool, a 1-lane program, or
-// per-worker work below ParallelBreakEvenMACs runs serially (single-stream
-// steps sit far below fork-join break-even — the BENCH_2 regression). A nil
-// scratch allocates one internally. The pool's closures cost a few
-// allocations per call; the allocation-free path is serial Run.
-func (p *PackedProgram) RunParallel(y, x []float32, pool *parallel.Pool, s *PackedScratch) error {
-	if pool == nil {
-		pool = parallel.Default()
+// RunBatchAdd is RunBatch without the clear: lane l of y receives RunAdd's
+// result on lane l's vector (tensor.MatVecAddBatch's contract).
+func (p *PackedProgram) RunBatchAdd(y, x []float32, bw int, s *PackedScratch) error {
+	if bw == 1 {
+		return p.RunAdd(y, x, s)
 	}
-	if pool.Workers() < 2 || len(p.Lanes) < 2 ||
-		!ParallelWorthwhile(p.totalMACs, min(pool.Workers(), len(p.Lanes))) {
-		return p.Run(y, x, s)
+	if bw < 1 {
+		return fmt.Errorf("compiler: packed RunBatch width %d < 1", bw)
 	}
-	if len(x) != p.Cols || len(y) != p.Rows {
-		return fmt.Errorf("compiler: packed Run shape mismatch")
+	if len(x) != p.Cols*bw || len(y) != p.Rows*bw {
+		return fmt.Errorf("compiler: packed RunBatch shape mismatch")
 	}
 	if s == nil {
 		s = &PackedScratch{}
 	}
-	s.ensureParallel(p)
+	s.ensure(p.MaxGather, bw)
 	m := obs.M()
 	track := m != nil || p.trace != nil
 	var t0 time.Time
 	if track {
 		t0 = time.Now()
 	}
-	lanes := len(p.Lanes)
-	pool.For(lanes, func(t int) {
-		yt := s.partials[t][:p.Rows]
-		tensor.ZeroVec(yt)
-		p.runLane(&p.Lanes[t], yt, x, s.lanebufs[t][:cap(s.lanebufs[t])])
-	})
-	// Deterministic merge in lane order; the one-lane-per-row invariant
-	// means each y[r] receives at most one nonzero contribution.
-	tensor.ZeroVec(y)
-	for t := 0; t < lanes; t++ {
-		for r, v := range s.partials[t][:p.Rows] {
-			if v != 0 {
-				y[r] += v
-			}
-		}
+	for t := range p.Lanes {
+		p.runLaneBatch(&p.Lanes[t], y, x, bw, s)
 	}
 	if track {
-		p.observe(t0, 1, m)
+		p.observe(t0, bw, m)
 	}
 	return nil
-}
-
-// ExecuteParallel runs the packed lanes on the pool and returns the static
-// event counts, mirroring the interpreter's ExecuteParallel signature.
-func (p *PackedProgram) ExecuteParallel(y, x []float32, pool *parallel.Pool) (ExecStats, error) {
-	if err := p.RunParallel(y, x, pool, nil); err != nil {
-		return ExecStats{}, err
-	}
-	return p.Stats(), nil
 }

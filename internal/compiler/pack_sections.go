@@ -7,16 +7,16 @@ import (
 )
 
 // Packed-program section serialization. The bundle v5 format stores a
-// PackedProgram / PackedQProgram as raw little-endian flat arrays — the
-// vals, the column indices, the segment descriptors, the row lists — so a
-// mapped bundle can reconstruct an executable program whose slices alias
-// read-only file pages with no per-weight decode and no repack.
-// PackedSections is the exchange form: the flat arrays plus the scalar
-// header fields. Sections() flattens a program into it; the
-// NewPacked*FromSections constructors rebuild a program from it, borrowing
-// the big arrays zero-copy and validating every descriptor up front so the
-// unchecked hot-path kernels (runLane gathers x[c] without bounds checks)
-// can never read out of range even from a corrupt or adversarial bundle.
+// PackedProgram as raw little-endian flat arrays — the values, the column
+// indices, the segment descriptors, the row lists — so a mapped bundle can
+// reconstruct an executable program whose slices alias read-only file pages
+// with no per-weight decode and no repack. PackedSections is the exchange
+// form: the flat arrays plus the scalar header fields. Sections() flattens a
+// program into it; NewPackedFromSections rebuilds a program from it,
+// borrowing the big arrays zero-copy and validating every descriptor up
+// front so the unchecked hot-path kernels (runLane gathers x[c] without
+// bounds checks) can never read out of range even from a corrupt or
+// adversarial bundle.
 
 // segWordsPerSeg is the serialized width of one PackedSeg: six int32 words
 // (kind, nc, arg, valoff, rowoff, nr), lane-major.
@@ -24,7 +24,7 @@ const segWordsPerSeg = 6
 
 // PackedSections is the flat serialized form of a packed program. Exactly
 // one of Vals (float program) or Vals8/Vals16+Scales (quantized program,
-// by Bits) is populated.
+// by Bits) is populated, as on PackedProgram.
 type PackedSections struct {
 	Name       string
 	Rows, Cols int
@@ -108,20 +108,8 @@ func (p *PackedProgram) Sections() *PackedSections {
 		Name: p.Name, Rows: p.Rows, Cols: p.Cols,
 		Format: p.Format, ValueBits: p.ValueBits,
 		Unroll: p.Unroll, Precision: p.Precision,
-		Vals: p.Vals, ColIdx: p.ColIdx,
-	}
-	s.SegWords, s.RowIdx, s.LaneSegCounts, s.LaneRowCounts = flattenLanes(p.Lanes)
-	return s
-}
-
-// Sections flattens the quantized program for serialization. The flat
-// arrays alias the program's storage (treat both as immutable afterwards).
-func (p *PackedQProgram) Sections() *PackedSections {
-	s := &PackedSections{
-		Name: p.Name, Rows: p.Rows, Cols: p.Cols,
-		Format: p.Format, Unroll: p.Unroll, Precision: p.Precision,
 		Bits: p.Bits, Scheme: p.Scheme, NumScales: p.numScales,
-		Vals8: p.Vals8, Vals16: p.Vals16, Scales: p.Scales,
+		Vals: p.Vals, Vals8: p.Vals8, Vals16: p.Vals16, Scales: p.Scales,
 		ColIdx: p.ColIdx,
 	}
 	s.SegWords, s.RowIdx, s.LaneSegCounts, s.LaneRowCounts = flattenLanes(p.Lanes)
@@ -227,83 +215,71 @@ func (s *PackedSections) rebuildLanes(numVals int) (lanes []PackedLane, maxGathe
 	return lanes, maxGather, totalMACs, nil
 }
 
-// NewPackedFromSections reconstructs an executable float program from its
-// flat serialized form. The big arrays (Vals, ColIdx, RowIdx) are borrowed,
-// not copied — a caller aliasing them into mapped pages gets a zero-copy
-// program — and every descriptor is bounds-checked here, so execution needs
-// no further validation. Work is O(segments + indices), never O(weights).
-func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
-	if s.Bits != 0 {
-		return nil, fmt.Errorf("compiler: sections %s: quantized sections (int%d) need NewPackedQFromSections",
-			s.Name, s.Bits)
+// numVals validates the value storage against Bits — exactly the array
+// Bits selects is populated, with per-row scales iff the values are integers
+// — and returns the value count.
+func (s *PackedSections) numVals() (int, error) {
+	nf, n8, n16 := len(s.Vals), len(s.Vals8), len(s.Vals16)
+	if s.Bits == 0 {
+		if n8+n16+len(s.Scales) != 0 {
+			return 0, fmt.Errorf("compiler: sections %s: float program carries %d quantized vals and %d scales",
+				s.Name, n8+n16, len(s.Scales))
+		}
+		return nf, nil
 	}
-	if !PrecisionValid(s.Precision) {
-		return nil, fmt.Errorf("compiler: sections %s: unknown precision tier %d", s.Name, s.Precision)
-	}
-	lanes, maxGather, totalMACs, err := s.rebuildLanes(len(s.Vals))
-	if err != nil {
-		return nil, err
-	}
-	return &PackedProgram{
-		Name: s.Name, Rows: s.Rows, Cols: s.Cols,
-		Format: s.Format, ValueBits: s.ValueBits,
-		Unroll:    normalizeUnroll(s.Unroll),
-		Precision: s.Precision,
-		Vals:      s.Vals, ColIdx: s.ColIdx, Lanes: lanes,
-		MaxGather:   maxGather,
-		totalMACs:   totalMACs,
-		streamBytes: 4 * len(s.Vals),
-	}, nil
-}
-
-// NewPackedQFromSections reconstructs an executable quantized program from
-// its flat serialized form, borrowing the big arrays exactly as
-// NewPackedFromSections does.
-func NewPackedQFromSections(s *PackedSections) (*PackedQProgram, error) {
 	if !QuantBitsValid(s.Bits) {
-		return nil, fmt.Errorf("compiler: sections %s: quantized width %d invalid (want 8, 12, or 16)",
+		return 0, fmt.Errorf("compiler: sections %s: quantized width %d invalid (want 8, 12, or 16)",
 			s.Name, s.Bits)
 	}
 	if s.Scheme != quant.PerTensor && s.Scheme != quant.PerRow {
-		return nil, fmt.Errorf("compiler: sections %s: unknown quant scheme %d", s.Name, s.Scheme)
+		return 0, fmt.Errorf("compiler: sections %s: unknown quant scheme %d", s.Name, s.Scheme)
 	}
+	n, other := n8, n16
+	if s.Bits != 8 {
+		n, other = n16, n8
+	}
+	if other != 0 || nf != 0 {
+		return 0, fmt.Errorf("compiler: sections %s: quantized %d-bit program carries %d float32, %d int8 and %d int16 vals",
+			s.Name, s.Bits, nf, n8, n16)
+	}
+	if len(s.Scales) != s.Rows {
+		return 0, fmt.Errorf("compiler: sections %s: %d scales for %d rows", s.Name, len(s.Scales), s.Rows)
+	}
+	if s.NumScales != 1 && s.NumScales != s.Rows {
+		return 0, fmt.Errorf("compiler: sections %s: stored scale count %d (want 1 or %d)",
+			s.Name, s.NumScales, s.Rows)
+	}
+	return n, nil
+}
+
+// NewPackedFromSections reconstructs an executable program from its flat
+// serialized form. The big arrays (values, ColIdx, RowIdx) are borrowed, not
+// copied — a caller aliasing them into mapped pages gets a zero-copy program
+// — and every descriptor is bounds-checked here, so execution needs no
+// further validation. Work is O(segments + indices), never O(weights).
+func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 	if !PrecisionValid(s.Precision) {
 		return nil, fmt.Errorf("compiler: sections %s: unknown precision tier %d", s.Name, s.Precision)
 	}
-	numVals := len(s.Vals16)
-	if s.Bits == 8 {
-		numVals = len(s.Vals8)
-		if len(s.Vals16) != 0 {
-			return nil, fmt.Errorf("compiler: sections %s: int8 program carries %d int16 vals",
-				s.Name, len(s.Vals16))
-		}
-	} else if len(s.Vals8) != 0 {
-		return nil, fmt.Errorf("compiler: sections %s: int%d program carries %d int8 vals",
-			s.Name, s.Bits, len(s.Vals8))
-	}
-	if len(s.Scales) != s.Rows {
-		return nil, fmt.Errorf("compiler: sections %s: %d scales for %d rows",
-			s.Name, len(s.Scales), s.Rows)
-	}
-	if s.NumScales != 1 && s.NumScales != s.Rows {
-		return nil, fmt.Errorf("compiler: sections %s: stored scale count %d (want 1 or %d)",
-			s.Name, s.NumScales, s.Rows)
+	numVals, err := s.numVals()
+	if err != nil {
+		return nil, err
 	}
 	lanes, maxGather, totalMACs, err := s.rebuildLanes(numVals)
 	if err != nil {
 		return nil, err
 	}
-	pq := &PackedQProgram{
+	p := &PackedProgram{
 		Name: s.Name, Rows: s.Rows, Cols: s.Cols,
-		Format: s.Format, Bits: s.Bits, Scheme: s.Scheme,
+		Format: s.Format, ValueBits: s.ValueBits,
 		Unroll:    normalizeUnroll(s.Unroll),
 		Precision: s.Precision,
-		Vals8:     s.Vals8, Vals16: s.Vals16, Scales: s.Scales,
-		numScales: s.NumScales,
-		ColIdx:    s.ColIdx, Lanes: lanes,
+		Bits:      s.Bits, Vals: s.Vals, Vals8: s.Vals8, Vals16: s.Vals16,
+		Scheme: s.Scheme, Scales: s.Scales, numScales: s.NumScales,
+		ColIdx: s.ColIdx, Lanes: lanes,
 		MaxGather: maxGather,
 		totalMACs: totalMACs,
 	}
-	pq.streamBytes = pq.elemBytes() * numVals
-	return pq, nil
+	p.bind()
+	return p, nil
 }

@@ -38,14 +38,13 @@ func TestPackedSectionsRoundTrip(t *testing.T) {
 		x := randVec(99, pp.Cols)
 		want := make([]float32, pp.Rows)
 		got := make([]float32, pp.Rows)
-		wantStats, err := pp.Execute(want, x)
-		if err != nil {
+		if err := pp.Run(want, x, nil); err != nil {
 			t.Fatal(err)
 		}
-		gotStats, err := re.Execute(got, x)
-		if err != nil {
+		if err := re.Run(got, x, nil); err != nil {
 			t.Fatal(err)
 		}
+		wantStats, gotStats := pp.Stats(), re.Stats()
 		for r := range want {
 			if want[r] != got[r] {
 				t.Fatalf("unroll=%d row %d: %v vs %v", unroll, r, want[r], got[r])
@@ -79,17 +78,17 @@ func TestPackedQSectionsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := NewPackedQFromSections(pq.Sections())
+			re, err := NewPackedFromSections(pq.Sections())
 			if err != nil {
 				t.Fatalf("bits=%d scheme=%d: %v", bits, sc, err)
 			}
 			x := randVec(7, pq.Cols)
 			want := make([]float32, pq.Rows)
 			got := make([]float32, pq.Rows)
-			if _, err := pq.Execute(want, x); err != nil {
+			if err := pq.Run(want, x, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := re.Execute(got, x); err != nil {
+			if err := re.Run(got, x, nil); err != nil {
 				t.Fatal(err)
 			}
 			for r := range want {
@@ -135,8 +134,8 @@ func TestPackedSectionsRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestPackedQSectionsRejectsCorrupt: the quantized constructor's own
-// validation on top of the shared lane checks.
+// TestPackedQSectionsRejectsCorrupt: the storage validation of quantized
+// sections, on top of the shared lane checks.
 func TestPackedQSectionsRejectsCorrupt(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(13, 48, 40, scheme)
@@ -169,7 +168,7 @@ func TestPackedQSectionsRejectsCorrupt(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.mutate(s)
-			if _, err := NewPackedQFromSections(s); err == nil {
+			if _, err := NewPackedFromSections(s); err == nil {
 				t.Fatal("corrupt sections accepted")
 			} else if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)

@@ -2,95 +2,360 @@ package compiler
 
 import (
 	"fmt"
-	"runtime"
+	"math"
+	"sync"
 	"testing"
 
-	"rtmobile/internal/parallel"
 	"rtmobile/internal/prune"
+	"rtmobile/internal/quant"
 	"rtmobile/internal/tensor"
 )
 
-// TestPackedBitIdentical is the packed-backend equivalence suite: across all
-// three formats, load-elimination on/off, several program lane counts, pool
-// worker counts, and every dot-kernel unroll factor, packed execution must
-// produce exactly the interpreter's bytes and event counts.
-func TestPackedBitIdentical(t *testing.T) {
-	forceParallel(t)
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	workerCounts := []int{1, 2, 7, runtime.NumCPU()}
-	threadCounts := []int{1, 3, 8}
-	unrolls := []int{1, 2, 4, 8}
+// The packed equivalence table. One grid — {dense, CSR, BSPC ± load
+// elimination} × lane count × unroll × tier × panel width — with the value
+// storage as a column, and one contract per tier:
+//
+//	exact f32        ≡ interpreter ≡ tensor.MatVecAdd, bit for bit
+//	exact quantized  ≡ scalar dequantize-then-dot (runQRef), bit for bit
+//	exact, panel     lane l ≡ the serial run on lane l's vector, bit for bit
+//	fast             within tensor.FastDotBound of the same storage's exact run
+//
+// Every execution of every test below borrows tableScratch, so one
+// PackedScratch is reused across storages, tiers and widths throughout.
 
-	for seed := uint64(1); seed <= 3; seed++ {
+// storage is the value-storage column.
+type storage struct {
+	name   string
+	bits   int
+	scheme quant.Scheme
+}
+
+var (
+	f32Storage    = []storage{{"f32", 0, quant.PerRow}}
+	quantStorages = []storage{
+		{"q8", 8, quant.PerRow}, {"q12", 12, quant.PerRow}, {"q16", 16, quant.PerRow},
+		{"q8/tensor", 8, quant.PerTensor}, {"q16/tensor", 16, quant.PerTensor},
+	}
+	allStorages = append(append([]storage(nil), f32Storage...), quantStorages...)
+
+	tableWidths  = []int{1, 3, 8, 16}
+	tableScratch = &PackedScratch{}
+)
+
+// packedCase is one cell of the grid.
+type packedCase struct {
+	label string
+	w     *tensor.Matrix // the projected matrix the programs were lowered from
+	prog  *Program       // the interpreter's program
+	exact *PackedProgram // the storage under test on the exact tier
+	pp    *PackedProgram // the storage and tier under test (exact itself on the exact tier)
+}
+
+// lowerings are the grid's format rows; load elimination only changes BSPC.
+var lowerings = []struct {
+	format Format
+	elim   bool
+}{{FormatDense, true}, {FormatCSR, true}, {FormatBSPC, true}, {FormatBSPC, false}}
+
+// forEachPackedCase walks the grid for the given storages on one tier.
+func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func(c packedCase)) {
+	t.Helper()
+	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
+	for seed := uint64(1); seed <= 2; seed++ {
 		w := bspMat(seed, 32+int(seed)*9, 40, scheme)
-		for _, format := range []Format{FormatDense, FormatCSR, FormatBSPC} {
+		for _, lo := range lowerings {
 			src := MatrixSource{Name: "m", W: w}
-			if format == FormatBSPC {
+			if lo.format == FormatBSPC {
 				s := scheme
 				src.Scheme = &s
 			}
-			for _, elim := range []bool{true, false} {
-				for _, threads := range threadCounts {
-					opt := DefaultOptions(format, 32)
-					opt.EliminateRedundantLoads = elim
-					prog, err := CompileProgram(src, opt, threads)
-					if err != nil {
+			for _, threads := range []int{1, 3, 8} {
+				opt := DefaultOptions(lo.format, 32)
+				opt.EliminateRedundantLoads = lo.elim
+				prog, err := CompileProgram(src, opt, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tprog := prog
+				if tier != PrecisionExact {
+					opt.Precision = tier
+					if tprog, err = CompileProgram(src, opt, threads); err != nil {
 						t.Fatal(err)
 					}
-					x := randVec(seed*77+uint64(threads), w.Cols)
-					want := make([]float32, w.Rows)
-					wantStats, err := prog.Execute(want, x)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, unroll := range unrolls {
-						pp, err := Pack(prog, unroll)
-						if err != nil {
+				}
+				for _, st := range storages {
+					for _, unroll := range []int{1, 2, 4, 8} {
+						c := packedCase{w: w, prog: prog, label: fmt.Sprintf(
+							"seed=%d fmt=%s elim=%v threads=%d %s unroll=%d",
+							seed, lo.format, lo.elim, threads, st.name, unroll)}
+						if c.exact, err = PackQuant(prog, st.bits, st.scheme, unroll); err != nil {
 							t.Fatal(err)
 						}
-						label := fmt.Sprintf("seed=%d fmt=%s elim=%v threads=%d unroll=%d",
-							seed, format, elim, threads, unroll)
-
-						// Serial packed run: bytes and stats.
-						got := make([]float32, w.Rows)
-						gotStats, err := pp.Execute(got, x)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						for r := range got {
-							if got[r] != want[r] {
-								t.Fatalf("%s: row %d: packed %v vs interpreter %v",
-									label, r, got[r], want[r])
+						if c.pp = c.exact; tprog != prog {
+							if c.pp, err = PackQuant(tprog, st.bits, st.scheme, unroll); err != nil {
+								t.Fatal(err)
 							}
 						}
-						equalStats(t, wantStats, gotStats, label)
-
-						// Parallel packed run at every worker count.
-						scratch := pp.NewScratch()
-						for _, workers := range workerCounts {
-							pool := parallel.NewPool(workers)
-							gp := make([]float32, w.Rows)
-							pstats, err := pp.ExecuteParallel(gp, x, pool)
-							if err == nil {
-								err = pp.RunParallel(gp, x, pool, scratch)
-							}
-							pool.Close()
-							if err != nil {
-								t.Fatalf("%s workers=%d: %v", label, workers, err)
-							}
-							for r := range gp {
-								if gp[r] != want[r] {
-									t.Fatalf("%s workers=%d: row %d: packed parallel %v vs interpreter %v",
-										label, workers, r, gp[r], want[r])
-								}
-							}
-							equalStats(t, wantStats, pstats, label)
+						if c.pp.Precision != tier {
+							t.Fatalf("%s: PackQuant dropped the precision tier: %v", c.label, c.pp.Precision)
 						}
+						fn(c)
 					}
 				}
 			}
 		}
 	}
+}
+
+// runQRef is the scalar reference of a quantized program: it walks the
+// lanes and segments in execution order and, for every row dot, dequantizes
+// each weight to float64 through the row scale and accumulates in index
+// order — plain loops, no kernels.
+func runQRef(p *PackedProgram, y, x []float32) {
+	for i := range y {
+		y[i] = 0
+	}
+	for t := range p.Lanes {
+		l := &p.Lanes[t]
+		for si := range l.Segs {
+			sg := &l.Segs[si]
+			nc := int(sg.NC)
+			g := make([]float32, nc)
+			if sg.Kind == segGather {
+				for i, c := range p.ColIdx[sg.Arg : int(sg.Arg)+nc] {
+					g[i] = x[c]
+				}
+			} else {
+				copy(g, x[sg.Arg:int(sg.Arg)+nc])
+			}
+			for i := 0; i < int(sg.NR); i++ {
+				row := l.Rows[int(sg.RowOff)+i]
+				off := int(sg.ValOff) + i*nc
+				sc := float64(p.Scales[row])
+				s := 0.0
+				for j := 0; j < nc; j++ {
+					var q float64
+					if p.Bits == 8 {
+						q = float64(p.Vals8[off+j])
+					} else {
+						q = float64(p.Vals16[off+j])
+					}
+					s += (sc * q) * float64(g[j])
+				}
+				y[row] += float32(s)
+			}
+		}
+	}
+}
+
+// equalStats asserts two executions counted exactly the same events.
+func equalStats(t *testing.T, want, got ExecStats, label string) {
+	t.Helper()
+	if want.GatherLoads != got.GatherLoads {
+		t.Fatalf("%s: gathers %d vs %d", label, want.GatherLoads, got.GatherLoads)
+	}
+	if want.StreamedVals != got.StreamedVals {
+		t.Fatalf("%s: streamed %d vs %d", label, want.StreamedVals, got.StreamedVals)
+	}
+	if len(want.ThreadMACs) != len(got.ThreadMACs) {
+		t.Fatalf("%s: lane count %d vs %d", label, len(want.ThreadMACs), len(got.ThreadMACs))
+	}
+	for i := range want.ThreadMACs {
+		if want.ThreadMACs[i] != got.ThreadMACs[i] {
+			t.Fatalf("%s: lane %d MACs %d vs %d", label, i, want.ThreadMACs[i], got.ThreadMACs[i])
+		}
+	}
+}
+
+// checkExactSerial: the exact tier's serial run against its reference, and
+// the static stats against the interpreter's dynamic count.
+func checkExactSerial(t *testing.T, storages []storage) {
+	forEachPackedCase(t, storages, PrecisionExact, func(c packedCase) {
+		x := randVec(uint64(len(c.label)), c.w.Cols)
+		want := make([]float32, c.w.Rows)
+		wantStats, err := c.prog.Execute(want, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.pp.Bits != 0 {
+			runQRef(c.pp, want, x)
+		}
+		got := make([]float32, c.w.Rows)
+		if err := c.pp.Run(got, x, tableScratch); err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		for r := range got {
+			if got[r] != want[r] {
+				t.Fatalf("%s: row %d: packed %v vs reference %v", c.label, r, got[r], want[r])
+			}
+		}
+		equalStats(t, wantStats, c.pp.Stats(), c.label)
+		if c.pp.Bits != 0 {
+			return
+		}
+		// The dense-order contract: accumulating onto a bias is MatVecAdd.
+		bias := randVec(uint64(len(c.label))+13, c.w.Rows)
+		acc, ref := append([]float32(nil), bias...), append([]float32(nil), bias...)
+		if err := c.pp.RunAdd(acc, x, tableScratch); err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		tensor.MatVecAdd(ref, c.w, x)
+		for r := range acc {
+			if acc[r] != ref[r] {
+				t.Fatalf("%s: row %d: RunAdd %v vs tensor.MatVecAdd %v", c.label, r, acc[r], ref[r])
+			}
+		}
+	})
+}
+
+func TestPackedBitIdentical(t *testing.T)    { checkExactSerial(t, f32Storage) }
+func TestPackQuantBitIdentical(t *testing.T) { checkExactSerial(t, quantStorages) }
+
+// packPanel lays out per-stream vectors column-major: element i of stream l
+// at panel[i*bw+l].
+func packPanel(streams [][]float32) []float32 {
+	bw := len(streams)
+	panel := make([]float32, len(streams[0])*bw)
+	for l, v := range streams {
+		for i, x := range v {
+			panel[i*bw+l] = x
+		}
+	}
+	return panel
+}
+
+// checkLanes runs pp over a bw-wide panel of random streams and hands every
+// lane's output column, with the lane's input vector, to check.
+func checkLanes(t *testing.T, label string, pp *PackedProgram, seed uint64, bw int, check func(lane int, x, got []float32)) {
+	t.Helper()
+	streams := make([][]float32, bw)
+	for l := range streams {
+		streams[l] = randVec(seed*31+uint64(l)+7, pp.Cols)
+	}
+	yp := make([]float32, pp.Rows*bw)
+	if err := pp.RunBatch(yp, packPanel(streams), bw, tableScratch); err != nil {
+		t.Fatalf("%s bw=%d: %v", label, bw, err)
+	}
+	got := make([]float32, pp.Rows)
+	for l, x := range streams {
+		for r := range got {
+			got[r] = yp[r*bw+l]
+		}
+		check(l, x, got)
+	}
+}
+
+// checkLanesMatchSerial: lane l of the exact tier's panel is byte-for-byte
+// the serial run on lane l's vector.
+func checkLanesMatchSerial(t *testing.T, label string, pp *PackedProgram, seed uint64, bw int) {
+	t.Helper()
+	want := make([]float32, pp.Rows)
+	checkLanes(t, label, pp, seed, bw, func(l int, x, got []float32) {
+		if err := pp.Run(want, x, tableScratch); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for r := range got {
+			if got[r] != want[r] {
+				t.Fatalf("%s bw=%d: lane %d row %d: batched %v vs serial %v", label, bw, l, r, got[r], want[r])
+			}
+		}
+	})
+}
+
+func checkExactLanes(t *testing.T, storages []storage) {
+	forEachPackedCase(t, storages, PrecisionExact, func(c packedCase) {
+		for _, bw := range tableWidths {
+			checkLanesMatchSerial(t, c.label, c.pp, uint64(bw), bw)
+		}
+	})
+}
+
+func TestBatchedBitIdentical(t *testing.T)            { checkExactLanes(t, f32Storage) }
+func TestPackQuantBatchLanesMatchSerial(t *testing.T) { checkExactLanes(t, quantStorages) }
+
+// checkFastRows asserts a fast-tier output is within the tolerance contract
+// of the exact oracle, row by row: the hybrid ULP/absolute bound of the
+// row's dot, sized by its term count and product-magnitude sum. A quantized
+// row's magnitude sum grows by at most (scale/2)·Σ|x|, the distance
+// quantization moves each weight (the bound derives magnitudes from the
+// float weights).
+func checkFastRows(t *testing.T, label string, c packedCase, x, got, want []float32) {
+	t.Helper()
+	sumAbsX := 0.0
+	for _, v := range x {
+		sumAbsX += math.Abs(float64(v))
+	}
+	for r := range got {
+		sumAbs, n := 0.0, 0
+		for col, v := range c.w.Row(r) {
+			if v != 0 {
+				sumAbs += math.Abs(float64(v) * float64(x[col]))
+				n++
+			}
+		}
+		if c.pp.Bits != 0 {
+			sumAbs += float64(c.pp.Scales[r]) / 2 * sumAbsX
+		}
+		ulps, atol := tensor.FastULPBound(n), tensor.FastDotBound(n, sumAbs)
+		if !tensor.FastClose(got[r], want[r], ulps, atol) {
+			t.Fatalf("%s: row %d: fast %v vs exact %v outside bound (ulp=%d, atol=%g)",
+				label, r, got[r], want[r], tensor.ULPDiff32(got[r], want[r]), atol)
+		}
+	}
+}
+
+// checkFast: every lane of the fast tier's output at every width (1 is the
+// serial entry) is within bound of the exact serial oracle for that lane.
+func checkFast(t *testing.T, storages []storage, widths []int) {
+	forEachPackedCase(t, storages, PrecisionFast, func(c packedCase) {
+		want := make([]float32, c.w.Rows)
+		for _, bw := range widths {
+			label := fmt.Sprintf("%s bw=%d", c.label, bw)
+			checkLanes(t, label, c.pp, uint64(bw), bw, func(l int, x, got []float32) {
+				if err := c.exact.Run(want, x, tableScratch); err != nil {
+					t.Fatal(err)
+				}
+				checkFastRows(t, fmt.Sprintf("%s lane %d", label, l), c, x, got, want)
+			})
+		}
+	})
+}
+
+func TestPackedFastMatchesExactWithinBound(t *testing.T)  { checkFast(t, f32Storage, tableWidths[:1]) }
+func TestPackedBatchFastMatchesExact(t *testing.T)        { checkFast(t, f32Storage, tableWidths[1:]) }
+func TestPackedQFastMatchesExactWithinBound(t *testing.T) { checkFast(t, quantStorages, tableWidths) }
+
+// checkZeroAlloc is the allocation-regression gate: steady-state execution
+// on the shared scratch must not touch the heap, whatever ran on it before.
+func checkZeroAlloc(t *testing.T, storages []storage, tier Precision, widths []int) {
+	forEachPackedCase(t, storages, tier, func(c packedCase) {
+		for _, bw := range widths {
+			x := randVec(9, c.w.Cols*bw)
+			y := make([]float32, c.w.Rows*bw)
+			run := func() {
+				if err := c.pp.RunBatch(y, x, bw, tableScratch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Fatalf("%s bw=%d: %v allocs per execution, want 0", c.label, bw, allocs)
+			}
+		}
+	})
+}
+
+func TestPackedRunZeroAlloc(t *testing.T) {
+	checkZeroAlloc(t, f32Storage, PrecisionExact, tableWidths[:1])
+}
+func TestRunBatchZeroAlloc(t *testing.T) {
+	checkZeroAlloc(t, f32Storage, PrecisionExact, tableWidths[1:])
+}
+func TestPackQuantZeroAlloc(t *testing.T) {
+	checkZeroAlloc(t, quantStorages, PrecisionExact, tableWidths)
+}
+func TestPackedFastRunZeroAlloc(t *testing.T) {
+	checkZeroAlloc(t, allStorages, PrecisionFast, tableWidths)
 }
 
 // TestPackedStatsMatchInterpreter pins the static-stats claim: Pack's
@@ -119,41 +384,6 @@ func TestPackedStatsMatchInterpreter(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalStats(t, want, pp.Stats(), format.String())
-	}
-}
-
-// TestPackedRunZeroAlloc is the allocation-regression gate: steady-state
-// packed execution with a reused scratch must not touch the heap.
-func TestPackedRunZeroAlloc(t *testing.T) {
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	w := bspMat(7, 64, 48, scheme)
-	for _, format := range []Format{FormatDense, FormatCSR, FormatBSPC} {
-		src := MatrixSource{Name: "a", W: w}
-		if format == FormatBSPC {
-			s := scheme
-			src.Scheme = &s
-		}
-		prog, err := CompileProgram(src, DefaultOptions(format, 32), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := Pack(prog, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(9, w.Cols)
-		y := make([]float32, w.Rows)
-		scratch := pp.NewScratch()
-		if err := pp.Run(y, x, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(50, func() {
-			if err := pp.Run(y, x, scratch); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Fatalf("%s: packed Run allocates %v times per execution, want 0", format, allocs)
-		}
 	}
 }
 
@@ -210,8 +440,30 @@ func TestPackedShapeValidation(t *testing.T) {
 	if err := pp.Run(make([]float32, 3), make([]float32, 4), nil); err == nil {
 		t.Fatal("short y accepted")
 	}
-	if err := pp.RunParallel(make([]float32, 4), make([]float32, 5), nil, nil); err == nil {
+	if err := pp.RunAdd(make([]float32, 4), make([]float32, 5), nil); err == nil {
 		t.Fatal("long x accepted")
+	}
+}
+
+// TestRunBatchShapeValidation pins the panel entries' error paths.
+func TestRunBatchShapeValidation(t *testing.T) {
+	w := tensor.NewMatrix(4, 4)
+	prog, err := CompileProgram(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 32), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := Pack(prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pp.RunBatch(make([]float32, 8), make([]float32, 8), 0, nil); err == nil {
+		t.Fatal("zero batch width accepted")
+	}
+	if err := pp.RunBatch(make([]float32, 7), make([]float32, 8), 2, nil); err == nil {
+		t.Fatal("short y panel accepted")
+	}
+	if err := pp.RunBatchAdd(make([]float32, 8), make([]float32, 9), 2, nil); err == nil {
+		t.Fatal("long x panel accepted")
 	}
 }
 
@@ -219,7 +471,6 @@ func TestPackedShapeValidation(t *testing.T) {
 // per-goroutine scratches — the read-only-program / private-scratch ownership
 // rule the race target verifies.
 func TestPackedSharedProgram(t *testing.T) {
-	forceParallel(t)
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(13, 48, 40, scheme)
 	src := MatrixSource{Name: "s", W: w, Scheme: &scheme}
@@ -236,31 +487,37 @@ func TestPackedSharedProgram(t *testing.T) {
 	if _, err := prog.Execute(want, x); err != nil {
 		t.Fatal(err)
 	}
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	outer := parallel.NewPool(8)
-	defer outer.Close()
-	outer.For(16, func(i int) {
-		scratch := pp.NewScratch()
-		y := make([]float32, 48)
-		if i%2 == 0 {
-			if err := pp.Run(y, x, scratch); err != nil {
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			scratch := pp.NewScratch()
+			y := make([]float32, 48*(1+i%2*7))
+			var err error
+			if i%2 == 0 {
+				err = pp.Run(y, x, scratch)
+			} else {
+				xs := make([][]float32, 8)
+				for l := range xs {
+					xs[l] = x
+				}
+				err = pp.RunBatch(y, packPanel(xs), 8, scratch)
+			}
+			if err != nil {
 				t.Error(err)
 				return
 			}
-		} else {
-			if err := pp.RunParallel(y, x, pool, scratch); err != nil {
-				t.Error(err)
-				return
+			lanes := len(y) / 48
+			for r := range want {
+				if y[r*lanes] != want[r] {
+					t.Errorf("goroutine %d row %d differs", i, r)
+					return
+				}
 			}
-		}
-		for r := range y {
-			if y[r] != want[r] {
-				t.Errorf("goroutine %d row %d differs", i, r)
-				return
-			}
-		}
-	})
+		}(i)
+	}
+	wg.Wait()
 }
 
 // TestPackedSegmentMerging pins the flattening layout: a dense lowering

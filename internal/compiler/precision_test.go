@@ -1,14 +1,9 @@
 package compiler
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
-	"rtmobile/internal/parallel"
 	"rtmobile/internal/prune"
-	"rtmobile/internal/quant"
-	"rtmobile/internal/tensor"
 )
 
 func TestPrecisionParseString(t *testing.T) {
@@ -40,332 +35,6 @@ func TestPrecisionParseString(t *testing.T) {
 	}
 	if s := Precision(7).String(); s != "precision(7)" {
 		t.Errorf("Precision(7).String() = %q", s)
-	}
-}
-
-// rowFastBounds derives the per-row tolerance the fast tier must meet
-// against the exact oracle: the hybrid ULP/absolute bound of the row's
-// dot, sized by its term count and product-magnitude sum. extraAbs adds a
-// per-row absolute slack (the quantized suites pass the scale-rounding
-// term; the float suites pass nil).
-func rowFastBounds(w *tensor.Matrix, x []float32, extraAbs []float64) (ulps []uint64, atol []float64) {
-	ulps = make([]uint64, w.Rows)
-	atol = make([]float64, w.Rows)
-	for r := 0; r < w.Rows; r++ {
-		sumAbs := 0.0
-		n := 0
-		for c, v := range w.Row(r) {
-			if v != 0 {
-				sumAbs += math.Abs(float64(v) * float64(x[c]))
-				n++
-			}
-		}
-		if extraAbs != nil {
-			sumAbs += extraAbs[r]
-		}
-		ulps[r] = tensor.FastULPBound(n)
-		atol[r] = tensor.FastDotBound(n, sumAbs)
-	}
-	return ulps, atol
-}
-
-// checkFastRows asserts every fast-tier output row is within its bound of
-// the exact oracle row.
-func checkFastRows(t *testing.T, label string, got, want []float32, ulps []uint64, atol []float64) {
-	t.Helper()
-	for r := range got {
-		if !tensor.FastClose(got[r], want[r], ulps[r], atol[r]) {
-			t.Fatalf("%s: row %d: fast %v vs exact %v outside bound (ulp=%d, atol=%g)",
-				label, r, got[r], want[r], tensor.ULPDiff32(got[r], want[r]), atol[r])
-		}
-	}
-}
-
-// TestPackedFastMatchesExactWithinBound is the fast-tier half of the
-// packed equivalence suite: across formats and lane counts, the fast
-// float32 programs must stay within the tolerance contract of the exact
-// oracle on serial, parallel, and batched paths (the exact tier remains
-// bit-pinned to the interpreter by TestPackedBitIdentical).
-func TestPackedFastMatchesExactWithinBound(t *testing.T) {
-	forceParallel(t)
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	for seed := uint64(1); seed <= 3; seed++ {
-		w := bspMat(seed, 32+int(seed)*9, 40, scheme)
-		for _, format := range []Format{FormatDense, FormatCSR, FormatBSPC} {
-			src := MatrixSource{Name: "m", W: w}
-			if format == FormatBSPC {
-				s := scheme
-				src.Scheme = &s
-			}
-			for _, threads := range []int{1, 3, 8} {
-				opt := DefaultOptions(format, 32)
-				prog, err := CompileProgram(src, opt, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fopt := opt
-				fopt.Precision = PrecisionFast
-				fprog, err := CompileProgram(src, fopt, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pp, err := Pack(prog, opt.Tile.Unroll)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fp, err := Pack(fprog, opt.Tile.Unroll)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fp.Precision != PrecisionFast {
-					t.Fatalf("Pack dropped the precision tier: %v", fp.Precision)
-				}
-				label := fmt.Sprintf("seed=%d fmt=%s threads=%d", seed, format, threads)
-
-				x := randVec(seed*77+uint64(threads), w.Cols)
-				want := make([]float32, w.Rows)
-				if err := pp.Run(want, x, nil); err != nil {
-					t.Fatal(err)
-				}
-				ulps, atol := rowFastBounds(w, x, nil)
-
-				got := make([]float32, w.Rows)
-				scratch := fp.NewScratch()
-				if err := fp.Run(got, x, scratch); err != nil {
-					t.Fatal(err)
-				}
-				checkFastRows(t, label+" serial", got, want, ulps, atol)
-
-				// The parallel fast path must equal the serial fast path
-				// bit-for-bit (the lane merge is unchanged; only in-lane
-				// kernels differ by tier).
-				pool := parallel.NewPool(3)
-				gp := make([]float32, w.Rows)
-				err = fp.RunParallel(gp, x, pool, scratch)
-				pool.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r := range gp {
-					if gp[r] != got[r] {
-						t.Fatalf("%s: row %d: fast parallel %v != fast serial %v",
-							label, r, gp[r], got[r])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPackedBatchFastMatchesExact drives the fast batched path: every lane
-// of the fast RunBatch/RunBatchParallel panel must stay within the
-// tolerance contract of the exact serial oracle for that lane's vector.
-func TestPackedBatchFastMatchesExact(t *testing.T) {
-	forceParallel(t)
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	w := bspMat(9, 48, 40, scheme)
-	s := scheme
-	src := MatrixSource{Name: "m", W: w, Scheme: &s}
-	opt := DefaultOptions(FormatBSPC, 32)
-	prog, err := CompileProgram(src, opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fopt := opt
-	fopt.Precision = PrecisionFast
-	fprog, err := CompileProgram(src, fopt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, opt.Tile.Unroll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := Pack(fprog, opt.Tile.Unroll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bw := range []int{1, 3, 8, 32} {
-		streams := make([][]float32, bw)
-		wants := make([][]float32, bw)
-		allULPs := make([][]uint64, bw)
-		allAtol := make([][]float64, bw)
-		for l := range streams {
-			streams[l] = randVec(uint64(101+l), w.Cols)
-			wants[l] = make([]float32, w.Rows)
-			if err := pp.Run(wants[l], streams[l], nil); err != nil {
-				t.Fatal(err)
-			}
-			allULPs[l], allAtol[l] = rowFastBounds(w, streams[l], nil)
-		}
-		panel := packPanel(streams)
-		y := make([]float32, w.Rows*bw)
-		scratch := fp.NewScratch()
-		if err := fp.RunBatch(y, panel, bw, scratch); err != nil {
-			t.Fatal(err)
-		}
-		for l := 0; l < bw; l++ {
-			for r := 0; r < w.Rows; r++ {
-				if !tensor.FastClose(y[r*bw+l], wants[l][r], allULPs[l][r], allAtol[l][r]) {
-					t.Fatalf("bw=%d lane=%d row=%d: fast batch %v vs exact %v outside bound",
-						bw, l, r, y[r*bw+l], wants[l][r])
-				}
-			}
-		}
-		// Parallel fast batch must equal serial fast batch bit-for-bit.
-		pool := parallel.NewPool(3)
-		yp := make([]float32, w.Rows*bw)
-		err = fp.RunBatchParallel(yp, panel, bw, pool, scratch)
-		pool.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range yp {
-			if yp[i] != y[i] {
-				t.Fatalf("bw=%d: panel index %d: fast batch parallel %v != serial %v",
-					bw, i, yp[i], y[i])
-			}
-		}
-	}
-}
-
-// TestPackedQFastMatchesExactWithinBound is the quantized fast-tier
-// equivalence suite: int8 and int16 fast programs against their exact
-// quantized oracles, serial and batched. The absolute slack adds the
-// quantization rounding term (half a scale step per stored weight) on top
-// of the accumulation bound, since the bound helper derives magnitudes
-// from the float weights.
-func TestPackedQFastMatchesExactWithinBound(t *testing.T) {
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	w := bspMat(5, 56, 48, scheme)
-	s := scheme
-	src := MatrixSource{Name: "m", W: w, Scheme: &s}
-	for _, bits := range []int{8, 16} {
-		opt := DefaultOptions(FormatBSPC, 32)
-		opt.QuantBits = bits
-		prog, err := CompileProgram(src, opt, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fopt := opt
-		fopt.Precision = PrecisionFast
-		fprog, err := CompileProgram(src, fopt, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pq, err := PackQuant(prog, bits, quant.PerRow, opt.Tile.Unroll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fq, err := PackQuant(fprog, bits, quant.PerRow, opt.Tile.Unroll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fq.Precision != PrecisionFast {
-			t.Fatalf("PackQuant dropped the precision tier: %v", fq.Precision)
-		}
-		x := randVec(uint64(bits)*13, w.Cols)
-		sumAbsX := 0.0
-		for _, v := range x {
-			sumAbsX += math.Abs(float64(v))
-		}
-		// Quantization moves each weight by at most scale/2, so each row's
-		// product-magnitude sum grows by at most (scale/2)·Σ|x|.
-		extra := make([]float64, w.Rows)
-		for r := range extra {
-			extra[r] = float64(fq.Scales[r]) / 2 * sumAbsX
-		}
-		ulps, atol := rowFastBounds(w, x, extra)
-
-		want := make([]float32, w.Rows)
-		if err := pq.Run(want, x, nil); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float32, w.Rows)
-		if err := fq.Run(got, x, nil); err != nil {
-			t.Fatal(err)
-		}
-		checkFastRows(t, fmt.Sprintf("q%d serial", bits), got, want, ulps, atol)
-
-		for _, bw := range []int{3, 8} {
-			streams := make([][]float32, bw)
-			for l := range streams {
-				streams[l] = x
-			}
-			panel := packPanel(streams)
-			y := make([]float32, w.Rows*bw)
-			if err := fq.RunBatch(y, panel, bw, nil); err != nil {
-				t.Fatal(err)
-			}
-			for l := 0; l < bw; l++ {
-				for r := 0; r < w.Rows; r++ {
-					if !tensor.FastClose(y[r*bw+l], want[r], ulps[r], atol[r]) {
-						t.Fatalf("q%d bw=%d lane=%d row=%d: fast batch %v vs exact %v outside bound",
-							bits, bw, l, r, y[r*bw+l], want[r])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPackedFastRunZeroAlloc pins the fast tier to the packed backend's
-// allocation contract: with a reused scratch, serial and batched fast
-// executions perform zero heap allocations.
-func TestPackedFastRunZeroAlloc(t *testing.T) {
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	w := bspMat(3, 64, 48, scheme)
-	s := scheme
-	src := MatrixSource{Name: "m", W: w, Scheme: &s}
-	opt := DefaultOptions(FormatBSPC, 32)
-	opt.Precision = PrecisionFast
-	for _, bits := range []int{0, 8, 16} {
-		o := opt
-		o.QuantBits = bits
-		prog, err := CompileProgram(src, o, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var runner interface {
-			Run(y, x []float32, s *PackedScratch) error
-			RunBatch(y, x []float32, bw int, s *PackedScratch) error
-			NewScratch() *PackedScratch
-		}
-		if bits != 0 {
-			runner, err = PackQuant(prog, bits, quant.PerRow, o.Tile.Unroll)
-		} else {
-			runner, err = Pack(prog, o.Tile.Unroll)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(11, w.Cols)
-		y := make([]float32, w.Rows)
-		scratch := runner.NewScratch()
-		if err := runner.Run(y, x, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(20, func() {
-			if err := runner.Run(y, x, scratch); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("bits=%d: fast Run allocates %.1f/op, want 0", bits, n)
-		}
-		const bw = 8
-		panel := make([]float32, w.Cols*bw)
-		copy(panel, x)
-		yb := make([]float32, w.Rows*bw)
-		if err := runner.RunBatch(yb, panel, bw, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(20, func() {
-			if err := runner.RunBatch(yb, panel, bw, scratch); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("bits=%d: fast RunBatch allocates %.1f/op, want 0", bits, n)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package rtmobile
 
 import (
+	"runtime"
 	"time"
 
 	"rtmobile/internal/compiler"
@@ -26,6 +27,24 @@ const MaxBatchWidth = 32
 
 // maxFreeArenas bounds the engine's batch-arena free list.
 const maxFreeArenas = 16
+
+// forkJoinBreakEvenMACs is the fork-join break-even: below this many
+// multiply-accumulates per worker, handing panel groups to the pool costs
+// more than the arithmetic saves, so InferBatchInto runs one wide panel on
+// the caller instead (bit-identical either way). Sized so single-utterance
+// and small-batch calls stay inline while long batches still fan out. A
+// variable only so tests can force the sharded path on small models: 0
+// disables the cutoff.
+var forkJoinBreakEvenMACs = 1 << 18
+
+// forkJoinWorthwhile reports whether work MACs spread over workers clears
+// the break-even. A machine without a second CPU never forks.
+func forkJoinWorthwhile(work, workers int) bool {
+	if forkJoinBreakEvenMACs <= 0 {
+		return true
+	}
+	return runtime.GOMAXPROCS(0) >= 2 && work/workers >= forkJoinBreakEvenMACs
+}
 
 // BatchStream is a stateful lockstep inference session over bw utterance
 // slots. It owns all mutable state (the layer panels, the fp16 staging
@@ -356,7 +375,7 @@ func (e *Engine) inferPanel(dst [][][]float32, utts [][][]float32, bw int) {
 // below the fork-join break-even perform zero heap allocations — the arena
 // free list and the lockstep session's panels are all reused; above it the
 // pool's fork-join costs a handful of allocations per call, amortized over
-// at least compiler.ParallelBreakEvenMACs of arithmetic per worker.
+// at least forkJoinBreakEvenMACs of arithmetic per worker.
 //
 // Output is bit-identical to calling Infer on each utterance serially:
 // grouping changes memory layout and weight-stream amortization, never a
@@ -374,16 +393,15 @@ func (e *Engine) InferBatchInto(dst, batch [][][]float32) {
 		pool = parallel.Default()
 	}
 	// Shard panel groups across the pool only when the batch carries enough
-	// arithmetic per worker to pay for the fork-join (the packed executors'
-	// own break-even); below it one wide panel on the caller is faster, and
-	// allocation-free at any worker count.
+	// arithmetic per worker to pay for the fork-join; below it one wide panel
+	// on the caller is faster, and allocation-free at any worker count.
 	workers := pool.Workers()
 	if workers > 1 {
 		frames := 0
 		for _, u := range batch {
 			frames += len(u)
 		}
-		if !compiler.ParallelWorthwhile(int(e.stepMACs)*frames, workers) {
+		if !forkJoinWorthwhile(int(e.stepMACs)*frames, workers) {
 			workers = 1
 		}
 	}

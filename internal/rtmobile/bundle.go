@@ -51,8 +51,10 @@ import (
 // or vice versa. Versions 1–3 still load (exact tier, the historical
 // behavior).
 //
-// A fused engine's weight matrices are the model's (fusion happens at
-// compile time); the fused flag makes the reload recompile identically.
+// The fused byte once selected a plan that priced each layer's [Wx|Wh] as
+// one kernel. No engine ever executed such kernels and the pass is gone:
+// writers emit 0, and loaders read the byte and ignore it, so a file that
+// carries it set loads as the per-matrix deployment it always ran.
 
 const (
 	bundleMagic   = "RTMB"
@@ -87,7 +89,7 @@ func (e *Engine) saveBundleV4(w io.Writer, scheme prune.BSP) error {
 		uint32(e.plan.Options.Tile.RowTile), uint32(e.plan.Options.Tile.ColTile),
 		uint32(e.plan.Options.Tile.Unroll),
 		boolByte(e.plan.Options.Reorder), boolByte(e.plan.Options.EliminateRedundantLoads),
-		boolByte(e.fused),
+		uint8(0), // fused (retired)
 		uint8(e.tuned.Mode), uint32(e.plan.Options.Tile.Placement), e.tuned.Cost,
 		uint8(e.quant), uint8(e.precision),
 	}
@@ -320,7 +322,7 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 			return nil, zero, fmt.Errorf("rtmobile: reading bundle compiler options: %w", err)
 		}
 	}
-	var reorder, loadelim, fused uint8
+	var reorder, loadelim, fused uint8 // fused is read past and ignored
 	for _, p := range []*uint8{&reorder, &loadelim, &fused} {
 		if err := binary.Read(r, le, p); err != nil {
 			return nil, zero, fmt.Errorf("rtmobile: reading bundle compiler flags: %w", err)
@@ -447,7 +449,7 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 	eng, err := Compile(model, scheme, DeployConfig{
 		Target: target, Format: compiler.Format(format),
 		DisableReorder: reorder == 0, DisableLoadElim: loadelim == 0,
-		FuseKernels: fused == 1, Quant: int(quantBits),
+		Quant:     int(quantBits),
 		Precision: compiler.Precision(precByte),
 		Tile: compiler.TileConfig{
 			RowTile: int(rowTile), ColTile: int(colTile), Unroll: int(unroll),

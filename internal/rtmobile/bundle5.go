@@ -91,7 +91,10 @@ type v5ProgramMeta struct {
 
 // v5Meta is the JSON metadata section: everything LoadBundle's v1–v4
 // header carried, plus the full compiled Plan (so a mapped load skips
-// Compile entirely) and the param/program section directories.
+// Compile entirely) and the param/program section directories. Fused is the
+// retired fused-plan bit (see bundle.go): always written false; a file that
+// carries it true stores a plan priced per fused kernel, which the loader
+// re-prices per matrix.
 type v5Meta struct {
 	Spec      nn.ModelSpec    `json:"spec"`
 	Scheme    prune.BSP       `json:"scheme"`
@@ -179,7 +182,6 @@ func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
 	meta := v5Meta{
 		Spec:      e.model.Spec,
 		Scheme:    scheme,
-		Fused:     e.fused,
 		TuneMode:  uint8(e.tuned.Mode),
 		TuneCost:  e.tuned.Cost,
 		QuantBits: e.quant,
@@ -200,7 +202,7 @@ func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
 	// engine executes (lowered once, at Compile), so a mapped load serves
 	// from them in place.
 	for _, p := range e.progs {
-		s := p.run.Sections()
+		s := p.Sections()
 		pm := v5ProgramMeta{
 			Name: s.Name, Rows: s.Rows, Cols: s.Cols,
 			Format: s.Format, ValueBits: s.ValueBits,

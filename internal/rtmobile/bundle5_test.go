@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -136,8 +135,8 @@ func TestMapBundleBitIdentical(t *testing.T) {
 	if mb.Version() != 5 {
 		t.Fatalf("Version() = %d, want 5", mb.Version())
 	}
-	if (runtime.GOOS == "linux" || runtime.GOOS == "darwin") && !mb.Mapped() {
-		t.Fatalf("Mapped() = false on %s; mmap path not taken", runtime.GOOS)
+	if mb.Mapped() != mmapBuilt {
+		t.Fatalf("Mapped() = %v on a build with mmap support = %v", mb.Mapped(), mmapBuilt)
 	}
 	if mb.Scheme().ColRate != 4 {
 		t.Fatalf("scheme lost: %+v", mb.Scheme())
@@ -152,11 +151,8 @@ func TestMapBundleBitIdentical(t *testing.T) {
 		t.Fatal("no packed programs in mapped bundle")
 	}
 	for _, n := range names {
-		if mb.Packed(n) == nil {
-			t.Fatalf("Packed(%q) = nil for float bundle", n)
-		}
-		if mb.PackedQ(n) != nil {
-			t.Fatalf("PackedQ(%q) != nil for float bundle", n)
+		if pp := mb.Packed(n); pp == nil || pp.Bits != 0 || len(pp.Vals) == 0 {
+			t.Fatalf("Packed(%q) = %+v for float bundle, want float32 values", n, pp)
 		}
 	}
 	if err := mb.Close(); err != nil {
@@ -179,15 +175,12 @@ func TestMapBundleQuantized(t *testing.T) {
 	defer mb.Close()
 	sameEnginePosteriors(t, eng, mb.Engine(), 98)
 	for _, n := range mb.ProgramNames() {
-		pq := mb.PackedQ(n)
-		if pq == nil {
-			t.Fatalf("PackedQ(%q) = nil for 8-bit bundle", n)
+		pq := mb.Packed(n)
+		if pq == nil || pq.Bits != 8 {
+			t.Fatalf("Packed(%q) = %+v for 8-bit bundle, want an int8 program", n, pq)
 		}
-		if len(pq.Vals8) == 0 {
-			t.Fatalf("PackedQ(%q) has no int8 values", n)
-		}
-		if mb.Packed(n) != nil {
-			t.Fatalf("Packed(%q) != nil for quantized bundle", n)
+		if len(pq.Vals8) == 0 || len(pq.Vals) != 0 {
+			t.Fatalf("Packed(%q) has %d int8 and %d float32 values", n, len(pq.Vals8), len(pq.Vals))
 		}
 	}
 }

@@ -353,28 +353,3 @@ func TestLoadBundleTruncationSweep(t *testing.T) {
 		}
 	}
 }
-
-func TestBundlePreservesFusion(t *testing.T) {
-	m := bigModel(45)
-	res := Prune(m, nil, PruneConfig{ColRate: 20, RowRate: 10, RowGroups: 8, ColBlocks: 4})
-	eng, err := Compile(m, res.Scheme, DeployConfig{
-		Target: device.MobileGPU(), FuseKernels: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileGPU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Plan().Matrices) != len(eng.Plan().Matrices) {
-		t.Fatalf("fusion lost on reload: %d vs %d kernels",
-			len(loaded.Plan().Matrices), len(eng.Plan().Matrices))
-	}
-	if loaded.Latency().TotalUS != eng.Latency().TotalUS {
-		t.Fatal("fused bundle reload changed latency")
-	}
-}

@@ -15,8 +15,36 @@ import (
 
 // Loader compatibility: a bundle that carries no executable per-matrix
 // program still ends on the one serving path — its programs are lowered
-// from the weights once at load. The table loads one bundle of each such
-// kind and checks the exact tier bit for bit against nn.Forward.
+// from the weights once at load — and a bundle that carries the retired
+// fused-plan bit loads as the per-matrix deployment it always ran. The
+// table loads one bundle of each such kind and checks the exact tier bit
+// for bit against nn.Forward.
+
+// fixtureSpec and fixtureScheme are the deployment testdata/parent_*.rtmb
+// were written from (testdata/README.md).
+var (
+	fixtureSpec   = nn.ModelSpec{InputDim: 8, Hidden: 16, NumLayers: 2, OutputDim: 6, Seed: 48}
+	fixtureScheme = prune.BSP{ColRate: 2, RowRate: 1, NumRowGroups: 2, NumColBlocks: 4}
+)
+
+// fixtureModel rebuilds the model the fixtures were compiled from.
+func fixtureModel() *nn.Model { return prunedModel(fixtureSpec, fixtureScheme) }
+
+func prunedModel(spec nn.ModelSpec, scheme prune.BSP) *nn.Model {
+	m := nn.NewModel(spec)
+	Prune(m, nil, PruneConfig{ColRate: scheme.ColRate, RowRate: scheme.RowRate,
+		RowGroups: scheme.NumRowGroups, ColBlocks: scheme.NumColBlocks})
+	return m
+}
+
+func readFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	image, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
 
 // perBlockProgram lowers a BSP matrix the way bundle writers before the
 // dense-order lowering did: one gather and one run of row dots per column
@@ -39,81 +67,46 @@ func perBlockProgram(name string, w *nn.Param, scheme prune.BSP) *compiler.Progr
 	return prog
 }
 
-// withPrograms returns a copy of eng that would serialize the given
-// programs in place of its own.
-func withPrograms(eng *Engine, progs []namedProgram) *Engine {
-	return &Engine{
-		model: eng.model, plan: eng.plan, target: eng.target, pool: eng.pool,
-		fp16: eng.fp16, fused: eng.fused, tuned: eng.tuned,
-		quant: eng.quant, precision: eng.precision,
-		progs: progs,
-	}
-}
-
 func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 	spec := nn.ModelSpec{InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 48}
 	scheme := prune.BSP{ColRate: 2, RowRate: 1, NumRowGroups: 2, NumColBlocks: 4}
-	compile := func(t *testing.T, fuse bool) (*Engine, *nn.Model) {
-		t.Helper()
-		m := nn.NewModel(spec)
-		Prune(m, nil, PruneConfig{ColRate: scheme.ColRate, RowRate: scheme.RowRate,
-			RowGroups: scheme.NumRowGroups, ColBlocks: scheme.NumColBlocks})
-		eng, err := Compile(m, scheme, DeployConfig{Target: device.MobileCPU(), FuseKernels: fuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng, m
-	}
-	v4 := func(t *testing.T, eng *Engine) []byte {
+	save := func(t *testing.T, eng *Engine, version int) []byte {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := eng.SaveBundleVersion(&buf, scheme, 4); err != nil {
+		if err := eng.SaveBundleVersion(&buf, scheme, version); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	v5 := func(t *testing.T, eng *Engine) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := eng.SaveBundleVersion(&buf, scheme, 5); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	// fixture cases load a file written while the fused plan existed, with the
+	// fused bit set; the others serialize a fresh Compile.
+	fixture := func(name string, as func([]byte) []byte) func(*testing.T, *Engine) []byte {
+		return func(t *testing.T, _ *Engine) []byte { return as(readFixture(t, name)) }
 	}
+	asIs := func(image []byte) []byte { return image }
 
 	cases := []struct {
 		name  string
-		fuse  bool
+		fused bool
 		image func(t *testing.T, eng *Engine) []byte
 	}{
-		{"v1", false, func(t *testing.T, eng *Engine) []byte { return asV1(v4(t, eng)) }},
-		{"v2", false, func(t *testing.T, eng *Engine) []byte { return asV2(v4(t, eng)) }},
-		{"v3", false, func(t *testing.T, eng *Engine) []byte { return asV3(v4(t, eng)) }},
-		{"v4", false, v4},
-		{"v4-fused", true, v4},
-		// A fused deployment writes the per-matrix programs it executes.
-		{"v5-fused", true, v5},
-		// A fused v5 file from before: one [Wx|Wh] program per layer.
-		{"v5-fused-programs", true, func(t *testing.T, eng *Engine) []byte {
-			var progs []namedProgram
-			srcs := compiler.FuseSources(ModelSources(eng.model, scheme, compiler.FormatBSPC))
-			for _, src := range srcs {
-				prog, err := compiler.CompileProgram(src, eng.plan.Options, eng.target.Threads())
-				if err != nil {
-					t.Fatal(err)
-				}
-				pp, err := compiler.Pack(prog, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				progs = append(progs, namedProgram{src.Name, pp})
-			}
-			return v5(t, withPrograms(eng, progs))
-		}},
+		{"v1", false, func(t *testing.T, eng *Engine) []byte { return asV1(save(t, eng, 4)) }},
+		{"v2", false, func(t *testing.T, eng *Engine) []byte { return asV2(save(t, eng, 4)) }},
+		{"v3", false, func(t *testing.T, eng *Engine) []byte { return asV3(save(t, eng, 4)) }},
+		{"v4", false, func(t *testing.T, eng *Engine) []byte { return save(t, eng, 4) }},
+		{"v1-fused", true, fixture("parent_v4_fused.rtmb", asV1)},
+		{"v2-fused", true, fixture("parent_v4_fused.rtmb", asV2)},
+		{"v3-fused", true, fixture("parent_v4_fused.rtmb", asV3)},
+		{"v4-fused", true, fixture("parent_v4_fused.rtmb", asIs)},
+		// A fused deployment wrote the per-matrix programs it executed, beside
+		// a plan priced per [Wx|Wh] kernel.
+		{"v5-fused", true, fixture("parent_v5_fused.rtmb", asIs)},
+		// A fused v5 file from before that: one [Wx|Wh] program per layer.
+		{"v5-fused-programs", true, fixture("parent_v5_fused_programs.rtmb", asIs)},
 		// A v5 file from before the dense-order lowering: a row appears in
 		// one segment per column block.
 		{"v5-per-block-programs", false, func(t *testing.T, eng *Engine) []byte {
-			var progs []namedProgram
+			var progs []*compiler.PackedProgram
 			for _, p := range eng.model.WeightMatrices() {
 				pp, err := compiler.Pack(perBlockProgram(p.Name, p, scheme), 0)
 				if err != nil {
@@ -122,15 +115,26 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 				if pp.Sections().RowsOnce() {
 					t.Fatalf("%s: the per-block lowering lists every row once; the case tests nothing", p.Name)
 				}
-				progs = append(progs, namedProgram{p.Name, pp})
+				progs = append(progs, pp)
 			}
-			return v5(t, withPrograms(eng, progs))
+			return save(t, &Engine{
+				model: eng.model, plan: eng.plan, target: eng.target, pool: eng.pool,
+				fp16: eng.fp16, tuned: eng.tuned, quant: eng.quant, precision: eng.precision,
+				progs: progs,
+			}, 5)
 		}},
 	}
-	frames := testFrames(49, 9, spec.InputDim)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, model := compile(t, tc.fuse)
+			model := prunedModel(spec, scheme)
+			if tc.fused {
+				model = fixtureModel()
+			}
+			eng, err := Compile(model, scheme, DeployConfig{Target: device.MobileCPU()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := testFrames(49, 9, model.Spec.InputDim)
 			want := nn.Posteriors(model.Forward(frames))
 			image := tc.image(t, eng)
 
@@ -156,9 +160,15 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 					t.Fatalf("%s: %d programs, want one per weight matrix (%d)", name, got, want)
 				}
 				for _, p := range e.progs {
-					if !p.run.Sections().RowsOnce() {
-						t.Fatalf("%s: program %s rounds a row more than once", name, p.name)
+					if !p.Sections().RowsOnce() {
+						t.Fatalf("%s: program %s rounds a row more than once", name, p.Name)
 					}
+				}
+				// The plan prices what runs: one kernel per program, the
+				// same MACs a fresh Compile prices.
+				if len(e.plan.Matrices) != len(e.progs) || e.stepMACs != eng.stepMACs {
+					t.Fatalf("%s: plan prices %d kernels / %d MACs per step, want %d / %d",
+						name, len(e.plan.Matrices), e.stepMACs, len(e.progs), eng.stepMACs)
 				}
 			}
 		})

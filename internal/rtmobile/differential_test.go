@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -184,13 +185,50 @@ var diffLoaders = []struct {
 	}},
 }
 
+// diffRun scores utts through every entry point at 1, 2 and 8 workers,
+// checks each result against ref under the tier's contract, and returns the
+// results keyed by entry point and worker count (hence by panel width, which
+// the fast tier's lane grouping follows).
+func diffRun(t *testing.T, e *Engine, utts, ref [][][]float32, ok func(got, want float32) bool) map[string][][][]float32 {
+	t.Helper()
+	out := map[string][][][]float32{}
+	for _, workers := range []int{1, 2, 8} {
+		e.SetWorkers(workers)
+		for _, entry := range diffEntries {
+			label := fmt.Sprintf("%s/w%d", entry.name, workers)
+			out[label] = entry.run(e, utts)
+			diffCheck(t, label, out[label], ref, ok)
+		}
+	}
+	return out
+}
+
+// diffSame asserts a loaded engine's results equal the compiled engine's bit
+// for bit: it runs the same programs.
+func diffSame(t *testing.T, got, compiled map[string][][][]float32) {
+	t.Helper()
+	for label, want := range compiled {
+		diffCheck(t, label+" vs compiled", got[label], want,
+			func(got, want float32) bool { return got == want })
+	}
+}
+
+// diffRef scores utts on the training-side reference.
+func diffRef(model *nn.Model, utts [][][]float32) [][][]float32 {
+	ref := make([][][]float32, len(utts))
+	for i, u := range utts {
+		ref[i] = nn.Posteriors(model.Forward(u))
+	}
+	return ref
+}
+
 func TestEngineDifferential(t *testing.T) {
 	spec := nn.ModelSpec{InputDim: 13, Hidden: 64, NumLayers: 2, OutputDim: 9, Seed: 77}
 	utts := diffUtterances(spec.InputDim)
 	// Workers 2 and 8 must really fork: the test model is far below the
 	// fork-join break-even.
-	defer func(prev int) { compiler.ParallelBreakEvenMACs = prev }(compiler.ParallelBreakEvenMACs)
-	compiler.ParallelBreakEvenMACs = 0
+	defer func(prev int) { forkJoinBreakEvenMACs = prev }(forkJoinBreakEvenMACs)
+	forkJoinBreakEvenMACs = 0
 
 	for _, rate := range diffRates {
 		for _, tier := range diffTiers {
@@ -204,33 +242,63 @@ func TestEngineDifferential(t *testing.T) {
 			}
 			// The engine's model after Compile's weight rounding: what the
 			// programs were lowered from.
-			ref := make([][][]float32, len(utts))
-			for i, u := range utts {
-				ref[i] = nn.Posteriors(model.Forward(u))
-			}
-			compiled := map[string][][][]float32{}
+			ref := diffRef(model, utts)
+			var compiled map[string][][][]float32
 			for _, loader := range diffLoaders {
 				t.Run(fmt.Sprintf("%s/%s/%s", rate.name, tier.name, loader.name), func(t *testing.T) {
-					e := loader.load(t, eng, res.Scheme)
-					for _, workers := range []int{1, 2, 8} {
-						e.SetWorkers(workers)
-						for _, entry := range diffEntries {
-							got := entry.run(e, utts)
-							label := fmt.Sprintf("%s/w%d", entry.name, workers)
-							diffCheck(t, label, got, ref, tier.close)
-							// Same entry, same worker count (hence the same panel
-							// widths, which the fast tier's lane grouping follows).
-							if loader.name == "Compile" {
-								compiled[label] = got
-								continue
-							}
-							diffCheck(t, label+" vs compiled", got, compiled[label],
-								func(got, want float32) bool { return got == want })
-						}
+					got := diffRun(t, loader.load(t, eng, res.Scheme), utts, ref, tier.close)
+					if loader.name == "Compile" {
+						compiled = got
 					}
+					diffSame(t, got, compiled)
 				})
 			}
 		}
+	}
+
+	// Bundles written by the commit before the packed program types were
+	// folded into one (testdata/README.md): they must load, score under
+	// their tier's contract, run what a fresh Compile runs, and be exactly
+	// the bytes this writer still produces — the section layout is frozen.
+	utts = diffUtterances(fixtureSpec.InputDim)
+	for _, fx := range []struct {
+		file    string
+		version int
+		tier    diffTier
+	}{
+		{"parent_v4.rtmb", 4, diffTiers[0]},
+		{"parent_v5.rtmb", 5, diffTiers[0]},
+		{"parent_v4_q8.rtmb", 4, diffTiers[2]},
+		{"parent_v5_q8.rtmb", 5, diffTiers[2]},
+		{"parent_v5_q16.rtmb", 5, diffTiers[3]},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			model := fixtureModel()
+			eng, err := Compile(model, fixtureScheme, DeployConfig{Target: device.MobileCPU(), Quant: fx.tier.quant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := diffRef(model, utts)
+			compiled := diffRun(t, eng, utts, ref, fx.tier.close)
+
+			mb, err := MapBundle(filepath.Join("testdata", fx.file), device.MobileCPU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mb.Close()
+			if mb.Version() != fx.version {
+				t.Fatalf("fixture is version %d, want %d", mb.Version(), fx.version)
+			}
+			diffSame(t, diffRun(t, mb.Engine(), utts, ref, fx.tier.close), compiled)
+
+			var buf bytes.Buffer
+			if err := eng.SaveBundleVersion(&buf, fixtureScheme, fx.version); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), readFixture(t, fx.file)) {
+				t.Fatalf("a fresh Compile no longer serializes to the bytes of %s", fx.file)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //
 // Every inference entry point executes the compiled packed programs: nn's
 // steppers keep the step order (bias, projections, gate epilogue) and each
-// projection runs its weight matrix's PackedProgram / PackedQProgram. On
+// projection runs its weight matrix's compiler.PackedProgram. On
 // the exact tier with float weights that is bit-identical to
 // nn.Posteriors(model.Forward(..)) — the programs keep tensor.MatVecAdd's
 // per-row order (see compiler.PackedProgram.RunAdd) — with one caveat: a
@@ -42,15 +42,14 @@ type Engine struct {
 	target *device.Target
 	pool   *parallel.Pool
 	fp16   bool
-	fused  bool
 	tuned  TuneRecord
 
-	// progs holds one executable program per prunable weight matrix, in
-	// ModelSources order (for an unfused plan, position = plan matrix
+	// progs holds one executable program per prunable weight matrix, under
+	// the parameter's name, in ModelSources order (position = plan matrix
 	// index). Lowered once at Compile (or once at load for bundles that
 	// carry none) and serialized as-is by the v5 writer; a mapped engine's
 	// programs alias file pages.
-	progs []namedProgram
+	progs []*compiler.PackedProgram
 
 	// quant is the integer weight-quantization width (0 = float weights);
 	// quantPERDelta / quantFallback record the accuracy guardrail's verdict
@@ -84,54 +83,33 @@ type Engine struct {
 	tracer    *obs.Tracer
 }
 
-// program is a weight matrix's compiled executable: a PackedProgram or a
-// PackedQProgram behind the accumulate pair they share.
-type program interface {
-	RunAdd(y, x []float32, s *compiler.PackedScratch) error
-	RunBatchAdd(y, x []float32, bw int, s *compiler.PackedScratch) error
-	SetTracer(tr *obs.Tracer, id int32)
-	Sections() *compiler.PackedSections
-}
-
-// namedProgram is a program under its weight matrix's parameter name.
-type namedProgram struct {
-	name string
-	run  program
-}
-
 // program returns the named weight matrix's program, or nil.
-func (e *Engine) program(name string) program {
+func (e *Engine) program(name string) *compiler.PackedProgram {
 	for _, p := range e.progs {
-		if p.name == name {
-			return p.run
+		if p.Name == name {
+			return p
 		}
 	}
 	return nil
 }
 
 // lowerPrograms compiles and packs every prunable weight matrix of the
-// model under the plan's options — the one lowering a deployment performs.
-// Sources are never fused: a GRU keeps Wx·x and Wh·h apart (the reset gate
-// scales only the recurrent half), so a fused plan prices [Wx|Wh] kernels
-// while the engine still executes one program per matrix.
-func lowerPrograms(model *nn.Model, scheme prune.BSP, opt compiler.Options, threads, quantBits int) ([]namedProgram, error) {
+// model under the plan's options — the one lowering a deployment performs,
+// one program per matrix: a GRU keeps Wx·x and Wh·h apart (the reset gate
+// scales only the recurrent half).
+func lowerPrograms(model *nn.Model, scheme prune.BSP, opt compiler.Options, threads int) ([]*compiler.PackedProgram, error) {
 	srcs := ModelSources(model, scheme, opt.Format)
-	progs := make([]namedProgram, 0, len(srcs))
+	progs := make([]*compiler.PackedProgram, 0, len(srcs))
 	for _, src := range srcs {
 		prog, err := compiler.CompileProgram(src, opt, threads)
 		if err != nil {
 			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
 		}
-		var run program
-		if quantBits != 0 {
-			run, err = compiler.PackQuant(prog, quantBits, quant.PerRow, opt.Tile.Unroll)
-		} else {
-			run, err = compiler.Pack(prog, opt.Tile.Unroll)
-		}
+		pp, err := compiler.PackQuant(prog, opt.QuantBits, quant.PerRow, opt.Tile.Unroll)
 		if err != nil {
 			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
 		}
-		progs = append(progs, namedProgram{src.Name, run})
+		progs = append(progs, pp)
 	}
 	return progs, nil
 }
@@ -246,7 +224,7 @@ func (e *Engine) Requantize(bits int, scheme prune.BSP) (*Engine, error) {
 		Target: e.target, Format: opts.Format,
 		DisableReorder:  !opts.Reorder,
 		DisableLoadElim: !opts.EliminateRedundantLoads,
-		FuseKernels:     e.fused, Quant: bits, Tile: opts.Tile,
+		Quant:           bits, Tile: opts.Tile,
 		Precision: e.precision,
 	})
 	if err != nil {
@@ -278,7 +256,7 @@ func (e *Engine) Reprecision(tier compiler.Precision, scheme prune.BSP) (*Engine
 		Target: e.target, Format: opts.Format,
 		DisableReorder:  !opts.Reorder,
 		DisableLoadElim: !opts.EliminateRedundantLoads,
-		FuseKernels:     e.fused, Quant: e.quant, Tile: opts.Tile,
+		Quant:           e.quant, Tile: opts.Tile,
 		Precision: tier,
 	})
 }

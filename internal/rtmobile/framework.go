@@ -97,10 +97,6 @@ type DeployConfig struct {
 	// analytic cost model. The chosen plan is recorded on the engine and
 	// persisted in bundles, so a deployment tunes once, ever.
 	MeasuredTuning bool
-	// FuseKernels merges each layer's input and recurrent projections
-	// into one kernel (extension pass; lowers the dispatch-overhead floor
-	// at high compression).
-	FuseKernels bool
 	// Tile overrides the tile configuration when AutoTuneTiling is off.
 	Tile compiler.TileConfig
 	// Workers sizes the engine's worker pool for batch serving
@@ -201,9 +197,6 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	}
 	// FormatDense never has a scheme requirement; FormatBSPC does.
 	srcs := ModelSources(model, scheme, opt.Format)
-	if cfg.FuseKernels {
-		srcs = compiler.FuseSources(srcs)
-	}
 
 	var tuned TuneRecord
 	if cfg.AutoTuneTiling {
@@ -246,7 +239,7 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 		pool = parallel.NewPool(cfg.Workers)
 	}
 	eng := &Engine{model: model, plan: plan, target: cfg.Target, pool: pool,
-		fp16: opt.ValueBits == 16, fused: cfg.FuseKernels, tuned: tuned,
+		fp16: opt.ValueBits == 16, tuned: tuned,
 		quant: cfg.Quant, precision: opt.Precision,
 		stepMACs:  stepPricedMACs(plan),
 		stepBytes: uint64(plan.WeightBytes())}
@@ -262,7 +255,7 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	}
 	// Lower after the rounding, so the programs execute exactly the weights
 	// nn.Forward reads from the engine's model.
-	eng.progs, err = lowerPrograms(model, scheme, opt, cfg.Target.Threads(), eng.quant)
+	eng.progs, err = lowerPrograms(model, scheme, opt, cfg.Target.Threads())
 	if err != nil {
 		return nil, err
 	}

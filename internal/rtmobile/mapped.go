@@ -19,8 +19,8 @@ import (
 
 // Zero-copy bundle loading. MapBundle mmaps a v5 bundle (read-only, shared)
 // and reconstructs the engine by aliasing the mapped sections in place:
-// the model's weight matrices, and every packed / quantized packed
-// program's flat arrays, point straight into the file's pages. Load cost
+// the model's weight matrices, and every packed program's flat arrays,
+// point straight into the file's pages. Load cost
 // is O(sections) descriptor work plus one streaming checksum pass — no
 // per-weight decode, no repack, no recompile — and N engines mapped from
 // one file share its pages, so resident memory grows sublinearly in the
@@ -63,25 +63,17 @@ func (b *MappedBundle) Mapped() bool { return b.mapped }
 // Version reports the on-disk format version that was loaded.
 func (b *MappedBundle) Version() int { return b.version }
 
-// Packed returns the packed float program the engine executes for the named
-// weight matrix (nil for quantized deployments or unknown names).
+// Packed returns the packed program the engine executes for the named
+// weight matrix (nil for unknown names).
 func (b *MappedBundle) Packed(name string) *compiler.PackedProgram {
-	p, _ := b.img.eng.program(name).(*compiler.PackedProgram)
-	return p
-}
-
-// PackedQ returns the quantized packed program the engine executes for the
-// named weight matrix (nil for float deployments or unknown names).
-func (b *MappedBundle) PackedQ(name string) *compiler.PackedQProgram {
-	p, _ := b.img.eng.program(name).(*compiler.PackedQProgram)
-	return p
+	return b.img.eng.program(name)
 }
 
 // ProgramNames lists the engine's program names, sorted.
 func (b *MappedBundle) ProgramNames() []string {
 	names := make([]string, 0, len(b.img.eng.progs))
 	for _, p := range b.img.eng.progs {
-		names = append(names, p.name)
+		names = append(names, p.Name)
 	}
 	sort.Strings(names)
 	return names
@@ -415,15 +407,25 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		p.W.Data = w
 	}
 
+	plan := meta.Plan
+	if meta.Fused {
+		// The stored plan prices [Wx|Wh] kernels nothing executes; price
+		// the per-matrix programs that run.
+		plan, err = compiler.CompilePlan(plan.ModelName,
+			ModelSources(model, meta.Scheme, plan.Options.Format), plan.Options,
+			target.Threads(), plan.TimestepsPerFrame, plan.ElementwisePerTimestep)
+		if err != nil {
+			return zero, err
+		}
+	}
 	eng := &Engine{
-		model: model, plan: meta.Plan, target: target,
+		model: model, plan: plan, target: target,
 		pool:  parallel.Default(),
-		fp16:  meta.Plan.Options.ValueBits == 16,
-		fused: meta.Fused,
+		fp16:  plan.Options.ValueBits == 16,
 		tuned: TuneRecord{Mode: TuneMode(meta.TuneMode), Cost: meta.TuneCost},
-		quant: meta.QuantBits, precision: meta.Plan.Options.Precision,
-		stepMACs:  stepPricedMACs(meta.Plan),
-		stepBytes: uint64(meta.Plan.WeightBytes()),
+		quant: meta.QuantBits, precision: plan.Options.Precision,
+		stepMACs:  stepPricedMACs(plan),
+		stepBytes: uint64(plan.WeightBytes()),
 	}
 
 	eng.progs, err = storedPrograms(sections, &meta, model)
@@ -431,8 +433,9 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		return zero, err
 	}
 	if eng.progs == nil {
-		eng.progs, err = lowerPrograms(model, meta.Scheme, meta.Plan.Options,
-			target.Threads(), meta.QuantBits)
+		opt := plan.Options
+		opt.QuantBits = meta.QuantBits
+		eng.progs, err = lowerPrograms(model, meta.Scheme, opt, target.Threads())
 		if err != nil {
 			return zero, err
 		}
@@ -445,20 +448,20 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 // weight matrix, on the deployment's width and tier, each output row
 // produced by a single dot (so accumulating the program is
 // tensor.MatVecAdd's per-row order). It returns nil programs for bundles
-// that carry anything else — a fused plan's [Wx|Wh] programs, which sum
-// what a GRU keeps apart, or a file written by the per-block lowering —
-// and the caller lowers from the weights instead. Corrupt sections are an
-// error either way.
-func storedPrograms(sections map[uint32][]byte, meta *v5Meta, model *nn.Model) ([]namedProgram, error) {
+// that carry anything else — the [Wx|Wh] programs old fused deployments
+// wrote, which sum what a GRU keeps apart, or a file written by the
+// per-block lowering — and the caller lowers from the weights instead.
+// Corrupt sections are an error either way.
+func storedPrograms(sections map[uint32][]byte, meta *v5Meta, model *nn.Model) ([]*compiler.PackedProgram, error) {
 	srcs := ModelSources(model, meta.Scheme, meta.Plan.Options.Format)
-	progs := make([]namedProgram, 0, len(meta.Programs))
+	progs := make([]*compiler.PackedProgram, 0, len(meta.Programs))
 	usable := len(meta.Programs) == len(srcs)
 	for i, pm := range meta.Programs {
-		run, ps, err := v5Program(sections, pm)
+		pp, ps, err := v5Program(sections, pm)
 		if err != nil {
 			return nil, err
 		}
-		progs = append(progs, namedProgram{pm.Name, run})
+		progs = append(progs, pp)
 		usable = usable && pm.Name == srcs[i].Name &&
 			ps.Rows == srcs[i].W.Rows && ps.Cols == srcs[i].W.Cols &&
 			ps.Bits == meta.QuantBits && ps.Precision == meta.Plan.Options.Precision &&
@@ -471,7 +474,7 @@ func storedPrograms(sections map[uint32][]byte, meta *v5Meta, model *nn.Model) (
 }
 
 // v5Program rebuilds one stored program, aliasing its sections in place.
-func v5Program(sections map[uint32][]byte, pm v5ProgramMeta) (program, *compiler.PackedSections, error) {
+func v5Program(sections map[uint32][]byte, pm v5ProgramMeta) (*compiler.PackedProgram, *compiler.PackedSections, error) {
 	ps := &compiler.PackedSections{
 		Name: pm.Name, Rows: pm.Rows, Cols: pm.Cols,
 		Format: pm.Format, ValueBits: pm.ValueBits,
@@ -495,24 +498,20 @@ func v5Program(sections map[uint32][]byte, pm v5ProgramMeta) (program, *compiler
 	if ps.LaneRowCounts, err = v5I32(sections, pm.SecLaneRows, what+" lane row counts"); err != nil {
 		return nil, nil, err
 	}
-	if pm.Bits == 0 {
-		if ps.Vals, err = v5F32(sections, pm.SecVals, what+" vals", -1); err != nil {
-			return nil, nil, err
-		}
-		pp, err := compiler.NewPackedFromSections(ps)
-		return pp, ps, err
-	}
-	if pm.Bits == 8 {
+	switch pm.Bits {
+	case 0:
+		ps.Vals, err = v5F32(sections, pm.SecVals, what+" vals", -1)
+	case 8:
 		ps.Vals8, err = v5I8(sections, pm.SecQVals, what+" qvals")
-	} else {
+	default:
 		ps.Vals16, err = v5I16(sections, pm.SecQVals, what+" qvals")
+	}
+	if err == nil && pm.Bits != 0 {
+		ps.Scales, err = v5F32(sections, pm.SecScales, what+" scales", pm.Rows)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if ps.Scales, err = v5F32(sections, pm.SecScales, what+" scales", pm.Rows); err != nil {
-		return nil, nil, err
-	}
-	pq, err := compiler.NewPackedQFromSections(ps)
-	return pq, ps, err
+	pp, err := compiler.NewPackedFromSections(ps)
+	return pp, ps, err
 }

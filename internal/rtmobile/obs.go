@@ -29,13 +29,13 @@ func stepPricedMACs(plan *compiler.Plan) uint64 {
 // (obs.StageLayer, with the GRU epilogue nested as obs.StageEpilogue),
 // plus one span per stream step (obs.StageStep) and per lockstep panel
 // step (obs.StageBatchStep); the engine's programs record one kernel span
-// per execution, labeled with their matrix index (the plan's, for an
-// unfused plan) — shared by every stream, already open or not. ringCap
+// per execution, labeled with their matrix index in the plan — shared by
+// every stream, already open or not. ringCap
 // bounds the span ring (rounded up to a power of two, minimum 64). Returns
 // the tracer; read it with Spans/Stage or via Engine.LayerStats. Not safe
 // to call concurrently with in-flight inference.
 func (e *Engine) EnableTracing(ringCap int) *obs.Tracer {
-	maxIDs := max(len(e.model.Layers), len(e.plan.Matrices), len(e.progs))
+	maxIDs := max(len(e.model.Layers), len(e.plan.Matrices))
 	e.tracer = obs.NewTracer(ringCap, maxIDs)
 	e.traceProgs(e.tracer)
 	return e.tracer
@@ -53,7 +53,7 @@ func (e *Engine) DisableTracing() {
 // traceProgs attaches tr (or detaches, with nil) on every program.
 func (e *Engine) traceProgs(tr *obs.Tracer) {
 	for i, p := range e.progs {
-		p.run.SetTracer(tr, int32(i))
+		p.SetTracer(tr, int32(i))
 	}
 }
 
@@ -116,7 +116,7 @@ func (e *Engine) LayerStats() []LayerStat {
 }
 
 // matrixLayerPrefix maps a compiled matrix name to its layer ("gru0.Wx"
-// → "gru0"; fused names like "gru0.Wx+Wh" keep the same prefix).
+// → "gru0").
 func matrixLayerPrefix(name string) string {
 	if dot := strings.IndexByte(name, '.'); dot >= 0 {
 		return name[:dot]

@@ -283,32 +283,3 @@ func TestElementwiseOpsCounts(t *testing.T) {
 		t.Fatalf("elementwiseOps %d, want %d", ops, want)
 	}
 }
-
-func TestFusedDeploymentFasterAtHighCompression(t *testing.T) {
-	// At extreme compression the dispatch floor dominates; fusing each
-	// layer's two projections must lower total latency, with identical
-	// total work.
-	mk := func(fuse bool) *Engine {
-		m := bigModel(90)
-		res := Prune(m, nil, PruneConfig{ColRate: 20, RowRate: 10, RowGroups: 8, ColBlocks: 4})
-		eng, err := Compile(m, res.Scheme, DeployConfig{
-			Target: device.MobileGPU(), FuseKernels: fuse})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	plain := mk(false)
-	fused := mk(true)
-	if len(fused.Plan().Matrices) >= len(plain.Plan().Matrices) {
-		t.Fatalf("fusion did not reduce kernel count: %d vs %d",
-			len(fused.Plan().Matrices), len(plain.Plan().Matrices))
-	}
-	if fused.Plan().FrameMACs() != plain.Plan().FrameMACs() {
-		t.Fatal("fusion changed total work")
-	}
-	if fused.Latency().TotalUS >= plain.Latency().TotalUS {
-		t.Fatalf("fusion did not reduce latency: %.2f vs %.2f",
-			fused.Latency().TotalUS, plain.Latency().TotalUS)
-	}
-}

@@ -36,6 +36,36 @@ const (
 	DefaultTailErrs   = 32 // errored-trace ring capacity
 )
 
+// Bounds on what the body-reading routes accept, sized from the largest
+// legitimate request rather than configured: a body that runs past its
+// bound is answered 413 and the connection is closed.
+const (
+	// maxInferBody: five minutes of audio in one /infer — 30,000 frames at
+	// the 10 ms hop × 39 features × ~13 JSON bytes ≈ 15 MiB.
+	maxInferBody = 16 << 20
+	// maxStreamBody: a dictation session of over an hour at the same rate
+	// (≈ 180 MiB/h), summed over the whole NDJSON stream.
+	maxStreamBody = 256 << 20
+	// maxSwapBody: {"path": "..."} with a PATH_MAX path, JSON-escaped.
+	maxSwapBody = 16 << 10
+	// streamFrameTimeout is how long a stream session may go without a
+	// frame. http.Server.ReadTimeout spans a whole request, which would cut
+	// every long session, so the stream route moves its read deadline out
+	// by this much before each frame instead.
+	streamFrameTimeout = 60 * time.Second
+)
+
+// refuseBody answers a request whose body would not decode: 413 when it ran
+// past its bound, 400 otherwise.
+func refuseBody(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+}
+
 // Config wires a Server.
 type Config struct {
 	// Registry is the multi-model engine registry (required).
@@ -153,7 +183,8 @@ func (s *Server) finishTrace(tr *obs.ReqTrace, ok bool) {
 //	POST /infer                score one utterance on the default model:
 //	                           JSON [][]float32 frames in, [][]float32
 //	                           posteriors out; batched across concurrent
-//	                           requests, 429 + Retry-After on overload.
+//	                           requests, 429 + Retry-After on overload,
+//	                           413 past maxInferBody.
 //	                           Parses traceparent on ingress, echoes a child
 //	                           traceparent on egress.
 //	POST /infer/{model}        the same against a named model (404 unknown)
@@ -265,9 +296,9 @@ func (s *Server) routes() {
 		tr.Model = lease.Engine().Plan().ModelName
 
 		var frames [][]float32
-		if err := json.NewDecoder(r.Body).Decode(&frames); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody)).Decode(&frames); err != nil {
 			s.pool.Put(tr) // client error: no SLO sample, no retention
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+			refuseBody(w, err)
 			return
 		}
 		tr.AddSpan(obs.ReqSpanParse, -1, 0, start.UnixNano(), time.Since(start).Nanoseconds())
@@ -342,13 +373,22 @@ func (s *Server) routes() {
 		flusher, _ := w.(http.Flusher)
 		st := eng.NewStream()
 		dst := make([]float32, eng.OutputDim())
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxStreamBody))
 		enc := json.NewEncoder(w)
 		want := eng.InputDim()
+		rc := http.NewResponseController(w)
 		for frame := 0; ; frame++ {
+			// Not every ResponseWriter can move its deadline (a test recorder
+			// cannot); the server's ReadTimeout stands then.
+			_ = rc.SetReadDeadline(time.Now().Add(streamFrameTimeout))
 			var f []float32
 			if err := dec.Decode(&f); err != nil {
-				return // EOF or malformed mid-stream; response is committed
+				// EOF, or malformed or over the bound mid-stream, when the
+				// response is committed; a first frame can still be refused.
+				if frame == 0 && !errors.Is(err, io.EOF) {
+					refuseBody(w, err)
+				}
+				return
 			}
 			if len(f) != want {
 				return
@@ -375,8 +415,8 @@ func (s *Server) routes() {
 		var req struct {
 			Path string `json:"path"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSwapBody)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			refuseBody(w, err)
 			return
 		}
 		path := req.Path

@@ -259,3 +259,81 @@ func TestStatzReportsTailStats(t *testing.T) {
 		t.Errorf("/statz missing tail stats:\n%s", rec.Body.String())
 	}
 }
+
+// TestOversizedBodiesRefused: a body past its route's bound is answered 413
+// as a client error — no SLO sample, no retained trace, the pooled trace
+// returned — and the server keeps scoring. Each oversized body is a
+// well-formed request behind leading whitespace, which an unbounded decoder
+// reads through and answers 200.
+func TestOversizedBodiesRefused(t *testing.T) {
+	s := testServer(t, Config{})
+	body := inferBody(t, 3, 8).String()
+	// The pool is LIFO: a request that returns its trace leaves this one on
+	// top again; one that leaks it makes the next Get allocate another.
+	pooled := s.pool.Get()
+	s.pool.Put(pooled)
+	for _, tc := range []struct {
+		route, body string
+		limit       int
+	}{
+		{"/infer", body, maxInferBody},
+		{"/infer/default", body, maxInferBody},
+		{"/admin/models/default/swap", `{"path":""}`, maxSwapBody},
+	} {
+		rec := httptest.NewRecorder()
+		s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.route,
+			strings.NewReader(strings.Repeat(" ", tc.limit)+tc.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413", tc.route, tc.limit+len(tc.body), rec.Code)
+		}
+	}
+	// A stream whose first frame will not decode is refused the same way,
+	// before the response is committed.
+	rec := httptest.NewRecorder()
+	s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer/stream", strings.NewReader("[1,")))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("/infer/stream with a malformed first frame: status %d, want 400", rec.Code)
+	}
+
+	if _, total := s.slo.Totals(); total != 0 {
+		t.Errorf("refused requests took %d SLO samples, want 0", total)
+	}
+	if offered, _ := s.tail.Stats(); offered != 0 {
+		t.Errorf("refused requests offered %d traces to the tail sampler, want 0", offered)
+	}
+	if tr := s.pool.Get(); tr != pooled {
+		t.Error("a refused request did not return its pooled trace")
+	} else {
+		s.pool.Put(tr)
+	}
+
+	var frames [][]float32
+	if err := json.Unmarshal([]byte(body), &frames); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := s.reg.Acquire("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lease.Engine().Infer(frames)
+	lease.Release()
+	rec = httptest.NewRecorder()
+	s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/infer after the refusals: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var got [][]float32
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d posterior rows, want %d", len(got), len(want))
+	}
+	for f := range want {
+		for j := range want[f] {
+			if got[f][j] != want[f][j] {
+				t.Fatalf("frame %d phone %d: %v, want Infer's %v", f, j, got[f][j], want[f][j])
+			}
+		}
+	}
+}
