@@ -19,7 +19,7 @@ build:
 # The purego run covers the portable kernels and the copy-decoding bundle
 # loader — the only ones a non-amd64 (i.e. mobile) target runs.
 ALLOC_GATES = Alloc
-ALLOC_PKGS = ./internal/tensor ./internal/nn ./internal/obs ./internal/rtmobile ./internal/sched
+ALLOC_PKGS = ./internal/tensor ./internal/nn ./internal/obs ./internal/rtmobile ./internal/sched ./internal/serve
 
 test:
 	$(GO) test ./...
@@ -32,7 +32,9 @@ test:
 # internal/rtmobile and internal/compiler are written for this target. The
 # following invocations re-run the engine's batched suites with forced pool
 # sizes so InferBatchInto's panel-group sharding race-tests at several
-# widths.
+# widths; the last four do the same for the scheduler (dispatch on arrival,
+# grow/shrink, cancellation), the serve tier's pooled JSON path, and lane
+# migration between leases.
 race:
 	$(GO) test -race ./...
 	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Batch' ./internal/rtmobile
@@ -53,11 +55,16 @@ race:
 	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Swap|Registry' ./internal/registry ./cmd/rtmobile
 	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Differential|LoadersLower' ./internal/rtmobile
 	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Differential|LoadersLower' ./internal/rtmobile
+	RTMOBILE_METRICS=1 RTMOBILE_WORKERS=2 $(GO) test -race -count=2 ./internal/sched ./internal/serve
+	RTMOBILE_METRICS=1 RTMOBILE_WORKERS=8 $(GO) test -race -count=2 ./internal/sched ./internal/serve
+	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Migration|CopyLane' ./internal/nn ./internal/rtmobile
+	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Migration|CopyLane' ./internal/nn ./internal/rtmobile
 
 # Short run of every fuzz target (decoder hardening + compiler shapes +
 # pack lowering with its dense-order property: packed RunAdd ≡
 # tensor.MatVecAdd on BSP-projected matrices + fast-tier tolerance
-# equivalence + bundle mapping).
+# equivalence + bundle mapping + the scheduler's trace invariants + the
+# /infer body scanner against encoding/json).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFastEquiv -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=FuzzEpilogueEquiv -fuzztime=$(FUZZTIME) ./internal/tensor
@@ -68,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRunBatch -fuzztime=$(FUZZTIME) ./internal/compiler
 	$(GO) test -run=^$$ -fuzz=FuzzPackQuant -fuzztime=$(FUZZTIME) ./internal/compiler
 	$(GO) test -run=^$$ -fuzz=FuzzSchedTrace -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrames -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzMapBundle -fuzztime=$(FUZZTIME) ./internal/rtmobile
 	$(GO) test -run=^$$ -fuzz=FuzzTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 

@@ -10,8 +10,10 @@ package rtmobile_test
 // reference output.
 
 import (
+	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rtmobile/internal/bench"
@@ -20,7 +22,9 @@ import (
 	"rtmobile/internal/dsp"
 	"rtmobile/internal/nn"
 	"rtmobile/internal/prune"
+	"rtmobile/internal/registry"
 	"rtmobile/internal/rtmobile"
+	"rtmobile/internal/sched"
 	"rtmobile/internal/sparse"
 	"rtmobile/internal/speech"
 	"rtmobile/internal/tensor"
@@ -444,6 +448,112 @@ func BenchmarkInferBatchWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng.InferBatch(batch)
 			}
+		})
+	}
+}
+
+// schedBenchEngine is the benchmark's GRU (2×512 at BSP 10×) on one worker,
+// with the longest utterance the scheduler benchmarks submit.
+func schedBenchEngine(b *testing.B) (*rtmobile.Engine, [][]float32) {
+	b.Helper()
+	model := nn.NewGRUModel(nn.ModelSpec{InputDim: 39, Hidden: 512, NumLayers: 2, OutputDim: 39, Seed: 21})
+	res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: 10, RowRate: 1})
+	eng, err := rtmobile.Compile(model, res.Scheme, rtmobile.DeployConfig{Target: device.MobileCPU(), Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := tensor.NewRNG(22)
+	longest := make([][]float32, 59)
+	for t := range longest {
+		longest[t] = make([]float32, 39)
+		for j := range longest[t] {
+			longest[t][j] = float32(rng.NormFloat64())
+		}
+	}
+	return eng, longest
+}
+
+// BenchmarkPanelStepWidth is the width probe behind the scheduler's two
+// panel shapes: the cost of one BatchLease.Step at each width 1…8 on the
+// scheduler benchmark's model. Only 1 and 8 are worth having — the widths
+// between run scalar panel kernels and cost more per lane than stepping
+// the lanes one after another (DESIGN.md has the table).
+func BenchmarkPanelStepWidth(b *testing.B) {
+	eng, longest := schedBenchEngine(b)
+	for w := 1; w <= 8; w++ {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			lease := eng.AcquireBatch(w)
+			defer lease.Release()
+			in := lease.In()
+			for l := 0; l < w; l++ {
+				for i, v := range longest[l] {
+					in[i*w+l] = v
+				}
+			}
+			lease.Step()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lease.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkSchedClosedLoop is the load evidence `go run ./benchmark` cannot
+// give (its serve workload is open-loop at a rate far below saturation): N
+// closed-loop clients, each submitting its next ragged 20–59-frame
+// utterance the moment the previous one returns, through one scheduler
+// over schedBenchEngine. One op is one request; frames/s is the goodput
+// EXPERIMENTS.md tabulates per client count.
+func BenchmarkSchedClosedLoop(b *testing.B) {
+	eng, longest := schedBenchEngine(b)
+	for _, clients := range []int{1, 2, 8, 16, 32} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			reg, err := registry.New(registry.Config{
+				Loader: func(string) (registry.Instance, error) { return registry.Instance{Engine: eng}, nil },
+				Sched:  sched.Config{MaxBatch: 8, QueueDepth: 64},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer reg.Close(context.Background())
+			if err := reg.Register("default", "mem://engine"); err != nil {
+				b.Fatal(err)
+			}
+			lease, err := reg.Acquire("default")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer lease.Release()
+			sch := lease.Scheduler()
+
+			var next, frames atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					dst := make([][]float32, 59)
+					for t := range dst {
+						dst[t] = make([]float32, 39)
+					}
+					for {
+						k := next.Add(1)
+						if k > int64(b.N) {
+							return
+						}
+						T := 20 + int(k*37+int64(c)*11)%40
+						if err := sch.InferInto(context.Background(), dst[:T], longest[:T]); err != nil {
+							b.Error(err)
+							return
+						}
+						frames.Add(int64(T))
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.ReportMetric(float64(frames.Load())/b.Elapsed().Seconds(), "frames/s")
 		})
 	}
 }

@@ -23,9 +23,10 @@ import (
 // probe, the per-layer latency table, request-scoped traces with W3C
 // traceparent propagation (/debug/traces), SLO burn-rate reporting (/slo),
 // Go's pprof profiles — through a multi-model engine registry. Each model
-// gets its own continuous-batching scheduler so concurrent scoring
-// requests coalesce into lockstep panels, and bundles can be hot-swapped
-// atomically while traffic flows. The handlers themselves live in
+// gets its own work-conserving continuous-batching scheduler: a lone
+// request is stepped the moment it arrives, concurrent ones share a
+// lockstep panel, and bundles can be hot-swapped atomically while traffic
+// flows. The handlers themselves live in
 // internal/serve, shared with the in-process load generator.
 
 // newServeMux wires the serving endpoints onto a fresh mux with default
@@ -59,8 +60,7 @@ func cmdServe(args []string) error {
 	trace := fs.Int("trace", 0, "stage-trace ring capacity (0 = tracing off)")
 	quantBits := fs.Int("quant", -1, "override the bundle's quantization width: 8, 12, 16, or 0 for float32 (-1 = keep bundle width)")
 	precName := fs.String("precision", "", "override the bundle's kernel tier: exact or fast (empty = keep bundle tier)")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "max time a request waits for panel-mates before dispatch")
-	maxBatch := fs.Int("max-batch", 8, fmt.Sprintf("lockstep panel width cap, 1..%d", rtmobile.MaxBatchWidth))
+	maxBatch := fs.Int("max-batch", 8, fmt.Sprintf("wide panel shape, 1..%d: a lone request is stepped alone at width 1, and the panel grows to this width the moment a second one waits (1 = never batch)", rtmobile.MaxBatchWidth))
 	queueDepth := fs.Int("queue-depth", 64, "bound on waiting requests before 429s")
 	sloLatencyMs := fs.Float64("slo-latency-ms", 100, "per-request latency objective in milliseconds (a request is good when it succeeds within it)")
 	sloTarget := fs.Float64("slo-target", 0.99, "SLO attainment target in (0,1], e.g. 0.999")
@@ -77,9 +77,6 @@ func cmdServe(args []string) error {
 	}
 	if *queueDepth < 1 {
 		return fmt.Errorf("-queue-depth %d: need at least 1", *queueDepth)
-	}
-	if *batchWindow < 0 {
-		return fmt.Errorf("-batch-window %v: negative", *batchWindow)
 	}
 	if *sloLatencyMs <= 0 {
 		return fmt.Errorf("-slo-latency-ms %v: the latency objective must be positive milliseconds", *sloLatencyMs)
@@ -126,7 +123,6 @@ func cmdServe(args []string) error {
 		Loader: loader,
 		Sched: sched.Config{
 			MaxBatch:   *maxBatch,
-			Window:     *batchWindow,
 			QueueDepth: *queueDepth,
 		},
 	})
@@ -162,7 +158,7 @@ func cmdServe(args []string) error {
 		Tail:     obs.NewTraceTail(*traceTail, *traceTail),
 	})
 	fmt.Printf("serving %d model(s) on http://%s (default %s)\n", len(models), *addr, reg.DefaultModel())
-	fmt.Printf("batching: window=%v max-batch=%d queue-depth=%d (per model)\n", *batchWindow, *maxBatch, *queueDepth)
+	fmt.Printf("batching: dispatch on arrival, panel width 1 or %d, queue-depth=%d (per model)\n", *maxBatch, *queueDepth)
 	fmt.Printf("slo: latency=%.1fms target=%.4f (burn rates on /slo)\n", *sloLatencyMs, *sloTarget)
 	fmt.Printf("endpoints: /metrics /metrics.json /healthz /statz /slo /debug/traces /infer /infer/{model} /infer/stream /admin/models /debug/pprof/\n")
 	if !obs.Enabled() {
@@ -187,11 +183,11 @@ func cmdServe(args []string) error {
 		return err
 	case <-ctx.Done():
 	}
-	// Graceful drain: stop accepting, finish in-flight handlers, then let
-	// each model's scheduler dispatch whatever is still queued before the
+	// Graceful shutdown: stop accepting, finish in-flight handlers, then let
+	// each model's scheduler finish whatever is still queued before the
 	// registry releases the bundle mappings.
 	stop()
-	fmt.Println("shutting down: draining in-flight requests")
+	fmt.Println("shutting down: finishing in-flight requests")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err = server.Shutdown(shutdownCtx)

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rtmobile/internal/registry"
+	"rtmobile/internal/rtmobile"
 	"rtmobile/internal/sched"
 )
 
@@ -77,7 +81,7 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 	for _, clients := range []int{2, 8, 32} {
 		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
 			reg := newEngineRegistry(t, eng, sched.Config{
-				MaxBatch: 8, Window: 500 * time.Microsecond, QueueDepth: 4 * clients,
+				MaxBatch: 8, QueueDepth: 4 * clients,
 			})
 			srv := httptest.NewServer(newServeMux(reg))
 			defer srv.Close()
@@ -106,16 +110,53 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServeOverload429: with the batch window frozen and the queue full,
-// /infer answers 429 with a Retry-After hint; once time moves the parked
+// countingClock is the wall clock, counting its readers: the scheduler
+// reads it once per admission and once per unit of dispatcher work, which
+// lets holdLane see that work has started.
+type countingClock struct{ reads atomic.Int64 }
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return time.Now()
+}
+
+// heldRegistry is a one-lane (MaxBatch 1) registry over eng whose lane is
+// occupied by one very long utterance submitted straight to the scheduler
+// — every frame and every posterior row aliases one slice, so its length
+// costs only slice headers. Requests arriving meanwhile queue behind it.
+// release cancels the blocker, which frees the lane at the next panel
+// step, and waits for it to return.
+func heldRegistry(t *testing.T, eng *rtmobile.Engine, queueDepth int) (reg *registry.Registry, sch *sched.Scheduler, release func()) {
+	t.Helper()
+	clk := &countingClock{}
+	reg = newEngineRegistry(t, eng, sched.Config{MaxBatch: 1, QueueDepth: queueDepth, Clock: clk})
+	sch = regScheduler(t, reg)
+
+	const T = 1 << 19 // over a second of panel steps even for this tiny model
+	frame, row := make([]float32, eng.InputDim()), make([]float32, eng.OutputDim())
+	frames, dst := make([][]float32, T), make([][]float32, T)
+	for i := range frames {
+		frames[i], dst[i] = frame, row
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- sch.InferInto(ctx, dst, frames) }()
+	// One read admits the blocker, the next belongs to the step that seats it.
+	waitFor(t, "blocker seated", func() bool { return clk.reads.Load() >= 2 })
+	return reg, sch, func() {
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Errorf("blocker: err = %v, want context.Canceled (it must not have run to its end)", err)
+		}
+	}
+}
+
+// TestServeOverload429: with the lane held and the queue full, /infer
+// answers 429 with a Retry-After hint; once the lane frees the parked
 // requests complete normally.
 func TestServeOverload429(t *testing.T) {
 	eng := serveEngine(t)
-	clk := sched.NewFakeClock(time.Unix(0, 0))
-	reg := newEngineRegistry(t, eng, sched.Config{
-		MaxBatch: 8, Window: time.Minute, QueueDepth: 2, Clock: clk,
-	})
-	sch := regScheduler(t, reg)
+	reg, sch, release := heldRegistry(t, eng, 2)
 	srv := httptest.NewServer(newServeMux(reg))
 	defer srv.Close()
 
@@ -146,7 +187,7 @@ func TestServeOverload429(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without a Retry-After header")
 	}
-	clk.Advance(time.Minute)
+	release()
 	wg.Wait()
 }
 
@@ -155,11 +196,7 @@ func TestServeOverload429(t *testing.T) {
 // 503.
 func TestServeShutdownDrains(t *testing.T) {
 	eng := serveEngine(t)
-	clk := sched.NewFakeClock(time.Unix(0, 0))
-	reg := newEngineRegistry(t, eng, sched.Config{
-		MaxBatch: 8, Window: time.Hour, Clock: clk,
-	})
-	sch := regScheduler(t, reg)
+	reg, sch, release := heldRegistry(t, eng, 8)
 	srv := httptest.NewServer(newServeMux(reg))
 	defer srv.Close()
 
@@ -183,18 +220,26 @@ func TestServeShutdownDrains(t *testing.T) {
 		}()
 	}
 	waitFor(t, "requests parked", func() bool { return sch.QueueLen() == n })
-	// Close with the window frozen at +1h: the registry drains each model's
-	// scheduler (immediate dispatch, no window wait), so parked requests
-	// must complete without the clock moving.
-	if err := reg.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
+	// Close with three requests still queued behind the held lane: the
+	// registry stops admitting at once and waits for their leases.
+	closed := make(chan error, 1)
+	go func() { closed <- reg.Close(context.Background()) }()
+	waitFor(t, "registry closed to new requests", func() bool {
+		l, err := reg.Acquire("default")
+		if err == nil {
+			l.Release()
+		}
+		return err != nil
+	})
 	code, _, _ := postInfer(t, srv.Client(), srv.URL, frames)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown status %d, want 503", code)
 	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }
 
 // TestServeStreamEndpoint: /infer/stream scores NDJSON frames one at a
@@ -202,7 +247,7 @@ func TestServeShutdownDrains(t *testing.T) {
 // per frame; lane exhaustion answers 429 + Retry-After.
 func TestServeStreamEndpoint(t *testing.T) {
 	eng := serveEngine(t)
-	reg := newEngineRegistry(t, eng, sched.Config{MaxBatch: 4, Window: 0, MaxStreams: 1})
+	reg := newEngineRegistry(t, eng, sched.Config{MaxBatch: 4, MaxStreams: 1})
 	sch := regScheduler(t, reg)
 	srv := httptest.NewServer(newServeMux(reg))
 	defer srv.Close()

@@ -70,7 +70,7 @@ func TestServeHotSwapConcurrent(t *testing.T) {
 			reg, err := registry.New(registry.Config{
 				Loader: registry.BundleLoader(device.MobileCPU()),
 				Sched: sched.Config{
-					MaxBatch: 8, Window: 200 * time.Microsecond, QueueDepth: 8 * clients,
+					MaxBatch: 8, QueueDepth: 8 * clients,
 				},
 			})
 			if err != nil {

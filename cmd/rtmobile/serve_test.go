@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"rtmobile/internal/device"
 	"rtmobile/internal/nn"
@@ -73,7 +72,7 @@ func regScheduler(t *testing.T, reg *registry.Registry) *sched.Scheduler {
 // wires the mux, closing the registry when the test ends.
 func serveMux(t *testing.T, eng *rtmobile.Engine) *http.ServeMux {
 	t.Helper()
-	reg := newEngineRegistry(t, eng, sched.Config{MaxBatch: 4, Window: 200 * time.Microsecond})
+	reg := newEngineRegistry(t, eng, sched.Config{MaxBatch: 4})
 	return newServeMux(reg)
 }
 

@@ -64,7 +64,7 @@ func DefaultLoadgenConfig() LoadgenConfig {
 		Multipliers:   []float64{0.4, 0.8, 1.5, 2.5},
 		SLOLatencyMs:  100,
 		SLOTarget:     0.99,
-		Sched:         sched.Config{MaxBatch: 8, Window: 500 * time.Microsecond, QueueDepth: 32},
+		Sched:         sched.Config{MaxBatch: 8, QueueDepth: 32},
 	}
 }
 
@@ -260,9 +260,9 @@ func loadgenOverhead(eng *rtmobile.Engine, frames [][]float32, sloNs int64, targ
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 
-	// MaxBatch 1 / zero window keeps the measurement single-stream and
-	// deterministic (same shape the sched alloc gate uses).
-	sch := sched.New(serveBatcher{eng: eng}, sched.Config{MaxBatch: 1, QueueDepth: 8})
+	// MaxBatch 1 keeps the measurement single-stream and deterministic
+	// (same shape the sched alloc gate uses).
+	sch := sched.New(registry.Batcher(eng), sched.Config{MaxBatch: 1, QueueDepth: 8})
 	ctx := context.Background()
 	defer sch.Close(ctx)
 

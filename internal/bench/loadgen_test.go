@@ -110,7 +110,7 @@ func TestRunLoadLevelEndToEnd(t *testing.T) {
 		Loader: func(string) (registry.Instance, error) {
 			return registry.Instance{Engine: eng}, nil
 		},
-		Sched: sched.Config{MaxBatch: 4, Window: 200 * time.Microsecond},
+		Sched: sched.Config{MaxBatch: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

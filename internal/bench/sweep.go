@@ -7,8 +7,6 @@ import (
 
 	"rtmobile/internal/compiler"
 	"rtmobile/internal/prune"
-	"rtmobile/internal/rtmobile"
-	"rtmobile/internal/sched"
 	"rtmobile/internal/tensor"
 )
 
@@ -112,14 +110,6 @@ func batchLaneVec(cols, l int) []float32 {
 	}
 	return x
 }
-
-// serveBatcher adapts the engine for the scheduler (mirrors the cmd/
-// rtmobile adapter without exporting it).
-type serveBatcher struct{ eng *rtmobile.Engine }
-
-func (b serveBatcher) InputDim() int                   { return b.eng.InputDim() }
-func (b serveBatcher) OutputDim() int                  { return b.eng.OutputDim() }
-func (b serveBatcher) Acquire(width int) sched.Session { return b.eng.AcquireBatch(width) }
 
 // pctile reads the p-th percentile from sorted latencies.
 func pctile(sorted []time.Duration, p float64) float64 {

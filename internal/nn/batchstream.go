@@ -28,6 +28,10 @@ type BatchStepper interface {
 	// ResetLane clears lane l's recurrent state only (a new utterance
 	// entering a serving slot whose neighbors keep streaming).
 	ResetLane(l int)
+	// CopyLaneTo copies lane l's recurrent state, bit for bit, into lane dl
+	// of dst — the same layer's stepper at any width (an utterance moving
+	// between panels of different shapes mid-flight).
+	CopyLaneTo(dst BatchStepper, dl, l int)
 }
 
 // broadcastRows stages a per-element vector across all lanes of a panel:
@@ -56,6 +60,14 @@ func addBroadcastRows(dst, src []float32, bw int) {
 func zeroLane(panel []float32, n, bw, l int) {
 	for i := 0; i < n; i++ {
 		panel[i*bw+l] = 0
+	}
+}
+
+// copyLane copies lane l of an n-element, bw-wide state panel into lane dl
+// of a dbw-wide one.
+func copyLane(dst []float32, dbw, dl int, src []float32, bw, l, n int) {
+	for i := 0; i < n; i++ {
+		dst[i*dbw+dl] = src[i*bw+l]
 	}
 }
 
@@ -115,6 +127,12 @@ func (s *gruBatchStream) Reset() { tensor.ZeroVec(s.h) }
 
 // ResetLane implements BatchStepper.
 func (s *gruBatchStream) ResetLane(l int) { zeroLane(s.h, s.hidden, s.bw, l) }
+
+// CopyLaneTo implements BatchStepper.
+func (s *gruBatchStream) CopyLaneTo(dst BatchStepper, dl, l int) {
+	d := dst.(*gruBatchStream)
+	copyLane(d.h, d.bw, dl, s.h, s.bw, l, s.hidden)
+}
 
 // setStageTracer implements stageTraced.
 func (s *gruBatchStream) setStageTracer(tr *obs.Tracer, layerID int32) {
@@ -189,6 +207,13 @@ func (s *lstmBatchStream) ResetLane(l int) {
 	zeroLane(s.c, s.hidden, s.bw, l)
 }
 
+// CopyLaneTo implements BatchStepper.
+func (s *lstmBatchStream) CopyLaneTo(dst BatchStepper, dl, l int) {
+	d := dst.(*lstmBatchStream)
+	copyLane(d.h, d.bw, dl, s.h, s.bw, l, s.hidden)
+	copyLane(d.c, d.bw, dl, s.c, s.bw, l, s.hidden)
+}
+
 // denseBatchStream steps a Dense layer over panels (stateless; the
 // persistent output panel keeps steady-state streaming allocation-free).
 type denseBatchStream struct {
@@ -221,6 +246,9 @@ func (s *denseBatchStream) Reset() {}
 
 // ResetLane implements BatchStepper.
 func (s *denseBatchStream) ResetLane(int) {}
+
+// CopyLaneTo implements BatchStepper.
+func (s *denseBatchStream) CopyLaneTo(BatchStepper, int, int) {}
 
 // BatchStream is a stateful lockstep pipeline advancing bw streams through
 // a whole model. Lane retirement handles ragged batches: Retire(l) marks a
@@ -332,6 +360,17 @@ func (s *BatchStream) ResetLane(l int) {
 // Retire marks lane l's outputs meaningless (its utterance ended). The
 // lockstep keeps computing the column; callers stop reading it.
 func (s *BatchStream) Retire(l int) { s.active[l] = false }
+
+// CopyLaneTo copies lane l — every layer's recurrent state and the active
+// flag — into lane dl of dst, a stream over the same model at any width.
+// State moves bit for bit and lanes never mix, so the utterance continues
+// in dst exactly as it would have here.
+func (s *BatchStream) CopyLaneTo(dst *BatchStream, dl, l int) {
+	for i, st := range s.steppers {
+		st.CopyLaneTo(dst.steppers[i], dl, l)
+	}
+	dst.active[dl] = s.active[l]
+}
 
 // Active reports whether lane l currently carries a live utterance.
 func (s *BatchStream) Active(l int) bool { return s.active[l] }

@@ -152,3 +152,55 @@ func TestNewBatchStreamValidation(t *testing.T) {
 		t.Fatalf("Width() = %d, want 3", got)
 	}
 }
+
+// TestBatchStreamCopyLane: an utterance hopping between panels of different
+// widths at every step — its lane's recurrent state and live flag copied
+// each time into a stream whose lanes hold stale state — emits exactly what
+// a dedicated serial Stream emits.
+func TestBatchStreamCopyLane(t *testing.T) {
+	const T = 8
+	for _, lstm := range []bool{false, true} {
+		m := batchTestModel(31, lstm)
+		in, out := m.Spec.InputDim, m.Spec.OutputDim
+		ref := m.NewStream()
+		cur, lane := m.NewBatchStream(1), 0
+		for step := 0; step < T; step++ {
+			// Hop to a fresh stream of another width whose every lane has
+			// already been stepped on junk.
+			bw := []int{8, 3, 1}[step%3]
+			next := m.NewBatchStream(bw)
+			junk := make([]float32, in*bw)
+			for i := range junk {
+				junk[i] = float32(i%7) - 3
+			}
+			next.StepBatch(junk)
+			nl := (lane + 2) % bw
+			next.Retire(nl)
+			cur.CopyLaneTo(next, nl, lane)
+			if !next.Active(nl) {
+				t.Fatalf("lstm=%v step %d: the live flag did not travel with the lane", lstm, step)
+			}
+			cur, lane = next, nl
+
+			frame := batchFrame(9, 0, step, in)
+			panel := make([]float32, in*bw)
+			for i, v := range frame {
+				panel[i*bw+lane] = v
+			}
+			got := cur.StepBatch(panel)
+			want := ref.Step(frame)
+			for i := 0; i < out; i++ {
+				if got[i*bw+lane] != want[i] {
+					t.Fatalf("lstm=%v step %d (width %d lane %d) elem %d: moved lane %v vs serial %v",
+						lstm, step, bw, lane, i, got[i*bw+lane], want[i])
+				}
+			}
+		}
+		cur.Retire(lane)
+		idle := m.NewBatchStream(2)
+		cur.CopyLaneTo(idle, 1, lane)
+		if idle.Active(1) {
+			t.Fatalf("lstm=%v: a retired lane arrived live", lstm)
+		}
+	}
+}

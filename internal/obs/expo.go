@@ -49,6 +49,9 @@ func (m *Metrics) counters() []counterRow {
 		{"rtmobile_sched_dispatch_total", &m.SchedDispatch},
 		{"rtmobile_sched_lane_joins_total", &m.SchedJoins},
 		{"rtmobile_sched_steps_total", &m.SchedSteps},
+		{"rtmobile_sched_panel_grows_total", &m.SchedGrows},
+		{"rtmobile_sched_panel_shrinks_total", &m.SchedShrinks},
+		{"rtmobile_sched_lanes_moved_total", &m.SchedLanesMoved},
 		{"rtmobile_stream_sessions_total", &m.StreamSessions},
 	}
 }

@@ -63,14 +63,17 @@ type Metrics struct {
 	ArenaMisses Counter
 
 	// Continuous-batching serve scheduler (internal/sched).
-	SchedAdmitted  Counter // requests accepted into the pending queue
-	SchedRejected  Counter // requests bounced by admission control (429 path)
-	SchedDispatch  Counter // panel generations opened
-	SchedJoins     Counter // lane assignments (generation starts + mid-flight joins)
-	SchedSteps     Counter // lockstep panel steps driven by the scheduler
-	SchedQueue     Gauge   // requests waiting for a lane right now
-	StreamSessions Counter // /infer/stream sessions opened
-	StreamLanes    Gauge   // streaming sessions currently holding a lane
+	SchedAdmitted   Counter // requests accepted into the pending queue
+	SchedRejected   Counter // requests bounced by admission control (429 path)
+	SchedDispatch   Counter // panels opened
+	SchedJoins      Counter // lane assignments (panel openings + mid-flight joins)
+	SchedSteps      Counter // lockstep panel steps driven by the scheduler
+	SchedGrows      Counter // live panels widened 1 → MaxBatch for a waiter
+	SchedShrinks    Counter // live panels narrowed MaxBatch → 1 for a lone lane
+	SchedLanesMoved Counter // utterances carried across a grow or shrink
+	SchedQueue      Gauge   // requests waiting for a lane right now
+	StreamSessions  Counter // /infer/stream sessions opened
+	StreamLanes     Gauge   // streaming sessions currently holding a lane
 
 	// Worker pool.
 	PoolTasksTotal Counter   // pool.For tasks started

@@ -23,11 +23,16 @@ const (
 	// ReqSpanQueueWait runs from scheduler admission to the request being
 	// seated in a panel lane (Lane/Width record where it landed).
 	ReqSpanQueueWait
-	// ReqSpanBatchForm runs from admission to the request's generation
-	// opening — the batch-window wait. Mid-flight lane joins skip it (they
-	// join a generation that already exists).
+	// ReqSpanBatchForm runs from admission to the panel being opened or
+	// grown for this request: 0 for a lone request (the scheduler never
+	// waits on purpose), otherwise the rest of the step that was in flight
+	// when it arrived. Absent for a request that joined a lane which was
+	// simply free.
 	ReqSpanBatchForm
 	// ReqSpanGeneration is the request's panel membership: seated → retired.
+	// Lane and Width are where it finished; a request moved between the
+	// scheduler's two panel shapes mid-flight was seated elsewhere (its
+	// queue_wait span says where).
 	ReqSpanGeneration
 	// ReqSpanKernel accumulates the measured compute time of every panel
 	// step the request participated in (wall time of the shared lockstep

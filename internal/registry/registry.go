@@ -70,9 +70,18 @@ type Config struct {
 // engineBatcher adapts an Engine to the scheduler's Batcher interface.
 type engineBatcher struct{ eng *rtmobile.Engine }
 
+// Batcher is the adapter every version's scheduler runs on, for callers
+// that want a scheduler over an engine without a registry around it.
+func Batcher(eng *rtmobile.Engine) sched.Batcher { return engineBatcher{eng: eng} }
+
 func (b engineBatcher) InputDim() int                   { return b.eng.InputDim() }
 func (b engineBatcher) OutputDim() int                  { return b.eng.OutputDim() }
 func (b engineBatcher) Acquire(width int) sched.Session { return b.eng.AcquireBatch(width) }
+
+// MoveLane carries one utterance between two of this engine's leases.
+func (engineBatcher) MoveLane(dst sched.Session, dl int, src sched.Session, sl int) {
+	src.(*rtmobile.BatchLease).CopyLaneTo(dst.(*rtmobile.BatchLease), dl, sl)
+}
 
 // version is one loaded generation of a model. refs starts at 1 (the
 // registry's own reference while the version is current); each lease adds
@@ -88,7 +97,7 @@ type version struct {
 	done chan struct{}
 }
 
-// incref takes a reference unless the version is already draining to zero.
+// incref takes a reference unless the version's count has already hit zero.
 func (v *version) incref() bool {
 	for {
 		n := v.refs.Load()
@@ -217,10 +226,10 @@ func (r *Registry) Swap(name, path string) error {
 	e.cur.Store(v)
 	e.scope.SwapsTotal.Inc()
 	e.scope.Version.Set(int64(v.id))
-	// Retire the old version: stop batching-window waits so leased
-	// requests finish promptly, drop the registry's reference, and count
-	// the retirement once the last lease releases.
-	old.sch.Drain()
+	// Retire the old version: drop the registry's reference, and count the
+	// retirement once the last lease releases. Its scheduler needs no
+	// telling — it never holds a request back, so leased requests finish
+	// as fast as the panel steps.
 	go func() {
 		old.release()
 		<-old.done
@@ -362,8 +371,8 @@ func (r *Registry) AllStats() []ModelStats {
 	return out
 }
 
-// Close retires every model: current versions are unpublished, drained,
-// and finalized. Blocks until every version has released its storage or
+// Close retires every model: current versions are unpublished and
+// finalized once their leases release. Blocks until every version has released its storage or
 // ctx expires.
 func (r *Registry) Close(ctx context.Context) error {
 	r.mu.Lock()
@@ -378,15 +387,14 @@ func (r *Registry) Close(ctx context.Context) error {
 	}
 	r.mu.Unlock()
 
-	var draining []*version
+	var retiring []*version
 	for _, e := range entries {
 		if v := e.cur.Swap(nil); v != nil {
-			v.sch.Drain()
 			v.release()
-			draining = append(draining, v)
+			retiring = append(retiring, v)
 		}
 	}
-	for _, v := range draining {
+	for _, v := range retiring {
 		select {
 		case <-v.done:
 		case <-ctx.Done():

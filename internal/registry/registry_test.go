@@ -81,7 +81,7 @@ func (tl *trackingLoader) closed() []string {
 func newTestRegistry(t *testing.T) (*Registry, *trackingLoader) {
 	t.Helper()
 	tl := newTrackingLoader()
-	r, err := New(Config{Loader: tl.load, Sched: sched.Config{MaxBatch: 4, Window: 0}})
+	r, err := New(Config{Loader: tl.load, Sched: sched.Config{MaxBatch: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,6 +201,11 @@ func (s *BatchStream) Retire(l int) { s.inner.Retire(l) }
 // Active reports whether a lane currently carries a live utterance.
 func (s *BatchStream) Active(l int) bool { return s.inner.Active(l) }
 
+// CopyLaneTo copies lane l's recurrent state and active flag into lane dl
+// of dst, a session of the same engine at any width: the utterance
+// continues in dst bit-identically to having stayed here.
+func (s *BatchStream) CopyLaneTo(dst *BatchStream, dl, l int) { s.inner.CopyLaneTo(dst.inner, dl, l) }
+
 // batchArena is the per-group working set InferBatch reuses across calls:
 // a lockstep session plus its input and posterior panels. Arenas are keyed
 // by batch width; the engine keeps a small free list so steady-state
@@ -295,6 +300,13 @@ func (l *BatchLease) ResetLane(i int) { l.a.bs.ResetLane(i) }
 
 // Retire marks lane i's outputs meaningless (its utterance ended).
 func (l *BatchLease) Retire(i int) { l.a.bs.Retire(i) }
+
+// CopyLaneTo copies lane i's recurrent state and active flag into lane di
+// of dst, a lease of the same engine at any width — how a serving tier
+// moves an utterance between panel shapes mid-flight. Posteriors already
+// read out of Out are not carried; the next Step of dst produces lane di's
+// next row exactly as this lease would have.
+func (l *BatchLease) CopyLaneTo(dst *BatchLease, di, i int) { l.a.bs.CopyLaneTo(dst.a.bs, di, i) }
 
 // Release returns the session to the engine's arena free list. The lease
 // must not be used afterwards.

@@ -101,57 +101,73 @@ var diffEntries = []struct {
 	{"BatchLease", diffLease},
 }
 
-// diffLease drives a width-3 lease the way the scheduler does: lanes are
-// seated from a queue with ResetLane while their neighbours keep streaming,
-// retired when their utterance ends, and sit one step retired before the
-// next utterance takes the slot.
+// diffLease drives three utterance slots the way the scheduler does: slots
+// are seated from a queue with ResetLane while their neighbours keep
+// streaming, retired when their utterance ends, and sit one step retired
+// before the next utterance takes the slot. Every third step the whole
+// panel migrates mid-flight — to a lease of the other width (3 ↔ 8), each
+// slot to a different lane — as the scheduler's grow and shrink do.
 func diffLease(e *Engine, utts [][][]float32) [][][]float32 {
-	const width = 3
-	lease := e.AcquireBatch(width)
-	defer lease.Release()
-	in, post := lease.In(), lease.Out()
+	const slots = 3
+	lease := e.AcquireBatch(slots)
+	defer func() { lease.Release() }()
 	out := make([][][]float32, len(utts))
-	cur, pos, idle := [width]int{}, [width]int{}, [width]int{}
-	for l := range cur {
-		cur[l] = -1
-		lease.Retire(l)
+	cur, pos, idle, lane := [slots]int{}, [slots]int{}, [slots]int{}, [slots]int{}
+	for s := range cur {
+		cur[s], lane[s] = -1, s
+		lease.Retire(s)
 	}
 	next, done := 0, 0
-	for done < len(utts) {
-		for l := range cur {
-			if cur[l] >= 0 {
+	for step := 1; done < len(utts); step++ {
+		if step%3 == 0 {
+			w := slots + 8 - lease.Width()
+			moved := e.AcquireBatch(w)
+			for l := 0; l < w; l++ {
+				moved.Retire(l)
+			}
+			for s := range lane {
+				nl := (2*lane[s] + 1) % w // distinct lanes for distinct slots at 3 and 8
+				lease.CopyLaneTo(moved, nl, lane[s])
+				lane[s] = nl
+			}
+			lease.Release()
+			lease = moved
+		}
+		in, post, width := lease.In(), lease.Out(), lease.Width()
+		for s := range cur {
+			if cur[s] >= 0 {
 				continue
 			}
-			if idle[l]++; idle[l] < 2 || next == len(utts) {
+			if idle[s]++; idle[s] < 2 || next == len(utts) {
 				continue
 			}
 			if len(utts[next]) == 0 {
 				next, done = next+1, done+1
 				continue
 			}
-			cur[l], pos[l], next = next, 0, next+1
-			lease.ResetLane(l)
+			cur[s], pos[s], next = next, 0, next+1
+			lease.ResetLane(lane[s])
 		}
-		for l, u := range cur {
+		for s, u := range cur {
 			if u >= 0 {
-				for i, v := range utts[u][pos[l]] {
-					in[i*width+l] = v
+				for i, v := range utts[u][pos[s]] {
+					in[i*width+lane[s]] = v
 				}
 			}
 		}
 		lease.Step()
-		for l, u := range cur {
+		for s, u := range cur {
 			if u < 0 {
 				continue
 			}
 			row := make([]float32, e.OutputDim())
 			for i := range row {
-				row[i] = post[i*width+l]
+				row[i] = post[i*width+lane[s]]
 			}
 			out[u] = append(out[u], row)
-			if pos[l]++; pos[l] == len(utts[u]) {
-				cur[l], idle[l], done = -1, 0, done+1
-				lease.Retire(l)
+			if pos[s]++; pos[s] == len(utts[u]) {
+				cur[s], idle[s], done = -1, 0, done+1
+				lease.Retire(lane[s])
 			}
 		}
 	}

@@ -1,138 +1,19 @@
 package sched
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// Clock abstracts the scheduler's two time dependencies — reading now and
-// arming the batch-window timer — so every batching decision is a pure
-// function of arrivals and clock readings. Production uses the wall clock;
-// the test harness injects a FakeClock and asserts batch composition
-// exactly, with no sleeps and no timing slack.
+// Clock is the scheduler's one time dependency: reading now, which stamps
+// admissions, spans and latency samples. No scheduling decision depends on
+// it. Production uses the wall clock; tests inject their own to make the
+// recorded durations exact, or to count the scheduler's steps.
 type Clock interface {
 	Now() time.Time
-	// NewTimer returns an unarmed timer. The scheduler owns exactly one and
-	// re-arms it with Reset before every timed wait.
-	NewTimer() Timer
 }
 
-// Timer is the subset of time.Timer the dispatcher needs. Spurious fires
-// are allowed (the dispatcher re-checks dispatchability on every wake), so
-// implementations do not need the stop-and-drain dance around Reset.
-type Timer interface {
-	// C is the fire channel. It never closes; at most one fire is buffered.
-	C() <-chan time.Time
-	// Reset re-arms the timer to fire d from now (immediately if d <= 0).
-	Reset(d time.Duration)
-	// Stop disarms the timer. A fire already in C may still be delivered.
-	Stop()
-}
-
-// realClock serves time.Now and time.Timer.
+// realClock serves time.Now.
 type realClock struct{}
 
 // RealClock returns the wall-clock Clock production schedulers use.
 func RealClock() Clock { return realClock{} }
 
 func (realClock) Now() time.Time { return time.Now() }
-
-func (realClock) NewTimer() Timer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return &realTimer{t: t}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (t *realTimer) C() <-chan time.Time { return t.t.C }
-
-func (t *realTimer) Reset(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	t.t.Reset(d)
-}
-
-func (t *realTimer) Stop() { t.t.Stop() }
-
-// FakeClock is a manually advanced Clock for deterministic tests. Time
-// stands still until Advance moves it; timers fire exactly when their
-// deadline is reached. Safe for concurrent use — the scheduler goroutine
-// reads it while the test advances it.
-type FakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
-
-// NewFakeClock starts a fake clock at the given instant.
-func NewFakeClock(start time.Time) *FakeClock {
-	return &FakeClock{now: start}
-}
-
-// Now returns the fake instant.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward and fires every armed timer whose
-// deadline has been reached.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	for _, t := range c.timers {
-		if t.armed && !t.when.After(c.now) {
-			t.armed = false
-			select {
-			case t.ch <- c.now:
-			default:
-			}
-		}
-	}
-}
-
-// NewTimer returns an unarmed fake timer bound to this clock.
-func (c *FakeClock) NewTimer() Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{clk: c, ch: make(chan time.Time, 1)}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-type fakeTimer struct {
-	clk   *FakeClock
-	ch    chan time.Time
-	when  time.Time
-	armed bool
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-
-func (t *fakeTimer) Reset(d time.Duration) {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	select {
-	case <-t.ch: // drop a stale fire so the next wait is clean
-	default:
-	}
-	t.when = t.clk.now.Add(d)
-	if d <= 0 {
-		t.armed = false
-		t.ch <- t.clk.now
-		return
-	}
-	t.armed = true
-}
-
-func (t *fakeTimer) Stop() {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	t.armed = false
-}

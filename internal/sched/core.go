@@ -1,38 +1,49 @@
 // Package sched is the continuous-batching serve scheduler: it sits
-// between the HTTP handlers and the engine's lockstep batch machinery,
-// coalescing concurrent whole-utterance requests into B-wide panel
-// generations so the serving tier sees the weight-stream amortization the
-// batch kernels earn (BENCH_3/BENCH_5: the fast path only pays off when
-// panel lanes are full).
+// between the HTTP handlers and the engine's lockstep batch machinery and
+// decides, one panel step at a time, which waiting utterances ride which
+// lanes of which panel.
 //
-// Architecture: every batching decision lives in a single-threaded state
-// machine (core) whose inputs are arrivals and explicit clock readings —
-// no time.Now calls, no goroutines, no channels. The async Scheduler
-// (sched.go) is a thin shell that serializes Submit/Advance under one
-// mutex and sleeps on an injectable timer between units of work. Tests
-// drive the very same core synchronously with scripted arrival traces and
-// a fake clock, so batch composition is asserted exactly, not
+// Architecture: every scheduling decision lives in a single-threaded state
+// machine (core) whose inputs are arrivals, cancellations and explicit
+// clock readings — no time.Now calls, no goroutines, no channels, no
+// timers. The async Scheduler (sched.go) is a thin shell that serializes
+// submit/cancel/advance under one mutex and sleeps only while the core has
+// nothing to do. Tests drive the very same core synchronously with scripted
+// arrival traces, so panel composition is asserted exactly, not
 // probabilistically.
 //
-// Batching policy (continuous batching, not fixed batch-and-drain):
+// Policy (work-conserving: the core never waits on purpose):
 //
-//   - A request waits in a bounded FIFO queue. When the queue reaches
-//     MaxBatch, or the oldest waiting request has waited Window, a panel
-//     generation opens at width min(waiting, MaxBatch).
-//   - While a generation is live, every panel step first fills any free
-//     lanes from the queue immediately (no window wait — the marginal cost
-//     of occupying a free lane is near zero, the weight stream is already
-//     being paid for the panel).
-//   - A lane retires the step its utterance's last frame is scored;
-//     ResetLane re-arms it for the next occupant. The generation closes
-//     when every lane has retired and the queue cannot refill it.
+//   - The core is runnable whenever a panel is live or a request waits. A
+//     request that arrives at an idle core is stepped at once — there is no
+//     batch window; batching comes only from requests that are already
+//     waiting when a step boundary is reached.
+//   - There is at most one live panel, and it has one of exactly two
+//     shapes: width 1, which steps at the serial stream's speed, and width
+//     MaxBatch, the only multi-lane width with a vector kernel (the widths
+//     in between run scalar code and cost more per lane than stepping the
+//     lanes one after another — DESIGN.md has the measured table). A lone
+//     waiter opens the narrow shape, several open the wide one.
+//   - At every step boundary the panel picks its shape for the coming
+//     step, then fills its free lanes from the queue. A narrow panel grows
+//     to MaxBatch if more requests wait than it has free lanes; a wide one
+//     with a single live lane and nothing waiting shrinks to 1, so a ragged
+//     tail stops paying wide steps. Growing and shrinking move the live
+//     lanes' recurrent state, bit for bit, into a session of the other
+//     shape (Batcher.MoveLane), so a moved utterance's rows are exactly
+//     those of one that stayed put.
+//   - A lane retires the step its utterance's last frame is scored, or at
+//     the first step boundary after its caller gave up; ResetLane re-arms
+//     it for the next occupant. The panel is released when its last lane
+//     retires.
 //   - Admission control: a full queue rejects with ErrQueueFull (the HTTP
-//     429 path); a closed scheduler rejects with ErrClosed but drains
+//     429 path); a closed scheduler rejects with ErrClosed but finishes
 //     everything already admitted.
 package sched
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"rtmobile/internal/obs"
@@ -44,7 +55,7 @@ import (
 var ErrQueueFull = errors.New("sched: queue full")
 
 // ErrClosed is returned for submissions after Close; already-admitted
-// requests still drain to completion.
+// requests still run to completion.
 var ErrClosed = errors.New("sched: scheduler closed")
 
 // Session is one leased lockstep panel: the scheduler's view of
@@ -74,38 +85,48 @@ type Session interface {
 }
 
 // Batcher hands out lockstep sessions over shared read-only weights —
-// implemented by the engine adapter in cmd/rtmobile and by test fakes.
+// implemented by the engine adapter in internal/registry and by test fakes.
 type Batcher interface {
 	InputDim() int
 	OutputDim() int
+	// Acquire leases a session of the given width. The scheduler asks for
+	// width 1 and width MaxBatch only.
 	Acquire(width int) Session
+	// MoveLane copies lane sl of src — recurrent state and live flag, bit
+	// for bit — into lane dl of dst. Both sessions came from this batcher;
+	// their widths may differ.
+	MoveLane(dst Session, dl int, src Session, sl int)
 }
 
 // request is one queued inference job. Requests are recycled through the
 // scheduler's free list, so the steady-state dispatch path allocates
 // nothing per request.
 type request struct {
-	frames [][]float32
-	out    [][]float32 // len(frames) rows of OutputDim, caller-owned
-	err    error
-	done   chan struct{} // buffered 1; exactly one completion token per job
+	frames [][]float32   // at least one frame: the shell answers empty utterances itself
+	out    [][]float32   // len(frames) rows of OutputDim, caller-owned
+	done   chan struct{} // buffered 1; exactly one token per admitted job
 	enq    time.Time
 	next   int // frames scored so far
+	// cancelled is set by the caller when its context ends. The core reads
+	// it at step boundaries only, so a step in flight still scores its frame.
+	cancelled atomic.Bool
 
 	// trace, when non-nil, is the caller's request trace: the core records
 	// queue-wait, batch-formation, generation, and kernel spans into it.
 	// Single-writer is preserved — the core only touches it under the
-	// scheduler mutex, and the caller only after receiving the done token.
+	// scheduler mutex, and the caller only once it holds the request's token.
 	trace  *obs.ReqTrace
 	seated time.Time // when the request took a lane (generation span start)
 }
 
 // Config sizes the scheduler.
 type Config struct {
-	// MaxBatch caps panel width (lanes per generation). Default 8.
+	// MaxBatch is the wide panel shape: a panel is either 1 or MaxBatch
+	// lanes wide. 1 disables batching. Default 8.
 	MaxBatch int
-	// Window is the longest a request waits for lane-mates before a
-	// sub-full generation opens. 0 dispatches immediately. Default 2ms.
+	// Window is ignored. It was the batch window; the scheduler no longer
+	// waits for lane-mates. The field remains only so existing struct
+	// literals keep compiling.
 	Window time.Duration
 	// QueueDepth bounds the pending queue; submissions beyond it are
 	// rejected with ErrQueueFull. Default 8×MaxBatch.
@@ -121,9 +142,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 8
-	}
-	if c.Window < 0 {
-		c.Window = 0
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 8 * c.MaxBatch
@@ -141,19 +159,19 @@ func (c Config) withDefaults() Config {
 // serializes every method under its mutex; the deterministic tests call
 // them directly. No method reads a clock — callers pass now.
 type core struct {
-	cfg     Config
-	batcher Batcher
-	inDim   int
-	outDim  int
+	maxBatch int
+	batcher  Batcher
+	inDim    int
+	outDim   int
 
 	// pending is a fixed-capacity FIFO ring of waiting requests.
 	ring []*request
 	head int
 	n    int
 
-	// Generation state: sess is nil when no panel is live. lanes[l] is the
-	// request occupying lane l (nil = free). completed is the reusable
-	// scratch Advance returns finished requests in.
+	// Panel state: sess is nil when no panel is live, otherwise width is 1
+	// or maxBatch. lanes[l] is the request occupying lane l (nil = free).
+	// completed is the reusable scratch advance returns finished requests in.
 	sess      Session
 	width     int
 	lanes     []*request
@@ -161,22 +179,17 @@ type core struct {
 	completed []*request
 
 	closed bool
-	// draining: dispatch immediately (no window wait, no panel-mate wait)
-	// while still admitting work. A superseded registry version drains so
-	// requests already holding a lease on it finish promptly and its
-	// storage can be released.
-	draining bool
 }
 
 func newCore(b Batcher, cfg Config) *core {
 	return &core{
-		cfg:       cfg,
+		maxBatch:  cfg.MaxBatch,
 		batcher:   b,
 		inDim:     b.InputDim(),
 		outDim:    b.OutputDim(),
 		ring:      make([]*request, cfg.QueueDepth),
 		lanes:     make([]*request, cfg.MaxBatch),
-		completed: make([]*request, 0, cfg.MaxBatch),
+		completed: make([]*request, 0, cfg.MaxBatch+cfg.QueueDepth),
 	}
 }
 
@@ -193,7 +206,6 @@ func (c *core) submit(r *request, now time.Time) error {
 	}
 	r.enq = now
 	r.next = 0
-	r.err = nil
 	c.ring[(c.head+c.n)%len(c.ring)] = r
 	c.n++
 	if m := obs.M(); m != nil {
@@ -215,148 +227,181 @@ func (c *core) pop() *request {
 	return r
 }
 
-// queueLen reports the number of waiting requests.
-func (c *core) queueLen() int { return c.n }
-
-// idle reports that no generation is live and nothing waits.
-func (c *core) idle() bool { return c.sess == nil && c.n == 0 }
-
-// deadline returns the instant the batch window expires — meaningful only
-// while requests wait with no generation live.
-func (c *core) deadline() (time.Time, bool) {
-	if c.sess != nil || c.n == 0 {
-		return time.Time{}, false
+// reap detaches every request whose caller has given up: a seated one
+// retires its lane, free for a waiter at this very boundary; a queued one
+// leaves the queue. Each is handed back through completed like a finished
+// request — its caller is waiting for that token — and from here on the
+// core holds no reference to it, its rows or its trace.
+func (c *core) reap() {
+	for l := 0; l < c.width; l++ {
+		if r := c.lanes[l]; r != nil && r.cancelled.Load() {
+			c.sess.Retire(l)
+			c.lanes[l] = nil
+			c.live--
+			c.completed = append(c.completed, r)
+		}
 	}
-	return c.ring[c.head].enq.Add(c.cfg.Window), true
-}
-
-// runnable reports whether Advance has work: a live generation always
-// does; otherwise waiting requests dispatch when the panel would be full,
-// when the window has expired, or when the scheduler is draining for
-// close.
-func (c *core) runnable(now time.Time) bool {
-	if c.sess != nil {
-		return true
-	}
-	if c.n == 0 {
-		return false
-	}
-	if c.n >= c.cfg.MaxBatch || c.closed || c.draining {
-		return true
-	}
-	dl, _ := c.deadline()
-	return !now.Before(dl)
-}
-
-// assign seats the oldest non-empty pending request in lane l of the live
-// session, completing any zero-frame requests it skips over. Reports
-// whether a request was seated (the queue may run dry first).
-func (c *core) assign(l int, now time.Time) bool {
-	for c.n > 0 {
-		r := c.pop()
-		if len(r.frames) == 0 {
+	size, kept := len(c.ring), 0
+	for i := 0; i < c.n; i++ {
+		r := c.ring[(c.head+i)%size]
+		if r.cancelled.Load() {
 			c.completed = append(c.completed, r)
 			continue
 		}
-		c.sess.ResetLane(l)
-		c.lanes[l] = r
-		c.live++
-		r.seated = now
-		if r.trace != nil {
-			r.trace.AddSpan(obs.ReqSpanQueueWait, int16(l), int16(c.width),
-				r.enq.UnixNano(), now.Sub(r.enq).Nanoseconds())
-		}
-		if m := obs.M(); m != nil {
-			m.SchedJoins.Inc()
-			m.SchedQueueWait.Observe(now.Sub(r.enq).Nanoseconds())
-		}
-		return true
+		c.ring[(c.head+kept)%size] = r
+		kept++
 	}
-	return false
-}
-
-// advance performs one unit of scheduling work — opening a generation or
-// driving one lockstep panel step — and appends any finished requests to
-// the returned slice (reused scratch; consume before the next call).
-// Callers must only invoke it when runnable reported work.
-func (c *core) advance(now time.Time) []*request {
-	c.completed = c.completed[:0]
-	if c.sess == nil {
-		c.open(now)
-		return c.completed
-	}
-	c.step(now)
-	return c.completed
-}
-
-// open starts a generation: width = min(waiting, MaxBatch), one waiting
-// request per lane. Zero-frame requests (defended against even though the
-// HTTP tier rejects them) complete immediately without occupying a lane.
-func (c *core) open(now time.Time) {
-	for c.n > 0 && len(c.ring[c.head].frames) == 0 {
-		c.completed = append(c.completed, c.pop())
-	}
-	if c.n == 0 {
+	if kept == c.n {
 		return
 	}
-	w := c.n
-	if w > c.cfg.MaxBatch {
-		w = c.cfg.MaxBatch
+	for i := kept; i < c.n; i++ {
+		c.ring[(c.head+i)%size] = nil
 	}
-	c.width = w
-	c.sess = c.batcher.Acquire(w)
-	c.live = 0
-	for l := 0; l < w; l++ {
-		c.lanes[l] = nil
-	}
-	for l := 0; l < w && c.n > 0; l++ {
-		c.assign(l, now)
-	}
-	// Batch formation: admission → this generation opening, recorded for
-	// the founding members only. Mid-flight joiners (seated in step) ride a
-	// generation that already existed, so they carry no batch_form span.
-	for l := 0; l < w; l++ {
-		if r := c.lanes[l]; r != nil && r.trace != nil {
-			r.trace.AddSpan(obs.ReqSpanBatchForm, int16(l), int16(w),
-				r.enq.UnixNano(), now.Sub(r.enq).Nanoseconds())
-		}
-	}
+	c.n = kept
 	if m := obs.M(); m != nil {
-		m.SchedDispatch.Inc()
+		m.SchedQueue.Set(int64(c.n))
 	}
 }
 
-// step drives one lockstep panel step: fill free lanes from the queue,
-// stage each live lane's next frame, advance the panel, scatter posterior
-// columns back into per-request rows, retire finished lanes. Closes the
-// generation when the last lane drains.
-func (c *core) step(now time.Time) {
-	// Continuous joining: a free lane is occupied the moment a request is
-	// waiting — mid-flight, no window.
-	for l := 0; l < c.width && c.n > 0; l++ {
-		if c.lanes[l] == nil {
-			c.assign(l, now)
-		}
+// queueLen reports the number of waiting requests.
+func (c *core) queueLen() int { return c.n }
+
+// runnable reports whether advance has work: a live panel to step or a
+// waiting request to seat. Nothing else gates dispatch.
+func (c *core) runnable() bool { return c.sess != nil || c.n > 0 }
+
+// advance performs one unit of scheduling work — the step boundary
+// (dropping cancelled requests, seating, growing or shrinking) and one
+// lockstep panel step — and returns the requests it is done with, finished
+// or cancelled (reused scratch; consume before the next call). Callers
+// must only invoke it when runnable.
+func (c *core) advance(now time.Time) []*request {
+	c.completed = c.completed[:0]
+	c.reap()
+	c.regroup(now)
+	if c.live > 0 {
+		c.step(now)
 	}
-	if c.live == 0 { // every waiting request was zero-frame; nothing to step
+	if c.sess != nil && c.live == 0 {
+		// Released even when requests wait: the next boundary opens the
+		// shape that fits them.
 		c.sess.Release()
 		c.sess = nil
 		c.width = 0
-		return
 	}
+	return c.completed
+}
+
+// regroup picks the panel's shape for the coming step and seats waiters.
+// It leaves no request queued while a lane is free or the panel could
+// still grow, and no wide panel stepping for a single lane while nothing
+// waits.
+func (c *core) regroup(now time.Time) {
+	formed := false // the panel was opened or grown at this boundary
+	switch {
+	case c.sess == nil:
+		if c.n == 0 {
+			return // every waiter was cancelled
+		}
+		w := 1
+		if c.n > 1 {
+			w = c.maxBatch
+		}
+		c.acquire(w)
+		formed = true
+		if m := obs.M(); m != nil {
+			m.SchedDispatch.Inc()
+		}
+	case c.n > c.width-c.live && c.width < c.maxBatch:
+		c.reshape(c.maxBatch)
+		formed = true
+		if m := obs.M(); m != nil {
+			m.SchedGrows.Inc()
+		}
+	case c.n == 0 && c.live == 1 && c.width > 1:
+		c.reshape(1)
+		if m := obs.M(); m != nil {
+			m.SchedShrinks.Inc()
+		}
+	}
+	for l := 0; l < c.width && c.n > 0; l++ {
+		if c.lanes[l] == nil {
+			c.seat(l, now, formed)
+		}
+	}
+}
+
+// acquire leases a width-w session with every lane retired; seat and
+// reshape re-activate the ones that carry an utterance.
+func (c *core) acquire(w int) {
+	c.sess = c.batcher.Acquire(w)
+	c.width = w
+	for l := 0; l < w; l++ {
+		c.sess.Retire(l)
+	}
+}
+
+// reshape replaces the live session with one of width w, moving every live
+// lane's state across (packed from lane 0) and releasing the old session.
+func (c *core) reshape(w int) {
+	old, ow := c.sess, c.width
+	c.acquire(w)
+	dl := 0
+	for l := 0; l < ow; l++ {
+		r := c.lanes[l]
+		if r == nil {
+			continue
+		}
+		c.batcher.MoveLane(c.sess, dl, old, l)
+		c.lanes[l] = nil
+		c.lanes[dl] = r
+		dl++
+	}
+	old.Release()
+	if m := obs.M(); m != nil {
+		m.SchedLanesMoved.Add(uint64(dl))
+	}
+}
+
+// seat moves the oldest pending request into free lane l. formed records
+// that the panel was opened or grown for it at this boundary (the
+// batch_form span); a request joining a lane that was simply free carries
+// none.
+func (c *core) seat(l int, now time.Time, formed bool) {
+	r := c.pop()
+	c.sess.ResetLane(l)
+	c.lanes[l] = r
+	c.live++
+	r.seated = now
+	if r.trace != nil {
+		wait := now.Sub(r.enq).Nanoseconds()
+		r.trace.AddSpan(obs.ReqSpanQueueWait, int16(l), int16(c.width), r.enq.UnixNano(), wait)
+		if formed {
+			r.trace.AddSpan(obs.ReqSpanBatchForm, int16(l), int16(c.width), r.enq.UnixNano(), wait)
+		}
+	}
+	if m := obs.M(); m != nil {
+		m.SchedJoins.Inc()
+		m.SchedQueueWait.Observe(now.Sub(r.enq).Nanoseconds())
+	}
+}
+
+// step drives one lockstep panel step: stage each live lane's next frame,
+// advance the panel, scatter posterior columns back into per-request rows,
+// retire finished lanes.
+func (c *core) step(now time.Time) {
 	in := c.sess.In()
 	bw := c.width
-	stepped := 0
 	for l := 0; l < bw; l++ {
 		r := c.lanes[l]
 		if r == nil {
 			continue
 		}
-		stepped++
 		for i, v := range r.frames[r.next] {
 			in[i*bw+l] = v
 		}
 	}
+	stepped := c.live
 	c.sess.Step()
 	// Kernel attribution: the panel step's measured wall time is shared by
 	// every live lane, so each traced participant accumulates the full step
@@ -386,6 +431,8 @@ func (c *core) step(now time.Time) {
 			c.lanes[l] = nil
 			c.live--
 			if r.trace != nil {
+				// The lane and width the request finished in; a request moved
+				// between shapes mid-flight was seated elsewhere.
 				r.trace.AddSpan(obs.ReqSpanGeneration, int16(l), int16(bw),
 					r.seated.UnixNano(), now.Sub(r.seated).Nanoseconds())
 			}
@@ -395,10 +442,5 @@ func (c *core) step(now time.Time) {
 	if m := obs.M(); m != nil {
 		m.SchedSteps.Inc()
 		m.LaneOccupancy.Observe(int64(stepped))
-	}
-	if c.live == 0 && c.n == 0 {
-		c.sess.Release()
-		c.sess = nil
-		c.width = 0
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // The fake batcher used by the deterministic harness: a per-lane recurrent
@@ -10,8 +11,8 @@ import (
 // only that lane's panel column, mirroring the engine's lanes-never-mix
 // contract. Because the recurrence is width-independent, a lane's outputs
 // must be bit-identical to fakeRef scoring the same frames serially — any
-// cross-lane leak, missed ResetLane, or misrouted column breaks equality
-// exactly.
+// cross-lane leak, missed ResetLane, misrouted column, or state lost in a
+// MoveLane breaks equality exactly.
 
 type fakeBatcher struct {
 	inDim, outDim int
@@ -19,8 +20,20 @@ type fakeBatcher struct {
 	mu       sync.Mutex
 	acquired []int // width of every Acquire, in order
 	released int
-	maxWidth int
+	held     int // sessions acquired and not yet released
+	maxHeld  int
+	moved    int                  // MoveLane calls
 	free     map[int]*fakeSession // width → idle session, like the engine arena
+	// steps counts Steps over all sessions; lastWidth and lastActive
+	// describe the most recent one: the panel's width and how many of its
+	// lanes were live.
+	steps, lastWidth, lastActive int
+
+	// gate, when non-nil, makes every Step wait for one receive from it, so
+	// async tests decide when the dispatcher's step in flight finishes;
+	// parked counts Steps that have reached the gate.
+	gate   chan struct{}
+	parked atomic.Int64
 }
 
 func newFakeBatcher(inDim, outDim int) *fakeBatcher {
@@ -32,26 +45,41 @@ func newFakeBatcher(inDim, outDim int) *fakeBatcher {
 func (b *fakeBatcher) InputDim() int  { return b.inDim }
 func (b *fakeBatcher) OutputDim() int { return b.outDim }
 
+// Acquire mirrors Engine.AcquireBatch: every lane comes back reset and
+// live, so a core that forgets to retire the lanes it leaves empty shows up
+// in lastActive.
 func (b *fakeBatcher) Acquire(width int) Session {
 	b.mu.Lock()
 	b.acquired = append(b.acquired, width)
-	if width > b.maxWidth {
-		b.maxWidth = width
+	if b.held++; b.held > b.maxHeld {
+		b.maxHeld = b.held
 	}
-	if s := b.free[width]; s != nil {
-		delete(b.free, width)
-		b.mu.Unlock()
-		return s
-	}
+	s := b.free[width]
+	delete(b.free, width)
 	b.mu.Unlock()
-	return &fakeSession{
-		b:      b,
-		bw:     width,
-		in:     make([]float32, b.inDim*width),
-		out:    make([]float32, b.outDim*width),
-		acc:    make([]float32, width),
-		active: make([]bool, width),
+	if s == nil {
+		s = &fakeSession{
+			b:      b,
+			bw:     width,
+			in:     make([]float32, b.inDim*width),
+			out:    make([]float32, b.outDim*width),
+			acc:    make([]float32, width),
+			active: make([]bool, width),
+		}
 	}
+	for l := range s.active {
+		s.acc[l], s.active[l] = 0, true
+	}
+	return s
+}
+
+// MoveLane copies the toy recurrence's one state word and the live flag.
+func (b *fakeBatcher) MoveLane(dst Session, dl int, src Session, sl int) {
+	d, s := dst.(*fakeSession), src.(*fakeSession)
+	d.acc[dl], d.active[dl] = s.acc[sl], s.active[sl]
+	b.mu.Lock()
+	b.moved++
+	b.mu.Unlock()
 }
 
 // widths snapshots the Acquire history.
@@ -68,18 +96,22 @@ type fakeSession struct {
 	out    []float32
 	acc    []float32
 	active []bool
-	steps  int64
 }
 
 func (s *fakeSession) In() []float32  { return s.in }
 func (s *fakeSession) Out() []float32 { return s.out }
 
 func (s *fakeSession) Step() {
-	s.steps++
+	if g := s.b.gate; g != nil {
+		s.b.parked.Add(1)
+		<-g
+	}
+	active := 0
 	for l := 0; l < s.bw; l++ {
 		if !s.active[l] {
 			continue
 		}
+		active++
 		var sum float32
 		for i := 0; i < s.b.inDim; i++ {
 			sum += s.in[i*s.bw+l]
@@ -89,6 +121,10 @@ func (s *fakeSession) Step() {
 			s.out[i*s.bw+l] = s.acc[l] + float32(i)
 		}
 	}
+	s.b.mu.Lock()
+	s.b.steps++
+	s.b.lastWidth, s.b.lastActive = s.bw, active
+	s.b.mu.Unlock()
 }
 
 func (s *fakeSession) ResetLane(l int) {
@@ -108,6 +144,7 @@ const fakeStepNs = 1000
 func (s *fakeSession) Release() {
 	s.b.mu.Lock()
 	s.b.released++
+	s.b.held--
 	if s.b.free == nil {
 		s.b.free = map[int]*fakeSession{}
 	}

@@ -4,21 +4,24 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"rtmobile/internal/obs"
 )
 
 // Scheduler is the async shell around the core state machine: it owns the
 // dispatcher goroutine, the wake/stop plumbing, and the request free list.
-// All scheduling decisions are the core's; the shell only decides when to
-// sleep and for how long, via the injected Clock.
+// All scheduling decisions are the core's; the shell runs it whenever it is
+// runnable and sleeps until the next submission otherwise.
 type Scheduler struct {
 	clock Clock
 	cfg   Config
 
 	mu   sync.Mutex
 	core *core
+	// queued mirrors core.queueLen() as of the last unlock, so QueueLen
+	// never waits behind the panel step the dispatcher holds mu across.
+	queued atomic.Int64
 
 	wake chan struct{} // cap 1: submissions nudge the dispatcher
 	stop chan struct{} // closed once by Close
@@ -34,7 +37,7 @@ type Scheduler struct {
 }
 
 // New starts a scheduler over the batcher and returns it running. Close
-// drains and stops it.
+// finishes admitted work and stops it.
 func New(b Batcher, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
@@ -53,11 +56,7 @@ func New(b Batcher, cfg Config) *Scheduler {
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // QueueLen reports how many admitted requests are waiting for a lane.
-func (s *Scheduler) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.core.queueLen()
-}
+func (s *Scheduler) QueueLen() int { return int(s.queued.Load()) }
 
 // getReq checks a request out of the free list.
 func (s *Scheduler) getReq() *request {
@@ -67,19 +66,17 @@ func (s *Scheduler) getReq() *request {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		s.freeMu.Unlock()
-		select {
-		case <-r.done: // defensive: drop a stale token
-		default:
-		}
 		return r
 	}
 	s.freeMu.Unlock()
 	return &request{done: make(chan struct{}, 1)}
 }
 
-// putReq returns a request whose completion token has been consumed.
+// putReq returns a request whose token has been consumed, so the core no
+// longer references it.
 func (s *Scheduler) putReq(r *request) {
-	r.frames, r.out, r.err, r.trace = nil, nil, nil, nil
+	r.frames, r.out, r.trace = nil, nil, nil
+	r.cancelled.Store(false)
 	s.freeMu.Lock()
 	s.free = append(s.free, r)
 	s.freeMu.Unlock()
@@ -90,29 +87,22 @@ func (s *Scheduler) putReq(r *request) {
 // rejects it (ErrQueueFull), the scheduler closes (ErrClosed), or ctx is
 // done.
 func (s *Scheduler) Infer(ctx context.Context, frames [][]float32) ([][]float32, error) {
-	outDim := s.core.outDim
-	flat := make([]float32, len(frames)*outDim)
-	out := make([][]float32, len(frames))
-	for t := range out {
-		out[t] = flat[t*outDim : (t+1)*outDim]
-	}
-	if err := s.InferInto(ctx, out, frames); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.InferTraced(ctx, nil, frames)
 }
 
 // InferInto is the allocation-free variant: posteriors land in dst, which
-// must have one OutputDim-wide row per frame. On a ctx cancellation the
-// request may still be scored — dst must stay writable until the scheduler
-// finishes with it, so recycle dst only on a nil or admission error.
+// must have one OutputDim-wide row per frame. Whatever it returns, the
+// scheduler has finished with dst: a cancelled request gives up its lane
+// (or its place in the queue) at the next step boundary and InferInto
+// returns ctx's error only after that, so dst is the caller's to reuse at
+// once.
 func (s *Scheduler) InferInto(ctx context.Context, dst, frames [][]float32) error {
-	return s.inferInto(ctx, nil, dst, frames)
+	return s.InferTracedInto(ctx, nil, dst, frames)
 }
 
-// InferTraced is Infer with a request trace attached: the scheduler
-// records queue-wait, batch-formation, generation, and kernel spans into
-// tr as the request moves through the batching tier.
+// InferTraced is Infer with a request trace attached (nil for none): the
+// scheduler records queue-wait, batch-formation, generation, and kernel
+// spans into tr as the request moves through the batching tier.
 func (s *Scheduler) InferTraced(ctx context.Context, tr *obs.ReqTrace, frames [][]float32) ([][]float32, error) {
 	outDim := s.core.outDim
 	flat := make([]float32, len(frames)*outDim)
@@ -126,23 +116,21 @@ func (s *Scheduler) InferTraced(ctx context.Context, tr *obs.ReqTrace, frames []
 	return out, nil
 }
 
-// InferTracedInto is InferInto with a request trace attached. Like dst,
-// tr stays in the scheduler's hands on a ctx cancellation — recycle it
-// only on a nil or admission error return.
+// InferTracedInto is InferInto with a request trace attached. Like dst, tr
+// is back in the caller's hands on every return.
 func (s *Scheduler) InferTracedInto(ctx context.Context, tr *obs.ReqTrace, dst, frames [][]float32) error {
-	return s.inferInto(ctx, tr, dst, frames)
-}
-
-func (s *Scheduler) inferInto(ctx context.Context, tr *obs.ReqTrace, dst, frames [][]float32) error {
 	if len(dst) != len(frames) {
 		return fmt.Errorf("sched: dst has %d rows for %d frames", len(dst), len(frames))
 	}
-	m := obs.M()
+	if len(frames) == 0 {
+		return nil // nothing to score; the core only ever sees real utterances
+	}
 	r := s.getReq()
 	r.frames, r.out, r.trace = frames, dst, tr
 	s.mu.Lock()
 	now := s.clock.Now()
 	err := s.core.submit(r, now)
+	s.queued.Store(int64(s.core.queueLen()))
 	s.mu.Unlock()
 	if err != nil {
 		s.putReq(r)
@@ -154,29 +142,23 @@ func (s *Scheduler) inferInto(ctx context.Context, tr *obs.ReqTrace, dst, frames
 	}
 	select {
 	case <-r.done:
-		err = r.err
-		if m != nil {
-			m.SchedLatency.Observe(s.clock.Now().Sub(now).Nanoseconds())
-		}
-		s.putReq(r)
-		return err
 	case <-ctx.Done():
-		// The request is abandoned, not cancelled: the dispatcher will
-		// still score it and park the token in r.done; the object is
-		// simply never recycled.
-		return ctx.Err()
+		// The core drops the request at its next step boundary — at most the
+		// step in flight away — and sends the token once nothing can write
+		// dst or tr any more; the lane is a waiter's from that boundary on.
+		r.cancelled.Store(true)
+		<-r.done
+		if r.next < len(frames) {
+			s.putReq(r)
+			return ctx.Err()
+		}
+		// The step in flight scored the last frame: the result stands.
 	}
-}
-
-// RetryAfter is the backoff hint handlers attach to ErrQueueFull
-// rejections (HTTP Retry-After is whole seconds; the queue usually drains
-// much faster, so the floor is 1).
-func (s *Scheduler) RetryAfter() time.Duration {
-	d := s.cfg.Window * time.Duration(s.cfg.QueueDepth)
-	if d < time.Second {
-		return time.Second
+	if m := obs.M(); m != nil {
+		m.SchedLatency.Observe(s.clock.Now().Sub(now).Nanoseconds())
 	}
-	return d.Round(time.Second)
+	s.putReq(r)
+	return nil
 }
 
 // AcquireStreamLane admits a long-lived streaming session against the
@@ -209,25 +191,9 @@ func (s *Scheduler) AcquireStreamLane() (release func(), err error) {
 	}, nil
 }
 
-// Drain switches the scheduler to immediate dispatch: pending and future
-// requests stop waiting for the batch window or panel-mates. Admission
-// stays open — unlike Close, a draining scheduler still serves; it just
-// stops optimizing for batching. The registry drains a superseded model
-// version's scheduler so requests that acquired a lease before the swap
-// finish promptly, letting the old version's storage be released.
-func (s *Scheduler) Drain() {
-	s.mu.Lock()
-	s.core.draining = true
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Close stops admission, drains every admitted request to completion, and
+// Close stops admission, runs every admitted request to completion, and
 // waits for the dispatcher to exit (or ctx to give up on the wait — the
-// drain itself is not abandoned).
+// admitted work is not abandoned).
 func (s *Scheduler) Close(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -243,19 +209,16 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	}
 }
 
-// run is the dispatcher loop: do one unit of core work per lock hold (so
-// submissions interleave and join panels mid-flight), sleep on the window
-// timer when the core is waiting for lane-mates, exit once closed and
-// drained.
+// run is the dispatcher loop: one unit of core work per lock hold (so
+// submissions and cancellations interleave between panel steps), asleep
+// only while the core has nothing to do, gone once closed and drained.
 func (s *Scheduler) run() {
 	defer close(s.done)
-	timer := s.clock.NewTimer()
-	defer timer.Stop()
 	for {
 		s.mu.Lock()
-		now := s.clock.Now()
-		if s.core.runnable(now) {
-			completed := s.core.advance(now)
+		if s.core.runnable() {
+			completed := s.core.advance(s.clock.Now())
+			s.queued.Store(int64(s.core.queueLen()))
 			s.mu.Unlock()
 			for _, r := range completed {
 				r.done <- struct{}{}
@@ -263,25 +226,13 @@ func (s *Scheduler) run() {
 			continue
 		}
 		stopping := s.core.closed
-		dl, hasDL := s.core.deadline()
 		s.mu.Unlock()
 		if stopping {
-			// Closed and not runnable means the queue is empty; any live
-			// generation would have kept runnable true. Drained — exit.
 			return
 		}
-		if hasDL {
-			timer.Reset(dl.Sub(now))
-			select {
-			case <-s.wake:
-			case <-timer.C():
-			case <-s.stop:
-			}
-		} else {
-			select {
-			case <-s.wake:
-			case <-s.stop:
-			}
+		select {
+		case <-s.wake:
+		case <-s.stop:
 		}
 	}
 }

@@ -9,10 +9,9 @@ import (
 	"time"
 )
 
-// Async scheduler tests. Determinism comes from the injected FakeClock:
-// with time frozen, the dispatcher cannot open a sub-full generation no
-// matter how goroutines interleave, so tests park arrivals, then advance
-// the clock and assert composition exactly. The only waiting is
+// Async scheduler tests. The dispatcher never waits on purpose, so the
+// tests that need requests to pile up hold it inside a panel step with the
+// fake batcher's gate and decide when that step ends. The only waiting is
 // liveness-bounded spinning (no time.Sleep in any assertion).
 
 // waitUntil spins (yielding) until cond holds; fails the test after a
@@ -29,54 +28,115 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestSchedulerWindowCoalescing: requests parked inside the frozen window
-// dispatch as one exactly-composed panel when the clock advances.
-func TestSchedulerWindowCoalescing(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
+// gatedScheduler starts a scheduler whose panel steps each wait for one
+// token on the returned batcher's gate.
+func gatedScheduler(cfg Config) (*Scheduler, *fakeBatcher) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 8, Window: 2 * time.Millisecond, Clock: clk})
+	b.gate = make(chan struct{})
+	return New(b, cfg), b
+}
+
+// longUtterance is T frames that all alias one row, so an utterance long
+// enough to outlast a test costs one slice of headers.
+func longUtterance(id, T, inDim int) [][]float32 {
+	frame := traceFrames(id, 1, inDim)[0]
+	frames := make([][]float32, T)
+	for i := range frames {
+		frames[i] = frame
+	}
+	return frames
+}
+
+// holdLane submits a long blocker and returns once the dispatcher is
+// parked inside its first step: from here the panel advances one step per
+// gate token, and the blocker outlasts any number of them a test feeds.
+// wait blocks until the blocker has completed (close the gate first).
+func holdLane(t *testing.T, s *Scheduler, b *fakeBatcher) (wait func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		frames := longUtterance(99, 1<<16, b.inDim)
+		out, err := s.Infer(context.Background(), frames)
+		if err != nil {
+			t.Errorf("blocker: %v", err)
+			return
+		}
+		if err := mustEqual(out, fakeRef(b.inDim, b.outDim, frames)); err != nil {
+			t.Errorf("blocker diverges from serial oracle: %v", err)
+		}
+	}()
+	waitUntil(t, "the blocker's first step", func() bool { return b.parked.Load() == 1 })
+	return func() { <-done }
+}
+
+// feedUntil lets the held panel take one step per poll until cond holds.
+// Submissions get in between steps (the dispatcher holds the scheduler
+// mutex across each one), so cond must not take that mutex.
+func feedUntil(t *testing.T, b *fakeBatcher, what string, cond func() bool) {
+	t.Helper()
+	waitUntil(t, what, func() bool {
+		if cond() {
+			return true
+		}
+		select {
+		case b.gate <- struct{}{}:
+		default:
+		}
+		return false
+	})
+}
+
+// TestSchedulerCoalescesWaiters: requests that arrive while a lone
+// utterance is being stepped ride the next step together — the narrow
+// panel grows to MaxBatch with all of them aboard, every response exact.
+func TestSchedulerCoalescesWaiters(t *testing.T) {
+	s, b := gatedScheduler(Config{MaxBatch: 8})
 	defer s.Close(context.Background())
+	wait := holdLane(t, s, b)
 
 	const n = 3
 	var wg sync.WaitGroup
-	outs := make([][][]float32, n)
-	errs := make([]error, n)
-	frames := make([][][]float32, n)
-	for i := 0; i < n; i++ {
-		frames[i] = traceFrames(i, 4, b.inDim)
-	}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = s.Infer(context.Background(), frames[i])
+			frames := traceFrames(i, 4, b.inDim)
+			out, err := s.Infer(context.Background(), frames)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			if err := mustEqual(out, fakeRef(b.inDim, b.outDim, frames)); err != nil {
+				t.Errorf("request %d diverges from serial oracle: %v", i, err)
+			}
 		}(i)
 	}
-	// All three must be queued before time moves: the frozen clock makes
-	// early dispatch impossible (3 < MaxBatch and the window never
-	// expires on its own).
-	waitUntil(t, "3 requests queued", func() bool { return s.QueueLen() == n })
-	clk.Advance(2 * time.Millisecond)
+	// The three are admitted between steps as they win the mutex; the first
+	// in makes the panel grow, the others take its free lanes.
+	feedUntil(t, b, "a step with all four aboard", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.lastWidth == 8 && b.lastActive == n+1
+	})
+	close(b.gate)
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if err := mustEqual(outs[i], fakeRef(b.inDim, b.outDim, frames[i])); err != nil {
-			t.Fatalf("request %d diverges from serial oracle: %v", i, err)
-		}
-	}
-	if w := b.widths(); len(w) != 1 || w[0] != n {
-		t.Fatalf("acquired widths %v, want one generation of width %d", w, n)
+	wait()
+	if w := b.widths(); len(w) < 2 || w[0] != 1 || w[1] != 8 {
+		t.Fatalf("acquired widths %v, want a narrow panel grown to 8", w)
 	}
 }
 
-// TestSchedulerFullPanelNoWait: MaxBatch arrivals dispatch with the clock
-// frozen — a full panel never waits for the window.
+// frozenClock never moves.
+type frozenClock struct{}
+
+func (frozenClock) Now() time.Time { return time.Unix(0, 0) }
+
+// TestSchedulerFullPanelNoWait: MaxBatch arrivals complete with the clock
+// frozen, whatever Window holds — nothing in the scheduler waits on time.
 func TestSchedulerFullPanelNoWait(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 2, Window: time.Hour, Clock: clk})
+	s := New(b, Config{MaxBatch: 2, Window: time.Hour, Clock: frozenClock{}})
 	defer s.Close(context.Background())
 
 	var wg sync.WaitGroup
@@ -90,18 +150,19 @@ func TestSchedulerFullPanelNoWait(t *testing.T) {
 		}(i)
 	}
 	wg.Wait() // completes without the clock ever advancing
-	if w := b.widths(); len(w) != 1 || w[0] != 2 {
-		t.Fatalf("acquired widths %v, want one full panel of width 2", w)
+	for _, w := range b.widths() {
+		if w != 1 && w != 2 {
+			t.Fatalf("acquired widths %v, want only the two shapes 1 and 2", b.widths())
+		}
 	}
 }
 
-// TestSchedulerOverload: a full queue rejects with ErrQueueFull while the
-// window is frozen, and the parked requests still complete afterwards.
+// TestSchedulerOverload: with the lane held and the queue full, admission
+// rejects with ErrQueueFull; the parked requests still complete afterwards.
 func TestSchedulerOverload(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 8, Window: time.Minute, QueueDepth: 2, Clock: clk})
+	s, b := gatedScheduler(Config{MaxBatch: 1, QueueDepth: 2})
 	defer s.Close(context.Background())
+	wait := holdLane(t, s, b)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -113,23 +174,34 @@ func TestSchedulerOverload(t *testing.T) {
 			}
 		}(i)
 	}
-	waitUntil(t, "queue full", func() bool { return s.QueueLen() == 2 })
-	if _, err := s.Infer(context.Background(), traceFrames(9, 2, b.inDim)); !errors.Is(err, ErrQueueFull) {
+	feedUntil(t, b, "queue full", func() bool { return s.QueueLen() == 2 })
+	rejected := make(chan error, 1)
+	go func() {
+		_, err := s.Infer(context.Background(), traceFrames(9, 2, b.inDim))
+		rejected <- err
+	}()
+	var err error
+	feedUntil(t, b, "the overload verdict", func() bool {
+		select {
+		case err = <-rejected:
+			return true
+		default:
+			return false
+		}
+	})
+	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overload err = %v, want ErrQueueFull", err)
 	}
-	if s.RetryAfter() < time.Second {
-		t.Fatalf("RetryAfter %v, want >= 1s", s.RetryAfter())
-	}
-	clk.Advance(time.Minute)
+	close(b.gate)
 	wg.Wait()
+	wait()
 }
 
 // TestSchedulerCloseDrains: Close completes every admitted request (no
 // dropped responses) and rejects later submissions with ErrClosed.
 func TestSchedulerCloseDrains(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 8, Window: time.Hour, Clock: clk})
+	s, b := gatedScheduler(Config{MaxBatch: 1})
+	wait := holdLane(t, s, b)
 
 	const n = 3
 	var wg sync.WaitGroup
@@ -148,12 +220,16 @@ func TestSchedulerCloseDrains(t *testing.T) {
 			}
 		}(i)
 	}
-	waitUntil(t, "requests queued", func() bool { return s.QueueLen() == n })
-	// Close with the window still frozen: the drain must not wait for it.
-	if err := s.Close(context.Background()); err != nil {
+	feedUntil(t, b, "requests queued", func() bool { return s.QueueLen() == n })
+	// Close with three requests still waiting for the one lane.
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close(context.Background()) }()
+	close(b.gate)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
+	wait()
 	if _, err := s.Infer(context.Background(), traceFrames(9, 1, b.inDim)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close err = %v, want ErrClosed", err)
 	}
@@ -162,32 +238,82 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	}
 }
 
-// TestSchedulerContextCancel: an abandoned caller gets ctx.Err while the
-// scheduler carries the request to completion on its own.
+// TestSchedulerContextCancel: a caller whose context ends gets ctx.Err and
+// its lane back to the scheduler at the next step boundary — the utterance
+// is not scored to its last frame — with the request object returned to
+// the free list exactly once and dst never written after Infer returns.
 func TestSchedulerContextCancel(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 8, Window: time.Hour, Clock: clk})
+	s, b := gatedScheduler(Config{MaxBatch: 1})
 	defer s.Close(context.Background())
 
+	const T = 1 << 16
+	frames := longUtterance(0, T, b.inDim)
+	dst := outRows(T, b.outDim)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() {
-		_, err := s.Infer(ctx, traceFrames(0, 2, b.inDim))
-		done <- err
-	}()
-	waitUntil(t, "request queued", func() bool { return s.QueueLen() == 1 })
+	go func() { done <- s.InferInto(ctx, dst, frames) }()
+	waitUntil(t, "the first step", func() bool { return b.parked.Load() == 1 })
 	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Infer err = %v", err)
+	var err error
+	steps := 0
+	for err == nil {
+		select {
+		case b.gate <- struct{}{}: // one more step of the abandoned utterance
+			steps++
+		case err = <-done:
+		}
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled InferInto err = %v", err)
+	}
+	if steps >= T {
+		t.Fatalf("the abandoned utterance was scored to its last frame (%d steps)", steps)
+	}
+	s.freeMu.Lock()
+	free := len(s.free)
+	s.freeMu.Unlock()
+	if free != 1 {
+		t.Fatalf("free list holds %d requests after the cancel, want the 1 that was admitted", free)
+	}
+	snapshot := outRows(T, b.outDim)
+	for i := range dst {
+		copy(snapshot[i], dst[i])
+	}
+
+	// The lane is free: with MaxBatch 1 a second request can only run in it.
+	close(b.gate)
+	next := traceFrames(1, 5, b.inDim)
+	out, err := s.Infer(context.Background(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mustEqual(out, fakeRef(b.inDim, b.outDim, next)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustEqual(dst, snapshot); err != nil {
+		t.Fatalf("dst written after the cancelled InferInto returned: %v", err)
+	}
+	s.freeMu.Lock()
+	free = len(s.free)
+	s.freeMu.Unlock()
+	if free != 1 {
+		t.Fatalf("free list holds %d requests, want 1: the cancelled object was reused, once", free)
+	}
+	if w := b.widths(); len(w) != 2 {
+		t.Fatalf("acquired widths %v, want one panel per request", w)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.held != 0 {
+		t.Fatalf("%d sessions still held", b.held)
 	}
 }
 
-// TestSchedulerRealClock: the default wall-clock path end to end — window
-// expiry on a real timer, serial oracle equality.
+// TestSchedulerRealClock: the default wall-clock path end to end, serial
+// oracle equality.
 func TestSchedulerRealClock(t *testing.T) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 4, Window: 100 * time.Microsecond})
+	s := New(b, Config{MaxBatch: 4})
 	defer s.Close(context.Background())
 	frames := traceFrames(7, 5, b.inDim)
 	out, err := s.Infer(context.Background(), frames)
@@ -202,7 +328,7 @@ func TestSchedulerRealClock(t *testing.T) {
 // TestSchedulerInferIntoShape: mis-shaped dst is rejected up front.
 func TestSchedulerInferIntoShape(t *testing.T) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{Window: 0})
+	s := New(b, Config{})
 	defer s.Close(context.Background())
 	err := s.InferInto(context.Background(), outRows(2, 2), traceFrames(0, 3, b.inDim))
 	if err == nil {
@@ -214,7 +340,7 @@ func TestSchedulerInferIntoShape(t *testing.T) {
 // are reusable, and release is idempotent.
 func TestStreamLaneBudget(t *testing.T) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 4, MaxStreams: 2, Window: 0})
+	s := New(b, Config{MaxBatch: 4, MaxStreams: 2})
 	defer s.Close(context.Background())
 
 	rel1, err := s.AcquireStreamLane()
@@ -240,12 +366,13 @@ func TestStreamLaneBudget(t *testing.T) {
 }
 
 // TestInferIntoZeroAlloc gates the steady-state dispatch path: with warm
-// free lists and a stable shape, a whole submit → coalesce → step →
-// complete round trip performs zero heap allocations in the scheduler
-// machinery (Window 0 so every op drives a full generation lifecycle).
+// free lists, a whole submit → open → step → complete round trip performs
+// zero heap allocations in the scheduler machinery — and so does one that
+// grows the panel and shrinks it again (both shapes come back from the
+// batcher's free list).
 func TestInferIntoZeroAlloc(t *testing.T) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 4, Window: 0})
+	s := New(b, Config{MaxBatch: 4})
 	defer s.Close(context.Background())
 
 	frames := traceFrames(0, 6, b.inDim)
@@ -262,5 +389,28 @@ func TestInferIntoZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("steady-state dispatch allocates %v times per request, want 0", allocs)
+	}
+
+	// The regrouping path, scripted on a core: a second arrival grows the
+	// panel, the first request's end shrinks it again.
+	c := newCore(b, Config{MaxBatch: 4}.withDefaults())
+	long := &request{frames: frames, out: dst}
+	short := &request{frames: frames[:2], out: outRows(2, b.outDim)}
+	now := time.Unix(0, 0)
+	regroup := func() {
+		c.submit(long, now)
+		c.advance(now)
+		c.submit(short, now)
+		for c.runnable() {
+			c.advance(now)
+		}
+	}
+	regroup()
+	moved := b.moved
+	if allocs := testing.AllocsPerRun(100, regroup); allocs != 0 {
+		t.Fatalf("growing and shrinking allocates %v times per cycle, want 0", allocs)
+	}
+	if got := b.moved - moved; got != 2*101 {
+		t.Fatalf("%d lanes moved over 101 cycles, want one grow and one shrink each", got)
 	}
 }

@@ -26,6 +26,7 @@ func (h *harness) submitTraced(id, T int, tr *obs.ReqTrace) error {
 	h.frames[id] = frames
 	h.outs[id] = out
 	h.byReq[r] = id
+	h.reqs[id] = r
 	return nil
 }
 
@@ -56,24 +57,25 @@ func TestCoreRecordsFounderSpans(t *testing.T) {
 	if err := h.submitTraced(0, 3, &tr); err != nil {
 		t.Fatal(err)
 	}
-	h.tick(2 * time.Millisecond) // window expires
+	h.advance() // a lone request: seated and stepped at the arrival instant
+	h.tick(time.Millisecond)
 	h.drain()
 	h.checkOutputs()
 
 	qw := spanOf(t, &tr, obs.ReqSpanQueueWait)
-	if qw.Dur != (2 * time.Millisecond).Nanoseconds() {
-		t.Errorf("queue wait = %dns, want full 2ms window", qw.Dur)
+	if qw.Dur != 0 {
+		t.Errorf("queue wait = %dns, want 0: nothing waits for a window", qw.Dur)
 	}
 	if qw.Lane != 0 || qw.Width != 1 {
 		t.Errorf("queue wait lane/width = %d/%d, want 0/1", qw.Lane, qw.Width)
 	}
 	bf := spanOf(t, &tr, obs.ReqSpanBatchForm)
-	if bf.Dur != qw.Dur {
-		t.Errorf("batch form = %dns, want = queue wait %dns for a founder", bf.Dur, qw.Dur)
+	if bf.Dur != 0 {
+		t.Errorf("batch form = %dns, want 0 for a lone request", bf.Dur)
 	}
 	gen := spanOf(t, &tr, obs.ReqSpanGeneration)
-	if gen.Width != 1 {
-		t.Errorf("generation width = %d, want 1", gen.Width)
+	if gen.Width != 1 || gen.Dur != time.Millisecond.Nanoseconds() {
+		t.Errorf("generation width/dur = %d/%dns, want 1/1ms", gen.Width, gen.Dur)
 	}
 	k := spanOf(t, &tr, obs.ReqSpanKernel)
 	if k.Dur != 3*fakeStepNs {
@@ -84,33 +86,67 @@ func TestCoreRecordsFounderSpans(t *testing.T) {
 	}
 }
 
-func TestCoreMidFlightJoinSkipsBatchForm(t *testing.T) {
-	h := newHarness(t, Config{MaxBatch: 2, Window: time.Millisecond})
-	var founder, joiner obs.ReqTrace
-	founder.Reset()
-	joiner.Reset()
-	if err := h.submitTraced(0, 4, &founder); err != nil {
-		t.Fatal(err)
+// TestCoreGrowRecordsBatchForm: the request a panel is grown for records
+// batch_form (admission → the grow) and the lane and width it was seated
+// in; the request that was already aboard reports, in its generation span,
+// the lane and width it finished in — here the narrow shape it was moved
+// back to.
+func TestCoreGrowRecordsBatchForm(t *testing.T) {
+	h := newHarness(t, Config{MaxBatch: 4})
+	var first, second obs.ReqTrace
+	first.Reset()
+	second.Reset()
+	h.submitTraced(0, 6, &first)
+	h.advance()
+	h.submitTraced(1, 2, &second)
+	h.tick(300 * time.Microsecond) // the step in flight when it arrived
+	h.drain()
+	h.checkOutputs()
+
+	bf := spanOf(t, &second, obs.ReqSpanBatchForm)
+	if bf.Dur != (300*time.Microsecond).Nanoseconds() || bf.Lane != 1 || bf.Width != 4 {
+		t.Errorf("grown-for batch_form = %dns lane %d width %d, want 300µs in lane 1 of 4", bf.Dur, bf.Lane, bf.Width)
 	}
-	h.tick(time.Millisecond)
-	h.advance() // generation opens width 1 on window expiry
-	h.advance() // step 1
+	if gen := spanOf(t, &second, obs.ReqSpanGeneration); gen.Lane != 1 || gen.Width != 4 {
+		t.Errorf("second request finished in lane %d of %d, want 1 of 4", gen.Lane, gen.Width)
+	}
+	if qw := spanOf(t, &first, obs.ReqSpanQueueWait); qw.Width != 1 {
+		t.Errorf("first request was seated at width %d, want 1", qw.Width)
+	}
+	if gen := spanOf(t, &first, obs.ReqSpanGeneration); gen.Lane != 0 || gen.Width != 1 {
+		t.Errorf("migrated request finished in lane %d of %d, want 0 of 1 (grown, then shrunk)", gen.Lane, gen.Width)
+	}
+	if first.Steps != 6 || second.Steps != 2 {
+		t.Errorf("steps = %d/%d, want 6/2", first.Steps, second.Steps)
+	}
+}
+
+func TestCoreMidFlightJoinSkipsBatchForm(t *testing.T) {
+	h := newHarness(t, Config{MaxBatch: 2})
+	var founder, short, joiner obs.ReqTrace
+	founder.Reset()
+	short.Reset()
+	joiner.Reset()
+	h.submitTraced(0, 4, &founder)
+	h.submitTraced(1, 1, &short)
+	h.advance() // opens wide; the one-frame request retires, freeing lane 1
 	h.tick(500 * time.Microsecond)
-	if err := h.submitTraced(1, 2, &joiner); err != nil {
+	if err := h.submitTraced(2, 2, &joiner); err != nil {
 		t.Fatal(err)
 	}
 	h.drain()
 	h.checkOutputs()
+	h.mustWidths(2, 1)
 
-	if !hasSpan(&founder, obs.ReqSpanBatchForm) {
-		t.Error("founder lost its batch_form span")
+	if !hasSpan(&founder, obs.ReqSpanBatchForm) || !hasSpan(&short, obs.ReqSpanBatchForm) {
+		t.Error("a request the panel was opened for lost its batch_form span")
 	}
 	if hasSpan(&joiner, obs.ReqSpanBatchForm) {
-		t.Error("mid-flight joiner must not record batch_form")
+		t.Error("a free-lane joiner must not record batch_form")
 	}
 	jq := spanOf(t, &joiner, obs.ReqSpanQueueWait)
-	if jq.Dur != 0 {
-		t.Errorf("joiner queue wait = %dns, want 0 (free lane, immediate seat)", jq.Dur)
+	if jq.Dur != 0 || jq.Lane != 1 || jq.Width != 2 {
+		t.Errorf("joiner queue wait = %dns lane %d width %d, want 0 in lane 1 of 2", jq.Dur, jq.Lane, jq.Width)
 	}
 	if joiner.Steps != 2 {
 		t.Errorf("joiner steps = %d, want 2", joiner.Steps)
@@ -123,10 +159,30 @@ func TestCoreMidFlightJoinSkipsBatchForm(t *testing.T) {
 	}
 }
 
+// TestCoreRegroupCounters: every grow, shrink and moved lane is counted.
+func TestCoreRegroupCounters(t *testing.T) {
+	was := obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(was) })
+	m := obs.M()
+	opened, grows, shrinks, moved := m.SchedDispatch.Value(), m.SchedGrows.Value(), m.SchedShrinks.Value(), m.SchedLanesMoved.Value()
+
+	h := newHarness(t, Config{MaxBatch: 4})
+	h.submit(0, 6)
+	h.advance()
+	h.submit(1, 2) // grows the panel, leaves early, the panel shrinks back
+	h.drain()
+	h.checkOutputs()
+	got := [4]uint64{m.SchedDispatch.Value() - opened, m.SchedGrows.Value() - grows,
+		m.SchedShrinks.Value() - shrinks, m.SchedLanesMoved.Value() - moved}
+	if want := [4]uint64{1, 1, 1, 2}; got != want {
+		t.Fatalf("opened/grows/shrinks/lanes moved = %v, want %v", got, want)
+	}
+}
+
 func TestCoreUntracedLanesUnaffected(t *testing.T) {
 	// Mixing traced and untraced requests in one panel must neither panic
 	// nor attribute spans to the untraced request.
-	h := newHarness(t, Config{MaxBatch: 2, Window: 0})
+	h := newHarness(t, Config{MaxBatch: 2})
 	var tr obs.ReqTrace
 	tr.Reset()
 	if err := h.submitTraced(0, 2, &tr); err != nil {
@@ -144,7 +200,7 @@ func TestCoreUntracedLanesUnaffected(t *testing.T) {
 
 func TestSchedulerInferTraced(t *testing.T) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 2, Window: 0})
+	s := New(b, Config{MaxBatch: 2})
 	defer s.Close(context.Background())
 
 	var pool obs.TracePool
@@ -187,7 +243,7 @@ func TestSchedulerInferTraced(t *testing.T) {
 
 func TestSchedulerTracedConcurrent(t *testing.T) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 4, Window: 500 * time.Microsecond})
+	s := New(b, Config{MaxBatch: 4})
 	defer s.Close(context.Background())
 	var pool obs.TracePool
 	var wg sync.WaitGroup
@@ -227,7 +283,7 @@ func TestSchedulerTracedConcurrent(t *testing.T) {
 // recycle — holds 0 allocs/op.
 func TestTracedWarmPathNoAllocs(t *testing.T) {
 	b := newFakeBatcher(3, 2)
-	s := New(b, Config{MaxBatch: 1, Window: 0})
+	s := New(b, Config{MaxBatch: 1})
 	defer s.Close(context.Background())
 	var pool obs.TracePool
 	ctx := context.Background()

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"rtmobile/internal/obs"
@@ -84,12 +85,14 @@ type Server struct {
 	slo  *obs.SLO
 	tail *obs.TraceTail
 	pool obs.TracePool
+	bufs sync.Pool // *inferBuf
 	mux  *http.ServeMux
 }
 
 // New builds a Server, filling Config defaults.
 func New(cfg Config) *Server {
 	s := &Server{reg: cfg.Registry, slo: cfg.SLO, tail: cfg.Tail}
+	s.bufs.New = func() any { return new(inferBuf) }
 	if s.slo == nil {
 		s.slo, _ = obs.NewSLO(obs.SLOConfig{
 			LatencyNs: DefaultSLOLatency.Nanoseconds(),
@@ -113,14 +116,9 @@ func (s *Server) SLO() *obs.SLO { return s.slo }
 // Tail returns the server's trace retainer (never nil).
 func (s *Server) Tail() *obs.TraceTail { return s.tail }
 
-// retryAfterHeader formats a Retry-After value in whole seconds (min 1).
-func retryAfterHeader(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint on 429s, in the header's whole
+// seconds: the floor, because the queue drains in milliseconds.
+const retryAfter = "1"
 
 // acquireModel resolves the request's model name ("" means the default
 // model) to a lease, writing the HTTP error itself when it cannot.
@@ -277,9 +275,13 @@ func (s *Server) routes() {
 			fmt.Fprint(w, RenderLayerStats(lease.Engine()))
 			sch := lease.Scheduler()
 			cfg := sch.Config()
-			fmt.Fprintf(w, "sched: window=%v max_batch=%d queue=%d/%d max_streams=%d\n",
-				cfg.Window, cfg.MaxBatch, sch.QueueLen(), cfg.QueueDepth, cfg.MaxStreams)
+			fmt.Fprintf(w, "sched: max_batch=%d queue=%d/%d max_streams=%d\n",
+				cfg.MaxBatch, sch.QueueLen(), cfg.QueueDepth, cfg.MaxStreams)
 			lease.Release()
+		}
+		if m := obs.M(); m != nil { // process-wide, like /metrics
+			fmt.Fprintf(w, "sched panels: opened=%d grows=%d shrinks=%d lanes_moved=%d\n",
+				m.SchedDispatch.Value(), m.SchedGrows.Value(), m.SchedShrinks.Value(), m.SchedLanesMoved.Value())
 		}
 		offered, kept := s.tail.Stats()
 		fmt.Fprintf(w, "traces: offered=%d kept=%d\n", offered, kept)
@@ -295,8 +297,14 @@ func (s *Server) routes() {
 		tr := s.beginTrace(w, r, start)
 		tr.Model = lease.Engine().Plan().ModelName
 
+		buf := s.bufs.Get().(*inferBuf)
+		defer s.recycle(buf)
+		body, err := buf.readBody(http.MaxBytesReader(w, r.Body, maxInferBody), r.ContentLength)
 		var frames [][]float32
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody)).Decode(&frames); err != nil {
+		if err == nil {
+			frames, err = buf.decodeFrames(body)
+		}
+		if err != nil {
 			s.pool.Put(tr) // client error: no SLO sample, no retention
 			refuseBody(w, err)
 			return
@@ -307,7 +315,8 @@ func (s *Server) routes() {
 			http.Error(w, "bad request: empty frame sequence", http.StatusBadRequest)
 			return
 		}
-		want := lease.Engine().InputDim()
+		eng := lease.Engine()
+		want := eng.InputDim()
 		for t, f := range frames {
 			if len(f) != want {
 				s.pool.Put(tr)
@@ -317,10 +326,11 @@ func (s *Server) routes() {
 			}
 		}
 		sch := lease.Scheduler()
-		post, err := sch.InferTraced(r.Context(), tr, frames)
+		post := buf.posteriors(len(frames), eng.OutputDim())
+		err = sch.InferTracedInto(r.Context(), tr, post, frames)
 		switch {
 		case errors.Is(err, sched.ErrQueueFull):
-			w.Header().Set("Retry-After", retryAfterHeader(sch.RetryAfter()))
+			w.Header().Set("Retry-After", retryAfter)
 			http.Error(w, "server overloaded: inference queue full", http.StatusTooManyRequests)
 			s.finishTrace(tr, false)
 			return
@@ -330,15 +340,23 @@ func (s *Server) routes() {
 			s.finishTrace(tr, false)
 			return
 		case err != nil:
-			// Request context cancelled; the client is gone and the
-			// scheduler may still be writing spans — the trace stays with
-			// it (never recycled), exactly like the posterior buffers.
+			// Request context cancelled: the client is gone, and the scheduler
+			// has already let go of the trace and the posterior rows.
+			s.pool.Put(tr)
 			return
 		}
 		lease.ObserveLatency(time.Since(start).Nanoseconds())
-		w.Header().Set("Content-Type", "application/json")
 		ser := time.Now()
-		json.NewEncoder(w).Encode(post)
+		buf.out, err = appendPosteriors(buf.out[:0], post)
+		if err != nil { // NaN or Inf in the weights; JSON cannot carry it
+			lease.Error()
+			http.Error(w, "internal error: "+err.Error(), http.StatusInternalServerError)
+			s.finishTrace(tr, false)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf.out)))
+		w.Write(buf.out)
 		tr.AddSpan(obs.ReqSpanSerialize, -1, 0, ser.UnixNano(), time.Since(ser).Nanoseconds())
 		s.finishTrace(tr, true)
 	}
@@ -362,7 +380,7 @@ func (s *Server) routes() {
 			return
 		}
 		if err != nil {
-			w.Header().Set("Retry-After", retryAfterHeader(sch.RetryAfter()))
+			w.Header().Set("Retry-After", retryAfter)
 			http.Error(w, "server overloaded: all stream lanes busy", http.StatusTooManyRequests)
 			return
 		}

@@ -42,7 +42,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 		Loader: func(path string) (registry.Instance, error) {
 			return registry.Instance{Engine: eng}, nil
 		},
-		Sched: sched.Config{MaxBatch: 4, Window: 200 * time.Microsecond},
+		Sched: sched.Config{MaxBatch: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 	return New(cfg)
 }
 
-func inferBody(t *testing.T, tSteps, dim int) *bytes.Buffer {
+func inferBody(t testing.TB, tSteps, dim int) *bytes.Buffer {
 	t.Helper()
 	frames := make([][]float32, tSteps)
 	for ts := range frames {
@@ -239,6 +239,9 @@ func TestMetricsIncludesSLOFamilies(t *testing.T) {
 		"rtmobile_slo_requests_total 1",
 		`rtmobile_slo_burn_rate{window="5m"}`,
 		`rtmobile_slo_burn_rate{window="1h"}`,
+		"rtmobile_sched_panel_grows_total",
+		"rtmobile_sched_panel_shrinks_total",
+		"rtmobile_sched_lanes_moved_total",
 	} {
 		if !strings.Contains(out, fam) {
 			t.Errorf("/metrics missing %q", fam)
@@ -255,8 +258,15 @@ func TestStatzReportsTailStats(t *testing.T) {
 	}
 	rec = httptest.NewRecorder()
 	s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
-	if !strings.Contains(rec.Body.String(), "traces: offered=1 kept=1") {
-		t.Errorf("/statz missing tail stats:\n%s", rec.Body.String())
+	out := rec.Body.String()
+	if !strings.Contains(out, "traces: offered=1 kept=1") {
+		t.Errorf("/statz missing tail stats:\n%s", out)
+	}
+	if !strings.Contains(out, "sched: max_batch=4 queue=0/32 max_streams=4") || strings.Contains(out, "window=") {
+		t.Errorf("/statz scheduler line wrong (it has no window to report):\n%s", out)
+	}
+	if obs.Enabled() && !strings.Contains(out, "sched panels: opened=") {
+		t.Errorf("/statz missing the panel regroup counters:\n%s", out)
 	}
 }
 
