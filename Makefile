@@ -16,14 +16,16 @@ build:
 # Tier-1 gate: everything must pass. The AllocsPerRun gates then run again
 # at forced pool sizes: "0 allocs/op" must hold whatever the host's core
 # count makes the default pool (internal/compiler never touches the pool).
-# The purego run covers the portable kernels and the copy-decoding bundle
-# loader — the only ones a non-amd64 (i.e. mobile) target runs.
+# The purego run covers the whole tree on the portable kernels — the single
+# specification of every exact-tier dot, and the only kernels a non-amd64
+# (i.e. mobile) target runs — and the copy-decoding bundle loader;
+# internal/bench is left out for its run time, not because it fails.
 ALLOC_GATES = Alloc
 ALLOC_PKGS = ./internal/tensor ./internal/nn ./internal/obs ./internal/rtmobile ./internal/sched ./internal/serve
 
 test:
 	$(GO) test ./...
-	$(GO) test -tags=purego ./internal/tensor ./internal/compiler ./internal/rtmobile
+	$(GO) test -tags=purego $$($(GO) list ./... | grep -v /internal/bench$$)
 	RTMOBILE_WORKERS=1 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
 	RTMOBILE_WORKERS=2 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
 	RTMOBILE_WORKERS=8 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)

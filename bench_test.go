@@ -476,8 +476,9 @@ func schedBenchEngine(b *testing.B) (*rtmobile.Engine, [][]float32) {
 // BenchmarkPanelStepWidth is the width probe behind the scheduler's two
 // panel shapes: the cost of one BatchLease.Step at each width 1…8 on the
 // scheduler benchmark's model. Only 1 and 8 are worth having — the widths
-// between run scalar panel kernels and cost more per lane than stepping
-// the lanes one after another (DESIGN.md has the table).
+// between run the portable panel kernel: 2–6 cost more per lane than
+// stepping the lanes one after another, and 7 costs 1.8× the eight-wide
+// step (DESIGN.md has the table).
 func BenchmarkPanelStepWidth(b *testing.B) {
 	eng, longest := schedBenchEngine(b)
 	for w := 1; w <= 8; w++ {

@@ -193,8 +193,7 @@ func cmdCompile(args []string) error {
 	colBlocks := fs.Int("col-blocks", 4, "BSP column blocks")
 	noReorder := fs.Bool("no-reorder", false, "disable the matrix reorder pass")
 	noLoadElim := fs.Bool("no-loadelim", false, "disable redundant load elimination")
-	tune := fs.Bool("autotune", false, "run the tiling auto-tuner")
-	measured := fs.Bool("measured", false, "with -autotune: tune on measured packed-backend wall time instead of the analytic cost model")
+	tune := fs.Bool("autotune", false, "search the modelled target's tile (rows x cols x unroll x placement) on its analytic cost model")
 	listing := fs.Bool("listing", false, "emit the generated kernel pseudo-code")
 	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights)")
 	precName := precisionFlag(fs)
@@ -225,7 +224,7 @@ func cmdCompile(args []string) error {
 	eng, err := rtmobile.Compile(model, scheme, rtmobile.DeployConfig{
 		Target: target, Format: format,
 		DisableReorder: *noReorder, DisableLoadElim: *noLoadElim,
-		AutoTuneTiling: *tune, MeasuredTuning: *measured, Workers: *workers,
+		AutoTuneTiling: *tune, Workers: *workers,
 		Quant: *quantBits, Precision: prec,
 	})
 	if err != nil {
@@ -282,7 +281,8 @@ func cmdAutotune(args []string) error {
 		return err
 	}
 	tile := eng.Plan().Options.Tile
-	fmt.Printf("tuned tiling: rows %d x cols %d, unroll %d\n", tile.RowTile, tile.ColTile, tile.Unroll)
+	fmt.Printf("tuned tiling of the modelled %s kernel: rows %d x cols %d, unroll %d\n",
+		target.Name, tile.RowTile, tile.ColTile, tile.Unroll)
 	fmt.Printf("predicted latency: %.2f us/frame\n", eng.Latency().TotalUS)
 	return nil
 }
@@ -493,8 +493,7 @@ func cmdDeploy(args []string) error {
 	row := fs.Float64("row", 2, "BSP row rate the model was pruned with")
 	rowGroups := fs.Int("row-groups", 8, "BSP row groups")
 	colBlocks := fs.Int("col-blocks", 4, "BSP column blocks")
-	tune := fs.Bool("autotune", false, "run the tiling auto-tuner before bundling (the verdict is cached in the bundle)")
-	measured := fs.Bool("measured", false, "with -autotune: tune on measured packed-backend wall time")
+	tune := fs.Bool("autotune", false, "search the modelled target's tile on its analytic cost model before bundling (the verdict is cached in the bundle)")
 	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights; stored in the bundle)")
 	precName := precisionFlag(fs)
 	bundleVersion := fs.Int("bundle-version", 5, "bundle wire format: 5 (section table, zero-copy mmap load) or 4 (compact decode load)")
@@ -518,7 +517,7 @@ func cmdDeploy(args []string) error {
 	}
 	scheme := prune.BSP{ColRate: *col, RowRate: *row, NumRowGroups: *rowGroups, NumColBlocks: *colBlocks}
 	eng, err := rtmobile.Compile(model, scheme, rtmobile.DeployConfig{
-		Target: target, AutoTuneTiling: *tune, MeasuredTuning: *measured,
+		Target: target, AutoTuneTiling: *tune,
 		Quant: *quantBits, Precision: prec,
 	})
 	if err != nil {
@@ -551,7 +550,7 @@ func printTuneRecord(eng *rtmobile.Engine) {
 	switch rec := eng.Tuned(); rec.Mode {
 	case rtmobile.TuneAnalytic:
 		fmt.Printf("plan cache: analytic tuning, cost %.3f\n", rec.Cost)
-	case rtmobile.TuneMeasured:
+	case rtmobile.TuneMeasured: // recorded by an older writer
 		fmt.Printf("plan cache: measured tuning, %.0f ns/pass\n", rec.Cost)
 	}
 }

@@ -94,7 +94,7 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	if err := cmdDeploy([]string{"-in", pruned, "-col", "2", "-row", "1", "-out", bundle,
-		"-autotune", "-measured"}); err != nil {
+		"-autotune"}); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	if err := cmdRun(append([]string{"-bundle", bundle, "-stats"}, corpus...)); err != nil {

@@ -22,12 +22,14 @@
 // (Program.Execute) walks the per-op IR and doubles as the event counter
 // feeding the device models. The packed backend (compiler.Pack) flattens
 // a program into flat value/column-index arrays with per-lane segment
-// descriptors and executes them through unrolled dot kernels
+// descriptors and executes them through one dot kernel per shape
 // (internal/tensor) — same bytes out, roughly 1.6x faster serially, and
 // zero allocations per pass when the caller reuses a PackedScratch. The
-// auto-tuner can score candidate plans either with the analytic device
-// model or by measured wall time of the packed executor, and deployment
-// bundles persist the winning plan.
+// auto-tuner searches the tile (rows x cols x unroll x placement) of the
+// modelled mobile target's kernel on the analytic device model, and
+// deployment bundles persist the winning plan; the tile never selects what
+// the host executes, and host wall time is `go run ./benchmark`'s to
+// report.
 //
 // The packed backend also executes batched: PackedProgram.RunBatch steps B
 // input vectors through one weight stream as a column-major SpMM panel, so
@@ -42,9 +44,9 @@
 // match the portable path; -tags=purego restores pure Go.
 //
 // There is one packed program type and one executor. A PackedProgram's
-// value storage (float32, int8, int16), kernel tier (exact, fast) and
-// unroll factor are resolved once, when the program is built, into the
-// segment kernels its lane loops call; nothing is selected per execution.
+// value storage (float32, int8, int16) and kernel tier (exact, fast) are
+// resolved once, when the program is built, into the segment kernels its
+// lane loops call; nothing is selected per execution.
 // The compiler's thread lanes are its load-balancing and statistics unit
 // and are visited in order — a lane-parallel executor existed, never beat
 // the serial one at any measured width or worker count, and was deleted

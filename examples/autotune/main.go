@@ -1,7 +1,9 @@
 // Auto-tuning walk-through: the offline search RTMobile's compiler runs
 // before deployment (Section IV-B). Shows (1) the BSP block-grid search
 // balancing predicted latency against a retained-energy accuracy proxy,
-// and (2) the tiling/unroll search for the chosen grid.
+// and (2) the tiling/unroll search for the chosen grid. Both searches shape
+// and price the modelled mobile target's kernel (internal/device); the
+// host's packed executor runs the same kernels whatever they choose.
 //
 //	go run ./examples/autotune
 package main
@@ -66,7 +68,7 @@ func main() {
 	}
 	dt := untuned.Plan().Options.Tile
 	tt := tuned.Plan().Options.Tile
-	fmt.Printf("tiling search:\n")
+	fmt.Printf("tiling search (the modelled %s kernel's tile):\n", target.Name)
 	fmt.Printf("  default tile  rows %3d x cols %3d, unroll %d -> %.2f us/frame\n",
 		dt.RowTile, dt.ColTile, dt.Unroll, untuned.Latency().TotalUS)
 	fmt.Printf("  tuned tile    rows %3d x cols %3d, unroll %d -> %.2f us/frame\n",

@@ -90,7 +90,7 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 	for tier, prec := range []compiler.Precision{compiler.PrecisionExact, compiler.PrecisionFast} {
 		prog.Precision = prec
 		for i, bits := range []int{0, 8, 16} {
-			pp, err := compiler.PackQuant(prog, bits, quant.PerRow, 0)
+			pp, err := compiler.PackQuant(prog, bits, quant.PerRow)
 			if err != nil {
 				return nil, err
 			}

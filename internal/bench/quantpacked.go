@@ -69,7 +69,7 @@ func RunQuantBench(cfg QuantBenchConfig) ([]QuantBenchRow, error) {
 	}
 	var execs []quantExec
 	for _, bits := range []int{0, 8, 16} {
-		pp, err := compiler.PackQuant(prog, bits, quant.PerRow, 0)
+		pp, err := compiler.PackQuant(prog, bits, quant.PerRow)
 		if err != nil {
 			return nil, err
 		}

@@ -78,9 +78,9 @@ type PackedBenchRow struct {
 	MACsPerSec  float64 `json:"macs_per_sec"`
 }
 
-// benchRowReps repeats each testing.Benchmark and keeps the fastest run,
-// the same min-of-reps noise reduction MeasurePackedNs uses; allocs/op is
-// scheduling-independent, so any run's value serves.
+// benchRowReps repeats each testing.Benchmark and keeps the fastest run
+// (min-of-reps noise reduction); allocs/op is scheduling-independent, so any
+// run's value serves.
 const benchRowReps = 3
 
 func benchRow(op string, macs int, fn func(b *testing.B)) PackedBenchRow {

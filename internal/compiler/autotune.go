@@ -13,7 +13,11 @@ import (
 // block grid — picking the configuration with the best predicted cost. The
 // cost function is supplied by the caller (normally a device model's
 // latency estimate), so the compiler stays independent of any particular
-// target.
+// target. What it shapes is the modelled mobile target's kernel: the host's
+// packed executor takes no tile parameter, so there is nothing to tune by
+// host timing (DESIGN.md, "Why the host executor has no unroll axis and no
+// measured tuner"); a measured objective, should one be wanted, is a
+// CostFunc handed to this search.
 
 // CostFunc prices a candidate plan; lower is better.
 type CostFunc func(*Plan) float64
@@ -26,12 +30,6 @@ type TuneSpace struct {
 	Placements []Placement
 	RowGroups  []int // BSP grid candidates (only used when tuning block size)
 	ColBlocks  []int
-	// EpilogueHidden, when positive, is the recurrent state width whose
-	// gate-epilogue cost the measured tuner folds into every candidate's
-	// objective (see MeasureEpilogueNs). Zero keeps the GEMV-only
-	// objective. Ignored by the analytic tuner, whose cost model prices
-	// elementwise work separately.
-	EpilogueHidden int
 }
 
 // DefaultTuneSpace covers the configurations the paper's tuner explores:
@@ -47,18 +45,12 @@ func DefaultTuneSpace() TuneSpace {
 	}
 }
 
-// TuneResult reports the chosen configuration and its cost. Cost is in
-// the analytic cost model's units, or wall nanoseconds when Measured
-// (see TuneTilingMeasured). Precision is the kernel tier the winning
-// candidate ran under: the measured tuner prices fast-tier kernels as
-// first-class candidates whenever the caller deploys the fast tier, so
-// the plan cache records which family actually won.
+// TuneResult reports the chosen configuration and its cost in costFn's
+// units.
 type TuneResult struct {
 	Tile      TileConfig
 	Cost      float64
 	Evaluated int
-	Measured  bool
-	Precision Precision
 }
 
 // TuneTiling searches tile/unroll configurations for a fixed set of
@@ -93,9 +85,6 @@ func TuneTiling(name string, srcs []MatrixSource, opt Options, threads, timestep
 	if best.Cost < 0 {
 		return TuneResult{}, fmt.Errorf("compiler: empty tuning space")
 	}
-	// The analytic cost model prices memory traffic and MACs, which the
-	// precision tier does not change; the requested tier carries through.
-	best.Precision = opt.Precision
 	return best, nil
 }
 
@@ -146,8 +135,7 @@ func TuneBlockSize(w *tensor.Matrix, colRate, rowRate float64, threads int, spac
 }
 
 // scoreBlockSizeResults computes each candidate's combined objective and
-// sorts best-first — shared by the analytic and measured block-size
-// tuners so both rank with identical semantics.
+// sorts best-first.
 func scoreBlockSizeResults(results []BlockSizeResult, accuracyWeight float64) {
 	minCost := results[0].Cost
 	maxEnergy := results[0].RetainedEnergy

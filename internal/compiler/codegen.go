@@ -86,7 +86,7 @@ func CompileMatrix(src MatrixSource, opt Options, threads int) (MatrixStats, err
 		if err != nil {
 			return MatrixStats{}, err
 		}
-		pq, err := PackQuant(prog, opt.QuantBits, quant.PerRow, opt.Tile.Unroll)
+		pq, err := PackQuant(prog, opt.QuantBits, quant.PerRow)
 		if err != nil {
 			return MatrixStats{}, err
 		}

@@ -72,26 +72,26 @@ func FuzzCompileProgram(f *testing.F) {
 
 // FuzzPackProgram drives the pack lowering over adversarially-shaped
 // compiled programs and checks that packing never panics, that every
-// successfully packed program executes byte-for-byte like the interpreter
-// at arbitrary unroll factors, that the static stats match the
-// interpreter's dynamic count, and the dense-order contract: accumulating
+// successfully packed program executes byte-for-byte like the interpreter,
+// that the static stats match the interpreter's dynamic count, and the
+// dense-order contract: accumulating
 // the program into a biased y is tensor.MatVecAdd on the (BSP-projected)
 // matrix bit for bit, in every format.
 func FuzzPackProgram(f *testing.F) {
-	f.Add(uint64(1), uint16(0), uint16(8), uint8(0), int16(4), uint8(3), uint8(3), uint8(4), false)
-	f.Add(uint64(2), uint16(8), uint16(0), uint8(1), int16(4), uint8(2), uint8(2), uint8(1), false)
-	f.Add(uint64(3), uint16(16), uint16(1), uint8(2), int16(1), uint8(4), uint8(4), uint8(8), false)
-	f.Add(uint64(4), uint16(1), uint16(16), uint8(2), int16(8), uint8(4), uint8(4), uint8(0), true)
-	f.Add(uint64(5), uint16(13), uint16(17), uint8(2), int16(5), uint8(5), uint8(7), uint8(2), false)
-	f.Add(uint64(6), uint16(12), uint16(12), uint8(0), int16(64), uint8(1), uint8(1), uint8(255), true)
-	f.Add(uint64(7), uint16(48), uint16(63), uint8(2), int16(4), uint8(3), uint8(7), uint8(4), false) // bspc, 8 column blocks per row group
+	f.Add(uint64(1), uint16(0), uint16(8), uint8(0), int16(4), uint8(3), uint8(3), false)
+	f.Add(uint64(2), uint16(8), uint16(0), uint8(1), int16(4), uint8(2), uint8(2), false)
+	f.Add(uint64(3), uint16(16), uint16(1), uint8(2), int16(1), uint8(4), uint8(4), false)
+	f.Add(uint64(4), uint16(1), uint16(16), uint8(2), int16(8), uint8(4), uint8(4), true)
+	f.Add(uint64(5), uint16(13), uint16(17), uint8(2), int16(5), uint8(5), uint8(7), false)
+	f.Add(uint64(6), uint16(12), uint16(12), uint8(0), int16(64), uint8(1), uint8(1), true)
+	f.Add(uint64(7), uint16(48), uint16(63), uint8(2), int16(4), uint8(3), uint8(7), false) // bspc, 8 column blocks per row group
 	f.Fuzz(func(t *testing.T, seed uint64, rows, cols uint16, formatSel uint8,
-		threads int16, rowGroups, colBlocks, unroll uint8, allZero bool) {
+		threads int16, rowGroups, colBlocks uint8, allZero bool) {
 		w, scheme, prog := fuzzCompile(seed, rows, cols, formatSel, threads, rowGroups, colBlocks, allZero)
 		if prog == nil {
 			return
 		}
-		pp, err := Pack(prog, int(unroll))
+		pp, err := Pack(prog, 0)
 		if err != nil {
 			// A compiled program must always pack.
 			t.Fatalf("pack rejected a compiled program: %v", err)
@@ -108,8 +108,8 @@ func FuzzPackProgram(f *testing.F) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("row %d: packed %v != interpreter %v (fmt=%s unroll=%d)",
-					i, got[i], want[i], prog.Format, unroll)
+				t.Fatalf("row %d: packed %v != interpreter %v (fmt=%s)",
+					i, got[i], want[i], prog.Format)
 			}
 		}
 		equalStats(t, wantStats, pp.Stats(), "fuzz")
@@ -135,19 +135,19 @@ func FuzzPackProgram(f *testing.F) {
 // output panel must be byte-for-byte the per-stream serial Run output of
 // that lane's vector.
 func FuzzRunBatch(f *testing.F) {
-	f.Add(uint64(1), uint16(16), uint16(12), uint8(0), int16(4), uint8(3), uint8(3), uint8(4), uint8(1), false)
-	f.Add(uint64(2), uint16(8), uint16(8), uint8(1), int16(2), uint8(2), uint8(2), uint8(1), uint8(2), false)
-	f.Add(uint64(3), uint16(24), uint16(16), uint8(2), int16(6), uint8(4), uint8(4), uint8(8), uint8(8), false)
-	f.Add(uint64(4), uint16(1), uint16(16), uint8(2), int16(8), uint8(4), uint8(4), uint8(0), uint8(16), true)
-	f.Add(uint64(5), uint16(13), uint16(17), uint8(2), int16(5), uint8(5), uint8(7), uint8(2), uint8(33), false)
-	f.Add(uint64(6), uint16(0), uint16(8), uint8(0), int16(4), uint8(1), uint8(1), uint8(255), uint8(5), true)
+	f.Add(uint64(1), uint16(16), uint16(12), uint8(0), int16(4), uint8(3), uint8(3), uint8(1), false)
+	f.Add(uint64(2), uint16(8), uint16(8), uint8(1), int16(2), uint8(2), uint8(2), uint8(2), false)
+	f.Add(uint64(3), uint16(24), uint16(16), uint8(2), int16(6), uint8(4), uint8(4), uint8(8), false)
+	f.Add(uint64(4), uint16(1), uint16(16), uint8(2), int16(8), uint8(4), uint8(4), uint8(16), true)
+	f.Add(uint64(5), uint16(13), uint16(17), uint8(2), int16(5), uint8(5), uint8(7), uint8(33), false)
+	f.Add(uint64(6), uint16(0), uint16(8), uint8(0), int16(4), uint8(1), uint8(1), uint8(5), true)
 	f.Fuzz(func(t *testing.T, seed uint64, rows, cols uint16, formatSel uint8,
-		threads int16, rowGroups, colBlocks, unroll, batch uint8, allZero bool) {
+		threads int16, rowGroups, colBlocks, batch uint8, allZero bool) {
 		_, _, prog := fuzzCompile(seed, rows, cols, formatSel, threads, rowGroups, colBlocks, allZero)
 		if prog == nil {
 			return
 		}
-		pp, err := Pack(prog, int(unroll))
+		pp, err := Pack(prog, 0)
 		if err != nil {
 			t.Fatalf("pack rejected a compiled program: %v", err)
 		}
@@ -161,21 +161,21 @@ func FuzzRunBatch(f *testing.F) {
 // dequantize-then-dot reference byte-for-byte, and batched execution
 // matches serial.
 func FuzzPackQuant(f *testing.F) {
-	f.Add(uint64(1), uint16(16), uint16(12), uint8(0), int16(4), uint8(3), uint8(3), uint8(4), uint8(0), uint8(1), false)
-	f.Add(uint64(2), uint16(8), uint16(0), uint8(1), int16(4), uint8(2), uint8(2), uint8(1), uint8(1), uint8(2), false)
-	f.Add(uint64(3), uint16(24), uint16(16), uint8(2), int16(6), uint8(4), uint8(4), uint8(8), uint8(2), uint8(8), false)
-	f.Add(uint64(4), uint16(1), uint16(16), uint8(2), int16(8), uint8(4), uint8(4), uint8(0), uint8(3), uint8(16), true)
-	f.Add(uint64(5), uint16(13), uint16(17), uint8(2), int16(5), uint8(5), uint8(7), uint8(2), uint8(4), uint8(33), false)
-	f.Add(uint64(6), uint16(0), uint16(8), uint8(0), int16(4), uint8(1), uint8(1), uint8(255), uint8(5), uint8(5), true)
+	f.Add(uint64(1), uint16(16), uint16(12), uint8(0), int16(4), uint8(3), uint8(3), uint8(0), uint8(1), false)
+	f.Add(uint64(2), uint16(8), uint16(0), uint8(1), int16(4), uint8(2), uint8(2), uint8(1), uint8(2), false)
+	f.Add(uint64(3), uint16(24), uint16(16), uint8(2), int16(6), uint8(4), uint8(4), uint8(2), uint8(8), false)
+	f.Add(uint64(4), uint16(1), uint16(16), uint8(2), int16(8), uint8(4), uint8(4), uint8(3), uint8(16), true)
+	f.Add(uint64(5), uint16(13), uint16(17), uint8(2), int16(5), uint8(5), uint8(7), uint8(4), uint8(33), false)
+	f.Add(uint64(6), uint16(0), uint16(8), uint8(0), int16(4), uint8(1), uint8(1), uint8(5), uint8(5), true)
 	f.Fuzz(func(t *testing.T, seed uint64, rows, cols uint16, formatSel uint8,
-		threads int16, rowGroups, colBlocks, unroll, mode, batch uint8, allZero bool) {
+		threads int16, rowGroups, colBlocks, mode, batch uint8, allZero bool) {
 		w, _, prog := fuzzCompile(seed, rows, cols, formatSel, threads, rowGroups, colBlocks, allZero)
 		if prog == nil {
 			return
 		}
 		bits := []int{8, 12, 16}[mode%3]
 		qs := []quant.Scheme{quant.PerRow, quant.PerTensor}[(mode/3)%2]
-		pq, err := PackQuant(prog, bits, qs, int(unroll))
+		pq, err := PackQuant(prog, bits, qs)
 		if err != nil {
 			t.Fatalf("PackQuant rejected a compiled program: %v", err)
 		}
@@ -188,8 +188,8 @@ func FuzzPackQuant(f *testing.F) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("row %d: quantized packed %v != reference %v (fmt=%s bits=%d unroll=%d)",
-					i, got[i], want[i], prog.Format, bits, unroll)
+				t.Fatalf("row %d: quantized packed %v != reference %v (fmt=%s bits=%d)",
+					i, got[i], want[i], prog.Format, bits)
 			}
 		}
 		checkLanesMatchSerial(t, "fuzz", pq, seed, int(batch%24)+1)

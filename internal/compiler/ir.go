@@ -75,7 +75,9 @@ func (p Placement) String() string {
 	}
 }
 
-// TileConfig is the loop-nest shape chosen by the auto-tuner.
+// TileConfig is the loop-nest shape of the modelled mobile target's kernel:
+// chosen by the auto-tuner, priced by internal/device, printed in listings
+// and recorded in bundles. The host's packed executor takes no part of it.
 type TileConfig struct {
 	RowTile   int // output rows per tile
 	ColTile   int // input columns per tile
@@ -95,8 +97,8 @@ type Options struct {
 	ValueBits               int // 16 on the GPU path, 32 on the CPU path
 	// QuantBits selects quantized packed weight storage: 0 keeps float
 	// values at ValueBits; 8, 12, or 16 stores integers plus per-row scales
-	// (see PackQuant). When set, footprint accounting and measured tuning
-	// price the quantized backend.
+	// (see PackQuant). When set, footprint accounting prices the quantized
+	// backend.
 	QuantBits int
 	// Precision selects the kernel tier: PrecisionExact (zero value) keeps
 	// the bit-exact float64-accumulation kernels; PrecisionFast lowers to

@@ -22,12 +22,15 @@ import (
 //
 // There is one program type. Its values are stored as float32, int8 or int16
 // (PackQuant; integers carry one scale per output row), and it executes on
-// the exact or the fast kernel tier at one unroll factor. Those three
-// choices are resolved once, when the program is built, into the two segment
-// kernels the lane loops call (packkernels.go) — nothing is selected per
-// execution, as in the paper's compiler, which fixes every tuning choice
-// offline. Lanes are the compiler's load-balancing and statistics unit; the
-// executor visits them in index order on the calling goroutine.
+// the exact or the fast kernel tier. Those two choices are resolved once,
+// when the program is built, into the two segment kernels the lane loops call
+// (packkernels.go) — nothing is selected per execution, as in the paper's
+// compiler, which fixes every tuning choice offline. The plan's TileConfig is
+// not among them: it describes the modelled mobile target's kernel, which
+// internal/device prices; the host executor runs one kernel per shape
+// whatever the tile says. Lanes are the compiler's load-balancing and
+// statistics unit; the executor visits them in index order on the calling
+// goroutine.
 //
 // Determinism contract, exact tier: float programs are bit-identical to the
 // interpreter and, accumulated into y, to tensor.MatVecAdd on the matrix
@@ -82,10 +85,6 @@ type PackedProgram struct {
 	// ValueBits is the float value width of the source program; 0 on a
 	// quantized program, whose storage width is Bits.
 	ValueBits int
-	// Unroll is the inner dot kernel's unroll factor (1, 2, 4 or 8); every
-	// factor produces bit-identical results, the auto-tuner picks by
-	// measured time. The fast tier fixes its own vector shape and ignores it.
-	Unroll int
 	// Precision is the kernel tier: PrecisionExact runs the bit-exact
 	// float64-accumulation kernels, PrecisionFast the FMA +
 	// float32-accumulation family (see precision.go).
@@ -121,8 +120,8 @@ type PackedProgram struct {
 	totalMACs   int
 	streamBytes int
 
-	// seg and segBatch are the segment kernels (storage, tier, unroll)
-	// resolve to, and kind the matching kernel span kind; see bind.
+	// seg and segBatch are the segment kernels (storage, tier) resolve to,
+	// and kind the matching kernel span kind; see bind.
 	seg      segKernel
 	segBatch segBatchKernel
 	kind     obs.StageKind
@@ -187,27 +186,6 @@ func (p *PackedProgram) observe(t0 time.Time, bw int, m *obs.Metrics) {
 	}
 }
 
-// DefaultUnroll is the dot-kernel unroll factor used when the caller does
-// not tune one.
-const DefaultUnroll = 4
-
-// normalizeUnroll maps an arbitrary requested factor onto the implemented
-// kernel set {1, 2, 4, 8}; 0 selects DefaultUnroll.
-func normalizeUnroll(u int) int {
-	switch {
-	case u == 0:
-		return DefaultUnroll
-	case u <= 1:
-		return 1
-	case u < 4:
-		return 2
-	case u < 8:
-		return 4
-	default:
-		return 8
-	}
-}
-
 // QuantBitsValid reports whether bits selects an implemented quantized
 // packed format (8, 12, or 16; 0 means unquantized).
 func QuantBitsValid(bits int) bool {
@@ -219,8 +197,13 @@ func QuantBitsValid(bits int) bool {
 // gather) so the execution hot path can run without per-instruction checks.
 // The returned program shares no mutable state with p and is safe for
 // concurrent use; per-execution scratch lives in PackedScratch.
-func Pack(p *Program, unroll int) (*PackedProgram, error) {
-	return PackQuant(p, 0, quant.PerRow, unroll)
+//
+// The second parameter is ignored. It used to pick a dot-kernel unroll
+// factor; there is one kernel per shape now, and the parameter stays only
+// because benchmark/layers.go, which this repository's benchmark freezes,
+// still passes its tile's (ROADMAP item 1).
+func Pack(p *Program, _ int) (*PackedProgram, error) {
+	return PackQuant(p, 0, quant.PerRow)
 }
 
 // PackQuant is Pack with the value storage chosen: bits 0 keeps float32
@@ -235,11 +218,11 @@ func Pack(p *Program, unroll int) (*PackedProgram, error) {
 // — the bundle round-trip relies on this. What quantization does not
 // preserve is the original float32 weights; the accuracy delta is the
 // engine-level guardrail's job (internal/rtmobile), not the executor's.
-func PackQuant(p *Program, bits int, scheme quant.Scheme, unroll int) (*PackedProgram, error) {
+func PackQuant(p *Program, bits int, scheme quant.Scheme) (*PackedProgram, error) {
 	if bits != 0 && !QuantBitsValid(bits) {
 		return nil, fmt.Errorf("compiler: PackQuant bits must be 0, 8, 12 or 16, got %d", bits)
 	}
-	pp, err := lower(p, unroll)
+	pp, err := lower(p)
 	if err != nil {
 		return nil, err
 	}
@@ -253,11 +236,10 @@ func PackQuant(p *Program, bits int, scheme quant.Scheme, unroll int) (*PackedPr
 }
 
 // lower flattens p's instruction lanes into segments over float32 values.
-func lower(p *Program, unroll int) (*PackedProgram, error) {
+func lower(p *Program) (*PackedProgram, error) {
 	pp := &PackedProgram{
 		Name: p.Name, Rows: p.Rows, Cols: p.Cols,
 		Format: p.Format, ValueBits: p.ValueBits,
-		Unroll:    normalizeUnroll(unroll),
 		Precision: p.Precision,
 		Lanes:     make([]PackedLane, len(p.Threads)),
 	}

@@ -30,7 +30,6 @@ type PackedSections struct {
 	Rows, Cols int
 	Format     Format
 	ValueBits  int
-	Unroll     int
 	Precision  Precision
 
 	// Quantized-program header: Bits is 0 for a float program; 8, 12, or
@@ -106,8 +105,7 @@ func flattenLanes(lanes []PackedLane) (segWords, rowIdx, segCounts, rowCounts []
 func (p *PackedProgram) Sections() *PackedSections {
 	s := &PackedSections{
 		Name: p.Name, Rows: p.Rows, Cols: p.Cols,
-		Format: p.Format, ValueBits: p.ValueBits,
-		Unroll: p.Unroll, Precision: p.Precision,
+		Format: p.Format, ValueBits: p.ValueBits, Precision: p.Precision,
 		Bits: p.Bits, Scheme: p.Scheme, NumScales: p.numScales,
 		Vals: p.Vals, Vals8: p.Vals8, Vals16: p.Vals16, Scales: p.Scales,
 		ColIdx: p.ColIdx,
@@ -272,7 +270,6 @@ func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 	p := &PackedProgram{
 		Name: s.Name, Rows: s.Rows, Cols: s.Cols,
 		Format: s.Format, ValueBits: s.ValueBits,
-		Unroll:    normalizeUnroll(s.Unroll),
 		Precision: s.Precision,
 		Bits:      s.Bits, Vals: s.Vals, Vals8: s.Vals8, Vals16: s.Vals16,
 		Scheme: s.Scheme, Scales: s.Scales, numScales: s.NumScales,

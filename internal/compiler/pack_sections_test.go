@@ -9,7 +9,7 @@ import (
 )
 
 // sectionsTestProgram compiles and packs a BSPC test matrix.
-func sectionsTestProgram(t *testing.T, seed uint64, unroll int) *PackedProgram {
+func sectionsTestProgram(t *testing.T, seed uint64) *PackedProgram {
 	t.Helper()
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(seed, 48, 40, scheme)
@@ -19,7 +19,7 @@ func sectionsTestProgram(t *testing.T, seed uint64, unroll int) *PackedProgram {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := Pack(prog, unroll)
+	pp, err := Pack(prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +27,13 @@ func sectionsTestProgram(t *testing.T, seed uint64, unroll int) *PackedProgram {
 }
 
 // TestPackedSectionsRoundTrip: Sections → NewPackedFromSections rebuilds a
-// program that executes bit-identically to the original, at every unroll.
+// program that executes bit-identically to the original.
 func TestPackedSectionsRoundTrip(t *testing.T) {
-	for _, unroll := range []int{1, 2, 4, 8} {
-		pp := sectionsTestProgram(t, uint64(unroll), unroll)
+	for _, seed := range []uint64{1, 2, 4, 8} {
+		pp := sectionsTestProgram(t, seed)
 		re, err := NewPackedFromSections(pp.Sections())
 		if err != nil {
-			t.Fatalf("unroll=%d: %v", unroll, err)
+			t.Fatalf("seed=%d: %v", seed, err)
 		}
 		x := randVec(99, pp.Cols)
 		want := make([]float32, pp.Rows)
@@ -47,13 +47,13 @@ func TestPackedSectionsRoundTrip(t *testing.T) {
 		wantStats, gotStats := pp.Stats(), re.Stats()
 		for r := range want {
 			if want[r] != got[r] {
-				t.Fatalf("unroll=%d row %d: %v vs %v", unroll, r, want[r], got[r])
+				t.Fatalf("seed=%d row %d: %v vs %v", seed, r, want[r], got[r])
 			}
 		}
 		if wantStats.GatherLoads != gotStats.GatherLoads ||
 			wantStats.StreamedVals != gotStats.StreamedVals ||
 			wantStats.TotalMACs() != gotStats.TotalMACs() {
-			t.Fatalf("unroll=%d stats differ: %+v vs %+v", unroll, wantStats, gotStats)
+			t.Fatalf("seed=%d stats differ: %+v vs %+v", seed, wantStats, gotStats)
 		}
 		if re.MaxGather != pp.MaxGather {
 			t.Fatalf("MaxGather %d vs %d", re.MaxGather, pp.MaxGather)
@@ -74,7 +74,7 @@ func TestPackedQSectionsRoundTrip(t *testing.T) {
 	}
 	for _, bits := range []int{8, 16} {
 		for _, sc := range []quant.Scheme{quant.PerTensor, quant.PerRow} {
-			pq, err := PackQuant(prog, bits, sc, 4)
+			pq, err := PackQuant(prog, bits, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestPackedQSectionsRoundTrip(t *testing.T) {
 // gathers, so every malformed section shape must be rejected at
 // construction with a contextual error.
 func TestPackedSectionsRejectsCorrupt(t *testing.T) {
-	base := func() *PackedSections { return sectionsTestProgram(t, 11, 4).Sections() }
+	base := func() *PackedSections { return sectionsTestProgram(t, 11).Sections() }
 	cases := []struct {
 		name    string
 		mutate  func(*PackedSections)
@@ -146,7 +146,7 @@ func TestPackedQSectionsRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func() *PackedSections {
-		pq, err := PackQuant(prog, 8, quant.PerRow, 4)
+		pq, err := PackQuant(prog, 8, quant.PerRow)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,8 @@ import (
 )
 
 // The packed equivalence table. One grid — {dense, CSR, BSPC ± load
-// elimination} × lane count × unroll × tier × panel width — with the value
-// storage as a column, and one contract per tier:
+// elimination} × lane count × tier × panel width — with the value storage as
+// a column, and one contract per tier:
 //
 //	exact f32        ≡ interpreter ≡ tensor.MatVecAdd, bit for bit
 //	exact quantized  ≡ scalar dequantize-then-dot (runQRef), bit for bit
@@ -84,23 +84,21 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 					}
 				}
 				for _, st := range storages {
-					for _, unroll := range []int{1, 2, 4, 8} {
-						c := packedCase{w: w, prog: prog, label: fmt.Sprintf(
-							"seed=%d fmt=%s elim=%v threads=%d %s unroll=%d",
-							seed, lo.format, lo.elim, threads, st.name, unroll)}
-						if c.exact, err = PackQuant(prog, st.bits, st.scheme, unroll); err != nil {
+					c := packedCase{w: w, prog: prog, label: fmt.Sprintf(
+						"seed=%d fmt=%s elim=%v threads=%d %s",
+						seed, lo.format, lo.elim, threads, st.name)}
+					if c.exact, err = PackQuant(prog, st.bits, st.scheme); err != nil {
+						t.Fatal(err)
+					}
+					if c.pp = c.exact; tprog != prog {
+						if c.pp, err = PackQuant(tprog, st.bits, st.scheme); err != nil {
 							t.Fatal(err)
 						}
-						if c.pp = c.exact; tprog != prog {
-							if c.pp, err = PackQuant(tprog, st.bits, st.scheme, unroll); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if c.pp.Precision != tier {
-							t.Fatalf("%s: PackQuant dropped the precision tier: %v", c.label, c.pp.Precision)
-						}
-						fn(c)
 					}
+					if c.pp.Precision != tier {
+						t.Fatalf("%s: PackQuant dropped the precision tier: %v", c.label, c.pp.Precision)
+					}
+					fn(c)
 				}
 			}
 		}

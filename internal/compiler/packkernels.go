@@ -5,13 +5,13 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// Segment kernels. A packed program's value storage (float32, int8, int16),
-// kernel tier and unroll factor are fixed when it is built; bind resolves
-// them once into the two functions the lane loops call per segment, so the
-// hot path never branches on any of the three. Every exact-tier variant
-// accumulates each (row, lane) output in a single float64 in index order —
-// unrolled, paired and SIMD kernels in internal/tensor all keep that order —
-// so which variant runs never changes a byte of output.
+// Segment kernels. A packed program's value storage (float32, int8, int16)
+// and kernel tier are fixed when it is built; bind resolves them once into
+// the two functions the lane loops call per segment, so the hot path never
+// branches on either. Every exact-tier kernel accumulates each (row, lane)
+// output in a single float64 in index order — the paired, quad and SIMD
+// kernels in internal/tensor all keep that order — so which of them a
+// segment's rows reach never changes a byte of output.
 
 // segKernel accumulates one segment's row dots into y: row i of the segment
 // keeps its nc weights at value offset off+i*nc and adds their dot with the
@@ -24,26 +24,25 @@ type segKernel func(y []float32, rows []int32, off, nc int, g []float32)
 // lanes. s lends the per-lane accumulators.
 type segBatchKernel func(y []float32, rows []int32, off, nc int, g []float32, bw int, s *PackedScratch)
 
-// bind resolves the program's storage, tier and unroll factor to its
-// segment kernels, span kind and streamed-byte count. Every constructor
-// ends here.
+// bind resolves the program's storage and tier to its segment kernels, span
+// kind and streamed-byte count. Every constructor ends here.
 func (p *PackedProgram) bind() {
 	fast := p.Precision == PrecisionFast
 	switch p.Bits {
 	case 0:
-		p.seg, p.segBatch = f32Kernels(p.Vals, p.Unroll, fast)
+		p.seg, p.segBatch = f32Kernels(p.Vals, fast)
 		p.kind, p.streamBytes = obs.StageKernel, 4*len(p.Vals)
 		if fast {
 			p.kind = obs.StageKernelFast
 		}
 	case 8:
-		p.seg, p.segBatch = quantKernels(p.Vals8, p.Scales, q8Dots(p.Unroll), fast)
+		p.seg, p.segBatch = quantKernels(p.Vals8, p.Scales, q8Dots, fast)
 		p.kind, p.streamBytes = obs.StageKernelQ8, len(p.Vals8)
 		if fast {
 			p.kind = obs.StageKernelQ8Fast
 		}
 	default:
-		p.seg, p.segBatch = quantKernels(p.Vals16, p.Scales, q16Dots(p.Unroll), fast)
+		p.seg, p.segBatch = quantKernels(p.Vals16, p.Scales, q16Dots, fast)
 		p.kind, p.streamBytes = obs.StageKernelQ16, 2*len(p.Vals16)
 		if fast {
 			p.kind = obs.StageKernelQ16Fast
@@ -68,17 +67,16 @@ func addF32(out, acc []float32) {
 // f32Kernels returns the segment kernels of a float32 program.
 //
 // Exact tier: rows are processed in pairs so two accumulators share each
-// conversion of the gathered input. Wide panels go through the AVX2
-// across-lane kernels when available, pairing rows the same way (the batched
-// analogue of the serial pair kernels); narrower ones through the portable
-// kernel of the program's unroll factor.
+// conversion of the gathered input. Panels pair rows the same way; the
+// strided tensor kernels run full eight-lane chunks on the AVX2 across-lane
+// kernel when the host has it and everything else on the portable one.
 //
 // Fast tier: the whole segment runs through the FMA'd f32-accumulation
 // segment driver when the host has it, and any remainder (or the no-SIMD
 // case) falls to per-row fast dots with the same f32 index-order semantics;
 // panels FMA-broadcast each weight against all lanes with per-lane float32
 // accumulators (the tensor kernels dispatch SIMD vs portable internally).
-func f32Kernels(vals []float32, unroll int, fast bool) (segKernel, segBatchKernel) {
+func f32Kernels(vals []float32, fast bool) (segKernel, segBatchKernel) {
 	if fast {
 		seg := func(y []float32, rows []int32, off, nc int, g []float32) {
 			v := vals[off : off+len(rows)*nc]
@@ -96,115 +94,66 @@ func f32Kernels(vals []float32, unroll int, fast bool) (segKernel, segBatchKerne
 		}
 		return seg, batch
 	}
-	one, pair, wide := tensor.DotF64x4, tensor.DotPairF64x4, tensor.DotBatchF64x4
-	switch unroll {
-	case 1:
-		one, pair, wide = tensor.DotF64, tensor.DotPairF64, tensor.DotBatchF64
-	case 2:
-		one, pair, wide = tensor.DotF64x2, tensor.DotPairF64x2, tensor.DotBatchF64x2
-	case 8:
-		one, pair, wide = tensor.DotF64x8, tensor.DotPairF64x8, tensor.DotBatchF64x8
-	}
 	seg := func(y []float32, rows []int32, off, nc int, g []float32) {
 		v := vals[off : off+len(rows)*nc]
 		ri := 0
 		for ; ri+2 <= len(rows); ri += 2 {
-			s0, s1 := pair(v[ri*nc:ri*nc+nc], v[(ri+1)*nc:(ri+1)*nc+nc], g)
+			s0, s1 := tensor.DotPairF64(v[ri*nc:ri*nc+nc], v[(ri+1)*nc:(ri+1)*nc+nc], g)
 			y[rows[ri]] += float32(s0)
 			y[rows[ri+1]] += float32(s1)
 		}
 		if ri < len(rows) {
-			y[rows[ri]] += float32(one(v[ri*nc:ri*nc+nc], g))
+			y[rows[ri]] += float32(tensor.DotF64(v[ri*nc:ri*nc+nc], g))
 		}
 	}
 	batch := func(y []float32, rows []int32, off, nc int, g []float32, bw int, s *PackedScratch) {
 		v := vals[off : off+len(rows)*nc]
-		if bw >= 8 && tensor.BatchSIMD() {
-			acc0, acc1 := s.acc[:bw], s.acc[bw:2*bw]
-			ri := 0
-			for ; ri+2 <= len(rows); ri += 2 {
-				tensor.DotBatchPairF64Strided(v[ri*nc:(ri+1)*nc], v[(ri+1)*nc:(ri+2)*nc], g, bw, acc0, acc1)
-				addF64(y[int(rows[ri])*bw:(int(rows[ri])+1)*bw], acc0)
-				addF64(y[int(rows[ri+1])*bw:(int(rows[ri+1])+1)*bw], acc1)
-			}
-			if ri < len(rows) {
-				tensor.DotBatchF64Strided(v[ri*nc:(ri+1)*nc], g, bw, acc0)
-				addF64(y[int(rows[ri])*bw:(int(rows[ri])+1)*bw], acc0)
-			}
-			return
+		acc0, acc1 := s.acc[:bw], s.acc[bw:2*bw]
+		ri := 0
+		for ; ri+2 <= len(rows); ri += 2 {
+			tensor.DotBatchPairF64Strided(v[ri*nc:(ri+1)*nc], v[(ri+1)*nc:(ri+2)*nc], g, bw, acc0, acc1)
+			addF64(y[int(rows[ri])*bw:(int(rows[ri])+1)*bw], acc0)
+			addF64(y[int(rows[ri+1])*bw:(int(rows[ri+1])+1)*bw], acc1)
 		}
-		acc := s.acc[:bw]
-		for ri, r := range rows {
-			wide(v[ri*nc:(ri+1)*nc], g, bw, acc)
-			addF64(y[int(r)*bw:(int(r)+1)*bw], acc)
+		if ri < len(rows) {
+			tensor.DotBatchF64Strided(v[ri*nc:(ri+1)*nc], g, bw, acc0)
+			addF64(y[int(rows[ri])*bw:(int(rows[ri])+1)*bw], acc0)
 		}
 	}
 	return seg, batch
 }
 
-// qint is the integer storage of a quantized program.
-type qint interface{ int8 | int16 }
-
-// quantDots is the tensor kernel set of one integer storage width at one
-// unroll factor — the only thing that differs between the int8 and int16
-// executors.
-type quantDots[T qint] struct {
+// quantDots holds the tensor kernels that exist once per integer storage
+// width because they enter assembly: the only thing that differs between the
+// int8 and int16 executors (the portable single and paired dots are generic).
+type quantDots[T tensor.QInt] struct {
 	// Exact tier, serial: whole-segment quad driver (AVX2; returns the rows
-	// it consumed), four-row, paired and single dots.
+	// it consumed) and the four-row dot.
 	segQuad func(vals []T, rows []int32, scales, g, y []float32) int
 	quad    func(a0, a1, a2, a3 []T, s0, s1, s2, s3 float32, g []float32) (float64, float64, float64, float64)
-	pair    func(a0, a1 []T, s0, s1 float32, g []float32) (float64, float64)
-	one     func(a []T, s float32, g []float32) float64
-	// Exact tier, panel: across-lane SIMD single and paired rows, and the
-	// portable kernel of the unroll factor.
+	// Exact tier, panel: single and paired rows across lanes.
 	laneRow  func(a []T, s float32, g []float32, bw int, acc []float64)
 	lanePair func(a0, a1 []T, s0, s1 float32, g []float32, bw int, acc0, acc1 []float64)
-	wide     func(a []T, s float32, g []float32, bw int, acc []float64)
 	// Fast tier.
 	fastSeg  func(vals []T, rows []int32, scales, g, y []float32) int
 	fastOne  func(a []T, s float32, g []float32) float32
 	fastWide func(a []T, s float32, g []float32, bw int, facc []float32)
 }
 
-func q8Dots(unroll int) quantDots[int8] {
-	d := quantDots[int8]{
+var (
+	q8Dots = quantDots[int8]{
 		segQuad: tensor.DotSegQuadQ8F32, quad: tensor.DotQuadQ8F32,
-		pair: tensor.DotPairQ8F32x4, one: tensor.DotQ8F32x4,
 		laneRow: tensor.DotBatchQ8F32Strided, lanePair: tensor.DotBatchPairQ8F32Strided,
-		wide:    tensor.DotBatchQ8F32x4,
 		fastSeg: tensor.DotSegQ8FastF32, fastOne: tensor.DotQ8FastF32,
 		fastWide: tensor.DotQ8BatchFastF32Strided,
 	}
-	switch unroll {
-	case 1:
-		d.pair, d.one, d.wide = tensor.DotPairQ8F32, tensor.DotQ8F32, tensor.DotBatchQ8F32
-	case 2:
-		d.pair, d.one, d.wide = tensor.DotPairQ8F32x2, tensor.DotQ8F32x2, tensor.DotBatchQ8F32x2
-	case 8:
-		d.pair, d.one, d.wide = tensor.DotPairQ8F32x8, tensor.DotQ8F32x8, tensor.DotBatchQ8F32x8
-	}
-	return d
-}
-
-func q16Dots(unroll int) quantDots[int16] {
-	d := quantDots[int16]{
+	q16Dots = quantDots[int16]{
 		segQuad: tensor.DotSegQuadQ16F32, quad: tensor.DotQuadQ16F32,
-		pair: tensor.DotPairQ16F32x4, one: tensor.DotQ16F32x4,
 		laneRow: tensor.DotBatchQ16F32Strided, lanePair: tensor.DotBatchPairQ16F32Strided,
-		wide:    tensor.DotBatchQ16F32x4,
 		fastSeg: tensor.DotSegQ16FastF32, fastOne: tensor.DotQ16FastF32,
 		fastWide: tensor.DotQ16BatchFastF32Strided,
 	}
-	switch unroll {
-	case 1:
-		d.pair, d.one, d.wide = tensor.DotPairQ16F32, tensor.DotQ16F32, tensor.DotBatchQ16F32
-	case 2:
-		d.pair, d.one, d.wide = tensor.DotPairQ16F32x2, tensor.DotQ16F32x2, tensor.DotBatchQ16F32x2
-	case 8:
-		d.pair, d.one, d.wide = tensor.DotPairQ16F32x8, tensor.DotQ16F32x8, tensor.DotBatchQ16F32x8
-	}
-	return d
-}
+)
 
 // quantKernels returns the segment kernels of an integer program; scales is
 // indexed by output row.
@@ -213,14 +162,14 @@ func q16Dots(unroll int) quantDots[int16] {
 // accumulators sharing one conversion of the gathered input, carried in a
 // single ymm on the AVX2 path, where the whole segment's quad runs execute
 // in one segQuad call (scale lookup and y scatter included) — and the
-// remainder falls to the paired/single kernels of the unroll factor. Panels
-// mirror the float32 program.
+// remainder falls to the paired/single kernels. Panels mirror the float32
+// program.
 //
 // Fast tier: the segment driver widens the integers straight into FMA chains
 // with float32 accumulation and applies each row's scale once after its
 // reduce; panels widen each weight once, broadcast it, and FMA-accumulate
 // against all lanes in float32.
-func quantKernels[T qint](vals []T, scales []float32, d quantDots[T], fast bool) (segKernel, segBatchKernel) {
+func quantKernels[T tensor.QInt](vals []T, scales []float32, d quantDots[T], fast bool) (segKernel, segBatchKernel) {
 	if fast {
 		seg := func(y []float32, rows []int32, off, nc int, g []float32) {
 			v := vals[off : off+len(rows)*nc]
@@ -255,37 +204,29 @@ func quantKernels[T qint](vals []T, scales []float32, d quantDots[T], fast bool)
 		}
 		for ; ri+2 <= len(rows); ri += 2 {
 			r0, r1 := rows[ri], rows[ri+1]
-			s0, s1 := d.pair(v[ri*nc:ri*nc+nc], v[(ri+1)*nc:(ri+1)*nc+nc], scales[r0], scales[r1], g)
+			s0, s1 := tensor.DotPairQF32(v[ri*nc:ri*nc+nc], v[(ri+1)*nc:(ri+1)*nc+nc], scales[r0], scales[r1], g)
 			y[r0] += float32(s0)
 			y[r1] += float32(s1)
 		}
 		if ri < len(rows) {
 			r := rows[ri]
-			y[r] += float32(d.one(v[ri*nc:ri*nc+nc], scales[r], g))
+			y[r] += float32(tensor.DotQF32(v[ri*nc:ri*nc+nc], scales[r], g))
 		}
 	}
 	batch := func(y []float32, rows []int32, off, nc int, g []float32, bw int, s *PackedScratch) {
 		v := vals[off : off+len(rows)*nc]
-		if bw >= 8 && tensor.BatchSIMD() {
-			acc0, acc1 := s.acc[:bw], s.acc[bw:2*bw]
-			ri := 0
-			for ; ri+2 <= len(rows); ri += 2 {
-				r0, r1 := rows[ri], rows[ri+1]
-				d.lanePair(v[ri*nc:(ri+1)*nc], v[(ri+1)*nc:(ri+2)*nc], scales[r0], scales[r1], g, bw, acc0, acc1)
-				addF64(y[int(r0)*bw:(int(r0)+1)*bw], acc0)
-				addF64(y[int(r1)*bw:(int(r1)+1)*bw], acc1)
-			}
-			if ri < len(rows) {
-				r := rows[ri]
-				d.laneRow(v[ri*nc:(ri+1)*nc], scales[r], g, bw, acc0)
-				addF64(y[int(r)*bw:(int(r)+1)*bw], acc0)
-			}
-			return
+		acc0, acc1 := s.acc[:bw], s.acc[bw:2*bw]
+		ri := 0
+		for ; ri+2 <= len(rows); ri += 2 {
+			r0, r1 := rows[ri], rows[ri+1]
+			d.lanePair(v[ri*nc:(ri+1)*nc], v[(ri+1)*nc:(ri+2)*nc], scales[r0], scales[r1], g, bw, acc0, acc1)
+			addF64(y[int(r0)*bw:(int(r0)+1)*bw], acc0)
+			addF64(y[int(r1)*bw:(int(r1)+1)*bw], acc1)
 		}
-		acc := s.acc[:bw]
-		for ri, r := range rows {
-			d.wide(v[ri*nc:(ri+1)*nc], scales[r], g, bw, acc)
-			addF64(y[int(r)*bw:(int(r)+1)*bw], acc)
+		if ri < len(rows) {
+			r := rows[ri]
+			d.laneRow(v[ri*nc:(ri+1)*nc], scales[r], g, bw, acc0)
+			addF64(y[int(r)*bw:(int(r)+1)*bw], acc0)
 		}
 	}
 	return seg, batch

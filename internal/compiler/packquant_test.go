@@ -33,7 +33,7 @@ func TestPackQuantAccuracy(t *testing.T) {
 	}
 	prevErr := math.Inf(1)
 	for _, bits := range quantBitModes {
-		pq, err := PackQuant(prog, bits, quant.PerRow, 0)
+		pq, err := PackQuant(prog, bits, quant.PerRow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestPackQuantStorage(t *testing.T) {
 	}{
 		{8, 1, nvals}, {12, 2, (nvals*12 + 7) / 8}, {16, 2, 2 * nvals},
 	} {
-		pq, err := PackQuant(prog, tc.bits, quant.PerRow, 0)
+		pq, err := PackQuant(prog, tc.bits, quant.PerRow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestPackQuantStorage(t *testing.T) {
 		if pq.NumScales() != w.Rows {
 			t.Fatalf("bits=%d: per-row NumScales %d, want %d", tc.bits, pq.NumScales(), w.Rows)
 		}
-		pt, err := PackQuant(prog, tc.bits, quant.PerTensor, 0)
+		pt, err := PackQuant(prog, tc.bits, quant.PerTensor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestPackQuantIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bits := range quantBitModes {
-		pq, err := PackQuant(prog, bits, quant.PerRow, 0)
+		pq, err := PackQuant(prog, bits, quant.PerRow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestPackQuantIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pq2, err := PackQuant(prog2, bits, quant.PerRow, 0)
+		pq2, err := PackQuant(prog2, bits, quant.PerRow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +169,11 @@ func TestPackQuantRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bits := range []int{1, 4, 7, 9, 13, 24, 32} {
-		if _, err := PackQuant(prog, bits, quant.PerRow, 0); err == nil {
+		if _, err := PackQuant(prog, bits, quant.PerRow); err == nil {
 			t.Fatalf("bits=%d accepted", bits)
 		}
 	}
-	pq, err := PackQuant(prog, 8, quant.PerRow, 0)
+	pq, err := PackQuant(prog, 8, quant.PerRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,34 +224,5 @@ func TestQuantFootprintMatchesMultiplier(t *testing.T) {
 					format, bits, ms.WeightBytes, multiplier, diff)
 			}
 		}
-	}
-}
-
-// TestMeasurePackedNsQuant checks the measured tuner prices the quantized
-// backend when QuantBits is set, and that TuneTilingMeasured returns a
-// valid unroll from the searched space.
-func TestMeasurePackedNsQuant(t *testing.T) {
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	w := bspMat(13, 64, 64, scheme)
-	src := MatrixSource{Name: "mq", W: w, Scheme: &scheme}
-	opt := DefaultOptions(FormatBSPC, 32)
-	opt.QuantBits = 8
-	ns, err := MeasurePackedNs([]MatrixSource{src}, opt, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns <= 0 {
-		t.Fatalf("measured %v ns, want > 0", ns)
-	}
-	res, err := TuneTilingMeasured([]MatrixSource{src}, opt, 4,
-		TuneSpace{Unrolls: []int{1, 4}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Measured || res.Evaluated != 2 {
-		t.Fatalf("tune result %+v, want measured with 2 evaluations", res)
-	}
-	if res.Tile.Unroll != 1 && res.Tile.Unroll != 4 {
-		t.Fatalf("tuned unroll %d outside searched space", res.Tile.Unroll)
 	}
 }

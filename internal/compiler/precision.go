@@ -3,8 +3,8 @@ package compiler
 import "fmt"
 
 // Precision tiers. The packed backend's default contract is bit-exactness:
-// every kernel variant (unroll factor, SIMD path, worker count, batch
-// width) reproduces the scalar float64-accumulation reference to the bit.
+// every kernel variant (SIMD path, worker count, batch width) reproduces
+// the scalar float64-accumulation reference to the bit.
 // That contract pins the inner loops to ordered float64 chains and keeps
 // FMA off the table. PrecisionFast relaxes it per deployment: kernels may
 // accumulate in float32 with fused multiply-adds and split accumulator

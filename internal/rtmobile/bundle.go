@@ -34,8 +34,13 @@ import (
 // Version 2 adds the plan cache: the auto-tuner's verdict (mode +
 // cost) and the tile's memory placement (dropped by v1), so loading a
 // tuned bundle reproduces the tuned plan exactly without re-running the
-// search — in particular without re-measuring on the measured-tuning
-// path. Version 1 bundles still load (plan cache empty).
+// search. Version 1 bundles still load (plan cache empty).
+//
+// The tile words and the plan cache describe the modelled target's kernel
+// and how it was chosen; nothing in them selects what the host executes.
+// In particular the unroll word is recorded and read back but picks no
+// kernel (there is one per shape), and a TuneMeasured record — written by
+// the host-timing tuner earlier versions had — loads as the record it is.
 //
 // Version 3 adds integer weight quantization: the header records the
 // deployment's quantization width (0 = float), and quantized deployments
@@ -45,11 +50,10 @@ import (
 // 2 still load (quantization off).
 //
 // Version 4 adds the precision tier: the header records the kernel tier
-// the engine actually ran under (after the measured tuner's verdict, when
-// one ran), so a reloaded bundle re-selects the same kernel family — an
-// exact-tier bundle can never silently pin a fast-tier deployment's plan,
-// or vice versa. Versions 1–3 still load (exact tier, the historical
-// behavior).
+// the engine actually ran under, so a reloaded bundle re-selects the same
+// kernel family — an exact-tier bundle can never silently pin a fast-tier
+// deployment's plan, or vice versa. Versions 1–3 still load (exact tier,
+// the historical behavior).
 //
 // The fused byte once selected a plan that priced each layer's [Wx|Wh] as
 // one kernel. No engine ever executed such kernels and the pass is gone:
@@ -461,7 +465,7 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 	}
 	// Restore the plan cache: the bundle's tile config is already the tuned
 	// one, so the loaded engine reports the original search verdict without
-	// ever re-running (or re-measuring) the search.
+	// ever re-running the search.
 	eng.tuned = TuneRecord{Mode: TuneMode(tuneMode), Cost: tuneCost}
 	return eng, scheme, nil
 }

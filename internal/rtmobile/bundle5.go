@@ -66,7 +66,8 @@ type v5ParamMeta struct {
 }
 
 // v5ProgramMeta locates one packed program's sections (0 = absent) and
-// carries its scalar header fields.
+// carries its scalar header fields. Unroll records the plan tile's unroll
+// factor, as every writer has; readers ignore it (no kernel depends on it).
 type v5ProgramMeta struct {
 	Name      string             `json:"name"`
 	Rows      int                `json:"rows"`
@@ -206,7 +207,7 @@ func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
 		pm := v5ProgramMeta{
 			Name: s.Name, Rows: s.Rows, Cols: s.Cols,
 			Format: s.Format, ValueBits: s.ValueBits,
-			Unroll: s.Unroll, Precision: s.Precision,
+			Unroll: e.plan.Options.Tile.Unroll, Precision: s.Precision,
 			Bits: s.Bits, Scheme: s.Scheme, NumScales: s.NumScales,
 			SecColIdx:   vw.add(encodeI32(s.ColIdx)),
 			SecSegs:     vw.add(encodeI32(s.SegWords)),

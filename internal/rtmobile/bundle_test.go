@@ -124,27 +124,32 @@ func TestBundlePlanCacheRoundTrip(t *testing.T) {
 	m := testModel(46)
 	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
 	eng, err := Compile(m, res.Scheme, DeployConfig{
-		Target: device.MobileGPU(), AutoTuneTiling: true, MeasuredTuning: true})
+		Target: device.MobileGPU(), AutoTuneTiling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Tuned().Mode != TuneMeasured || eng.Tuned().Cost <= 0 {
-		t.Fatalf("measured tuning left no plan-cache entry: %+v", eng.Tuned())
+	if eng.Tuned().Mode != TuneAnalytic || eng.Tuned().Cost <= 0 {
+		t.Fatalf("tuning left no plan-cache entry: %+v", eng.Tuned())
 	}
-	var buf bytes.Buffer
-	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileGPU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Tuned() != eng.Tuned() {
-		t.Fatalf("plan cache lost on reload: %+v vs %+v", loaded.Tuned(), eng.Tuned())
-	}
-	if loaded.Plan().Options.Tile != eng.Plan().Options.Tile {
-		t.Fatalf("tuned tile lost on reload: %+v vs %+v",
-			loaded.Plan().Options.Tile, eng.Plan().Options.Tile)
+	// The search's own record, then a measured one as older writers stored
+	// them: both must survive the trip with the tuned tile.
+	for _, rec := range []TuneRecord{eng.Tuned(), {Mode: TuneMeasured, Cost: 1234}} {
+		eng.tuned = rec
+		var buf bytes.Buffer
+		if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
+			t.Fatal(err)
+		}
+		loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileGPU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Tuned() != rec {
+			t.Fatalf("plan cache lost on reload: %+v vs %+v", loaded.Tuned(), rec)
+		}
+		if loaded.Plan().Options.Tile != eng.Plan().Options.Tile {
+			t.Fatalf("tuned tile lost on reload: %+v vs %+v",
+				loaded.Plan().Options.Tile, eng.Plan().Options.Tile)
+		}
 	}
 }
 
@@ -203,6 +208,7 @@ func validBundleImage(t *testing.T) []byte {
 
 const (
 	bundleOffVersion   = 4
+	bundleOffUnroll    = 104 // third tile word
 	bundleOffPlanCache = 111 // tuneMode u8 | placement u32 | tuneCost f64
 	bundleOffQuant     = 124 // quantBits u8 (v3)
 	bundleOffPrecision = 125 // precision u8 (v4)

@@ -2,6 +2,11 @@ package rtmobile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,10 +20,13 @@ import (
 
 // Loader compatibility: a bundle that carries no executable per-matrix
 // program still ends on the one serving path — its programs are lowered
-// from the weights once at load — and a bundle that carries the retired
-// fused-plan bit loads as the per-matrix deployment it always ran. The
-// table loads one bundle of each such kind and checks the exact tier bit
-// for bit against nn.Forward.
+// from the weights once at load — a bundle that carries the retired
+// fused-plan bit loads as the per-matrix deployment it always ran, and a
+// bundle whose tile records an unroll factor (which once picked the host's
+// dot kernels) or a measured plan cache (written by the deleted host-timing
+// tuner) loads with both recorded and neither selecting anything. The table
+// loads one bundle of each such kind and checks the exact tier bit for bit
+// against nn.Forward.
 
 // fixtureSpec and fixtureScheme are the deployment testdata/parent_*.rtmb
 // were written from (testdata/README.md).
@@ -67,6 +75,53 @@ func perBlockProgram(name string, w *nn.Param, scheme prune.BSP) *compiler.Progr
 	return prog
 }
 
+// retiledRecord is the plan cache the retile helpers write.
+var retiledRecord = TuneRecord{Mode: TuneMeasured, Cost: 1234}
+
+// v4Retile rewrites a v4 image's unroll word and plan cache.
+func v4Retile(unroll int) func([]byte) []byte {
+	return func(image []byte) []byte {
+		out := append([]byte(nil), image...)
+		le := binary.LittleEndian
+		le.PutUint32(out[bundleOffUnroll:], uint32(unroll))
+		out[bundleOffPlanCache] = byte(retiledRecord.Mode)
+		le.PutUint64(out[bundleOffPlanCache+5:], math.Float64bits(retiledRecord.Cost))
+		return out
+	}
+}
+
+// v5Retile rewrites a v5 image's recorded unroll — the plan tile's and every
+// program's — and its plan cache. The new metadata is appended as a fresh
+// aligned payload and the directory's first entry repointed to it.
+func v5Retile(t *testing.T, unroll int) func([]byte) []byte {
+	return func(image []byte) []byte {
+		le := binary.LittleEndian
+		entry := image[12 : 12+24] // section 1, the metadata, is always first
+		off, length := le.Uint64(entry[4:]), le.Uint64(entry[12:])
+		var meta v5Meta
+		if err := json.Unmarshal(image[off:off+length], &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta.Plan.Options.Tile.Unroll = unroll
+		for i := range meta.Programs {
+			meta.Programs[i].Unroll = unroll
+		}
+		meta.TuneMode, meta.TuneCost = uint8(retiledRecord.Mode), retiledRecord.Cost
+		payload, err := json.Marshal(&meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int(align64(uint64(len(image))))
+		grown := append(append([]byte(nil), image...), make([]byte, at-len(image)+len(payload))...)
+		return v5Mutate(grown, true, func(b []byte) {
+			copy(b[at:], payload)
+			le.PutUint64(b[12+4:], uint64(at))
+			le.PutUint64(b[12+12:], uint64(len(payload)))
+			le.PutUint32(b[12+20:], crc32.ChecksumIEEE(payload))
+		})
+	}
+}
+
 func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 	spec := nn.ModelSpec{InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 48}
 	scheme := prune.BSP{ColRate: 2, RowRate: 1, NumRowGroups: 2, NumColBlocks: 4}
@@ -78,31 +133,37 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	// fixture cases load a file written while the fused plan existed, with the
-	// fused bit set; the others serialize a fresh Compile.
+	// fixture cases load a file an earlier commit wrote from fixtureModel
+	// (the *-fused ones while the fused plan existed, with the fused bit set);
+	// the others serialize a fresh Compile.
 	fixture := func(name string, as func([]byte) []byte) func(*testing.T, *Engine) []byte {
 		return func(t *testing.T, _ *Engine) []byte { return as(readFixture(t, name)) }
 	}
 	asIs := func(image []byte) []byte { return image }
 
-	cases := []struct {
-		name  string
-		fused bool
-		image func(t *testing.T, eng *Engine) []byte
-	}{
-		{"v1", false, func(t *testing.T, eng *Engine) []byte { return asV1(save(t, eng, 4)) }},
-		{"v2", false, func(t *testing.T, eng *Engine) []byte { return asV2(save(t, eng, 4)) }},
-		{"v3", false, func(t *testing.T, eng *Engine) []byte { return asV3(save(t, eng, 4)) }},
-		{"v4", false, func(t *testing.T, eng *Engine) []byte { return save(t, eng, 4) }},
-		{"v1-fused", true, fixture("parent_v4_fused.rtmb", asV1)},
-		{"v2-fused", true, fixture("parent_v4_fused.rtmb", asV2)},
-		{"v3-fused", true, fixture("parent_v4_fused.rtmb", asV3)},
-		{"v4-fused", true, fixture("parent_v4_fused.rtmb", asIs)},
+	type loaderCase struct {
+		name    string
+		fixture bool
+		image   func(t *testing.T, eng *Engine) []byte
+		// unroll, when non-zero, is the factor a retiled copy of the fixture
+		// unpatched records; its plan cache is retiledRecord.
+		unroll    int
+		unpatched string
+	}
+	cases := []loaderCase{
+		{"v1", false, func(t *testing.T, eng *Engine) []byte { return asV1(save(t, eng, 4)) }, 0, ""},
+		{"v2", false, func(t *testing.T, eng *Engine) []byte { return asV2(save(t, eng, 4)) }, 0, ""},
+		{"v3", false, func(t *testing.T, eng *Engine) []byte { return asV3(save(t, eng, 4)) }, 0, ""},
+		{"v4", false, func(t *testing.T, eng *Engine) []byte { return save(t, eng, 4) }, 0, ""},
+		{"v1-fused", true, fixture("parent_v4_fused.rtmb", asV1), 0, ""},
+		{"v2-fused", true, fixture("parent_v4_fused.rtmb", asV2), 0, ""},
+		{"v3-fused", true, fixture("parent_v4_fused.rtmb", asV3), 0, ""},
+		{"v4-fused", true, fixture("parent_v4_fused.rtmb", asIs), 0, ""},
 		// A fused deployment wrote the per-matrix programs it executed, beside
 		// a plan priced per [Wx|Wh] kernel.
-		{"v5-fused", true, fixture("parent_v5_fused.rtmb", asIs)},
+		{"v5-fused", true, fixture("parent_v5_fused.rtmb", asIs), 0, ""},
 		// A fused v5 file from before that: one [Wx|Wh] program per layer.
-		{"v5-fused-programs", true, fixture("parent_v5_fused_programs.rtmb", asIs)},
+		{"v5-fused-programs", true, fixture("parent_v5_fused_programs.rtmb", asIs), 0, ""},
 		// A v5 file from before the dense-order lowering: a row appears in
 		// one segment per column block.
 		{"v5-per-block-programs", false, func(t *testing.T, eng *Engine) []byte {
@@ -122,12 +183,23 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 				fp16: eng.fp16, tuned: eng.tuned, quant: eng.quant, precision: eng.precision,
 				progs: progs,
 			}, 5)
-		}},
+		}, 0, ""},
+	}
+	// The unroll word once chose the host's dot kernels (2 and 8 named real
+	// families, 255 was clamped to one) and TuneMeasured came from a search
+	// that no longer exists: both still load, are reported back, and change
+	// no byte of output.
+	for _, unroll := range []int{2, 8, 255} {
+		cases = append(cases,
+			loaderCase{fmt.Sprintf("v4-unroll%d", unroll), true,
+				fixture("parent_v4.rtmb", v4Retile(unroll)), unroll, "parent_v4.rtmb"},
+			loaderCase{fmt.Sprintf("v5-unroll%d", unroll), true,
+				fixture("parent_v5.rtmb", v5Retile(t, unroll)), unroll, "parent_v5.rtmb"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			model := prunedModel(spec, scheme)
-			if tc.fused {
+			if tc.fixture {
 				model = fixtureModel()
 			}
 			eng, err := Compile(model, scheme, DeployConfig{Target: device.MobileCPU()})
@@ -169,6 +241,24 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 				if len(e.plan.Matrices) != len(e.progs) || e.stepMACs != eng.stepMACs {
 					t.Fatalf("%s: plan prices %d kernels / %d MACs per step, want %d / %d",
 						name, len(e.plan.Matrices), e.stepMACs, len(e.progs), eng.stepMACs)
+				}
+			}
+			if tc.unroll == 0 {
+				return
+			}
+			base, _, err := LoadBundle(bytes.NewReader(readFixture(t, tc.unpatched)), device.MobileCPU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, e := range map[string]*Engine{"LoadBundle": loaded, "MapBundle": mb.Engine()} {
+				if e.Tuned() != retiledRecord {
+					t.Fatalf("%s: plan cache %+v, want %+v", name, e.Tuned(), retiledRecord)
+				}
+				if got := e.plan.Options.Tile.Unroll; got != tc.unroll {
+					t.Fatalf("%s: recorded unroll %d, want %d", name, got, tc.unroll)
+				}
+				if !postEqual(e.Infer(frames), base.Infer(frames)) {
+					t.Fatalf("%s: Infer differs from the unpatched bundle's", name)
 				}
 			}
 		})

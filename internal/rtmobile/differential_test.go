@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -314,6 +315,36 @@ func TestEngineDifferential(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), readFixture(t, fx.file)) {
 				t.Fatalf("a fresh Compile no longer serializes to the bytes of %s", fx.file)
 			}
+		})
+	}
+
+	// The tile describes the modelled target's kernel: an engine compiled
+	// under another unroll factor records it and runs the very same
+	// programs — identical sections, identical bits — on every tier.
+	for _, tier := range diffTiers {
+		t.Run("tile-unroll8/"+tier.name, func(t *testing.T) {
+			var engs [2]*Engine
+			for i, unroll := range []int{1, 8} {
+				tile := compiler.DefaultTile()
+				tile.Unroll = unroll
+				eng, err := Compile(fixtureModel(), fixtureScheme, DeployConfig{
+					Target: device.MobileCPU(), Tile: tile, Quant: tier.quant, Precision: tier.precision,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := eng.Plan().Options.Tile.Unroll; got != unroll {
+					t.Fatalf("plan records unroll %d, want %d", got, unroll)
+				}
+				engs[i] = eng
+			}
+			for i, p := range engs[0].progs {
+				if !reflect.DeepEqual(p.Sections(), engs[1].progs[i].Sections()) {
+					t.Fatalf("program %s differs between unroll 1 and 8", p.Name)
+				}
+			}
+			ref := diffRef(engs[0].model, utts)
+			diffSame(t, diffRun(t, engs[1], utts, ref, tier.close), diffRun(t, engs[0], utts, ref, tier.close))
 		})
 	}
 }

@@ -105,7 +105,7 @@ func lowerPrograms(model *nn.Model, scheme prune.BSP, opt compiler.Options, thre
 		if err != nil {
 			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
 		}
-		pp, err := compiler.PackQuant(prog, opt.QuantBits, quant.PerRow, opt.Tile.Unroll)
+		pp, err := compiler.PackQuant(prog, opt.QuantBits, quant.PerRow)
 		if err != nil {
 			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
 		}
@@ -153,14 +153,17 @@ const (
 	TuneNone TuneMode = iota
 	// TuneAnalytic: TuneTiling over the target's analytic cost model.
 	TuneAnalytic
-	// TuneMeasured: TuneTilingMeasured over packed-backend wall time.
+	// TuneMeasured: a search over host wall time. No writer produces it any
+	// more (the tile never selected a host kernel, so the timing search was
+	// deleted); it stays so that plan caches recorded by earlier versions
+	// load and print as what they are.
 	TuneMeasured
 )
 
 // TuneRecord is the engine's plan-cache entry: how the tile configuration
 // was chosen and at what cost (cost-model units for TuneAnalytic, wall
-// nanoseconds for TuneMeasured). Persisted in bundles so a loaded
-// deployment never re-tunes.
+// nanoseconds for a TuneMeasured record loaded from an older bundle).
+// Persisted in bundles so a loaded deployment never re-tunes.
 type TuneRecord struct {
 	Mode TuneMode
 	Cost float64
@@ -238,9 +241,9 @@ func (e *Engine) Requantize(bits int, scheme prune.BSP) (*Engine, error) {
 // the target, format, passes, quantization width, and tile configuration —
 // the run/serve -precision override for a loaded bundle. Unlike
 // Requantize, the plan cache is NOT carried over: a measured TuneRecord
-// prices one kernel family's wall time, so a tier change invalidates it,
-// and the rebuilt engine reports TuneNone until a search is re-run under
-// the new tier (bundles saved from it record the reset, so a stale
+// (older bundles carry them) prices one kernel family's wall time, so a
+// tier change invalidates it, and the rebuilt engine reports TuneNone until
+// a search is re-run (bundles saved from it record the reset, so a stale
 // exact-tier verdict can never pin a fast-tier deployment's plan, or vice
 // versa). Requesting the engine's current tier returns the receiver
 // unchanged. The receiver is never modified.

@@ -90,14 +90,14 @@ type DeployConfig struct {
 	// (ablation switches; both passes default on, as in the paper).
 	DisableReorder  bool
 	DisableLoadElim bool
-	// AutoTuneTiling runs the offline tiling search before deployment.
+	// AutoTuneTiling runs the offline tiling search over the target's
+	// analytic cost model before deployment. The chosen plan is recorded on
+	// the engine and persisted in bundles, so a deployment tunes once, ever.
 	AutoTuneTiling bool
-	// MeasuredTuning makes AutoTuneTiling optimize wall-clock nanoseconds
-	// measured on the packed execution backend instead of the target's
-	// analytic cost model. The chosen plan is recorded on the engine and
-	// persisted in bundles, so a deployment tunes once, ever.
-	MeasuredTuning bool
 	// Tile overrides the tile configuration when AutoTuneTiling is off.
+	// Like the search's result it parameterizes the modelled target's
+	// kernel — what the plan prices and the bundle records — never what the
+	// host's packed executor runs.
 	Tile compiler.TileConfig
 	// Workers sizes the engine's worker pool for batch serving
 	// (InferBatch). 0 uses the process default: RTMOBILE_WORKERS when
@@ -200,33 +200,14 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 
 	var tuned TuneRecord
 	if cfg.AutoTuneTiling {
-		var res compiler.TuneResult
-		var err error
-		if cfg.MeasuredTuning {
-			// The measured objective prices the whole timestep: packed GEMV
-			// wall time plus the hidden-width gate-epilogue pass per tier.
-			space := compiler.DefaultTuneSpace()
-			space.EpilogueHidden = model.Spec.Hidden
-			res, err = compiler.TuneTilingMeasured(srcs, opt,
-				cfg.Target.Threads(), space, 0)
-		} else {
-			res, err = compiler.TuneTiling(model.Spec.String(), srcs, opt,
-				cfg.Target.Threads(), TimestepsPerFrame, elementwiseOps(model),
-				compiler.DefaultTuneSpace(), cfg.Target.CostFunc())
-		}
+		res, err := compiler.TuneTiling(model.Spec.String(), srcs, opt,
+			cfg.Target.Threads(), TimestepsPerFrame, elementwiseOps(model),
+			compiler.DefaultTuneSpace(), cfg.Target.CostFunc())
 		if err != nil {
 			return nil, err
 		}
 		opt.Tile = res.Tile
-		// The measured tuner prices fast-tier kernels as first-class
-		// candidates, so the winning tier may legitimately be exact even
-		// when the caller requested fast — the deployment then runs the
-		// tier that actually won, and the bundle records it.
-		opt.Precision = res.Precision
 		tuned = TuneRecord{Mode: TuneAnalytic, Cost: res.Cost}
-		if res.Measured {
-			tuned.Mode = TuneMeasured
-		}
 	}
 
 	plan, err := compiler.CompilePlan(model.Spec.String(), srcs, opt,
@@ -383,28 +364,6 @@ func AutoTuneBlockSize(model *nn.Model, colRate, rowRate float64, target *device
 	}
 	_, best, err := compiler.TuneBlockSize(largest.W, colRate, rowRate,
 		target.Threads(), compiler.DefaultTuneSpace(), accuracyWeight, target.CostFunc())
-	if err != nil {
-		return 0, 0, err
-	}
-	return best.RowGroups, best.ColBlocks, nil
-}
-
-// AutoTuneBlockSizeMeasured is AutoTuneBlockSize with the measured
-// objective: candidate grids are compiled, packed, and timed on the host
-// rather than priced by the target's analytic model.
-func AutoTuneBlockSizeMeasured(model *nn.Model, colRate, rowRate float64, target *device.Target, accuracyWeight float64) (rowGroups, colBlocks int, err error) {
-	mats := model.WeightMatrices()
-	if len(mats) == 0 {
-		return 0, 0, fmt.Errorf("rtmobile: model has no prunable matrices")
-	}
-	largest := mats[0]
-	for _, p := range mats[1:] {
-		if p.NumEl() > largest.NumEl() {
-			largest = p
-		}
-	}
-	_, best, err := compiler.TuneBlockSizeMeasured(largest.W, colRate, rowRate,
-		target.Threads(), compiler.DefaultTuneSpace(), accuracyWeight, 0)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -477,8 +477,7 @@ func storedPrograms(sections map[uint32][]byte, meta *v5Meta, model *nn.Model) (
 func v5Program(sections map[uint32][]byte, pm v5ProgramMeta) (*compiler.PackedProgram, *compiler.PackedSections, error) {
 	ps := &compiler.PackedSections{
 		Name: pm.Name, Rows: pm.Rows, Cols: pm.Cols,
-		Format: pm.Format, ValueBits: pm.ValueBits,
-		Unroll: pm.Unroll, Precision: pm.Precision,
+		Format: pm.Format, ValueBits: pm.ValueBits, Precision: pm.Precision,
 		Bits: pm.Bits, Scheme: pm.Scheme, NumScales: pm.NumScales,
 	}
 	what := "program " + pm.Name

@@ -21,9 +21,10 @@
 //   - There is at most one live panel, and it has one of exactly two
 //     shapes: width 1, which steps at the serial stream's speed, and width
 //     MaxBatch, the only multi-lane width with a vector kernel (the widths
-//     in between run scalar code and cost more per lane than stepping the
-//     lanes one after another — DESIGN.md has the measured table). A lone
-//     waiter opens the narrow shape, several open the wide one.
+//     in between run scalar code: at 2–6 lanes a step costs more than
+//     stepping the lanes one after another, and at 7 it costs 1.8× the
+//     eight-wide step — DESIGN.md has the measured table). A lone waiter
+//     opens the narrow shape, several open the wide one.
 //   - At every step boundary the panel picks its shape for the coming
 //     step, then fills its free lanes from the queue. A narrow panel grows
 //     to MaxBatch if more requests wait than it has free lanes; a wide one

@@ -124,13 +124,13 @@ func (b *BSPC) MatVec(y, x []float32) {
 		nr := len(blk.RowIdx)
 		ri := 0
 		for ; ri+2 <= nr; ri += 2 {
-			s0, s1 := tensor.DotPairF64x4(
+			s0, s1 := tensor.DotPairF64(
 				blk.Vals[ri*nc:ri*nc+nc], blk.Vals[(ri+1)*nc:(ri+1)*nc+nc], g)
 			y[blk.RowIdx[ri]] += float32(s0)
 			y[blk.RowIdx[ri+1]] += float32(s1)
 		}
 		if ri < nr {
-			y[blk.RowIdx[ri]] += float32(tensor.DotF64x4(blk.Vals[ri*nc:ri*nc+nc], g))
+			y[blk.RowIdx[ri]] += float32(tensor.DotF64(blk.Vals[ri*nc:ri*nc+nc], g))
 		}
 	}
 }

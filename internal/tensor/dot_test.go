@@ -2,12 +2,22 @@ package tensor
 
 import "testing"
 
-// TestDotKernelsBitIdentical: every unrolled variant must return exactly the
-// rolled reference's bits — the property the packed execution backend's
-// determinism argument rests on.
+// rolledDot is the specification of the exact-tier float kernels: one float64
+// accumulator, terms added in index order, nothing unrolled.
+func rolledDot(a, b []float32) float64 {
+	s := 0.0
+	for i := range a {
+		s += float64(a[i]) * float64(b[i])
+	}
+	return s
+}
+
+// TestDotKernelsBitIdentical: the single and paired kernels must return
+// exactly the rolled loop's bits at every length around their unroll tails —
+// the property the packed execution backend's determinism argument rests on.
 func TestDotKernelsBitIdentical(t *testing.T) {
 	rng := NewRNG(11)
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100, 1023} {
+	for n := 0; n <= 67; n++ {
 		a0 := make([]float32, n)
 		a1 := make([]float32, n)
 		b := make([]float32, n)
@@ -16,29 +26,12 @@ func TestDotKernelsBitIdentical(t *testing.T) {
 			a1[i] = float32(rng.NormFloat64())
 			b[i] = float32(rng.NormFloat64())
 		}
-		want := DotF64(a0, b)
-		for _, k := range []struct {
-			name string
-			fn   func(a, b []float32) float64
-		}{
-			{"x2", DotF64x2}, {"x4", DotF64x4}, {"x8", DotF64x8},
-		} {
-			if got := k.fn(a0, b); got != want {
-				t.Fatalf("n=%d Dot%s = %v, rolled = %v", n, k.name, got, want)
-			}
+		want0, want1 := rolledDot(a0, b), rolledDot(a1, b)
+		if got := DotF64(a0, b); got != want0 {
+			t.Fatalf("n=%d DotF64 = %v, rolled = %v", n, got, want0)
 		}
-		want1 := DotF64(a1, b)
-		for _, k := range []struct {
-			name string
-			fn   func(a0, a1, b []float32) (float64, float64)
-		}{
-			{"pair", DotPairF64}, {"pairx2", DotPairF64x2},
-			{"pairx4", DotPairF64x4}, {"pairx8", DotPairF64x8},
-		} {
-			g0, g1 := k.fn(a0, a1, b)
-			if g0 != want || g1 != want1 {
-				t.Fatalf("n=%d %s = (%v,%v), rolled = (%v,%v)", n, k.name, g0, g1, want, want1)
-			}
+		if g0, g1 := DotPairF64(a0, a1, b); g0 != want0 || g1 != want1 {
+			t.Fatalf("n=%d DotPairF64 = (%v,%v), rolled = (%v,%v)", n, g0, g1, want0, want1)
 		}
 	}
 }

@@ -10,19 +10,40 @@ package tensor
 //
 // Determinism contract (same as dot.go): each lane accumulates in its own
 // float64 accumulator with terms added in strictly increasing index order,
-// so lane l's result is bit-identical to DotF64(a, x_l) at every unroll
-// factor. Batch width changes data layout, never summation order.
+// so lane l's result is bit-identical to DotF64(a, x_l) on the portable and
+// the AVX2 path alike. Batch width changes data layout, never summation
+// order.
 
 // dotBatchChunkGeneric is the portable strided chunk kernel: for each lane
 // l < len(out), out[l] = Σ_i a[i]*bp[i*stride+l], one float64 accumulator
-// per lane fed in increasing i order.
+// per lane fed in increasing i order. Four weights are converted per pass
+// over the lanes, so each accumulator is loaded and stored once per four
+// terms; it is what every panel narrower than eight lanes runs, and every
+// panel on a build without the vector kernel.
 func dotBatchChunkGeneric(a, bp []float32, stride int, out []float64) {
 	for l := range out {
 		out[l] = 0
 	}
-	for i, v := range a {
-		va := float64(v)
-		row := bp[i*stride : i*stride+len(out)]
+	w := len(out)
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		va0, va1, va2, va3 := float64(a[i]), float64(a[i+1]), float64(a[i+2]), float64(a[i+3])
+		r0 := bp[i*stride : i*stride+w]
+		r1 := bp[(i+1)*stride : (i+1)*stride+w]
+		r2 := bp[(i+2)*stride : (i+2)*stride+w]
+		r3 := bp[(i+3)*stride : (i+3)*stride+w]
+		for l := range out {
+			s := out[l]
+			s += va0 * float64(r0[l])
+			s += va1 * float64(r1[l])
+			s += va2 * float64(r2[l])
+			s += va3 * float64(r3[l])
+			out[l] = s
+		}
+	}
+	for ; i < len(a); i++ {
+		va := float64(a[i])
+		row := bp[i*stride : i*stride+w]
 		for l, x := range row {
 			out[l] += va * float64(x)
 		}
@@ -30,23 +51,18 @@ func dotBatchChunkGeneric(a, bp []float32, stride int, out []float64) {
 }
 
 // DotBatchF64Strided computes out[l] = Σ_i a[i]*bp[i*stride+l] for every
-// lane l in [0, len(out)) — DotBatchF64 with the panel stride decoupled from
-// the lane count, so a wide panel can be processed in lane chunks. Full
-// eight-lane chunks go through the AVX2 kernel when BatchSIMD reports it
-// available; per-lane summation order is identical on both paths, so the
-// result is always bit-identical to DotF64 on lane l's gathered vector.
+// lane l in [0, len(out)); the panel stride is decoupled from the lane count,
+// so a wide panel can be processed in lane chunks. Full eight-lane chunks go
+// through the AVX2 kernel when BatchSIMD reports it available; per-lane
+// summation order is identical on both paths, so the result is always
+// bit-identical to DotF64 on lane l's gathered vector.
 func DotBatchF64Strided(a, bp []float32, stride int, out []float64) {
-	if len(a) == 0 {
-		for l := range out {
-			out[l] = 0
-		}
-		return
-	}
 	lane0 := 0
-	for ; lane0+8 <= len(out); lane0 += 8 {
-		o := (*[8]float64)(out[lane0 : lane0+8])
-		if !dotBatchChunk8(a, bp[lane0:], stride, o) {
-			dotBatchChunkGeneric(a, bp[lane0:], stride, out[lane0:lane0+8])
+	if len(a) > 0 { // an empty row may come with an empty panel: nothing to slice
+		for ; lane0+8 <= len(out); lane0 += 8 {
+			if !dotBatchChunk8(a, bp[lane0:], stride, (*[8]float64)(out[lane0:lane0+8])) {
+				break
+			}
 		}
 	}
 	if lane0 < len(out) {
@@ -65,140 +81,17 @@ func DotBatchPairF64Strided(a0, a1, bp []float32, stride int, out0, out1 []float
 	if len(a0) != len(a1) || len(out0) != len(out1) {
 		panic("tensor: DotBatchPairF64Strided row/lane length mismatch")
 	}
-	if len(a0) == 0 {
-		for l := range out0 {
-			out0[l] = 0
-			out1[l] = 0
-		}
-		return
-	}
 	lane0 := 0
-	for ; lane0+8 <= len(out0); lane0 += 8 {
-		o0 := (*[8]float64)(out0[lane0 : lane0+8])
-		o1 := (*[8]float64)(out1[lane0 : lane0+8])
-		if !dotBatchPair8(a0, a1, bp[lane0:], stride, o0, o1) {
-			dotBatchChunkGeneric(a0, bp[lane0:], stride, out0[lane0:lane0+8])
-			dotBatchChunkGeneric(a1, bp[lane0:], stride, out1[lane0:lane0+8])
+	if len(a0) > 0 {
+		for ; lane0+8 <= len(out0); lane0 += 8 {
+			if !dotBatchPair8(a0, a1, bp[lane0:], stride,
+				(*[8]float64)(out0[lane0:lane0+8]), (*[8]float64)(out1[lane0:lane0+8])) {
+				break
+			}
 		}
 	}
 	if lane0 < len(out0) {
 		dotBatchChunkGeneric(a0, bp[lane0:], stride, out0[lane0:])
 		dotBatchChunkGeneric(a1, bp[lane0:], stride, out1[lane0:])
-	}
-}
-
-// DotBatchF64 is the rolled reference: out[l] = Σ_i a[i]*bp[i*bw+l] for
-// every lane l in [0, bw), overwriting out[:bw]. bp must hold at least
-// len(a)*bw elements.
-func DotBatchF64(a, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	for i, v := range a {
-		va := float64(v)
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += va * float64(x)
-		}
-	}
-}
-
-// DotBatchF64x2 is DotBatchF64 unrolled 2-way over i (same per-lane
-// accumulation order).
-func DotBatchF64x2(a, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	i := 0
-	for ; i+2 <= len(a); i += 2 {
-		va0, va1 := float64(a[i]), float64(a[i+1])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += va0 * float64(r0[l])
-			s += va1 * float64(r1[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		va := float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += va * float64(x)
-		}
-	}
-}
-
-// DotBatchF64x4 is DotBatchF64 unrolled 4-way over i.
-func DotBatchF64x4(a, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		va0, va1, va2, va3 := float64(a[i]), float64(a[i+1]), float64(a[i+2]), float64(a[i+3])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		r2 := bp[(i+2)*bw : (i+2)*bw+bw]
-		r3 := bp[(i+3)*bw : (i+3)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += va0 * float64(r0[l])
-			s += va1 * float64(r1[l])
-			s += va2 * float64(r2[l])
-			s += va3 * float64(r3[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		va := float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += va * float64(x)
-		}
-	}
-}
-
-// DotBatchF64x8 is DotBatchF64 unrolled 8-way over i.
-func DotBatchF64x8(a, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		va0, va1, va2, va3 := float64(a[i]), float64(a[i+1]), float64(a[i+2]), float64(a[i+3])
-		va4, va5, va6, va7 := float64(a[i+4]), float64(a[i+5]), float64(a[i+6]), float64(a[i+7])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		r2 := bp[(i+2)*bw : (i+2)*bw+bw]
-		r3 := bp[(i+3)*bw : (i+3)*bw+bw]
-		r4 := bp[(i+4)*bw : (i+4)*bw+bw]
-		r5 := bp[(i+5)*bw : (i+5)*bw+bw]
-		r6 := bp[(i+6)*bw : (i+6)*bw+bw]
-		r7 := bp[(i+7)*bw : (i+7)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += va0 * float64(r0[l])
-			s += va1 * float64(r1[l])
-			s += va2 * float64(r2[l])
-			s += va3 * float64(r3[l])
-			s += va4 * float64(r4[l])
-			s += va5 * float64(r5[l])
-			s += va6 * float64(r6[l])
-			s += va7 * float64(r7[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		va := float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += va * float64(x)
-		}
 	}
 }

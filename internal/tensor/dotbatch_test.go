@@ -33,18 +33,15 @@ func randLanes(seed uint64, bw, n int) [][]float32 {
 	return lanes
 }
 
-// TestDotBatchBitIdentical: every batched kernel variant must reproduce
-// DotF64's bytes per lane, for widths that hit every unroll tail.
+// TestDotBatchBitIdentical: at every panel width 1…16 and every length
+// 0…67, each lane of the portable chunk kernel and of the strided entry
+// point (the AVX2 kernel on full eight-lane chunks when BatchSIMD is active,
+// the portable kernel otherwise) must carry the rolled loop's bits.
 func TestDotBatchBitIdentical(t *testing.T) {
-	kernels := map[string]func(a, bp []float32, bw int, out []float64){
-		"x1": DotBatchF64,
-		"x2": DotBatchF64x2,
-		"x4": DotBatchF64x4,
-		"x8": DotBatchF64x8,
-	}
+	t.Logf("BatchSIMD=%v", BatchSIMD())
 	rng := NewRNG(11)
-	for _, bw := range []int{1, 2, 3, 5, 8, 16} {
-		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 33} {
+	for bw := 1; bw <= 16; bw++ {
+		for n := 0; n <= 67; n++ {
 			a := make([]float32, n)
 			for i := range a {
 				a[i] = float32(rng.NormFloat64())
@@ -52,16 +49,18 @@ func TestDotBatchBitIdentical(t *testing.T) {
 			lanes := randLanes(uint64(100+bw*50+n), bw, n)
 			panel := buildPanel(lanes)
 			out := make([]float64, bw)
-			for name, k := range kernels {
+			for name, k := range map[string]func(a, bp []float32, stride int, out []float64){
+				"portable": dotBatchChunkGeneric,
+				"strided":  DotBatchF64Strided,
+			} {
 				// Poison out to prove the kernels overwrite it.
 				for l := range out {
 					out[l] = 1e300
 				}
 				k(a, panel, bw, out)
 				for l := 0; l < bw; l++ {
-					want := DotF64(a, lanes[l])
-					if out[l] != want {
-						t.Fatalf("%s bw=%d n=%d lane %d: %v != DotF64 %v", name, bw, n, l, out[l], want)
+					if want := rolledDot(a, lanes[l]); out[l] != want {
+						t.Fatalf("%s bw=%d n=%d lane %d: %v != rolled %v", name, bw, n, l, out[l], want)
 					}
 				}
 			}

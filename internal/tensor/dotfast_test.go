@@ -43,11 +43,11 @@ func TestDotQFastMatchesExactWithinBound(t *testing.T) {
 			sumAbs8 += math.Abs(float64(sc8) * float64(a8[i]) * float64(b[i]))
 			sumAbs16 += math.Abs(float64(sc16) * float64(a16[i]) * float64(b[i]))
 		}
-		want8 := float32(DotQ8F32(a8, sc8, b))
+		want8 := float32(DotQF32(a8, sc8, b))
 		if got := DotQ8FastF32(a8, sc8, b); !FastClose(got, want8, FastULPBound(n), FastDotBound(n, sumAbs8)) {
 			t.Errorf("n=%d: DotQ8FastF32 = %g, exact %g", n, got, want8)
 		}
-		want16 := float32(DotQ16F32(a16, sc16, b))
+		want16 := float32(DotQF32(a16, sc16, b))
 		if got := DotQ16FastF32(a16, sc16, b); !FastClose(got, want16, FastULPBound(n), FastDotBound(n, sumAbs16)) {
 			t.Errorf("n=%d: DotQ16FastF32 = %g, exact %g", n, got, want16)
 		}
@@ -122,8 +122,8 @@ func TestDotSegQFastMatchesExact(t *testing.T) {
 			y16Fast := append([]float32(nil), y...)
 			for k := 0; k < nr; k++ {
 				r := rows[k]
-				y8Exact[r] += float32(DotQ8F32(q8[k*nc:(k+1)*nc], scales[r], g))
-				y16Exact[r] += float32(DotQ16F32(q16[k*nc:(k+1)*nc], scales[r], g))
+				y8Exact[r] += float32(DotQF32(q8[k*nc:(k+1)*nc], scales[r], g))
+				y16Exact[r] += float32(DotQF32(q16[k*nc:(k+1)*nc], scales[r], g))
 			}
 			c8 := DotSegQ8FastF32(q8, rows, scales, g, y8Fast)
 			for k := c8; k < nr; k++ {
@@ -286,7 +286,7 @@ func FuzzFastEquiv(f *testing.F) {
 		if !FastClose(got, want, FastULPBound(n), FastDotBound(n, sumAbs)) {
 			t.Errorf("n=%d: DotFastF32 = %g, exact %g, ulp=%d", n, got, want, ULPDiff32(got, want))
 		}
-		wantQ := float32(DotQ8F32(q8, sc, b))
+		wantQ := float32(DotQF32(q8, sc, b))
 		gotQ := DotQ8FastF32(q8, sc, b)
 		if !FastClose(gotQ, wantQ, FastULPBound(n), FastDotBound(n, sumAbsQ)) {
 			t.Errorf("n=%d: DotQ8FastF32 = %g, exact %g", n, gotQ, wantQ)
@@ -305,7 +305,7 @@ func FuzzFastEquiv(f *testing.F) {
 			yExact := make([]float32, nr)
 			yFast := make([]float32, nr)
 			for k := 0; k < nr; k++ {
-				yExact[k] += float32(DotQ8F32(q8[k*nc:(k+1)*nc], scales[k], g))
+				yExact[k] += float32(DotQF32(q8[k*nc:(k+1)*nc], scales[k], g))
 			}
 			consumed := DotSegQ8FastF32(q8[:nr*nc], rows, scales, g, yFast)
 			for k := consumed; k < nr; k++ {

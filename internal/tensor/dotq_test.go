@@ -5,10 +5,14 @@ import (
 	"testing"
 )
 
-// refQ8 is the plainest possible scalar reference: dequantize each weight to
-// float64 through the scale, then dot in index order. Every quantized kernel
-// must match it bit-for-bit.
-func refQ8(a []int8, scale float32, b []float32) float64 {
+// The quantized kernels' tests are one table per shape, generic over the
+// storage width; the int8 and int16 test names select the column. Every
+// table compares bits against refQ over lengths 0…67 (every unroll tail and
+// SIMD remainder) and, for the panel kernels, widths 1…16.
+
+// refQ is the specification: dequantize each weight to float64 through the
+// scale, then dot in index order — one accumulator, nothing unrolled.
+func refQ[T QInt](a []T, scale float32, b []float32) float64 {
 	sc := float64(scale)
 	s := 0.0
 	for i, v := range a {
@@ -17,15 +21,28 @@ func refQ8(a []int8, scale float32, b []float32) float64 {
 	return s
 }
 
-func refQ16(a []int16, scale float32, b []float32) float64 {
-	sc := float64(scale)
-	s := 0.0
-	for i, v := range a {
-		s += (sc * float64(v)) * float64(b[i])
+// qRows returns k weight rows of length n covering T's whole range (the
+// most negative value included), one scale per row, and an activation
+// vector.
+func qRows[T QInt](seed uint64, k, n int) (rows [][]T, scales []float32, b []float32) {
+	rng := NewRNG(seed)
+	rows, scales = make([][]T, k), make([]float32, k)
+	for r := range rows {
+		rows[r] = make([]T, n)
+		for i := range rows[r] {
+			rows[r][i] = T(rng.Uint64())
+		}
+		scales[r] = float32(1e-5 + 0.01*rng.Float64())
 	}
-	return s
+	b = make([]float32, n)
+	for i := range b {
+		b[i] = float32(rng.NormFloat64())
+	}
+	return rows, scales, b
 }
 
+// qTestVectors is the fast tier's fixture (dotfast_test.go): one int8 and one
+// 12-bit-range int16 row over a shared activation vector, with their scales.
 func qTestVectors(n int) ([]int8, []int16, []float32, float32, float32) {
 	rng := NewRNG(0xD07)
 	a8 := make([]int8, n)
@@ -39,146 +56,72 @@ func qTestVectors(n int) ([]int8, []int16, []float32, float32, float32) {
 	return a8, a16, b, 0.0123, 0.00077
 }
 
-func TestDotQ8F32UnrollsBitIdentical(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 64, 100} {
-		a8, _, b, sc, _ := qTestVectors(n)
-		want := refQ8(a8, sc, b)
-		for name, got := range map[string]float64{
-			"x1": DotQ8F32(a8, sc, b),
-			"x2": DotQ8F32x2(a8, sc, b),
-			"x4": DotQ8F32x4(a8, sc, b),
-			"x8": DotQ8F32x8(a8, sc, b),
-		} {
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("n=%d DotQ8F32%s = %v, want %v", n, name, got, want)
-			}
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func checkDotQ[T QInt](t *testing.T) {
+	for n := 0; n <= 67; n++ {
+		rows, sc, b := qRows[T](0xD07, 1, n)
+		if got, want := DotQF32(rows[0], sc[0], b), refQ(rows[0], sc[0], b); !sameBits(got, want) {
+			t.Errorf("n=%d DotQF32 = %v, want %v", n, got, want)
 		}
 	}
 }
 
-func TestDotQ16F32UnrollsBitIdentical(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 8, 17, 64, 100} {
-		_, a16, b, _, sc := qTestVectors(n)
-		want := refQ16(a16, sc, b)
-		for name, got := range map[string]float64{
-			"x1": DotQ16F32(a16, sc, b),
-			"x2": DotQ16F32x2(a16, sc, b),
-			"x4": DotQ16F32x4(a16, sc, b),
-			"x8": DotQ16F32x8(a16, sc, b),
-		} {
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("n=%d DotQ16F32%s = %v, want %v", n, name, got, want)
-			}
+func TestDotQ8F32UnrollsBitIdentical(t *testing.T)  { checkDotQ[int8](t) }
+func TestDotQ16F32UnrollsBitIdentical(t *testing.T) { checkDotQ[int16](t) }
+
+func checkDotPairQ[T QInt](t *testing.T) {
+	for n := 0; n <= 67; n++ {
+		rows, sc, b := qRows[T](0xD08, 2, n)
+		w0, w1 := refQ(rows[0], sc[0], b), refQ(rows[1], sc[1], b)
+		if g0, g1 := DotPairQF32(rows[0], rows[1], sc[0], sc[1], b); !sameBits(g0, w0) || !sameBits(g1, w1) {
+			t.Errorf("n=%d DotPairQF32 = (%v,%v), want (%v,%v)", n, g0, g1, w0, w1)
 		}
 	}
 }
 
-func TestDotPairQ8F32BitIdentical(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 8, 17, 64, 100} {
-		a0, _, b, sc0, _ := qTestVectors(n)
-		a1 := make([]int8, n)
-		for i := range a1 {
-			a1[i] = int8(-a0[i] / 2)
-		}
-		sc1 := float32(0.0031)
-		w0, w1 := refQ8(a0, sc0, b), refQ8(a1, sc1, b)
-		for name, pair := range map[string]func([]int8, []int8, float32, float32, []float32) (float64, float64){
-			"":   DotPairQ8F32,
-			"x2": DotPairQ8F32x2,
-			"x4": DotPairQ8F32x4,
-			"x8": DotPairQ8F32x8,
-		} {
-			g0, g1 := pair(a0, a1, sc0, sc1, b)
-			if math.Float64bits(g0) != math.Float64bits(w0) || math.Float64bits(g1) != math.Float64bits(w1) {
-				t.Errorf("n=%d DotPairQ8F32%s = (%v,%v), want (%v,%v)", n, name, g0, g1, w0, w1)
-			}
-		}
-	}
-}
+func TestDotPairQ8F32BitIdentical(t *testing.T)  { checkDotPairQ[int8](t) }
+func TestDotPairQ16F32BitIdentical(t *testing.T) { checkDotPairQ[int16](t) }
 
-func TestDotPairQ16F32BitIdentical(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 8, 17, 64, 100} {
-		_, a0, b, _, sc0 := qTestVectors(n)
-		a1 := make([]int16, n)
-		for i := range a1 {
-			a1[i] = int16(-a0[i] / 3)
-		}
-		sc1 := float32(0.00052)
-		w0, w1 := refQ16(a0, sc0, b), refQ16(a1, sc1, b)
-		for name, pair := range map[string]func([]int16, []int16, float32, float32, []float32) (float64, float64){
-			"":   DotPairQ16F32,
-			"x2": DotPairQ16F32x2,
-			"x4": DotPairQ16F32x4,
-			"x8": DotPairQ16F32x8,
-		} {
-			g0, g1 := pair(a0, a1, sc0, sc1, b)
-			if math.Float64bits(g0) != math.Float64bits(w0) || math.Float64bits(g1) != math.Float64bits(w1) {
-				t.Errorf("n=%d DotPairQ16F32%s = (%v,%v), want (%v,%v)", n, name, g0, g1, w0, w1)
-			}
-		}
-	}
-}
-
-// TestDotQuadQ8F32BitIdentical: each of the quad kernel's four accumulators
-// must match the rolled scalar reference bit-for-bit — on the AVX2 path the
-// four live in one ymm, and vectorizing across rows must not perturb any
-// single row's summation order.
-func TestDotQuadQ8F32BitIdentical(t *testing.T) {
+// checkDotQuadQ: each of the quad kernel's four accumulators must match the
+// specification bit-for-bit, on the portable body and through the exported
+// entry — where, on the AVX2 path, the four live in one ymm, and vectorizing
+// across rows must not perturb any single row's summation order.
+func checkDotQuadQ[T QInt](t *testing.T, quad func(a0, a1, a2, a3 []T, s0, s1, s2, s3 float32, b []float32) (float64, float64, float64, float64)) {
 	t.Logf("BatchSIMD=%v", BatchSIMD())
-	for _, n := range []int{0, 1, 2, 3, 5, 8, 17, 64, 100} {
-		a0, _, b, sc0, _ := qTestVectors(n)
-		a1, a2, a3 := make([]int8, n), make([]int8, n), make([]int8, n)
-		for i := range a0 {
-			a1[i] = int8(-a0[i] / 2)
-			a2[i] = int8(a0[i] / 3)
-			a3[i] = int8(-128 + int(uint8(a0[i])>>1))
+	for n := 0; n <= 67; n++ {
+		a, sc, b := qRows[T](0xD09, 4, n)
+		var want [4]float64
+		for k := range want {
+			want[k] = refQ(a[k], sc[k], b)
 		}
-		sc1, sc2, sc3 := float32(0.0031), float32(0.51), float32(7.25e-4)
-		want := [4]float64{refQ8(a0, sc0, b), refQ8(a1, sc1, b), refQ8(a2, sc2, b), refQ8(a3, sc3, b)}
-		g0, g1, g2, g3 := DotQuadQ8F32(a0, a1, a2, a3, sc0, sc1, sc2, sc3, b)
+		g0, g1, g2, g3 := quad(a[0], a[1], a[2], a[3], sc[0], sc[1], sc[2], sc[3], b)
+		sc64 := [4]float64{float64(sc[0]), float64(sc[1]), float64(sc[2]), float64(sc[3])}
+		portable := dotQuadQ(a[0], a[1], a[2], a[3], &sc64, b)
 		for k, got := range [4]float64{g0, g1, g2, g3} {
-			if math.Float64bits(got) != math.Float64bits(want[k]) {
-				t.Errorf("n=%d DotQuadQ8F32 row %d = %v, want %v", n, k, got, want[k])
+			if !sameBits(got, want[k]) || !sameBits(portable[k], want[k]) {
+				t.Errorf("n=%d row %d: entry %v, portable %v, want %v", n, k, got, portable[k], want[k])
 			}
 		}
 	}
 }
 
-// TestDotQuadQ16F32BitIdentical is the int16 twin, exercising the full
-// int16 range including the most negative value.
-func TestDotQuadQ16F32BitIdentical(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 5, 8, 17, 64, 100} {
-		_, a0, b, _, sc0 := qTestVectors(n)
-		a1, a2, a3 := make([]int16, n), make([]int16, n), make([]int16, n)
-		for i := range a0 {
-			a1[i] = int16(-a0[i] / 3)
-			a2[i] = int16(a0[i] * 13)
-			a3[i] = int16(-32768 + int(uint16(a0[i])<<2))
-		}
-		sc1, sc2, sc3 := float32(0.00052), float32(3.75), float32(9.1e-6)
-		want := [4]float64{refQ16(a0, sc0, b), refQ16(a1, sc1, b), refQ16(a2, sc2, b), refQ16(a3, sc3, b)}
-		g0, g1, g2, g3 := DotQuadQ16F32(a0, a1, a2, a3, sc0, sc1, sc2, sc3, b)
-		for k, got := range [4]float64{g0, g1, g2, g3} {
-			if math.Float64bits(got) != math.Float64bits(want[k]) {
-				t.Errorf("n=%d DotQuadQ16F32 row %d = %v, want %v", n, k, got, want[k])
-			}
-		}
-	}
-}
+func TestDotQuadQ8F32BitIdentical(t *testing.T)  { checkDotQuadQ(t, DotQuadQ8F32) }
+func TestDotQuadQ16F32BitIdentical(t *testing.T) { checkDotQuadQ(t, DotQuadQ16F32) }
 
-// TestDotSegQuadQ8F32BitIdentical: the whole-segment driver must produce
-// exactly the bytes of the sequential per-row reference — scale lookup,
-// float64 dot in index order, float32 narrow, float32 add into y — for every
-// segment width and row count, including row remainders the driver must leave
-// untouched and output rows hit by more than one group.
-func TestDotSegQuadQ8F32BitIdentical(t *testing.T) {
+// checkDotSegQuadQ: the whole-segment driver must produce exactly the bytes
+// of the sequential per-row specification — scale lookup, float64 dot in
+// index order, float32 narrow, float32 add into y — for every segment width
+// and row count, including row remainders the driver must leave untouched
+// and output rows hit by more than one group.
+func checkDotSegQuadQ[T QInt](t *testing.T, seg func(vals []T, rows []int32, scales, g, y []float32) int) {
 	t.Logf("BatchSIMD=%v", BatchSIMD())
 	rng := NewRNG(0x5E6)
-	for _, nc := range []int{1, 2, 3, 4, 5, 8, 16, 17, 33} {
+	for _, nc := range []int{1, 2, 3, 4, 5, 8, 16, 17, 33, 67} {
 		for _, nr := range []int{4, 5, 7, 8, 11, 12, 16} {
-			vals := make([]int8, nr*nc)
+			vals := make([]T, nr*nc)
 			for i := range vals {
-				vals[i] = int8(rng.Uint64())
+				vals[i] = T(rng.Uint64())
 			}
 			g := make([]float32, nc)
 			for i := range g {
@@ -191,20 +134,20 @@ func TestDotSegQuadQ8F32BitIdentical(t *testing.T) {
 			}
 			scales := make([]float32, ylen)
 			for i := range scales {
-				scales[i] = float32(0.001 + 0.01*float64(i))
+				scales[i] = float32(1e-5 + 0.004*float64(i))
 			}
 			y := make([]float32, ylen)
 			for i := range y {
 				y[i] = float32(rng.NormFloat64())
 			}
 			yRef := append([]float32(nil), y...)
-			consumed := DotSegQuadQ8F32(vals, rows, scales, g, y)
+			consumed := seg(vals, rows, scales, g, y)
 			if consumed%4 != 0 || consumed > nr {
 				t.Fatalf("nc=%d nr=%d consumed=%d rows, want a multiple of 4 ≤ nr", nc, nr, consumed)
 			}
 			for k := 0; k < consumed; k++ {
 				r := rows[k]
-				yRef[r] += float32(refQ8(vals[k*nc:(k+1)*nc], scales[r], g))
+				yRef[r] += float32(refQ(vals[k*nc:(k+1)*nc], scales[r], g))
 			}
 			for i := range y {
 				if math.Float32bits(y[i]) != math.Float32bits(yRef[i]) {
@@ -215,50 +158,8 @@ func TestDotSegQuadQ8F32BitIdentical(t *testing.T) {
 	}
 }
 
-// TestDotSegQuadQ16F32BitIdentical is the int16 twin of the segment-driver
-// identity test.
-func TestDotSegQuadQ16F32BitIdentical(t *testing.T) {
-	rng := NewRNG(0x5E16)
-	for _, nc := range []int{1, 2, 3, 4, 5, 8, 16, 17, 33} {
-		for _, nr := range []int{4, 5, 7, 8, 11, 12, 16} {
-			vals := make([]int16, nr*nc)
-			for i := range vals {
-				vals[i] = int16(rng.Uint64())
-			}
-			g := make([]float32, nc)
-			for i := range g {
-				g[i] = float32(rng.NormFloat64())
-			}
-			ylen := nr + 3
-			rows := make([]int32, nr)
-			for k := range rows {
-				rows[k] = int32((k*5 + 2) % ylen)
-			}
-			scales := make([]float32, ylen)
-			for i := range scales {
-				scales[i] = float32(1e-5 + 0.004*float64(i))
-			}
-			y := make([]float32, ylen)
-			for i := range y {
-				y[i] = float32(rng.NormFloat64())
-			}
-			yRef := append([]float32(nil), y...)
-			consumed := DotSegQuadQ16F32(vals, rows, scales, g, y)
-			if consumed%4 != 0 || consumed > nr {
-				t.Fatalf("nc=%d nr=%d consumed=%d rows, want a multiple of 4 ≤ nr", nc, nr, consumed)
-			}
-			for k := 0; k < consumed; k++ {
-				r := rows[k]
-				yRef[r] += float32(refQ16(vals[k*nc:(k+1)*nc], scales[r], g))
-			}
-			for i := range y {
-				if math.Float32bits(y[i]) != math.Float32bits(yRef[i]) {
-					t.Errorf("nc=%d nr=%d y[%d] = %v, want %v", nc, nr, i, y[i], yRef[i])
-				}
-			}
-		}
-	}
-}
+func TestDotSegQuadQ8F32BitIdentical(t *testing.T)  { checkDotSegQuadQ(t, DotSegQuadQ8F32) }
+func TestDotSegQuadQ16F32BitIdentical(t *testing.T) { checkDotSegQuadQ(t, DotSegQuadQ16F32) }
 
 // qPanel builds a column-major panel of bw lanes, each lane a distinct
 // vector, plus the per-lane views for the serial reference.
@@ -279,97 +180,66 @@ func qPanel(n, bw int) ([]float32, [][]float32) {
 	return panel, lanes
 }
 
-// TestDotBatchQ8F32LanesMatchSerial pins the batched determinism contract:
-// lane l of every batched variant (including the strided AVX2 path when
-// active) is bit-identical to the serial rolled reference on lane l's vector.
-func TestDotBatchQ8F32LanesMatchSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 8, 33, 100} {
-		for _, bw := range []int{1, 2, 7, 8, 16, 19} {
-			a8, _, _, sc, _ := qTestVectors(n)
+// checkDotBatchQ pins the batched determinism contract: lane l of the
+// portable chunk kernel, of the strided entry (the AVX2 kernel on full
+// eight-lane chunks when active) and of both halves of the paired entry is
+// bit-identical to the serial specification on lane l's vector.
+func checkDotBatchQ[T QInt](t *testing.T,
+	strided func(a []T, s float32, bp []float32, stride int, out []float64),
+	pair func(a0, a1 []T, s0, s1 float32, bp []float32, stride int, out0, out1 []float64)) {
+	for bw := 1; bw <= 16; bw++ {
+		for n := 0; n <= 67; n++ {
+			a, sc, _ := qRows[T](0xD0A, 2, n)
 			panel, lanes := qPanel(n, bw)
-			out := make([]float64, bw)
-			check := func(name string) {
+			out0, out1 := make([]float64, bw), make([]float64, bw)
+			check := func(name string, out []float64, row int) {
 				t.Helper()
 				for l := 0; l < bw; l++ {
-					want := refQ8(a8, sc, lanes[l])
-					if math.Float64bits(out[l]) != math.Float64bits(want) {
+					if want := refQ(a[row], sc[row], lanes[l]); !sameBits(out[l], want) {
 						t.Errorf("n=%d bw=%d %s lane %d = %v, want %v", n, bw, name, l, out[l], want)
 					}
+					out[l] = 1e300 // poison: the next kernel must overwrite
 				}
 			}
-			DotBatchQ8F32(a8, sc, panel, bw, out)
-			check("DotBatchQ8F32")
-			DotBatchQ8F32x2(a8, sc, panel, bw, out)
-			check("x2")
-			DotBatchQ8F32x4(a8, sc, panel, bw, out)
-			check("x4")
-			DotBatchQ8F32x8(a8, sc, panel, bw, out)
-			check("x8")
-			DotBatchQ8F32Strided(a8, sc, panel, bw, out)
-			check("Strided")
+			dotQBatchChunkGeneric(a[0], float64(sc[0]), panel, bw, out0)
+			check("portable", out0, 0)
+			strided(a[0], sc[0], panel, bw, out0)
+			check("strided", out0, 0)
+			pair(a[0], a[1], sc[0], sc[1], panel, bw, out0, out1)
+			check("pair row 0", out0, 0)
+			check("pair row 1", out1, 1)
 		}
 	}
 }
 
+func TestDotBatchQ8F32LanesMatchSerial(t *testing.T) {
+	checkDotBatchQ(t, DotBatchQ8F32Strided, DotBatchPairQ8F32Strided)
+}
 func TestDotBatchQ16F32LanesMatchSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 8, 33, 100} {
-		for _, bw := range []int{1, 2, 7, 8, 16, 19} {
-			_, a16, _, _, sc := qTestVectors(n)
-			panel, lanes := qPanel(n, bw)
-			out := make([]float64, bw)
-			check := func(name string) {
-				t.Helper()
-				for l := 0; l < bw; l++ {
-					want := refQ16(a16, sc, lanes[l])
-					if math.Float64bits(out[l]) != math.Float64bits(want) {
-						t.Errorf("n=%d bw=%d %s lane %d = %v, want %v", n, bw, name, l, out[l], want)
-					}
-				}
-			}
-			DotBatchQ16F32(a16, sc, panel, bw, out)
-			check("DotBatchQ16F32")
-			DotBatchQ16F32x2(a16, sc, panel, bw, out)
-			check("x2")
-			DotBatchQ16F32x4(a16, sc, panel, bw, out)
-			check("x4")
-			DotBatchQ16F32x8(a16, sc, panel, bw, out)
-			check("x8")
-			DotBatchQ16F32Strided(a16, sc, panel, bw, out)
-			check("Strided")
+	checkDotBatchQ(t, DotBatchQ16F32Strided, DotBatchPairQ16F32Strided)
+}
+
+// checkDotBatchPairQOffset: lanes of a wider panel addressed through an
+// offset (stride > len(out)) — the call shape of lane chunking — still match
+// the specification.
+func checkDotBatchPairQOffset[T QInt](t *testing.T,
+	pair func(a0, a1 []T, s0, s1 float32, bp []float32, stride int, out0, out1 []float64)) {
+	const n, bw, off = 33, 19, 3
+	panel, lanes := qPanel(n, bw)
+	out0, out1 := make([]float64, bw-off), make([]float64, bw-off)
+	a, sc, _ := qRows[T](0xD0B, 2, n)
+	pair(a[0], a[1], sc[0], sc[1], panel[off:], bw, out0, out1)
+	for l := range out0 {
+		w0, w1 := refQ(a[0], sc[0], lanes[off+l]), refQ(a[1], sc[1], lanes[off+l])
+		if !sameBits(out0[l], w0) || !sameBits(out1[l], w1) {
+			t.Errorf("lane %d = (%v,%v), want (%v,%v)", off+l, out0[l], out1[l], w0, w1)
 		}
 	}
 }
 
 func TestDotBatchPairQF32LanesMatchSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 8, 33} {
-		for _, bw := range []int{1, 8, 16, 19} {
-			a0, q0, _, sc0, t0 := qTestVectors(n)
-			a1 := make([]int8, n)
-			q1 := make([]int16, n)
-			for i := range a1 {
-				a1[i] = int8(-a0[i] / 2)
-				q1[i] = int16(-q0[i] / 3)
-			}
-			sc1, t1 := float32(0.0031), float32(0.00052)
-			panel, lanes := qPanel(n, bw)
-			out0 := make([]float64, bw)
-			out1 := make([]float64, bw)
-			DotBatchPairQ8F32Strided(a0, a1, sc0, sc1, panel, bw, out0, out1)
-			for l := 0; l < bw; l++ {
-				w0, w1 := refQ8(a0, sc0, lanes[l]), refQ8(a1, sc1, lanes[l])
-				if math.Float64bits(out0[l]) != math.Float64bits(w0) || math.Float64bits(out1[l]) != math.Float64bits(w1) {
-					t.Errorf("q8 n=%d bw=%d lane %d = (%v,%v), want (%v,%v)", n, bw, l, out0[l], out1[l], w0, w1)
-				}
-			}
-			DotBatchPairQ16F32Strided(q0, q1, t0, t1, panel, bw, out0, out1)
-			for l := 0; l < bw; l++ {
-				w0, w1 := refQ16(q0, t0, lanes[l]), refQ16(q1, t1, lanes[l])
-				if math.Float64bits(out0[l]) != math.Float64bits(w0) || math.Float64bits(out1[l]) != math.Float64bits(w1) {
-					t.Errorf("q16 n=%d bw=%d lane %d = (%v,%v), want (%v,%v)", n, bw, l, out0[l], out1[l], w0, w1)
-				}
-			}
-		}
-	}
+	checkDotBatchPairQOffset(t, DotBatchPairQ8F32Strided)
+	checkDotBatchPairQOffset(t, DotBatchPairQ16F32Strided)
 }
 
 func TestDotBatchPairQF32Panics(t *testing.T) {

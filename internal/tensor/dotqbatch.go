@@ -5,36 +5,82 @@ package tensor
 // sign-extended, and dequantized to float64 (wd = scale·q) exactly once, then
 // multiplied against all B lanes of the panel — so the weight-bytes streamed
 // per MAC shrink by another 2–4× on top of the batching win. Per-lane
-// accumulation order is unchanged: lane l is bit-identical to
-// DotQ8F32/DotQ16F32 on its gathered vector at every unroll factor and on
-// the AVX2 path.
+// accumulation order is unchanged: lane l is bit-identical to DotQF32 on its
+// gathered vector, on the portable and the AVX2 path alike.
 
-// dotQ8BatchChunkGeneric is the portable strided chunk kernel for int8
-// weights: out[l] = Σ_i (sc·a[i])·bp[i*stride+l] per lane.
-func dotQ8BatchChunkGeneric(a []int8, sc float64, bp []float32, stride int, out []float64) {
+// dotQBatchChunkGeneric is the portable strided chunk kernel for integer
+// weights: out[l] = Σ_i (sc·a[i])·bp[i*stride+l] per lane, the loop shape of
+// dotBatchChunkGeneric.
+func dotQBatchChunkGeneric[T QInt](a []T, sc float64, bp []float32, stride int, out []float64) {
 	for l := range out {
 		out[l] = 0
 	}
-	for i, v := range a {
-		wd := sc * float64(v)
-		row := bp[i*stride : i*stride+len(out)]
+	w := len(out)
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		w0, w1, w2, w3 := sc*float64(a[i]), sc*float64(a[i+1]), sc*float64(a[i+2]), sc*float64(a[i+3])
+		r0 := bp[i*stride : i*stride+w]
+		r1 := bp[(i+1)*stride : (i+1)*stride+w]
+		r2 := bp[(i+2)*stride : (i+2)*stride+w]
+		r3 := bp[(i+3)*stride : (i+3)*stride+w]
+		for l := range out {
+			s := out[l]
+			s += w0 * float64(r0[l])
+			s += w1 * float64(r1[l])
+			s += w2 * float64(r2[l])
+			s += w3 * float64(r3[l])
+			out[l] = s
+		}
+	}
+	for ; i < len(a); i++ {
+		wd := sc * float64(a[i])
+		row := bp[i*stride : i*stride+w]
 		for l, x := range row {
 			out[l] += wd * float64(x)
 		}
 	}
 }
 
-// dotQ16BatchChunkGeneric is the int16 twin of dotQ8BatchChunkGeneric.
-func dotQ16BatchChunkGeneric(a []int16, sc float64, bp []float32, stride int, out []float64) {
-	for l := range out {
-		out[l] = 0
-	}
-	for i, v := range a {
-		wd := sc * float64(v)
-		row := bp[i*stride : i*stride+len(out)]
-		for l, x := range row {
-			out[l] += wd * float64(x)
+// dotQBatchStrided is the lane-chunk driver behind the single-row entry
+// points: full eight-lane chunks go to chunk8 (the storage width's AVX2
+// kernel, which reports false when it is unavailable), the remaining lanes
+// to the portable chunk kernel in one call.
+func dotQBatchStrided[T QInt](a []T, scale float32, bp []float32, stride int, out []float64,
+	chunk8 func(a []T, sc float64, bp []float32, stride int, out *[8]float64) bool) {
+	sc := float64(scale)
+	lane0 := 0
+	if len(a) > 0 { // an empty row may come with an empty panel: nothing to slice
+		for ; lane0+8 <= len(out); lane0 += 8 {
+			if !chunk8(a, sc, bp[lane0:], stride, (*[8]float64)(out[lane0:lane0+8])) {
+				break
+			}
 		}
+	}
+	if lane0 < len(out) {
+		dotQBatchChunkGeneric(a, sc, bp[lane0:], stride, out[lane0:])
+	}
+}
+
+// dotQBatchPairStrided is dotQBatchStrided for two equal-length rows over
+// one shared panel.
+func dotQBatchPairStrided[T QInt](a0, a1 []T, sc0, sc1 float32, bp []float32, stride int, out0, out1 []float64,
+	pair8 func(a0, a1 []T, sc0, sc1 float64, bp []float32, stride int, out0, out1 *[8]float64) bool) {
+	if len(a0) != len(a1) || len(out0) != len(out1) {
+		panic("tensor: batched pair kernel row/lane length mismatch")
+	}
+	c0, c1 := float64(sc0), float64(sc1)
+	lane0 := 0
+	if len(a0) > 0 {
+		for ; lane0+8 <= len(out0); lane0 += 8 {
+			if !pair8(a0, a1, c0, c1, bp[lane0:], stride,
+				(*[8]float64)(out0[lane0:lane0+8]), (*[8]float64)(out1[lane0:lane0+8])) {
+				break
+			}
+		}
+	}
+	if lane0 < len(out0) {
+		dotQBatchChunkGeneric(a0, c0, bp[lane0:], stride, out0[lane0:])
+		dotQBatchChunkGeneric(a1, c1, bp[lane0:], stride, out1[lane0:])
 	}
 }
 
@@ -43,335 +89,22 @@ func dotQ16BatchChunkGeneric(a []int16, sc float64, bp []float32, stride int, ou
 // widen-multiply-accumulate kernel when BatchSIMD reports it available;
 // per-lane summation order is identical on both paths.
 func DotBatchQ8F32Strided(a []int8, scale float32, bp []float32, stride int, out []float64) {
-	if len(a) == 0 {
-		for l := range out {
-			out[l] = 0
-		}
-		return
-	}
-	sc := float64(scale)
-	lane0 := 0
-	for ; lane0+8 <= len(out); lane0 += 8 {
-		o := (*[8]float64)(out[lane0 : lane0+8])
-		if !dotQ8BatchChunk8(a, sc, bp[lane0:], stride, o) {
-			dotQ8BatchChunkGeneric(a, sc, bp[lane0:], stride, out[lane0:lane0+8])
-		}
-	}
-	if lane0 < len(out) {
-		dotQ8BatchChunkGeneric(a, sc, bp[lane0:], stride, out[lane0:])
-	}
+	dotQBatchStrided(a, scale, bp, stride, out, dotQ8BatchChunk8)
 }
 
-// DotBatchQ16F32Strided is the int16 twin of DotBatchQ8F32Strided.
+// DotBatchQ16F32Strided is DotBatchQ8F32Strided over int16 storage.
 func DotBatchQ16F32Strided(a []int16, scale float32, bp []float32, stride int, out []float64) {
-	if len(a) == 0 {
-		for l := range out {
-			out[l] = 0
-		}
-		return
-	}
-	sc := float64(scale)
-	lane0 := 0
-	for ; lane0+8 <= len(out); lane0 += 8 {
-		o := (*[8]float64)(out[lane0 : lane0+8])
-		if !dotQ16BatchChunk8(a, sc, bp[lane0:], stride, o) {
-			dotQ16BatchChunkGeneric(a, sc, bp[lane0:], stride, out[lane0:lane0+8])
-		}
-	}
-	if lane0 < len(out) {
-		dotQ16BatchChunkGeneric(a, sc, bp[lane0:], stride, out[lane0:])
-	}
+	dotQBatchStrided(a, scale, bp, stride, out, dotQ16BatchChunk8)
 }
 
 // DotBatchPairQ8F32Strided computes DotBatchQ8F32Strided for two equal-length
 // int8 rows over one shared panel: full eight-lane chunks convert each panel
 // column once for both rows, like DotBatchPairF64Strided.
 func DotBatchPairQ8F32Strided(a0, a1 []int8, sc0, sc1 float32, bp []float32, stride int, out0, out1 []float64) {
-	if len(a0) != len(a1) || len(out0) != len(out1) {
-		panic("tensor: DotBatchPairQ8F32Strided row/lane length mismatch")
-	}
-	if len(a0) == 0 {
-		for l := range out0 {
-			out0[l] = 0
-			out1[l] = 0
-		}
-		return
-	}
-	c0, c1 := float64(sc0), float64(sc1)
-	lane0 := 0
-	for ; lane0+8 <= len(out0); lane0 += 8 {
-		o0 := (*[8]float64)(out0[lane0 : lane0+8])
-		o1 := (*[8]float64)(out1[lane0 : lane0+8])
-		if !dotQ8BatchPair8(a0, a1, c0, c1, bp[lane0:], stride, o0, o1) {
-			dotQ8BatchChunkGeneric(a0, c0, bp[lane0:], stride, out0[lane0:lane0+8])
-			dotQ8BatchChunkGeneric(a1, c1, bp[lane0:], stride, out1[lane0:lane0+8])
-		}
-	}
-	if lane0 < len(out0) {
-		dotQ8BatchChunkGeneric(a0, c0, bp[lane0:], stride, out0[lane0:])
-		dotQ8BatchChunkGeneric(a1, c1, bp[lane0:], stride, out1[lane0:])
-	}
+	dotQBatchPairStrided(a0, a1, sc0, sc1, bp, stride, out0, out1, dotQ8BatchPair8)
 }
 
-// DotBatchPairQ16F32Strided is the int16 twin of DotBatchPairQ8F32Strided.
+// DotBatchPairQ16F32Strided is DotBatchPairQ8F32Strided over int16 storage.
 func DotBatchPairQ16F32Strided(a0, a1 []int16, sc0, sc1 float32, bp []float32, stride int, out0, out1 []float64) {
-	if len(a0) != len(a1) || len(out0) != len(out1) {
-		panic("tensor: DotBatchPairQ16F32Strided row/lane length mismatch")
-	}
-	if len(a0) == 0 {
-		for l := range out0 {
-			out0[l] = 0
-			out1[l] = 0
-		}
-		return
-	}
-	c0, c1 := float64(sc0), float64(sc1)
-	lane0 := 0
-	for ; lane0+8 <= len(out0); lane0 += 8 {
-		o0 := (*[8]float64)(out0[lane0 : lane0+8])
-		o1 := (*[8]float64)(out1[lane0 : lane0+8])
-		if !dotQ16BatchPair8(a0, a1, c0, c1, bp[lane0:], stride, o0, o1) {
-			dotQ16BatchChunkGeneric(a0, c0, bp[lane0:], stride, out0[lane0:lane0+8])
-			dotQ16BatchChunkGeneric(a1, c1, bp[lane0:], stride, out1[lane0:lane0+8])
-		}
-	}
-	if lane0 < len(out0) {
-		dotQ16BatchChunkGeneric(a0, c0, bp[lane0:], stride, out0[lane0:])
-		dotQ16BatchChunkGeneric(a1, c1, bp[lane0:], stride, out1[lane0:])
-	}
-}
-
-// DotBatchQ8F32 is the rolled batched reference: out[l] = Σ_i
-// (scale·a[i])·bp[i*bw+l] for every lane l in [0, bw), overwriting out[:bw].
-func DotBatchQ8F32(a []int8, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	for i, v := range a {
-		wd := sc * float64(v)
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
-}
-
-// DotBatchQ8F32x2 is DotBatchQ8F32 unrolled 2-way over i.
-func DotBatchQ8F32x2(a []int8, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	i := 0
-	for ; i+2 <= len(a); i += 2 {
-		w0, w1 := sc*float64(a[i]), sc*float64(a[i+1])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += w0 * float64(r0[l])
-			s += w1 * float64(r1[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		wd := sc * float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
-}
-
-// DotBatchQ8F32x4 is DotBatchQ8F32 unrolled 4-way over i.
-func DotBatchQ8F32x4(a []int8, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		w0, w1, w2, w3 := sc*float64(a[i]), sc*float64(a[i+1]), sc*float64(a[i+2]), sc*float64(a[i+3])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		r2 := bp[(i+2)*bw : (i+2)*bw+bw]
-		r3 := bp[(i+3)*bw : (i+3)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += w0 * float64(r0[l])
-			s += w1 * float64(r1[l])
-			s += w2 * float64(r2[l])
-			s += w3 * float64(r3[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		wd := sc * float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
-}
-
-// DotBatchQ8F32x8 is DotBatchQ8F32 unrolled 8-way over i.
-func DotBatchQ8F32x8(a []int8, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		w0, w1, w2, w3 := sc*float64(a[i]), sc*float64(a[i+1]), sc*float64(a[i+2]), sc*float64(a[i+3])
-		w4, w5, w6, w7 := sc*float64(a[i+4]), sc*float64(a[i+5]), sc*float64(a[i+6]), sc*float64(a[i+7])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		r2 := bp[(i+2)*bw : (i+2)*bw+bw]
-		r3 := bp[(i+3)*bw : (i+3)*bw+bw]
-		r4 := bp[(i+4)*bw : (i+4)*bw+bw]
-		r5 := bp[(i+5)*bw : (i+5)*bw+bw]
-		r6 := bp[(i+6)*bw : (i+6)*bw+bw]
-		r7 := bp[(i+7)*bw : (i+7)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += w0 * float64(r0[l])
-			s += w1 * float64(r1[l])
-			s += w2 * float64(r2[l])
-			s += w3 * float64(r3[l])
-			s += w4 * float64(r4[l])
-			s += w5 * float64(r5[l])
-			s += w6 * float64(r6[l])
-			s += w7 * float64(r7[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		wd := sc * float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
-}
-
-// DotBatchQ16F32 is the rolled int16 batched reference (see DotBatchQ8F32).
-func DotBatchQ16F32(a []int16, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	for i, v := range a {
-		wd := sc * float64(v)
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
-}
-
-// DotBatchQ16F32x2 is DotBatchQ16F32 unrolled 2-way over i.
-func DotBatchQ16F32x2(a []int16, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	i := 0
-	for ; i+2 <= len(a); i += 2 {
-		w0, w1 := sc*float64(a[i]), sc*float64(a[i+1])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += w0 * float64(r0[l])
-			s += w1 * float64(r1[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		wd := sc * float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
-}
-
-// DotBatchQ16F32x4 is DotBatchQ16F32 unrolled 4-way over i.
-func DotBatchQ16F32x4(a []int16, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		w0, w1, w2, w3 := sc*float64(a[i]), sc*float64(a[i+1]), sc*float64(a[i+2]), sc*float64(a[i+3])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		r2 := bp[(i+2)*bw : (i+2)*bw+bw]
-		r3 := bp[(i+3)*bw : (i+3)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += w0 * float64(r0[l])
-			s += w1 * float64(r1[l])
-			s += w2 * float64(r2[l])
-			s += w3 * float64(r3[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		wd := sc * float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
-}
-
-// DotBatchQ16F32x8 is DotBatchQ16F32 unrolled 8-way over i.
-func DotBatchQ16F32x8(a []int16, scale float32, bp []float32, bw int, out []float64) {
-	out = out[:bw]
-	for l := range out {
-		out[l] = 0
-	}
-	sc := float64(scale)
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		w0, w1, w2, w3 := sc*float64(a[i]), sc*float64(a[i+1]), sc*float64(a[i+2]), sc*float64(a[i+3])
-		w4, w5, w6, w7 := sc*float64(a[i+4]), sc*float64(a[i+5]), sc*float64(a[i+6]), sc*float64(a[i+7])
-		r0 := bp[i*bw : i*bw+bw]
-		r1 := bp[(i+1)*bw : (i+1)*bw+bw]
-		r2 := bp[(i+2)*bw : (i+2)*bw+bw]
-		r3 := bp[(i+3)*bw : (i+3)*bw+bw]
-		r4 := bp[(i+4)*bw : (i+4)*bw+bw]
-		r5 := bp[(i+5)*bw : (i+5)*bw+bw]
-		r6 := bp[(i+6)*bw : (i+6)*bw+bw]
-		r7 := bp[(i+7)*bw : (i+7)*bw+bw]
-		for l := range out {
-			s := out[l]
-			s += w0 * float64(r0[l])
-			s += w1 * float64(r1[l])
-			s += w2 * float64(r2[l])
-			s += w3 * float64(r3[l])
-			s += w4 * float64(r4[l])
-			s += w5 * float64(r5[l])
-			s += w6 * float64(r6[l])
-			s += w7 * float64(r7[l])
-			out[l] = s
-		}
-	}
-	for ; i < len(a); i++ {
-		wd := sc * float64(a[i])
-		row := bp[i*bw : i*bw+bw]
-		for l, x := range row {
-			out[l] += wd * float64(x)
-		}
-	}
+	dotQBatchPairStrided(a0, a1, sc0, sc1, bp, stride, out0, out1, dotQ16BatchPair8)
 }
