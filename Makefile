@@ -23,12 +23,22 @@ build:
 ALLOC_GATES = Alloc
 ALLOC_PKGS = ./internal/tensor ./internal/nn ./internal/obs ./internal/rtmobile ./internal/sched ./internal/serve
 
+# $(call filtered,ENV,FLAGS,PATTERN,PACKAGES) is `ENV go test FLAGS -run
+# PATTERN PACKAGES`, refused when PATTERN selects no test in one of the
+# packages: go test exits 0 when -run matches nothing, so a renamed test
+# would otherwise empty a race or Alloc gate without anyone noticing.
+define filtered
+	@for p in $(4); do $(GO) test -list '$(3)' $$p | grep -q '^Test' || \
+		{ echo "-run '$(3)' selects no test in $$p"; exit 1; }; done
+	$(1) $(GO) test $(2) -run '$(3)' $(4)
+endef
+
 test:
 	$(GO) test ./...
 	$(GO) test -tags=purego $$($(GO) list ./... | grep -v /internal/bench$$)
-	RTMOBILE_WORKERS=1 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
-	RTMOBILE_WORKERS=2 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
-	RTMOBILE_WORKERS=8 $(GO) test -count=1 -run '$(ALLOC_GATES)' $(ALLOC_PKGS)
+	$(call filtered,RTMOBILE_WORKERS=1,-count=1,$(ALLOC_GATES),$(ALLOC_PKGS))
+	$(call filtered,RTMOBILE_WORKERS=2,-count=1,$(ALLOC_GATES),$(ALLOC_PKGS))
+	$(call filtered,RTMOBILE_WORKERS=8,-count=1,$(ALLOC_GATES),$(ALLOC_PKGS))
 
 # Full suite under the race detector; the concurrency stress tests in
 # internal/rtmobile and internal/compiler are written for this target. The
@@ -39,28 +49,28 @@ test:
 # migration between leases.
 race:
 	$(GO) test -race ./...
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Batch' ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Batch' ./internal/rtmobile
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Quant' ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Quant' ./internal/rtmobile
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Fast|Precision' ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Fast|Precision' ./internal/rtmobile
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Epilogue|Fused' ./internal/tensor ./internal/nn ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Epilogue|Fused' ./internal/tensor ./internal/nn ./internal/rtmobile
+	$(call filtered,RTMOBILE_WORKERS=2,-race,Batch,./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=8,-race,Batch,./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=2,-race,Quant,./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=8,-race,Quant,./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=2,-race,Fast|Precision,./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=8,-race,Fast|Precision,./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=2,-race,Epilogue|Fused,./internal/tensor ./internal/nn ./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=8,-race,Epilogue|Fused,./internal/tensor ./internal/nn ./internal/rtmobile)
 	RTMOBILE_METRICS=1 $(GO) test -race ./internal/obs
-	RTMOBILE_METRICS=1 $(GO) test -race -run 'Serve|Obs|Metrics|Trac' ./cmd/rtmobile ./internal/rtmobile
+	$(call filtered,RTMOBILE_METRICS=1,-race,Serve|Obs|Metrics|Trac,./cmd/rtmobile ./internal/rtmobile)
 	RTMOBILE_METRICS=1 $(GO) test -race ./internal/sched
-	RTMOBILE_METRICS=1 $(GO) test -race -run 'Serve' -count=2 ./cmd/rtmobile
-	RTMOBILE_METRICS=1 RTMOBILE_WORKERS=2 $(GO) test -race -run 'Trace|Tail|SLO' ./internal/obs ./internal/sched ./internal/serve
-	RTMOBILE_METRICS=1 RTMOBILE_WORKERS=8 $(GO) test -race -run 'Trace|Tail|SLO' ./internal/obs ./internal/sched ./internal/serve
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Swap|Registry' ./internal/registry ./cmd/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Swap|Registry' ./internal/registry ./cmd/rtmobile
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Differential|LoadersLower' ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Differential|LoadersLower' ./internal/rtmobile
+	$(call filtered,RTMOBILE_METRICS=1,-race -count=2,Serve,./cmd/rtmobile)
+	$(call filtered,RTMOBILE_METRICS=1 RTMOBILE_WORKERS=2,-race,Trace|Tail|SLO,./internal/obs ./internal/sched ./internal/serve)
+	$(call filtered,RTMOBILE_METRICS=1 RTMOBILE_WORKERS=8,-race,Trace|Tail|SLO,./internal/obs ./internal/sched ./internal/serve)
+	$(call filtered,RTMOBILE_WORKERS=2,-race,Swap|Registry,./internal/registry ./cmd/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=8,-race,Swap|Registry,./internal/registry ./cmd/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=2,-race,Differential|LoadersLower,./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=8,-race,Differential|LoadersLower,./internal/rtmobile)
 	RTMOBILE_METRICS=1 RTMOBILE_WORKERS=2 $(GO) test -race -count=2 ./internal/sched ./internal/serve
 	RTMOBILE_METRICS=1 RTMOBILE_WORKERS=8 $(GO) test -race -count=2 ./internal/sched ./internal/serve
-	RTMOBILE_WORKERS=2 $(GO) test -race -run 'Migration|CopyLane' ./internal/nn ./internal/rtmobile
-	RTMOBILE_WORKERS=8 $(GO) test -race -run 'Migration|CopyLane' ./internal/nn ./internal/rtmobile
+	$(call filtered,RTMOBILE_WORKERS=2,-race,Migration|CopyLane,./internal/nn ./internal/rtmobile)
+	$(call filtered,RTMOBILE_WORKERS=8,-race,Migration|CopyLane,./internal/nn ./internal/rtmobile)
 
 # Short run of every fuzz target (decoder hardening + compiler shapes +
 # pack lowering with its dense-order property: packed RunAdd ≡

@@ -478,9 +478,19 @@ func schedBenchEngine(b *testing.B) (*rtmobile.Engine, [][]float32) {
 // scheduler benchmark's model. Only 1 and 8 are worth having — the widths
 // between run the portable panel kernel: 2–6 cost more per lane than
 // stepping the lanes one after another, and 7 costs 1.8× the eight-wide
-// step (DESIGN.md has the table).
+// step (DESIGN.md has the table). The "stream" row is Stream.StepInto on the
+// same model: the same session as w=1 behind its other face, so the two must
+// read alike.
 func BenchmarkPanelStepWidth(b *testing.B) {
 	eng, longest := schedBenchEngine(b)
+	b.Run("stream", func(b *testing.B) {
+		s, dst := eng.NewStream(), make([]float32, eng.OutputDim())
+		s.StepInto(dst, longest[0])
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.StepInto(dst, longest[0])
+		}
+	})
 	for w := 1; w <= 8; w++ {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			lease := eng.AcquireBatch(w)

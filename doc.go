@@ -37,9 +37,12 @@
 // arithmetic-intensity win batched serving rides on. nn.BatchStream and
 // Engine.InferBatch lift this through the model stack: utterances are
 // grouped into lockstep panels with per-lane retirement for ragged
-// lengths, and every lane's output stays bit-identical to a solo serial
-// run (lanes never mix, so batch width changes layout, not summation
-// order). On amd64 with AVX2 the panel kernels run in assembly, vectorized
+// lengths, and every lane's output stays bit-identical to a solo run
+// (lanes never mix, so batch width changes layout, not summation order).
+// There is one stepper family and one session type: a vector is a
+// column-major panel of width 1, so the live single stream (nn.Stream,
+// rtmobile.Stream) is the width-1 panel behind a vector-shaped face, not
+// a second implementation. On amd64 with AVX2 the panel kernels run in assembly, vectorized
 // across lanes with separate multiply and add (never FMA) so the bytes
 // match the portable path; -tags=purego restores pure Go.
 //
@@ -55,13 +58,13 @@
 // carries enough arithmetic per worker to pay for the fork-join.
 //
 // The packed programs are what a deployed Engine serves from: every entry
-// point (Stream.Step/StepInto, Infer, BatchStream, BatchLease.Step,
-// InferBatchInto, and through leases the scheduler and the HTTP tier) runs
+// point (Stream.Step/StepInto, Infer, BatchLease.Step, InferBatchInto, and
+// through leases the scheduler and the HTTP tier) runs
 // nn's steppers — which own the GRU/LSTM/Dense step order — bound to the
 // weight matrices' compiled programs through their accumulate entries
-// (RunAdd/RunBatchAdd), on either tier and at any storage width; there is
-// no dense path beside it. Model.NewStream/NewBatchStream bind
-// tensor.MatVecAdd(Batch) instead and stay the training-side reference.
+// (RunBatchAdd; RunAdd is its width 1), on either tier and at any storage
+// width; there is no dense path beside it. Model.NewStream/NewBatchStream
+// bind tensor.MatVecAddBatch instead and stay the training-side reference.
 // The dense-order contract makes the two comparable bit for bit: the BSPC
 // lowering emits one segment per (lane, row group) whose dots span the
 // group's kept columns in ascending order, so a row is one float64 chain

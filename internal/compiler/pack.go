@@ -548,30 +548,10 @@ func (p *PackedProgram) Run(y, x []float32, s *PackedScratch) error {
 
 // RunAdd is Run without the clear: y += W·x, each row's dot rounded to
 // float32 once and then added — tensor.MatVecAdd's contract, which is what
-// lets the nn steppers stage a bias in y and apply the program on top.
+// lets the nn steppers stage a bias in y and apply the program on top. A
+// vector is a width-1 panel.
 func (p *PackedProgram) RunAdd(y, x []float32, s *PackedScratch) error {
-	if len(x) != p.Cols || len(y) != p.Rows {
-		return fmt.Errorf("compiler: packed Run shape mismatch")
-	}
-	if s == nil {
-		s = p.NewScratch()
-	} else {
-		s.ensure(p.MaxGather, 1)
-	}
-	m := obs.M()
-	track := m != nil || p.trace != nil
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
-	xbuf := s.gather[:cap(s.gather)]
-	for t := range p.Lanes {
-		p.runLane(&p.Lanes[t], y, x, xbuf)
-	}
-	if track {
-		p.observe(t0, 1, m)
-	}
-	return nil
+	return p.RunBatchAdd(y, x, 1, s)
 }
 
 // RunBatch executes the program over a bw-wide input panel, writing the
@@ -584,11 +564,11 @@ func (p *PackedProgram) RunBatch(y, x []float32, bw int, s *PackedScratch) error
 }
 
 // RunBatchAdd is RunBatch without the clear: lane l of y receives RunAdd's
-// result on lane l's vector (tensor.MatVecAddBatch's contract).
+// result on lane l's vector (tensor.MatVecAddBatch's contract). It is the one
+// execution body; only the lane loop is chosen by width — scalar gathers and
+// the serial segment kernels at bw == 1, panel gathers and the strided
+// kernels above, each the faster at its width.
 func (p *PackedProgram) RunBatchAdd(y, x []float32, bw int, s *PackedScratch) error {
-	if bw == 1 {
-		return p.RunAdd(y, x, s)
-	}
 	if bw < 1 {
 		return fmt.Errorf("compiler: packed RunBatch width %d < 1", bw)
 	}
@@ -606,7 +586,11 @@ func (p *PackedProgram) RunBatchAdd(y, x []float32, bw int, s *PackedScratch) er
 		t0 = time.Now()
 	}
 	for t := range p.Lanes {
-		p.runLaneBatch(&p.Lanes[t], y, x, bw, s)
+		if bw == 1 {
+			p.runLane(&p.Lanes[t], y, x, s.gather[:cap(s.gather)])
+		} else {
+			p.runLaneBatch(&p.Lanes[t], y, x, bw, s)
+		}
 	}
 	if track {
 		p.observe(t0, bw, m)

@@ -7,15 +7,15 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// Batched streaming inference: B independent utterance streams advanced in
-// lockstep over column-major state panels (element i of stream l at
-// panel[i*bw+l]), so every weight matrix is streamed once per step for the
-// whole batch instead of once per stream. Lane l of every panel is
-// bit-identical to a dedicated serial Stepper fed lane l's frames: the
-// batch steppers replay the serial steppers' float operation order per
-// lane (bias broadcast, then the panel matvec whose per-lane accumulation
-// matches MatVecAdd, then the same element-wise gate math), and lanes never
-// mix — batch width changes data layout, not summation order.
+// The steppers: B independent utterance streams advanced in lockstep over
+// column-major state panels (element i of stream l at panel[i*bw+l]), so
+// every weight matrix is streamed once per step for the whole batch instead
+// of once per stream. Width 1 is the live single stream (a vector is a
+// width-1 panel). Lane l of every panel is bit-identical to Forward on lane
+// l's frames at any width: each lane sees Forward's float operation order
+// (bias, then the panel matvec whose per-lane accumulation matches
+// MatVecAdd, then the same element-wise gate math), and lanes never mix —
+// batch width changes data layout, not summation order.
 
 // BatchStepper is a layer that advances B independent streams in lockstep.
 type BatchStepper interface {
@@ -56,6 +56,20 @@ func addBroadcastRows(dst, src []float32, bw int) {
 	}
 }
 
+// biasStaging returns a width-bw stepper's bias staging, set and accumulate.
+// A width-1 panel is the vector itself and is staged in bulk — the lane loop
+// there costs the live stream 10 µs a step (DESIGN.md, "Why the serial stream
+// is the width-1 panel"). Chosen here, once, and not by a width test inside
+// the lane loops' functions, which would change how those compile (+12 µs on
+// an eight-wide step).
+func biasStaging(bw int) (set, add func(dst, src []float32, bw int)) {
+	if bw == 1 {
+		return func(dst, src []float32, _ int) { copy(dst, src) },
+			func(dst, src []float32, _ int) { tensor.Axpy(1, src, dst) }
+	}
+	return broadcastRows, addBroadcastRows
+}
+
 // zeroLane clears lane l of an n-element state panel.
 func zeroLane(panel []float32, n, bw, l int) {
 	for i := 0; i < n; i++ {
@@ -83,17 +97,18 @@ type gruBatchStream struct {
 	wx, wh MatVec
 	h      []float32
 	ax, ah []float32
+	stage  func(dst, src []float32, bw int)
 	ep     func(h, ax, ah []float32)
 	tracer *obs.Tracer
 	layer  int32
 }
 
-// BatchStream returns a reference stepper advancing bw independent streams
-// over this GRU's (shared, read-only) weights.
-func (g *GRU) BatchStream(bw int) BatchStepper { return g.batchStream(bw, ReferenceKernels()) }
-
+// batchStream returns a stepper advancing bw independent streams over this
+// GRU's (shared, read-only) weights.
 func (g *GRU) batchStream(bw int, k Kernels) BatchStepper {
+	stage, _ := biasStaging(bw)
 	return &gruBatchStream{
+		stage:  stage,
 		hidden: g.Hidden,
 		bw:     bw,
 		bx:     g.Bx.W.Data, bh: g.Bh.W.Data,
@@ -108,9 +123,9 @@ func (g *GRU) batchStream(bw int, k Kernels) BatchStepper {
 // StepBatch implements BatchStepper.
 func (s *gruBatchStream) StepBatch(x []float32) []float32 {
 	bw := s.bw
-	broadcastRows(s.ax, s.bx, bw)
+	s.stage(s.ax, s.bx, bw)
 	s.wx(s.ax, x)
-	broadcastRows(s.ah, s.bh, bw)
+	s.stage(s.ah, s.bh, bw)
 	s.wh(s.ah, s.h)
 	if s.tracer != nil {
 		t0 := time.Now()
@@ -148,14 +163,14 @@ type lstmBatchStream struct {
 	h, c   []float32
 	act    []float32
 	out    []float32
+	stage  func(dst, src []float32, bw int)
+	add    func(dst, src []float32, bw int)
 }
 
-// BatchStream returns a reference stepper advancing bw independent streams
-// over this LSTM's weights.
-func (l *LSTM) BatchStream(bw int) BatchStepper { return l.batchStream(bw, ReferenceKernels()) }
-
 func (l *LSTM) batchStream(bw int, k Kernels) BatchStepper {
+	stage, add := biasStaging(bw)
 	return &lstmBatchStream{
+		stage: stage, add: add,
 		hidden: l.Hidden,
 		bw:     bw,
 		bx:     l.Bx.W.Data, bh: l.Bh.W.Data,
@@ -170,8 +185,8 @@ func (l *LSTM) batchStream(bw int, k Kernels) BatchStepper {
 // StepBatch implements BatchStepper.
 func (s *lstmBatchStream) StepBatch(x []float32) []float32 {
 	H, bw := s.hidden, s.bw
-	broadcastRows(s.act, s.bx, bw)
-	addBroadcastRows(s.act, s.bh, bw)
+	s.stage(s.act, s.bx, bw)
+	s.add(s.act, s.bh, bw)
 	s.wx(s.act, x)
 	s.wh(s.act, s.h)
 	out := s.out
@@ -217,18 +232,18 @@ func (s *lstmBatchStream) CopyLaneTo(dst BatchStepper, dl, l int) {
 // denseBatchStream steps a Dense layer over panels (stateless; the
 // persistent output panel keeps steady-state streaming allocation-free).
 type denseBatchStream struct {
-	bias []float32
-	w    MatVec
-	bw   int
-	out  []float32
+	bias  []float32
+	w     MatVec
+	bw    int
+	out   []float32
+	stage func(dst, src []float32, bw int)
 }
 
-// BatchStream returns a reference batched stepper over the Dense layer.
-func (d *Dense) BatchStream(bw int) BatchStepper { return d.batchStream(bw, ReferenceKernels()) }
-
 func (d *Dense) batchStream(bw int, k Kernels) BatchStepper {
+	stage, _ := biasStaging(bw)
 	return &denseBatchStream{
-		bias: d.Bias.W.Data, w: k.MatVec(d.Weight, bw), bw: bw,
+		stage: stage,
+		bias:  d.Bias.W.Data, w: k.MatVec(d.Weight, bw), bw: bw,
 		out: make([]float32, d.OutDimN*bw),
 	}
 }
@@ -236,7 +251,7 @@ func (d *Dense) batchStream(bw int, k Kernels) BatchStepper {
 // StepBatch implements BatchStepper.
 func (s *denseBatchStream) StepBatch(x []float32) []float32 {
 	y := s.out
-	broadcastRows(y, s.bias, s.bw)
+	s.stage(y, s.bias, s.bw)
 	s.w(y, x)
 	return y
 }
@@ -285,8 +300,10 @@ func (m *Model) NewBatchStream(bw int) *BatchStream {
 	return m.NewKernelBatchStream(bw, ReferenceKernels())
 }
 
-// NewKernelBatchStream is NewBatchStream over the given kernels, mirroring
-// Model.NewKernelStream: k.MatVec is asked for bw-wide panel kernels.
+// NewKernelBatchStream is NewBatchStream over the given kernels: the steppers
+// keep the step order and the model's biases; only the y += W·x executors
+// (k.MatVec is asked for bw-wide panel kernels) and the epilogue tier come
+// from k.
 func (m *Model) NewKernelBatchStream(bw int, k Kernels) *BatchStream {
 	if bw < 1 {
 		panic("nn: batch width must be >= 1")
@@ -315,8 +332,7 @@ func (s *BatchStream) Width() int { return s.bw }
 
 // StepBatch pushes one input panel through the stack and returns the
 // logits panel (the last stepper's persistent buffer — valid until the
-// next call). Lane l is bit-identical to a serial Stream fed lane l's
-// frames.
+// next call). Lane l is bit-identical to Forward on lane l's frames.
 func (s *BatchStream) StepBatch(x []float32) []float32 {
 	if s.tracer != nil {
 		return s.stepBatchTraced(x)

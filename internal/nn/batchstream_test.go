@@ -26,42 +26,82 @@ func batchFrame(seed uint64, lane, step, dim int) []float32 {
 	return v
 }
 
-// TestBatchStreamBitIdentical: lane l of the batched pipeline must emit
-// byte-for-byte what a dedicated serial Stream fed lane l's frames emits,
-// for both cell types and batch widths spanning 1, odd, and wide.
-func TestBatchStreamBitIdentical(t *testing.T) {
-	const T = 9
-	for _, lstm := range []bool{false, true} {
-		for _, bw := range []int{1, 3, 8} {
-			label := fmt.Sprintf("lstm=%v bw=%d", lstm, bw)
-			m := batchTestModel(11, lstm)
-			in := m.Spec.InputDim
-			out := m.Spec.OutputDim
+// laneWidths spans the panel shapes: the live stream (1), narrow panels on
+// the portable kernel (2, 7), one vector chunk (8), a chunk plus a remainder
+// lane (9) and the widest panel serving uses (32).
+var laneWidths = []int{1, 2, 7, 8, 9, 32}
 
-			refs := make([]*Stream, bw)
-			for l := range refs {
-				refs[l] = m.NewStream()
+// checkLanes steps a bw-wide stream over kernels k and holds every lane of
+// every step to Forward on that lane's frames — the reference that shares no
+// stepping code — under ok, and to a width-1 stream of the same kernels (the
+// live stream) under the same contract.
+func checkLanes(t *testing.T, label string, m *Model, k Kernels, bw int, ok func(got, want float32) bool) {
+	t.Helper()
+	const T = 9
+	in, out := m.Spec.InputDim, m.Spec.OutputDim
+	solo := make([]*BatchStream, bw)
+	want := make([][][]float32, bw)
+	for l := range solo {
+		solo[l] = m.NewKernelBatchStream(1, k)
+		frames := make([][]float32, T)
+		for step := range frames {
+			frames[step] = batchFrame(3, l, step, in)
+		}
+		want[l] = m.Forward(frames)
+	}
+	bs := m.NewKernelBatchStream(bw, k)
+	panel := make([]float32, in*bw)
+	for step := 0; step < T; step++ {
+		for l := 0; l < bw; l++ {
+			for i, v := range batchFrame(3, l, step, in) {
+				panel[i*bw+l] = v
 			}
-			bs := m.NewBatchStream(bw)
-			panel := make([]float32, in*bw)
-			for step := 0; step < T; step++ {
-				want := make([][]float32, bw)
-				for l := 0; l < bw; l++ {
-					frame := batchFrame(3, l, step, in)
-					for i, v := range frame {
-						panel[i*bw+l] = v
-					}
-					logits := refs[l].Step(frame)
-					want[l] = append([]float32(nil), logits...)
+		}
+		got := bs.StepBatch(panel)
+		for l := 0; l < bw; l++ {
+			one := solo[l].StepBatch(batchFrame(3, l, step, in))
+			for i := 0; i < out; i++ {
+				if g, w := got[i*bw+l], want[l][step][i]; !ok(g, w) {
+					t.Fatalf("%s bw=%d step %d lane %d elem %d: panel %v vs Forward %v", label, bw, step, l, i, g, w)
 				}
-				got := bs.StepBatch(panel)
-				for l := 0; l < bw; l++ {
-					for i := 0; i < out; i++ {
-						if got[i*bw+l] != want[l][i] {
-							t.Fatalf("%s step %d lane %d elem %d: batch %v vs serial %v",
-								label, step, l, i, got[i*bw+l], want[l][i])
-						}
-					}
+				if g, w := got[i*bw+l], one[i]; !ok(g, w) {
+					t.Fatalf("%s bw=%d step %d lane %d elem %d: panel %v vs width-1 stream %v", label, bw, step, l, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+func bitEqual(got, want float32) bool { return got == want }
+
+// TestBatchStreamBitIdentical: on the reference kernels lane l of a panel of
+// any width must emit byte-for-byte what Forward computes for lane l's
+// frames, and what the width-1 stream emits, for both cell types.
+func TestBatchStreamBitIdentical(t *testing.T) {
+	for _, lstm := range []bool{false, true} {
+		for _, bw := range laneWidths {
+			checkLanes(t, fmt.Sprintf("lstm=%v", lstm), batchTestModel(11, lstm), ReferenceKernels(), bw, bitEqual)
+		}
+	}
+}
+
+// TestBroadcastRowsMatchLaneLoop pins the bias staging a stepper is built
+// with — bulk copy/Axpy at width 1, the lane loops above it — to
+// dst[i*bw+l] (+)= src[i] at widths on both sides of the fork.
+func TestBroadcastRowsMatchLaneLoop(t *testing.T) {
+	src := batchFrame(7, 0, 0, 13)
+	for _, bw := range []int{1, 2, 8, 9} {
+		set := make([]float32, len(src)*bw)
+		add := batchFrame(7, 1, bw, len(src)*bw)
+		base := append([]float32(nil), add...)
+		stage, accumulate := biasStaging(bw)
+		stage(set, src, bw)
+		accumulate(add, src, bw)
+		for i, v := range src {
+			for l := 0; l < bw; l++ {
+				if set[i*bw+l] != v || add[i*bw+l] != base[i*bw+l]+v {
+					t.Fatalf("bw=%d elem %d lane %d: staged %v, accumulated %v; want %v, %v",
+						bw, i, l, set[i*bw+l], add[i*bw+l], v, base[i*bw+l]+v)
 				}
 			}
 		}
@@ -69,7 +109,7 @@ func TestBatchStreamBitIdentical(t *testing.T) {
 }
 
 // TestBatchStreamResetLane: resetting one lane mid-utterance must restart
-// exactly that lane (matching a freshly Reset serial stream) while leaving
+// exactly that lane (matching a freshly Reset width-1 stream) while leaving
 // the neighboring lanes' bytes untouched.
 func TestBatchStreamResetLane(t *testing.T) {
 	const bw, T, resetAt, victim = 4, 10, 5, 1
@@ -156,7 +196,7 @@ func TestNewBatchStreamValidation(t *testing.T) {
 // TestBatchStreamCopyLane: an utterance hopping between panels of different
 // widths at every step — its lane's recurrent state and live flag copied
 // each time into a stream whose lanes hold stale state — emits exactly what
-// a dedicated serial Stream emits.
+// a width-1 Stream that never moved emits.
 func TestBatchStreamCopyLane(t *testing.T) {
 	const T = 8
 	for _, lstm := range []bool{false, true} {

@@ -13,8 +13,8 @@ import (
 // the historical unfused loops (covered transitively by the stream/batch
 // bit-identity tests plus tensor's GRUEpilogue pin); here we pin the new
 // tier-selection axis: every (matvec, epilogue) tier combination runs,
-// fast combinations stay tolerance-close to the exact stream, the batch
-// panels keep their lane discipline, epilogue spans are recorded, and the
+// fast combinations stay tolerance-close to the exact stream, the panels
+// keep their lane discipline at every width, epilogue spans are recorded, and the
 // hot path stays allocation-free.
 
 // epilogueStreamTol bounds a whole fast-tier stack (fast GEMVs + fast
@@ -37,6 +37,9 @@ func tierKernels(fastMV, fastEpilogue bool) Kernels {
 	return k
 }
 
+// kernelStream is the width-1 stream over the given kernels.
+func kernelStream(m *Model, k Kernels) *Stream { return &Stream{m.NewKernelBatchStream(1, k)} }
+
 func TestStreamTiersFusedEpilogue(t *testing.T) {
 	m := NewGRUModel(ModelSpec{InputDim: 9, Hidden: 24, NumLayers: 2, OutputDim: 6, Seed: 17})
 	const T = 12
@@ -44,10 +47,10 @@ func TestStreamTiersFusedEpilogue(t *testing.T) {
 	for i := range frames {
 		frames[i] = batchFrame(5, 0, i, 9)
 	}
-	exact := m.NewKernelStream(tierKernels(false, false))
+	exact := kernelStream(m, tierKernels(false, false))
 	ref := m.NewStream()
 	for _, tiers := range [][2]bool{{true, false}, {false, true}, {true, true}} {
-		s := m.NewKernelStream(tierKernels(tiers[0], tiers[1]))
+		s := kernelStream(m, tierKernels(tiers[0], tiers[1]))
 		exact.Reset()
 		ref.Reset()
 		for step, f := range frames {
@@ -69,44 +72,21 @@ func TestStreamTiersFusedEpilogue(t *testing.T) {
 }
 
 // TestBatchStreamFusedEpilogueLanes: with the fused epilogue on either
-// tier, lane l of a batch panel must match a dedicated serial stream of
-// the same tiers — bit-identical on the exact tier (same scalar ops per
-// element), tolerance-close on the fast tier (the 8-wide vector split
-// lands on different elements at different widths).
+// tier, lane l of a panel of any width must match Forward and the width-1
+// stream of the same tiers — bit-identical on the exact tier (same scalar
+// ops per element), tolerance-close on the fast tiers (the 8-wide vector
+// split lands on different elements at different widths).
 func TestBatchStreamFusedEpilogueLanes(t *testing.T) {
-	const T, bw = 7, 5
-	m := batchTestModel(41, false)
-	in, out := m.Spec.InputDim, m.Spec.OutputDim
-	for _, fastEp := range []bool{false, true} {
-		label := fmt.Sprintf("fastEp=%v", fastEp)
-		refs := make([]*Stream, bw)
-		for l := range refs {
-			refs[l] = m.NewKernelStream(tierKernels(false, fastEp))
-		}
-		bs := m.NewKernelBatchStream(bw, tierKernels(false, fastEp))
-		panel := make([]float32, in*bw)
-		for step := 0; step < T; step++ {
-			for l := 0; l < bw; l++ {
-				frame := batchFrame(9, l, step, in)
-				for i, v := range frame {
-					panel[i*bw+l] = v
-				}
+	within := func(got, want float32) bool { return math.Abs(float64(got-want)) <= epilogueStreamTol }
+	for _, lstm := range []bool{false, true} {
+		for _, tiers := range [][2]bool{{false, false}, {false, true}, {true, true}} {
+			ok := within
+			if !tiers[0] && !tiers[1] {
+				ok = bitEqual
 			}
-			got := bs.StepBatch(panel)
-			for l := 0; l < bw; l++ {
-				frame := batchFrame(9, l, step, in)
-				want := refs[l].Step(frame)
-				for i := 0; i < out; i++ {
-					g, w := got[i*bw+l], want[i]
-					if !fastEp && g != w {
-						t.Fatalf("%s step %d lane %d elem %d: batch %v vs serial %v",
-							label, step, l, i, g, w)
-					}
-					if fastEp && math.Abs(float64(g-w)) > epilogueStreamTol {
-						t.Fatalf("%s step %d lane %d elem %d: batch %v vs serial %v",
-							label, step, l, i, g, w)
-					}
-				}
+			for _, bw := range laneWidths {
+				checkLanes(t, fmt.Sprintf("lstm=%v tiers=%v", lstm, tiers), batchTestModel(41, lstm),
+					tierKernels(tiers[0], tiers[1]), bw, ok)
 			}
 		}
 	}
@@ -116,7 +96,7 @@ func TestBatchStreamFusedEpilogueLanes(t *testing.T) {
 // per GRU layer per step, nested inside the layer spans.
 func TestStreamEpilogueSpans(t *testing.T) {
 	m := NewGRUModel(ModelSpec{InputDim: 6, Hidden: 16, NumLayers: 2, OutputDim: 4, Seed: 23})
-	s := m.NewKernelStream(tierKernels(true, true))
+	s := kernelStream(m, tierKernels(true, true))
 	tr := obs.NewTracer(256, 8)
 	s.SetTracer(tr)
 	const steps = 5
@@ -158,13 +138,13 @@ func TestStreamEpilogueSpans(t *testing.T) {
 }
 
 // TestStreamFusedStepZeroAlloc gates the fused stepper hot path — traced
-// and untraced, serial and batch, both tiers — at zero heap allocations.
+// and untraced, width 1 and wider, both tiers — at zero heap allocations.
 func TestStreamFusedStepZeroAlloc(t *testing.T) {
 	m := NewGRUModel(ModelSpec{InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 5, Seed: 31})
 	x := make([]float32, 8)
 	tr := obs.NewTracer(256, 8)
 	for _, tiers := range [][2]bool{{false, false}, {true, true}} {
-		s := m.NewKernelStream(tierKernels(tiers[0], tiers[1]))
+		s := kernelStream(m, tierKernels(tiers[0], tiers[1]))
 		s.Step(x)
 		if n := testing.AllocsPerRun(50, func() { s.Step(x) }); n != 0 {
 			t.Errorf("tiers %v untraced Step allocates %.0f/op, want 0", tiers, n)

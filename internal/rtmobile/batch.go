@@ -11,13 +11,14 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// Batched serving: InferBatch groups utterances into fixed-width lockstep
-// panels so every weight matrix is streamed from memory once per step for
-// the whole group instead of once per utterance — the SpMM weight-reuse
-// win. Ragged batches are handled by lane retirement: when an utterance
-// runs out of frames its lane keeps lockstepping on its last input (lanes
-// are fully independent, so this cannot perturb the live lanes) and its
-// output column simply stops being read.
+// The engine's one session type, and batched serving on top of it:
+// InferBatch groups utterances into fixed-width lockstep panels so every
+// weight matrix is streamed from memory once per step for the whole group
+// instead of once per utterance — the SpMM weight-reuse win. Ragged batches
+// are handled by lane retirement: when an utterance runs out of frames its
+// lane keeps lockstepping on its last input (lanes are fully independent, so
+// this cannot perturb the live lanes) and its output column simply stops
+// being read.
 
 // MaxBatchWidth caps the lockstep panel width InferBatch uses per worker
 // group. Wider panels amortize the weight stream further but grow the
@@ -25,13 +26,13 @@ import (
 // inside L2 while already reading each weight 1/32nd as often.
 const MaxBatchWidth = 32
 
-// maxFreeArenas bounds the engine's batch-arena free list.
+// maxFreeArenas bounds the engine's free list of released sessions.
 const maxFreeArenas = 16
 
 // forkJoinBreakEvenMACs is the fork-join break-even: below this many
 // multiply-accumulates per worker, handing panel groups to the pool costs
-// more than the arithmetic saves, so InferBatchInto runs one wide panel on
-// the caller instead (bit-identical either way). Sized so single-utterance
+// more than the arithmetic saves, so InferBatchInto runs its groups on the
+// caller instead (bit-identical either way). Sized so single-utterance
 // and small-batch calls stay inline while long batches still fan out. A
 // variable only so tests can force the sharded path on small models: 0
 // disables the cutoff.
@@ -46,189 +47,148 @@ func forkJoinWorthwhile(work, workers int) bool {
 	return runtime.GOMAXPROCS(0) >= 2 && work/workers >= forkJoinBreakEvenMACs
 }
 
-// BatchStream is a stateful lockstep inference session over bw utterance
-// slots. It owns all mutable state (the layer panels, the fp16 staging
-// panel, the softmax staging rows), so one goroutine per BatchStream; the
-// engine weights underneath stay shared and read-only. Lane l of every
-// output panel is bit-identical to a serial Stream fed lane l's frames.
-type BatchStream struct {
+// BatchLease is the engine's one inference session: bw utterance slots
+// advanced in lockstep over the compiled programs (bw == 1 is the live
+// single stream, which Stream wraps). It owns all mutable state — the layer
+// panels, the fp16 staging panel, the softmax staging rows, its In/Out
+// panels — so one goroutine per session; the engine weights underneath stay
+// shared and read-only. On the exact tier lane l of every output panel is
+// bit-identical to Infer on lane l's frames at any width (the fast tier's
+// panel kernels round width-dependently, inside its tolerance).
+//
+// As a lease it is what external serving tiers (internal/sched) drive: the
+// caller fills the input panel column-major, Steps, and reads the posterior
+// panel, with ResetLane/Retire managing lane occupancy across ragged
+// utterances. It satisfies sched.Session structurally. Release returns it to
+// the engine's width-keyed free list, so steady-state acquire/release cycles
+// at a stable width perform zero heap allocations.
+type BatchLease struct {
+	e     *Engine
 	inner *nn.BatchStream
-	bw    int
-	out   int
-	fp16  bool
-	qbuf  []float32
-	lane  []float32
+	in    []float32
 	post  []float32
-	// shard/macs/bytes/tracer: see Stream. macs is per timestep per lane;
-	// the lockstep executes bw lanes' worth of arithmetic every panel step
-	// (retired lanes keep computing), so MACsTotal is metered at bw×macs.
-	// bytes is NOT scaled by bw: the panel shares one weight stream per
-	// step — the amortization batching exists for — so BytesStreamed
-	// advances once per panel step.
+	// qbuf stages the input panel rounded through half precision (nil on
+	// float32 targets); lane and row stage one lane's logits and posteriors
+	// for the softmax.
+	qbuf, lane, row []float32
+	// shard is the session's stable counter-stripe hint (one atomic stripe
+	// per session keeps concurrent sessions off each other's cache lines);
+	// tracer is the engine tracer captured at open time (nil = untraced
+	// fast path). solo marks a session opened by NewStream, whose steps
+	// meter the stream family instead of the batch family.
 	shard  uint32
-	macs   uint64
-	bytes  uint64
+	solo   bool
 	tracer *obs.Tracer
-	// sm is the per-lane posterior softmax on the engine's kernel tier
-	// (see softmaxTier) — each lane's row is extracted to a serial buffer
-	// first, so the softmax itself is lane-order-independent.
+	// sm is the per-lane posterior softmax on the engine's kernel tier (see
+	// softmaxTier), captured at open time like the steppers' epilogue.
 	sm func(dst, src []float32)
-	// lastStepNs is the wall time of the most recent StepBatchInto,
-	// captured only when the step is already being timed for metrics or
-	// stage tracing (0 otherwise). The serve scheduler reads it through
-	// LastStepNs to attribute kernel time to request traces without
-	// paying a second clock read per panel step.
+	// lastStepNs is the wall time of the most recent step, captured only
+	// when the step is already being timed for metrics or stage tracing (0
+	// otherwise) — see LastStepNs.
 	lastStepNs int64
 }
 
-// NewBatchStream opens a lockstep session of width bw. State persists
-// across StepBatch calls until Reset (all lanes) or ResetLane (one slot).
-func (e *Engine) NewBatchStream(bw int) *BatchStream {
-	s := &BatchStream{
-		inner: e.model.NewKernelBatchStream(bw, e.kernels(&compiler.PackedScratch{})),
-		bw:    bw,
-		out:   e.model.Spec.OutputDim,
-		fp16:  e.fp16,
-		shard: obs.NextShard(),
-		macs:  e.stepMACs,
-		bytes: e.stepBytes,
-		sm:    softmaxTier(e.precision == compiler.PrecisionFast),
+// newSession builds a width-bw session with every lane reset and active.
+func (e *Engine) newSession(bw int, solo bool) *BatchLease {
+	in, out := e.model.Spec.InputDim, e.model.Spec.OutputDim
+	l := &BatchLease{
+		e:      e,
+		inner:  e.model.NewKernelBatchStream(bw, e.kernels(&compiler.PackedScratch{})),
+		in:     make([]float32, in*bw),
+		post:   make([]float32, out*bw),
+		lane:   make([]float32, out),
+		row:    make([]float32, out),
+		shard:  obs.NextShard(),
+		solo:   solo,
+		tracer: e.tracer,
+		sm:     softmaxTier(e.precision == compiler.PrecisionFast),
+	}
+	if e.fp16 {
+		l.qbuf = make([]float32, in*bw)
 	}
 	if e.tracer != nil {
-		s.tracer = e.tracer
-		s.inner.SetTracer(e.tracer)
+		l.inner.SetTracer(e.tracer)
 	}
-	return s
+	return l
 }
 
-// Width reports the session's batch width.
-func (s *BatchStream) Width() int { return s.bw }
-
-// stepBatch advances one input panel and returns the raw logits panel,
-// borrowed from the pipeline's persistent buffers. On the fp16 path the
-// whole input panel is rounded through half precision — element-wise, so
-// each lane sees exactly the rounding a serial Stream applies to its frame.
-func (s *BatchStream) stepBatch(panel []float32) []float32 {
-	in := panel
-	if s.fp16 {
-		if cap(s.qbuf) < len(panel) {
-			s.qbuf = make([]float32, len(panel))
-		}
-		in = s.qbuf[:len(panel)]
-		copy(in, panel)
-		tensor.QuantizeHalfVec(in)
-	}
-	return s.inner.StepBatch(in)
-}
-
-// StepBatch consumes one column-major input panel (element i of lane l at
-// panel[i*bw+l]) and returns a freshly allocated posterior panel in the
-// same layout. Use StepBatchInto for the allocation-free variant.
-func (s *BatchStream) StepBatch(panel []float32) []float32 {
-	dst := make([]float32, s.out*s.bw)
-	s.StepBatchInto(dst, panel)
-	return dst
-}
-
-// StepBatchInto consumes one input panel and writes per-lane phone
-// posteriors into dst (column-major, OutputDim×bw). Retired lanes are
-// skipped — their dst columns are left untouched. Steady-state
-// StepBatchInto performs zero heap allocations.
-func (s *BatchStream) StepBatchInto(dst, panel []float32) {
+// step advances every lane one frame: it consumes one column-major input
+// panel (element i of lane k at panel[i*bw+k]) and writes per-lane phone
+// posteriors into dst in the same layout. On the fp16 path the whole input
+// panel is rounded through half precision — element-wise, so each lane sees
+// the same rounding at any width. Retired lanes are skipped — their dst
+// columns are left untouched. Zero heap allocations, with metrics and
+// tracing enabled too (the observability writes are all fixed-size atomics).
+//
+// This is the one place work counters are metered (the programs record only
+// kernel latency and spans), at the engine's plan-priced per-timestep MACs
+// and weight traffic. The lockstep executes bw lanes' worth of arithmetic
+// every step (retired lanes keep computing), so MACsTotal advances by
+// bw×stepMACs; BytesStreamed is NOT scaled by bw: the panel shares one
+// weight stream per step — the amortization batching exists for.
+func (l *BatchLease) step(dst, panel []float32) {
 	m := obs.M()
-	track := m != nil || s.tracer != nil
+	track := m != nil || l.tracer != nil
 	var t0 time.Time
 	if track {
 		t0 = time.Now()
 	}
-	logits := s.stepBatch(panel)
-	n := s.out
-	if cap(s.lane) < n {
-		s.lane = make([]float32, n)
-		s.post = make([]float32, n)
+	in := panel
+	if l.qbuf != nil {
+		in = l.qbuf[:len(panel)]
+		copy(in, panel)
+		tensor.QuantizeHalfVec(in)
 	}
-	lane, post := s.lane[:n], s.post[:n]
-	live := 0
-	for l := 0; l < s.bw; l++ {
-		if !s.inner.Active(l) {
+	logits := l.inner.StepBatch(in)
+	bw, live, lane, row := l.inner.Width(), 0, l.lane, l.row
+	for k := 0; k < bw; k++ {
+		if !l.inner.Active(k) {
 			continue
 		}
 		live++
-		for i := 0; i < n; i++ {
-			lane[i] = logits[i*s.bw+l]
+		for i := range lane {
+			lane[i] = logits[i*bw+k]
 		}
-		s.sm(post, lane)
-		for i, v := range post {
-			dst[i*s.bw+l] = v
+		l.sm(row, lane)
+		for i, v := range row {
+			dst[i*bw+k] = v
 		}
 	}
 	if track {
 		dur := time.Since(t0).Nanoseconds()
-		s.lastStepNs = dur
+		l.lastStepNs = dur
 		if m != nil {
-			m.BatchStepsTotal.IncAt(s.shard)
-			m.BatchLanesTotal.AddAt(s.shard, uint64(live))
-			m.FramesTotal.AddAt(s.shard, uint64(live))
-			// Retired lanes keep lockstepping, so arithmetic scales with
-			// the panel width, not the live-lane count. The weight stream
-			// does not: one stream serves the whole panel.
-			m.MACsTotal.AddAt(s.shard, uint64(s.bw)*s.macs)
-			m.BytesStreamed.AddAt(s.shard, s.bytes)
-			m.BatchStepLatency.Observe(dur)
+			if l.solo {
+				m.StepsTotal.IncAt(l.shard)
+				m.StepLatency.Observe(dur)
+			} else {
+				m.BatchStepsTotal.IncAt(l.shard)
+				m.BatchLanesTotal.AddAt(l.shard, uint64(live))
+				m.BatchStepLatency.Observe(dur)
+			}
+			m.FramesTotal.AddAt(l.shard, uint64(live))
+			m.MACsTotal.AddAt(l.shard, uint64(bw)*l.e.stepMACs)
+			m.BytesStreamed.AddAt(l.shard, l.e.stepBytes)
 		}
-		if s.tracer != nil {
-			s.tracer.Record(obs.StageBatchStep, 0, int32(s.bw), t0.UnixNano(), dur)
+		if l.tracer != nil {
+			kind := obs.StageBatchStep
+			if l.solo {
+				kind = obs.StageStep
+			}
+			l.tracer.Record(kind, 0, int32(bw), t0.UnixNano(), dur)
 		}
 	}
 }
 
-// LastStepNs reports the measured wall time of the most recent
-// StepBatch/StepBatchInto call. Steps are only timed when metrics
-// collection or stage tracing is active; otherwise LastStepNs is 0.
-func (s *BatchStream) LastStepNs() int64 { return s.lastStepNs }
-
-// Reset clears every lane's recurrent state and re-activates all lanes.
-func (s *BatchStream) Reset() { s.inner.Reset() }
-
-// ResetLane clears one lane's recurrent state and re-activates it — a new
-// utterance entering a serving slot whose neighbors keep streaming.
-func (s *BatchStream) ResetLane(l int) { s.inner.ResetLane(l) }
-
-// Retire marks a lane's outputs meaningless (its utterance ended); the
-// lockstep keeps computing the column but StepBatchInto stops writing it.
-func (s *BatchStream) Retire(l int) { s.inner.Retire(l) }
-
-// Active reports whether a lane currently carries a live utterance.
-func (s *BatchStream) Active(l int) bool { return s.inner.Active(l) }
-
-// CopyLaneTo copies lane l's recurrent state and active flag into lane dl
-// of dst, a session of the same engine at any width: the utterance
-// continues in dst bit-identically to having stayed here.
-func (s *BatchStream) CopyLaneTo(dst *BatchStream, dl, l int) { s.inner.CopyLaneTo(dst.inner, dl, l) }
-
-// batchArena is the per-group working set InferBatch reuses across calls:
-// a lockstep session plus its input and posterior panels. Arenas are keyed
-// by batch width; the engine keeps a small free list so steady-state
-// serving never reallocates them. The embedded lease is the arena's
-// exported face for the serve scheduler — allocated once with the arena so
-// AcquireBatch stays allocation-free on the free-list hit path.
-type batchArena struct {
-	bw    int
-	bs    *BatchStream
-	in    []float32
-	post  []float32
-	lease BatchLease
-}
-
-// getBatchArena pops a width-bw arena off the free list or builds one.
-// Pops and builds are metered as obs arena hits and misses, making the
-// steady-state zero-allocation claim observable: a serving loop at a
-// stable batch shape shows misses flat while hits climb.
-func (e *Engine) getBatchArena(bw int) *batchArena {
+// AcquireBatch leases a width-bw session with every lane reset and active,
+// popped off the free list or built. Pops and builds are metered as obs
+// arena hits and misses, making the steady-state zero-allocation claim
+// observable: a serving loop at a stable batch shape shows misses flat while
+// hits climb.
+func (e *Engine) AcquireBatch(bw int) *BatchLease {
 	e.batchMu.Lock()
 	for i := len(e.batchFree) - 1; i >= 0; i-- {
-		if e.batchFree[i].bw == bw {
-			a := e.batchFree[i]
+		if l := e.batchFree[i]; l.Width() == bw {
 			last := len(e.batchFree) - 1
 			e.batchFree[i] = e.batchFree[last]
 			e.batchFree[last] = nil
@@ -237,155 +197,130 @@ func (e *Engine) getBatchArena(bw int) *batchArena {
 			if m := obs.M(); m != nil {
 				m.ArenaHits.Inc()
 			}
-			return a
+			l.inner.Reset()
+			return l
 		}
 	}
 	e.batchMu.Unlock()
 	if m := obs.M(); m != nil {
 		m.ArenaMisses.Inc()
 	}
-	a := &batchArena{
-		bw:   bw,
-		bs:   e.NewBatchStream(bw),
-		in:   make([]float32, e.model.Spec.InputDim*bw),
-		post: make([]float32, e.model.Spec.OutputDim*bw),
-	}
-	a.lease.e = e
-	a.lease.a = a
-	return a
+	return e.newSession(bw, false)
 }
 
-// BatchLease is a leased lockstep panel session for external serving
-// tiers (internal/sched): the caller fills the input panel column-major,
-// Steps, and reads the posterior panel, with ResetLane/Retire managing
-// lane occupancy across ragged utterances. It satisfies sched.Session
-// structurally. One goroutine per lease; Release returns it to the
-// engine's arena free list, so steady-state acquire/release cycles at a
-// stable width perform zero heap allocations.
-type BatchLease struct {
-	e *Engine
-	a *batchArena
-}
-
-// AcquireBatch leases a width-bw lockstep session with every lane reset
-// and active. Arena-backed: repeated acquire/release at one width reuses
-// the same panels and session.
-func (e *Engine) AcquireBatch(bw int) *BatchLease {
-	a := e.getBatchArena(bw)
-	a.bs.Reset()
-	return &a.lease
-}
-
-// In returns the input panel (InputDim × width, element i of lane l at
-// In()[i*width+l]).
-func (l *BatchLease) In() []float32 { return l.a.in }
+// In returns the input panel (InputDim × width, element i of lane k at
+// In()[i*width+k]).
+func (l *BatchLease) In() []float32 { return l.in }
 
 // Out returns the posterior panel (OutputDim × width), valid after Step.
-func (l *BatchLease) Out() []float32 { return l.a.post }
+func (l *BatchLease) Out() []float32 { return l.post }
 
-// Width reports the lease's panel width.
-func (l *BatchLease) Width() int { return l.a.bw }
+// Width reports the session's panel width.
+func (l *BatchLease) Width() int { return l.inner.Width() }
 
 // Step advances every lane one frame: posteriors for live lanes land in
 // Out, retired lanes' columns are left untouched.
-func (l *BatchLease) Step() { l.a.bs.StepBatchInto(l.a.post, l.a.in) }
+func (l *BatchLease) Step() { l.step(l.post, l.in) }
 
 // LastStepNs reports the measured wall time of the most recent Step (0
 // when neither metrics nor stage tracing is timing steps). Request traces
 // use it to attribute kernel time without an extra clock read.
-func (l *BatchLease) LastStepNs() int64 { return l.a.bs.LastStepNs() }
+func (l *BatchLease) LastStepNs() int64 { return l.lastStepNs }
 
-// ResetLane clears lane i's recurrent state and re-activates it.
-func (l *BatchLease) ResetLane(i int) { l.a.bs.ResetLane(i) }
+// ResetLane clears lane i's recurrent state and re-activates it — a new
+// utterance entering a serving slot whose neighbors keep streaming.
+func (l *BatchLease) ResetLane(i int) { l.inner.ResetLane(i) }
 
-// Retire marks lane i's outputs meaningless (its utterance ended).
-func (l *BatchLease) Retire(i int) { l.a.bs.Retire(i) }
+// Retire marks lane i's outputs meaningless (its utterance ended); the
+// lockstep keeps computing the column but Step stops writing it.
+func (l *BatchLease) Retire(i int) { l.inner.Retire(i) }
 
 // CopyLaneTo copies lane i's recurrent state and active flag into lane di
 // of dst, a lease of the same engine at any width — how a serving tier
 // moves an utterance between panel shapes mid-flight. Posteriors already
 // read out of Out are not carried; the next Step of dst produces lane di's
 // next row exactly as this lease would have.
-func (l *BatchLease) CopyLaneTo(dst *BatchLease, di, i int) { l.a.bs.CopyLaneTo(dst.a.bs, di, i) }
+func (l *BatchLease) CopyLaneTo(dst *BatchLease, di, i int) { l.inner.CopyLaneTo(dst.inner, di, i) }
 
-// Release returns the session to the engine's arena free list. The lease
-// must not be used afterwards.
-func (l *BatchLease) Release() { l.e.putBatchArena(l.a) }
-
-// putBatchArena returns an arena to the free list (dropped if full).
-func (e *Engine) putBatchArena(a *batchArena) {
+// Release returns the session to the engine's free list (dropped if the
+// list is full). The lease must not be used afterwards.
+func (l *BatchLease) Release() {
+	e := l.e
 	e.batchMu.Lock()
 	if len(e.batchFree) < maxFreeArenas {
-		e.batchFree = append(e.batchFree, a)
+		e.batchFree = append(e.batchFree, l)
 	}
 	e.batchMu.Unlock()
 }
 
-// batchWidth picks the lockstep panel width for an n-utterance batch:
-// split the batch evenly across the pool's workers, clamped to
-// [1, MaxBatchWidth].
+// minPanelWidth is the narrowest multi-lane panel InferBatchInto opens: the
+// strided kernels vectorize eight lanes at a time, and a 2–7 lane panel on
+// the portable kernel costs 750–1,691 µs a step against 247 µs per lane at
+// width 1 (BenchmarkPanelStepWidth) — the same two-shape rule internal/sched
+// dispatches by.
+const minPanelWidth = 8
+
+// batchWidth picks the lockstep panel width for an n-utterance batch: split
+// the batch evenly across the pool's workers, capped at MaxBatchWidth; a
+// share narrower than minPanelWidth runs as width-1 sessions instead, one
+// utterance per group (bit-identical: lanes never mix).
 func batchWidth(n, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}
-	bw := (n + workers - 1) / workers
-	if bw > MaxBatchWidth {
-		bw = MaxBatchWidth
-	}
-	if bw < 1 {
-		bw = 1
+	bw := min((n+workers-1)/workers, MaxBatchWidth)
+	if bw < minPanelWidth {
+		return 1
 	}
 	return bw
 }
 
-// inferPanel scores up to bw utterances in lockstep, writing per-frame
-// posteriors into dst (dst[l][t] must already have the model's output
-// width). Lanes past len(utts), and empty utterances, start retired; each
-// live lane is retired the step after its last frame. Retired lanes keep
-// lockstepping on their final input frame — harmless, because lanes never
-// mix.
+// inferPanel scores up to Width utterances in lockstep on a leased session,
+// writing per-frame posteriors into dst (dst[k][t] must already have the
+// model's output width). Lanes past len(utts), and empty utterances, start
+// retired; each live lane is retired the step after its last frame. Retired
+// lanes keep lockstepping on their final input frame — harmless, because
+// lanes never mix.
 func (e *Engine) inferPanel(dst [][][]float32, utts [][][]float32, bw int) {
-	a := e.getBatchArena(bw)
-	bs := a.bs
-	bs.Reset()
+	l := e.AcquireBatch(bw)
 	maxT := 0
-	for l := 0; l < bw; l++ {
-		if l >= len(utts) || len(utts[l]) == 0 {
-			bs.Retire(l)
-		} else if len(utts[l]) > maxT {
-			maxT = len(utts[l])
+	for k := 0; k < bw; k++ {
+		if k >= len(utts) || len(utts[k]) == 0 {
+			l.Retire(k)
+		} else if len(utts[k]) > maxT {
+			maxT = len(utts[k])
 		}
 	}
 	for t := 0; t < maxT; t++ {
-		for l := 0; l < len(utts) && l < bw; l++ {
-			if t < len(utts[l]) {
-				for i, v := range utts[l][t] {
-					a.in[i*bw+l] = v
+		for k := 0; k < len(utts) && k < bw; k++ {
+			if t < len(utts[k]) {
+				for i, v := range utts[k][t] {
+					l.in[i*bw+k] = v
 				}
 			}
 		}
-		bs.StepBatchInto(a.post, a.in)
-		for l := 0; l < len(utts) && l < bw; l++ {
-			if t < len(utts[l]) {
-				row := dst[l][t]
+		l.Step()
+		for k := 0; k < len(utts) && k < bw; k++ {
+			if t < len(utts[k]) {
+				row := dst[k][t]
 				for i := range row {
-					row[i] = a.post[i*bw+l]
+					row[i] = l.post[i*bw+k]
 				}
-				if t+1 == len(utts[l]) {
-					bs.Retire(l)
+				if t+1 == len(utts[k]) {
+					l.Retire(k)
 				}
 			}
 		}
 	}
-	e.putBatchArena(a)
+	l.Release()
 }
 
 // InferBatchInto scores independent utterances through the lockstep
 // batched path, writing per-frame posteriors into dst. dst must mirror
 // batch's shape: dst[i] has one row per frame of batch[i], each row the
 // model's output width. Steady-state calls with a stable batch shape
-// below the fork-join break-even perform zero heap allocations — the arena
-// free list and the lockstep session's panels are all reused; above it the
+// below the fork-join break-even perform zero heap allocations — the free
+// list's sessions and their panels are all reused; above it the
 // pool's fork-join costs a handful of allocations per call, amortized over
 // at least forkJoinBreakEvenMACs of arithmetic per worker.
 //
@@ -405,8 +340,8 @@ func (e *Engine) InferBatchInto(dst, batch [][][]float32) {
 		pool = parallel.Default()
 	}
 	// Shard panel groups across the pool only when the batch carries enough
-	// arithmetic per worker to pay for the fork-join; below it one wide panel
-	// on the caller is faster, and allocation-free at any worker count.
+	// arithmetic per worker to pay for the fork-join; below it the groups run
+	// on the caller, faster and allocation-free at any worker count.
 	workers := pool.Workers()
 	if workers > 1 {
 		frames := 0

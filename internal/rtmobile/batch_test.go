@@ -1,77 +1,139 @@
 package rtmobile
 
 import (
+	"fmt"
 	"testing"
 
+	"rtmobile/internal/compiler"
 	"rtmobile/internal/device"
+	"rtmobile/internal/nn"
+	"rtmobile/internal/tensor"
 )
 
-// TestBatchStreamMatchesStream: lane l of a lockstep session must emit
-// byte-for-byte what a dedicated serial Stream emits for lane l's frames,
-// on both the fp32 and fp16 (GPU) activation paths, including a
-// mid-utterance lane reset.
-func TestBatchStreamMatchesStream(t *testing.T) {
-	const bw, T, resetAt, victim = 4, 12, 6, 2
-	for _, gpu := range []bool{false, true} {
-		eng := parallelTestEngine(t, 41, gpu, 1)
-		in := eng.model.Spec.InputDim
-		out := eng.model.Spec.OutputDim
-		bs := eng.NewBatchStream(bw)
-		refs := make([]*Stream, bw)
-		lanes := make([][][]float32, bw)
-		for l := range refs {
-			refs[l] = eng.NewStream()
-			lanes[l] = testFrames(100+uint64(l), T, in)
+// checkLeaseLanes drives a width-bw lease for T steps, re-seating one lane
+// with a fresh utterance mid-flight (retiring it first when retire is set —
+// the scheduler's hand-over — or with a bare ResetLane), and holds every
+// lane of every step to two references: nn.Posteriors(model.Forward) on the
+// lane's utterance, which shares no stepping code, under the tier's
+// contract; and a width-1 Stream fed the same frames — bit for bit, except
+// on the fast tier, whose panel kernels round width-dependently.
+func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, tier diffTier, retire bool) {
+	t.Helper()
+	const T = 8
+	in, out := e.InputDim(), e.OutputDim()
+	forward := func(frames [][]float32) [][]float32 {
+		if e.fp16 { // the engine rounds activations at the model boundary
+			q := make([][]float32, len(frames))
+			for i, f := range frames {
+				q[i] = tensor.CloneVec(f)
+				tensor.QuantizeHalfVec(q[i])
+			}
+			frames = q
 		}
-		panel := make([]float32, in*bw)
-		dst := make([]float32, out*bw)
-		want := make([]float32, out)
-		for step := 0; step < T; step++ {
-			if step == resetAt {
-				bs.ResetLane(victim)
-				refs[victim].Reset()
+		return nn.Posteriors(e.model.Forward(frames))
+	}
+	sameWidth := tier.close
+	if tier.precision == compiler.PrecisionExact {
+		sameWidth = func(got, want float32) bool { return got == want }
+	}
+
+	l := e.AcquireBatch(bw)
+	defer l.Release()
+	if l.Width() != bw {
+		t.Fatalf("%s: lease width %d, want %d", label, l.Width(), bw)
+	}
+	solo := make([]*Stream, bw)
+	utts, want, start := make([][][]float32, bw), make([][][]float32, bw), make([]int, bw)
+	for k := range solo {
+		solo[k] = e.NewStream()
+		utts[k] = testFrames(100+uint64(k), T, in)
+		want[k] = forward(utts[k])
+	}
+	victim, one := bw/2, make([]float32, out)
+	for step := 0; step < T; step++ {
+		if step == T/2 {
+			if retire {
+				l.Retire(victim)
 			}
-			for l := 0; l < bw; l++ {
-				for i, v := range lanes[l][step] {
-					panel[i*bw+l] = v
+			l.ResetLane(victim)
+			solo[victim].Reset()
+			utts[victim], start[victim] = testFrames(300, T, in), step
+			want[victim] = forward(utts[victim])
+		}
+		for k := 0; k < bw; k++ {
+			for i, v := range utts[k][step-start[k]] {
+				l.In()[i*bw+k] = v
+			}
+		}
+		l.Step()
+		for k := 0; k < bw; k++ {
+			pos := step - start[k]
+			solo[k].StepInto(one, utts[k][pos])
+			for i := 0; i < out; i++ {
+				got := l.Out()[i*bw+k]
+				if !tier.close(got, want[k][pos][i]) {
+					t.Fatalf("%s bw=%d step %d lane %d elem %d: lease %v vs Forward %v",
+						label, bw, step, k, i, got, want[k][pos][i])
 				}
-			}
-			bs.StepBatchInto(dst, panel)
-			for l := 0; l < bw; l++ {
-				refs[l].StepInto(want, lanes[l][step])
-				for i := 0; i < out; i++ {
-					if dst[i*bw+l] != want[i] {
-						t.Fatalf("gpu=%v step %d lane %d elem %d: batch %v vs serial %v",
-							gpu, step, l, i, dst[i*bw+l], want[i])
-					}
+				if !sameWidth(got, one[i]) {
+					t.Fatalf("%s bw=%d step %d lane %d elem %d: lease %v vs width-1 stream %v",
+						label, bw, step, k, i, got, one[i])
 				}
 			}
 		}
 	}
 }
 
-// TestBatchStreamRetireSkipsLane: a retired lane's dst column must be left
-// untouched while live lanes keep producing serial-identical posteriors.
+// TestBatchStreamMatchesStream is the lane table: every width class (the
+// live stream, narrow portable panels, one vector chunk, chunk + remainder,
+// the widest) × cell × kernel tier, plus the fp16 (GPU) activation path,
+// with a mid-utterance lane reset.
+func TestBatchStreamMatchesStream(t *testing.T) {
+	for _, cell := range []nn.CellType{nn.CellGRU, nn.CellLSTM} {
+		for _, tier := range diffTiers {
+			for g, target := range []*device.Target{device.MobileCPU(), device.MobileGPU()} {
+				if g == 1 && tier.name != "exact" {
+					continue // fp16 staging is tier-independent: one row covers it
+				}
+				model := nn.NewModel(nn.ModelSpec{
+					InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 41, Cell: cell,
+				})
+				res := Prune(model, nil, PruneConfig{ColRate: 4, RowRate: 1, RowGroups: 4, ColBlocks: 4})
+				eng, err := Compile(model, res.Scheme, DeployConfig{
+					Target: target, Quant: tier.quant, Precision: tier.precision,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%v/%s/%s", cell, tier.name, target.Name)
+				for _, bw := range []int{1, 2, 7, 8, 9, 32} {
+					checkLeaseLanes(t, label, eng, bw, tier, false)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchStreamRetireSkipsLane: a retired lane's Out column must be left
+// untouched while live lanes keep producing posteriors.
 func TestBatchStreamRetireSkipsLane(t *testing.T) {
 	const bw = 3
 	eng := parallelTestEngine(t, 43, false, 1)
-	in := eng.model.Spec.InputDim
-	out := eng.model.Spec.OutputDim
-	bs := eng.NewBatchStream(bw)
-	bs.Retire(1)
-	panel := make([]float32, in*bw)
-	for i, f := range testFrames(44, 1, in)[0] {
-		for l := 0; l < bw; l++ {
-			panel[i*bw+l] = f
+	l := eng.AcquireBatch(bw)
+	defer l.Release()
+	l.Retire(1)
+	for i, f := range testFrames(44, 1, eng.InputDim())[0] {
+		for k := 0; k < bw; k++ {
+			l.In()[i*bw+k] = f
 		}
 	}
 	const sentinel = float32(-123.5)
-	dst := make([]float32, out*bw)
+	dst := l.Out()
 	for i := range dst {
 		dst[i] = sentinel
 	}
-	bs.StepBatchInto(dst, panel)
-	for i := 0; i < out; i++ {
+	l.Step()
+	for i := 0; i < eng.OutputDim(); i++ {
 		if dst[i*bw+1] != sentinel {
 			t.Fatalf("retired lane written at elem %d: %v", i, dst[i*bw+1])
 		}
@@ -127,38 +189,54 @@ func TestInferBatchAllocsConstantPerUtterance(t *testing.T) {
 }
 
 // TestInferBatchArenaReuseAcrossWidths: interleaving batch sizes must not
-// confuse the width-keyed arena free list — every call stays bit-identical
-// to serial Infer.
+// confuse the width-keyed free list — every call stays bit-identical to
+// serial Infer at 1, 2 and 8 workers, forking or not — and InferBatchInto
+// opens only the two shapes that have a kernel: no session of width 2–7 ever
+// reaches the free list every used session is released to.
 func TestInferBatchArenaReuseAcrossWidths(t *testing.T) {
-	eng := parallelTestEngine(t, 47, true, 2)
-	for round := 0; round < 3; round++ {
-		for _, n := range []int{1, 3, 7, 2} {
-			batch := make([][][]float32, n)
-			for i := range batch {
-				batch[i] = testFrames(uint64(200+round*10+i), 5+i, eng.model.Spec.InputDim)
-			}
-			got := eng.InferBatch(batch)
-			for i := range batch {
-				want := eng.Infer(batch[i])
-				if !postEqual(got[i], want) {
-					t.Fatalf("round %d n=%d utterance %d diverged from serial Infer",
-						round, n, i)
+	breakEven := forkJoinBreakEvenMACs
+	defer func() { forkJoinBreakEvenMACs = breakEven }()
+	for _, workers := range []int{1, 2, 8} {
+		eng := parallelTestEngine(t, 47, true, workers)
+		for round := 0; round < 3; round++ {
+			forkJoinBreakEvenMACs = []int{0, breakEven, 0}[round] // 0: always fork
+			for _, n := range []int{1, 3, 7, 2, 9, 17} {
+				batch := make([][][]float32, n)
+				for i := range batch {
+					batch[i] = testFrames(uint64(200+round*10+i), 5+i, eng.model.Spec.InputDim)
 				}
+				got := eng.InferBatch(batch)
+				for i := range batch {
+					want := eng.Infer(batch[i])
+					if !postEqual(got[i], want) {
+						t.Fatalf("workers %d round %d n=%d utterance %d diverged from serial Infer",
+							workers, round, n, i)
+					}
+				}
+			}
+		}
+		for _, l := range eng.batchFree {
+			if w := l.Width(); w != 1 && w < minPanelWidth {
+				t.Fatalf("workers %d: InferBatchInto opened a width-%d session", workers, w)
 			}
 		}
 	}
 }
 
 // TestBatchWidthClamp pins the group-width policy: even split across
-// workers, clamped to [1, MaxBatchWidth].
+// workers, capped at MaxBatchWidth, and never a 2–7 lane panel — a share
+// that narrow runs as width-1 sessions.
 func TestBatchWidthClamp(t *testing.T) {
 	cases := []struct{ n, workers, want int }{
 		{1, 1, 1},
+		{7, 1, 1},
 		{8, 1, 8},
-		{8, 4, 2},
-		{9, 4, 3},
+		{9, 1, 9},
+		{8, 4, 1},
+		{9, 4, 1},
+		{32, 4, 8},
 		{200, 2, MaxBatchWidth},
-		{5, 0, 5},
+		{5, 0, 1},
 		{0, 4, 1},
 	}
 	for _, c := range cases {
@@ -178,22 +256,4 @@ func TestInferBatchIntoShapeMismatch(t *testing.T) {
 		}
 	}()
 	eng.InferBatchInto(make([][][]float32, 2), batch)
-}
-
-// TestStepBatchAllocatesFreshPanel: the convenience StepBatch must hand the
-// caller an owned panel (successive calls don't alias).
-func TestStepBatchAllocatesFreshPanel(t *testing.T) {
-	eng := parallelTestEngine(t, 53, false, 1)
-	in := eng.model.Spec.InputDim
-	bs := eng.NewBatchStream(2)
-	panel := make([]float32, in*2)
-	for i, f := range testFrames(62, 1, in)[0] {
-		panel[i*2] = f
-		panel[i*2+1] = f * 0.5
-	}
-	a := bs.StepBatch(panel)
-	b := bs.StepBatch(panel)
-	if &a[0] == &b[0] {
-		t.Fatal("StepBatch returned an aliased panel")
-	}
 }

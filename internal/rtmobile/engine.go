@@ -67,10 +67,10 @@ type Engine struct {
 	precPERDelta float64
 	precFallback bool
 
-	// Batched-serving arena cache (see batch.go). Guarded by batchMu so
-	// concurrent InferBatch calls can share the free list.
+	// Released panel sessions, keyed by width (see batch.go). Guarded by
+	// batchMu so concurrent InferBatch calls can share the free list.
 	batchMu   sync.Mutex
-	batchFree []*batchArena
+	batchFree []*BatchLease
 
 	// stepMACs is the plan-priced MAC count of one timestep, precomputed
 	// at Compile so streams can meter obs MACsTotal without touching the
@@ -115,7 +115,7 @@ func lowerPrograms(model *nn.Model, scheme prune.BSP, opt compiler.Options, thre
 }
 
 // kernels binds nn's steppers to the engine's programs. scratch is the
-// opening stream's private gather/accumulator arena, shared by all of its
+// opening session's private gather/accumulator arena, shared by all of its
 // programs (they run one after another). A program's run entries only fail
 // on a shape mismatch, which Compile and the bundle loaders rule out, so a
 // failure here is a bug and panics like tensor.MatVecAdd does.
@@ -128,13 +128,6 @@ func (e *Engine) kernels(scratch *compiler.PackedScratch) nn.Kernels {
 				// A 1-wide "matrix" (InputDim or OutputDim of 1) is not
 				// prunable and has no program; it is a plain dot.
 				return nn.ReferenceKernels().MatVec(p, bw)
-			}
-			if bw == 1 {
-				return func(y, x []float32) {
-					if err := prog.RunAdd(y, x, scratch); err != nil {
-						panic(err)
-					}
-				}
 			}
 			return func(y, x []float32) {
 				if err := prog.RunBatchAdd(y, x, bw, scratch); err != nil {
@@ -285,16 +278,13 @@ func (e *Engine) SetWorkers(n int) {
 // half precision at the model boundary.
 //
 // The call owns all mutable state (it steps a private stream over the
-// shared programs), so concurrent Infer calls on one Engine are safe and
-// each produces exactly the bytes a solo call would. The layer steppers
-// replay the batch Forward pass's float operation order and the exact-tier
-// float programs keep the dense per-row order, so those results are also
-// bit-identical to the training-side Forward.
-//
-// Per-frame state lives in flat arenas carved up front (the stream's
-// persistent buffers, one logits arena, one posteriors arena), so the
-// heap cost of a call is a fixed handful of allocations per utterance —
-// zero per timestep, however long the audio runs.
+// shared programs, row by row into one posteriors arena), so concurrent
+// Infer calls on one Engine are safe and each produces exactly the bytes a
+// solo call would. The layer steppers replay the batch Forward pass's float
+// operation order and the exact-tier float programs keep the dense per-row
+// order, so those results are also bit-identical to the training-side
+// Forward. The heap cost of a call is a fixed handful of allocations per
+// utterance — zero per timestep, however long the audio runs.
 func (e *Engine) Infer(frames [][]float32) [][]float32 {
 	m := obs.M()
 	track := m != nil || e.tracer != nil
@@ -303,34 +293,17 @@ func (e *Engine) Infer(frames [][]float32) [][]float32 {
 		t0 = time.Now()
 	}
 	s := e.NewStream()
-	logits := make([][]float32, len(frames))
-	var flat []float32
+	out := e.model.Spec.OutputDim
+	post := make([][]float32, len(frames))
+	flat := make([]float32, len(frames)*out)
 	for t, f := range frames {
-		out := s.step(f)
-		if flat == nil {
-			flat = make([]float32, len(frames)*len(out))
-		}
-		row := flat[t*len(out) : (t+1)*len(out)]
-		copy(row, out)
-		logits[t] = row
-	}
-	var post [][]float32
-	if e.precision == compiler.PrecisionFast {
-		// Fast tier: posteriors on the vectorized-exp softmax, in place over
-		// the local logits arena (aliasing-safe, and it keeps the entry
-		// points consistent — every softmax a fast deployment executes runs
-		// the same kernel).
-		for _, row := range logits {
-			tensor.SoftmaxFast(row, row)
-		}
-		post = logits
-	} else {
-		post = nn.Posteriors(logits)
+		post[t] = flat[t*out : (t+1)*out]
+		s.StepInto(post[t], f)
 	}
 	if track {
 		dur := time.Since(t0).Nanoseconds()
 		if m != nil {
-			m.InferTotal.IncAt(s.shard)
+			m.InferTotal.IncAt(s.l.shard)
 			m.InferLatency.Observe(dur)
 		}
 		if e.tracer != nil {
@@ -363,29 +336,12 @@ func (e *Engine) InferBatch(batch [][][]float32) [][][]float32 {
 }
 
 // Stream is a stateful frame-by-frame inference session over a deployed
-// engine — the live-microphone path the paper's real-time claim is about.
-// A Stream owns its scratch (recurrent state, the fp16 staging buffer),
-// so one goroutine per Stream; the engine weights underneath stay shared
-// and read-only.
-type Stream struct {
-	inner *nn.Stream
-	fp16  bool
-	qbuf  []float32
-	// shard is the stream's stable counter-stripe hint (one atomic stripe
-	// per stream keeps concurrent sessions off each other's cache lines);
-	// macs/bytes are the engine's plan-priced per-timestep MAC count and
-	// weight-stream traffic — the one place work counters are metered (the
-	// programs record only kernel latency and spans); tracer is the engine
-	// tracer captured at open time (nil = untraced fast path).
-	shard  uint32
-	macs   uint64
-	bytes  uint64
-	tracer *obs.Tracer
-	// sm is the posterior softmax on the engine's kernel tier (exact
-	// float64-sum reference, or the vectorized-exp fast kernel), captured
-	// once at open time like the steppers' epilogue selection.
-	sm func(dst, src []float32)
-}
+// engine — the live-microphone path the paper's real-time claim is about. It
+// is the width-1 face of the engine's one session type (BatchLease, see
+// batch.go): a frame and its posterior are width-1 panels, so a Stream steps
+// the caller's own vectors. One goroutine per Stream; the engine weights
+// underneath stay shared and read-only.
+type Stream struct{ l *BatchLease }
 
 // softmaxTier selects the posterior softmax for a deployment's kernel
 // tier: exact deployments keep the bit-pinned float64-accumulation
@@ -399,77 +355,27 @@ func softmaxTier(fast bool) func(dst, src []float32) {
 }
 
 // NewStream opens a streaming session. State persists across Step calls
-// until Reset.
-func (e *Engine) NewStream() *Stream {
-	s := &Stream{
-		inner: e.model.NewKernelStream(e.kernels(&compiler.PackedScratch{})),
-		fp16:  e.fp16,
-		shard: obs.NextShard(), macs: e.stepMACs, bytes: e.stepBytes,
-		tracer: e.tracer,
-		sm:     softmaxTier(e.precision == compiler.PrecisionFast)}
-	if e.tracer != nil {
-		s.inner.SetTracer(e.tracer)
-	}
-	return s
-}
-
-// step advances one frame and returns the raw logits, borrowed from the
-// stream's persistent buffers (valid until the next step). Allocation-free
-// once qbuf has grown to the frame width — with metrics and tracing
-// enabled too (the observability writes are all fixed-size atomics).
-func (s *Stream) step(frame []float32) []float32 {
-	m := obs.M()
-	track := m != nil || s.tracer != nil
-	var t0 time.Time
-	if track {
-		t0 = time.Now()
-	}
-	in := frame
-	if s.fp16 {
-		if cap(s.qbuf) < len(frame) {
-			s.qbuf = make([]float32, len(frame))
-		}
-		in = s.qbuf[:len(frame)]
-		copy(in, frame)
-		tensor.QuantizeHalfVec(in)
-	}
-	out := s.inner.Step(in)
-	if track {
-		dur := time.Since(t0).Nanoseconds()
-		if m != nil {
-			m.StepsTotal.IncAt(s.shard)
-			m.FramesTotal.IncAt(s.shard)
-			m.MACsTotal.AddAt(s.shard, s.macs)
-			m.BytesStreamed.AddAt(s.shard, s.bytes)
-			m.StepLatency.Observe(dur)
-		}
-		if s.tracer != nil {
-			s.tracer.Record(obs.StageStep, 0, 1, t0.UnixNano(), dur)
-		}
-	}
-	return out
-}
+// until Reset. Its steps meter the stream family (StepsTotal, StepLatency,
+// StageStep spans) where a leased panel meters the batch family.
+func (e *Engine) NewStream() *Stream { return &Stream{l: e.newSession(1, true)} }
 
 // Step consumes one feature frame and returns the phone posterior for it.
 // The returned slice is freshly allocated and owned by the caller; use
 // StepInto for the allocation-free variant.
 func (s *Stream) Step(frame []float32) []float32 {
-	logits := s.step(frame)
-	post := make([]float32, len(logits))
-	s.sm(post, logits)
+	post := make([]float32, len(s.l.post))
+	s.l.step(post, frame)
 	return post
 }
 
 // StepInto consumes one feature frame and writes the phone posterior into
 // dst, which must have the model's output width. Steady-state StepInto
-// performs zero heap allocations — the real-time inner loop the packed
-// backend exists for.
-func (s *Stream) StepInto(dst []float32, frame []float32) {
-	s.sm(dst, s.step(frame))
-}
+// performs zero heap allocations — with metrics and tracing enabled too —
+// the real-time inner loop the packed backend exists for.
+func (s *Stream) StepInto(dst []float32, frame []float32) { s.l.step(dst, frame) }
 
 // Reset clears recurrent state at an utterance boundary.
-func (s *Stream) Reset() { s.inner.Reset() }
+func (s *Stream) Reset() { s.l.inner.Reset() }
 
 // Plan exposes the compiled execution plan.
 func (e *Engine) Plan() *compiler.Plan { return e.plan }

@@ -6,56 +6,13 @@ import (
 	"rtmobile/internal/device"
 )
 
-// TestBatchLeaseMatchesStream: driving lanes through the exported lease
-// API (the scheduler's view of the engine) yields byte-for-byte the same
-// posteriors as dedicated serial Streams, including a mid-flight retire
-// and lane reuse — the contract the serve scheduler's bit-identical
-// response guarantee rests on.
+// TestBatchLeaseMatchesStream: driving lanes through the lease the way the
+// scheduler does — a mid-flight retire, then lane reuse by a fresh utterance
+// — yields byte-for-byte what nn.Posteriors(model.Forward) and a width-1
+// Stream produce for each utterance: the contract the serve scheduler's
+// bit-identical response guarantee rests on.
 func TestBatchLeaseMatchesStream(t *testing.T) {
-	const bw, T = 3, 8
-	eng := parallelTestEngine(t, 61, false, 1)
-	inDim := eng.InputDim()
-	outDim := eng.OutputDim()
-
-	l := eng.AcquireBatch(bw)
-	if l.Width() != bw {
-		t.Fatalf("lease width %d, want %d", l.Width(), bw)
-	}
-	refs := make([]*Stream, bw)
-	lanes := make([][][]float32, bw)
-	for i := range refs {
-		refs[i] = eng.NewStream()
-		lanes[i] = testFrames(200+uint64(i), T, inDim)
-		l.ResetLane(i)
-	}
-	want := make([]float32, outDim)
-	for step := 0; step < T; step++ {
-		if step == T/2 {
-			// Lane 1 retires mid-flight and a fresh utterance takes over.
-			l.Retire(1)
-			l.ResetLane(1)
-			refs[1].Reset()
-			lanes[1] = testFrames(300, T, inDim)
-		}
-		in := l.In()
-		for lane := 0; lane < bw; lane++ {
-			for i, v := range lanes[lane][step] {
-				in[i*bw+lane] = v
-			}
-		}
-		l.Step()
-		out := l.Out()
-		for lane := 0; lane < bw; lane++ {
-			refs[lane].StepInto(want, lanes[lane][step])
-			for i := 0; i < outDim; i++ {
-				if out[i*bw+lane] != want[i] {
-					t.Fatalf("step %d lane %d elem %d: lease %v vs serial %v",
-						step, lane, i, out[i*bw+lane], want[i])
-				}
-			}
-		}
-	}
-	l.Release()
+	checkLeaseLanes(t, "lease", parallelTestEngine(t, 61, false, 1), 3, diffTiers[0], true)
 }
 
 // TestBatchLeaseReuse: Release returns the lease to the engine arena, so

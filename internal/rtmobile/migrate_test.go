@@ -13,7 +13,7 @@ import (
 // Lane migration: the serve scheduler moves a live utterance between a
 // width-1 and a width-MaxBatch lease mid-flight (BatchLease.CopyLaneTo).
 // The state is copied bit for bit, and on the exact tier a batch lane is
-// bit-identical to a serial stream at any width, so a moved utterance must
+// bit-identical to the width-1 stream at any width, so a moved utterance must
 // score exactly as one that never moved. The fast tier's batch kernels
 // round in an order that depends on the panel width (its contract is a
 // tolerance, not bits), so there the copy is held to bits where the widths

@@ -177,9 +177,13 @@ func TestBatchServingMetersArenaAndLanes(t *testing.T) {
 	withMetrics(t, func(m *obs.Metrics) {
 		eng := allocEngine(t, device.MobileGPU())
 		eng.SetWorkers(1)
-		// Ragged pair: 4 and 2 frames → lockstep runs 4 panel steps of
-		// width 2, with 4+2=6 live-lane frames scored.
-		batch := [][][]float32{testFrames(60, 4, 8), testFrames(61, 2, 8)}
+		// Ragged eight (a batch narrower than that runs as width-1 sessions):
+		// 4 or 2 frames each → lockstep runs 4 panel steps of width 8, with
+		// 4×4+4×2=24 live-lane frames scored.
+		batch := make([][][]float32, 8)
+		for i := range batch {
+			batch[i] = testFrames(60+uint64(i), 4-2*(i%2), 8)
+		}
 
 		misses0 := m.ArenaMisses.Value()
 		hits0 := m.ArenaHits.Value()
@@ -203,15 +207,15 @@ func TestBatchServingMetersArenaAndLanes(t *testing.T) {
 		if got := m.BatchStepsTotal.Value() - bsteps0; got != 8 {
 			t.Fatalf("BatchStepsTotal advanced %d, want 8 (4 panel steps × 2 calls)", got)
 		}
-		if got := m.BatchLanesTotal.Value() - lanes0; got != 12 {
-			t.Fatalf("BatchLanesTotal advanced %d, want 12 (6 live frames × 2 calls)", got)
+		if got := m.BatchLanesTotal.Value() - lanes0; got != 48 {
+			t.Fatalf("BatchLanesTotal advanced %d, want 48 (24 live frames × 2 calls)", got)
 		}
-		if got := m.FramesTotal.Value() - frames0; got != 12 {
-			t.Fatalf("FramesTotal advanced %d, want 12", got)
+		if got := m.FramesTotal.Value() - frames0; got != 48 {
+			t.Fatalf("FramesTotal advanced %d, want 48", got)
 		}
-		// Executed arithmetic covers retired lanes too: width 2 × 4 steps
+		// Executed arithmetic covers retired lanes too: width 8 × 4 steps
 		// × 2 calls, at the plan's per-step price.
-		wantMACs := 16 * stepPricedMACs(eng.Plan())
+		wantMACs := 64 * stepPricedMACs(eng.Plan())
 		if got := m.MACsTotal.Value() - macs0; got != wantMACs {
 			t.Fatalf("MACsTotal advanced %d, want %d", got, wantMACs)
 		}

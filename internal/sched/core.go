@@ -19,7 +19,7 @@
 //     batch window; batching comes only from requests that are already
 //     waiting when a step boundary is reached.
 //   - There is at most one live panel, and it has one of exactly two
-//     shapes: width 1, which steps at the serial stream's speed, and width
+//     shapes: width 1, which is the live single stream, and width
 //     MaxBatch, the only multi-lane width with a vector kernel (the widths
 //     in between run scalar code: at 2–6 lanes a step costs more than
 //     stepping the lanes one after another, and at 7 it costs 1.8× the

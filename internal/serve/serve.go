@@ -370,8 +370,8 @@ func (s *Server) routes() {
 		}
 		defer lease.Release()
 		// Streaming sessions hold recurrent state across frames, which
-		// lockstep panels cannot pause, so each gets a dedicated serial
-		// stream — admitted against the scheduler's stream-lane budget.
+		// lockstep panels cannot pause, so each gets a stream of its own
+		// — admitted against the scheduler's stream-lane budget.
 		sch := lease.Scheduler()
 		release, err := sch.AcquireStreamLane()
 		if errors.Is(err, sched.ErrClosed) {

@@ -63,9 +63,10 @@ func checkGateLens(h, ax, ah []float32) int {
 // loops the nn steppers used to run, so exact-tier outputs are
 // bit-identical to the pre-fusion code.
 //
-// The same kernel serves nn.BatchStream's column-major panels: a [3H × bw]
-// gate panel flattened row-major is exactly the [z | r | c] layout with
-// n = H·bw, so passing the whole panels fuses the batch blend too.
+// nn's one stepper family calls it on column-major panels of any width: a
+// [3H × bw] gate panel flattened row-major is exactly the [z | r | c] layout
+// with n = H·bw (bw == 1: the plain vectors), so passing the whole panels
+// fuses the batch blend too.
 func GRUEpilogue(h, ax, ah []float32) {
 	n := checkGateLens(h, ax, ah)
 	axz, axr, axc := ax[:n], ax[n:2*n], ax[2*n:]
