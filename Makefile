@@ -76,8 +76,10 @@ race:
 # pack lowering with its dense-order property: packed RunAdd ≡
 # tensor.MatVecAdd on BSP-projected matrices + fast-tier tolerance
 # equivalence + bundle mapping + the scheduler's trace invariants + the
-# /infer body scanner against encoding/json).
+# /infer body scanner against encoding/json + the eight-row exact segment
+# driver against the rolled per-row dot, bit for bit).
 fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz=FuzzDotSegF64 -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=FuzzFastEquiv -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=FuzzEpilogueEquiv -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBSPC -fuzztime=$(FUZZTIME) ./internal/sparse

@@ -510,6 +510,56 @@ func BenchmarkPanelStepWidth(b *testing.B) {
 	}
 }
 
+// BenchmarkSegKernel times the exact float32 serial segment kernels on the
+// segment shapes the packed programs are made of — 96×48 is every segment of
+// the 10× benchmark model, 96×8 a narrow gather, 11×24 a 245×-sized one where
+// only one group of eight is vector work — as ns per multiply-accumulate.
+// "pair" is the portable specification (DotPairF64 + DotF64, all a build
+// without AVX2 runs); "seg8" is what f32Kernels runs: the eight-row
+// across-rows driver first, the pair kernel on the remainder.
+func BenchmarkSegKernel(b *testing.B) {
+	for _, sh := range []struct{ nr, nc int }{{96, 48}, {96, 8}, {11, 24}} {
+		rng := tensor.NewRNG(20)
+		vals, g := make([]float32, sh.nr*sh.nc), make([]float32, sh.nc)
+		for i := range vals {
+			vals[i] = float32(rng.NormFloat64())
+		}
+		for i := range g {
+			g[i] = float32(rng.NormFloat64())
+		}
+		rows, y := make([]int32, sh.nr), make([]float32, sh.nr)
+		for k := range rows {
+			rows[k] = int32(k)
+		}
+		pairFrom := func(ri int) {
+			nc := sh.nc
+			for ; ri+2 <= sh.nr; ri += 2 {
+				s0, s1 := tensor.DotPairF64(vals[ri*nc:ri*nc+nc], vals[(ri+1)*nc:(ri+1)*nc+nc], g)
+				y[rows[ri]] += float32(s0)
+				y[rows[ri+1]] += float32(s1)
+			}
+			if ri < sh.nr {
+				y[rows[ri]] += float32(tensor.DotF64(vals[ri*nc:ri*nc+nc], g))
+			}
+		}
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"pair", func() { pairFrom(0) }},
+			{"seg8", func() { pairFrom(tensor.DotSegF64(vals, rows, g, y)) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%d", k.name, sh.nr, sh.nc), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					clear(y)
+					k.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.nr*sh.nc), "ns/MAC")
+			})
+		}
+	}
+}
+
 // BenchmarkSchedClosedLoop is the load evidence `go run ./benchmark` cannot
 // give (its serve workload is open-loop at a rate far below saturation): N
 // closed-loop clients, each submitting its next ragged 20–59-frame

@@ -57,16 +57,46 @@ var lowerings = []struct {
 	elim   bool
 }{{FormatDense, true}, {FormatCSR, true}, {FormatBSPC, true}, {FormatBSPC, false}}
 
+// tableMatrix is one projected matrix of the grid.
+type tableMatrix struct {
+	name   string
+	scheme prune.BSP
+	w      *tensor.Matrix
+}
+
+// seamRows are the row counts of the grid's single-row-group matrices: on one
+// lane their dense lowering is one stream segment and their BSPC lowering one
+// gather segment of exactly that many rows, which puts the serial exact
+// kernel's eight-row group / pair / single-row seam — no group, one group,
+// one group plus a remainder, twelve groups — on both segment kinds
+// (TestPackedTableHitsGroupSeam holds the table to it).
+var seamRows = []int{7, 8, 9, 96}
+
+// tableMatrices are the grid's matrix rows: two ragged multi-group shapes and
+// the seam shapes, whose 22 columns keep 11 (two four-column steps and a
+// three-column tail on the gather side, five steps and two on the stream).
+func tableMatrices() []tableMatrix {
+	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
+	var ms []tableMatrix
+	for seed := uint64(1); seed <= 2; seed++ {
+		ms = append(ms, tableMatrix{fmt.Sprintf("seed=%d", seed), scheme, bspMat(seed, 32+int(seed)*9, 40, scheme)})
+	}
+	seam := prune.BSP{ColRate: 2, RowRate: 1, NumRowGroups: 1, NumColBlocks: 1}
+	for _, nr := range seamRows {
+		ms = append(ms, tableMatrix{fmt.Sprintf("seam=%d", nr), seam, bspMat(uint64(nr), nr, 22, seam)})
+	}
+	return ms
+}
+
 // forEachPackedCase walks the grid for the given storages on one tier.
 func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func(c packedCase)) {
 	t.Helper()
-	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
-	for seed := uint64(1); seed <= 2; seed++ {
-		w := bspMat(seed, 32+int(seed)*9, 40, scheme)
+	for _, m := range tableMatrices() {
+		w := m.w
 		for _, lo := range lowerings {
 			src := MatrixSource{Name: "m", W: w}
 			if lo.format == FormatBSPC {
-				s := scheme
+				s := m.scheme
 				src.Scheme = &s
 			}
 			for _, threads := range []int{1, 3, 8} {
@@ -85,8 +115,8 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 				}
 				for _, st := range storages {
 					c := packedCase{w: w, prog: prog, label: fmt.Sprintf(
-						"seed=%d fmt=%s elim=%v threads=%d %s",
-						seed, lo.format, lo.elim, threads, st.name)}
+						"%s fmt=%s elim=%v threads=%d %s",
+						m.name, lo.format, lo.elim, threads, st.name)}
 					if c.exact, err = PackQuant(prog, st.bits, st.scheme); err != nil {
 						t.Fatal(err)
 					}
@@ -208,6 +238,28 @@ func checkExactSerial(t *testing.T, storages []storage) {
 
 func TestPackedBitIdentical(t *testing.T)    { checkExactSerial(t, f32Storage) }
 func TestPackQuantBitIdentical(t *testing.T) { checkExactSerial(t, quantStorages) }
+
+// TestPackedTableHitsGroupSeam: the grid really contains a gather and a
+// stream segment of every seam row count, so checkExactSerial's RunAdd ≡
+// MatVecAdd comparison crosses the eight-row driver's group/remainder seam on
+// both segment kinds.
+func TestPackedTableHitsGroupSeam(t *testing.T) {
+	seen := map[[2]int]bool{}
+	forEachPackedCase(t, f32Storage, PrecisionExact, func(c packedCase) {
+		for li := range c.pp.Lanes {
+			for _, sg := range c.pp.Lanes[li].Segs {
+				seen[[2]int{int(sg.Kind), int(sg.NR)}] = true
+			}
+		}
+	})
+	for _, nr := range seamRows {
+		for _, kind := range []uint8{segGather, segStream} {
+			if !seen[[2]int{int(kind), nr}] {
+				t.Errorf("no segment of kind %d with %d rows in the table", kind, nr)
+			}
+		}
+	}
+}
 
 // packPanel lays out per-stream vectors column-major: element i of stream l
 // at panel[i*bw+l].

@@ -66,8 +66,11 @@ func addF32(out, acc []float32) {
 
 // f32Kernels returns the segment kernels of a float32 program.
 //
-// Exact tier: rows are processed in pairs so two accumulators share each
-// conversion of the gathered input. Panels pair rows the same way; the
+// Exact tier: the whole-segment driver takes every full group of eight rows
+// — one float64 lane per row on the AVX2 across-rows kernel, nothing without
+// it — and the remainder (or the whole segment on a portable build) goes
+// through the paired kernel, two accumulators sharing each conversion of the
+// gathered input, then the single-row one. Panels pair rows the same way; the
 // strided tensor kernels run full eight-lane chunks on the AVX2 across-lane
 // kernel when the host has it and everything else on the portable one.
 //
@@ -96,7 +99,7 @@ func f32Kernels(vals []float32, fast bool) (segKernel, segBatchKernel) {
 	}
 	seg := func(y []float32, rows []int32, off, nc int, g []float32) {
 		v := vals[off : off+len(rows)*nc]
-		ri := 0
+		ri := tensor.DotSegF64(v, rows, g, y)
 		for ; ri+2 <= len(rows); ri += 2 {
 			s0, s1 := tensor.DotPairF64(v[ri*nc:ri*nc+nc], v[(ri+1)*nc:(ri+1)*nc+nc], g)
 			y[rows[ri]] += float32(s0)

@@ -24,6 +24,7 @@ import (
 	"rtmobile/internal/obs"
 	"rtmobile/internal/registry"
 	"rtmobile/internal/sched"
+	"rtmobile/internal/tensor"
 )
 
 // TraceparentHeader is the W3C Trace Context request/response header.
@@ -258,6 +259,7 @@ func (s *Server) routes() {
 			"models":          reg.Names(),
 			"metrics_enabled": obs.Enabled(),
 			"tracing_enabled": eng.Tracer() != nil,
+			"kernels":         tensor.KernelSet(),
 		})
 	})
 

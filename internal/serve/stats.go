@@ -7,16 +7,20 @@ import (
 	"rtmobile/internal/compiler"
 	"rtmobile/internal/obs"
 	"rtmobile/internal/rtmobile"
+	"rtmobile/internal/tensor"
 )
 
 // RenderLayerStats formats Engine.LayerStats as the per-layer latency
 // table run -stats and /statz print. The MAC column is the plan's priced
 // per-timestep count; the timing columns are measured spans when tracing
 // is on (all zero otherwise). The per-layer MAC rows sum to exactly the
-// plan total printed in the footer.
+// plan total printed in the footer. The first line names the instruction set
+// each kernel family runs on in this process (tensor.KernelSet): the timing
+// columns mean something different on a portable build.
 func RenderLayerStats(eng *rtmobile.Engine) string {
 	stats := eng.LayerStats()
 	var b strings.Builder
+	fmt.Fprintf(&b, "kernels: %s\n", tensor.KernelSet())
 	fmt.Fprintf(&b, "%-6s %-8s %12s %10s %12s %10s\n",
 		"layer", "name", "MACs/step", "steps", "total_us", "avg_us")
 	totalMACs, totalNs := 0, int64(0)

@@ -27,8 +27,10 @@ var (
 	fastSIMD512 = feat.AVX2 && feat.FMA && feat.AVX512F && feat.AVX512VL
 )
 
-// BatchSIMD reports whether the vectorized eight-lane batch kernels and the
-// quantized segment drivers are active (AVX2 on this build/CPU; always
+// BatchSIMD reports whether the exact tier's vector kernels are active: the
+// eight-row float32 segment driver of the serial path (DotSegF64), the
+// eight-lane panel kernels, and the quantized quad and segment drivers — all
+// AVX2 without FMA, so all on the one gate (AVX2 on this build/CPU; always
 // false under -tags=purego).
 func BatchSIMD() bool { return feat.AVX2 }
 
@@ -41,3 +43,36 @@ func FastSIMD() bool { return fastSIMD }
 // FastSIMD512 reports whether the AVX-512 variants of the fast kernels are
 // active (implies FastSIMD).
 func FastSIMD512() bool { return fastSIMD512 }
+
+// Kernels names the instruction set each kernel family dispatches to on this
+// build and CPU: "avx2", "avx2+fma", "avx512" or "portable". A purego build
+// or a pre-AVX2 host reads "portable" throughout and runs the exact serial
+// stream about half as fast, which nothing else would say.
+type Kernels struct {
+	ExactSerial string `json:"exact_serial_f32"` // DotSegF64, the serial f32 segment driver
+	ExactPanel  string `json:"exact_panel"`      // eight-lane panel kernels, f32 and quantized
+	Quant       string `json:"quant"`            // q8/q16 serial quad and segment drivers
+	Fast        string `json:"fast"`             // fast-tier dots, drivers and epilogue
+}
+
+// KernelSet reports the active kernels, derived from the same gates the
+// dispatch sites test.
+func KernelSet() Kernels {
+	exact, fast := "portable", "portable"
+	if feat.AVX2 {
+		exact = "avx2"
+	}
+	switch {
+	case fastSIMD512:
+		fast = "avx512"
+	case fastSIMD:
+		fast = "avx2+fma"
+	}
+	return Kernels{ExactSerial: exact, ExactPanel: exact, Quant: exact, Fast: fast}
+}
+
+// String is the one-line form run -stats and /statz print.
+func (k Kernels) String() string {
+	return "exact-serial-f32=" + k.ExactSerial + " exact-panel=" + k.ExactPanel +
+		" quant=" + k.Quant + " fast=" + k.Fast
+}

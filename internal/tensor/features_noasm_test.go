@@ -18,6 +18,13 @@ func TestFeaturesAllFalsePurego(t *testing.T) {
 	}
 }
 
+func TestKernelSetPortablePurego(t *testing.T) {
+	const want = "exact-serial-f32=portable exact-panel=portable quant=portable fast=portable"
+	if got := KernelSet().String(); got != want {
+		t.Errorf("KernelSet() = %q, want %q", got, want)
+	}
+}
+
 func TestFastFallbacksReportUnavailable(t *testing.T) {
 	a := []float32{1, 2}
 	var out8 [8]float32
@@ -32,6 +39,9 @@ func TestFastFallbacksReportUnavailable(t *testing.T) {
 	}
 	if dotSegQ16Fast([]int16{1, 2}, []int32{0}, 2, a, a, a) != 0 {
 		t.Error("dotSegQ16Fast consumed rows without assembly")
+	}
+	if dotSegF64(a, []int32{0}, 2, a, a) != 0 {
+		t.Error("dotSegF64 consumed rows without assembly")
 	}
 	if dotBatchChunk8Fast(a, a, 1, &out8) {
 		t.Error("dotBatchChunk8Fast reported available without assembly")

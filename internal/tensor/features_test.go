@@ -30,3 +30,28 @@ func TestFeatureBitsImplyBaseState(t *testing.T) {
 		t.Errorf("AVX-512 bits set without AVX2: %+v", f)
 	}
 }
+
+// TestKernelSetFollowsGates: the summary names exactly what the dispatch
+// gates select, and reads "portable" throughout when none is open.
+func TestKernelSetFollowsGates(t *testing.T) {
+	k := KernelSet()
+	exact := map[bool]string{true: "avx2", false: "portable"}[BatchSIMD()]
+	fast := "portable"
+	switch {
+	case FastSIMD512():
+		fast = "avx512"
+	case FastSIMD():
+		fast = "avx2+fma"
+	}
+	if want := (Kernels{ExactSerial: exact, ExactPanel: exact, Quant: exact, Fast: fast}); k != want {
+		t.Errorf("KernelSet() = %+v, want %+v", k, want)
+	}
+	// The serial driver really is what the summary says it is.
+	rows, g, y := make([]int32, 8), []float32{1}, make([]float32, 1)
+	if got := DotSegF64(make([]float32, 8), rows, g, y) == 8; got != (k.ExactSerial == "avx2") {
+		t.Errorf("DotSegF64 consumed a group = %v with exact-serial kernels %q", got, k.ExactSerial)
+	}
+	if want := "exact-serial-f32=" + exact + " exact-panel=" + exact + " quant=" + exact + " fast=" + fast; k.String() != want {
+		t.Errorf("String() = %q, want %q", k.String(), want)
+	}
+}
