@@ -74,7 +74,8 @@ race:
 
 # Short run of every fuzz target (decoder hardening + compiler shapes +
 # pack lowering with its dense-order property: packed RunAdd ≡
-# tensor.MatVecAdd on BSP-projected matrices + fast-tier tolerance
+# tensor.MatVecAdd on BSP-projected matrices + quantized programs ≡ Pack of
+# their dequantized values + fast-tier tolerance
 # equivalence + bundle mapping + the scheduler's trace invariants + the
 # /infer body scanner against encoding/json + the eight-row exact segment
 # driver against the rolled per-row dot, bit for bit).
@@ -102,12 +103,11 @@ vet:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-# Regenerates the paper tables, then the three studies no `go run
-# ./benchmark` workload covers yet — quantized kernels, precision tiers and
-# the open-loop saturation knee — as machine-readable artifacts.
+# Regenerates the paper tables, then the two studies no `go run
+# ./benchmark` workload covers yet — precision tiers and the open-loop
+# saturation knee — as machine-readable artifacts.
 bench:
 	$(GO) test -bench=. -benchmem
-	$(GO) run ./cmd/rtmobile bench -exp quant -json BENCH_5.json
 	$(GO) run ./cmd/rtmobile bench -exp precision -json BENCH_7.json
 	$(GO) run ./cmd/rtmobile bench -exp slo -json BENCH_9.json
 

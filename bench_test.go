@@ -456,8 +456,15 @@ func BenchmarkInferBatchWorkers(b *testing.B) {
 // with the longest utterance the scheduler benchmarks submit.
 func schedBenchEngine(b *testing.B) (*rtmobile.Engine, [][]float32) {
 	b.Helper()
-	model := nn.NewGRUModel(nn.ModelSpec{InputDim: 39, Hidden: 512, NumLayers: 2, OutputDim: 39, Seed: 21})
-	res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: 10, RowRate: 1})
+	return panelBenchEngine(b, 512, 10, 1)
+}
+
+// panelBenchEngine is a 2-layer f32 GRU of the given width at BSP
+// col × row on one worker, with schedBenchEngine's utterance.
+func panelBenchEngine(b *testing.B, hidden int, col, row float64) (*rtmobile.Engine, [][]float32) {
+	b.Helper()
+	model := nn.NewGRUModel(nn.ModelSpec{InputDim: 39, Hidden: hidden, NumLayers: 2, OutputDim: 39, Seed: 21})
+	res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: col, RowRate: row})
 	eng, err := rtmobile.Compile(model, res.Scheme, rtmobile.DeployConfig{Target: device.MobileCPU(), Workers: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -473,6 +480,35 @@ func schedBenchEngine(b *testing.B) (*rtmobile.Engine, [][]float32) {
 	return eng, longest
 }
 
+// benchStreamStep times Stream.StepInto, reporting µs per lane.
+func benchStreamStep(b *testing.B, eng *rtmobile.Engine, frame []float32) {
+	s, dst := eng.NewStream(), make([]float32, eng.OutputDim())
+	s.StepInto(dst, frame)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.StepInto(dst, frame)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/lane")
+}
+
+// benchPanelStep times BatchLease.Step at width w, reporting µs per lane.
+func benchPanelStep(b *testing.B, eng *rtmobile.Engine, w int, frames [][]float32) {
+	lease := eng.AcquireBatch(w)
+	defer lease.Release()
+	in := lease.In()
+	for l := 0; l < w; l++ {
+		for i, v := range frames[l] {
+			in[i*w+l] = v
+		}
+	}
+	lease.Step()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lease.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*w), "us/lane")
+}
+
 // BenchmarkPanelStepWidth is the width probe behind the scheduler's two
 // panel shapes: the cost of one BatchLease.Step at each width 1…8 on the
 // scheduler benchmark's model. Only 1 and 8 are worth having — the widths
@@ -480,31 +516,27 @@ func schedBenchEngine(b *testing.B) (*rtmobile.Engine, [][]float32) {
 // stepping the lanes one after another, and 7 costs 1.8× the eight-wide
 // step (DESIGN.md has the table). The "stream" row is Stream.StepInto on the
 // same model: the same session as w=1 behind its other face, so the two must
-// read alike.
+// read alike. The h=…/rate=… rows are the weight-footprint sweep behind
+// ROADMAP item 3 — stream against w=8 on 2×512 and 2×1024 GRUs at BSP 1×,
+// 10× and 245× — in µs per lane. They are f32 only: a quantized program runs
+// the same float32 kernels, so storage width cannot move them.
 func BenchmarkPanelStepWidth(b *testing.B) {
 	eng, longest := schedBenchEngine(b)
-	b.Run("stream", func(b *testing.B) {
-		s, dst := eng.NewStream(), make([]float32, eng.OutputDim())
-		s.StepInto(dst, longest[0])
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.StepInto(dst, longest[0])
-		}
-	})
+	b.Run("stream", func(b *testing.B) { benchStreamStep(b, eng, longest[0]) })
 	for w := 1; w <= 8; w++ {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			lease := eng.AcquireBatch(w)
-			defer lease.Release()
-			in := lease.In()
-			for l := 0; l < w; l++ {
-				for i, v := range longest[l] {
-					in[i*w+l] = v
-				}
-			}
-			lease.Step()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lease.Step()
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchPanelStep(b, eng, w, longest) })
+	}
+	for _, hidden := range []int{512, 1024} {
+		b.Run(fmt.Sprintf("h=%d", hidden), func(b *testing.B) {
+			for _, rate := range []struct {
+				name     string
+				col, row float64
+			}{{"1x", 1, 1}, {"10x", 10, 1}, {"245x", 20, 12.25}} {
+				b.Run("rate="+rate.name, func(b *testing.B) {
+					eng, frames := panelBenchEngine(b, hidden, rate.col, rate.row)
+					b.Run("stream", func(b *testing.B) { benchStreamStep(b, eng, frames[0]) })
+					b.Run("w=8", func(b *testing.B) { benchPanelStep(b, eng, 8, frames) })
+				})
 			}
 		})
 	}

@@ -292,7 +292,7 @@ func cmdBench(args []string) error {
 	exp := fs.String("exp", "all", "experiment: table1, table2, fig4, ablation, blocksize, scaling, quant, precision, slo, or all")
 	full := fs.Bool("full", false, "full-scale Table I (minutes of training)")
 	stages := fs.Int("stages", 0, "override the BSP gradual-pruning stage count (0 = config default)")
-	jsonOut := fs.String("json", "", "with -exp quant, precision, or slo: also write the rows as JSON to this path (e.g. BENCH_9.json)")
+	jsonOut := fs.String("json", "", "with -exp precision or slo: also write the rows as JSON to this path (e.g. BENCH_9.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -388,36 +388,6 @@ func cmdBench(args []string) error {
 			return err
 		}
 		fmt.Println(bench.RenderQuantSweep(rows))
-		qcfg := bench.DefaultQuantBenchConfig()
-		qcfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		qrows, err := bench.RunQuantBench(qcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderQuantBench(qrows, qcfg))
-		gains := bench.QuantBenchSpeedup(qrows)
-		ops := make([]string, 0, len(gains))
-		for op := range gains {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for _, op := range ops {
-			fmt.Printf("  MACs/s vs f32 @ %s: %.2fx\n", op, gains[op])
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteQuantJSON(f, qrows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
 	case "precision":
 		cfg := bench.DefaultPrecisionBenchConfig()
 		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
@@ -440,7 +410,7 @@ func cmdBench(args []string) error {
 			if speed < bench.PrecisionSpeedupTarget {
 				verdict = "MISSES"
 			}
-			fmt.Printf("  headline fast q8 serial: %.2fx exact (%s the %.1fx target)\n",
+			fmt.Printf("  headline fast f32 serial: %.2fx exact (%s the %.1fx target)\n",
 				speed, verdict, bench.PrecisionSpeedupTarget)
 		}
 		if *jsonOut != "" {

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -163,5 +166,96 @@ func TestServeHotSwapConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// nanScaleBundle writes a well-formed 8-bit v5 bundle whose first program's
+// first quantization scale is NaN: the section and directory checksums are
+// recomputed, so only scale validation can tell.
+func nanScaleBundle(t *testing.T, dir string) string {
+	t.Helper()
+	model := nn.NewGRUModel(nn.ModelSpec{InputDim: 8, Hidden: 16, NumLayers: 1, OutputDim: 6, Seed: 43})
+	res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 2})
+	eng, err := rtmobile.Compile(model, res.Scheme, rtmobile.DeployConfig{Target: device.MobileCPU(), Quant: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	b, le := buf.Bytes(), binary.LittleEndian
+	count := int(le.Uint32(b[8:]))
+	metaOff, metaLen := le.Uint64(b[16:]), le.Uint64(b[24:]) // section 1, the metadata, is first
+	var meta struct {
+		Programs []struct {
+			SecScales uint32 `json:"sec_scales"`
+		} `json:"programs"`
+	}
+	if err := json.Unmarshal(b[metaOff:metaOff+metaLen], &meta); err != nil || len(meta.Programs) == 0 {
+		t.Fatalf("bundle metadata: %v", err)
+	}
+	for i := 0; i < count; i++ {
+		if d := b[12+24*i:]; le.Uint32(d) == meta.Programs[0].SecScales {
+			off, n := le.Uint64(d[4:]), le.Uint64(d[12:])
+			le.PutUint32(b[off:], math.Float32bits(float32(math.NaN())))
+			le.PutUint32(d[20:], crc32.ChecksumIEEE(b[off:off+n]))
+		}
+	}
+	dirEnd := 12 + 24*count
+	le.PutUint32(b[dirEnd:], crc32.ChecksumIEEE(b[12:dirEnd]))
+	path := filepath.Join(dir, "nan-scale.rtmb")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestServeSwapRejectsCorruptScales: a replacement bundle with a NaN
+// quantization scale is refused with 400 and the serving version stays —
+// it used to be accepted, after which every /infer answered 500.
+func TestServeSwapRejectsCorruptScales(t *testing.T) {
+	dir := t.TempDir()
+	good, eng := swapBundle(t, dir, 41)
+	bad := nanScaleBundle(t, dir)
+	reg, err := registry.New(registry.Config{
+		Loader: registry.BundleLoader(device.MobileCPU()),
+		Sched:  sched.Config{MaxBatch: 8, QueueDepth: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close(context.Background())
+	if err := reg.Register("asr", good); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newServeMux(reg))
+	defer srv.Close()
+
+	body, _ := json.Marshal(map[string]string{"path": bad})
+	resp, err := srv.Client().Post(srv.URL+"/admin/models/asr/swap", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("swap to a NaN-scale bundle: status %d, want 400", resp.StatusCode)
+	}
+	if st, _ := reg.Stats("asr"); st.Version != 1 || st.Path != good {
+		t.Fatalf("after the refused swap the model is version %d at %q, want 1 at %q", st.Version, st.Path, good)
+	}
+	frames := serveFrames(4, eng.InputDim())
+	body, _ = json.Marshal(frames)
+	resp, err = srv.Client().Post(srv.URL+"/infer/asr", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var post [][]float32
+	if err := json.NewDecoder(resp.Body).Decode(&post); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/infer after the refused swap: status %d, %v", resp.StatusCode, err)
+	}
+	if err := samePost(post, eng.Infer(frames)); err != nil {
+		t.Fatalf("/infer after the refused swap: %v", err)
 	}
 }

@@ -238,7 +238,7 @@ func TestServeStatzTracesLayers(t *testing.T) {
 }
 
 // TestServeStatzQuantized: a quantized deployment surfaces the weight
-// stream accounting and the per-format kernel span totals on /statz.
+// stream accounting and the kernel span totals on /statz.
 func TestServeStatzQuantized(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -273,11 +273,15 @@ func TestServeStatzQuantized(t *testing.T) {
 	}
 	text := rec.Body.String()
 	for _, want := range []string{
-		"quantization: int8 weights", "bytes_streamed_total:", "kernel_q8",
+		"quantization: int8 weights", "bytes_streamed_total:", "kernel spans kernel ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/statz missing %q in:\n%s", want, text)
 		}
+	}
+	// Quantized programs run the float32 kernels: no per-width span kind.
+	if strings.Contains(text, "kernel_q") {
+		t.Fatalf("/statz names a per-width kernel kind:\n%s", text)
 	}
 }
 

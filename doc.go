@@ -47,9 +47,9 @@
 // match the portable path; -tags=purego restores pure Go.
 //
 // There is one packed program type and one executor. A PackedProgram's
-// value storage (float32, int8, int16) and kernel tier (exact, fast) are
-// resolved once, when the program is built, into the segment kernels its
-// lane loops call; nothing is selected per execution.
+// values are float32 and its kernel tier (exact, fast) is resolved once,
+// when the program is built, into the segment kernels its lane loops call;
+// nothing is selected per execution.
 // The compiler's thread lanes are its load-balancing and statistics unit
 // and are visited in order — a lane-parallel executor existed, never beat
 // the serial one at any measured width or worker count, and was deleted
@@ -62,8 +62,8 @@
 // through leases the scheduler and the HTTP tier) runs
 // nn's steppers — which own the GRU/LSTM/Dense step order — bound to the
 // weight matrices' compiled programs through their accumulate entries
-// (RunBatchAdd; RunAdd is its width 1), on either tier and at any storage
-// width; there is no dense path beside it. Model.NewStream/NewBatchStream
+// (RunBatchAdd; RunAdd is its width 1), on either tier and whatever the
+// storage width; there is no dense path beside it. Model.NewStream/NewBatchStream
 // bind tensor.MatVecAddBatch instead and stay the training-side reference.
 // The dense-order contract makes the two comparable bit for bit: the BSPC
 // lowering emits one segment per (lane, row group) whose dots span the
@@ -74,17 +74,18 @@
 // program). Compile lowers once; the v5 bundle stores those programs and
 // MapBundle runs them in place, leaving the dense weight pages untouched.
 //
-// Because the hot path is bound by the weight stream, the packed program
-// also stores quantized values: compiler.PackQuant keeps the same flat layout
-// with int8 (8-bit) or int16 (12/16-bit) values plus per-row float32
-// scales, streaming a quarter or half the bytes, and the kernels
-// dequantize in register in the exact serial accumulation order — so
-// quantized outputs are bit-identical to a scalar dequantize-then-dot
-// reference, not merely close. DeployConfig.Quant (the -quant CLI flag)
-// selects the width end to end: bundle format v3 persists the quantized
-// ints and scales, Engine.Requantize rewidths a loaded bundle, and an
-// optional guard set makes Compile fall back to float32 weights when
-// quantization costs more PER than QuantGuardMaxDelta allows.
+// Quantization is a storage format, not a kernel family:
+// compiler.PackQuant rounds a program's values to int8 (8-bit) or int16
+// (12/16-bit) codes with per-row float32 scales and keeps each weight as
+// its dequantized float32 value, so a quantized program runs the float32
+// kernels and a quantized engine is bit-identical to nn.Forward over its
+// dequantized model. The codes are what a bundle stores (a quarter or half
+// the bytes) and what the Table II footprint prices; the program re-derives
+// them exactly when it is saved. DeployConfig.Quant (the -quant CLI flag)
+// selects the width end to end: bundles persist the codes and scales,
+// Engine.Requantize rewidths a loaded bundle, and an optional guard set
+// makes Compile fall back to float32 weights when quantization costs more
+// PER than QuantGuardMaxDelta allows.
 //
 // # Concurrency and the ownership rule
 //

@@ -8,27 +8,27 @@ import (
 	"testing"
 
 	"rtmobile/internal/compiler"
-	"rtmobile/internal/quant"
 )
 
 // Precision-tier study: exact vs fast kernels on the memory-bound hot
-// path. Each row times one (value format, tier, batch width) triple on
-// the Table-I-sized GRU projection, so the artifact records what the
-// relaxed tolerance contract actually buys — FMA + f32 accumulation
-// against the bit-pinned f64-accumulation reference — for f32, q8, and
-// q16 weight streams, serial and batched. Fast outputs are tolerance-
-// checked against the exact tier's before any timing (the tight per-row
-// ULP contract is enforced by the compiler package's equivalence suite;
-// the check here is the bench's own smoke gate), and every row must be
-// allocation-free or the run errors out.
+// path. Each row times one (tier, batch width) pair on the Table-I-sized
+// GRU projection, so the artifact records what the relaxed tolerance
+// contract actually buys — FMA + f32 accumulation against the bit-pinned
+// f64-accumulation reference — serial and batched. There is no storage
+// axis: a quantized program holds dequantized float32 values and runs
+// these same kernels. Fast outputs are tolerance-checked against the exact
+// tier's before any timing (the tight per-row ULP contract is enforced by
+// the compiler package's equivalence suite; the check here is the bench's
+// own smoke gate), and every row must be allocation-free or the run errors
+// out.
 
-// PrecisionSpeedupTarget is the acceptance floor: fast q8 serial must
-// beat exact q8 serial by at least this factor on the headline layer.
+// PrecisionSpeedupTarget is the acceptance floor: fast serial must beat
+// exact serial by at least this factor on the headline layer.
 const PrecisionSpeedupTarget = 1.3
 
 // PrecisionHeadlineOp keys the acceptance entry in PrecisionSpeedup's
-// result: the q8 serial pairing on the 3072x1024 projection.
-const PrecisionHeadlineOp = "q8/serial"
+// result: the serial pairing on the 3072x1024 projection.
+const PrecisionHeadlineOp = "serial"
 
 // precisionBenchTol bounds |fast - exact| per output element in the
 // pre-timing smoke check. The sweep layer's rows hold ~64 kept weights
@@ -45,7 +45,7 @@ type PrecisionBenchConfig struct {
 }
 
 // DefaultPrecisionBenchConfig measures the paper-scale layer serially
-// and at B = 8 and 32, for f32, q8, and q16 streams on both tiers.
+// and at B = 8 and 32 on both tiers.
 func DefaultPrecisionBenchConfig() PrecisionBenchConfig {
 	return PrecisionBenchConfig{
 		WorkerSweepConfig: DefaultWorkerSweepConfig(),
@@ -53,11 +53,9 @@ func DefaultPrecisionBenchConfig() PrecisionBenchConfig {
 	}
 }
 
-// PrecisionBenchRow is one (format, tier, batch) measurement.
+// PrecisionBenchRow is one (tier, batch) measurement.
 type PrecisionBenchRow struct {
-	Op          string  `json:"op"` // e.g. "q8/serial", "f32/B8"
-	Format      string  `json:"format"`
-	Bits        int     `json:"bits"`
+	Op          string  `json:"op"`   // "serial" or "B<width>"
 	Tier        string  `json:"tier"` // "exact" or "fast"
 	Batch       int     `json:"batch"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -65,40 +63,28 @@ type PrecisionBenchRow struct {
 	MACsPerSec  float64 `json:"macs_per_sec"`
 }
 
-// precExec pairs one format's exact and fast packed programs.
-type precExec struct {
-	format string
-	bits   int
-	pp     [2]*compiler.PackedProgram // [exact, fast]
-	s      *compiler.PackedScratch
-}
-
-// tierName indexes precExec's program pairs.
+// tierName names the tiers in index order: [exact, fast].
 var tierName = [2]string{"exact", "fast"}
 
-// RunPrecisionBench measures exact vs fast packed execution for every
-// stream format, serial and at every configured panel width.
+// RunPrecisionBench measures exact vs fast packed execution, serial and at
+// every configured panel width.
 func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 	prog, x, err := BuildSweepProgram(cfg.WorkerSweepConfig)
 	if err != nil {
 		return nil, err
 	}
-	// Pack each format once per tier; the tier is a pack-time property, so
-	// the exact and fast programs share the IR but select different kernel
-	// families.
-	execs := []precExec{{format: "f32", bits: 32}, {format: "q8", bits: 8}, {format: "q16", bits: 16}}
+	// The tier is a pack-time property, so the exact and fast programs share
+	// the IR but select different kernel families.
+	var pp [2]*compiler.PackedProgram
 	for tier, prec := range []compiler.Precision{compiler.PrecisionExact, compiler.PrecisionFast} {
 		prog.Precision = prec
-		for i, bits := range []int{0, 8, 16} {
-			pp, err := compiler.PackQuant(prog, bits, quant.PerRow)
-			if err != nil {
-				return nil, err
-			}
-			execs[i].pp[tier], execs[i].s = pp, pp.NewScratch()
+		if pp[tier], err = compiler.Pack(prog, 0); err != nil {
+			return nil, err
 		}
 	}
 	prog.Precision = compiler.PrecisionExact
-	macs := execs[0].pp[0].TotalMACs()
+	s := pp[0].NewScratch()
+	macs := pp[0].TotalMACs()
 
 	maxB := 1
 	for _, b := range cfg.Batches {
@@ -112,75 +98,71 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 	}
 	lanes[0] = x
 
-	var rows []PrecisionBenchRow
-	for _, ex := range execs {
-		// Exact serial outputs per lane: the tolerance anchor for every
-		// fast-tier row (fast batch lanes accumulate in a different — but
-		// equally f32 — order than fast serial, so all fast outputs are
-		// checked against the exact reference rather than each other).
-		refs := make([][]float32, maxB)
-		for l := range refs {
-			refs[l] = make([]float32, prog.Rows)
-			if err := ex.pp[0].Run(refs[l], lanes[l], ex.s); err != nil {
-				return nil, err
+	// Exact serial outputs per lane: the tolerance anchor for every
+	// fast-tier row (fast batch lanes accumulate in a different — but
+	// equally f32 — order than fast serial, so all fast outputs are
+	// checked against the exact reference rather than each other).
+	refs := make([][]float32, maxB)
+	for l := range refs {
+		refs[l] = make([]float32, prog.Rows)
+		if err := pp[0].Run(refs[l], lanes[l], s); err != nil {
+			return nil, err
+		}
+	}
+	checkLane := func(got []float32, l int, what string) error {
+		for r, v := range got {
+			if d := math.Abs(float64(v - refs[l][r])); d > precisionBenchTol {
+				return fmt.Errorf("bench: %s diverged from exact at lane %d row %d (|Δ|=%g)", what, l, r, d)
 			}
 		}
-		checkLane := func(got []float32, l int, what string) error {
-			for r, v := range got {
-				if d := math.Abs(float64(v - refs[l][r])); d > precisionBenchTol {
-					return fmt.Errorf("bench: %s %s diverged from exact at lane %d row %d (|Δ|=%g)",
-						ex.format, what, l, r, d)
-				}
-			}
-			return nil
-		}
+		return nil
+	}
 
-		for tier := 0; tier < 2; tier++ {
-			y := make([]float32, prog.Rows)
-			if err := ex.pp[tier].Run(y, x, ex.s); err != nil {
+	var rows []PrecisionBenchRow
+	for tier := 0; tier < 2; tier++ {
+		y := make([]float32, prog.Rows)
+		if err := pp[tier].Run(y, x, s); err != nil {
+			return nil, err
+		}
+		if err := checkLane(y, 0, tierName[tier]+"/serial"); err != nil {
+			return nil, err
+		}
+		rows = append(rows, precisionRow(tierName[tier], 1, benchRow("serial", macs, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pp[tier].Run(y, x, s)
+			}
+		})))
+		for _, bw := range cfg.Batches {
+			xp := make([]float32, prog.Cols*bw)
+			for l := 0; l < bw; l++ {
+				for i, v := range lanes[l] {
+					xp[i*bw+l] = v
+				}
+			}
+			yp := make([]float32, prog.Rows*bw)
+			if err := pp[tier].RunBatch(yp, xp, bw, s); err != nil {
 				return nil, err
 			}
-			if err := checkLane(y, 0, tierName[tier]+"/serial"); err != nil {
-				return nil, err
-			}
-			op := fmt.Sprintf("%s/serial", ex.format)
-			rows = append(rows, precisionRow(ex, tierName[tier], 1, benchRow(op, macs, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ex.pp[tier].Run(y, x, ex.s)
+			lane := make([]float32, prog.Rows)
+			for l := 0; l < bw; l++ {
+				for r := 0; r < prog.Rows; r++ {
+					lane[r] = yp[r*bw+l]
 				}
-			})))
-			for _, bw := range cfg.Batches {
-				xp := make([]float32, prog.Cols*bw)
-				for l := 0; l < bw; l++ {
-					for i, v := range lanes[l] {
-						xp[i*bw+l] = v
-					}
-				}
-				yp := make([]float32, prog.Rows*bw)
-				if err := ex.pp[tier].RunBatch(yp, xp, bw, ex.s); err != nil {
+				if err := checkLane(lane, l, fmt.Sprintf("%s/B%d", tierName[tier], bw)); err != nil {
 					return nil, err
 				}
-				lane := make([]float32, prog.Rows)
-				for l := 0; l < bw; l++ {
-					for r := 0; r < prog.Rows; r++ {
-						lane[r] = yp[r*bw+l]
-					}
-					if err := checkLane(lane, l, fmt.Sprintf("%s/B%d", tierName[tier], bw)); err != nil {
-						return nil, err
-					}
-				}
-				op := fmt.Sprintf("%s/B%d", ex.format, bw)
-				rows = append(rows, precisionRow(ex, tierName[tier], bw, benchRow(op, macs*bw, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						ex.pp[tier].RunBatch(yp, xp, bw, ex.s)
-					}
-				})))
 			}
+			op := fmt.Sprintf("B%d", bw)
+			rows = append(rows, precisionRow(tierName[tier], bw, benchRow(op, macs*bw, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pp[tier].RunBatch(yp, xp, bw, s)
+				}
+			})))
 		}
 		if cfg.Logf != nil {
-			cfg.Logf("%s measured (both tiers)", ex.format)
+			cfg.Logf("%s tier measured", tierName[tier])
 		}
 	}
 	for _, r := range rows {
@@ -192,9 +174,9 @@ func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
 	return rows, nil
 }
 
-func precisionRow(ex precExec, tier string, bw int, r PackedBenchRow) PrecisionBenchRow {
+func precisionRow(tier string, bw int, r PackedBenchRow) PrecisionBenchRow {
 	return PrecisionBenchRow{
-		Op: r.Op, Format: ex.format, Bits: ex.bits, Tier: tier, Batch: bw,
+		Op: r.Op, Tier: tier, Batch: bw,
 		NsPerOp: r.NsPerOp, AllocsPerOp: r.AllocsPerOp, MACsPerSec: r.MACsPerSec,
 	}
 }
@@ -227,10 +209,10 @@ func RenderPrecisionBench(rows []PrecisionBenchRow, cfg PrecisionBenchConfig) st
 		Title: fmt.Sprintf(
 			"Precision tiers (%dx%d %s, %d lanes, fast tolerance-checked against exact)",
 			3*cfg.Hidden, cfg.Hidden, cfg.Format, cfg.Lanes),
-		Headers: []string{"Op", "tier", "bits", "B", "ns/op", "allocs/op", "GMACs/s"},
+		Headers: []string{"Op", "tier", "B", "ns/op", "allocs/op", "GMACs/s"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Op, r.Tier, f(float64(r.Bits), 0), f(float64(r.Batch), 0),
+		t.AddRow(r.Op, r.Tier, f(float64(r.Batch), 0),
 			f(r.NsPerOp, 0), f(r.AllocsPerOp, 0), f(r.MACsPerSec/1e9, 2))
 	}
 	return t.Render()

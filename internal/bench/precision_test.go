@@ -5,7 +5,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"rtmobile/internal/compiler"
 )
+
+// smallSweepConfig keeps the kernel study fast for the unit-test tier
+// while still exercising program build, timing, and the serial cross-check.
+func smallSweepConfig() WorkerSweepConfig {
+	return WorkerSweepConfig{
+		Hidden: 96, ColRate: 4, RowRate: 1,
+		Format: compiler.FormatBSPC, Lanes: 4,
+	}
+}
 
 func smallPrecisionBenchConfig() PrecisionBenchConfig {
 	return PrecisionBenchConfig{
@@ -23,9 +34,8 @@ func TestRunPrecisionBenchSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both tiers × (one serial row plus one row per batch width) × three
-	// stream formats.
-	if want := 2 * 3 * (1 + len(cfg.Batches)); len(rows) != want {
+	// Both tiers × (one serial row plus one row per batch width).
+	if want := 2 * (1 + len(cfg.Batches)); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	type key struct{ op, tier string }
@@ -41,7 +51,7 @@ func TestRunPrecisionBenchSmall(t *testing.T) {
 			t.Fatalf("%s/%s allocates %v per op, want 0", r.Op, r.Tier, r.AllocsPerOp)
 		}
 	}
-	for _, op := range []string{"f32/serial", "q8/serial", "q16/serial", "q8/B4"} {
+	for _, op := range []string{"serial", "B4"} {
 		for _, tier := range []string{"exact", "fast"} {
 			if _, ok := seen[key{op, tier}]; !ok {
 				t.Fatalf("missing %s row for op %q", tier, op)
@@ -49,7 +59,7 @@ func TestRunPrecisionBenchSmall(t *testing.T) {
 		}
 	}
 	sp := PrecisionSpeedup(rows)
-	if sp["q8/serial"] <= 0 || sp["f32/B4"] <= 0 {
+	if sp[PrecisionHeadlineOp] <= 0 || sp["B4"] <= 0 {
 		t.Fatalf("speedup map incomplete: %v", sp)
 	}
 

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -157,9 +158,11 @@ func FuzzRunBatch(f *testing.F) {
 
 // FuzzPackQuant drives the quantized pack lowering over adversarially-shaped
 // compiled programs × bit widths × scale schemes × batch widths and checks
-// that quantized packing never panics, serial execution matches the scalar
-// dequantize-then-dot reference byte-for-byte, and batched execution
-// matches serial.
+// that quantized packing never panics, that the program is Pack of its
+// dequantized values bit for bit (values and output, serial and at the batch
+// width), that accumulating it is tensor.MatVecAdd on the dequantized
+// matrix, and that its sections round-trip to the same values — the codes
+// Sections re-derives are the ones the values were dequantized from.
 func FuzzPackQuant(f *testing.F) {
 	f.Add(uint64(1), uint16(16), uint16(12), uint8(0), int16(4), uint8(3), uint8(3), uint8(0), uint8(1), false)
 	f.Add(uint64(2), uint16(8), uint16(0), uint8(1), int16(4), uint8(2), uint8(2), uint8(1), uint8(2), false)
@@ -173,25 +176,36 @@ func FuzzPackQuant(f *testing.F) {
 		if prog == nil {
 			return
 		}
-		bits := []int{8, 12, 16}[mode%3]
-		qs := []quant.Scheme{quant.PerRow, quant.PerTensor}[(mode/3)%2]
-		pq, err := PackQuant(prog, bits, qs)
+		st := storage{bits: []int{8, 12, 16}[mode%3], scheme: []quant.Scheme{quant.PerRow, quant.PerTensor}[(mode/3)%2]}
+		pq, err := PackQuant(prog, st.bits, st.scheme)
 		if err != nil {
 			t.Fatalf("PackQuant rejected a compiled program: %v", err)
 		}
-		x := randVec(seed+7, w.Cols)
-		want := make([]float32, w.Rows)
-		runQRef(pq, want, x)
-		got := make([]float32, w.Rows)
-		if err := pq.Run(got, x, nil); err != nil {
-			t.Fatalf("quantized packed: %v", err)
+		wd := dequantized(t, w, st)
+		ref, err := Pack(withValues(prog, wd), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("row %d: quantized packed %v != reference %v (fmt=%s bits=%d)",
-					i, got[i], want[i], prog.Format, bits)
+		label := fmt.Sprintf("fmt=%s bits=%d scheme=%v", prog.Format, st.bits, st.scheme)
+		sameAsRef(t, label, pq, ref, seed+7, 1)
+		sameAsRef(t, label, pq, ref, seed+8, int(batch%24)+1)
+
+		x, bias := randVec(seed+9, w.Cols), randVec(seed+10, w.Rows)
+		acc, want := append([]float32(nil), bias...), append([]float32(nil), bias...)
+		if err := pq.RunAdd(acc, x, nil); err != nil {
+			t.Fatal(err)
+		}
+		tensor.MatVecAdd(want, wd, x)
+		for i := range acc {
+			if acc[i] != want[i] {
+				t.Fatalf("%s row %d: RunAdd %v vs tensor.MatVecAdd on the dequantized matrix %v", label, i, acc[i], want[i])
 			}
 		}
-		checkLanesMatchSerial(t, "fuzz", pq, seed, int(batch%24)+1)
+
+		re, err := NewPackedFromSections(pq.Sections())
+		if err != nil {
+			t.Fatalf("%s: sections do not load: %v", label, err)
+		}
+		sameAsRef(t, label+" reloaded", re, pq, seed+11, 1)
 	})
 }

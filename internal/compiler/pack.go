@@ -20,30 +20,32 @@ import (
 // form: one contiguous value array, one contiguous column-index array, and a
 // per-lane segment-descriptor array, executed by tight unrolled dot kernels.
 //
-// There is one program type. Its values are stored as float32, int8 or int16
-// (PackQuant; integers carry one scale per output row), and it executes on
-// the exact or the fast kernel tier. Those two choices are resolved once,
-// when the program is built, into the two segment kernels the lane loops call
-// (packkernels.go) — nothing is selected per execution, as in the paper's
-// compiler, which fixes every tuning choice offline. The plan's TileConfig is
-// not among them: it describes the modelled mobile target's kernel, which
-// internal/device prices; the host executor runs one kernel per shape
-// whatever the tile says. Lanes are the compiler's load-balancing and
-// statistics unit; the executor visits them in index order on the calling
-// goroutine.
+// There is one program type with one value type: float32. Quantization is a
+// storage format, not a kernel family — PackQuant rounds the values to
+// int8/int16 codes with one scale per output row and keeps each weight as
+// Scales[row]·float32(q), the formula of quant.QMatrix.Dequantize, so the
+// integer width lives in the serialized sections (Sections,
+// NewPackedFromSections) and the footprint accounting, never in a kernel.
+// The kernel tier (exact or fast) is resolved once, when the program is
+// built, into the two segment kernels the lane loops call (packkernels.go) —
+// nothing is selected per execution, as in the paper's compiler, which fixes
+// every tuning choice offline. The plan's TileConfig is not among them: it
+// describes the modelled mobile target's kernel, which internal/device
+// prices; the host executor runs one kernel per shape whatever the tile
+// says. Lanes are the compiler's load-balancing and statistics unit; the
+// executor visits them in index order on the calling goroutine.
 //
-// Determinism contract, exact tier: float programs are bit-identical to the
+// Determinism contract, exact tier: programs are bit-identical to the
 // interpreter and, accumulated into y, to tensor.MatVecAdd on the matrix
 // they were lowered from — every output row accumulates its terms in index
-// order in a single float64 and is rounded once. Quantized programs
-// dequantize in-register, wd = float64(scale)·float64(q), and accumulate
-// wd·float64(x) in the same order, so they are bit-identical to a scalar
-// dequantize-then-dot reference. The batched entries run the same program
-// over B input vectors laid out as a column-major panel (element i of stream
-// l at x[i*B+l]), reading each weight once per step for the whole panel;
-// lane l of the output panel is bit-identical to the serial entry on lane
-// l's vector, because batch width changes data layout, never summation
-// order. The fast tier replaces bit-equality with the tolerance contract of
+// order in a single float64 and is rounded once. A quantized program is the
+// float program of its dequantized values, so it is bit-identical to
+// tensor.MatVecAdd on the dequantized matrix. The batched entries run the
+// same program over B input vectors laid out as a column-major panel
+// (element i of stream l at x[i*B+l]), reading each weight once per step for
+// the whole panel; lane l of the output panel is bit-identical to the serial
+// entry on lane l's vector, because batch width changes data layout, never
+// summation order. The fast tier replaces bit-equality with the tolerance contract of
 // precision.go. Event counts are static per program — every gather and dot
 // width is known at pack time — so ExecStats are precomputed and returned
 // without instrumenting the hot loop.
@@ -90,18 +92,15 @@ type PackedProgram struct {
 	// float32-accumulation family (see precision.go).
 	Precision Precision
 
-	// Bits selects the value storage: 0 keeps float32 values in Vals; 8
-	// stores int8 in Vals8; 12 and 16 store int16 in Vals16 (12-bit values
-	// occupy int16 in host memory for kernel addressing; the device format
-	// packs them, so footprint accounting uses Bits). Exactly one of the
-	// three arrays is populated: all dot payloads, lane-major, contiguous.
+	// Vals holds all dot payloads, lane-major, contiguous.
+	Vals []float32
+	// Bits, Scheme and Scales are a quantized program's storage record:
+	// Bits 0 is a float program; 8, 12 or 16 means every value is
+	// Scales[row]·float32(q) for an integer code q of that width, which is
+	// what WeightBytes prices (12-bit codes pack to 1.5 bytes on device) and
+	// Sections serializes. Scales always holds one scale per output row
+	// (PerTensor repeats the single scale). No kernel reads them.
 	Bits   int
-	Vals   []float32
-	Vals8  []int8
-	Vals16 []int16
-	// Scheme and Scales describe a quantized program's scales. Scales always
-	// holds one scale per output row (PerTensor repeats the single scale), so
-	// kernels index it by row without a scheme branch.
 	Scheme quant.Scheme
 	Scales []float32
 	// numScales is the stored scale count of the scheme (1 or Rows) — what
@@ -115,13 +114,11 @@ type PackedProgram struct {
 	MaxGather int
 
 	// totalMACs is the program's static work term, summed from the lane
-	// counts; streamBytes the host weight bytes streamed per execution (a
-	// batched execution streams the weights once for the whole panel).
-	totalMACs   int
-	streamBytes int
+	// counts.
+	totalMACs int
 
-	// seg and segBatch are the segment kernels (storage, tier) resolve to,
-	// and kind the matching kernel span kind; see bind.
+	// seg and segBatch are the segment kernels the tier resolves to, and
+	// kind the matching kernel span kind; see bind.
 	seg      segKernel
 	segBatch segBatchKernel
 	kind     obs.StageKind
@@ -148,28 +145,25 @@ func (p *PackedProgram) TotalMACs() int { return p.totalMACs }
 
 // StreamBytes reports the static host weight bytes this program streams per
 // execution (once per batched execution, regardless of width): 4 bytes per
-// float32 value, 1 at 8 bits, 2 at 12/16.
-func (p *PackedProgram) StreamBytes() int { return p.streamBytes }
+// value, whatever the storage width.
+func (p *PackedProgram) StreamBytes() int { return 4 * len(p.Vals) }
 
 // NumScales reports the stored scale count of a quantized program's scheme
 // (1 for PerTensor, Rows for PerRow) — the count a serialized artifact
 // ships; 0 for a float program.
 func (p *PackedProgram) NumScales() int { return p.numScales }
 
-// numVals returns the packed value count.
-func (p *PackedProgram) numVals() int { return len(p.Vals) + len(p.Vals8) + len(p.Vals16) }
-
 // WeightBytes returns the device-format weight storage in bytes: the
 // storage width per stored value, bit-packed — the footprint Table II
-// accounts (12-bit entries pack to 1.5 bytes on device even though host
-// kernels address them as int16). Scales are excluded (accounted like other
-// per-row metadata, with the index stream).
+// accounts (12-bit entries pack to 1.5 bytes on device even though a bundle
+// stores them as int16). Scales are excluded (accounted like other per-row
+// metadata, with the index stream).
 func (p *PackedProgram) WeightBytes() int {
 	bits := p.Bits
 	if bits == 0 {
 		bits = p.ValueBits
 	}
-	return (p.numVals()*bits + 7) / 8
+	return (len(p.Vals)*bits + 7) / 8
 }
 
 // observe records one finished execution of bw lanes: a kernel-latency
@@ -208,16 +202,19 @@ func Pack(p *Program, _ int) (*PackedProgram, error) {
 
 // PackQuant is Pack with the value storage chosen: bits 0 keeps float32
 // values; 8, 12 or 16 quantizes the packed values symmetrically through
-// internal/quant's scale mapping into int8 (8) or int16 (12, 16) with
-// per-row or per-tensor scales, so the hot-path weight stream shrinks 2–4×
-// — the storage/kernel co-design of ESE's 12-bit entries, E-RNN's quantized
-// block-circulant weights, and the formats GRIM and CSB-RNN execute from
-// (see PAPERS.md). Row scales are computed over the packed nonzeros, which
-// equal the row's true nonzeros (every stored value is packed exactly once),
-// so requantizing an already-dequantized model reproduces identical integers
-// — the bundle round-trip relies on this. What quantization does not
-// preserve is the original float32 weights; the accuracy delta is the
-// engine-level guardrail's job (internal/rtmobile), not the executor's.
+// internal/quant's scale mapping into int8 (8) or int16 (12, 16) codes with
+// per-row or per-tensor scales — the storage formats of ESE's 12-bit
+// entries, E-RNN's quantized block-circulant weights, and GRIM and CSB-RNN
+// (see PAPERS.md) — and keeps each weight as its dequantized float32 value,
+// so the program runs the same kernels as a float one and a bundle stores
+// the codes at 1 or 2 bytes each. Row scales are computed over the packed
+// nonzeros, which equal the row's true nonzeros (every stored value is
+// packed exactly once), so requantizing an already-dequantized model
+// reproduces identical codes and identical values — the bundle round-trip
+// and the engine's bit-equality with its dequantized model rely on this.
+// What quantization does not preserve is the original float32 weights; the
+// accuracy delta is the engine-level guardrail's job (internal/rtmobile),
+// not the executor's.
 func PackQuant(p *Program, bits int, scheme quant.Scheme) (*PackedProgram, error) {
 	if bits != 0 && !QuantBitsValid(bits) {
 		return nil, fmt.Errorf("compiler: PackQuant bits must be 0, 8, 12 or 16, got %d", bits)
@@ -354,8 +351,9 @@ func lower(p *Program) (*PackedProgram, error) {
 	return pp, nil
 }
 
-// quantize replaces the program's float32 values with integers of the given
-// width and their scales.
+// quantize rounds the program's values to integer codes of the given width
+// and replaces each with its dequantized value, Scales[row]·float32(q): one
+// rounding, as quant.QMatrix.Dequantize computes it.
 func (p *PackedProgram) quantize(bits int, scheme quant.Scheme) error {
 	// Row maxAbs over the packed vals. A row's packed values are its true
 	// nonzeros (possibly split across segments under column tiling), so this
@@ -394,24 +392,13 @@ func (p *PackedProgram) quantize(bits int, scheme quant.Scheme) error {
 	}
 
 	qmax := quant.QMax(bits)
-	if bits == 8 {
-		p.Vals8 = make([]int8, len(p.Vals))
-	} else {
-		p.Vals16 = make([]int16, len(p.Vals))
-	}
-	p.forEachRowVals(func(row int32, off int, vals []float32) {
-		s := float64(p.Scales[row])
-		if bits == 8 {
-			for i, v := range vals {
-				p.Vals8[off+i] = int8(quant.ClampRound(float64(v)/s, qmax))
-			}
-		} else {
-			for i, v := range vals {
-				p.Vals16[off+i] = int16(quant.ClampRound(float64(v)/s, qmax))
-			}
+	p.forEachRowVals(func(row int32, _ int, vals []float32) {
+		s := p.Scales[row]
+		for i, v := range vals {
+			vals[i] = s * float32(quant.ClampRound(float64(v)/float64(s), qmax))
 		}
 	})
-	p.Bits, p.Scheme, p.ValueBits, p.Vals = bits, scheme, 0, nil
+	p.Bits, p.Scheme, p.ValueBits = bits, scheme, 0
 	return nil
 }
 

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 
 	"rtmobile/internal/quant"
 )
@@ -17,6 +18,13 @@ import (
 // front so the unchecked hot-path kernels (runLane gathers x[c] without
 // bounds checks) can never read out of range even from a corrupt or
 // adversarial bundle.
+//
+// The integer width of a quantized program is a property of these sections
+// only. Sections() re-derives each code as ClampRound(v/scale): a value is
+// scale·float32(q), one float32 rounding away from the exact product, so
+// v/scale is within qmax·2⁻²⁴ ≪ ½ of q and rounding returns q. Loading
+// dequantizes the codes back into one fresh []float32 (a float program's
+// values stay borrowed).
 
 // segWordsPerSeg is the serialized width of one PackedSeg: six int32 words
 // (kind, nc, arg, valoff, rowoff, nr), lane-major.
@@ -24,7 +32,7 @@ const segWordsPerSeg = 6
 
 // PackedSections is the flat serialized form of a packed program. Exactly
 // one of Vals (float program) or Vals8/Vals16+Scales (quantized program,
-// by Bits) is populated, as on PackedProgram.
+// by Bits) is populated.
 type PackedSections struct {
 	Name       string
 	Rows, Cols int
@@ -35,7 +43,7 @@ type PackedSections struct {
 	// Quantized-program header: Bits is 0 for a float program; 8, 12, or
 	// 16 selects Vals8/Vals16 storage. NumScales is the scheme's stored
 	// scale count (1 per-tensor, Rows per-row) — Scales itself is always
-	// the per-row expansion the kernels index.
+	// the per-row expansion.
 	Bits      int
 	Scheme    quant.Scheme
 	NumScales int
@@ -101,17 +109,49 @@ func flattenLanes(lanes []PackedLane) (segWords, rowIdx, segCounts, rowCounts []
 }
 
 // Sections flattens the program for serialization. The flat arrays alias
-// the program's storage (treat both as immutable afterwards).
+// the program's storage (treat both as immutable afterwards), except a
+// quantized program's codes, which are re-derived from its values.
 func (p *PackedProgram) Sections() *PackedSections {
 	s := &PackedSections{
 		Name: p.Name, Rows: p.Rows, Cols: p.Cols,
 		Format: p.Format, ValueBits: p.ValueBits, Precision: p.Precision,
 		Bits: p.Bits, Scheme: p.Scheme, NumScales: p.numScales,
-		Vals: p.Vals, Vals8: p.Vals8, Vals16: p.Vals16, Scales: p.Scales,
-		ColIdx: p.ColIdx,
+		Scales: p.Scales, ColIdx: p.ColIdx,
+	}
+	switch p.Bits {
+	case 0:
+		s.Vals = p.Vals
+	case 8:
+		s.Vals8 = codes[int8](p)
+	default:
+		s.Vals16 = codes[int16](p)
 	}
 	s.SegWords, s.RowIdx, s.LaneSegCounts, s.LaneRowCounts = flattenLanes(p.Lanes)
 	return s
+}
+
+// codes re-derives a quantized program's integer codes from its values.
+func codes[T int8 | int16](p *PackedProgram) []T {
+	q, qmax := make([]T, len(p.Vals)), quant.QMax(p.Bits)
+	p.forEachRowVals(func(row int32, off int, vals []float32) {
+		s := float64(p.Scales[row])
+		for i, v := range vals {
+			q[off+i] = T(quant.ClampRound(float64(v)/s, qmax))
+		}
+	})
+	return q
+}
+
+// dequantize sets p.Vals to Scales[row]·float32(q) for the stored codes q —
+// quant.QMatrix.Dequantize's formula, one rounding per weight.
+func dequantize[T int8 | int16](p *PackedProgram, q []T) {
+	p.Vals = make([]float32, len(q))
+	p.forEachRowVals(func(row int32, off int, vals []float32) {
+		s := p.Scales[row]
+		for i := range vals {
+			vals[i] = s * float32(q[off+i])
+		}
+	})
 }
 
 // rebuildLanes reconstructs []PackedLane from the flat lane arrays,
@@ -247,14 +287,22 @@ func (s *PackedSections) numVals() (int, error) {
 		return 0, fmt.Errorf("compiler: sections %s: stored scale count %d (want 1 or %d)",
 			s.Name, s.NumScales, s.Rows)
 	}
+	// quant.ScaleFor only produces positive finite scales; anything else
+	// would dequantize to NaN, ±Inf or sign-flipped weights.
+	for r, sc := range s.Scales {
+		if !(sc > 0) || math.IsInf(float64(sc), 1) {
+			return 0, fmt.Errorf("compiler: sections %s: row %d scale %v is not positive and finite", s.Name, r, sc)
+		}
+	}
 	return n, nil
 }
 
 // NewPackedFromSections reconstructs an executable program from its flat
-// serialized form. The big arrays (values, ColIdx, RowIdx) are borrowed, not
+// serialized form. The float values, ColIdx and RowIdx are borrowed, not
 // copied — a caller aliasing them into mapped pages gets a zero-copy program
 // — and every descriptor is bounds-checked here, so execution needs no
-// further validation. Work is O(segments + indices), never O(weights).
+// further validation. Work is O(segments + indices) for a float program; a
+// quantized one also dequantizes its codes into a fresh value array.
 func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 	if !PrecisionValid(s.Precision) {
 		return nil, fmt.Errorf("compiler: sections %s: unknown precision tier %d", s.Name, s.Precision)
@@ -271,11 +319,16 @@ func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 		Name: s.Name, Rows: s.Rows, Cols: s.Cols,
 		Format: s.Format, ValueBits: s.ValueBits,
 		Precision: s.Precision,
-		Bits:      s.Bits, Vals: s.Vals, Vals8: s.Vals8, Vals16: s.Vals16,
+		Bits:      s.Bits, Vals: s.Vals,
 		Scheme: s.Scheme, Scales: s.Scales, numScales: s.NumScales,
 		ColIdx: s.ColIdx, Lanes: lanes,
 		MaxGather: maxGather,
 		totalMACs: totalMACs,
+	}
+	if s.Bits == 8 {
+		dequantize(p, s.Vals8)
+	} else if s.Bits != 0 {
+		dequantize(p, s.Vals16)
 	}
 	p.bind()
 	return p, nil

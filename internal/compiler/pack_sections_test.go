@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -163,6 +164,10 @@ func TestPackedQSectionsRejectsCorrupt(t *testing.T) {
 		{"bad numscales", func(s *PackedSections) { s.NumScales = 3 }, "scale"},
 		{"both val widths", func(s *PackedSections) { s.Vals16 = make([]int16, len(s.Vals8)) }, "int16"},
 		{"float into quantized", func(s *PackedSections) { s.Bits = 0 }, "quantized"},
+		{"nan scale", func(s *PackedSections) { s.Scales[1] = float32(math.NaN()) }, "scale"},
+		{"inf scale", func(s *PackedSections) { s.Scales[2] = float32(math.Inf(1)) }, "scale"},
+		{"zero scale", func(s *PackedSections) { s.Scales[0] = 0 }, "scale"},
+		{"negative scale", func(s *PackedSections) { s.Scales[3] = -s.Scales[3] }, "scale"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,13 +15,16 @@ import (
 // elimination} × lane count × tier × panel width — with the value storage as
 // a column, and one contract per tier:
 //
-//	exact f32        ≡ interpreter ≡ tensor.MatVecAdd, bit for bit
-//	exact quantized  ≡ scalar dequantize-then-dot (runQRef), bit for bit
+//	exact            ≡ interpreter ≡ tensor.MatVecAdd, bit for bit
 //	exact, panel     lane l ≡ the serial run on lane l's vector, bit for bit
 //	fast             within tensor.FastDotBound of the same storage's exact run
+//	quantized        ≡ Pack of its dequantized values, bit for bit, on every tier
 //
-// Every execution of every test below borrows tableScratch, so one
-// PackedScratch is reused across storages, tiers and widths throughout.
+// A quantized case's matrix and interpreter program are the dequantized ones
+// (quant.QMatrix.Dequantize of the projected matrix), so the exact and fast
+// contracts apply to every storage unchanged. Every execution of every test
+// below borrows tableScratch, so one PackedScratch is reused across storages,
+// tiers and widths throughout.
 
 // storage is the value-storage column.
 type storage struct {
@@ -45,10 +48,11 @@ var (
 // packedCase is one cell of the grid.
 type packedCase struct {
 	label string
-	w     *tensor.Matrix // the projected matrix the programs were lowered from
-	prog  *Program       // the interpreter's program
+	w     *tensor.Matrix // the matrix the programs compute (dequantized for a quantized storage)
+	prog  *Program       // the interpreter's program of w
 	exact *PackedProgram // the storage under test on the exact tier
 	pp    *PackedProgram // the storage and tier under test (exact itself on the exact tier)
+	ref   *PackedProgram // Pack of w's values on the tier under test (pp itself for f32)
 }
 
 // lowerings are the grid's format rows; load elimination only changes BSPC.
@@ -88,13 +92,54 @@ func tableMatrices() []tableMatrix {
 	return ms
 }
 
+// dequantized is w round-tripped through quant at the given width, as an
+// engine's model holds a quantized deployment's weights.
+func dequantized(t testing.TB, w *tensor.Matrix, st storage) *tensor.Matrix {
+	t.Helper()
+	if st.bits == 0 {
+		return w
+	}
+	qm, err := quant.Quantize(w, st.bits, st.scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qm.Dequantize()
+}
+
+// withValues returns prog with every weight replaced by its entry in wd —
+// the program the lowering would have produced from wd, without re-deriving
+// the sparsity structure from wd's (possibly fewer) nonzeros.
+func withValues(prog *Program, wd *tensor.Matrix) *Program {
+	dp := *prog
+	dp.Threads = make([][]Instr, len(prog.Threads))
+	for t, lane := range prog.Threads {
+		var cols []int32
+		for _, ins := range lane {
+			if ins.Op == OpGather {
+				cols = ins.Cols
+			} else {
+				vals := make([]float32, len(ins.Vals))
+				for j := range vals {
+					c := ins.ColLo + j
+					if ins.Op == OpDotGathered {
+						c = int(cols[j])
+					}
+					vals[j] = wd.At(ins.Row, c)
+				}
+				ins.Vals = vals
+			}
+			dp.Threads[t] = append(dp.Threads[t], ins)
+		}
+	}
+	return &dp
+}
+
 // forEachPackedCase walks the grid for the given storages on one tier.
 func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func(c packedCase)) {
 	t.Helper()
 	for _, m := range tableMatrices() {
-		w := m.w
 		for _, lo := range lowerings {
-			src := MatrixSource{Name: "m", W: w}
+			src := MatrixSource{Name: "m", W: m.w}
 			if lo.format == FormatBSPC {
 				s := m.scheme
 				src.Scheme = &s
@@ -114,7 +159,8 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 					}
 				}
 				for _, st := range storages {
-					c := packedCase{w: w, prog: prog, label: fmt.Sprintf(
+					wd := dequantized(t, m.w, st)
+					c := packedCase{w: wd, prog: withValues(prog, wd), label: fmt.Sprintf(
 						"%s fmt=%s elim=%v threads=%d %s",
 						m.name, lo.format, lo.elim, threads, st.name)}
 					if c.exact, err = PackQuant(prog, st.bits, st.scheme); err != nil {
@@ -128,49 +174,13 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 					if c.pp.Precision != tier {
 						t.Fatalf("%s: PackQuant dropped the precision tier: %v", c.label, c.pp.Precision)
 					}
+					if c.ref = c.pp; st.bits != 0 {
+						if c.ref, err = Pack(withValues(tprog, wd), 0); err != nil {
+							t.Fatal(err)
+						}
+					}
 					fn(c)
 				}
-			}
-		}
-	}
-}
-
-// runQRef is the scalar reference of a quantized program: it walks the
-// lanes and segments in execution order and, for every row dot, dequantizes
-// each weight to float64 through the row scale and accumulates in index
-// order — plain loops, no kernels.
-func runQRef(p *PackedProgram, y, x []float32) {
-	for i := range y {
-		y[i] = 0
-	}
-	for t := range p.Lanes {
-		l := &p.Lanes[t]
-		for si := range l.Segs {
-			sg := &l.Segs[si]
-			nc := int(sg.NC)
-			g := make([]float32, nc)
-			if sg.Kind == segGather {
-				for i, c := range p.ColIdx[sg.Arg : int(sg.Arg)+nc] {
-					g[i] = x[c]
-				}
-			} else {
-				copy(g, x[sg.Arg:int(sg.Arg)+nc])
-			}
-			for i := 0; i < int(sg.NR); i++ {
-				row := l.Rows[int(sg.RowOff)+i]
-				off := int(sg.ValOff) + i*nc
-				sc := float64(p.Scales[row])
-				s := 0.0
-				for j := 0; j < nc; j++ {
-					var q float64
-					if p.Bits == 8 {
-						q = float64(p.Vals8[off+j])
-					} else {
-						q = float64(p.Vals16[off+j])
-					}
-					s += (sc * q) * float64(g[j])
-				}
-				y[row] += float32(s)
 			}
 		}
 	}
@@ -195,8 +205,9 @@ func equalStats(t *testing.T, want, got ExecStats, label string) {
 	}
 }
 
-// checkExactSerial: the exact tier's serial run against its reference, and
-// the static stats against the interpreter's dynamic count.
+// checkExactSerial: the exact tier's serial run against the interpreter,
+// the static stats against the interpreter's dynamic count, and the
+// dense-order contract: accumulating onto a bias is MatVecAdd.
 func checkExactSerial(t *testing.T, storages []storage) {
 	forEachPackedCase(t, storages, PrecisionExact, func(c packedCase) {
 		x := randVec(uint64(len(c.label)), c.w.Cols)
@@ -204,9 +215,6 @@ func checkExactSerial(t *testing.T, storages []storage) {
 		wantStats, err := c.prog.Execute(want, x)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.pp.Bits != 0 {
-			runQRef(c.pp, want, x)
 		}
 		got := make([]float32, c.w.Rows)
 		if err := c.pp.Run(got, x, tableScratch); err != nil {
@@ -218,10 +226,6 @@ func checkExactSerial(t *testing.T, storages []storage) {
 			}
 		}
 		equalStats(t, wantStats, c.pp.Stats(), c.label)
-		if c.pp.Bits != 0 {
-			return
-		}
-		// The dense-order contract: accumulating onto a bias is MatVecAdd.
 		bias := randVec(uint64(len(c.label))+13, c.w.Rows)
 		acc, ref := append([]float32(nil), bias...), append([]float32(nil), bias...)
 		if err := c.pp.RunAdd(acc, x, tableScratch); err != nil {
@@ -236,8 +240,53 @@ func checkExactSerial(t *testing.T, storages []storage) {
 	})
 }
 
-func TestPackedBitIdentical(t *testing.T)    { checkExactSerial(t, f32Storage) }
-func TestPackQuantBitIdentical(t *testing.T) { checkExactSerial(t, quantStorages) }
+// sameAsRef asserts a quantized program is Pack of its dequantized values:
+// the same values bit for bit and the same output at the given width.
+func sameAsRef(t *testing.T, label string, pp, ref *PackedProgram, seed uint64, bw int) {
+	t.Helper()
+	if len(pp.Vals) != len(ref.Vals) {
+		t.Fatalf("%s: %d values, Pack of the dequantized values has %d", label, len(pp.Vals), len(ref.Vals))
+	}
+	for i, v := range pp.Vals {
+		if math.Float32bits(v) != math.Float32bits(ref.Vals[i]) {
+			t.Fatalf("%s: value %d is %v, dequantized %v", label, i, v, ref.Vals[i])
+		}
+	}
+	x := randVec(seed, pp.Cols*bw)
+	got, want := make([]float32, pp.Rows*bw), make([]float32, pp.Rows*bw)
+	if err := pp.RunBatch(got, x, bw, tableScratch); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := ref.RunBatch(want, x, bw, tableScratch); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s bw=%d: output %d is %v, Pack of the dequantized values gives %v", label, bw, i, got[i], want[i])
+		}
+	}
+}
+
+// checkStorage: on the given tier, at every width, a quantized program is
+// Pack of its dequantized values.
+func checkStorage(t *testing.T, tier Precision) {
+	forEachPackedCase(t, quantStorages, tier, func(c packedCase) {
+		for _, bw := range tableWidths {
+			sameAsRef(t, c.label, c.pp, c.ref, uint64(bw)+5, bw)
+		}
+	})
+}
+
+func TestPackedBitIdentical(t *testing.T) { checkExactSerial(t, f32Storage) }
+
+// TestPackQuantBitIdentical: quantized programs hold the exact and
+// dense-order contracts over their dequantized matrix, and are Pack of
+// their dequantized values on both tiers at every width.
+func TestPackQuantBitIdentical(t *testing.T) {
+	checkExactSerial(t, quantStorages)
+	checkStorage(t, PrecisionExact)
+	checkStorage(t, PrecisionFast)
+}
 
 // TestPackedTableHitsGroupSeam: the grid really contains a gather and a
 // stream segment of every seam row count, so checkExactSerial's RunAdd ≡
@@ -325,16 +374,9 @@ func TestPackQuantBatchLanesMatchSerial(t *testing.T) { checkExactLanes(t, quant
 
 // checkFastRows asserts a fast-tier output is within the tolerance contract
 // of the exact oracle, row by row: the hybrid ULP/absolute bound of the
-// row's dot, sized by its term count and product-magnitude sum. A quantized
-// row's magnitude sum grows by at most (scale/2)·Σ|x|, the distance
-// quantization moves each weight (the bound derives magnitudes from the
-// float weights).
+// row's dot, sized by its term count and product-magnitude sum.
 func checkFastRows(t *testing.T, label string, c packedCase, x, got, want []float32) {
 	t.Helper()
-	sumAbsX := 0.0
-	for _, v := range x {
-		sumAbsX += math.Abs(float64(v))
-	}
 	for r := range got {
 		sumAbs, n := 0.0, 0
 		for col, v := range c.w.Row(r) {
@@ -342,9 +384,6 @@ func checkFastRows(t *testing.T, label string, c packedCase, x, got, want []floa
 				sumAbs += math.Abs(float64(v) * float64(x[col]))
 				n++
 			}
-		}
-		if c.pp.Bits != 0 {
-			sumAbs += float64(c.pp.Scales[r]) / 2 * sumAbsX
 		}
 		ulps, atol := tensor.FastULPBound(n), tensor.FastDotBound(n, sumAbs)
 		if !tensor.FastClose(got[r], want[r], ulps, atol) {

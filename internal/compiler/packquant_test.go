@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rtmobile/internal/prune"
@@ -57,9 +58,11 @@ func TestPackQuantAccuracy(t *testing.T) {
 	}
 }
 
-// TestPackQuantStorage pins the storage accounting: host stream bytes are
-// 1 or 2 bytes per packed value, device WeightBytes are Bits per value
-// bit-packed, and the stored scale count follows the scheme.
+// TestPackQuantStorage pins the storage accounting: the host streams 4
+// bytes per packed value whatever the storage (quantized programs hold
+// dequantized float32 values), device WeightBytes are Bits per value
+// bit-packed, serialized codes are 1 or 2 bytes each, and the stored scale
+// count follows the scheme.
 func TestPackQuantStorage(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(8, 32, 32, scheme)
@@ -78,20 +81,23 @@ func TestPackQuantStorage(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		bits       int
-		elem       int
 		weightByte int
 	}{
-		{8, 1, nvals}, {12, 2, (nvals*12 + 7) / 8}, {16, 2, 2 * nvals},
+		{8, nvals}, {12, (nvals*12 + 7) / 8}, {16, 2 * nvals},
 	} {
 		pq, err := PackQuant(prog, tc.bits, quant.PerRow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pq.numVals() != nvals {
-			t.Fatalf("bits=%d: %d vals, want %d", tc.bits, pq.numVals(), nvals)
+		if len(pq.Vals) != nvals || pq.Bits != tc.bits {
+			t.Fatalf("bits=%d: %d vals recorded at %d bits, want %d", tc.bits, len(pq.Vals), pq.Bits, nvals)
 		}
-		if pq.StreamBytes() != tc.elem*nvals {
-			t.Fatalf("bits=%d: StreamBytes %d, want %d", tc.bits, pq.StreamBytes(), tc.elem*nvals)
+		if pq.StreamBytes() != 4*nvals {
+			t.Fatalf("bits=%d: StreamBytes %d, want %d", tc.bits, pq.StreamBytes(), 4*nvals)
+		}
+		if s := pq.Sections(); len(s.Vals8)+len(s.Vals16) != nvals || len(s.Vals) != 0 || (tc.bits == 8) != (len(s.Vals8) == nvals) {
+			t.Fatalf("bits=%d: sections carry %d int8, %d int16 and %d float32 values, want %d codes",
+				tc.bits, len(s.Vals8), len(s.Vals16), len(s.Vals), nvals)
 		}
 		if pq.WeightBytes() != tc.weightByte {
 			t.Fatalf("bits=%d: WeightBytes %d, want %d", tc.bits, pq.WeightBytes(), tc.weightByte)
@@ -113,8 +119,9 @@ func TestPackQuantStorage(t *testing.T) {
 }
 
 // TestPackQuantIdempotent pins the requantization property the bundle
-// round-trip relies on: quantizing a model whose weights are already the
-// dequantized values reproduces identical integers and scales.
+// round-trip and the engine's bit-equality rely on: quantizing a model whose
+// weights are already the dequantized values reproduces identical scales,
+// codes and values.
 func TestPackQuantIdempotent(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(9, 32, 32, scheme)
@@ -148,15 +155,13 @@ func TestPackQuantIdempotent(t *testing.T) {
 				t.Fatalf("bits=%d row %d: scale %v != requantized %v", bits, r, pq.Scales[r], pq2.Scales[r])
 			}
 		}
-		for i := range pq.Vals8 {
-			if pq.Vals8[i] != pq2.Vals8[i] {
-				t.Fatalf("bits=%d val %d: %d != requantized %d", bits, i, pq.Vals8[i], pq2.Vals8[i])
+		for i := range pq.Vals {
+			if math.Float32bits(pq.Vals[i]) != math.Float32bits(pq2.Vals[i]) {
+				t.Fatalf("bits=%d val %d: %v != requantized %v", bits, i, pq.Vals[i], pq2.Vals[i])
 			}
 		}
-		for i := range pq.Vals16 {
-			if pq.Vals16[i] != pq2.Vals16[i] {
-				t.Fatalf("bits=%d val %d: %d != requantized %d", bits, i, pq.Vals16[i], pq2.Vals16[i])
-			}
+		if s, s2 := pq.Sections(), pq2.Sections(); !reflect.DeepEqual(s, s2) {
+			t.Fatalf("bits=%d: requantized sections differ", bits)
 		}
 	}
 }

@@ -30,20 +30,11 @@ const (
 	StageInfer
 	// StageInferBatch is one whole batch through Engine.InferBatch.
 	StageInferBatch
-	// StageKernelQ8 is one quantized (int8) packed-program execution; ID is
-	// the program's tracer ID, like StageKernel.
-	StageKernelQ8
-	// StageKernelQ16 is one quantized (int16-stored, 12- or 16-bit)
-	// packed-program execution.
-	StageKernelQ16
-	// StageKernelFast is one fast-tier (FMA + f32 accumulation) float32
-	// packed-program execution; ID is the program's tracer ID.
+	// StageKernelFast is one fast-tier (FMA + f32 accumulation)
+	// packed-program execution; ID is the program's tracer ID. Storage
+	// width does not split either kernel kind: quantized programs run the
+	// float32 kernels.
 	StageKernelFast
-	// StageKernelQ8Fast is one fast-tier int8 packed-program execution.
-	StageKernelQ8Fast
-	// StageKernelQ16Fast is one fast-tier int16-stored packed-program
-	// execution.
-	StageKernelQ16Fast
 	// StageEpilogue is one fused gate-epilogue pass (the non-GEMM tail of a
 	// recurrent step: σ/tanh gates + state blend); ID is the layer index.
 	// Subtracting it from StageLayer isolates matmul time.
@@ -68,16 +59,8 @@ func (k StageKind) String() string {
 		return "infer"
 	case StageInferBatch:
 		return "infer_batch"
-	case StageKernelQ8:
-		return "kernel_q8"
-	case StageKernelQ16:
-		return "kernel_q16"
 	case StageKernelFast:
 		return "kernel_fast"
-	case StageKernelQ8Fast:
-		return "kernel_q8_fast"
-	case StageKernelQ16Fast:
-		return "kernel_q16_fast"
 	case StageEpilogue:
 		return "epilogue"
 	default:

@@ -122,11 +122,8 @@ func TestStageKindStrings(t *testing.T) {
 	names := map[StageKind]string{
 		StageStep: "step", StageLayer: "layer", StageKernel: "kernel",
 		StageBatchStep: "batch_step", StageInfer: "infer",
-		StageInferBatch: "infer_batch", StageKernelQ8: "kernel_q8",
-		StageKernelQ16: "kernel_q16", StageKernelFast: "kernel_fast",
-		StageKernelQ8Fast:  "kernel_q8_fast",
-		StageKernelQ16Fast: "kernel_q16_fast", StageEpilogue: "epilogue",
-		NumStageKinds: "unknown",
+		StageInferBatch: "infer_batch", StageKernelFast: "kernel_fast",
+		StageEpilogue: "epilogue", NumStageKinds: "unknown",
 	}
 	for k, want := range names {
 		if k.String() != want {

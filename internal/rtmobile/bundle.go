@@ -46,8 +46,8 @@ import (
 // deployment's quantization width (0 = float), and quantized deployments
 // ship their weight matrices as payload kind 2 — the per-row scales plus
 // the raw integers (int8 for 8-bit, int16 little-endian for 12/16-bit),
-// exactly the values the quantized packed backend streams. Versions 1 and
-// 2 still load (quantization off).
+// exactly the codes the quantized programs are dequantized from. Versions
+// 1 and 2 still load (quantization off).
 //
 // Version 4 adds the precision tier: the header records the kernel tier
 // the engine actually ran under, so a reloaded bundle re-selects the same
@@ -245,6 +245,9 @@ func readQuantPayload(r io.Reader, dst *tensor.Matrix) error {
 			return fmt.Errorf("reading quant scales: %w", err)
 		}
 		scales[i] = math.Float32frombits(b)
+		if s := scales[i]; !(s > 0) || math.IsInf(float64(s), 1) {
+			return fmt.Errorf("corrupt quant scale %v (want positive and finite)", s)
+		}
 	}
 	n := int(rows) * int(cols)
 	elem := 2

@@ -26,7 +26,10 @@ import (
 // the tuned plan cache), and the section directory of each param and
 // program. MapBundle then mmaps the file and aliases those sections in
 // place: no per-weight decode, no repack, no recompile, and serving never
-// touches the dense weight pages.
+// touches the dense weight pages. The one exception is a quantized
+// program's qvals: its codes are dequantized once into float32 values at
+// load (quantized programs run the float32 kernels); its index sections
+// are still aliased.
 //
 // Layout (little-endian):
 //

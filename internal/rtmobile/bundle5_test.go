@@ -3,7 +3,9 @@ package rtmobile
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"rtmobile/internal/device"
 	"rtmobile/internal/nn"
 	"rtmobile/internal/prune"
+	"rtmobile/internal/tensor"
 )
 
 // v5TestEngine compiles a pruned test engine for bundle round-trips.
@@ -163,8 +166,10 @@ func TestMapBundleBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMapBundleQuantized: quantized deployments map with their quantized
-// packed programs intact and serve bit-identically.
+// TestMapBundleQuantized: a quantized deployment maps with its storage
+// width recorded, serves bit-identically, and saves back to the very bytes
+// it was loaded from — the codes the writer re-derives from the program's
+// dequantized values are the ones in the file.
 func TestMapBundleQuantized(t *testing.T) {
 	eng, _ := v5TestEngine(t, 97, DeployConfig{Target: device.MobileCPU(), Quant: 8})
 	path := writeBundleFile(t, eng, 5)
@@ -175,13 +180,20 @@ func TestMapBundleQuantized(t *testing.T) {
 	defer mb.Close()
 	sameEnginePosteriors(t, eng, mb.Engine(), 98)
 	for _, n := range mb.ProgramNames() {
-		pq := mb.Packed(n)
-		if pq == nil || pq.Bits != 8 {
-			t.Fatalf("Packed(%q) = %+v for 8-bit bundle, want an int8 program", n, pq)
+		if pq := mb.Packed(n); pq == nil || pq.Bits != 8 || len(pq.Vals) == 0 {
+			t.Fatalf("Packed(%q) = %+v for 8-bit bundle, want an 8-bit program", n, pq)
 		}
-		if len(pq.Vals8) == 0 || len(pq.Vals) != 0 {
-			t.Fatalf("Packed(%q) has %d int8 and %d float32 values", n, len(pq.Vals8), len(pq.Vals))
-		}
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mb.Engine().SaveBundleVersion(&buf, testScheme(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), file) {
+		t.Fatal("a mapped 8-bit bundle no longer saves to the bytes it was loaded from")
 	}
 }
 
@@ -276,6 +288,70 @@ func TestLoadBundleV5Corrupt(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// v5PatchScale returns a copy of a quantized v5 image whose first program's
+// first scale is v, with that section's checksum and the directory's
+// recomputed — a well-formed file carrying a corrupt scale.
+func v5PatchScale(tb testing.TB, image []byte, v float32) []byte {
+	tb.Helper()
+	le := binary.LittleEndian
+	entry := image[12 : 12+24] // section 1, the metadata, is always first
+	off, length := le.Uint64(entry[4:]), le.Uint64(entry[12:])
+	var meta v5Meta
+	if err := json.Unmarshal(image[off:off+length], &meta); err != nil {
+		tb.Fatal(err)
+	}
+	if len(meta.Programs) == 0 || meta.Programs[0].SecScales == 0 {
+		tb.Fatal("image has no quantized program")
+	}
+	return v5Mutate(image, true, func(b []byte) {
+		for i := 0; i < int(le.Uint32(b[8:])); i++ {
+			d := b[12+24*i:]
+			if le.Uint32(d) != meta.Programs[0].SecScales {
+				continue
+			}
+			off, length := le.Uint64(d[4:]), le.Uint64(d[12:])
+			le.PutUint32(b[off:], math.Float32bits(v))
+			le.PutUint32(d[20:], crc32.ChecksumIEEE(b[off:off+length]))
+		}
+	})
+}
+
+// TestLoadBundleRejectsCorruptScales: a scale that is NaN, infinite, zero
+// or negative would dequantize every weight of its row to garbage, so both
+// loaders refuse the bundle instead of serving non-finite posteriors.
+func TestLoadBundleRejectsCorruptScales(t *testing.T) {
+	image := readFixture(t, "parent_v5_q8.rtmb")
+	dir := t.TempDir()
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, -0.01} {
+		bad := v5PatchScale(t, image, v)
+		if _, _, err := LoadBundle(bytes.NewReader(bad), device.MobileCPU()); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %v: LoadBundle error %v, want one naming the scale", v, err)
+		}
+		path := filepath.Join(dir, "bad.rtmb")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if mb, err := MapBundle(path, device.MobileCPU()); err == nil || !strings.Contains(err.Error(), "scale") {
+			if err == nil {
+				mb.Close()
+			}
+			t.Errorf("scale %v: MapBundle error %v, want one naming the scale", v, err)
+		}
+	}
+	// The v1–v4 payload decoder holds the same line.
+	m := tensor.NewMatrix(3, 4)
+	m.RandNormal(tensor.NewRNG(5), 1)
+	var payload bytes.Buffer
+	if err := writeQuantPayload(&payload, m, 8); err != nil {
+		t.Fatal(err)
+	}
+	raw := payload.Bytes()
+	binary.LittleEndian.PutUint32(raw[14:], math.Float32bits(float32(math.NaN()))) // rows, cols, bits, scheme, count, then scales
+	if err := readQuantPayload(bytes.NewReader(raw), tensor.NewMatrix(3, 4)); err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Errorf("v4 payload with a NaN scale: error %v, want one naming the scale", err)
 	}
 }
 
@@ -403,6 +479,11 @@ func FuzzMapBundle(f *testing.F) {
 		binary.LittleEndian.PutUint64(b[12+4:], ^uint64(0))
 	}))
 	f.Add([]byte("RTMB"))
+	q8, err := os.ReadFile(filepath.Join("testdata", "parent_v5_q8.rtmb"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v5PatchScale(f, q8, float32(math.NaN())))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.rtmb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

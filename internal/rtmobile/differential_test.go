@@ -3,7 +3,6 @@ package rtmobile
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -18,10 +17,11 @@ import (
 // The differential suite: every way of obtaining an engine × every entry
 // point × BSP rates × worker counts × kernel tiers, each checked against the
 // training-side reference nn.Posteriors(model.Forward(..)) under the tier's
-// contract. The exact float tier must be bit-equal — the dense-order
-// contract of the compiled programs. The fast tier must satisfy
-// tensor.FastActClose with the engine-level absolute arm, the quantized
-// tiers the dequantize-then-dot bound. Whatever the tier, an engine loaded
+// contract. The exact tier must be bit-equal — the dense-order contract of
+// the compiled programs — whatever the storage width, since a quantized
+// engine's model holds the dequantized weights its programs run. The fast
+// tier must satisfy tensor.FastActClose with the engine-level absolute arm.
+// Whatever the tier, an engine loaded
 // from a bundle must reproduce the compiled engine bit for bit: it runs the
 // same programs.
 
@@ -42,15 +42,10 @@ var diffTiers = []diffTier{
 	{"fast", 0, compiler.PrecisionFast, func(got, want float32) bool {
 		return tensor.FastActClose(got, want, 1e-3)
 	}},
-	// A quantized program dequantizes in float64 (scale·q exactly) where
-	// the reference model holds float32(scale·q): per weight a relative
-	// 2⁻²⁴, per row γ·Σ|w·x| — far below 1e-4 on a posterior.
-	{"q8", 8, compiler.PrecisionExact, func(got, want float32) bool {
-		return math.Abs(float64(got)-float64(want)) <= 1e-4
-	}},
-	{"q16", 16, compiler.PrecisionExact, func(got, want float32) bool {
-		return math.Abs(float64(got)-float64(want)) <= 1e-4
-	}},
+	// A quantized program holds the values of the model's dequantized
+	// matrices and runs the float32 kernels: exact, like the float tier.
+	{"q8", 8, compiler.PrecisionExact, func(got, want float32) bool { return got == want }},
+	{"q16", 16, compiler.PrecisionExact, func(got, want float32) bool { return got == want }},
 }
 
 var diffRates = []struct {

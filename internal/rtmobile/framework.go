@@ -225,7 +225,7 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 		stepMACs:  stepPricedMACs(plan),
 		stepBytes: uint64(plan.WeightBytes())}
 	// Integer rounding precedes fp16 rounding: a quantized deployment
-	// streams int weights and dequantizes into the target's compute width.
+	// stores int weights and dequantizes into the target's compute width.
 	if eng.quant != 0 {
 		if err := eng.quantizeWeightsInt(eng.quant); err != nil {
 			return nil, err

@@ -96,7 +96,7 @@ func TestStreamStepMetersCounters(t *testing.T) {
 // TestStreamStepMetersBytesStreamed: each step streams the plan-priced
 // weight+index traffic, and quantization shrinks it — an int8 deployment
 // advances BytesStreamed by strictly less per step than the float one.
-// The engine's programs also record their per-format kernel span each step.
+// The engine's programs also record one kernel span each step.
 func TestStreamStepMetersBytesStreamed(t *testing.T) {
 	stepBytes := func(t *testing.T, quantBits int) uint64 {
 		t.Helper()
@@ -125,12 +125,9 @@ func TestStreamStepMetersBytesStreamed(t *testing.T) {
 			if advanced%N != 0 {
 				t.Fatalf("BytesStreamed advanced %d, not a multiple of %d steps", advanced, N)
 			}
-			// Every program records one kernel span per step, of its own
-			// format's kind and of no other.
-			kind, other := obs.StageKernel, obs.StageKernelQ8
-			if quantBits == 8 {
-				kind, other = other, kind
-			}
+			// Every program records one exact-tier kernel span per step,
+			// whatever its storage width, and no fast-tier span.
+			kind, other := obs.StageKernel, obs.StageKernelFast
 			wantSpans := uint64(N * len(eng.Plan().Matrices))
 			if got, _ := tr.KindTotal(kind); got != wantSpans {
 				t.Fatalf("quant=%d: %d %s spans, want %d", quantBits, got, kind, wantSpans)

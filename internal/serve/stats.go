@@ -61,11 +61,7 @@ func RenderLayerStats(eng *rtmobile.Engine) string {
 		fmt.Fprintf(&b, "bytes_streamed_total: %d\n", m.BytesStreamed.Value())
 	}
 	if tr := eng.Tracer(); tr != nil {
-		for _, k := range []obs.StageKind{
-			obs.StageKernel, obs.StageKernelQ8, obs.StageKernelQ16,
-			obs.StageKernelFast, obs.StageKernelQ8Fast, obs.StageKernelQ16Fast,
-			obs.StageEpilogue,
-		} {
+		for _, k := range []obs.StageKind{obs.StageKernel, obs.StageKernelFast, obs.StageEpilogue} {
 			if n, ns := tr.KindTotal(k); n > 0 {
 				fmt.Fprintf(&b, "kernel spans %-10s count=%d total_us=%.1f\n", k, n, float64(ns)/1e3)
 			}

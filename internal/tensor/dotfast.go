@@ -1,15 +1,14 @@
 package tensor
 
 // Relaxed-precision ("fast" tier) inner-product kernels. The exact-tier
-// kernels in dot.go/dotq.go/dotbatch.go forbid FMA and carry float64
+// kernels in dot.go/dotseg.go/dotbatch.go forbid FMA and carry float64
 // accumulators so their bytes match the scalar reference — which costs a
-// convert and a separate mul+add per element and caps the quantized hot
-// path at half the machine's FLOPs (BENCH_5: q8 only 1.85× over f32 despite
-// streaming 4× fewer bytes). The fast tier drops bit-equality for a
-// tolerance contract (see ulp.go): float32 accumulation, fused
-// multiply-adds, and split vector accumulators on the AVX2/AVX-512 path.
-// Quantized rows factor the row scale out of the loop entirely —
-// scale·Σ float32(q)·b[i] — one multiply per row instead of per element.
+// convert and a separate mul+add per element. The fast tier drops
+// bit-equality for a tolerance contract (see ulp.go): float32 accumulation,
+// fused multiply-adds, and split vector accumulators on the AVX2/AVX-512
+// path. Weights are float32 whatever a deployment stores: a quantized
+// program holds its dequantized values (internal/compiler), so no kernel
+// here exists per integer width.
 //
 // The portable fallbacks below accumulate in float32 in index order; they
 // define the tier's semantics when FastSIMD() is false (purego, non-amd64,
@@ -31,30 +30,6 @@ func DotFastF32(a, b []float32) float32 {
 	return s
 }
 
-// DotQ8FastF32 computes scale·Σ float32(a[i])·b[i] with float32
-// accumulation — the row scale applied once at the end, not per element.
-// The packed executor's hot path runs whole segments through
-// DotSegQ8FastF32 instead; this per-row form is the portable fallback and
-// the reference the fast equivalence tests pin the segment driver against.
-func DotQ8FastF32(a []int8, scale float32, b []float32) float32 {
-	b = b[:len(a)]
-	var s float32
-	for i, v := range a {
-		s += float32(v) * b[i]
-	}
-	return scale * s
-}
-
-// DotQ16FastF32 is DotQ8FastF32 for the int16-stored formats.
-func DotQ16FastF32(a []int16, scale float32, b []float32) float32 {
-	b = b[:len(a)]
-	var s float32
-	for i, v := range a {
-		s += float32(v) * b[i]
-	}
-	return scale * s
-}
-
 // DotSegFastF32 runs a whole segment of float32 row dots through the fast
 // vector kernel: for each k, y[rows[k]] += fast-dot of vals[k*nc:(k+1)*nc]
 // against g (nc = len(g)). Returns the number of rows consumed — len(rows)
@@ -66,26 +41,6 @@ func DotSegFastF32(vals []float32, rows []int32, g, y []float32) int {
 		return 0
 	}
 	return dotSegFast(vals[:len(rows)*nc], rows, nc, g, y)
-}
-
-// DotSegQ8FastF32 is DotSegFastF32 for int8 payloads with per-row scales:
-// y[rows[k]] += scales[rows[k]]·Σ float32(q)·g[i], the scale applied once
-// per row after the f32 FMA accumulation. Same consumed-rows contract.
-func DotSegQ8FastF32(vals []int8, rows []int32, scales, g, y []float32) int {
-	nc := len(g)
-	if nc == 0 || len(rows) == 0 {
-		return 0
-	}
-	return dotSegQ8Fast(vals[:len(rows)*nc], rows, nc, scales, g, y)
-}
-
-// DotSegQ16FastF32 is DotSegQ8FastF32 for the int16-stored formats.
-func DotSegQ16FastF32(vals []int16, rows []int32, scales, g, y []float32) int {
-	nc := len(g)
-	if nc == 0 || len(rows) == 0 {
-		return 0
-	}
-	return dotSegQ16Fast(vals[:len(rows)*nc], rows, nc, scales, g, y)
 }
 
 // dotBatchChunkFastGeneric is the portable strided fast chunk kernel: for
@@ -100,41 +55,6 @@ func dotBatchChunkFastGeneric(a, bp []float32, stride int, out []float32) {
 		for l, x := range row {
 			out[l] += v * x
 		}
-	}
-}
-
-// dotQ8BatchChunkFastGeneric is the int8 portable fast chunk kernel; the
-// row scale is applied once per lane after accumulation.
-func dotQ8BatchChunkFastGeneric(a []int8, scale float32, bp []float32, stride int, out []float32) {
-	for l := range out {
-		out[l] = 0
-	}
-	for i, v := range a {
-		va := float32(v)
-		row := bp[i*stride : i*stride+len(out)]
-		for l, x := range row {
-			out[l] += va * x
-		}
-	}
-	for l := range out {
-		out[l] *= scale
-	}
-}
-
-// dotQ16BatchChunkFastGeneric is the int16 portable fast chunk kernel.
-func dotQ16BatchChunkFastGeneric(a []int16, scale float32, bp []float32, stride int, out []float32) {
-	for l := range out {
-		out[l] = 0
-	}
-	for i, v := range a {
-		va := float32(v)
-		row := bp[i*stride : i*stride+len(out)]
-		for l, x := range row {
-			out[l] += va * x
-		}
-	}
-	for l := range out {
-		out[l] *= scale
 	}
 }
 
@@ -157,46 +77,5 @@ func DotBatchFastF32Strided(a, bp []float32, stride int, out []float32) {
 	}
 	if lane0 < len(out) {
 		dotBatchChunkFastGeneric(a, bp[lane0:], stride, out[lane0:])
-	}
-}
-
-// DotQ8BatchFastF32Strided is DotBatchFastF32Strided for an int8 row with
-// one scale, applied once per lane after accumulation.
-func DotQ8BatchFastF32Strided(a []int8, scale float32, bp []float32, stride int, out []float32) {
-	if len(a) == 0 {
-		for l := range out {
-			out[l] = 0
-		}
-		return
-	}
-	lane0 := 0
-	for ; lane0+8 <= len(out); lane0 += 8 {
-		o := (*[8]float32)(out[lane0 : lane0+8])
-		if !dotQ8BatchChunk8Fast(a, scale, bp[lane0:], stride, o) {
-			dotQ8BatchChunkFastGeneric(a, scale, bp[lane0:], stride, out[lane0:lane0+8])
-		}
-	}
-	if lane0 < len(out) {
-		dotQ8BatchChunkFastGeneric(a, scale, bp[lane0:], stride, out[lane0:])
-	}
-}
-
-// DotQ16BatchFastF32Strided is the int16 twin of DotQ8BatchFastF32Strided.
-func DotQ16BatchFastF32Strided(a []int16, scale float32, bp []float32, stride int, out []float32) {
-	if len(a) == 0 {
-		for l := range out {
-			out[l] = 0
-		}
-		return
-	}
-	lane0 := 0
-	for ; lane0+8 <= len(out); lane0 += 8 {
-		o := (*[8]float32)(out[lane0 : lane0+8])
-		if !dotQ16BatchChunk8Fast(a, scale, bp[lane0:], stride, o) {
-			dotQ16BatchChunkFastGeneric(a, scale, bp[lane0:], stride, out[lane0:lane0+8])
-		}
-	}
-	if lane0 < len(out) {
-		dotQ16BatchChunkFastGeneric(a, scale, bp[lane0:], stride, out[lane0:])
 	}
 }

@@ -18,19 +18,7 @@ func dotFastAVX512(a, b *float32, n int) float32
 func dotSegFastAVX(vals *float32, rows *int32, nr, nc int, b, y *float32)
 
 //go:noescape
-func dotSegQ8FastAVX(vals *int8, rows *int32, nr, nc int, scales, b, y *float32)
-
-//go:noescape
-func dotSegQ16FastAVX(vals *int16, rows *int32, nr, nc int, scales, b, y *float32)
-
-//go:noescape
 func dotBatchChunk8FastAVX(a, bp *float32, n, strideBytes int, out *[8]float32)
-
-//go:noescape
-func dotQ8BatchChunk8FastAVX(a *int8, sc float32, bp *float32, n, strideBytes int, out *[8]float32)
-
-//go:noescape
-func dotQ16BatchChunk8FastAVX(a *int16, sc float32, bp *float32, n, strideBytes int, out *[8]float32)
 
 // fastAVX512MinLen gates the zmm dot: below two full zmm iterations the
 // wider vectors only add reduce overhead.
@@ -59,24 +47,6 @@ func dotSegFast(vals []float32, rows []int32, nc int, b, y []float32) int {
 	return len(rows)
 }
 
-// dotSegQ8Fast runs the int8 segment-level fast driver (same contract).
-func dotSegQ8Fast(vals []int8, rows []int32, nc int, scales, b, y []float32) int {
-	if !fastSIMD {
-		return 0
-	}
-	dotSegQ8FastAVX(&vals[0], &rows[0], len(rows), nc, &scales[0], &b[0], &y[0])
-	return len(rows)
-}
-
-// dotSegQ16Fast runs the int16 segment-level fast driver (same contract).
-func dotSegQ16Fast(vals []int16, rows []int32, nc int, scales, b, y []float32) int {
-	if !fastSIMD {
-		return 0
-	}
-	dotSegQ16FastAVX(&vals[0], &rows[0], len(rows), nc, &scales[0], &b[0], &y[0])
-	return len(rows)
-}
-
 // dotBatchChunk8Fast runs the fast asm kernel over one eight-lane chunk.
 // Same caller contract and fallback semantics as dotBatchChunk8.
 func dotBatchChunk8Fast(a, bp []float32, stride int, out *[8]float32) bool {
@@ -88,31 +58,5 @@ func dotBatchChunk8Fast(a, bp []float32, stride int, out *[8]float32) bool {
 		return true
 	}
 	dotBatchChunk8FastAVX(&a[0], &bp[0], len(a), stride*4, out)
-	return true
-}
-
-// dotQ8BatchChunk8Fast runs the int8 fast asm kernel over one chunk.
-func dotQ8BatchChunk8Fast(a []int8, sc float32, bp []float32, stride int, out *[8]float32) bool {
-	if !fastSIMD {
-		return false
-	}
-	if len(a) == 0 {
-		*out = [8]float32{}
-		return true
-	}
-	dotQ8BatchChunk8FastAVX(&a[0], sc, &bp[0], len(a), stride*4, out)
-	return true
-}
-
-// dotQ16BatchChunk8Fast runs the int16 fast asm kernel over one chunk.
-func dotQ16BatchChunk8Fast(a []int16, sc float32, bp []float32, stride int, out *[8]float32) bool {
-	if !fastSIMD {
-		return false
-	}
-	if len(a) == 0 {
-		*out = [8]float32{}
-		return true
-	}
-	dotQ16BatchChunk8FastAVX(&a[0], sc, &bp[0], len(a), stride*4, out)
 	return true
 }

@@ -8,8 +8,6 @@
 // FMA's single rounding and the 4-way accumulator split reassociate the
 // sum — so their contract is the tolerance in ulp.go (FastClose against the
 // exact oracle), enforced by the fast equivalence and fuzz suites.
-// Quantized rows factor the row scale out of the inner loop entirely:
-// acc = Σ float32(q)·b[i] under FMA, one VMULSS by the scale at the end.
 // Every kernel requires AVX2+FMA (dispatch gates on FastSIMD); the float32
 // dot has an additional AVX-512 variant.
 
@@ -224,170 +222,6 @@ segfscatter:
 	VZEROUPPER
 	RET
 
-// func dotSegQ8FastAVX(vals *int8, rows *int32, nr, nc int, scales, b, y *float32)
-//
-// Segment-level fast int8 driver. Per row: two accumulator chains over 16
-// weights per iteration — VPMOVSXBD widens 8 int8 to dwords, VCVTDQ2PS to
-// float32, VFMADD231PS against the shared activations — then an 8-wide
-// loop, a scalar tail, one VMULSS by scales[rows[k]], and the y scatter.
-// Compare the exact tier's dotSegQuadQ8AVX: ~3 µops per 4 MACs here versus
-// ~7 (convert-to-f64, mul, mul, add per index) there — this kernel is the
-// BENCH_7 headline.
-TEXT ·dotSegQ8FastAVX(SB), NOSPLIT, $0-56
-	MOVQ vals+0(FP), R8
-	MOVQ rows+8(FP), R14
-	MOVQ nr+16(FP), R12
-	MOVQ nc+24(FP), R13
-	MOVQ scales+32(FP), R15
-	MOVQ b+40(FP), DX
-	MOVQ y+48(FP), BX
-	VXORPS X15, X15, X15        // zero merge source for scalar converts
-
-segq8frow:
-	MOVQ R8, SI
-	MOVQ DX, DI
-	MOVQ R13, CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	CMPQ CX, $16
-	JL   segq8f8
-
-segq8f16:
-	VPMOVSXBD (SI), Y4          // 8 int8 → 8 int32
-	VPMOVSXBD 8(SI), Y5
-	VCVTDQ2PS Y4, Y4            // → 8 float32(q), exact
-	VCVTDQ2PS Y5, Y5
-	VFMADD231PS (DI), Y4, Y0
-	VFMADD231PS 32(DI), Y5, Y1
-	ADDQ $16, SI
-	ADDQ $64, DI
-	SUBQ $16, CX
-	CMPQ CX, $16
-	JGE  segq8f16
-
-segq8f8:
-	CMPQ CX, $8
-	JL   segq8freduce
-	VPMOVSXBD (SI), Y4
-	VCVTDQ2PS Y4, Y4
-	VFMADD231PS (DI), Y4, Y0
-	ADDQ $8, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-
-segq8freduce:
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-
-	TESTQ CX, CX
-	JZ   segq8fscale
-
-segq8ftail:
-	MOVBLSX (SI), AX
-	VCVTSI2SSL AX, X15, X4      // float32(q)
-	VFMADD231SS (DI), X4, X0
-	ADDQ $1, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  segq8ftail
-
-segq8fscale:
-	MOVL (R14), AX
-	VMULSS (R15)(AX*4), X0, X0  // dot ·= scales[rows[k]], once per row
-	VMOVSS (BX)(AX*4), X5
-	VADDSS X0, X5, X5
-	VMOVSS X5, (BX)(AX*4)
-
-	LEAQ (R8)(R13*1), R8        // next row: stride nc bytes
-	ADDQ $4, R14
-	DECQ R12
-	JNZ  segq8frow
-
-	VZEROUPPER
-	RET
-
-// func dotSegQ16FastAVX(vals *int16, rows *int32, nr, nc int, scales, b, y *float32)
-//
-// The int16 twin of dotSegQ8FastAVX (VPMOVSXWD widening, 2-byte stride).
-TEXT ·dotSegQ16FastAVX(SB), NOSPLIT, $0-56
-	MOVQ vals+0(FP), R8
-	MOVQ rows+8(FP), R14
-	MOVQ nr+16(FP), R12
-	MOVQ nc+24(FP), R13
-	MOVQ scales+32(FP), R15
-	MOVQ b+40(FP), DX
-	MOVQ y+48(FP), BX
-	VXORPS X15, X15, X15
-
-segq16frow:
-	MOVQ R8, SI
-	MOVQ DX, DI
-	MOVQ R13, CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	CMPQ CX, $16
-	JL   segq16f8
-
-segq16f16:
-	VPMOVSXWD (SI), Y4          // 8 int16 → 8 int32
-	VPMOVSXWD 16(SI), Y5
-	VCVTDQ2PS Y4, Y4
-	VCVTDQ2PS Y5, Y5
-	VFMADD231PS (DI), Y4, Y0
-	VFMADD231PS 32(DI), Y5, Y1
-	ADDQ $32, SI
-	ADDQ $64, DI
-	SUBQ $16, CX
-	CMPQ CX, $16
-	JGE  segq16f16
-
-segq16f8:
-	CMPQ CX, $8
-	JL   segq16freduce
-	VPMOVSXWD (SI), Y4
-	VCVTDQ2PS Y4, Y4
-	VFMADD231PS (DI), Y4, Y0
-	ADDQ $16, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-
-segq16freduce:
-	VADDPS Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-
-	TESTQ CX, CX
-	JZ   segq16fscale
-
-segq16ftail:
-	MOVWLSX (SI), AX
-	VCVTSI2SSL AX, X15, X4
-	VFMADD231SS (DI), X4, X0
-	ADDQ $2, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  segq16ftail
-
-segq16fscale:
-	MOVL (R14), AX
-	VMULSS (R15)(AX*4), X0, X0
-	VMOVSS (BX)(AX*4), X5
-	VADDSS X0, X5, X5
-	VMOVSS X5, (BX)(AX*4)
-
-	LEAQ (R8)(R13*2), R8        // next row: stride nc int16s
-	ADDQ $4, R14
-	DECQ R12
-	JNZ  segq16frow
-
-	VZEROUPPER
-	RET
-
 // func dotBatchChunk8FastAVX(a, bp *float32, n, strideBytes int, out *[8]float32)
 //
 // Eight-lane strided fast SpMM chunk: out[l] = Σ_i a[i]·bp[i*stride/4+l]
@@ -425,106 +259,6 @@ bf8one:
 bf8store:
 	VADDPS Y1, Y0, Y0
 	MOVQ out+32(FP), DX
-	VMOVUPS Y0, (DX)
-	VZEROUPPER
-	RET
-
-// func dotQ8BatchChunk8FastAVX(a *int8, sc float32, bp *float32, n, strideBytes int, out *[8]float32)
-//
-// Int8 eight-lane fast chunk: the weight is widened and converted once per
-// index, broadcast against the panel column, FMA'd into per-lane float32
-// accumulators; the scale multiplies all lanes once at the end.
-TEXT ·dotQ8BatchChunk8FastAVX(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ strideBytes+32(FP), R8
-	VXORPS X15, X15, X15
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	CMPQ CX, $2
-	JL   q8bf8one
-
-q8bf8two:
-	MOVBLSX (SI), AX
-	VCVTSI2SSL AX, X15, X4
-	VBROADCASTSS X4, Y4
-	VMOVUPS (DI), Y5
-	VFMADD231PS Y5, Y4, Y0
-	MOVBLSX 1(SI), AX
-	VCVTSI2SSL AX, X15, X6
-	VBROADCASTSS X6, Y6
-	VMOVUPS (DI)(R8*1), Y7
-	VFMADD231PS Y7, Y6, Y1
-	ADDQ $2, SI
-	LEAQ (DI)(R8*2), DI
-	SUBQ $2, CX
-	CMPQ CX, $2
-	JGE  q8bf8two
-
-q8bf8one:
-	TESTQ CX, CX
-	JZ   q8bf8store
-	MOVBLSX (SI), AX
-	VCVTSI2SSL AX, X15, X4
-	VBROADCASTSS X4, Y4
-	VMOVUPS (DI), Y5
-	VFMADD231PS Y5, Y4, Y0
-
-q8bf8store:
-	VADDPS Y1, Y0, Y0
-	VBROADCASTSS sc+8(FP), Y2
-	VMULPS Y2, Y0, Y0           // lanes ·= scale, once
-	MOVQ out+40(FP), DX
-	VMOVUPS Y0, (DX)
-	VZEROUPPER
-	RET
-
-// func dotQ16BatchChunk8FastAVX(a *int16, sc float32, bp *float32, n, strideBytes int, out *[8]float32)
-//
-// The int16 twin of dotQ8BatchChunk8FastAVX.
-TEXT ·dotQ16BatchChunk8FastAVX(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ strideBytes+32(FP), R8
-	VXORPS X15, X15, X15
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	CMPQ CX, $2
-	JL   q16bf8one
-
-q16bf8two:
-	MOVWLSX (SI), AX
-	VCVTSI2SSL AX, X15, X4
-	VBROADCASTSS X4, Y4
-	VMOVUPS (DI), Y5
-	VFMADD231PS Y5, Y4, Y0
-	MOVWLSX 2(SI), AX
-	VCVTSI2SSL AX, X15, X6
-	VBROADCASTSS X6, Y6
-	VMOVUPS (DI)(R8*1), Y7
-	VFMADD231PS Y7, Y6, Y1
-	ADDQ $4, SI
-	LEAQ (DI)(R8*2), DI
-	SUBQ $2, CX
-	CMPQ CX, $2
-	JGE  q16bf8two
-
-q16bf8one:
-	TESTQ CX, CX
-	JZ   q16bf8store
-	MOVWLSX (SI), AX
-	VCVTSI2SSL AX, X15, X4
-	VBROADCASTSS X4, Y4
-	VMOVUPS (DI), Y5
-	VFMADD231PS Y5, Y4, Y0
-
-q16bf8store:
-	VADDPS Y1, Y0, Y0
-	VBROADCASTSS sc+8(FP), Y2
-	VMULPS Y2, Y0, Y0
-	MOVQ out+40(FP), DX
 	VMOVUPS Y0, (DX)
 	VZEROUPPER
 	RET

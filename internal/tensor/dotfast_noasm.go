@@ -16,27 +16,7 @@ func dotSegFast(vals []float32, rows []int32, nc int, b, y []float32) int {
 	return 0
 }
 
-func dotSegQ8Fast(vals []int8, rows []int32, nc int, scales, b, y []float32) int {
-	_, _, _, _, _, _ = vals, rows, nc, scales, b, y
-	return 0
-}
-
-func dotSegQ16Fast(vals []int16, rows []int32, nc int, scales, b, y []float32) int {
-	_, _, _, _, _, _ = vals, rows, nc, scales, b, y
-	return 0
-}
-
 func dotBatchChunk8Fast(a, bp []float32, stride int, out *[8]float32) bool {
 	_, _, _, _ = a, bp, stride, out
-	return false
-}
-
-func dotQ8BatchChunk8Fast(a []int8, sc float32, bp []float32, stride int, out *[8]float32) bool {
-	_, _, _, _, _ = a, sc, bp, stride, out
-	return false
-}
-
-func dotQ16BatchChunk8Fast(a []int16, sc float32, bp []float32, stride int, out *[8]float32) bool {
-	_, _, _, _, _ = a, sc, bp, stride, out
 	return false
 }

@@ -28,10 +28,9 @@ var (
 )
 
 // BatchSIMD reports whether the exact tier's vector kernels are active: the
-// eight-row float32 segment driver of the serial path (DotSegF64), the
-// eight-lane panel kernels, and the quantized quad and segment drivers — all
-// AVX2 without FMA, so all on the one gate (AVX2 on this build/CPU; always
-// false under -tags=purego).
+// eight-row segment driver of the serial path (DotSegF64) and the eight-lane
+// panel kernels — both AVX2 without FMA, so both on the one gate (AVX2 on
+// this build/CPU; always false under -tags=purego).
 func BatchSIMD() bool { return feat.AVX2 }
 
 // FastSIMD reports whether the relaxed-precision fast kernel tier has a
@@ -50,8 +49,7 @@ func FastSIMD512() bool { return fastSIMD512 }
 // stream about half as fast, which nothing else would say.
 type Kernels struct {
 	ExactSerial string `json:"exact_serial_f32"` // DotSegF64, the serial f32 segment driver
-	ExactPanel  string `json:"exact_panel"`      // eight-lane panel kernels, f32 and quantized
-	Quant       string `json:"quant"`            // q8/q16 serial quad and segment drivers
+	ExactPanel  string `json:"exact_panel"`      // eight-lane exact panel kernels
 	Fast        string `json:"fast"`             // fast-tier dots, drivers and epilogue
 }
 
@@ -68,11 +66,10 @@ func KernelSet() Kernels {
 	case fastSIMD:
 		fast = "avx2+fma"
 	}
-	return Kernels{ExactSerial: exact, ExactPanel: exact, Quant: exact, Fast: fast}
+	return Kernels{ExactSerial: exact, ExactPanel: exact, Fast: fast}
 }
 
 // String is the one-line form run -stats and /statz print.
 func (k Kernels) String() string {
-	return "exact-serial-f32=" + k.ExactSerial + " exact-panel=" + k.ExactPanel +
-		" quant=" + k.Quant + " fast=" + k.Fast
+	return "exact-serial-f32=" + k.ExactSerial + " exact-panel=" + k.ExactPanel + " fast=" + k.Fast
 }

@@ -19,7 +19,7 @@ func TestFeaturesAllFalsePurego(t *testing.T) {
 }
 
 func TestKernelSetPortablePurego(t *testing.T) {
-	const want = "exact-serial-f32=portable exact-panel=portable quant=portable fast=portable"
+	const want = "exact-serial-f32=portable exact-panel=portable fast=portable"
 	if got := KernelSet().String(); got != want {
 		t.Errorf("KernelSet() = %q, want %q", got, want)
 	}
@@ -34,22 +34,10 @@ func TestFastFallbacksReportUnavailable(t *testing.T) {
 	if dotSegFast(a, []int32{0}, 2, a, a) != 0 {
 		t.Error("dotSegFast consumed rows without assembly")
 	}
-	if dotSegQ8Fast([]int8{1, 2}, []int32{0}, 2, a, a, a) != 0 {
-		t.Error("dotSegQ8Fast consumed rows without assembly")
-	}
-	if dotSegQ16Fast([]int16{1, 2}, []int32{0}, 2, a, a, a) != 0 {
-		t.Error("dotSegQ16Fast consumed rows without assembly")
-	}
 	if dotSegF64(a, []int32{0}, 2, a, a) != 0 {
 		t.Error("dotSegF64 consumed rows without assembly")
 	}
 	if dotBatchChunk8Fast(a, a, 1, &out8) {
 		t.Error("dotBatchChunk8Fast reported available without assembly")
-	}
-	if dotQ8BatchChunk8Fast([]int8{1}, 1, a, 1, &out8) {
-		t.Error("dotQ8BatchChunk8Fast reported available without assembly")
-	}
-	if dotQ16BatchChunk8Fast([]int16{1}, 1, a, 1, &out8) {
-		t.Error("dotQ16BatchChunk8Fast reported available without assembly")
 	}
 }

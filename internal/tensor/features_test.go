@@ -43,7 +43,7 @@ func TestKernelSetFollowsGates(t *testing.T) {
 	case FastSIMD():
 		fast = "avx2+fma"
 	}
-	if want := (Kernels{ExactSerial: exact, ExactPanel: exact, Quant: exact, Fast: fast}); k != want {
+	if want := (Kernels{ExactSerial: exact, ExactPanel: exact, Fast: fast}); k != want {
 		t.Errorf("KernelSet() = %+v, want %+v", k, want)
 	}
 	// The serial driver really is what the summary says it is.
@@ -51,7 +51,7 @@ func TestKernelSetFollowsGates(t *testing.T) {
 	if got := DotSegF64(make([]float32, 8), rows, g, y) == 8; got != (k.ExactSerial == "avx2") {
 		t.Errorf("DotSegF64 consumed a group = %v with exact-serial kernels %q", got, k.ExactSerial)
 	}
-	if want := "exact-serial-f32=" + exact + " exact-panel=" + exact + " quant=" + exact + " fast=" + fast; k.String() != want {
+	if want := "exact-serial-f32=" + exact + " exact-panel=" + exact + " fast=" + fast; k.String() != want {
 		t.Errorf("String() = %q, want %q", k.String(), want)
 	}
 }

@@ -93,27 +93,6 @@ func TestDotSegF64NoOverRead(t *testing.T) {
 	}
 }
 
-func checkSegQuadQNoOverRead[T QInt](t *testing.T, seg func(vals []T, rows []int32, scales, g, y []float32) int) {
-	if !BatchSIMD() {
-		t.Skip("no AVX2: the driver consumes nothing")
-	}
-	const nr = 8
-	rows, y := guardRows(nr), make([]float32, nr)
-	scales := randVecF32(3, nr)
-	for _, nc := range guardWidths {
-		vals, g := make([]T, nr*nc), randVecF32(4, nc)
-		rng := NewRNG(uint64(nc))
-		for i := range vals {
-			vals[i] = T(rng.Uint64())
-		}
-		noFault(t, fmt.Sprintf("nc=%d vals on the guard page", nc), func() { seg(guarded(t, vals), rows, scales, g, y) })
-		noFault(t, fmt.Sprintf("nc=%d g on the guard page", nc), func() { seg(vals, rows, scales, guarded(t, g), y) })
-	}
-}
-
-func TestDotSegQuadQ8F32NoOverRead(t *testing.T)  { checkSegQuadQNoOverRead(t, DotSegQuadQ8F32) }
-func TestDotSegQuadQ16F32NoOverRead(t *testing.T) { checkSegQuadQNoOverRead(t, DotSegQuadQ16F32) }
-
 // TestDotBatchChunk8NoOverRead holds the eight-lane panel kernels to the
 // wrappers' contract: the panel is exactly (len(a)-1)·stride + 8 long.
 func TestDotBatchChunk8NoOverRead(t *testing.T) {
