@@ -466,12 +466,8 @@ func cmdDeploy(args []string) error {
 	tune := fs.Bool("autotune", false, "search the modelled target's tile on its analytic cost model before bundling (the verdict is cached in the bundle)")
 	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights; stored in the bundle)")
 	precName := precisionFlag(fs)
-	bundleVersion := fs.Int("bundle-version", 5, "bundle wire format: 5 (section table, zero-copy mmap load) or 4 (compact decode load)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *bundleVersion != 4 && *bundleVersion != 5 {
-		return fmt.Errorf("-bundle-version %d: want 4 or 5", *bundleVersion)
 	}
 	model, err := loadModel(*in)
 	if err != nil {
@@ -498,15 +494,15 @@ func cmdDeploy(args []string) error {
 		return err
 	}
 	defer f.Close()
-	if err := eng.SaveBundleVersion(f, scheme, *bundleVersion); err != nil {
+	if err := eng.SaveBundle(f, scheme); err != nil {
 		return err
 	}
 	info, err := f.Stat()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (v%d, %d KiB, %s, %s storage)\n",
-		*out, *bundleVersion, info.Size()>>10, target.Name, eng.Plan().Options.Format)
+	fmt.Printf("wrote %s (%d KiB, %s, %s storage)\n",
+		*out, info.Size()>>10, target.Name, eng.Plan().Options.Format)
 	printTuneRecord(eng)
 	printQuantStatus(eng)
 	printPrecisionStatus(eng)
@@ -613,15 +609,12 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*bundle)
+	mb, err := rtmobile.MapBundle(*bundle, target)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	eng, scheme, err := rtmobile.LoadBundle(f, target)
-	if err != nil {
-		return err
-	}
+	defer mb.Close()
+	eng, scheme := mb.Engine(), mb.Scheme()
 	if eng, err = applyQuantOverride(eng, scheme, *quantBits); err != nil {
 		return err
 	}

@@ -108,13 +108,14 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 }
 
-// TestCmdDeployBundleVersions: deploy writes either wire format on
-// request, the two bundles load through the same front door, and their
-// inference is bit-identical — the v4↔v5 round trip loses nothing.
+// TestCmdDeployBundleVersions: deploy writes the one format this tree
+// writes (v5), smaller than the dense weights it was compiled from, and
+// the file scores bit-identically through both front doors — MapBundle,
+// which serve, registry and run use, and LoadBundle's io.Reader.
 func TestCmdDeployBundleVersions(t *testing.T) {
 	dir := t.TempDir()
 	model := nn.NewGRUModel(nn.ModelSpec{
-		InputDim: 8, Hidden: 16, NumLayers: 1, OutputDim: 6, Seed: 9,
+		InputDim: 8, Hidden: 64, NumLayers: 1, OutputDim: 6, Seed: 9,
 	})
 	rtmobile.Prune(model, nil, rtmobile.PruneConfig{
 		ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 2,
@@ -132,38 +133,39 @@ func TestCmdDeployBundleVersions(t *testing.T) {
 	}
 
 	schemeArgs := []string{"-col", "2", "-row", "1", "-row-groups", "2", "-col-blocks", "2", "-target", "cpu"}
-	b4 := filepath.Join(dir, "m4.rtmb")
 	b5 := filepath.Join(dir, "m5.rtmb")
-	if err := cmdDeploy(append([]string{"-in", pruned, "-out", b4, "-bundle-version", "4"}, schemeArgs...)); err != nil {
-		t.Fatalf("deploy v4: %v", err)
+	if err := cmdDeploy(append([]string{"-in", pruned, "-out", b5}, schemeArgs...)); err != nil {
+		t.Fatalf("deploy: %v", err)
 	}
-	if err := cmdDeploy(append([]string{"-in", pruned, "-out", b5, "-bundle-version", "5"}, schemeArgs...)); err != nil {
-		t.Fatalf("deploy v5: %v", err)
+	info, err := os.Stat(b5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := cmdDeploy(append([]string{"-in", pruned, "-out", filepath.Join(dir, "m3.rtmb"),
-		"-bundle-version", "3"}, schemeArgs...)); err == nil {
-		t.Fatal("-bundle-version 3 accepted")
+	if dense := int64(4 * model.NumParams()); info.Size() >= dense {
+		t.Fatalf("bundle is %d bytes, not below the %d bytes of the dense model", info.Size(), dense)
 	}
 
-	mb4, err := rtmobile.MapBundle(b4, device.MobileCPU())
+	mb, err := rtmobile.MapBundle(b5, device.MobileCPU())
 	if err != nil {
-		t.Fatalf("load v4 bundle: %v", err)
+		t.Fatalf("map bundle: %v", err)
 	}
-	defer mb4.Close()
-	mb5, err := rtmobile.MapBundle(b5, device.MobileCPU())
+	defer mb.Close()
+	if mb.Version() != 5 {
+		t.Fatalf("bundle version %d, want 5", mb.Version())
+	}
+	f, err = os.Open(b5)
 	if err != nil {
-		t.Fatalf("load v5 bundle: %v", err)
+		t.Fatal(err)
 	}
-	defer mb5.Close()
-	if mb4.Version() != 4 || mb5.Version() != 5 {
-		t.Fatalf("bundle versions %d, %d; want 4, 5", mb4.Version(), mb5.Version())
+	defer f.Close()
+	loaded, _, err := rtmobile.LoadBundle(f, device.MobileCPU())
+	if err != nil {
+		t.Fatalf("load bundle: %v", err)
 	}
 
-	frames := serveFrames(5, mb4.Engine().InputDim())
-	want := mb4.Engine().Infer(frames)
-	got := mb5.Engine().Infer(frames)
-	if err := samePost(got, want); err != nil {
-		t.Fatalf("v4/v5 deployed inference diverges: %v", err)
+	frames := serveFrames(5, mb.Engine().InputDim())
+	if err := samePost(loaded.Infer(frames), mb.Engine().Infer(frames)); err != nil {
+		t.Fatalf("LoadBundle and MapBundle inference diverge: %v", err)
 	}
 }
 

@@ -71,8 +71,11 @@
 // rounded once — Program.Execute, packed Run and tensor.MatVecAdd on the
 // projected matrix agree exactly for finite inputs (a pruned weight times a
 // non-finite input is 0·Inf = NaN in the dense reference and skipped by the
-// program). Compile lowers once; the v5 bundle stores those programs and
-// MapBundle runs them in place, leaving the dense weight pages untouched.
+// program). Compile lowers once, and the programs are the deployment: the
+// engine keeps them with the biases and nothing else, the v5 bundle stores
+// exactly that, and MapBundle runs the programs in place. Nothing holds the
+// dense weights after Compile; Requantize and Reprecision rebuild them from
+// the programs (PackedProgram.Dense) when they re-lower.
 //
 // Quantization is a storage format, not a kernel family:
 // compiler.PackQuant rounds a program's values to int8 (8-bit) or int16
@@ -98,11 +101,11 @@
 // comes from DeployConfig.Workers / the -workers CLI flag, falling back to
 // the RTMOBILE_WORKERS environment variable, then runtime.NumCPU().
 //
-// The ownership rule that makes shared use safe: an Engine's weights,
-// compiled plan and programs are immutable after Compile (fp16 rounding
-// included), and
-// every inference entry point — Infer, InferBatch, NewStream — allocates
-// its own mutable state. One Engine may therefore serve any number of
+// The ownership rule that makes shared use safe: an Engine holds its own
+// copies of what it serves — biases, compiled plan and programs, rounded
+// once inside Compile — and no reference to the caller's model, so they
+// are immutable after Compile; every inference entry point — Infer,
+// InferBatch, NewStream — allocates its own mutable state. One Engine may therefore serve any number of
 // goroutines concurrently. The exception is training: Model.Forward and
 // Model.Train write BPTT caches onto the layer structs and must own the
 // model exclusively.

@@ -127,6 +127,46 @@ func FuzzPackProgram(f *testing.F) {
 					i, acc[i], ref[i], prog.Format, w.Rows, w.Cols, scheme.NumRowGroups, scheme.NumColBlocks)
 			}
 		}
+
+		// Dense inverts the lowering: it returns w, and lowering and packing
+		// it again reproduces the sections byte for byte, at a storage width
+		// and tier the seed picks. A quantized program is lowered from the
+		// rounded matrix, as Compile lowers one.
+		if !denseEqual(pp.Dense(), w) {
+			t.Fatalf("Dense is not the lowered matrix (fmt=%s %dx%d)", prog.Format, w.Rows, w.Cols)
+		}
+		bits := []int{0, 8, 12, 16}[seed%4]
+		opt := DefaultOptions(prog.Format, 32)
+		opt.Precision = []Precision{PrecisionExact, PrecisionFast}[seed/4%2]
+		src := MatrixSource{Name: "fuzz", W: w}
+		if prog.Format == FormatBSPC {
+			src.Scheme = &scheme
+		}
+		relower := func(m *tensor.Matrix) *PackedProgram {
+			src.W = m
+			lowered, err := CompileProgram(src, opt, int(threads))
+			if err != nil {
+				t.Fatalf("re-lowering: %v", err)
+			}
+			packed, err := PackQuant(lowered, bits, quant.PerRow)
+			if err != nil {
+				t.Fatalf("re-packing: %v", err)
+			}
+			return packed
+		}
+		rounded := w
+		if bits != 0 {
+			qm, err := quant.Quantize(w, bits, quant.PerRow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounded = qm.Dequantize()
+		}
+		p := relower(rounded)
+		if !denseEqual(p.Dense(), rounded) {
+			t.Fatalf("q%d: Dense is not the lowered matrix", bits)
+		}
+		sameSections(t, fmt.Sprintf("fuzz q%d %s fmt=%s", bits, opt.Precision, prog.Format), relower(p.Dense()).Sections(), p.Sections())
 	})
 }
 

@@ -419,6 +419,37 @@ func (p *PackedProgram) forEachRowVals(fn func(row int32, off int, vals []float3
 	}
 }
 
+// Dense scatters the program's values back into its Rows×Cols matrix — the
+// inverse of lowering: a gather segment's row payload lands on the columns
+// ColIdx lists for it, a stream segment's on the window its Arg opens, and
+// every entry no segment stores is zero. A program lowered from the matrix
+// it holds (as Compile lowers after rounding) keeps every nonzero, so Dense
+// returns that matrix, and lowering and packing it again under the same
+// options reproduces the program's sections; that is how a deployment
+// re-lowers without keeping a dense copy.
+func (p *PackedProgram) Dense() *tensor.Matrix {
+	m := tensor.NewMatrix(p.Rows, p.Cols)
+	for t := range p.Lanes {
+		l := &p.Lanes[t]
+		for si := range l.Segs {
+			sg := &l.Segs[si]
+			nc := int(sg.NC)
+			for i := 0; i < int(sg.NR); i++ {
+				row := m.Row(int(l.Rows[int(sg.RowOff)+i]))
+				vals := p.Vals[int(sg.ValOff)+i*nc : int(sg.ValOff)+(i+1)*nc]
+				if sg.Kind == segStream {
+					copy(row[sg.Arg:], vals)
+					continue
+				}
+				for j, c := range p.ColIdx[sg.Arg : int(sg.Arg)+nc] {
+					row[c] = vals[j]
+				}
+			}
+		}
+	}
+	return m
+}
+
 // Stats returns the program's execution event counts. They are static —
 // every gather and dot width is fixed at pack time — identical to what the
 // interpreter counts while executing, and the same whatever the storage

@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -53,6 +54,9 @@ type packedCase struct {
 	exact *PackedProgram // the storage under test on the exact tier
 	pp    *PackedProgram // the storage and tier under test (exact itself on the exact tier)
 	ref   *PackedProgram // Pack of w's values on the tier under test (pp itself for f32)
+	// relower compiles and packs a matrix the way pp was: same format,
+	// options, lane count, tier and storage.
+	relower func(w *tensor.Matrix) (*PackedProgram, error)
 }
 
 // lowerings are the grid's format rows; load elimination only changes BSPC.
@@ -92,8 +96,8 @@ func tableMatrices() []tableMatrix {
 	return ms
 }
 
-// dequantized is w round-tripped through quant at the given width, as an
-// engine's model holds a quantized deployment's weights.
+// dequantized is w round-tripped through quant at the given width, as a
+// quantized deployment's Compile rounds its model's weights.
 func dequantized(t testing.TB, w *tensor.Matrix, st storage) *tensor.Matrix {
 	t.Helper()
 	if st.bits == 0 {
@@ -163,6 +167,15 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 					c := packedCase{w: wd, prog: withValues(prog, wd), label: fmt.Sprintf(
 						"%s fmt=%s elim=%v threads=%d %s",
 						m.name, lo.format, lo.elim, threads, st.name)}
+					c.relower = func(w *tensor.Matrix) (*PackedProgram, error) {
+						s := src
+						s.W = w
+						p, err := CompileProgram(s, opt, threads)
+						if err != nil {
+							return nil, err
+						}
+						return PackQuant(p, st.bits, st.scheme)
+					}
 					if c.exact, err = PackQuant(prog, st.bits, st.scheme); err != nil {
 						t.Fatal(err)
 					}
@@ -286,6 +299,66 @@ func TestPackQuantBitIdentical(t *testing.T) {
 	checkExactSerial(t, quantStorages)
 	checkStorage(t, PrecisionExact)
 	checkStorage(t, PrecisionFast)
+}
+
+// TestPackedDenseInverse: Dense is the inverse of lowering across formats,
+// lane counts, storages and tiers. It returns the matrix a program computes,
+// and lowering and packing that matrix again reproduces the program's
+// sections byte for byte. The second half holds for a program lowered from
+// the weights it holds. An engine's programs always are (Compile rounds
+// before it lowers); a quantized c.pp was lowered from the unrounded
+// matrix, so the check re-lowers c.w, the rounded one, first.
+func TestPackedDenseInverse(t *testing.T) {
+	for _, tier := range []Precision{PrecisionExact, PrecisionFast} {
+		forEachPackedCase(t, allStorages, tier, func(c packedCase) {
+			for _, p := range []*PackedProgram{c.exact, c.pp, c.ref} {
+				if !denseEqual(p.Dense(), c.w) {
+					t.Fatalf("%s: Dense is not the matrix the program computes", c.label)
+				}
+			}
+			p, err := c.pp, error(nil)
+			if c.pp.Bits != 0 {
+				if p, err = c.relower(c.w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			again, err := c.relower(p.Dense())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSections(t, c.label, again.Sections(), p.Sections())
+		})
+	}
+}
+
+// denseEqual reports whether two matrices have the same shape and equal
+// entries under ==.
+func denseEqual(a, b *tensor.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if a.Data[i] != b.Data[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSections fails unless two programs serialize to the same bytes.
+func sameSections(t testing.TB, label string, got, want *PackedSections) {
+	t.Helper()
+	sameBits := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !reflect.DeepEqual(got, want) || !sameBits(got.Vals, want.Vals) || !sameBits(got.Scales, want.Scales) {
+		t.Fatalf("%s: re-lowering Dense changed the program's sections", label)
+	}
 }
 
 // TestPackedTableHitsGroupSeam: the grid really contains a gather and a

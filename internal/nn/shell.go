@@ -6,15 +6,15 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// Shell construction. The mmap bundle loader (internal/rtmobile.MapBundle)
-// rebuilds an engine whose weight storage aliases read-only mapped pages,
-// so it must be able to stand up the model's layer/param structure without
-// allocating or initializing any weight data — O(layers), not O(weights).
-// NewModelShell builds exactly the layer stack NewModel would, but every
-// Param carries a shape-only Matrix (nil Data) that the caller attaches
-// storage to before first use. Gradient accumulators are shape-only too:
-// a shell model is for inference, and training a deployed engine's model
-// is already the one unsupported combination (see rtmobile.Engine docs).
+// Shell construction. A deployed engine (internal/rtmobile.Engine) keeps
+// the model's layer/param structure but only some of its storage — the
+// biases, its weight matrices living in compiled programs — and a mapped
+// bundle's storage aliases read-only pages, so the structure must stand up
+// without allocating or initializing any weight data: O(layers), not
+// O(weights). NewModelShell builds exactly the layer stack NewModel would,
+// but every Param carries a shape-only Matrix (nil Data); the caller
+// attaches storage to the params it uses. Gradient accumulators are
+// shape-only too: a shell model is for inference, not training.
 
 // newMatrixShell returns a Matrix header with the right shape and no
 // backing storage.

@@ -90,10 +90,10 @@ type BatchLease struct {
 
 // newSession builds a width-bw session with every lane reset and active.
 func (e *Engine) newSession(bw int, solo bool) *BatchLease {
-	in, out := e.model.Spec.InputDim, e.model.Spec.OutputDim
+	in, out := e.shell.Spec.InputDim, e.shell.Spec.OutputDim
 	l := &BatchLease{
 		e:      e,
-		inner:  e.model.NewKernelBatchStream(bw, e.kernels(&compiler.PackedScratch{})),
+		inner:  e.shell.NewKernelBatchStream(bw, e.kernels(&compiler.PackedScratch{})),
 		in:     make([]float32, in*bw),
 		post:   make([]float32, out*bw),
 		lane:   make([]float32, out),

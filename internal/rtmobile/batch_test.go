@@ -30,7 +30,7 @@ func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, tier diffTie
 			}
 			frames = q
 		}
-		return nn.Posteriors(e.model.Forward(frames))
+		return nn.Posteriors(e.denseModel().Forward(frames))
 	}
 	sameWidth := tier.close
 	if tier.precision == compiler.PrecisionExact {
@@ -203,7 +203,7 @@ func TestInferBatchArenaReuseAcrossWidths(t *testing.T) {
 			for _, n := range []int{1, 3, 7, 2, 9, 17} {
 				batch := make([][][]float32, n)
 				for i := range batch {
-					batch[i] = testFrames(uint64(200+round*10+i), 5+i, eng.model.Spec.InputDim)
+					batch[i] = testFrames(uint64(200+round*10+i), 5+i, eng.InputDim())
 				}
 				got := eng.InferBatch(batch)
 				for i := range batch {
@@ -249,7 +249,7 @@ func TestBatchWidthClamp(t *testing.T) {
 // TestInferBatchIntoShapeMismatch pins the dst validation.
 func TestInferBatchIntoShapeMismatch(t *testing.T) {
 	eng := parallelTestEngine(t, 49, false, 1)
-	batch := [][][]float32{testFrames(61, 4, eng.model.Spec.InputDim)}
+	batch := [][][]float32{testFrames(61, 4, eng.InputDim())}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("dst/batch length mismatch accepted")

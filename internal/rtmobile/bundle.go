@@ -1,6 +1,7 @@
 package rtmobile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,13 +16,14 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// Deployment bundles. A compiled engine serializes to a single artifact
-// holding the model architecture, the BSP scheme, the compiler options,
-// biases, and every weight matrix stored in its deployed format — BSPC
-// payloads for BSPC deployments (so the on-disk size benefits from the
-// compact format exactly as the device memory does), raw floats otherwise.
-// Loading a bundle reconstructs the model and recompiles the plan for a
-// target, which is deterministic, so the artifact is complete.
+// Deployment bundles, versions 1–4: the per-field weight streams earlier
+// writers produced. This tree writes only version 5 (bundle5.go), whose
+// programs are the deployment; LoadBundle still reads every older version,
+// rebuilding the weights, lowering them once with Compile, and keeping only
+// what any engine keeps — spec, biases, programs. It validates the header's
+// spec before building anything from it and allocates each weight matrix
+// only as its payload arrives, so a corrupt file costs an error, not a
+// panic or an allocation the file cannot back.
 //
 // Layout (little-endian): magic "RTMB" | version u32 | spec 6×u64 |
 // scheme 4×f64 | format u32 | valueBits u32 | tile 3×u32 |
@@ -31,37 +33,30 @@ import (
 // per param: nameLen u32, name, kind u8 (0 raw, 1 bspc, 2 quantized),
 // payload.
 //
-// Version 2 adds the plan cache: the auto-tuner's verdict (mode +
-// cost) and the tile's memory placement (dropped by v1), so loading a
-// tuned bundle reproduces the tuned plan exactly without re-running the
-// search. Version 1 bundles still load (plan cache empty).
+// Version 2 added the plan cache: the auto-tuner's verdict (mode + cost)
+// and the tile's memory placement, so a tuned bundle reloads with its tuned
+// plan and never re-runs the search; a version-1 file loads with the cache
+// empty. The tile words and the plan cache describe the modelled target's
+// kernel and how it was chosen; nothing in them selects what the host
+// executes. In particular the unroll word is read back but picks no kernel
+// (there is one per shape), and a TuneMeasured record — written by the
+// host-timing tuner earlier versions had — loads as the record it is.
 //
-// The tile words and the plan cache describe the modelled target's kernel
-// and how it was chosen; nothing in them selects what the host executes.
-// In particular the unroll word is recorded and read back but picks no
-// kernel (there is one per shape), and a TuneMeasured record — written by
-// the host-timing tuner earlier versions had — loads as the record it is.
-//
-// Version 3 adds integer weight quantization: the header records the
-// deployment's quantization width (0 = float), and quantized deployments
-// ship their weight matrices as payload kind 2 — the per-row scales plus
-// the raw integers (int8 for 8-bit, int16 little-endian for 12/16-bit),
-// exactly the codes the quantized programs are dequantized from. Versions
-// 1 and 2 still load (quantization off).
-//
-// Version 4 adds the precision tier: the header records the kernel tier
-// the engine actually ran under, so a reloaded bundle re-selects the same
-// kernel family — an exact-tier bundle can never silently pin a fast-tier
-// deployment's plan, or vice versa. Versions 1–3 still load (exact tier,
-// the historical behavior).
+// Version 3 added integer weight quantization: the header records the
+// width (0 = float), and a quantized file ships its weight matrices as
+// payload kind 2 — per-row scales plus the raw integers (int8 for 8-bit,
+// int16 little-endian for 12/16-bit). Version 4 added the precision tier,
+// so a reloaded file re-selects the kernel tier it ran under; versions 1–3
+// load on the exact tier.
 //
 // The fused byte once selected a plan that priced each layer's [Wx|Wh] as
 // one kernel. No engine ever executed such kernels and the pass is gone:
-// writers emit 0, and loaders read the byte and ignore it, so a file that
-// carries it set loads as the per-matrix deployment it always ran.
+// loaders read the byte and ignore it, so a file that carries it set loads
+// as the per-matrix deployment it always ran.
 
 const (
-	bundleMagic   = "RTMB"
+	bundleMagic = "RTMB"
+	// bundleVersion is the newest per-field version LoadBundle reads.
 	bundleVersion = 4
 	// maxBundleNameLen bounds a param-name length field so a corrupt
 	// bundle cannot drive a multi-gigabyte allocation before the name
@@ -69,144 +64,21 @@ const (
 	maxBundleNameLen = 1 << 16
 )
 
-// SaveBundle writes the engine's deployment artifact in the current
-// default format (version 5, the mmap-loadable section table; see
-// bundle5.go). Use SaveBundleVersion to target the legacy v4 stream.
-func (e *Engine) SaveBundle(w io.Writer, scheme prune.BSP) error {
-	return e.saveBundleV5(w, scheme)
+// readPayload reads exactly n bytes, growing its buffer as they arrive, so a
+// corrupt shape cannot allocate more than the stream actually holds.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(n))); err != nil {
+		return nil, err
+	}
+	if buf.Len() < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), nil
 }
 
-// saveBundleV4 writes the legacy (version 4) per-field artifact.
-func (e *Engine) saveBundleV4(w io.Writer, scheme prune.BSP) error {
-	le := binary.LittleEndian
-	if _, err := io.WriteString(w, bundleMagic); err != nil {
-		return err
-	}
-	spec := e.model.Spec
-	header := []any{
-		uint32(bundleVersion),
-		uint64(spec.InputDim), uint64(spec.Hidden), uint64(spec.NumLayers),
-		uint64(spec.OutputDim), spec.Seed, uint64(spec.Cell),
-		scheme.ColRate, scheme.RowRate,
-		float64(scheme.NumRowGroups), float64(scheme.NumColBlocks),
-		uint32(e.plan.Options.Format), uint32(e.plan.Options.ValueBits),
-		uint32(e.plan.Options.Tile.RowTile), uint32(e.plan.Options.Tile.ColTile),
-		uint32(e.plan.Options.Tile.Unroll),
-		boolByte(e.plan.Options.Reorder), boolByte(e.plan.Options.EliminateRedundantLoads),
-		uint8(0), // fused (retired)
-		uint8(e.tuned.Mode), uint32(e.plan.Options.Tile.Placement), e.tuned.Cost,
-		uint8(e.quant), uint8(e.precision),
-	}
-	for _, v := range header {
-		if err := binary.Write(w, le, v); err != nil {
-			return err
-		}
-	}
-	params := e.model.Params()
-	if err := binary.Write(w, le, uint32(len(params))); err != nil {
-		return err
-	}
-	useBSPC := e.plan.Options.Format == compiler.FormatBSPC
-	for _, p := range params {
-		if err := binary.Write(w, le, uint32(len(p.Name))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, p.Name); err != nil {
-			return err
-		}
-		// Weight matrices of a quantized deployment ship as scales +
-		// integers (kind 2). Requantizing the engine's round-tripped
-		// weights is idempotent (see quant.ScaleFor), so the stored
-		// integers are exactly the ones Compile produced.
-		if e.quant != 0 && p.W.Rows > 1 && p.W.Cols > 1 {
-			if err := binary.Write(w, le, uint8(2)); err != nil {
-				return err
-			}
-			if err := writeQuantPayload(w, p.W, e.quant); err != nil {
-				return fmt.Errorf("rtmobile: %s: %w", p.Name, err)
-			}
-			continue
-		}
-		// Weight matrices of a BSPC deployment ship in BSPC form.
-		if useBSPC && p.W.Rows > 1 && p.W.Cols > 1 {
-			if err := binary.Write(w, le, uint8(1)); err != nil {
-				return err
-			}
-			b := sparse.NewBSPC(p.W, scheme)
-			if err := b.Encode(w, e.plan.Options.ValueBits); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := binary.Write(w, le, uint8(0)); err != nil {
-			return err
-		}
-		dims := []uint32{uint32(p.W.Rows), uint32(p.W.Cols)}
-		for _, d := range dims {
-			if err := binary.Write(w, le, d); err != nil {
-				return err
-			}
-		}
-		buf := make([]byte, 4*len(p.W.Data))
-		for i, v := range p.W.Data {
-			le.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// writeQuantPayload encodes one weight matrix as payload kind 2:
-// rows u32 | cols u32 | bits u8 | scheme u8 | scaleCount u32 |
-// scales f32×scaleCount | integers (int8 for 8-bit, int16 LE otherwise),
-// row-major.
-func writeQuantPayload(w io.Writer, m *tensor.Matrix, bits int) error {
-	le := binary.LittleEndian
-	qm, err := quant.Quantize(m, bits, quant.PerRow)
-	if err != nil {
-		return err
-	}
-	head := []any{
-		uint32(qm.Rows), uint32(qm.Cols), uint8(qm.Bits), uint8(qm.Scheme),
-		uint32(len(qm.Scales)),
-	}
-	for _, v := range head {
-		if err := binary.Write(w, le, v); err != nil {
-			return err
-		}
-	}
-	for _, s := range qm.Scales {
-		if err := binary.Write(w, le, math.Float32bits(s)); err != nil {
-			return err
-		}
-	}
-	if bits == 8 {
-		buf := make([]byte, len(qm.Q))
-		for i, q := range qm.Q {
-			buf[i] = byte(int8(q))
-		}
-		_, err = w.Write(buf)
-		return err
-	}
-	buf := make([]byte, 2*len(qm.Q))
-	for i, q := range qm.Q {
-		le.PutUint16(buf[2*i:], uint16(int16(q)))
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// readQuantPayload decodes a kind-2 payload into dst, dequantizing the
-// stored integers through their scales.
+// readQuantPayload decodes a kind-2 payload into dst, allocating its
+// storage and dequantizing the stored integers through their scales.
 func readQuantPayload(r io.Reader, dst *tensor.Matrix) error {
 	le := binary.LittleEndian
 	var rows, cols, scaleCount uint32
@@ -254,10 +126,11 @@ func readQuantPayload(r io.Reader, dst *tensor.Matrix) error {
 	if bits == 8 {
 		elem = 1
 	}
-	buf := make([]byte, elem*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readPayload(r, elem*n)
+	if err != nil {
 		return fmt.Errorf("reading quant values: %w", err)
 	}
+	dst.Data = make([]float32, n)
 	for i := 0; i < n; i++ {
 		var q int32
 		if bits == 8 {
@@ -274,8 +147,10 @@ func readQuantPayload(r io.Reader, dst *tensor.Matrix) error {
 	return nil
 }
 
-// LoadBundle reads a deployment artifact and recompiles it for the target.
-// It returns the engine and the scheme stored in the bundle.
+// LoadBundle reads a deployment artifact of any version for the target and
+// returns the engine and the scheme stored in the bundle. A version-5
+// stream is read into one arena and parsed as MapBundle parses a mapping;
+// versions 1–4 are decoded and compiled.
 func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) {
 	le := binary.LittleEndian
 	var zero prune.BSP
@@ -371,11 +246,15 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 		}
 	}
 
-	model := nn.NewModel(nn.ModelSpec{
+	// Weight storage is allocated per param as its payload arrives.
+	model, err := specShell(nn.ModelSpec{
 		InputDim: int(specRaw[0]), Hidden: int(specRaw[1]),
 		NumLayers: int(specRaw[2]), OutputDim: int(specRaw[3]),
 		Seed: specRaw[4], Cell: nn.CellType(specRaw[5]),
 	})
+	if err != nil {
+		return nil, zero, err
+	}
 	scheme := prune.BSP{
 		ColRate: schemeRaw[0], RowRate: schemeRaw[1],
 		NumRowGroups: int(schemeRaw[2]), NumColBlocks: int(schemeRaw[3]),
@@ -424,12 +303,11 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 			if err != nil {
 				return nil, zero, fmt.Errorf("rtmobile: %s: %w", p.Name, err)
 			}
-			dense := b.Dense()
-			if dense.Rows != p.W.Rows || dense.Cols != p.W.Cols {
+			if b.Rows != p.W.Rows || b.Cols != p.W.Cols {
 				return nil, zero, fmt.Errorf("rtmobile: %s shape %dx%d, want %dx%d",
-					p.Name, dense.Rows, dense.Cols, p.W.Rows, p.W.Cols)
+					p.Name, b.Rows, b.Cols, p.W.Rows, p.W.Cols)
 			}
-			p.W.CopyFrom(dense)
+			p.W.Data = b.Dense().Data
 		case 0:
 			var rows, cols uint32
 			if err := binary.Read(r, le, &rows); err != nil {
@@ -441,10 +319,11 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 			if int(rows) != p.W.Rows || int(cols) != p.W.Cols {
 				return nil, zero, fmt.Errorf("rtmobile: %s shape mismatch", p.Name)
 			}
-			buf := make([]byte, 4*rows*cols)
-			if _, err := io.ReadFull(r, buf); err != nil {
+			buf, err := readPayload(r, 4*p.W.Rows*p.W.Cols)
+			if err != nil {
 				return nil, zero, fmt.Errorf("rtmobile: %s: reading weights: %w", p.Name, err)
 			}
+			p.W.Data = make([]float32, p.W.Rows*p.W.Cols)
 			for i := range p.W.Data {
 				p.W.Data[i] = math.Float32frombits(le.Uint32(buf[4*i:]))
 			}

@@ -14,22 +14,29 @@ import (
 	"rtmobile/internal/quant"
 )
 
-// Bundle v5: the zero-copy section-table format. Versions 1–4 serialize
-// every weight through per-element binary encoding and rebuild the engine
-// with a full recompile at load, so loading is O(weights) in time and heap.
-// v5 instead writes every flat array the runtime holds — the packed /
-// quantized program arrays (vals, qvals, colIdx, segment descriptors,
-// scales) every inference entry point executes, and the dense weight
-// matrices they were lowered from (biases, retiering, re-export) — as raw
-// little-endian sections with 64-byte aligned payloads, plus one JSON
-// metadata section carrying the model spec, the compiled Plan (including
-// the tuned plan cache), and the section directory of each param and
-// program. MapBundle then mmaps the file and aliases those sections in
-// place: no per-weight decode, no repack, no recompile, and serving never
-// touches the dense weight pages. The one exception is a quantized
-// program's qvals: its codes are dequantized once into float32 values at
-// load (quantized programs run the float32 kernels); its index sections
-// are still aliased.
+// Bundle v5: the section-table format, and the only one this tree writes.
+// It stores what an engine holds — spec, biases, packed programs — and
+// nothing else: the flat arrays every inference entry point executes
+// (values or quantized codes and their scales, column indices, segment
+// descriptors, row lists) and the params no program covers (the biases, a
+// 1-wide matrix) as raw little-endian sections with 64-byte aligned
+// payloads, plus one JSON metadata section carrying the model spec, the
+// compiled Plan (including the tuned plan cache), and the section
+// directory of each param and program. A param a program covers keeps its
+// directory entry (name, shape) with section 0: its weights are the
+// program's values, and Dense re-derives them when an engine re-lowers.
+// MapBundle mmaps the file and aliases the sections in place: no per-weight
+// decode, no repack, no recompile. The one exception is a quantized
+// program's codes, dequantized once into float32 values at load (quantized
+// programs run the float32 kernels); its index sections are still aliased.
+//
+// Files written before programs were the deployment also carry a dense
+// section for every covered param, and some carry programs no engine runs
+// any more (fused [Wx|Wh] programs, per-block lowerings). They still load:
+// when the stored programs are usable the dense sections are ignored;
+// otherwise the programs are lowered from those sections once at load and
+// the sections dropped. A section-0 param is accepted only beside usable
+// programs.
 //
 // Layout (little-endian):
 //
@@ -60,7 +67,8 @@ const (
 	v5SecMeta = 1
 )
 
-// v5ParamMeta locates one model parameter's raw f32 section.
+// v5ParamMeta locates one model parameter's raw f32 section; Section 0
+// means a program carries the param.
 type v5ParamMeta struct {
 	Name    string `json:"name"`
 	Rows    int    `json:"rows"`
@@ -166,25 +174,20 @@ func encodeI8(src []int8) []byte {
 // align64 rounds n up to the next multiple of v5Align.
 func align64(n uint64) uint64 { return (n + v5Align - 1) &^ uint64(v5Align-1) }
 
-// SaveBundleVersion writes the engine's deployment artifact in the chosen
-// format version: 5 (the default, section-table, mmap-loadable) or 4 (the
-// legacy per-field stream, for older readers).
+// SaveBundleVersion writes the engine's deployment artifact in the given
+// format version, which must be 5: older versions are read, never written.
 func (e *Engine) SaveBundleVersion(w io.Writer, scheme prune.BSP, version int) error {
-	switch version {
-	case 4:
-		return e.saveBundleV4(w, scheme)
-	case bundleVersion5:
-		return e.saveBundleV5(w, scheme)
-	default:
-		return fmt.Errorf("rtmobile: unsupported bundle version %d (want 4 or 5)", version)
+	if version != bundleVersion5 {
+		return fmt.Errorf("rtmobile: unsupported bundle version %d (this writer emits 5; older versions are only read)", version)
 	}
+	return e.SaveBundle(w, scheme)
 }
 
-// saveBundleV5 writes the section-table artifact.
-func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
+// SaveBundle writes the engine's deployment artifact (version 5).
+func (e *Engine) SaveBundle(w io.Writer, scheme prune.BSP) error {
 	vw := newV5Writer()
 	meta := v5Meta{
-		Spec:      e.model.Spec,
+		Spec:      e.shell.Spec,
 		Scheme:    scheme,
 		TuneMode:  uint8(e.tuned.Mode),
 		TuneCost:  e.tuned.Cost,
@@ -192,19 +195,19 @@ func (e *Engine) saveBundleV5(w io.Writer, scheme prune.BSP) error {
 		Plan:      e.plan,
 	}
 
-	// Dense weight sections: the exact post-rounding values the programs
-	// were lowered from (fp16 / integer round-trips already happened at
-	// Compile). Serving reads only the biases among them.
-	for _, p := range e.model.Params() {
-		meta.Params = append(meta.Params, v5ParamMeta{
-			Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
-			Section: vw.add(encodeF32(p.W.Data)),
-		})
+	// Param sections: the storage the shell holds, i.e. the params no
+	// program covers, post-rounding. A covered param is written as its
+	// directory entry alone.
+	for _, p := range e.shell.Params() {
+		pm := v5ParamMeta{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols}
+		if p.W.Data != nil {
+			pm.Section = vw.add(encodeF32(p.W.Data))
+		}
+		meta.Params = append(meta.Params, pm)
 	}
 
 	// Packed program sections: the flat arrays of the very programs the
-	// engine executes (lowered once, at Compile), so a mapped load serves
-	// from them in place.
+	// engine executes, so a mapped load serves from them in place.
 	for _, p := range e.progs {
 		s := p.Sections()
 		pm := v5ProgramMeta{

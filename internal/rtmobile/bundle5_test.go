@@ -52,7 +52,7 @@ func writeBundleFileScheme(t *testing.T, eng *Engine, scheme prune.BSP, version 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SaveBundleVersion(f, scheme, version); err != nil {
+	if err := eng.saveVersion(f, scheme, version); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -93,7 +93,7 @@ func TestBundleV5V4CrossVersionBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, _ := v5TestEngine(t, 91, tc.cfg)
 			var v4, v5 bytes.Buffer
-			if err := eng.SaveBundleVersion(&v4, testScheme(), 4); err != nil {
+			if err := eng.saveBundleV4(&v4, testScheme()); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.SaveBundleVersion(&v5, testScheme(), 5); err != nil {
@@ -277,6 +277,13 @@ func TestLoadBundleV5Corrupt(t *testing.T) {
 			length := le.Uint64(b[12+12:])
 			le.PutUint32(b[12+20:], crc32.ChecksumIEEE(b[off:off+length]))
 		}), "metadata"},
+		// A compact file's weight matrices live in its programs only: when
+		// a program no longer passes as executable, nothing else can stand
+		// in for the param it covered.
+		{"absurd spec", v5PatchMeta(t, image, func(m *v5Meta) { m.Spec.Hidden = 1 << 62 }), "corrupt model spec"},
+		{"program unusable beside a param without a section", v5PatchMeta(t, image, func(m *v5Meta) {
+			m.Programs[0].Name = "stale"
+		}), "param gru0.Wx: no section recorded"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -471,8 +478,10 @@ func FuzzMapBundle(f *testing.F) {
 	if err := eng.SaveBundleVersion(&buf, testScheme(), 5); err != nil {
 		f.Fatal(err)
 	}
-	image := buf.Bytes()
+	image := buf.Bytes() // compact: biases and programs only
 	f.Add(image)
+	// Its first program no longer executable: refused, naming the param.
+	f.Add(v5PatchMeta(f, image, func(m *v5Meta) { m.Programs[0].Name = "stale" }))
 	f.Add(image[:len(image)/2])
 	f.Add(v5Mutate(image, false, func(b []byte) { b[13] ^= 0xff }))
 	f.Add(v5Mutate(image, true, func(b []byte) {

@@ -62,10 +62,9 @@ func TestBundleSmallerThanDenseCheckpoint(t *testing.T) {
 	if err := m.Save(&dense); err != nil {
 		t.Fatal(err)
 	}
-	// v4 is the compact wire format; v5 trades size for zero-copy load by
-	// carrying dense params alongside the packed arrays.
+	// The bundle carries the programs and the biases, no dense weights.
 	var bundle bytes.Buffer
-	if err := eng.SaveBundleVersion(&bundle, res.Scheme, 4); err != nil {
+	if err := eng.SaveBundle(&bundle, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
 	ratio := float64(dense.Len()) / float64(bundle.Len())
@@ -92,7 +91,7 @@ func TestBundleCPUPathRawWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := eng.model.Params(), loaded.model.Params()
+	a, b := eng.denseModel().Params(), loaded.denseModel().Params()
 	for i := range a {
 		if !a[i].W.Equal(b[i].W) {
 			t.Fatalf("%s not bit-exact after fp32 bundle round trip", a[i].Name)
@@ -200,7 +199,7 @@ func validBundleImage(t *testing.T) []byte {
 	var buf bytes.Buffer
 	// The fixed byte offsets below describe the v4 stream layout, so this
 	// helper pins version 4 regardless of the current default.
-	if err := eng.SaveBundleVersion(&buf, res.Scheme, 4); err != nil {
+	if err := eng.saveBundleV4(&buf, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -308,6 +307,12 @@ func TestLoadBundleCorrupt(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[:], v)
 		return b[:]
 	}
+	const offHidden = 16 // spec word 1
+	u64 := func(v uint64) []byte {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return b[:]
+	}
 	cases := []struct {
 		name    string
 		image   []byte
@@ -317,6 +322,11 @@ func TestLoadBundleCorrupt(t *testing.T) {
 		{"future version", patch(bundleOffVersion, u32(99)), "unsupported bundle version"},
 		{"truncated version", image[:6], "bundle version"},
 		{"truncated spec", image[:30], "model spec"},
+		// A spec is validated before any shape is built from it, and no
+		// weight storage exists before its payload arrives.
+		{"absurd spec", []byte("RTMB\x01\x00\x00\x00" + strings.Repeat("0", 110)), "corrupt model spec"},
+		{"spec past the parameter bound", patch(offHidden, u64(1<<20)), "parameters"},
+		{"spec larger than its payloads", patch(offHidden, u64(1<<10)), "shape"},
 		{"truncated scheme", image[:70], "prune scheme"},
 		{"truncated options", image[:100], "compiler options"},
 		{"truncated flags", image[:110], "compiler flags"},

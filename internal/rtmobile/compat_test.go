@@ -91,35 +91,44 @@ func v4Retile(unroll int) func([]byte) []byte {
 }
 
 // v5Retile rewrites a v5 image's recorded unroll — the plan tile's and every
-// program's — and its plan cache. The new metadata is appended as a fresh
-// aligned payload and the directory's first entry repointed to it.
+// program's — and its plan cache.
 func v5Retile(t *testing.T, unroll int) func([]byte) []byte {
 	return func(image []byte) []byte {
-		le := binary.LittleEndian
-		entry := image[12 : 12+24] // section 1, the metadata, is always first
-		off, length := le.Uint64(entry[4:]), le.Uint64(entry[12:])
-		var meta v5Meta
-		if err := json.Unmarshal(image[off:off+length], &meta); err != nil {
-			t.Fatal(err)
-		}
-		meta.Plan.Options.Tile.Unroll = unroll
-		for i := range meta.Programs {
-			meta.Programs[i].Unroll = unroll
-		}
-		meta.TuneMode, meta.TuneCost = uint8(retiledRecord.Mode), retiledRecord.Cost
-		payload, err := json.Marshal(&meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at := int(align64(uint64(len(image))))
-		grown := append(append([]byte(nil), image...), make([]byte, at-len(image)+len(payload))...)
-		return v5Mutate(grown, true, func(b []byte) {
-			copy(b[at:], payload)
-			le.PutUint64(b[12+4:], uint64(at))
-			le.PutUint64(b[12+12:], uint64(len(payload)))
-			le.PutUint32(b[12+20:], crc32.ChecksumIEEE(payload))
+		return v5PatchMeta(t, image, func(meta *v5Meta) {
+			meta.Plan.Options.Tile.Unroll = unroll
+			for i := range meta.Programs {
+				meta.Programs[i].Unroll = unroll
+			}
+			meta.TuneMode, meta.TuneCost = uint8(retiledRecord.Mode), retiledRecord.Cost
 		})
 	}
+}
+
+// v5PatchMeta returns a copy of a v5 image whose metadata is patch applied
+// to the image's: the new metadata is appended as a fresh aligned payload
+// and the directory's first entry repointed to it.
+func v5PatchMeta(tb testing.TB, image []byte, patch func(*v5Meta)) []byte {
+	tb.Helper()
+	le := binary.LittleEndian
+	entry := image[12 : 12+24] // section 1, the metadata, is always first
+	off, length := le.Uint64(entry[4:]), le.Uint64(entry[12:])
+	var meta v5Meta
+	if err := json.Unmarshal(image[off:off+length], &meta); err != nil {
+		tb.Fatal(err)
+	}
+	patch(&meta)
+	payload, err := json.Marshal(&meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at := int(align64(uint64(len(image))))
+	grown := append(append([]byte(nil), image...), make([]byte, at-len(image)+len(payload))...)
+	return v5Mutate(grown, true, func(b []byte) {
+		copy(b[at:], payload)
+		le.PutUint64(b[12+4:], uint64(at))
+		le.PutUint64(b[12+12:], uint64(len(payload)))
+		le.PutUint32(b[12+20:], crc32.ChecksumIEEE(payload))
+	})
 }
 
 func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
@@ -128,7 +137,7 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 	save := func(t *testing.T, eng *Engine, version int) []byte {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := eng.SaveBundleVersion(&buf, scheme, version); err != nil {
+		if err := eng.saveVersion(&buf, scheme, version); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -167,8 +176,12 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 		// A v5 file from before the dense-order lowering: a row appears in
 		// one segment per column block.
 		{"v5-per-block-programs", false, func(t *testing.T, eng *Engine) []byte {
+			// The writer stores whatever params the engine holds: a dense
+			// model in place of the shell gives the file the dense
+			// sections every writer of that time emitted.
+			dense := eng.denseModel()
 			var progs []*compiler.PackedProgram
-			for _, p := range eng.model.WeightMatrices() {
+			for _, p := range dense.WeightMatrices() {
 				pp, err := compiler.Pack(perBlockProgram(p.Name, p, scheme), 0)
 				if err != nil {
 					t.Fatal(err)
@@ -179,7 +192,7 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 				progs = append(progs, pp)
 			}
 			return save(t, &Engine{
-				model: eng.model, plan: eng.plan, target: eng.target, pool: eng.pool,
+				shell: dense, plan: eng.plan, target: eng.target, pool: eng.pool,
 				fp16: eng.fp16, tuned: eng.tuned, quant: eng.quant, precision: eng.precision,
 				progs: progs,
 			}, 5)

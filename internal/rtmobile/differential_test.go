@@ -2,6 +2,7 @@ package rtmobile
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -18,8 +19,9 @@ import (
 // point × BSP rates × worker counts × kernel tiers, each checked against the
 // training-side reference nn.Posteriors(model.Forward(..)) under the tier's
 // contract. The exact tier must be bit-equal — the dense-order contract of
-// the compiled programs — whatever the storage width, since a quantized
-// engine's model holds the dequantized weights its programs run. The fast
+// the compiled programs — whatever the storage width, since Compile rounds
+// a quantized deployment's model to the dequantized weights its programs
+// run. The fast
 // tier must satisfy tensor.FastActClose with the engine-level absolute arm.
 // Whatever the tier, an engine loaded
 // from a bundle must reproduce the compiled engine bit for bit: it runs the
@@ -186,7 +188,7 @@ var diffLoaders = []struct {
 	}},
 	{"LoadBundleV4", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
 		var buf bytes.Buffer
-		if err := eng.SaveBundleVersion(&buf, scheme, 4); err != nil {
+		if err := eng.saveBundleV4(&buf, scheme); err != nil {
 			t.Fatal(err)
 		}
 		loaded, _, err := LoadBundle(&buf, device.MobileCPU())
@@ -252,7 +254,7 @@ func TestEngineDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The engine's model after Compile's weight rounding: what the
+			// The caller's model after Compile's weight rounding: what the
 			// programs were lowered from.
 			ref := diffRef(model, utts)
 			var compiled map[string][][][]float32
@@ -265,13 +267,27 @@ func TestEngineDifferential(t *testing.T) {
 					diffSame(t, got, compiled)
 				})
 			}
+			// The engine holds its own copies: training (here, shifting)
+			// every weight and bias of the caller's model afterwards changes
+			// nothing it serves.
+			t.Run(fmt.Sprintf("%s/%s/caller-model-changed", rate.name, tier.name), func(t *testing.T) {
+				for _, p := range model.Params() {
+					for i := range p.W.Data {
+						p.W.Data[i] += 0.5
+					}
+				}
+				diffSame(t, diffRun(t, eng, utts, ref, tier.close), compiled)
+			})
 		}
 	}
 
 	// Bundles written by the commit before the packed program types were
 	// folded into one (testdata/README.md): they must load, score under
-	// their tier's contract, run what a fresh Compile runs, and be exactly
-	// the bytes this writer still produces — the section layout is frozen.
+	// their tier's contract and run what a fresh Compile runs. The v5 files
+	// also pin the section layout: a fresh Compile writes the same programs
+	// and metadata — only the param directory differs, the covered params'
+	// dense sections being gone — and re-saving a mapped fixture writes
+	// exactly a fresh Compile's bytes.
 	utts = diffUtterances(fixtureSpec.InputDim)
 	for _, fx := range []struct {
 		file    string
@@ -302,16 +318,66 @@ func TestEngineDifferential(t *testing.T) {
 				t.Fatalf("fixture is version %d, want %d", mb.Version(), fx.version)
 			}
 			diffSame(t, diffRun(t, mb.Engine(), utts, ref, fx.tier.close), compiled)
+			if fx.version != 5 {
+				return
+			}
 
-			var buf bytes.Buffer
-			if err := eng.SaveBundleVersion(&buf, fixtureScheme, fx.version); err != nil {
+			var fresh, resaved bytes.Buffer
+			if err := eng.SaveBundle(&fresh, fixtureScheme); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), readFixture(t, fx.file)) {
-				t.Fatalf("a fresh Compile no longer serializes to the bytes of %s", fx.file)
+			sameV5Layout(t, readFixture(t, fx.file), fresh.Bytes())
+			if err := mb.Engine().SaveBundle(&resaved, fixtureScheme); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resaved.Bytes(), fresh.Bytes()) {
+				t.Fatalf("re-saving the mapped %s does not give a fresh Compile's bytes", fx.file)
 			}
 		})
 	}
+
+	// Every way of obtaining an engine builds the one shape Compile builds:
+	// spec, biases, programs — whatever the file it came from carried.
+	t.Run("engines-hold-no-dense-weights", func(t *testing.T) {
+		fixtures := map[int][]string{0: {"parent_v4.rtmb", "parent_v5.rtmb"}, 8: {"parent_v4_q8.rtmb", "parent_v5_q8.rtmb"}}
+		for quant, fixtureFiles := range fixtures {
+			eng, err := Compile(fixtureModel(), fixtureScheme, DeployConfig{Target: device.MobileCPU(), Quant: quant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v4, v5 bytes.Buffer
+			if err := eng.saveBundleV4(&v4, fixtureScheme); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.SaveBundle(&v5, fixtureScheme); err != nil {
+				t.Fatal(err)
+			}
+			images := map[string][]byte{"v3": asV3(v4.Bytes()), "v4": v4.Bytes(), "v5": v5.Bytes()}
+			if quant == 0 { // v1 and v2 predate quantization
+				images["v1"], images["v2"] = asV1(v4.Bytes()), asV2(v4.Bytes())
+			}
+			files := []string{writeBundleFileScheme(t, eng, fixtureScheme, 4), writeBundleFileScheme(t, eng, fixtureScheme, 5)}
+			for _, name := range fixtureFiles {
+				files = append(files, filepath.Join("testdata", name))
+			}
+			checkHoldsNoDenseWeights(t, "Compile", eng)
+			for version, image := range images {
+				loaded, _, err := LoadBundle(bytes.NewReader(image), device.MobileCPU())
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d LoadBundle %s", quant, version), loaded)
+			}
+			for _, path := range files {
+				mb, err := MapBundle(path, device.MobileCPU())
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d MapBundle %s (v%d)", quant, path, mb.Version()), mb.Engine())
+				mb.Close()
+			}
+		}
+	})
 
 	// The tile describes the modelled target's kernel: an engine compiled
 	// under another unroll factor records it and runs the very same
@@ -319,10 +385,12 @@ func TestEngineDifferential(t *testing.T) {
 	for _, tier := range diffTiers {
 		t.Run("tile-unroll8/"+tier.name, func(t *testing.T) {
 			var engs [2]*Engine
+			var model *nn.Model
 			for i, unroll := range []int{1, 8} {
 				tile := compiler.DefaultTile()
 				tile.Unroll = unroll
-				eng, err := Compile(fixtureModel(), fixtureScheme, DeployConfig{
+				model = fixtureModel()
+				eng, err := Compile(model, fixtureScheme, DeployConfig{
 					Target: device.MobileCPU(), Tile: tile, Quant: tier.quant, Precision: tier.precision,
 				})
 				if err != nil {
@@ -338,7 +406,7 @@ func TestEngineDifferential(t *testing.T) {
 					t.Fatalf("program %s differs between unroll 1 and 8", p.Name)
 				}
 			}
-			ref := diffRef(engs[0].model, utts)
+			ref := diffRef(model, utts)
 			diffSame(t, diffRun(t, engs[1], utts, ref, tier.close), diffRun(t, engs[0], utts, ref, tier.close))
 		})
 	}
@@ -362,5 +430,95 @@ func diffCheck(t *testing.T, label string, got, want [][][]float32, ok func(got,
 				}
 			}
 		}
+	}
+}
+
+// checkHoldsNoDenseWeights asserts the engine's one shape: its shell holds
+// storage for exactly the params no program covers, and no W or Grad
+// storage for a covered one.
+func checkHoldsNoDenseWeights(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	for _, p := range e.shell.Params() {
+		covered := e.program(p.Name) != nil
+		if covered && (p.W.Data != nil || p.Grad != nil && p.Grad.Data != nil) {
+			t.Fatalf("%s: %s has a program and still holds dense storage", label, p.Name)
+		}
+		if !covered && len(p.W.Data) != p.W.Rows*p.W.Cols {
+			t.Fatalf("%s: %s has no program and holds %d of its %d values",
+				label, p.Name, len(p.W.Data), p.W.Rows*p.W.Cols)
+		}
+	}
+}
+
+// v5Resolved parses a v5 image's metadata and returns it with the payload
+// lookup its section ids resolve through (nil for id 0).
+func v5Resolved(t *testing.T, image []byte) (v5Meta, func(id uint32) []byte) {
+	t.Helper()
+	sections, err := parseV5Sections(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta v5Meta
+	if err := json.Unmarshal(sections[v5SecMeta], &meta); err != nil {
+		t.Fatal(err)
+	}
+	return meta, func(id uint32) []byte {
+		if id == 0 {
+			return nil
+		}
+		return sections[id]
+	}
+}
+
+// sameV5Layout asserts that got stores what want stores, section ids
+// aside: every program's header and section payloads, and every metadata
+// field but the param directory, byte for byte. Of the param directory it
+// requires the same names and shapes, and that each section got keeps (a
+// param no program covers) holds want's bytes.
+func sameV5Layout(t *testing.T, want, got []byte) {
+	t.Helper()
+	wm, wsec := v5Resolved(t, want)
+	gm, gsec := v5Resolved(t, got)
+	if len(gm.Programs) != len(wm.Programs) || len(gm.Params) != len(wm.Params) {
+		t.Fatalf("%d programs / %d params, want %d / %d",
+			len(gm.Programs), len(gm.Params), len(wm.Programs), len(wm.Params))
+	}
+	for i := range wm.Programs {
+		w, g := &wm.Programs[i], &gm.Programs[i]
+		for _, sec := range []struct {
+			name string
+			w, g *uint32
+		}{
+			{"vals", &w.SecVals, &g.SecVals}, {"qvals", &w.SecQVals, &g.SecQVals},
+			{"scales", &w.SecScales, &g.SecScales}, {"colidx", &w.SecColIdx, &g.SecColIdx},
+			{"segs", &w.SecSegs, &g.SecSegs}, {"rows", &w.SecRows, &g.SecRows},
+			{"lane segs", &w.SecLaneSegs, &g.SecLaneSegs}, {"lane rows", &w.SecLaneRows, &g.SecLaneRows},
+		} {
+			if (*sec.w == 0) != (*sec.g == 0) || !bytes.Equal(wsec(*sec.w), gsec(*sec.g)) {
+				t.Fatalf("program %s: %s section differs", w.Name, sec.name)
+			}
+			*sec.w, *sec.g = 0, 0
+		}
+	}
+	for i := range wm.Params {
+		w, g := wm.Params[i], gm.Params[i]
+		if w.Name != g.Name || w.Rows != g.Rows || w.Cols != g.Cols {
+			t.Fatalf("param %d is %s %dx%d, want %s %dx%d", i, g.Name, g.Rows, g.Cols, w.Name, w.Rows, w.Cols)
+		}
+		if g.Section != 0 && !bytes.Equal(gsec(g.Section), wsec(w.Section)) {
+			t.Fatalf("param %s: section differs", g.Name)
+		}
+	}
+	wm.Params, gm.Params = nil, nil
+	wj, err := json.Marshal(&wm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gj, err := json.Marshal(&gm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wj, gj) {
+		t.Fatalf("metadata differs outside the param directory:\n got %s\nwant %s", gj, wj)
 	}
 }

@@ -29,15 +29,20 @@ import (
 // pruned weight times a non-finite input is 0·Inf = NaN in the dense
 // reference and skipped by the program.
 //
-// Ownership rule: after Compile returns, the engine's weights and programs
-// are read-only — every inference entry point (Infer, InferBatch,
-// NewStream) allocates its own recurrent state and scratch, so one Engine
-// may serve any number of goroutines concurrently. The one-time fp16 weight
-// rounding happens inside Compile, before the programs are lowered and the
-// engine is published. Training a deployed engine's model does not reach
-// the programs.
+// Ownership rule: an engine holds its spec, its biases and its programs,
+// and nothing else. Compile rounds the caller's model in place (fp16 or
+// integer, so nn.Forward on it stays the reference), lowers it, and keeps
+// copies of the biases; the loaders keep the same three things. No engine
+// points at a trainable model, so changing the caller's weights after
+// Compile changes nothing the engine serves. The engine's state is
+// read-only — every inference entry point (Infer, InferBatch, NewStream)
+// allocates its own recurrent state and scratch — so one Engine may serve
+// any number of goroutines concurrently.
 type Engine struct {
-	model  *nn.Model
+	// shell is the model's layer stack with shape-only params
+	// (nn.NewModelShell): only the params no program covers — the biases,
+	// and a 1-wide matrix — hold storage.
+	shell  *nn.Model
 	plan   *compiler.Plan
 	target *device.Target
 	pool   *parallel.Pool
@@ -84,8 +89,10 @@ type Engine struct {
 }
 
 // program returns the named weight matrix's program, or nil.
-func (e *Engine) program(name string) *compiler.PackedProgram {
-	for _, p := range e.progs {
+func (e *Engine) program(name string) *compiler.PackedProgram { return programFor(e.progs, name) }
+
+func programFor(progs []*compiler.PackedProgram, name string) *compiler.PackedProgram {
+	for _, p := range progs {
 		if p.Name == name {
 			return p
 		}
@@ -166,27 +173,57 @@ type TuneRecord struct {
 // auto-tuning search produced the current tile configuration).
 func (e *Engine) Tuned() TuneRecord { return e.tuned }
 
-// quantizeWeights rounds all parameters through fp16, reproducing the
-// paper's 16-bit GPU deployment. Called once from Compile, never after
-// the engine is shared.
-func (e *Engine) quantizeWeights() {
-	for _, p := range e.model.Params() {
-		tensor.QuantizeHalf(p.W)
+// roundWeights applies the deployment's weight rounding to model in place:
+// integer quantization of every prunable matrix (symmetric, per row) at
+// width bits, then fp16 rounding of every parameter — a quantized
+// deployment stores int weights and dequantizes into the target's compute
+// width. Compile lowers the programs from the result, so nn.Forward on it
+// scores exactly the numbers the engine produces.
+func roundWeights(model *nn.Model, bits int, fp16 bool) error {
+	if bits != 0 {
+		var mats []*tensor.Matrix
+		for _, p := range model.WeightMatrices() {
+			mats = append(mats, p.W)
+		}
+		if _, err := quant.QuantizeModelWeights(mats, bits, quant.PerRow); err != nil {
+			return err
+		}
 	}
+	if fp16 {
+		for _, p := range model.Params() {
+			tensor.QuantizeHalf(p.W)
+		}
+	}
+	return nil
 }
 
-// quantizeWeightsInt round-trips every prunable weight matrix through
-// symmetric per-row integer quantization at the given width, so functional
-// inference scores exactly the numbers an int-weight deployment produces.
-// Biases stay float (they are not streamed weight traffic). Called once
-// from Compile, never after the engine is shared.
-func (e *Engine) quantizeWeightsInt(bits int) error {
-	var mats []*tensor.Matrix
-	for _, p := range e.model.WeightMatrices() {
-		mats = append(mats, p.W)
+// shellOf returns the engine's shell for model: a shape-only shell of its
+// spec holding copies of the params no program covers.
+func shellOf(model *nn.Model, progs []*compiler.PackedProgram) *nn.Model {
+	shell := nn.NewModelShell(model.Spec)
+	src := model.Params()
+	for i, p := range shell.Params() {
+		if programFor(progs, p.Name) == nil {
+			p.W.Data = append([]float32(nil), src[i].W.Data...)
+		}
 	}
-	_, err := quant.QuantizeModelWeights(mats, bits, quant.PerRow)
-	return err
+	return shell
+}
+
+// denseModel rebuilds the dense model the programs were lowered from: the
+// shell's params plus each program's Dense(). It is how an engine re-lowers
+// (Requantize, Reprecision) without keeping a dense copy.
+func (e *Engine) denseModel() *nn.Model {
+	m := nn.NewModelShell(e.shell.Spec)
+	own := e.shell.Params()
+	for i, p := range m.Params() {
+		if prog := e.program(p.Name); prog != nil {
+			p.W = prog.Dense()
+		} else {
+			p.W.Data = append([]float32(nil), own[i].W.Data...)
+		}
+	}
+	return m
 }
 
 // Quantized reports the deployment's integer weight quantization: bits is
@@ -211,12 +248,12 @@ func (e *Engine) Precision() (tier compiler.Precision, perDelta float64, fellBac
 // width (0 = float weights), keeping the target, format, passes, tile
 // configuration, and plan cache — the run/serve -quant override for a
 // loaded bundle. The scheme must be the bundle's (it defines the BSPC
-// grid). The receiver is not modified; the new engine owns a clone of the
-// model, so narrowing is honest (widening cannot restore precision the
-// current weights no longer carry).
+// grid). The receiver is not modified; the new engine is compiled from the
+// weights the current programs hold, so narrowing is honest (widening
+// cannot restore precision they no longer carry).
 func (e *Engine) Requantize(bits int, scheme prune.BSP) (*Engine, error) {
 	opts := e.plan.Options
-	ne, err := Compile(e.model.Clone(), scheme, DeployConfig{
+	ne, err := Compile(e.denseModel(), scheme, DeployConfig{
 		Target: e.target, Format: opts.Format,
 		DisableReorder:  !opts.Reorder,
 		DisableLoadElim: !opts.EliminateRedundantLoads,
@@ -248,7 +285,7 @@ func (e *Engine) Reprecision(tier compiler.Precision, scheme prune.BSP) (*Engine
 		return e, nil
 	}
 	opts := e.plan.Options
-	return Compile(e.model.Clone(), scheme, DeployConfig{
+	return Compile(e.denseModel(), scheme, DeployConfig{
 		Target: e.target, Format: opts.Format,
 		DisableReorder:  !opts.Reorder,
 		DisableLoadElim: !opts.EliminateRedundantLoads,
@@ -293,7 +330,7 @@ func (e *Engine) Infer(frames [][]float32) [][]float32 {
 		t0 = time.Now()
 	}
 	s := e.NewStream()
-	out := e.model.Spec.OutputDim
+	out := e.shell.Spec.OutputDim
 	post := make([][]float32, len(frames))
 	flat := make([]float32, len(frames)*out)
 	for t, f := range frames {
@@ -322,7 +359,7 @@ func (e *Engine) Infer(frames [][]float32) [][]float32 {
 // Nil or empty batches return a same-length slice.
 func (e *Engine) InferBatch(batch [][][]float32) [][][]float32 {
 	out := make([][][]float32, len(batch))
-	outDim := e.model.Spec.OutputDim
+	outDim := e.shell.Spec.OutputDim
 	for i, u := range batch {
 		rows := make([][]float32, len(u))
 		flat := make([]float32, len(u)*outDim)
@@ -381,10 +418,10 @@ func (s *Stream) Reset() { s.l.inner.Reset() }
 func (e *Engine) Plan() *compiler.Plan { return e.plan }
 
 // InputDim reports the model's per-frame feature width.
-func (e *Engine) InputDim() int { return e.model.Spec.InputDim }
+func (e *Engine) InputDim() int { return e.shell.Spec.InputDim }
 
 // OutputDim reports the model's phone-posterior width.
-func (e *Engine) OutputDim() int { return e.model.Spec.OutputDim }
+func (e *Engine) OutputDim() int { return e.shell.Spec.OutputDim }
 
 // Target exposes the deployment target.
 func (e *Engine) Target() *device.Target { return e.target }

@@ -163,7 +163,10 @@ func valueBits(t *device.Target) int {
 // Compile lowers a (pruned) model for the target and returns a ready
 // Engine. The scheme must be the one the model was pruned with when Format
 // is BSPC (it defines the block grid the format and the load-elimination
-// pass read).
+// pass read). The model's weights are rounded in place to the deployment's
+// widths, so nn.Forward on it stays the engine's reference; the engine
+// keeps no reference to the model, and later changes to it do not reach
+// the engine.
 func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, error) {
 	if cfg.Target == nil {
 		return nil, fmt.Errorf("rtmobile: DeployConfig.Target is required")
@@ -215,32 +218,26 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	if err != nil {
 		return nil, err
 	}
+	// Round first, then lower, so the programs execute exactly the weights
+	// nn.Forward reads from the caller's model.
+	fp16 := opt.ValueBits == 16
+	if err := roundWeights(model, cfg.Quant, fp16); err != nil {
+		return nil, err
+	}
+	progs, err := lowerPrograms(model, scheme, opt, cfg.Target.Threads())
+	if err != nil {
+		return nil, err
+	}
 	pool := parallel.Default()
 	if cfg.Workers > 0 {
 		pool = parallel.NewPool(cfg.Workers)
 	}
-	eng := &Engine{model: model, plan: plan, target: cfg.Target, pool: pool,
-		fp16: opt.ValueBits == 16, tuned: tuned,
+	return &Engine{shell: shellOf(model, progs), progs: progs,
+		plan: plan, target: cfg.Target, pool: pool,
+		fp16: fp16, tuned: tuned,
 		quant: cfg.Quant, precision: opt.Precision,
 		stepMACs:  stepPricedMACs(plan),
-		stepBytes: uint64(plan.WeightBytes())}
-	// Integer rounding precedes fp16 rounding: a quantized deployment
-	// stores int weights and dequantizes into the target's compute width.
-	if eng.quant != 0 {
-		if err := eng.quantizeWeightsInt(eng.quant); err != nil {
-			return nil, err
-		}
-	}
-	if eng.fp16 {
-		eng.quantizeWeights()
-	}
-	// Lower after the rounding, so the programs execute exactly the weights
-	// nn.Forward reads from the engine's model.
-	eng.progs, err = lowerPrograms(model, scheme, opt, cfg.Target.Threads())
-	if err != nil {
-		return nil, err
-	}
-	return eng, nil
+		stepBytes: uint64(plan.WeightBytes())}, nil
 }
 
 // compileQuantGuarded builds the quantized and the float32 deployments

@@ -19,17 +19,20 @@ import (
 
 // Zero-copy bundle loading. MapBundle mmaps a v5 bundle (read-only, shared)
 // and reconstructs the engine by aliasing the mapped sections in place:
-// the model's weight matrices, and every packed program's flat arrays,
-// point straight into the file's pages. Load cost
-// is O(sections) descriptor work plus one streaming checksum pass — no
+// every packed program's flat arrays point straight into the file's pages
+// (the biases are copied, as Compile copies them). Load cost is
+// O(sections) descriptor work plus one streaming checksum pass — no
 // per-weight decode, no repack, no recompile — and N engines mapped from
 // one file share its pages, so resident memory grows sublinearly in the
-// model count. The portable fallback (no mmap on the platform, or a purego
-// / big-endian build that cannot alias) reads the file into one arena and
-// parses the identical format there.
+// model count. The portable fallback (no mmap on the
+// platform, or a purego / big-endian build that cannot alias) reads the
+// file into one arena and parses the identical format there. Either way
+// the engine holds what a compiled one holds — spec, biases, programs —
+// and the dense sections a file from before the compact format carries
+// are read only when its programs must be lowered again.
 
-// v5Image is a parsed v5 bundle: the engine (its weights and programs
-// potentially aliasing the backing bytes) and the stored scheme.
+// v5Image is a parsed v5 bundle: the engine (its programs potentially
+// aliasing the backing bytes) and the stored scheme.
 type v5Image struct {
 	eng    *Engine
 	scheme prune.BSP
@@ -333,6 +336,40 @@ func decodeI8(b []byte) []int8 {
 	return out
 }
 
+// Bounds on a model spec read from a bundle, so that a corrupt header can
+// neither overflow the shell's shapes nor declare more weights than any
+// deployment holds (the paper's largest model has 9.6 M).
+const (
+	maxSpecDim     = 1 << 20
+	maxSpecLayers  = 1024
+	maxModelParams = 1 << 26
+)
+
+// specShell validates a model spec read from a bundle and returns its
+// shape-only shell (nn.NewModelShell): no weight storage is allocated.
+func specShell(spec nn.ModelSpec) (*nn.Model, error) {
+	for _, d := range []int{spec.InputDim, spec.Hidden, spec.OutputDim} {
+		if d < 1 || d > maxSpecDim {
+			return nil, fmt.Errorf("rtmobile: corrupt model spec %+v", spec)
+		}
+	}
+	if spec.NumLayers < 1 || spec.NumLayers > maxSpecLayers {
+		return nil, fmt.Errorf("rtmobile: corrupt layer count %d", spec.NumLayers)
+	}
+	if spec.Cell != nn.CellGRU && spec.Cell != nn.CellLSTM {
+		return nil, fmt.Errorf("rtmobile: unknown cell type %d", spec.Cell)
+	}
+	shell := nn.NewModelShell(spec)
+	n := 0
+	for _, p := range shell.Params() {
+		n += p.W.Rows * p.W.Cols
+	}
+	if n > maxModelParams {
+		return nil, fmt.Errorf("rtmobile: model spec declares %d parameters (max %d)", n, maxModelParams)
+	}
+	return shell, nil
+}
+
 // v5MaxMetaBytes bounds the JSON metadata section so a corrupt directory
 // cannot drive an absurd unmarshal.
 const v5MaxMetaBytes = 64 << 20
@@ -361,15 +398,9 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		return zero, fmt.Errorf("rtmobile: decoding bundle metadata: %w", err)
 	}
 
-	spec := meta.Spec
-	if spec.InputDim < 1 || spec.Hidden < 1 || spec.NumLayers < 1 || spec.OutputDim < 1 {
-		return zero, fmt.Errorf("rtmobile: corrupt model spec %+v", spec)
-	}
-	if spec.NumLayers > 1024 {
-		return zero, fmt.Errorf("rtmobile: corrupt layer count %d", spec.NumLayers)
-	}
-	if spec.Cell != nn.CellGRU && spec.Cell != nn.CellLSTM {
-		return zero, fmt.Errorf("rtmobile: unknown cell type %d", spec.Cell)
+	shell, err := specShell(meta.Spec)
+	if err != nil {
+		return zero, err
 	}
 	if meta.Plan == nil {
 		return zero, fmt.Errorf("rtmobile: bundle metadata has no plan")
@@ -384,10 +415,8 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		return zero, fmt.Errorf("rtmobile: unknown tune mode %d", meta.TuneMode)
 	}
 
-	// Attach weight storage to a shell model: O(params) header work, the
-	// payload bytes stay where they are.
-	model := nn.NewModelShell(spec)
-	params := model.Params()
+	// Check the param directory against the shell; storage comes later.
+	params := shell.Params()
 	if len(meta.Params) != len(params) {
 		return zero, fmt.Errorf("rtmobile: bundle has %d params, model expects %d", len(meta.Params), len(params))
 	}
@@ -399,6 +428,20 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		if pm.Rows != p.W.Rows || pm.Cols != p.W.Cols {
 			return zero, fmt.Errorf("rtmobile: %s shape %dx%d, want %dx%d",
 				p.Name, pm.Rows, pm.Cols, p.W.Rows, p.W.Cols)
+		}
+	}
+	progs, err := storedPrograms(sections, &meta, shell)
+	if err != nil {
+		return zero, err
+	}
+	// Attach the param sections, aliased where the host allows, except
+	// those a usable stored program carries: a compact file has none for
+	// them, an older file's are ignored. Without such a program (or when the
+	// plan must be re-priced from dense weights) every param needs one.
+	for i, p := range params {
+		pm := meta.Params[i]
+		if !meta.Fused && programFor(progs, p.Name) != nil {
+			continue
 		}
 		w, err := v5F32(sections, pm.Section, "param "+p.Name, p.W.Rows*p.W.Cols)
 		if err != nil {
@@ -412,33 +455,28 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		// The stored plan prices [Wx|Wh] kernels nothing executes; price
 		// the per-matrix programs that run.
 		plan, err = compiler.CompilePlan(plan.ModelName,
-			ModelSources(model, meta.Scheme, plan.Options.Format), plan.Options,
+			ModelSources(shell, meta.Scheme, plan.Options.Format), plan.Options,
 			target.Threads(), plan.TimestepsPerFrame, plan.ElementwisePerTimestep)
 		if err != nil {
 			return zero, err
 		}
 	}
+	if progs == nil {
+		opt := plan.Options
+		opt.QuantBits = meta.QuantBits
+		progs, err = lowerPrograms(shell, meta.Scheme, opt, target.Threads())
+		if err != nil {
+			return zero, err
+		}
+	}
 	eng := &Engine{
-		model: model, plan: plan, target: target,
+		shell: shellOf(shell, progs), progs: progs, plan: plan, target: target,
 		pool:  parallel.Default(),
 		fp16:  plan.Options.ValueBits == 16,
 		tuned: TuneRecord{Mode: TuneMode(meta.TuneMode), Cost: meta.TuneCost},
 		quant: meta.QuantBits, precision: plan.Options.Precision,
 		stepMACs:  stepPricedMACs(plan),
 		stepBytes: uint64(plan.WeightBytes()),
-	}
-
-	eng.progs, err = storedPrograms(sections, &meta, model)
-	if err != nil {
-		return zero, err
-	}
-	if eng.progs == nil {
-		opt := plan.Options
-		opt.QuantBits = meta.QuantBits
-		eng.progs, err = lowerPrograms(model, meta.Scheme, opt, target.Threads())
-		if err != nil {
-			return zero, err
-		}
 	}
 	return v5Image{eng: eng, scheme: meta.Scheme}, nil
 }
@@ -451,9 +489,10 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 // that carry anything else — the [Wx|Wh] programs old fused deployments
 // wrote, which sum what a GRU keeps apart, or a file written by the
 // per-block lowering — and the caller lowers from the weights instead.
-// Corrupt sections are an error either way.
-func storedPrograms(sections map[uint32][]byte, meta *v5Meta, model *nn.Model) ([]*compiler.PackedProgram, error) {
-	srcs := ModelSources(model, meta.Scheme, meta.Plan.Options.Format)
+// Corrupt sections are an error either way. Only the shell's shapes are
+// read.
+func storedPrograms(sections map[uint32][]byte, meta *v5Meta, shell *nn.Model) ([]*compiler.PackedProgram, error) {
+	srcs := ModelSources(shell, meta.Scheme, meta.Plan.Options.Format)
 	progs := make([]*compiler.PackedProgram, 0, len(meta.Programs))
 	usable := len(meta.Programs) == len(srcs)
 	for i, pm := range meta.Programs {

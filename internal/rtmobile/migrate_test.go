@@ -68,8 +68,8 @@ func TestBatchLeaseMigration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The fast twin shares the exact engine's (already rounded) weights.
-			fast, err := Compile(exact.model.Clone(), res.Scheme, DeployConfig{
+			// The fast twin shares the weights Compile rounded in place.
+			fast, err := Compile(model.Clone(), res.Scheme, DeployConfig{
 				Target: device.MobileCPU(), Quant: quant, Precision: compiler.PrecisionFast,
 			})
 			if err != nil {

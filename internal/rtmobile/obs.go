@@ -35,7 +35,7 @@ func stepPricedMACs(plan *compiler.Plan) uint64 {
 // the tracer; read it with Spans/Stage or via Engine.LayerStats. Not safe
 // to call concurrently with in-flight inference.
 func (e *Engine) EnableTracing(ringCap int) *obs.Tracer {
-	maxIDs := max(len(e.model.Layers), len(e.plan.Matrices))
+	maxIDs := max(len(e.shell.Layers), len(e.plan.Matrices))
 	e.tracer = obs.NewTracer(ringCap, maxIDs)
 	e.traceProgs(e.tracer)
 	return e.tracer
@@ -91,8 +91,8 @@ func (ls LayerStat) AvgNs() int64 {
 // (FrameMACs / TimestepsPerFrame) — the consistency contract run -stats
 // relies on.
 func (e *Engine) LayerStats() []LayerStat {
-	stats := make([]LayerStat, len(e.model.Layers))
-	for i, l := range e.model.Layers {
+	stats := make([]LayerStat, len(e.shell.Layers))
+	for i, l := range e.shell.Layers {
 		name := ""
 		if ps := l.Params(); len(ps) > 0 {
 			name = ps[0].Name

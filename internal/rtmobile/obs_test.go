@@ -234,8 +234,8 @@ func TestLayerStatsConsistency(t *testing.T) {
 	}
 
 	stats := eng.LayerStats()
-	if len(stats) != len(eng.model.Layers) {
-		t.Fatalf("LayerStats rows %d, want %d", len(stats), len(eng.model.Layers))
+	if len(stats) != len(eng.shell.Layers) {
+		t.Fatalf("LayerStats rows %d, want %d", len(stats), len(eng.shell.Layers))
 	}
 	sumMACs := 0
 	for _, ls := range stats {

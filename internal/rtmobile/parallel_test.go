@@ -61,7 +61,7 @@ func TestInferMatchesForwardPath(t *testing.T) {
 				in[i] = q
 			}
 		}
-		want := nn.Posteriors(eng.model.Forward(in))
+		want := nn.Posteriors(eng.denseModel().Forward(in))
 		samePosteriors(t, got, want, "stream-vs-forward")
 	}
 }

@@ -99,10 +99,10 @@ func TestFastEngineBatchWithinTolerance(t *testing.T) {
 		fast := fastEngine(t, quant)
 		// Quantized deployments round their weights, so their exact twin
 		// must share those weights: rebuild the oracle from the fast
-		// engine's model (already round-tripped through quantization).
+		// engine's programs (already round-tripped through quantization).
 		oracle := exact
 		if quant != 0 {
-			oracle, err = Compile(fast.model.Clone(), res.Scheme, DeployConfig{
+			oracle, err = Compile(fast.denseModel(), res.Scheme, DeployConfig{
 				Target: device.MobileCPU(), Quant: quant,
 			})
 			if err != nil {

@@ -48,7 +48,7 @@ func TestCompileQuantRoundTripsWeights(t *testing.T) {
 		if eng.Plan().Options.QuantBits != bits {
 			t.Fatalf("plan QuantBits %d, want %d", eng.Plan().Options.QuantBits, bits)
 		}
-		for _, p := range eng.model.WeightMatrices() {
+		for _, p := range eng.denseModel().WeightMatrices() {
 			qm, err := quant.Quantize(p.W, bits, quant.PerRow)
 			if err != nil {
 				t.Fatal(err)
@@ -187,8 +187,9 @@ func TestQuantBundleV3RoundTrip(t *testing.T) {
 		if got, _, _ := loaded.Quantized(); got != bits {
 			t.Fatalf("loaded engine quantized at %d bits, want %d", got, bits)
 		}
-		for i, p := range eng.model.Params() {
-			lp := loaded.model.Params()[i]
+		reloaded := loaded.denseModel().Params()
+		for i, p := range eng.denseModel().Params() {
+			lp := reloaded[i]
 			for j := range p.W.Data {
 				if p.W.Data[j] != lp.W.Data[j] {
 					t.Fatalf("bits=%d %s[%d]: %v reloaded as %v",
@@ -209,9 +210,8 @@ func TestQuantBundleV3RoundTrip(t *testing.T) {
 }
 
 // TestQuantBundleSmaller: at the same (dense) storage format, the 8-bit
-// v4 bundle is well under half the float bundle — integers at 1 byte per
-// element vs raw float32 at 4. (v5 adds dense f32 param sections for
-// zero-copy load, so the size claim is about the compact v4 wire format.)
+// bundle is well under half the float bundle — program codes at 1 byte per
+// element vs float32 values at 4.
 func TestQuantBundleSmaller(t *testing.T) {
 	m := testModel(57)
 	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
@@ -221,7 +221,7 @@ func TestQuantBundleSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feng.SaveBundleVersion(&fbuf, res.Scheme, 4); err != nil {
+	if err := feng.SaveBundle(&fbuf, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
 	qeng, err := Compile(m.Clone(), res.Scheme, DeployConfig{
@@ -229,7 +229,7 @@ func TestQuantBundleSmaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := qeng.SaveBundleVersion(&qbuf, res.Scheme, 4); err != nil {
+	if err := qeng.SaveBundle(&qbuf, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
 	if 2*qbuf.Len() >= fbuf.Len() {

@@ -411,6 +411,12 @@ func (s *Server) routes() {
 				return
 			}
 			if len(f) != want {
+				// Mid-stream the response is committed and the stream just
+				// ends; a first frame is refused like /infer refuses it.
+				if frame == 0 {
+					http.Error(w, fmt.Sprintf("bad request: frame 0 has %d features, model wants %d",
+						len(f), want), http.StatusBadRequest)
+				}
 				return
 			}
 			st.StepInto(dst, f)

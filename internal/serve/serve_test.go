@@ -304,6 +304,12 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("/infer/stream with a malformed first frame: status %d, want 400", rec.Code)
 	}
+	// So is a first frame of the wrong width, with /infer's message.
+	rec = httptest.NewRecorder()
+	s.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer/stream", strings.NewReader("[1,2]")))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad request: frame 0 has 2 features, model wants 8") {
+		t.Fatalf("/infer/stream with a 2-wide first frame: status %d %q, want 400 naming the widths", rec.Code, rec.Body.String())
+	}
 
 	if _, total := s.slo.Totals(); total != 0 {
 		t.Errorf("refused requests took %d SLO samples, want 0", total)
