@@ -190,15 +190,27 @@ func BenchmarkMatrixReorder(b *testing.B) {
 }
 
 // BenchmarkCompilePlan measures full plan compilation (all passes) of the
-// paper-scale model for the GPU target.
+// paper-scale model for the GPU target: plain, with the analytic tiling
+// search (which re-prices the one lowered plan per candidate), and with q8
+// storage (whose plan is counted off the quantized programs).
 func BenchmarkCompilePlan(b *testing.B) {
-	model := nn.NewGRUModel(nn.PaperGRUSpec())
-	res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: 16, RowRate: 2})
-	for i := 0; i < b.N; i++ {
-		_, err := rtmobile.Compile(model, res.Scheme, rtmobile.DeployConfig{Target: device.MobileGPU()})
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		cfg  rtmobile.DeployConfig
+	}{
+		{"plain", rtmobile.DeployConfig{Target: device.MobileGPU()}},
+		{"autotune", rtmobile.DeployConfig{Target: device.MobileGPU(), AutoTuneTiling: true}},
+		{"q8", rtmobile.DeployConfig{Target: device.MobileGPU(), Quant: 8}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			model := nn.NewGRUModel(nn.PaperGRUSpec())
+			res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: 16, RowRate: 2})
+			for i := 0; i < b.N; i++ {
+				if _, err := rtmobile.Compile(model, res.Scheme, bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -19,8 +19,10 @@
 // # Execution backends
 //
 // Compiled programs run two ways. The instruction interpreter
-// (Program.Execute) walks the per-op IR and doubles as the event counter
-// feeding the device models. The packed backend (compiler.Pack) flattens
+// (Program.Execute) walks the per-op IR and counts its events — the
+// reference the packed backend and the plan's counts are tested against;
+// the plan the device models price is read off the packed program
+// (compiler.LowerMatrix lowers each matrix once). The packed backend (compiler.Pack) flattens
 // a program into flat value/column-index arrays with per-lane segment
 // descriptors and executes them through one dot kernel per shape
 // (internal/tensor) — same bytes out, roughly 1.6x faster serially, and

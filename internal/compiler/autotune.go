@@ -53,30 +53,29 @@ type TuneResult struct {
 	Evaluated int
 }
 
-// TuneTiling searches tile/unroll configurations for a fixed set of
-// compiled sources, returning the best TileConfig under costFn.
-// Deterministic: ties keep the earliest candidate.
-func TuneTiling(name string, srcs []MatrixSource, opt Options, threads, timesteps, elementwise int, space TuneSpace, costFn CostFunc) (TuneResult, error) {
+// TuneTiling prices the plan under each tile/unroll/placement candidate and
+// returns the cheapest TileConfig under costFn. The tile shapes only the
+// modelled target's kernel, not the lowering, so every candidate is a copy
+// of the one plan with its Options.Tile replaced — a candidate costs one
+// pricing, never a recompile. Deterministic: ties keep the earliest
+// candidate.
+func TuneTiling(plan *Plan, space TuneSpace, costFn CostFunc) (TuneResult, error) {
 	placements := space.Placements
 	if len(placements) == 0 {
 		placements = []Placement{PlaceShared}
 	}
 	best := TuneResult{Cost: -1}
+	cand := *plan
 	for _, rt := range space.RowTiles {
 		for _, ct := range space.ColTiles {
 			for _, un := range space.Unrolls {
 				for _, pl := range placements {
-					o := opt
-					o.Tile = TileConfig{RowTile: rt, ColTile: ct, Unroll: un, Placement: pl}
-					plan, err := CompilePlan(name, srcs, o, threads, timesteps, elementwise)
-					if err != nil {
-						return TuneResult{}, err
-					}
-					c := costFn(plan)
+					cand.Options.Tile = TileConfig{RowTile: rt, ColTile: ct, Unroll: un, Placement: pl}
+					c := costFn(&cand)
 					best.Evaluated++
 					if best.Cost < 0 || c < best.Cost {
 						best.Cost = c
-						best.Tile = o.Tile
+						best.Tile = cand.Options.Tile
 					}
 				}
 			}
@@ -115,7 +114,7 @@ func TuneBlockSize(w *tensor.Matrix, colRate, rowRate float64, threads int, spac
 			scheme := prune.BSP{ColRate: colRate, RowRate: rowRate, NumRowGroups: rg, NumColBlocks: cb}
 			projected := scheme.Project(w)
 			src := MatrixSource{Name: "tune", W: projected, Scheme: &scheme}
-			plan, err := CompilePlan("tune", []MatrixSource{src},
+			plan, _, err := CompilePlan("tune", []MatrixSource{src},
 				DefaultOptions(FormatBSPC, 16), threads, 1, 0)
 			if err != nil {
 				return nil, BlockSizeResult{}, err

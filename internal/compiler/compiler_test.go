@@ -76,14 +76,25 @@ func TestAssignThreadsBalanced(t *testing.T) {
 	// with balance=false the first thread gets all heavy rows.
 	work := []int{100, 100, 100, 100, 0, 0, 0, 0}
 	order := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	naive := threadMACsFromChunks(assignThreads(order, work, 2, false), work)
+	naive := chunkWork(assignThreads(order, work, 2, false), work)
 	if naive[0] != 400 || naive[1] != 0 {
 		t.Fatalf("naive chunking got %v", naive)
 	}
-	balanced := threadMACsFromChunks(assignThreads(order, work, 2, true), work)
+	balanced := chunkWork(assignThreads(order, work, 2, true), work)
 	if balanced[0] != 200 || balanced[1] != 200 {
 		t.Fatalf("balanced chunking got %v", balanced)
 	}
+}
+
+// chunkWork sums per-row work per thread chunk.
+func chunkWork(chunks [][]int, work []int) []int {
+	out := make([]int, len(chunks))
+	for t, rows := range chunks {
+		for _, r := range rows {
+			out[t] += work[r]
+		}
+	}
+	return out
 }
 
 func TestAssignThreadsCoversAllRows(t *testing.T) {
@@ -124,7 +135,7 @@ func TestAssignThreadsCoversAllRows(t *testing.T) {
 func TestCompileDense(t *testing.T) {
 	w := tensor.NewMatrix(32, 16)
 	w.Fill(1)
-	ms, err := CompileMatrix(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 16), 4)
+	_, ms, err := LowerMatrix(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 16), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +156,7 @@ func TestCompileDense(t *testing.T) {
 func TestCompileCSRGathers(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 1, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(2, 32, 32, scheme)
-	ms, err := CompileMatrix(MatrixSource{Name: "c", W: w}, DefaultOptions(FormatCSR, 16), 4)
+	_, ms, err := LowerMatrix(MatrixSource{Name: "c", W: w}, DefaultOptions(FormatCSR, 16), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +170,7 @@ func TestCompileCSRGathers(t *testing.T) {
 
 func TestCompileBSPCRequiresScheme(t *testing.T) {
 	w := tensor.NewMatrix(8, 8)
-	if _, err := CompileMatrix(MatrixSource{Name: "b", W: w}, DefaultOptions(FormatBSPC, 16), 2); err == nil {
+	if _, _, err := LowerMatrix(MatrixSource{Name: "b", W: w}, DefaultOptions(FormatBSPC, 16), 2); err == nil {
 		t.Fatal("BSPC without scheme should error")
 	}
 }
@@ -173,11 +184,11 @@ func TestLoadEliminationSaves(t *testing.T) {
 	without := with
 	without.EliminateRedundantLoads = false
 
-	msWith, err := CompileMatrix(src, with, 4)
+	_, msWith, err := LowerMatrix(src, with, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msWithout, err := CompileMatrix(src, without, 4)
+	_, msWithout, err := LowerMatrix(src, without, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +219,11 @@ func TestReorderImprovesBalance(t *testing.T) {
 	off := on
 	off.Reorder = false
 
-	msOn, err := CompileMatrix(src, on, 8)
+	_, msOn, err := LowerMatrix(src, on, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msOff, err := CompileMatrix(src, off, 8)
+	_, msOff, err := LowerMatrix(src, off, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +247,7 @@ func TestPlanAggregates(t *testing.T) {
 		{Name: "a", W: w, Scheme: &scheme},
 		{Name: "b", W: w, Scheme: &scheme},
 	}
-	plan, err := CompilePlan("m", srcs, DefaultOptions(FormatBSPC, 16), 4, 15, 100)
+	plan, _, err := CompilePlan("m", srcs, DefaultOptions(FormatBSPC, 16), 4, 15, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +310,11 @@ func TestTuneTilingPicksCheapest(t *testing.T) {
 		c -= float64(p.Options.Tile.Unroll)
 		return c
 	}
-	res, err := TuneTiling("m", srcs, DefaultOptions(FormatBSPC, 16), 4, 1, 0, space, cost)
+	plan, _, err := CompilePlan("m", srcs, DefaultOptions(FormatBSPC, 16), 4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := TuneTiling(plan, space, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +327,7 @@ func TestTuneTilingPicksCheapest(t *testing.T) {
 }
 
 func TestTuneTilingEmptySpace(t *testing.T) {
-	if _, err := TuneTiling("m", nil, DefaultOptions(FormatDense, 16), 1, 1, 0, TuneSpace{}, func(*Plan) float64 { return 0 }); err == nil {
+	if _, err := TuneTiling(&Plan{Options: DefaultOptions(FormatDense, 16)}, TuneSpace{}, func(*Plan) float64 { return 0 }); err == nil {
 		t.Fatal("empty space should error")
 	}
 }
@@ -347,7 +362,7 @@ func TestMaxGatherWidth(t *testing.T) {
 	w := bspMat(70, 16, 32, scheme)
 	src := MatrixSource{Name: "w", W: w, Scheme: &scheme}
 	// BSPC: width = kept cols per block = 16/4 = 4.
-	ms, err := CompileMatrix(src, DefaultOptions(FormatBSPC, 16), 2)
+	_, ms, err := LowerMatrix(src, DefaultOptions(FormatBSPC, 16), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +370,7 @@ func TestMaxGatherWidth(t *testing.T) {
 		t.Fatalf("BSPC max gather width %d, want 4", ms.MaxGatherWidth)
 	}
 	// CSR: width = max row nnz = kept cols across both blocks = 8.
-	ms, err = CompileMatrix(src, DefaultOptions(FormatCSR, 16), 2)
+	_, ms, err = LowerMatrix(src, DefaultOptions(FormatCSR, 16), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +378,7 @@ func TestMaxGatherWidth(t *testing.T) {
 		t.Fatalf("CSR max gather width %d, want 8", ms.MaxGatherWidth)
 	}
 	// Dense: no gathers.
-	ms, err = CompileMatrix(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 16), 2)
+	_, ms, err = LowerMatrix(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 16), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +406,11 @@ func TestTuneTilingSearchesPlacements(t *testing.T) {
 			return 3
 		}
 	}
-	res, err := TuneTiling("m", srcs, DefaultOptions(FormatBSPC, 16), 4, 1, 0, space, cost)
+	plan, _, err := CompilePlan("m", srcs, DefaultOptions(FormatBSPC, 16), 4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := TuneTiling(plan, space, cost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,18 +3,16 @@ package compiler
 import (
 	"fmt"
 
-	"rtmobile/internal/prune"
-	"rtmobile/internal/sparse"
 	"rtmobile/internal/tensor"
 )
 
-// Executable programs. Besides the statistics-level MatrixStats the device
-// cost models price, the compiler can lower a matrix into an explicit
-// instruction sequence — one thread-ordered program per kernel — and
-// execute it on real vectors. The executor both computes y = W·x
-// (semantics) and counts every event (gathers, streamed bytes, MACs per
-// thread), so tests can prove that the numbers the cost model is fed are
-// exactly the numbers the generated code would produce.
+// Executable programs. Lowering a matrix (codegen.go) produces an explicit
+// instruction sequence — one thread-ordered lane per kernel thread — which
+// this interpreter executes on real vectors, computing y = W·x and counting
+// every event (gathers, streamed values, MACs per thread). It is the
+// semantic reference the packed backend (pack.go) is tested against; the
+// plan's counts are read off the packed form of the same lowering, so the
+// numbers the cost models are fed are the numbers this interpreter counts.
 
 // OpCode is an executable instruction kind.
 type OpCode uint8
@@ -71,150 +69,11 @@ func (s ExecStats) TotalMACs() int {
 	return n
 }
 
-// CompileProgram lowers one matrix into an executable program under the
-// same passes CompileMatrix uses for its statistics (same reorder, same
-// thread chunking, same load-elimination decisions).
+// CompileProgram lowers one matrix into an executable program: the one
+// lowering LowerMatrix packs and counts (codegen.go).
 func CompileProgram(src MatrixSource, opt Options, threads int) (*Program, error) {
-	if src.W == nil {
-		return nil, fmt.Errorf("compiler: %s has nil weights", src.Name)
-	}
-	w := src.W
-	prog := &Program{
-		Name: src.Name, Rows: w.Rows, Cols: w.Cols,
-		Format: opt.Format, ValueBits: opt.ValueBits,
-		Precision: opt.Precision,
-	}
-
-	// Recreate the thread chunking codegen uses.
-	work := make([]int, w.Rows)
-	switch opt.Format {
-	case FormatDense:
-		for i := range work {
-			work[i] = w.Cols
-		}
-	default:
-		for i := 0; i < w.Rows; i++ {
-			n := 0
-			for _, v := range w.Row(i) {
-				if v != 0 {
-					n++
-				}
-			}
-			work[i] = n
-		}
-	}
-	order := make([]int, w.Rows)
-	for i := range order {
-		order[i] = i
-	}
-	if opt.Reorder && opt.Format != FormatDense {
-		order = Reorder(w)
-	}
-	chunks := assignThreads(order, work, threads, opt.Reorder)
-
-	switch opt.Format {
-	case FormatDense:
-		prog.Threads = lowerDense(w, chunks)
-	case FormatCSR:
-		prog.Threads = lowerCSR(w, chunks)
-	case FormatBSPC:
-		if src.Scheme == nil {
-			return nil, fmt.Errorf("compiler: %s requests BSPC without a scheme", src.Name)
-		}
-		prog.Threads = lowerBSPC(w, *src.Scheme, chunks, opt.EliminateRedundantLoads)
-	default:
-		return nil, fmt.Errorf("compiler: cannot lower format %v", opt.Format)
-	}
-	return prog, nil
-}
-
-// lowerDense emits one streaming dot per row.
-func lowerDense(w *tensor.Matrix, chunks [][]int) [][]Instr {
-	out := make([][]Instr, len(chunks))
-	for t, rows := range chunks {
-		for _, r := range rows {
-			out[t] = append(out[t], Instr{
-				Op: OpDotStream, Row: r, ColLo: 0,
-				Vals: w.Row(r),
-			})
-		}
-	}
-	return out
-}
-
-// lowerCSR emits a per-row gather followed by the row dot.
-func lowerCSR(w *tensor.Matrix, chunks [][]int) [][]Instr {
-	csr := sparse.NewCSR(w)
-	out := make([][]Instr, len(chunks))
-	for t, rows := range chunks {
-		for _, r := range rows {
-			lo, hi := csr.RowPtr[r], csr.RowPtr[r+1]
-			if lo == hi {
-				continue
-			}
-			out[t] = append(out[t],
-				Instr{Op: OpGather, Cols: csr.ColIdx[lo:hi]},
-				Instr{Op: OpDotGathered, Row: r, Vals: csr.Vals[lo:hi]},
-			)
-		}
-	}
-	return out
-}
-
-// lowerBSPC emits, per (thread, row group), one shared gather (when the
-// elimination pass is on) and one dot per surviving row; with the pass off,
-// each row re-gathers. The blocks of a row group share their surviving rows,
-// so the group's gather is its blocks' kept columns concatenated in
-// ascending order and every dot spans that whole width: a row is accumulated
-// in one float64 chain over ascending columns and rounded once — the order
-// tensor.MatVecAdd uses, which makes a BSPC program bit-equal to the dense
-// reference on the projected matrix (a pruned weight contributes +0 there
-// for any finite input). Gather and stream counts equal the per-block
-// lowering's: each (thread, block) pair still loads the block's kept columns
-// exactly once.
-func lowerBSPC(w *tensor.Matrix, scheme prune.BSP, chunks [][]int, eliminate bool) [][]Instr {
-	b := sparse.NewBSPC(w, scheme)
-	threadOf := make([]int, w.Rows)
-	for i := range threadOf {
-		threadOf[i] = -1
-	}
-	for t, rows := range chunks {
-		for _, r := range rows {
-			threadOf[r] = t
-		}
-	}
-	out := make([][]Instr, len(chunks))
-	// NewBSPC lists blocks row group by row group, column blocks ascending.
-	for lo := 0; lo < len(b.Blocks); {
-		hi := lo + 1
-		for hi < len(b.Blocks) && b.Blocks[hi].RowLo == b.Blocks[lo].RowLo {
-			hi++
-		}
-		group := b.Blocks[lo:hi]
-		lo = hi
-		var cols []int32
-		for _, blk := range group {
-			cols = append(cols, blk.ColIdx...)
-		}
-		gathered := make(map[int]bool)
-		for ri, r := range group[0].RowIdx {
-			t := threadOf[r]
-			if t < 0 {
-				continue
-			}
-			if !eliminate || !gathered[t] {
-				out[t] = append(out[t], Instr{Op: OpGather, Cols: cols})
-				gathered[t] = true
-			}
-			vals := make([]float32, 0, len(cols))
-			for _, blk := range group {
-				nc := len(blk.ColIdx)
-				vals = append(vals, blk.Vals[ri*nc:(ri+1)*nc]...)
-			}
-			out[t] = append(out[t], Instr{Op: OpDotGathered, Row: int(r), Vals: vals})
-		}
-	}
-	return out
+	prog, _, err := lowerProgram(src, opt, threads)
+	return prog, err
 }
 
 // laneCounts are one thread-lane's event counts; the executors sum them

@@ -86,7 +86,7 @@ func TestExecStatsMatchCompiledStats(t *testing.T) {
 			opt := DefaultOptions(format, 16)
 			opt.EliminateRedundantLoads = elim
 
-			ms, err := CompileMatrix(src, opt, 8)
+			_, ms, err := LowerMatrix(src, opt, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,6 +145,33 @@ func TestCompileProgramValidation(t *testing.T) {
 	w := tensor.NewMatrix(4, 4)
 	if _, err := CompileProgram(MatrixSource{Name: "b", W: w}, DefaultOptions(FormatBSPC, 16), 2); err == nil {
 		t.Fatal("BSPC without scheme accepted")
+	}
+}
+
+// An unset ValueBits means 16 bits wherever a matrix is lowered: the program
+// carries the default, so its packed footprint is the plan's, not zero.
+func TestValueBitsDefault(t *testing.T) {
+	w := tensor.NewMatrix(6, 10)
+	w.RandNormal(tensor.NewRNG(12), 1)
+	src := MatrixSource{Name: "d", W: w}
+	opt := Options{Format: FormatDense}
+	prog, err := CompileProgram(src, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := Pack(prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pp.WeightBytes(), 6*10*2; got != want {
+		t.Fatalf("packed dense program stores %dB, want %dB at the 16-bit default", got, want)
+	}
+	_, ms, err := LowerMatrix(src, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.WeightBytes != pp.WeightBytes() {
+		t.Fatalf("plan prices %dB, program stores %dB", ms.WeightBytes, pp.WeightBytes())
 	}
 }
 

@@ -74,10 +74,12 @@ func FuzzCompileProgram(f *testing.F) {
 // FuzzPackProgram drives the pack lowering over adversarially-shaped
 // compiled programs and checks that packing never panics, that every
 // successfully packed program executes byte-for-byte like the interpreter,
-// that the static stats match the interpreter's dynamic count, and the
-// dense-order contract: accumulating
-// the program into a biased y is tensor.MatVecAdd on the (BSP-projected)
-// matrix bit for bit, in every format.
+// that the static stats match the interpreter's dynamic count, the
+// dense-order contract — accumulating the program into a biased y is
+// tensor.MatVecAdd on the (BSP-projected) matrix bit for bit, in every
+// format — and the identities of the stats LowerMatrix reads off its own
+// lowering: ΣThreadMACs = TotalMACs, GatherLoads + EliminatedLoads = MACs on
+// the gathered formats, WeightBytes = the program's.
 func FuzzPackProgram(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint16(8), uint8(0), int16(4), uint8(3), uint8(3), false)
 	f.Add(uint64(2), uint16(8), uint16(0), uint8(1), int16(4), uint8(2), uint8(2), false)
@@ -142,15 +144,28 @@ func FuzzPackProgram(f *testing.F) {
 		if prog.Format == FormatBSPC {
 			src.Scheme = &scheme
 		}
+		opt.QuantBits = bits
+		// relower lowers m once and checks the identities of the stats read
+		// off that lowering against the program it returns.
 		relower := func(m *tensor.Matrix) *PackedProgram {
 			src.W = m
-			lowered, err := CompileProgram(src, opt, int(threads))
+			packed, ms, err := LowerMatrix(src, opt, int(threads))
 			if err != nil {
 				t.Fatalf("re-lowering: %v", err)
 			}
-			packed, err := PackQuant(lowered, bits, quant.PerRow)
-			if err != nil {
-				t.Fatalf("re-packing: %v", err)
+			if ms.MACs() != packed.TotalMACs() {
+				t.Fatalf("q%d fmt=%s: ΣThreadMACs %d != TotalMACs %d", bits, prog.Format, ms.MACs(), packed.TotalMACs())
+			}
+			if ms.WeightBytes != packed.WeightBytes() {
+				t.Fatalf("q%d fmt=%s: WeightBytes %d != program's %d", bits, prog.Format, ms.WeightBytes, packed.WeightBytes())
+			}
+			gathered := ms.GatherLoads + ms.EliminatedLoads
+			if prog.Format == FormatDense && (gathered != 0 || ms.InputLoads != w.Cols) {
+				t.Fatalf("dense: %d gathered loads, %d input loads (want 0, %d)", gathered, ms.InputLoads, w.Cols)
+			}
+			if prog.Format != FormatDense && gathered != ms.MACs() {
+				t.Fatalf("fmt=%s: GatherLoads %d + EliminatedLoads %d != MACs %d",
+					prog.Format, ms.GatherLoads, ms.EliminatedLoads, ms.MACs())
 			}
 			return packed
 		}

@@ -3,8 +3,10 @@
 // similar computation patterns to fix thread load imbalance, redundant-load
 // elimination across neighbouring rows that share a BSP column pattern, the
 // BSPC storage selection, and the auto-tuner that searches block size,
-// tiling and unrolling. The output is an ExecutionPlan — a statistics-level
-// IR the device models (internal/device) execute analytically.
+// tiling and unrolling. Each matrix is lowered once into the packed program
+// a deployment runs, and the Plan — the statistics-level IR the device
+// models (internal/device) execute analytically — is counted off those
+// programs.
 package compiler
 
 import (

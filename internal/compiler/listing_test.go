@@ -15,7 +15,7 @@ func compileTestPlan(t *testing.T, format Format, reorder, loadelim bool) *Plan 
 	opt := DefaultOptions(format, 16)
 	opt.Reorder = reorder
 	opt.EliminateRedundantLoads = loadelim
-	plan, err := CompilePlan("m", []MatrixSource{src}, opt, 4, 30, 128)
+	plan, _, err := CompilePlan("m", []MatrixSource{src}, opt, 4, 30, 128)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,29 +1,30 @@
 package compiler
 
-import (
-	"rtmobile/internal/prune"
-	"rtmobile/internal/tensor"
-)
+import "rtmobile/internal/sparse"
 
 // Redundant load elimination (Section IV-B(b)). After BSP pruning, all
 // surviving rows of a block share the block's kept-column list, so a thread
-// processing several such rows needs the gathered input values only once.
-// The pass counts, per (block × thread), one gather of the kept columns
-// instead of one per row. Unstructured sparsity cannot do this — each row's
-// column set differs — which is why the paper ties the optimization to BSP.
+// processing several such rows needs the gathered input values only once:
+// the lowering below emits one gather per (thread, row group) instead of one
+// per row. Unstructured sparsity cannot do this — each row's column set
+// differs — which is why the paper ties the optimization to BSP. The plan
+// counts the pass off the packed program: EliminatedLoads is MACs minus
+// GatherLoads, since a row that re-gathered would load exactly its dot's
+// width (codegen.go, LowerMatrix).
 
-// bspcLoads computes (gatherLoads, regularInputLoads, eliminatedLoads) for
-// one application of a BSP-pruned matrix.
-//
-// Without elimination: every surviving row of every block gathers that
-// block's kept columns (rows × keptCols indexed loads per block).
-// With elimination: each thread that owns ≥1 row of a block gathers the
-// block's kept columns once; subsequent rows in the same thread reuse them.
-func bspcLoads(w *tensor.Matrix, scheme prune.BSP, eliminate bool, chunks [][]int) (gather, input, eliminated int) {
-	pats := scheme.Pattern(w)
-
-	// Thread ownership of each row.
-	threadOf := make([]int, w.Rows)
+// lowerBSPC emits, per (thread, row group), one shared gather (when the
+// elimination pass is on) and one dot per surviving row; with the pass off,
+// each row re-gathers. The blocks of a row group share their surviving rows,
+// so the group's gather is its blocks' kept columns concatenated in
+// ascending order and every dot spans that whole width: a row is accumulated
+// in one float64 chain over ascending columns and rounded once — the order
+// tensor.MatVecAdd uses, which makes a BSPC program bit-equal to the dense
+// reference on the projected matrix (a pruned weight contributes +0 there
+// for any finite input). Gather and stream counts equal the per-block
+// lowering's: each (thread, block) pair still loads the block's kept columns
+// exactly once.
+func lowerBSPC(b *sparse.BSPC, chunks [][]int, eliminate bool) [][]Instr {
+	threadOf := make([]int, b.Rows)
 	for i := range threadOf {
 		threadOf[i] = -1
 	}
@@ -32,27 +33,36 @@ func bspcLoads(w *tensor.Matrix, scheme prune.BSP, eliminate bool, chunks [][]in
 			threadOf[r] = t
 		}
 	}
-
-	for _, p := range pats {
-		kc := len(p.KeptCols)
-		if kc == 0 || len(p.KeptRows) == 0 {
-			continue
+	out := make([][]Instr, len(chunks))
+	// NewBSPC lists blocks row group by row group, column blocks ascending.
+	for lo := 0; lo < len(b.Blocks); {
+		hi := lo + 1
+		for hi < len(b.Blocks) && b.Blocks[hi].RowLo == b.Blocks[lo].RowLo {
+			hi++
 		}
-		naive := len(p.KeptRows) * kc
-		if !eliminate {
-			gather += naive
-			continue
+		group := b.Blocks[lo:hi]
+		lo = hi
+		var cols []int32
+		for _, blk := range group {
+			cols = append(cols, blk.ColIdx...)
 		}
-		// One gather per thread owning rows of this block.
-		threadsSeen := map[int]bool{}
-		for _, r := range p.KeptRows {
-			if t := threadOf[r]; t >= 0 {
-				threadsSeen[t] = true
+		gathered := make(map[int]bool)
+		for ri, r := range group[0].RowIdx {
+			t := threadOf[r]
+			if t < 0 {
+				continue
 			}
+			if !eliminate || !gathered[t] {
+				out[t] = append(out[t], Instr{Op: OpGather, Cols: cols})
+				gathered[t] = true
+			}
+			vals := make([]float32, 0, len(cols))
+			for _, blk := range group {
+				nc := len(blk.ColIdx)
+				vals = append(vals, blk.Vals[ri*nc:(ri+1)*nc]...)
+			}
+			out[t] = append(out[t], Instr{Op: OpDotGathered, Row: int(r), Vals: vals})
 		}
-		g := len(threadsSeen) * kc
-		gather += g
-		eliminated += naive - g
 	}
-	return gather, input, eliminated
+	return out
 }

@@ -48,7 +48,9 @@ import (
 // summation order. The fast tier replaces bit-equality with the tolerance contract of
 // precision.go. Event counts are static per program — every gather and dot
 // width is known at pack time — so ExecStats are precomputed and returned
-// without instrumenting the hot loop.
+// without instrumenting the hot loop, and they are what the plan's counted
+// fields are read from (LowerMatrix, codegen.go): the device models price
+// the packed program a deployment runs, not a model of it.
 
 // Segment kinds. A segment is one gather (or dense window) plus the run of
 // row dots that consume it — the packed equivalent of an OpGather followed

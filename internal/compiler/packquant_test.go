@@ -191,7 +191,7 @@ func TestPackQuantRejects(t *testing.T) {
 }
 
 // TestQuantFootprintMatchesMultiplier pins satellite accounting: with
-// Options.QuantBits set, CompileMatrix computes WeightBytes from the real
+// Options.QuantBits set, LowerMatrix computes WeightBytes from the real
 // packed storage, and that figure agrees with the historical
 // bit-width multiplier (stored-values × bits, rounded up) within one byte
 // of padding for every format and bit width.
@@ -218,7 +218,7 @@ func TestQuantFootprintMatchesMultiplier(t *testing.T) {
 		for _, bits := range quantBitModes {
 			opt := DefaultOptions(format, 32)
 			opt.QuantBits = bits
-			ms, err := CompileMatrix(src, opt, 4)
+			_, ms, err := LowerMatrix(src, opt, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

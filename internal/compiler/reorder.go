@@ -63,6 +63,34 @@ func Reorder(w *tensor.Matrix) []int {
 	return perm
 }
 
+// schedule is the lowering's row schedule: per-row work (MACs per output
+// element — Cols on dense, the row's nonzeros otherwise), the storage order
+// the reorder pass chooses (identity when it is off or the format is dense),
+// and that order cut into per-thread chunks.
+func schedule(w *tensor.Matrix, opt Options, threads int) (order []int, chunks [][]int) {
+	work := make([]int, w.Rows)
+	for i := range work {
+		if opt.Format == FormatDense {
+			work[i] = w.Cols
+			continue
+		}
+		for _, v := range w.Row(i) {
+			if v != 0 {
+				work[i]++
+			}
+		}
+	}
+	if opt.Reorder && opt.Format != FormatDense {
+		order = Reorder(w)
+	} else {
+		order = make([]int, w.Rows)
+		for i := range order {
+			order[i] = i
+		}
+	}
+	return order, assignThreads(order, work, threads, opt.Reorder)
+}
+
 // assignThreads partitions rows (in the given storage order) into
 // contiguous per-thread chunks. With balance=true it uses work-aware
 // boundaries (each chunk targets an equal share of total work, which is
@@ -102,15 +130,4 @@ func assignThreads(order []int, work []int, threads int, balance bool) [][]int {
 		acc += work[r]
 	}
 	return chunks
-}
-
-// threadMACsFromChunks sums per-row work per thread.
-func threadMACsFromChunks(chunks [][]int, work []int) []int {
-	out := make([]int, len(chunks))
-	for t, rows := range chunks {
-		for _, r := range rows {
-			out[t] += work[r]
-		}
-	}
-	return out
 }

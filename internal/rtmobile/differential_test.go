@@ -287,18 +287,22 @@ func TestEngineDifferential(t *testing.T) {
 	// also pin the section layout: a fresh Compile writes the same programs
 	// and metadata — only the param directory differs, the covered params'
 	// dense sections being gone — and re-saving a mapped fixture writes
-	// exactly a fresh Compile's bytes.
+	// exactly a fresh Compile's bytes. The q8 v5 file's writer priced its
+	// programs from the unrounded weights; its plan is the one exception to
+	// the metadata's byte equality: a fresh Compile's plan, and the mapped
+	// engine's, must be the plan of the fixture's own stored programs.
 	utts = diffUtterances(fixtureSpec.InputDim)
 	for _, fx := range []struct {
-		file    string
-		version int
-		tier    diffTier
+		file     string
+		version  int
+		tier     diffTier
+		repriced bool
 	}{
-		{"parent_v4.rtmb", 4, diffTiers[0]},
-		{"parent_v5.rtmb", 5, diffTiers[0]},
-		{"parent_v4_q8.rtmb", 4, diffTiers[2]},
-		{"parent_v5_q8.rtmb", 5, diffTiers[2]},
-		{"parent_v5_q16.rtmb", 5, diffTiers[3]},
+		{"parent_v4.rtmb", 4, diffTiers[0], false},
+		{"parent_v5.rtmb", 5, diffTiers[0], false},
+		{"parent_v4_q8.rtmb", 4, diffTiers[2], false},
+		{"parent_v5_q8.rtmb", 5, diffTiers[2], true},
+		{"parent_v5_q16.rtmb", 5, diffTiers[3], false},
 	} {
 		t.Run(fx.file, func(t *testing.T) {
 			model := fixtureModel()
@@ -326,7 +330,11 @@ func TestEngineDifferential(t *testing.T) {
 			if err := eng.SaveBundle(&fresh, fixtureScheme); err != nil {
 				t.Fatal(err)
 			}
-			sameV5Layout(t, readFixture(t, fx.file), fresh.Bytes())
+			var storedPlan *compiler.Plan
+			if fx.repriced {
+				storedPlan = planOfPrograms(t, mb.Engine())
+			}
+			sameV5Layout(t, readFixture(t, fx.file), fresh.Bytes(), storedPlan)
 			if err := mb.Engine().SaveBundle(&resaved, fixtureScheme); err != nil {
 				t.Fatal(err)
 			}
@@ -470,15 +478,39 @@ func v5Resolved(t *testing.T, image []byte) (v5Meta, func(id uint32) []byte) {
 	}
 }
 
+// planOfPrograms returns the plan of a fixture engine's own programs: each
+// lowered again from its values (PackedProgram.Dense) under fixtureScheme and
+// the engine's plan options and storage width.
+func planOfPrograms(t *testing.T, e *Engine) *compiler.Plan {
+	t.Helper()
+	var srcs []compiler.MatrixSource
+	for _, pp := range e.progs {
+		s := fixtureScheme
+		srcs = append(srcs, compiler.MatrixSource{Name: pp.Name, W: pp.Dense(), Scheme: &s})
+	}
+	opt := e.plan.Options
+	opt.QuantBits = e.quant
+	plan, _, err := compiler.CompilePlan(e.plan.ModelName, srcs, opt, e.target.Threads(),
+		e.plan.TimestepsPerFrame, e.plan.ElementwisePerTimestep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 // sameV5Layout asserts that got stores what want stores, section ids
 // aside: every program's header and section payloads, and every metadata
 // field but the param directory, byte for byte. Of the param directory it
 // requires the same names and shapes, and that each section got keeps (a
-// param no program covers) holds want's bytes.
-func sameV5Layout(t *testing.T, want, got []byte) {
+// param no program covers) holds want's bytes. A non-nil wantPlan replaces
+// want's stored plan in the comparison.
+func sameV5Layout(t *testing.T, want, got []byte, wantPlan *compiler.Plan) {
 	t.Helper()
 	wm, wsec := v5Resolved(t, want)
 	gm, gsec := v5Resolved(t, got)
+	if wantPlan != nil {
+		wm.Plan = wantPlan
+	}
 	if len(gm.Programs) != len(wm.Programs) || len(gm.Params) != len(wm.Params) {
 		t.Fatalf("%d programs / %d params, want %d / %d",
 			len(gm.Programs), len(gm.Params), len(wm.Programs), len(wm.Params))

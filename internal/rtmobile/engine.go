@@ -100,27 +100,6 @@ func programFor(progs []*compiler.PackedProgram, name string) *compiler.PackedPr
 	return nil
 }
 
-// lowerPrograms compiles and packs every prunable weight matrix of the
-// model under the plan's options — the one lowering a deployment performs,
-// one program per matrix: a GRU keeps Wx·x and Wh·h apart (the reset gate
-// scales only the recurrent half).
-func lowerPrograms(model *nn.Model, scheme prune.BSP, opt compiler.Options, threads int) ([]*compiler.PackedProgram, error) {
-	srcs := ModelSources(model, scheme, opt.Format)
-	progs := make([]*compiler.PackedProgram, 0, len(srcs))
-	for _, src := range srcs {
-		prog, err := compiler.CompileProgram(src, opt, threads)
-		if err != nil {
-			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
-		}
-		pp, err := compiler.PackQuant(prog, opt.QuantBits, quant.PerRow)
-		if err != nil {
-			return nil, fmt.Errorf("rtmobile: %s: %w", src.Name, err)
-		}
-		progs = append(progs, pp)
-	}
-	return progs, nil
-}
-
 // kernels binds nn's steppers to the engine's programs. scratch is the
 // opening session's private gather/accumulator arena, shared by all of its
 // programs (they run one after another). A program's run entries only fail

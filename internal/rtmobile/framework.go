@@ -198,35 +198,27 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	if opt.Tile == (compiler.TileConfig{}) {
 		opt.Tile = compiler.DefaultTile()
 	}
-	// FormatDense never has a scheme requirement; FormatBSPC does.
-	srcs := ModelSources(model, scheme, opt.Format)
-
-	var tuned TuneRecord
-	if cfg.AutoTuneTiling {
-		res, err := compiler.TuneTiling(model.Spec.String(), srcs, opt,
-			cfg.Target.Threads(), TimestepsPerFrame, elementwiseOps(model),
-			compiler.DefaultTuneSpace(), cfg.Target.CostFunc())
-		if err != nil {
-			return nil, err
-		}
-		opt.Tile = res.Tile
-		tuned = TuneRecord{Mode: TuneAnalytic, Cost: res.Cost}
-	}
-
-	plan, err := compiler.CompilePlan(model.Spec.String(), srcs, opt,
-		cfg.Target.Threads(), TimestepsPerFrame, elementwiseOps(model))
-	if err != nil {
-		return nil, err
-	}
-	// Round first, then lower, so the programs execute exactly the weights
-	// nn.Forward reads from the caller's model.
+	// Round first, then lower once: the programs execute exactly the
+	// weights nn.Forward reads from the caller's model, and the plan is
+	// counted off those programs.
 	fp16 := opt.ValueBits == 16
 	if err := roundWeights(model, cfg.Quant, fp16); err != nil {
 		return nil, err
 	}
-	progs, err := lowerPrograms(model, scheme, opt, cfg.Target.Threads())
+	plan, progs, err := compiler.CompilePlan(model.Spec.String(),
+		ModelSources(model, scheme, opt.Format), opt,
+		cfg.Target.Threads(), TimestepsPerFrame, elementwiseOps(model))
 	if err != nil {
 		return nil, err
+	}
+	var tuned TuneRecord
+	if cfg.AutoTuneTiling {
+		res, err := compiler.TuneTiling(plan, compiler.DefaultTuneSpace(), cfg.Target.CostFunc())
+		if err != nil {
+			return nil, err
+		}
+		plan.Options.Tile = res.Tile
+		tuned = TuneRecord{Mode: TuneAnalytic, Cost: res.Cost}
 	}
 	pool := parallel.Default()
 	if cfg.Workers > 0 {

@@ -436,11 +436,11 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 	}
 	// Attach the param sections, aliased where the host allows, except
 	// those a usable stored program carries: a compact file has none for
-	// them, an older file's are ignored. Without such a program (or when the
-	// plan must be re-priced from dense weights) every param needs one.
+	// them, an older file's are ignored. Without such a program every param
+	// needs one.
 	for i, p := range params {
 		pm := meta.Params[i]
-		if !meta.Fused && programFor(progs, p.Name) != nil {
+		if programFor(progs, p.Name) != nil {
 			continue
 		}
 		w, err := v5F32(sections, pm.Section, "param "+p.Name, p.W.Rows*p.W.Cols)
@@ -450,23 +450,29 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 		p.W.Data = w
 	}
 
+	// Lower once where the stored plan does not price what the engine will
+	// run: a fused plan priced [Wx|Wh] kernels nothing executes, an older
+	// writer priced quantized programs from their unrounded weights, and a
+	// bundle without usable programs runs the lowering's. Stored programs
+	// are lowered again from their own values (PackedProgram.Dense).
 	plan := meta.Plan
-	if meta.Fused {
-		// The stored plan prices [Wx|Wh] kernels nothing executes; price
-		// the per-matrix programs that run.
-		plan, err = compiler.CompilePlan(plan.ModelName,
-			ModelSources(shell, meta.Scheme, plan.Options.Format), plan.Options,
+	if meta.Fused || progs == nil || !plan.Prices(progs) {
+		opt := plan.Options
+		opt.QuantBits = meta.QuantBits
+		srcs := ModelSources(shell, meta.Scheme, opt.Format)
+		for i := range srcs {
+			if pp := programFor(progs, srcs[i].Name); pp != nil {
+				srcs[i].W = pp.Dense()
+			}
+		}
+		lowered, lprogs, err := compiler.CompilePlan(plan.ModelName, srcs, opt,
 			target.Threads(), plan.TimestepsPerFrame, plan.ElementwisePerTimestep)
 		if err != nil {
 			return zero, err
 		}
-	}
-	if progs == nil {
-		opt := plan.Options
-		opt.QuantBits = meta.QuantBits
-		progs, err = lowerPrograms(shell, meta.Scheme, opt, target.Threads())
-		if err != nil {
-			return zero, err
+		plan = lowered
+		if progs == nil {
+			progs = lprogs
 		}
 	}
 	eng := &Engine{
