@@ -38,6 +38,19 @@ func applyWorkers(n int) error {
 	return nil
 }
 
+// parseFlags parses a subcommand's arguments and refuses any left over:
+// flag parsing stops at the first non-flag argument, so without the check
+// every flag after a stray value would be silently ignored.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q (flags after it were not parsed)", fs.Name(), fs.Arg(0))
+	}
+	return nil
+}
+
 // precisionFlag adds the shared -precision knob selecting the kernel tier
 // a deployment compiles for.
 func precisionFlag(fs *flag.FlagSet) *string {
@@ -61,7 +74,7 @@ func cmdCorpus(args []string) error {
 	cfg := corpusFlags(fs)
 	verbose := fs.Bool("v", false, "print a sample utterance alignment")
 	wavDir := fs.String("wav-dir", "", "directory to export sample WAV files to")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	c, err := speech.GenerateCorpus(*cfg)
@@ -99,7 +112,7 @@ func cmdTrain(args []string) error {
 	lr := fs.Float64("lr", 3e-3, "Adam learning rate")
 	out := fs.String("out", "model.bin", "output model path")
 	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := applyWorkers(*workers); err != nil {
@@ -145,7 +158,7 @@ func cmdPrune(args []string) error {
 	colBlocks := fs.Int("col-blocks", 4, "BSP column blocks")
 	iters := fs.Int("admm-iters", 3, "ADMM iterations")
 	ftEpochs := fs.Int("finetune-epochs", 14, "masked fine-tune epochs")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	model, err := loadModel(*in)
@@ -198,7 +211,7 @@ func cmdCompile(args []string) error {
 	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights)")
 	precName := precisionFlag(fs)
 	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := applyWorkers(*workers); err != nil {
@@ -255,7 +268,7 @@ func cmdAutotune(args []string) error {
 	row := fs.Float64("row", 2, "row compression rate")
 	hidden := fs.Int("hidden", 1024, "GRU hidden size to tune for")
 	accWeight := fs.Float64("acc-weight", 1.0, "accuracy-proxy weight in the block-size score")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	target, err := parseTarget(*targetName)
@@ -293,7 +306,7 @@ func cmdBench(args []string) error {
 	full := fs.Bool("full", false, "full-scale Table I (minutes of training)")
 	stages := fs.Int("stages", 0, "override the BSP gradual-pruning stage count (0 = config default)")
 	jsonOut := fs.String("json", "", "with -exp precision or slo: also write the rows as JSON to this path (e.g. BENCH_9.json)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	runT2 := func() ([]bench.TableIIRow, error) {
@@ -466,7 +479,7 @@ func cmdDeploy(args []string) error {
 	tune := fs.Bool("autotune", false, "search the modelled target's tile on its analytic cost model before bundling (the verdict is cached in the bundle)")
 	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights; stored in the bundle)")
 	precName := precisionFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	model, err := loadModel(*in)
@@ -599,7 +612,7 @@ func cmdRun(args []string) error {
 	quantBits := fs.Int("quant", -1, "override the bundle's quantization width: 8, 12, 16, or 0 for float32 (-1 = keep bundle width)")
 	precName := fs.String("precision", "", "override the bundle's kernel tier: exact or fast (empty = keep bundle tier)")
 	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := applyWorkers(*workers); err != nil {
@@ -623,7 +636,7 @@ func cmdRun(args []string) error {
 	}
 	eng.SetWorkers(*workers)
 	if *stats {
-		eng.EnableTracing(4096)
+		eng.EnableTracing()
 	}
 	fmt.Printf("loaded %s: scheme %s, %s\n", *bundle, scheme.Name(), eng.Plan())
 	printTuneRecord(eng)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -181,5 +182,38 @@ func TestCmdErrorsOnMissingFiles(t *testing.T) {
 	}
 	if err := cmdRun([]string{"-bundle", "/nonexistent/b.rtmb"}); err == nil {
 		t.Fatal("missing bundle accepted")
+	}
+}
+
+// TestCmdRejectsStrayArguments: flag parsing stops at the first non-flag
+// argument, so every subcommand must refuse one instead of silently dropping
+// the flags after it. Each case puts an invalid flag before the stray value,
+// so a command that ignored the leftover would still fail fast — but on the
+// flag, not on the argument the error must name.
+func TestCmdRejectsStrayArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cmd   func([]string) error
+		args  []string
+		stray string
+	}{
+		{"corpus", cmdCorpus, []string{"-speakers", "1", "stray"}, "stray"},
+		{"train", cmdTrain, []string{"-workers", "-1", "stray", "-epochs", "1"}, "stray"},
+		{"prune", cmdPrune, []string{"-in", "/nonexistent/m.bin", "stray"}, "stray"},
+		{"compile", cmdCompile, []string{"-in", "/nonexistent/m.bin", "stray", "-target", "cpu"}, "stray"},
+		{"autotune", cmdAutotune, []string{"-target", "nope", "stray"}, "stray"},
+		{"bench", cmdBench, []string{"-exp", "nope", "stray"}, "stray"},
+		{"deploy", cmdDeploy, []string{"-in", "/nonexistent/m.bin", "stray", "-out", "x.rtmb"}, "stray"},
+		{"run", cmdRun, []string{"-bundle", "/nonexistent/b.rtmb", "stray", "-stats"}, "stray"},
+		{"loadgen", cmdLoadgen, []string{"-qps", "0", "stray"}, "stray"},
+		// A boolean -trace followed by a value, as the old ring capacity was.
+		{"serve", cmdServe, []string{"-bundle", "/nonexistent/m.rtmb", "-trace", "4096", "-addr", "127.0.0.1:0"}, "4096"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cmd(tc.args)
+			if err == nil || !strings.Contains(err.Error(), `"`+tc.stray+`"`) {
+				t.Fatalf("%s %v: error %v, want one naming the stray argument %q", tc.name, tc.args, err, tc.stray)
+			}
+		})
 	}
 }

@@ -28,7 +28,7 @@ func cmdLoadgen(args []string) error {
 	maxFrames := fs.Int("max-frames", 25, "truncate each utterance to this many frames (0 = full utterances)")
 	dim := fs.Int("dim", 0, "served model's input dimension; corpus frames are truncated or tiled to fit (0 = corpus feature width)")
 	jsonOut := fs.String("json", "", "also write the measured row as JSON to this path")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *qps <= 0 {

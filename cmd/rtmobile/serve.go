@@ -57,7 +57,7 @@ func cmdServe(args []string) error {
 	})
 	targetName := fs.String("target", "gpu", "target: gpu or cpu")
 	addr := fs.String("addr", "localhost:8090", "listen address")
-	trace := fs.Int("trace", 0, "stage-trace ring capacity (0 = tracing off)")
+	trace := fs.Bool("trace", false, "total per-layer, epilogue and kernel time for the /statz table")
 	quantBits := fs.Int("quant", -1, "override the bundle's quantization width: 8, 12, 16, or 0 for float32 (-1 = keep bundle width)")
 	precName := fs.String("precision", "", "override the bundle's kernel tier: exact or fast (empty = keep bundle tier)")
 	maxBatch := fs.Int("max-batch", 8, fmt.Sprintf("wide panel shape, 1..%d: a lone request is stepped alone at width 1, and the panel grows to this width the moment a second one waits (1 = never batch)", rtmobile.MaxBatchWidth))
@@ -66,7 +66,7 @@ func cmdServe(args []string) error {
 	sloTarget := fs.Float64("slo-target", 0.99, "SLO attainment target in (0,1], e.g. 0.999")
 	traceTail := fs.Int("trace-tail", serve.DefaultTailSlow, "slowest-N request traces retained for /debug/traces (errored ring sized to match)")
 	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if err := applyWorkers(*workers); err != nil {
@@ -114,8 +114,8 @@ func cmdServe(args []string) error {
 			return registry.Instance{}, err
 		}
 		eng.SetWorkers(*workers)
-		if *trace > 0 {
-			eng.EnableTracing(*trace)
+		if *trace {
+			eng.EnableTracing()
 		}
 		return registry.Instance{Engine: eng, Close: mb.Close}, nil
 	}

@@ -214,7 +214,7 @@ func TestServeInferValidation(t *testing.T) {
 
 func TestServeStatzTracesLayers(t *testing.T) {
 	eng := serveEngine(t)
-	eng.EnableTracing(256)
+	eng.EnableTracing()
 	mux := serveMux(t, eng)
 
 	body, _ := json.Marshal(serveFrames(4, eng.InputDim()))
@@ -256,7 +256,7 @@ func TestServeStatzQuantized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.EnableTracing(256)
+	eng.EnableTracing()
 	mux := serveMux(t, eng)
 
 	body, _ := json.Marshal(serveFrames(4, eng.InputDim()))

@@ -119,22 +119,21 @@ type PackedProgram struct {
 	// counts.
 	totalMACs int
 
-	// seg and segBatch are the segment kernels the tier resolves to, and
-	// kind the matching kernel span kind; see bind.
+	// seg and segBatch are the segment kernels the tier resolves to; see
+	// bind.
 	seg      segKernel
 	segBatch segBatchKernel
-	kind     obs.StageKind
 
-	// trace, when non-nil, receives one kernel span per execution, labeled
-	// traceID and the batch width. Event counts are static, so the span plus
-	// the program's Stats() fully price an execution without hot-loop
+	// trace, when non-nil, totals one obs.StageKernel execution per run
+	// under traceID. Event counts are static, so the total plus the
+	// program's Stats() fully price an execution without hot-loop
 	// instrumentation.
 	trace   *obs.Tracer
 	traceID int32
 }
 
 // SetTracer attaches (or detaches, with nil) a stage tracer to this
-// program. id labels the recorded kernel spans — the engine uses the plan's
+// program. id labels the recorded kernel totals — the engine uses the plan's
 // matrix index. Not safe to change concurrently with executions.
 func (p *PackedProgram) SetTracer(tr *obs.Tracer, id int32) {
 	p.trace = tr
@@ -168,17 +167,17 @@ func (p *PackedProgram) WeightBytes() int {
 	return (len(p.Vals)*bits + 7) / 8
 }
 
-// observe records one finished execution of bw lanes: a kernel-latency
-// sample and, with a tracer attached, one kernel span. Work counters
+// observe records one finished execution: a kernel-latency sample and,
+// with a tracer attached, one kernel execution in its totals. Work counters
 // (MACsTotal, BytesStreamed) are metered once per step by the engine that
 // drives the programs, at the plan's prices, not here. Allocation-free.
-func (p *PackedProgram) observe(t0 time.Time, bw int, m *obs.Metrics) {
+func (p *PackedProgram) observe(t0 time.Time, m *obs.Metrics) {
 	dur := time.Since(t0).Nanoseconds()
 	if m != nil {
 		m.KernelLatency.Observe(dur)
 	}
 	if p.trace != nil {
-		p.trace.Record(p.kind, p.traceID, int32(bw), t0.UnixNano(), dur)
+		p.trace.Record(obs.StageKernel, p.traceID, dur)
 	}
 }
 
@@ -613,7 +612,7 @@ func (p *PackedProgram) RunBatchAdd(y, x []float32, bw int, s *PackedScratch) er
 		}
 	}
 	if track {
-		p.observe(t0, bw, m)
+		p.observe(t0, m)
 	}
 	return nil
 }

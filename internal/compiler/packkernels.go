@@ -1,9 +1,6 @@
 package compiler
 
-import (
-	"rtmobile/internal/obs"
-	"rtmobile/internal/tensor"
-)
+import "rtmobile/internal/tensor"
 
 // Segment kernels. A packed program's kernel tier is fixed when it is built;
 // bind resolves it once into the two functions the lane loops call per
@@ -25,15 +22,10 @@ type segKernel func(y []float32, rows []int32, off, nc int, g []float32)
 // lanes. s lends the per-lane accumulators.
 type segBatchKernel func(y []float32, rows []int32, off, nc int, g []float32, bw int, s *PackedScratch)
 
-// bind resolves the program's tier to its segment kernels and span kind.
-// Every constructor ends here.
+// bind resolves the program's tier to its segment kernels. Every
+// constructor ends here.
 func (p *PackedProgram) bind() {
-	fast := p.Precision == PrecisionFast
-	p.seg, p.segBatch = f32Kernels(p.Vals, fast)
-	p.kind = obs.StageKernel
-	if fast {
-		p.kind = obs.StageKernelFast
-	}
+	p.seg, p.segBatch = f32Kernels(p.Vals, p.Precision == PrecisionFast)
 }
 
 // addF64 adds a lane accumulator row, rounded to float32, into out.

@@ -130,7 +130,7 @@ func (s *gruBatchStream) StepBatch(x []float32) []float32 {
 	if s.tracer != nil {
 		t0 := time.Now()
 		s.ep(s.h, s.ax, s.ah)
-		s.tracer.RecordSince(obs.StageEpilogue, s.layer, int32(bw), t0)
+		s.tracer.RecordSince(obs.StageEpilogue, s.layer, t0)
 	} else {
 		s.ep(s.h, s.ax, s.ah)
 	}
@@ -276,8 +276,8 @@ type BatchStream struct {
 	steppers []BatchStepper
 	bw       int
 	active   []bool
-	// tracer, when non-nil, receives one StageLayer span per layer per
-	// lockstep step, with Width carrying the batch width.
+	// tracer, when non-nil, totals one StageLayer execution per layer per
+	// lockstep step.
 	tracer *obs.Tracer
 }
 
@@ -344,13 +344,13 @@ func (s *BatchStream) StepBatch(x []float32) []float32 {
 	return out
 }
 
-// stepBatchTraced is StepBatch with one recorded span per layer.
+// stepBatchTraced is StepBatch with each layer's time recorded.
 func (s *BatchStream) stepBatchTraced(x []float32) []float32 {
 	out := x
 	for i, st := range s.steppers {
 		t0 := time.Now()
 		out = st.StepBatch(out)
-		s.tracer.RecordSince(obs.StageLayer, int32(i), int32(s.bw), t0)
+		s.tracer.RecordSince(obs.StageLayer, int32(i), t0)
 	}
 	return out
 }

@@ -55,7 +55,7 @@ func gruEpilogue(fast bool) func(h, ax, ah []float32) {
 	return tensor.GRUEpilogue
 }
 
-// stageTraced is implemented by steppers that record sub-layer stage spans
+// stageTraced is implemented by steppers that record sub-layer stage times
 // (currently the GRU epilogue); BatchStream.SetTracer wires it.
 type stageTraced interface {
 	setStageTracer(tr *obs.Tracer, layerID int32)

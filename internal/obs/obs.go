@@ -10,15 +10,13 @@
 // Design rules, in priority order:
 //
 //  1. Zero allocations on every write path. Counters, gauges, histograms
-//     and the trace ring are fixed-size structures updated with atomics;
+//     and the stage totals are fixed-size structures updated with atomics;
 //     the AllocsPerRun gates in internal/rtmobile run with metrics enabled.
 //  2. Nil-check fast paths. Collection off means M() == nil and a nil
 //     tracer pointer — one predictable branch per instrumentation site, no
 //     clock reads, no atomic traffic.
-//  3. Exact aggregates, advisory ring. Counter totals and per-stage
-//     (count, ns) sums are exact under any concurrency; the span ring is a
-//     best-effort flight recorder that may interleave generations after it
-//     wraps.
+//  3. Exact aggregates. Counter totals, histogram counts and sums, and
+//     per-stage (count, ns) totals are exact under any concurrency.
 //
 // Collection defaults on (the steady-state cost is a few atomic adds per
 // inference step) and is disabled by setting RTMOBILE_METRICS to 0, false,
@@ -49,7 +47,7 @@ type Metrics struct {
 	// Batched serving.
 	BatchStepsTotal Counter // lockstep panel steps
 	BatchLanesTotal Counter // live lane-steps (panel steps × active lanes)
-	InferBatchTotal Counter // utterances scored through Engine.InferBatch
+	InferBatchTotal Counter // Engine.InferBatch calls (one per batch, whatever its size)
 
 	// Work accounting.
 	MACsTotal Counter // plan-priced multiply-accumulates executed
@@ -80,11 +78,13 @@ type Metrics struct {
 	PoolQueueDepth Gauge     // submitted-but-unfinished pool tasks
 	PoolBusyNs     PerWorker // per-worker busy nanoseconds inside For
 
-	// Latency distributions (nanoseconds).
-	StepLatency      *Histogram
-	BatchStepLatency *Histogram
+	// Latency distributions (nanoseconds). InferLatency takes one sample
+	// per Engine.Infer utterance and one per Engine.InferBatch call (the
+	// whole batch), matching InferTotal + InferBatchTotal.
+	StepLatency      *Histogram // one Stream step
+	BatchStepLatency *Histogram // one lockstep panel step
 	InferLatency     *Histogram
-	KernelLatency    *Histogram
+	KernelLatency    *Histogram // one packed-program execution
 
 	// Scheduler distributions: queue wait (enqueue → lane assignment) and
 	// end-to-end request latency (enqueue → completion) in nanoseconds,

@@ -212,7 +212,7 @@ func TestEnableDisable(t *testing.T) {
 func TestWritePathsAllocationFree(t *testing.T) {
 	var c Counter
 	h := NewHistogram(DefaultLatencyBounds())
-	tr := NewTracer(256, 8)
+	tr := NewTracer(8)
 	if a := testing.AllocsPerRun(200, func() { c.AddAt(3, 1) }); a != 0 {
 		t.Fatalf("Counter.AddAt allocates %v", a)
 	}
@@ -220,7 +220,7 @@ func TestWritePathsAllocationFree(t *testing.T) {
 		t.Fatalf("Histogram.Observe allocates %v", a)
 	}
 	if a := testing.AllocsPerRun(200, func() {
-		tr.Record(StageLayer, 2, 1, 1000, 500)
+		tr.Record(StageLayer, 2, 500)
 	}); a != 0 {
 		t.Fatalf("Tracer.Record allocates %v", a)
 	}

@@ -5,9 +5,9 @@ import "sync"
 // Request-scoped tracing. A ReqTrace follows one inference request through
 // the serving stack — HTTP ingress, the continuous-batching scheduler's
 // queue and panel generations, the packed kernels, response serialization —
-// as a fixed-capacity span tree identified by a W3C trace ID. Unlike the
-// process-wide Tracer (a flight recorder of anonymous stage spans), a
-// ReqTrace answers "where did *this* request's milliseconds go".
+// as a fixed-capacity span tree identified by a W3C trace ID. Unlike a
+// stage Tracer (per-deployment totals per layer and kernel), a ReqTrace
+// answers "where did *this* request's milliseconds go".
 //
 // The struct is fixed-size (no slices growing per request) and recycled
 // through a TracePool free list, so attaching a trace to every request

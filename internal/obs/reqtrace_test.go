@@ -226,7 +226,9 @@ func TestTraceTailJSONExport(t *testing.T) {
 	tr.Start = 1000
 	tr.End = 3000
 	tr.Steps = 4
+	tr.AddSpan(ReqSpanParse, -1, 0, 900, 100)
 	tr.AddSpan(ReqSpanQueueWait, 2, 4, 1000, 500)
+	tr.AddSpan(ReqSpanGeneration, 0, 4, 1500, 1200)
 	tr.AddKernel(1500, 800)
 	tail.Offer(&tr)
 	var buf bytes.Buffer
@@ -245,11 +247,24 @@ func TestTraceTailJSONExport(t *testing.T) {
 		t.Errorf("trace doc = %v", d)
 	}
 	spans := d["spans"].([]any)
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
+	if len(spans) != 4 {
+		t.Fatalf("spans = %d, want 4", len(spans))
 	}
-	if spans[0].(map[string]any)["kind"] != "queue_wait" {
-		t.Errorf("span[0] = %v", spans[0])
+	// Panel spans carry lane and width, lane 0 included; parse and kernel
+	// spans sat in no panel and carry neither.
+	for i, want := range []struct {
+		kind        string
+		lane, width any
+	}{
+		{"parse", nil, nil},
+		{"queue_wait", float64(2), float64(4)},
+		{"generation", float64(0), float64(4)},
+		{"kernel", nil, nil},
+	} {
+		sp := spans[i].(map[string]any)
+		if sp["kind"] != want.kind || sp["lane"] != want.lane || sp["width"] != want.width {
+			t.Errorf("span[%d] = %v, want kind %s lane %v width %v", i, sp, want.kind, want.lane, want.width)
+		}
 	}
 }
 

@@ -112,10 +112,12 @@ func (t *TraceTail) Snapshot() []ReqTrace {
 	return out
 }
 
-// reqSpanJSON is a span's JSON exposition shape.
+// reqSpanJSON is a span's JSON exposition shape. Lane and width are
+// present only on spans that sat in a panel (Width > 0), so lane 0 is
+// exported as 0 and the -1 "not applicable" sentinel never is.
 type reqSpanJSON struct {
 	Kind  string `json:"kind"`
-	Lane  int16  `json:"lane,omitempty"`
+	Lane  *int16 `json:"lane,omitempty"`
 	Width int16  `json:"width,omitempty"`
 	Start int64  `json:"start_ns,omitempty"`
 	DurNs int64  `json:"dur_ns"`
@@ -151,10 +153,11 @@ func traceJSON(tr *ReqTrace) reqTraceJSON {
 		doc.Parent = tr.Parent.String()
 	}
 	for _, sp := range tr.Spans() {
-		doc.Spans = append(doc.Spans, reqSpanJSON{
-			Kind: sp.Kind.String(), Lane: sp.Lane, Width: sp.Width,
-			Start: sp.Start, DurNs: sp.Dur,
-		})
+		js := reqSpanJSON{Kind: sp.Kind.String(), Start: sp.Start, DurNs: sp.Dur}
+		if sp.Width > 0 {
+			js.Lane, js.Width = &sp.Lane, sp.Width
+		}
+		doc.Spans = append(doc.Spans, js)
 	}
 	return doc
 }

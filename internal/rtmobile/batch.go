@@ -74,8 +74,10 @@ type BatchLease struct {
 	// shard is the session's stable counter-stripe hint (one atomic stripe
 	// per session keeps concurrent sessions off each other's cache lines);
 	// tracer is the engine tracer captured at open time (nil = untraced
-	// fast path). solo marks a session opened by NewStream, whose steps
-	// meter the stream family instead of the batch family.
+	// fast path); it only decides whether steps are timed for lastStepNs,
+	// as the layers inside record into it themselves. solo marks a session
+	// opened by NewStream, whose steps meter the stream family instead of
+	// the batch family.
 	shard  uint32
 	solo   bool
 	tracer *obs.Tracer
@@ -121,11 +123,12 @@ func (e *Engine) newSession(bw int, solo bool) *BatchLease {
 // tracing enabled too (the observability writes are all fixed-size atomics).
 //
 // This is the one place work counters are metered (the programs record only
-// kernel latency and spans), at the engine's plan-priced per-timestep MACs
-// and weight traffic. The lockstep executes bw lanes' worth of arithmetic
-// every step (retired lanes keep computing), so MACsTotal advances by
-// bw×stepMACs; BytesStreamed is NOT scaled by bw: the panel shares one
-// weight stream per step — the amortization batching exists for.
+// kernel latency and kernel totals), at the engine's plan-priced
+// per-timestep MACs and weight traffic. The lockstep executes bw lanes'
+// worth of arithmetic every step (retired lanes keep computing), so
+// MACsTotal advances by bw×stepMACs; BytesStreamed is NOT scaled by bw: the
+// panel shares one weight stream per step — the amortization batching
+// exists for.
 func (l *BatchLease) step(dst, panel []float32) {
 	m := obs.M()
 	track := m != nil || l.tracer != nil
@@ -169,13 +172,6 @@ func (l *BatchLease) step(dst, panel []float32) {
 			m.FramesTotal.AddAt(l.shard, uint64(live))
 			m.MACsTotal.AddAt(l.shard, uint64(bw)*l.e.stepMACs)
 			m.BytesStreamed.AddAt(l.shard, l.e.stepBytes)
-		}
-		if l.tracer != nil {
-			kind := obs.StageBatchStep
-			if l.solo {
-				kind = obs.StageStep
-			}
-			l.tracer.Record(kind, 0, int32(bw), t0.UnixNano(), dur)
 		}
 	}
 }
@@ -355,9 +351,8 @@ func (e *Engine) InferBatchInto(dst, batch [][][]float32) {
 	bw := batchWidth(n, workers)
 	groups := (n + bw - 1) / bw
 	m := obs.M()
-	track := m != nil || e.tracer != nil
 	var t0 time.Time
-	if track {
+	if m != nil {
 		t0 = time.Now()
 	}
 	if groups == 1 || workers < 2 {
@@ -375,14 +370,8 @@ func (e *Engine) InferBatchInto(dst, batch [][][]float32) {
 			e.inferPanel(dst[lo:hi], batch[lo:hi], bw)
 		})
 	}
-	if track {
-		dur := time.Since(t0).Nanoseconds()
-		if m != nil {
-			m.InferBatchTotal.Inc()
-			m.InferLatency.Observe(dur)
-		}
-		if e.tracer != nil {
-			e.tracer.Record(obs.StageInferBatch, 0, int32(n), t0.UnixNano(), dur)
-		}
+	if m != nil {
+		m.InferBatchTotal.Inc()
+		m.InferLatency.Observe(time.Since(t0).Nanoseconds())
 	}
 }

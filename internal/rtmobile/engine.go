@@ -303,9 +303,8 @@ func (e *Engine) SetWorkers(n int) {
 // utterance — zero per timestep, however long the audio runs.
 func (e *Engine) Infer(frames [][]float32) [][]float32 {
 	m := obs.M()
-	track := m != nil || e.tracer != nil
 	var t0 time.Time
-	if track {
+	if m != nil {
 		t0 = time.Now()
 	}
 	s := e.NewStream()
@@ -316,15 +315,9 @@ func (e *Engine) Infer(frames [][]float32) [][]float32 {
 		post[t] = flat[t*out : (t+1)*out]
 		s.StepInto(post[t], f)
 	}
-	if track {
-		dur := time.Since(t0).Nanoseconds()
-		if m != nil {
-			m.InferTotal.IncAt(s.l.shard)
-			m.InferLatency.Observe(dur)
-		}
-		if e.tracer != nil {
-			e.tracer.Record(obs.StageInfer, 0, 1, t0.UnixNano(), dur)
-		}
+	if m != nil {
+		m.InferTotal.IncAt(s.l.shard)
+		m.InferLatency.Observe(time.Since(t0).Nanoseconds())
 	}
 	return post
 }
@@ -371,8 +364,8 @@ func softmaxTier(fast bool) func(dst, src []float32) {
 }
 
 // NewStream opens a streaming session. State persists across Step calls
-// until Reset. Its steps meter the stream family (StepsTotal, StepLatency,
-// StageStep spans) where a leased panel meters the batch family.
+// until Reset. Its steps meter the stream family (StepsTotal, StepLatency)
+// where a leased panel meters the batch family.
 func (e *Engine) NewStream() *Stream { return &Stream{l: e.newSession(1, true)} }
 
 // Step consumes one feature frame and returns the phone posterior for it.

@@ -10,8 +10,9 @@ import (
 )
 
 // TestEngineEpilogueSpans: a traced engine's streams record one
-// StageEpilogue span per GRU layer per step, on both kernel tiers, so
-// run -stats//statz can split layer time into matmul vs epilogue.
+// StageEpilogue execution per GRU layer per step, on both kernel tiers, so
+// run -stats//statz can split layer time into matmul vs epilogue; every
+// program's executions land under StageKernel on either tier.
 func TestEngineEpilogueSpans(t *testing.T) {
 	for _, tier := range []compiler.Precision{compiler.PrecisionExact, compiler.PrecisionFast} {
 		m := testModel(71)
@@ -22,7 +23,7 @@ func TestEngineEpilogueSpans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := eng.EnableTracing(256)
+		tr := eng.EnableTracing()
 		s := eng.NewStream()
 		dst := make([]float32, eng.OutputDim())
 		const steps = 6
@@ -36,6 +37,11 @@ func TestEngineEpilogueSpans(t *testing.T) {
 		_, layerNs := tr.KindTotal(obs.StageLayer)
 		if ns > layerNs {
 			t.Fatalf("tier %v: epilogue %d ns exceeds layer %d ns", tier, ns, layerNs)
+		}
+		// Both tiers' programs total under the one kernel kind.
+		want := uint64(steps * len(eng.Plan().Matrices))
+		if n, _ := tr.KindTotal(obs.StageKernel); n != want {
+			t.Fatalf("tier %v: %d kernel executions, want %d", tier, n, want)
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // Engine-level observability. The global metrics collector (internal/obs)
 // meters every inference entry point automatically; stage tracing is
-// opt-in per engine because a ring buffer is per-deployment state. Both
+// opt-in per engine because its per-layer and per-matrix totals are
+// per-deployment state. Both
 // are allocation-free on the hot path: StepInto and InferBatchInto stay
 // at zero heap allocations per call with metrics and tracing enabled.
 
@@ -25,36 +26,20 @@ func stepPricedMACs(plan *compiler.Plan) uint64 {
 }
 
 // EnableTracing installs a per-stage tracer on the engine: streams and
-// lockstep sessions opened afterwards record per-layer timing spans
-// (obs.StageLayer, with the GRU epilogue nested as obs.StageEpilogue),
-// plus one span per stream step (obs.StageStep) and per lockstep panel
-// step (obs.StageBatchStep); the engine's programs record one kernel span
-// per execution, labeled with their matrix index in the plan — shared by
-// every stream, already open or not. ringCap
-// bounds the span ring (rounded up to a power of two, minimum 64). Returns
-// the tracer; read it with Spans/Stage or via Engine.LayerStats. Not safe
-// to call concurrently with in-flight inference.
-func (e *Engine) EnableTracing(ringCap int) *obs.Tracer {
-	maxIDs := max(len(e.shell.Layers), len(e.plan.Matrices))
-	e.tracer = obs.NewTracer(ringCap, maxIDs)
-	e.traceProgs(e.tracer)
-	return e.tracer
-}
-
-// DisableTracing detaches the engine's tracer. Streams opened while it
-// was attached keep recording their step, layer and epilogue spans into
-// it; kernel spans stop at once (the programs are shared). Not safe to
-// call concurrently with in-flight inference.
-func (e *Engine) DisableTracing() {
-	e.tracer = nil
-	e.traceProgs(nil)
-}
-
-// traceProgs attaches tr (or detaches, with nil) on every program.
-func (e *Engine) traceProgs(tr *obs.Tracer) {
+// lockstep sessions opened afterwards total their per-layer step time
+// (obs.StageLayer, with the GRU epilogue nested as obs.StageEpilogue), and
+// the engine's programs total one kernel execution (obs.StageKernel) each,
+// labeled with their matrix index in the plan — shared by every stream,
+// already open or not. Whole steps and utterances are timed by the metrics
+// histograms instead. Returns the tracer; read it with Stage/KindTotal or
+// via Engine.LayerStats. Not safe to call concurrently with in-flight
+// inference.
+func (e *Engine) EnableTracing() *obs.Tracer {
+	e.tracer = obs.NewTracer(max(len(e.shell.Layers), len(e.plan.Matrices)))
 	for i, p := range e.progs {
-		p.SetTracer(tr, int32(i))
+		p.SetTracer(e.tracer, int32(i))
 	}
+	return e.tracer
 }
 
 // Tracer returns the engine's stage tracer, or nil when tracing is off.
@@ -70,13 +55,13 @@ type LayerStat struct {
 	// of this layer (the sum over the layer's compiled matrices), so the
 	// per-matrix prices total exactly to the table's MAC column.
 	MACs int
-	// Spans and TotalNs aggregate the tracer's StageLayer records for
-	// this layer; both are zero when tracing was never enabled.
+	// Spans and TotalNs are the tracer's StageLayer totals for this
+	// layer; both are zero when tracing was never enabled.
 	Spans   uint64
 	TotalNs int64
 }
 
-// AvgNs is the mean measured nanoseconds per step (0 with no spans).
+// AvgNs is the mean measured nanoseconds per step (0 with no steps traced).
 func (ls LayerStat) AvgNs() int64 {
 	if ls.Spans == 0 {
 		return 0
@@ -86,7 +71,7 @@ func (ls LayerStat) AvgNs() int64 {
 
 // LayerStats returns one row per model layer: the plan's priced MACs per
 // timestep and, when tracing is (or was) enabled, the measured per-layer
-// span aggregates. Matrix prices are matched to layers by name prefix,
+// step totals. Matrix prices are matched to layers by name prefix,
 // so the rows' MAC column sums to the plan's per-timestep total
 // (FrameMACs / TimestepsPerFrame) — the consistency contract run -stats
 // relies on.

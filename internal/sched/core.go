@@ -7,10 +7,10 @@
 // machine (core) whose inputs are arrivals, cancellations and explicit
 // clock readings — no time.Now calls, no goroutines, no channels, no
 // timers. The async Scheduler (sched.go) is a thin shell that serializes
-// submit/cancel/advance under one mutex and sleeps only while the core has
-// nothing to do. Tests drive the very same core synchronously with scripted
-// arrival traces, so panel composition is asserted exactly, not
-// probabilistically.
+// submit/cancel/advance under one mutex, released only while a panel step
+// computes, and sleeps only while the core has nothing to do. Tests drive
+// the very same core synchronously with scripted arrival traces, so panel
+// composition is asserted exactly, not probabilistically.
 //
 // Policy (work-conserving: the core never waits on purpose):
 //
@@ -164,6 +164,11 @@ type core struct {
 	batcher  Batcher
 	inDim    int
 	outDim   int
+	// runStep runs the panel step: Session.Step, or the Scheduler's
+	// stepUnlocked, which lets submissions queue while the panel computes.
+	// Only submit and Close may run meanwhile, and they touch nothing but
+	// the queue and the closed flag, which step does not read.
+	runStep func(Session)
 
 	// pending is a fixed-capacity FIFO ring of waiting requests.
 	ring []*request
@@ -188,6 +193,7 @@ func newCore(b Batcher, cfg Config) *core {
 		batcher:   b,
 		inDim:     b.InputDim(),
 		outDim:    b.OutputDim(),
+		runStep:   Session.Step,
 		ring:      make([]*request, cfg.QueueDepth),
 		lanes:     make([]*request, cfg.MaxBatch),
 		completed: make([]*request, 0, cfg.MaxBatch+cfg.QueueDepth),
@@ -403,7 +409,7 @@ func (c *core) step(now time.Time) {
 		}
 	}
 	stepped := c.live
-	c.sess.Step()
+	c.runStep(c.sess)
 	// Kernel attribution: the panel step's measured wall time is shared by
 	// every live lane, so each traced participant accumulates the full step
 	// duration (lazily fetched — untraced panels never ask). LastStepNs is

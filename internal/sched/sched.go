@@ -20,7 +20,7 @@ type Scheduler struct {
 	mu   sync.Mutex
 	core *core
 	// queued mirrors core.queueLen() as of the last unlock, so QueueLen
-	// never waits behind the panel step the dispatcher holds mu across.
+	// never waits on mu.
 	queued atomic.Int64
 
 	wake chan struct{} // cap 1: submissions nudge the dispatcher
@@ -48,6 +48,7 @@ func New(b Batcher, cfg Config) *Scheduler {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	s.core.runStep = s.stepUnlocked
 	go s.run()
 	return s
 }
@@ -209,9 +210,21 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	}
 }
 
+// stepUnlocked runs a panel step with mu released, so a request that
+// arrives while the panel computes is queued at once and seated at the
+// next boundary. Without it, a submitter blocked on mu competes with the
+// dispatcher re-locking after every step and can lose for as long as Go's
+// 1 ms starvation handoff — many steps — while its lane-mates finish.
+func (s *Scheduler) stepUnlocked(sess Session) {
+	s.mu.Unlock()
+	sess.Step()
+	s.mu.Lock()
+}
+
 // run is the dispatcher loop: one unit of core work per lock hold (so
-// submissions and cancellations interleave between panel steps), asleep
-// only while the core has nothing to do, gone once closed and drained.
+// cancellations take effect between panel steps, and submissions queue
+// during them), asleep only while the core has nothing to do, gone once
+// closed and drained.
 func (s *Scheduler) run() {
 	defer close(s.done)
 	for {

@@ -71,8 +71,8 @@ func holdLane(t *testing.T, s *Scheduler, b *fakeBatcher) (wait func()) {
 }
 
 // feedUntil lets the held panel take one step per poll until cond holds.
-// Submissions get in between steps (the dispatcher holds the scheduler
-// mutex across each one), so cond must not take that mutex.
+// Submissions queue while a step waits at the gate (the dispatcher releases
+// the scheduler mutex around each step) and are seated at the next boundary.
 func feedUntil(t *testing.T, b *fakeBatcher, what string, cond func() bool) {
 	t.Helper()
 	waitUntil(t, what, func() bool {
@@ -112,8 +112,15 @@ func TestSchedulerCoalescesWaiters(t *testing.T) {
 			}
 		}(i)
 	}
-	// The three are admitted between steps as they win the mutex; the first
-	// in makes the panel grow, the others take its free lanes.
+	// The three queue while the blocker's step waits at the gate (the
+	// dispatcher does not hold the scheduler mutex across a step); the
+	// boundary after it grows the panel, and the waiters take its free lanes.
+	for deadline := time.Now().Add(10 * time.Second); s.QueueLen() < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			close(b.gate) // free the parked step, so the deferred Close returns
+			t.Fatalf("%d of %d waiters queued while a step was in flight", s.QueueLen(), n)
+		}
+	}
 	feedUntil(t, b, "a step with all four aboard", func() bool {
 		b.mu.Lock()
 		defer b.mu.Unlock()

@@ -12,8 +12,8 @@ import (
 
 // RenderLayerStats formats Engine.LayerStats as the per-layer latency
 // table run -stats and /statz print. The MAC column is the plan's priced
-// per-timestep count; the timing columns are measured spans when tracing
-// is on (all zero otherwise). The per-layer MAC rows sum to exactly the
+// per-timestep count; the timing columns are the tracer's per-layer totals
+// when tracing is on (all zero otherwise). The per-layer MAC rows sum to exactly the
 // plan total printed in the footer. The first line names the instruction set
 // each kernel family runs on in this process (tensor.KernelSet): the timing
 // columns mean something different on a portable build.
@@ -61,12 +61,12 @@ func RenderLayerStats(eng *rtmobile.Engine) string {
 		fmt.Fprintf(&b, "bytes_streamed_total: %d\n", m.BytesStreamed.Value())
 	}
 	if tr := eng.Tracer(); tr != nil {
-		for _, k := range []obs.StageKind{obs.StageKernel, obs.StageKernelFast, obs.StageEpilogue} {
+		for _, k := range []obs.StageKind{obs.StageKernel, obs.StageEpilogue} {
 			if n, ns := tr.KindTotal(k); n > 0 {
 				fmt.Fprintf(&b, "kernel spans %-10s count=%d total_us=%.1f\n", k, n, float64(ns)/1e3)
 			}
 		}
-		// Epilogue spans nest inside layer spans, so layer − epilogue is
+		// Epilogue time nests inside layer time, so layer − epilogue is
 		// the time the recurrent layers spent in their projections.
 		if epN, epNs := tr.KindTotal(obs.StageEpilogue); epN > 0 {
 			_, layerNs := tr.KindTotal(obs.StageLayer)

@@ -55,7 +55,7 @@ func TestStatzAndHealthzNameKernels(t *testing.T) {
 // split line the fusion work exists to expose.
 func TestRenderLayerStatsEpilogueSplit(t *testing.T) {
 	eng := testEngine(t)
-	eng.EnableTracing(256)
+	eng.EnableTracing()
 	s := eng.NewStream()
 	dst := make([]float32, eng.OutputDim())
 	frame := make([]float32, eng.InputDim())
