@@ -43,8 +43,8 @@ test:
 # Full suite under the race detector; the concurrency stress tests in
 # internal/rtmobile and internal/compiler are written for this target. The
 # following invocations re-run the engine's batched suites with forced pool
-# sizes so InferBatchInto's panel-group sharding race-tests at several
-# widths; the last four do the same for the scheduler (dispatch on arrival,
+# sizes so InferBatchInto's per-utterance sharding race-tests at several
+# pool sizes; the last four do the same for the scheduler (dispatch on arrival,
 # grow/shrink, cancellation), the serve tier's pooled JSON path, and lane
 # migration between leases.
 race:

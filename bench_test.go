@@ -538,6 +538,16 @@ func BenchmarkPanelStepWidth(b *testing.B) {
 	for w := 1; w <= 8; w++ {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchPanelStep(b, eng, w, longest) })
 	}
+	footprintSweep(b, func(b *testing.B, eng *rtmobile.Engine, frames [][]float32) {
+		b.Run("stream", func(b *testing.B) { benchStreamStep(b, eng, frames[0]) })
+		b.Run("w=8", func(b *testing.B) { benchPanelStep(b, eng, 8, frames) })
+	})
+}
+
+// footprintSweep runs fn as h=…/rate=… sub-benchmarks on panelBenchEngine's
+// 2×512 and 2×1024 GRUs at BSP 1×, 10× and 245× — the weight-footprint
+// sweep from well above L2 to well inside it.
+func footprintSweep(b *testing.B, fn func(*testing.B, *rtmobile.Engine, [][]float32)) {
 	for _, hidden := range []int{512, 1024} {
 		b.Run(fmt.Sprintf("h=%d", hidden), func(b *testing.B) {
 			for _, rate := range []struct {
@@ -546,12 +556,38 @@ func BenchmarkPanelStepWidth(b *testing.B) {
 			}{{"1x", 1, 1}, {"10x", 10, 1}, {"245x", 20, 12.25}} {
 				b.Run("rate="+rate.name, func(b *testing.B) {
 					eng, frames := panelBenchEngine(b, hidden, rate.col, rate.row)
-					b.Run("stream", func(b *testing.B) { benchStreamStep(b, eng, frames[0]) })
-					b.Run("w=8", func(b *testing.B) { benchPanelStep(b, eng, 8, frames) })
+					fn(b, eng, frames)
 				})
 			}
 		})
 	}
+}
+
+// BenchmarkInferBatchRagged is batch_offline's op on the weight-footprint
+// sweep: one InferBatchInto over eight utterances of 16…48 frames (the
+// benchmark's eight lengths, 253 frames) on one worker, in µs per frame
+// scored.
+func BenchmarkInferBatchRagged(b *testing.B) {
+	footprintSweep(b, func(b *testing.B, eng *rtmobile.Engine, _ [][]float32) {
+		rng := tensor.NewRNG(24)
+		batch, frames := make([][][]float32, 8), 0
+		for i, n := range []int{34, 16, 48, 25, 43, 20, 38, 29} {
+			batch[i] = make([][]float32, n)
+			for t := range batch[i] {
+				batch[i][t] = make([]float32, eng.InputDim())
+				for j := range batch[i][t] {
+					batch[i][t][j] = float32(rng.NormFloat64())
+				}
+			}
+			frames += n
+		}
+		dst := eng.InferBatch(batch)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.InferBatchInto(dst, batch)
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*frames), "us/frame")
+	})
 }
 
 // BenchmarkSegKernel times the exact float32 serial segment kernels on the

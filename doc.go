@@ -37,10 +37,14 @@
 // input vectors through one weight stream as a column-major SpMM panel, so
 // each weight value is loaded once per step for the whole batch — the
 // arithmetic-intensity win batched serving rides on. nn.BatchStream and
-// Engine.InferBatch lift this through the model stack: utterances are
-// grouped into lockstep panels with per-lane retirement for ragged
-// lengths, and every lane's output stays bit-identical to a solo run
-// (lanes never mix, so batch width changes layout, not summation order).
+// the engine's leases lift this through the model stack for the serving
+// scheduler (internal/sched): requests share a lockstep panel with per-lane
+// retirement for ragged lengths, and every lane's output stays
+// bit-identical to a solo run (lanes never mix, so batch width changes
+// layout, not summation order). Engine.InferBatch opens no panel: a ragged
+// batch's panel keeps computing for utterances that have ended, and each
+// utterance on its own width-1 session scored every measured model size
+// faster per frame.
 // There is one stepper family and one session type: a vector is a
 // column-major panel of width 1, so the live single stream (nn.Stream,
 // rtmobile.Stream) is the width-1 panel behind a vector-shaped face, not
@@ -56,7 +60,7 @@
 // and are visited in order — a lane-parallel executor existed, never beat
 // the serial one at any measured width or worker count, and was deleted
 // (DESIGN.md records the numbers). Parallelism lives one level up:
-// InferBatchInto shards whole lockstep panels across the pool once a batch
+// InferBatchInto shards whole utterances across the pool once a batch
 // carries enough arithmetic per worker to pay for the fork-join.
 //
 // The packed programs are what a deployed Engine serves from: every entry
@@ -96,7 +100,7 @@
 //
 // The runtime is parallel but deterministic. Dense training kernels chunk
 // large loops over a worker pool (internal/parallel), and Engine.InferBatch
-// scores independent utterance groups concurrently on the same pool. Every parallel path is
+// scores independent utterances concurrently on the same pool. Every parallel path is
 // bit-identical to its serial counterpart: work is partitioned so each
 // output element is produced by exactly one worker in the serial float op
 // order, so results never depend on worker count or scheduling. Pool size

@@ -99,7 +99,8 @@ type Metrics struct {
 }
 
 // DefaultOccupancyBounds buckets live-lane counts per panel step at the
-// powers of two the batch kernels care about (MaxBatchWidth is 32).
+// powers of two up to the widest panel a serving tier may lease
+// (rtmobile.MaxBatchWidth, 32).
 func DefaultOccupancyBounds() []int64 {
 	return []int64{1, 2, 4, 8, 16, 32}
 }

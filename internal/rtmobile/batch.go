@@ -11,27 +11,27 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// The engine's one session type, and batched serving on top of it:
-// InferBatch groups utterances into fixed-width lockstep panels so every
-// weight matrix is streamed from memory once per step for the whole group
-// instead of once per utterance — the SpMM weight-reuse win. Ragged batches
-// are handled by lane retirement: when an utterance runs out of frames its
-// lane keeps lockstepping on its last input (lanes are fully independent, so
-// this cannot perturb the live lanes) and its output column simply stops
-// being read.
+// The engine's one session type, and the offline batch path on top of it.
+// A session is a panel of utterance slots stepped in lockstep; a serving
+// tier (internal/sched) leases panels and handles ragged requests by lane
+// retirement: a lane whose utterance ended keeps lockstepping on its last
+// input (lanes are fully independent, so this cannot perturb the live
+// lanes) and its output column simply stops being read. InferBatch opens no
+// panel: it scores every utterance on its own width-1 session, the loop
+// Infer runs. A ragged batch's panel steps until its longest utterance ends,
+// and the arithmetic its retired lanes waste outweighs the weight reuse at
+// every model size measured (DESIGN.md, "Why exactly two shapes").
 
-// MaxBatchWidth caps the lockstep panel width InferBatch uses per worker
-// group. Wider panels amortize the weight stream further but grow the
-// activation working set linearly; 32 keeps a paper-scale layer's panels
-// inside L2 while already reading each weight 1/32nd as often.
+// MaxBatchWidth bounds the panel width a serving tier leases: the range of
+// serve -max-batch, and so the widest panel internal/sched opens.
 const MaxBatchWidth = 32
 
 // maxFreeArenas bounds the engine's free list of released sessions.
 const maxFreeArenas = 16
 
 // forkJoinBreakEvenMACs is the fork-join break-even: below this many
-// multiply-accumulates per worker, handing panel groups to the pool costs
-// more than the arithmetic saves, so InferBatchInto runs its groups on the
+// multiply-accumulates per worker, handing utterances to the pool costs
+// more than the arithmetic saves, so InferBatchInto scores them on the
 // caller instead (bit-identical either way). Sized so single-utterance
 // and small-batch calls stay inline while long batches still fan out. A
 // variable only so tests can force the sharded path on small models: 0
@@ -49,10 +49,11 @@ func forkJoinWorthwhile(work, workers int) bool {
 
 // BatchLease is the engine's one inference session: bw utterance slots
 // advanced in lockstep over the compiled programs (bw == 1 is the live
-// single stream, which Stream wraps). It owns all mutable state — the layer
-// panels, the fp16 staging panel, the softmax staging rows, its In/Out
-// panels — so one goroutine per session; the engine weights underneath stay
-// shared and read-only. On the exact tier lane l of every output panel is
+// single stream, which Stream wraps, and what Infer and InferBatch score
+// each utterance on). It owns all mutable state — the layer panels, the
+// fp16 staging panel, the softmax staging rows, its In/Out panels — so one
+// goroutine per session; the engine weights underneath stay shared and
+// read-only. On the exact tier lane l of every output panel is
 // bit-identical to Infer on lane l's frames at any width (the fast tier's
 // panel kernels round width-dependently, inside its tolerance).
 //
@@ -249,126 +250,85 @@ func (l *BatchLease) Release() {
 	e.batchMu.Unlock()
 }
 
-// minPanelWidth is the narrowest multi-lane panel InferBatchInto opens: the
-// strided kernels vectorize eight lanes at a time, and a 2–7 lane panel on
-// the portable kernel costs 750–1,691 µs a step against 247 µs per lane at
-// width 1 (BenchmarkPanelStepWidth) — the same two-shape rule internal/sched
-// dispatches by.
-const minPanelWidth = 8
-
-// batchWidth picks the lockstep panel width for an n-utterance batch: split
-// the batch evenly across the pool's workers, capped at MaxBatchWidth; a
-// share narrower than minPanelWidth runs as width-1 sessions instead, one
-// utterance per group (bit-identical: lanes never mix).
-func batchWidth(n, workers int) int {
-	if workers < 1 {
-		workers = 1
+// infer scores one utterance on the width-1 session l, writing frame t's
+// posterior into dst[t]: Reset, then one step per frame, straight from the
+// caller's frame into the caller's row. It is the per-utterance loop of
+// Infer and InferBatchInto.
+func (l *BatchLease) infer(dst, frames [][]float32) {
+	l.inner.Reset()
+	for t, f := range frames {
+		l.step(dst[t], f)
 	}
-	bw := min((n+workers-1)/workers, MaxBatchWidth)
-	if bw < minPanelWidth {
-		return 1
-	}
-	return bw
 }
 
-// inferPanel scores up to Width utterances in lockstep on a leased session,
-// writing per-frame posteriors into dst (dst[k][t] must already have the
-// model's output width). Lanes past len(utts), and empty utterances, start
-// retired; each live lane is retired the step after its last frame. Retired
-// lanes keep lockstepping on their final input frame — harmless, because
-// lanes never mix.
-func (e *Engine) inferPanel(dst [][][]float32, utts [][][]float32, bw int) {
-	l := e.AcquireBatch(bw)
-	maxT := 0
-	for k := 0; k < bw; k++ {
-		if k >= len(utts) || len(utts[k]) == 0 {
-			l.Retire(k)
-		} else if len(utts[k]) > maxT {
-			maxT = len(utts[k])
-		}
+// checkBatch validates InferBatchInto's arguments before a single frame is
+// scored — dst mirrors batch, every frame is InputDim wide and every
+// posterior row OutputDim wide — and returns the batch's frame count.
+func (e *Engine) checkBatch(dst, batch [][][]float32) (frames int) {
+	if len(dst) != len(batch) {
+		panic("rtmobile: InferBatchInto dst/batch length mismatch")
 	}
-	for t := 0; t < maxT; t++ {
-		for k := 0; k < len(utts) && k < bw; k++ {
-			if t < len(utts[k]) {
-				for i, v := range utts[k][t] {
-					l.in[i*bw+k] = v
-				}
+	in, out := e.InputDim(), e.OutputDim()
+	for i, u := range batch {
+		if len(dst[i]) != len(u) {
+			panic("rtmobile: InferBatchInto dst/batch frame count mismatch")
+		}
+		for t, f := range u {
+			if len(f) != in {
+				panic("rtmobile: InferBatchInto frame width is not InputDim")
+			}
+			if len(dst[i][t]) != out {
+				panic("rtmobile: InferBatchInto dst row width is not OutputDim")
 			}
 		}
-		l.Step()
-		for k := 0; k < len(utts) && k < bw; k++ {
-			if t < len(utts[k]) {
-				row := dst[k][t]
-				for i := range row {
-					row[i] = l.post[i*bw+k]
-				}
-				if t+1 == len(utts[k]) {
-					l.Retire(k)
-				}
-			}
-		}
+		frames += len(u)
 	}
-	l.Release()
+	return frames
 }
 
-// InferBatchInto scores independent utterances through the lockstep
-// batched path, writing per-frame posteriors into dst. dst must mirror
-// batch's shape: dst[i] has one row per frame of batch[i], each row the
-// model's output width. Steady-state calls with a stable batch shape
-// below the fork-join break-even perform zero heap allocations — the free
-// list's sessions and their panels are all reused; above it the
-// pool's fork-join costs a handful of allocations per call, amortized over
-// at least forkJoinBreakEvenMACs of arithmetic per worker.
+// InferBatchInto scores independent utterances, each on its own width-1
+// session, writing per-frame posteriors into dst. dst must mirror batch's
+// shape: dst[i] has one row per frame of batch[i], each row the model's
+// output width, and every frame must have the model's input width; a
+// misshapen argument panics before any frame is scored. Steady-state calls
+// below the fork-join break-even perform zero heap allocations — one
+// session off the free list scores the whole batch; above it the
+// utterances are sharded across the pool, whose fork-join costs a handful
+// of allocations per call, amortized over at least forkJoinBreakEvenMACs of
+// arithmetic per worker.
 //
-// Output is bit-identical to calling Infer on each utterance serially:
-// grouping changes memory layout and weight-stream amortization, never a
-// single summation order.
+// Output is bit-identical to calling Infer on each utterance serially: it
+// is the same loop on the same session shape.
 func (e *Engine) InferBatchInto(dst, batch [][][]float32) {
 	n := len(batch)
 	if n == 0 {
 		return
 	}
-	if len(dst) != n {
-		panic("rtmobile: InferBatchInto dst/batch length mismatch")
-	}
+	frames := e.checkBatch(dst, batch)
 	pool := e.pool
 	if pool == nil {
 		pool = parallel.Default()
 	}
-	// Shard panel groups across the pool only when the batch carries enough
-	// arithmetic per worker to pay for the fork-join; below it the groups run
-	// on the caller, faster and allocation-free at any worker count.
-	workers := pool.Workers()
-	if workers > 1 {
-		frames := 0
-		for _, u := range batch {
-			frames += len(u)
-		}
-		if !forkJoinWorthwhile(int(e.stepMACs)*frames, workers) {
-			workers = 1
-		}
-	}
-	bw := batchWidth(n, workers)
-	groups := (n + bw - 1) / bw
 	m := obs.M()
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
 	}
-	if groups == 1 || workers < 2 {
+	workers := pool.Workers()
+	if n > 1 && workers > 1 && forkJoinWorthwhile(int(e.stepMACs)*frames, workers) {
+		pool.For(n, func(i int) {
+			l := e.AcquireBatch(1)
+			l.infer(dst[i], batch[i])
+			l.Release()
+		})
+	} else {
 		// Inline loop instead of pool.For: the closure-free path is what
 		// keeps steady-state serving at zero allocations.
-		for g := 0; g < groups; g++ {
-			lo := g * bw
-			hi := min(lo+bw, n)
-			e.inferPanel(dst[lo:hi], batch[lo:hi], bw)
+		l := e.AcquireBatch(1)
+		for i, u := range batch {
+			l.infer(dst[i], u)
 		}
-	} else {
-		pool.For(groups, func(g int) {
-			lo := g * bw
-			hi := min(lo+bw, n)
-			e.inferPanel(dst[lo:hi], batch[lo:hi], bw)
-		})
+		l.Release()
 	}
 	if m != nil {
 		m.InferBatchTotal.Inc()

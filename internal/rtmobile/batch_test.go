@@ -2,6 +2,7 @@ package rtmobile
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -191,8 +192,8 @@ func TestInferBatchAllocsConstantPerUtterance(t *testing.T) {
 // TestInferBatchArenaReuseAcrossWidths: interleaving batch sizes must not
 // confuse the width-keyed free list — every call stays bit-identical to
 // serial Infer at 1, 2 and 8 workers, forking or not — and InferBatchInto
-// opens only the two shapes that have a kernel: no session of width 2–7 ever
-// reaches the free list every used session is released to.
+// opens width-1 sessions only: no wider session ever reaches the free list
+// every used session is released to.
 func TestInferBatchArenaReuseAcrossWidths(t *testing.T) {
 	breakEven := forkJoinBreakEvenMACs
 	defer func() { forkJoinBreakEvenMACs = breakEven }()
@@ -216,44 +217,67 @@ func TestInferBatchArenaReuseAcrossWidths(t *testing.T) {
 			}
 		}
 		for _, l := range eng.batchFree {
-			if w := l.Width(); w != 1 && w < minPanelWidth {
+			if w := l.Width(); w != 1 {
 				t.Fatalf("workers %d: InferBatchInto opened a width-%d session", workers, w)
 			}
 		}
 	}
 }
 
-// TestBatchWidthClamp pins the group-width policy: even split across
-// workers, capped at MaxBatchWidth, and never a 2–7 lane panel — a share
-// that narrow runs as width-1 sessions.
-func TestBatchWidthClamp(t *testing.T) {
-	cases := []struct{ n, workers, want int }{
-		{1, 1, 1},
-		{7, 1, 1},
-		{8, 1, 8},
-		{9, 1, 9},
-		{8, 4, 1},
-		{9, 4, 1},
-		{32, 4, 8},
-		{200, 2, MaxBatchWidth},
-		{5, 0, 1},
-		{0, 4, 1},
-	}
-	for _, c := range cases {
-		if got := batchWidth(c.n, c.workers); got != c.want {
-			t.Fatalf("batchWidth(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
-		}
-	}
-}
-
-// TestInferBatchIntoShapeMismatch pins the dst validation.
+// TestInferBatchIntoShapeMismatch pins the up-front validation: each
+// misshapen argument panics with an InferBatchInto message before any frame
+// is scored, so the well-formed first utterance's rows stay untouched.
 func TestInferBatchIntoShapeMismatch(t *testing.T) {
 	eng := parallelTestEngine(t, 49, false, 1)
-	batch := [][][]float32{testFrames(61, 4, eng.InputDim())}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dst/batch length mismatch accepted")
-		}
-	}()
-	eng.InferBatchInto(make([][][]float32, 2), batch)
+	in, out := eng.InputDim(), eng.OutputDim()
+	cases := []struct {
+		name  string
+		frame int // width of the second utterance's last frame
+		row   int // width of its last dst row
+		dstN  int // len(dst)
+		rowsN int // len(dst[1])
+	}{
+		{"dst shorter than batch", in, out, 1, 4},
+		{"dst longer than batch", in, out, 3, 4},
+		{"fewer dst rows than frames", in, out, 2, 3},
+		{"more dst rows than frames", in, out, 2, 5},
+		{"short frame", in - 1, out, 2, 4},
+		{"wide frame", in + 42, out, 2, 4},
+		{"short dst row", in, out - 1, 2, 4},
+		{"wide dst row", in, out + 1, 2, 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			batch := [][][]float32{testFrames(61, 4, in), testFrames(62, 4, in)}
+			batch[1][3] = make([]float32, c.frame)
+			dst := make([][][]float32, c.dstN)
+			for i := range dst {
+				n := 4
+				if i == 1 {
+					n = c.rowsN
+				}
+				dst[i] = make([][]float32, n)
+				for j := range dst[i] {
+					dst[i][j] = make([]float32, out)
+				}
+			}
+			if len(dst) > 1 && len(dst[1]) == 4 {
+				dst[1][3] = make([]float32, c.row)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "rtmobile: InferBatchInto ") {
+					t.Fatalf("panic %q, want an InferBatchInto shape message", msg)
+				}
+				for _, row := range dst[0] {
+					for _, v := range row {
+						if v != 0 {
+							t.Fatal("a frame was scored before the shape check failed")
+						}
+					}
+				}
+			}()
+			eng.InferBatchInto(dst, batch)
+		})
+	}
 }

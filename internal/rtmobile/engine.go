@@ -307,38 +307,37 @@ func (e *Engine) Infer(frames [][]float32) [][]float32 {
 	if m != nil {
 		t0 = time.Now()
 	}
-	s := e.NewStream()
-	out := e.shell.Spec.OutputDim
-	post := make([][]float32, len(frames))
-	flat := make([]float32, len(frames)*out)
-	for t, f := range frames {
-		post[t] = flat[t*out : (t+1)*out]
-		s.StepInto(post[t], f)
-	}
+	l := e.newSession(1, true)
+	post := e.postRows(len(frames))
+	l.infer(post, frames)
 	if m != nil {
-		m.InferTotal.IncAt(s.l.shard)
+		m.InferTotal.IncAt(l.shard)
 		m.InferLatency.Observe(time.Since(t0).Nanoseconds())
 	}
 	return post
 }
 
+// postRows allocates n posterior rows over one flat arena.
+func (e *Engine) postRows(n int) [][]float32 {
+	out := e.shell.Spec.OutputDim
+	rows := make([][]float32, n)
+	flat := make([]float32, n*out)
+	for t := range rows {
+		rows[t] = flat[t*out : (t+1)*out]
+	}
+	return rows
+}
+
 // InferBatch scores independent utterances and returns their posteriors in
-// input order. Utterances are grouped into lockstep panels (batch.go) so
-// each weight matrix is streamed from memory once per step for a whole
-// group, and the groups are sharded across the engine's worker pool.
-// Output is bit-identical to calling Infer on each utterance serially
-// (lanes never mix, so grouping changes layout, not summation order).
-// Nil or empty batches return a same-length slice.
+// input order. Each utterance runs on its own width-1 session, the loop
+// Infer runs, and above the fork-join break-even the utterances are
+// sharded across the engine's worker pool (batch.go). Output is
+// bit-identical to calling Infer on each utterance serially. Nil or empty
+// batches return a same-length slice.
 func (e *Engine) InferBatch(batch [][][]float32) [][][]float32 {
 	out := make([][][]float32, len(batch))
-	outDim := e.shell.Spec.OutputDim
 	for i, u := range batch {
-		rows := make([][]float32, len(u))
-		flat := make([]float32, len(u)*outDim)
-		for t := range rows {
-			rows[t] = flat[t*outDim : (t+1)*outDim]
-		}
-		out[i] = rows
+		out[i] = e.postRows(len(u))
 	}
 	e.InferBatchInto(out, batch)
 	return out

@@ -163,16 +163,16 @@ func TestInferMetersUtteranceCounters(t *testing.T) {
 	})
 }
 
-// TestBatchServingMetersArenaAndLanes: the first batch at a width is an
-// arena miss, repeats are hits; lockstep steps meter live lanes (frames)
-// separately from executed arithmetic (panel width × priced MACs).
+// TestBatchServingMetersArenaAndLanes: with one worker, a batch leases one
+// width-1 session — a miss on the first call, a hit on every later one —
+// and steps each utterance's frames on it, so batch steps, lanes and frames
+// advance together and executed arithmetic is exactly the frames scored
+// (no step computes for an utterance that has ended).
 func TestBatchServingMetersArenaAndLanes(t *testing.T) {
 	withMetrics(t, func(m *obs.Metrics) {
 		eng := allocEngine(t, device.MobileGPU())
 		eng.SetWorkers(1)
-		// Ragged eight (a batch narrower than that runs as width-1 sessions):
-		// 4 or 2 frames each → lockstep runs 4 panel steps of width 8, with
-		// 4×4+4×2=24 live-lane frames scored.
+		// Ragged eight: 4 or 2 frames each, 4×4+4×2=24 frames scored.
 		batch := make([][][]float32, 8)
 		for i := range batch {
 			batch[i] = testFrames(60+uint64(i), 4-2*(i%2), 8)
@@ -191,26 +191,28 @@ func TestBatchServingMetersArenaAndLanes(t *testing.T) {
 			t.Fatalf("first batch: %d arena misses, want 1", got)
 		}
 		eng.InferBatch(batch)
-		if got := m.ArenaHits.Value() - hits0; got != 1 {
-			t.Fatalf("second batch: %d arena hits, want 1", got)
+		eng.InferBatch(batch)
+		if got := m.ArenaMisses.Value() - misses0; got != 1 {
+			t.Fatalf("later batches: %d arena misses in all, want the first call's 1", got)
 		}
-		if got := m.InferBatchTotal.Value() - batches0; got != 2 {
-			t.Fatalf("InferBatchTotal advanced %d, want 2", got)
+		if got := m.ArenaHits.Value() - hits0; got != 2 {
+			t.Fatalf("later batches: %d arena hits, want 2 (one per call)", got)
 		}
-		if got := m.BatchStepsTotal.Value() - bsteps0; got != 8 {
-			t.Fatalf("BatchStepsTotal advanced %d, want 8 (4 panel steps × 2 calls)", got)
+		if got := m.InferBatchTotal.Value() - batches0; got != 3 {
+			t.Fatalf("InferBatchTotal advanced %d, want 3", got)
 		}
-		if got := m.BatchLanesTotal.Value() - lanes0; got != 48 {
-			t.Fatalf("BatchLanesTotal advanced %d, want 48 (24 live frames × 2 calls)", got)
+		if got := m.FramesTotal.Value() - frames0; got != 72 {
+			t.Fatalf("FramesTotal advanced %d, want 72 (24 frames × 3 calls)", got)
 		}
-		if got := m.FramesTotal.Value() - frames0; got != 48 {
-			t.Fatalf("FramesTotal advanced %d, want 48", got)
+		if got := m.BatchStepsTotal.Value() - bsteps0; got != 72 {
+			t.Fatalf("BatchStepsTotal advanced %d, want 72 (one width-1 step per frame)", got)
 		}
-		// Executed arithmetic covers retired lanes too: width 8 × 4 steps
-		// × 2 calls, at the plan's per-step price.
-		wantMACs := 64 * stepPricedMACs(eng.Plan())
+		if got := m.BatchLanesTotal.Value() - lanes0; got != 72 {
+			t.Fatalf("BatchLanesTotal advanced %d, want 72", got)
+		}
+		wantMACs := (m.FramesTotal.Value() - frames0) * stepPricedMACs(eng.Plan())
 		if got := m.MACsTotal.Value() - macs0; got != wantMACs {
-			t.Fatalf("MACsTotal advanced %d, want %d", got, wantMACs)
+			t.Fatalf("MACsTotal advanced %d, want FramesTotal × priced step MACs = %d", got, wantMACs)
 		}
 	})
 }
