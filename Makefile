@@ -6,7 +6,7 @@ QUANT_COVER_FLOOR ?= 90.0
 SCHED_COVER_FLOOR ?= 90.0
 REGISTRY_COVER_FLOOR ?= 90.0
 
-.PHONY: all build test race fuzz-smoke vet bench cover loc
+.PHONY: all build test race fuzz-smoke vet bench cover loc unreached
 
 all: vet build test
 
@@ -117,6 +117,19 @@ loc:
 	@find . -path ./benchmark -prune -o \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# Advisory audit, wired into no gate: each exported func or method declared
+# in a non-test file outside benchmark/ whose name appears in no other
+# non-test .go file (benchmark/ included). A type's methods used only in
+# their own file are legitimate hits; a free function listed here is a
+# deletion candidate.
+unreached:
+	@all=$$(find . -name '*.go' ! -name '*_test.go'); \
+	for f in $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | sort); do \
+		for n in $$(sed -nE 's/^func (\([^)]*\) )?([A-Z][A-Za-z0-9_]*).*/\2/p' $$f | sort -u); do \
+			grep -lw "$$n" $$all | grep -qvx "$$f" || echo "$$f: $$n"; \
+		done; \
+	done
 
 # Coverage gates: the observability primitives and the quantization
 # package must each stay above their statement-coverage floor.

@@ -101,29 +101,6 @@ func BenchmarkBlockSizeStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkScaling runs the model-capacity-vs-pruning-tolerance study.
-func BenchmarkScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := bench.QuickScalingConfig()
-		rows, err := bench.RunScaling(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst(b, "scaling", bench.RenderScaling(rows, cfg.ProbeColRate))
-	}
-}
-
-// BenchmarkQuantSweep runs the precision-vs-PER extension experiment.
-func BenchmarkQuantSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunQuantSweep(bench.QuickQuantSweepConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst(b, "quant", bench.RenderQuantSweep(rows))
-	}
-}
-
 // --- kernel micro-benchmarks -------------------------------------------
 
 func prunedMatrix(rows, cols int, scheme prune.BSP) *tensor.Matrix {

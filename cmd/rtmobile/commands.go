@@ -302,7 +302,7 @@ func cmdAutotune(args []string) error {
 
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	exp := fs.String("exp", "all", "experiment: table1, table2, fig4, ablation, blocksize, scaling, quant, precision, slo, or all")
+	exp := fs.String("exp", "all", "experiment: table1, table2, fig4, ablation, blocksize, precision, slo, or all")
 	full := fs.Bool("full", false, "full-scale Table I (minutes of training)")
 	stages := fs.Int("stages", 0, "override the BSP gradual-pruning stage count (0 = config default)")
 	jsonOut := fs.String("json", "", "with -exp precision or slo: also write the rows as JSON to this path (e.g. BENCH_9.json)")
@@ -345,14 +345,6 @@ func cmdBench(args []string) error {
 			return err
 		}
 		fmt.Println(bench.RenderAblation(rows, "103x"))
-	case "scaling":
-		cfg := bench.QuickScalingConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		rows, err := bench.RunScaling(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderScaling(rows, cfg.ProbeColRate))
 	case "slo":
 		cfg := bench.DefaultLoadgenConfig()
 		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
@@ -393,14 +385,6 @@ func cmdBench(args []string) error {
 			return err
 		}
 		fmt.Println(bench.RenderBlockSizeStudy(results, best))
-	case "quant":
-		cfg := bench.QuickQuantSweepConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		rows, err := bench.RunQuantSweep(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderQuantSweep(rows))
 	case "precision":
 		cfg := bench.DefaultPrecisionBenchConfig()
 		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }

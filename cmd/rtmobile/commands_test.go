@@ -171,8 +171,10 @@ func TestCmdDeployBundleVersions(t *testing.T) {
 }
 
 func TestCmdBenchUnknownExperiment(t *testing.T) {
-	if err := cmdBench([]string{"-exp", "nope"}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, exp := range []string{"nope", "scaling", "quant"} {
+		if err := cmdBench([]string{"-exp", exp}); err == nil {
+			t.Fatalf("unknown experiment %q accepted", exp)
+		}
 	}
 }
 

@@ -183,43 +183,6 @@ func TestMillions(t *testing.T) {
 	}
 }
 
-func TestRunQuantSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
-	cfg := QuickQuantSweepConfig()
-	cfg.Corpus.NumSpeakers = 6
-	cfg.Corpus.SentencesPerSpeaker = 2
-	cfg.Hidden = 24
-	cfg.BaselineEpochs = 6
-	rows, err := RunQuantSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("row count %d", len(rows))
-	}
-	fp32 := rows[0]
-	// fp16 and int12 must be accuracy-neutral (within noise of one
-	// utterance's worth of phones).
-	if rows[1].PER > fp32.PER+5 {
-		t.Fatalf("fp16 PER %.1f%% far above fp32 %.1f%%", rows[1].PER, fp32.PER)
-	}
-	if rows[2].PER > fp32.PER+5 {
-		t.Fatalf("int12 PER %.1f%% far above fp32 %.1f%%", rows[2].PER, fp32.PER)
-	}
-	// Reconstruction error grows as bits shrink.
-	for i := 3; i < len(rows); i++ {
-		if rows[i].MeanError <= rows[i-1].MeanError {
-			t.Fatalf("quant error not growing: %v then %v", rows[i-1].MeanError, rows[i].MeanError)
-		}
-	}
-	out := RenderQuantSweep(rows)
-	if !strings.Contains(out, "fp16") || !strings.Contains(out, "int4") {
-		t.Fatal("render missing rows")
-	}
-}
-
 func TestRunBlockSizeStudy(t *testing.T) {
 	cfg := DefaultBlockSizeStudy()
 	cfg.Rows, cfg.Cols = 256, 128 // small for test speed
@@ -242,34 +205,5 @@ func TestRunBlockSizeStudy(t *testing.T) {
 	out := RenderBlockSizeStudy(results, best)
 	if !strings.Contains(out, "<- chosen") {
 		t.Fatal("render missing chosen marker")
-	}
-}
-
-func TestRunScalingSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
-	cfg := QuickScalingConfig()
-	cfg.Corpus.NumSpeakers = 6
-	cfg.Corpus.SentencesPerSpeaker = 2
-	cfg.Hiddens = []int{16, 32}
-	cfg.BaselineEpochs = 6
-	rows, err := RunScaling(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("row count %d", len(rows))
-	}
-	// Params and latency grow with hidden size.
-	if rows[1].Params <= rows[0].Params {
-		t.Fatal("params not growing with hidden size")
-	}
-	if rows[1].GPUTimeUS <= rows[0].GPUTimeUS {
-		t.Fatal("dense latency not growing with hidden size")
-	}
-	out := RenderScaling(rows, cfg.ProbeColRate)
-	if !strings.Contains(out, "capacity") {
-		t.Fatal("render missing title")
 	}
 }

@@ -67,22 +67,6 @@ func bitReverse(x []complex128) {
 	}
 }
 
-// DFT computes the discrete Fourier transform directly in O(n²). It exists
-// as the correctness oracle for FFT in tests and for non-power-of-two sizes.
-func DFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * complex(math.Cos(angle), math.Sin(angle))
-		}
-		out[k] = sum
-	}
-	return out
-}
-
 // RealFFT computes the FFT of a real signal, returning the full complex
 // spectrum. len(x) must be a power of two.
 func RealFFT(x []float64) []complex128 {

@@ -17,19 +17,6 @@ func HammingWindow(n int) []float64 {
 	return w
 }
 
-// HannWindow returns an n-point Hann window.
-func HannWindow(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return w
-}
-
 // ApplyWindow multiplies frame by window element-wise into a new slice.
 func ApplyWindow(frame, window []float64) []float64 {
 	if len(frame) != len(window) {

@@ -124,20 +124,6 @@ func (m *Model) WeightMatrices() []*Param {
 // NumParams counts every trainable element.
 func (m *Model) NumParams() int { return CountParams(m.Params()) }
 
-// NumNonzeroWeights counts nonzero elements across prunable matrices plus
-// all bias elements (biases are never pruned).
-func (m *Model) NumNonzeroWeights() int {
-	n := 0
-	for _, p := range m.Params() {
-		if p.W.Rows > 1 && p.W.Cols > 1 {
-			n += p.W.NNZ()
-		} else {
-			n += p.NumEl()
-		}
-	}
-	return n
-}
-
 // Clone deep-copies the model (weights only; caches and gradients reset).
 func (m *Model) Clone() *Model {
 	c := NewModel(m.Spec)
@@ -162,12 +148,8 @@ type TrainConfig struct {
 	// PostStep, if set, runs after each optimizer step. Masked retraining
 	// re-applies the pruning mask here.
 	PostStep func(params []*Param)
-	// Augment, if set, transforms each utterance's frames before the
-	// forward pass (fresh each epoch) — the hook speech.SpecAugment plugs
-	// into. It must return a new slice and leave the input intact.
-	Augment func(frames [][]float32) [][]float32
-	// Silent suppresses progress output (there is none by default; kept
-	// for CLI use).
+	// LogEvery, if positive and Logf is set, reports the epoch's mean loss
+	// through Logf after every LogEvery-th epoch; Train is silent otherwise.
 	LogEvery int
 	Logf     func(format string, args ...any)
 }
@@ -186,8 +168,6 @@ func (m *Model) Train(data []Sequence, opt Optimizer, cfg TrainConfig) float64 {
 	}
 	rng := tensor.NewRNG(cfg.Seed + 7777)
 	params := m.Params()
-	m.setTraining(true)
-	defer m.setTraining(false)
 	lastLoss := 0.0
 	order := make([]int, len(data))
 	for i := range order {
@@ -202,11 +182,7 @@ func (m *Model) Train(data []Sequence, opt Optimizer, cfg TrainConfig) float64 {
 				continue
 			}
 			ZeroGrads(params)
-			frames := seq.Frames
-			if cfg.Augment != nil {
-				frames = cfg.Augment(frames)
-			}
-			logits := m.Forward(frames)
+			logits := m.Forward(seq.Frames)
 			loss, grad := SoftmaxCrossEntropy(logits, seq.Labels)
 			total += loss
 			m.Backward(grad)

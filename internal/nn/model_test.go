@@ -305,28 +305,3 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("empty input should fail to load")
 	}
 }
-
-func TestTrainAugmentHook(t *testing.T) {
-	m := NewGRUModel(ModelSpec{InputDim: 4, Hidden: 6, NumLayers: 1, OutputDim: 3, Seed: 21})
-	data := []Sequence{toyData(22, 10, 4, 3)}
-	calls := 0
-	orig := data[0].Frames[0][0]
-	m.Train(data, NewAdam(0.01), TrainConfig{
-		Epochs: 3, Seed: 1,
-		Augment: func(frames [][]float32) [][]float32 {
-			calls++
-			out := make([][]float32, len(frames))
-			for i, f := range frames {
-				out[i] = append([]float32(nil), f...)
-				out[i][0] = 0 // zero one dim
-			}
-			return out
-		},
-	})
-	if calls != 3 { // one utterance × three epochs
-		t.Fatalf("augment hook called %d times, want 3", calls)
-	}
-	if data[0].Frames[0][0] != orig {
-		t.Fatal("augment hook corrupted the stored data")
-	}
-}

@@ -2,25 +2,15 @@ package speech
 
 import "rtmobile/internal/tensor"
 
-// GreedyDecode converts per-frame posteriors (one row per frame, one column
-// per phone) into a collapsed phone string: per-frame argmax, merge repeats,
-// drop silence. This is the decoder used for PER scoring; the paper's
-// framewise GRU systems are scored the same way.
-func GreedyDecode(posteriors [][]float32) []int {
-	frames := make([]int, len(posteriors))
-	for t, row := range posteriors {
-		frames[t] = tensor.ArgMax(row)
-	}
-	return CollapseFrames(frames)
-}
-
-// SmoothDecode is GreedyDecode with duration modeling: posteriors are
-// averaged over a centered window of `window` frames before the argmax,
-// and label runs shorter than minRun frames are absorbed into their
-// neighbours. This plays the role HMM transition/duration models play in a
-// real recognizer — without it a framewise classifier's flicker shows up
-// as phone insertions and PER is dominated by decoding noise rather than
-// acoustic-model quality.
+// SmoothDecode converts per-frame posteriors (one row per frame, one column
+// per phone) into a collapsed phone string — per-frame argmax, merge
+// repeats, drop silence — with duration modeling: posteriors are averaged
+// over a centered window of `window` frames before the argmax, and label
+// runs shorter than minRun frames are absorbed into their neighbours. This
+// plays the role HMM transition/duration models play in a real recognizer —
+// without it a framewise classifier's flicker shows up as phone insertions
+// and PER is dominated by decoding noise rather than acoustic-model
+// quality.
 func SmoothDecode(posteriors [][]float32, window, minRun int) []int {
 	T := len(posteriors)
 	if T == 0 {

@@ -12,6 +12,17 @@ func onehot(id int) []float32 {
 	return row
 }
 
+// greedyDecode is SmoothDecode without smoothing: per-frame argmax, merge
+// repeats, drop silence. It is the reference the smoothing tests compare
+// against.
+func greedyDecode(posteriors [][]float32) []int {
+	frames := make([]int, len(posteriors))
+	for t, row := range posteriors {
+		frames[t] = tensor.ArgMax(row)
+	}
+	return CollapseFrames(frames)
+}
+
 func TestSmoothDecodeMatchesGreedyOnCleanInput(t *testing.T) {
 	// Long stable runs: smoothing must not change the decode.
 	var post [][]float32
@@ -21,7 +32,7 @@ func TestSmoothDecodeMatchesGreedyOnCleanInput(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		post = append(post, onehot(2))
 	}
-	a := GreedyDecode(post)
+	a := greedyDecode(post)
 	b := SmoothDecode(post, 5, 3)
 	if len(a) != len(b) {
 		t.Fatalf("greedy %v vs smooth %v", a, b)
@@ -48,7 +59,7 @@ func TestSmoothDecodeSuppressesFlicker(t *testing.T) {
 		t.Fatalf("flicker survived smoothing: %v", got)
 	}
 	// Greedy (unsmoothed) keeps the insertions.
-	greedy := GreedyDecode(post)
+	greedy := greedyDecode(post)
 	if len(greedy) <= 1 {
 		t.Fatalf("test premise broken: greedy should flicker, got %v", greedy)
 	}

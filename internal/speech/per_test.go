@@ -159,21 +159,6 @@ func TestPERAccumulates(t *testing.T) {
 	}
 }
 
-func TestGreedyDecode(t *testing.T) {
-	// 4 frames: phone 1, 1, silence, 2 -> collapsed "1 2".
-	n := NumPhones
-	mk := func(id int) []float32 {
-		row := make([]float32, n)
-		row[id] = 1
-		return row
-	}
-	post := [][]float32{mk(1), mk(1), mk(SilenceID), mk(2)}
-	got := GreedyDecode(post)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("GreedyDecode got %v", got)
-	}
-}
-
 func TestFrameAccuracy(t *testing.T) {
 	mk := func(id int) []float32 {
 		row := make([]float32, NumPhones)

@@ -35,18 +35,3 @@ func TestDotKernelsBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestDotF64MatchesDot keeps the float32 wrapper and the float64 kernels
-// consistent.
-func TestDotF64MatchesDot(t *testing.T) {
-	rng := NewRNG(12)
-	a := make([]float32, 37)
-	b := make([]float32, 37)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
-		b[i] = float32(rng.NormFloat64())
-	}
-	if got, want := float32(DotF64(a, b)), Dot(a, b); got != want {
-		t.Fatalf("DotF64 %v vs Dot %v", got, want)
-	}
-}

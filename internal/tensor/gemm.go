@@ -118,49 +118,3 @@ func outerAddRange(w *Matrix, a, b []float32, lo, hi int) {
 		}
 	}
 }
-
-// MatMul returns C = A·B.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic("tensor: MatMul shape mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Cols)
-	GemmInto(c, a, b)
-	return c
-}
-
-// GemmInto computes C = A·B into an existing C (shapes must agree). The inner
-// kernel is the i-k-j ordering, which keeps all three access patterns
-// sequential in row-major layout. Output rows partition across the pool
-// (row i of C depends only on row i of A), so the parallel form is
-// bit-identical to serial.
-func GemmInto(c, a, b *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("tensor: GemmInto shape mismatch")
-	}
-	c.Zero()
-	if p, chunks := kernelChunks(a.Rows, a.Rows*a.Cols*b.Cols); chunks != nil {
-		p.For(len(chunks), func(ci int) {
-			gemmRows(c, a, b, chunks[ci].Lo, chunks[ci].Hi)
-		})
-		return
-	}
-	gemmRows(c, a, b, 0, a.Rows)
-}
-
-// gemmRows computes rows [lo, hi) of C = A·B.
-func gemmRows(c, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bkj := range brow {
-				crow[j] += aik * bkj
-			}
-		}
-	}
-}

@@ -156,13 +156,6 @@ func (m *Matrix) MaxAbs() float32 {
 	return mx
 }
 
-// Scale multiplies every element by a in place.
-func (m *Matrix) Scale(a float32) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
-
 // Add accumulates o into m element-wise. Shapes must match.
 func (m *Matrix) Add(o *Matrix) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
@@ -180,26 +173,6 @@ func (m *Matrix) Sub(o *Matrix) {
 	}
 	for i, v := range o.Data {
 		m.Data[i] -= v
-	}
-}
-
-// AddScaled accumulates a*o into m element-wise. Shapes must match.
-func (m *Matrix) AddScaled(a float32, o *Matrix) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("tensor: AddScaled shape mismatch")
-	}
-	for i, v := range o.Data {
-		m.Data[i] += a * v
-	}
-}
-
-// Hadamard multiplies m by o element-wise in place. Shapes must match.
-func (m *Matrix) Hadamard(o *Matrix) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("tensor: Hadamard shape mismatch")
-	}
-	for i, v := range o.Data {
-		m.Data[i] *= v
 	}
 }
 

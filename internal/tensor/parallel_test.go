@@ -127,21 +127,6 @@ func TestParallelOuterAddBitIdentical(t *testing.T) {
 	}
 }
 
-func TestParallelGemmBitIdentical(t *testing.T) {
-	a := randParMat(12, 80, 90)
-	b := randParMat(13, 90, 70)
-
-	var want *Matrix
-	serialKernel(func() { want = MatMul(a, b) })
-	for _, workers := range []int{2, 7} {
-		var got *Matrix
-		withPool(workers, func() { got = MatMul(a, b) })
-		if !want.Equal(got) {
-			t.Fatalf("workers=%d: parallel MatMul differs from serial", workers)
-		}
-	}
-}
-
 func TestSmallKernelsStaySerial(t *testing.T) {
 	// Below the cutoff kernelChunks must refuse to parallelize.
 	if p, chunks := kernelChunks(8, 64); p != nil || chunks != nil {

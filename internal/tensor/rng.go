@@ -141,7 +141,7 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // Split derives an independent generator from this one. Deriving rather than
-// sharing keeps parallel components (corpus synthesis, weight init, dropout)
+// sharing keeps parallel components (the corpus's speakers and utterances)
 // decoupled: adding draws to one does not perturb the others.
 func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())

@@ -5,27 +5,11 @@ import "math"
 // Vector helpers. Vectors are plain []float32 throughout the library; these
 // free functions give them the same algebra the Matrix type has.
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) []float32 { return make([]float32, n) }
-
 // CloneVec returns a copy of v.
 func CloneVec(v []float32) []float32 {
 	c := make([]float32, len(v))
 	copy(c, v)
 	return c
-}
-
-// Dot returns the inner product of a and b (float64 accumulator for
-// numerical stability on long vectors).
-func Dot(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += float64(v) * float64(b[i])
-	}
-	return float32(s)
 }
 
 // Axpy computes y += a*x in place.
@@ -38,66 +22,11 @@ func Axpy(a float32, x, y []float32) {
 	}
 }
 
-// AddVec computes dst = a + b element-wise; dst may alias a or b.
-func AddVec(dst, a, b []float32) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("tensor: AddVec length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// SubVec computes dst = a - b element-wise; dst may alias a or b.
-func SubVec(dst, a, b []float32) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("tensor: SubVec length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// MulVec computes dst = a ⊙ b element-wise; dst may alias a or b.
-func MulVec(dst, a, b []float32) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("tensor: MulVec length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// ScaleVec multiplies v by a in place.
-func ScaleVec(v []float32, a float32) {
-	for i := range v {
-		v[i] *= a
-	}
-}
-
 // ZeroVec sets v to all zeros.
 func ZeroVec(v []float32) {
 	for i := range v {
 		v[i] = 0
 	}
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float32) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += float64(x) * float64(x)
-	}
-	return math.Sqrt(s)
-}
-
-// SumVec returns the sum of the elements (float64 accumulator).
-func SumVec(v []float32) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += float64(x)
-	}
-	return s
 }
 
 // ArgMax returns the index of the largest element; -1 for an empty vector.
