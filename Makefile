@@ -94,14 +94,32 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMapBundle -fuzztime=$(FUZZTIME) ./internal/rtmobile
 	$(GO) test -run=^$$ -fuzz=FuzzTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 
+# $(call nofma32,PKG,FUNCS) cross-compiles internal/PKG for arm64 with -S
+# and fails when one of FUNCS (package-qualified, as the listing names them)
+# holds a float32 fused multiply-add, or is missing from the listing: a
+# renamed function would otherwise empty the gate. The exact tier is
+# bit-identical to nn.Forward only while no float32 product on it is fused;
+# amd64 never fuses, arm64 does. Float64 FMADDD (DotF64) stays allowed: a
+# float32×float32 product is exact in float64.
+define nofma32
+	@GOARCH=arm64 $(GO) build -gcflags='rtmobile/internal/$(1)=-S' ./internal/$(1) 2>&1 | awk -v want='$(2)' ' \
+		BEGIN { n = split(want, w, " "); for (i = 1; i <= n; i++) need["rtmobile/internal/" w[i]] = 1 } \
+		/ STEXT / { fn = $$1; if (fn in need) seen[fn] = 1; next } \
+		(fn in need) && /\t(FMADDS|FMSUBS|FNMADDS|FNMSUBS)\t/ { print "arm64 fuses a float32 multiply-add in " fn ":" $$0; bad = 1 } \
+		END { for (f in need) if (!(f in seen)) { print f " is missing from the arm64 listing"; bad = 1 }; exit bad }'
+endef
+
 # Static checks: vet under both build configurations — the default build
 # (which includes the unsafe mmap/alias files in internal/rtmobile) and
-# the purego fallback used on targets without unsafe — plus a gofmt gate.
+# the purego fallback used on targets without unsafe — a gofmt gate, and
+# the exact tier's no-fusion gate on arm64 (nofma32 above).
 vet:
 	$(GO) vet ./...
 	GOFLAGS=-tags=purego $(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
+	$(call nofma32,tensor,tensor.GRUEpilogue tensor.Sigmoid32 tensor.Tanh32)
+	$(call nofma32,nn,nn.(*GRU).Forward nn.(*Dense).Forward)
 
 # Regenerates the paper tables, then the two studies no `go run
 # ./benchmark` workload covers yet — precision tiers and the open-loop

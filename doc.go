@@ -8,7 +8,7 @@
 //	internal/parallel  worker pool shared by kernels, programs, and serving
 //	internal/dsp       FFT, DCT, mel filterbanks, circulant products
 //	internal/speech    synthetic TIMIT substitute, MFCC front end, PER scoring
-//	internal/nn        GRU with BPTT, losses, SGD/Adam
+//	internal/nn        GRU with BPTT, losses, Adam
 //	internal/prune     BSP + ADMM and all baseline pruning schemes
 //	internal/sparse    CSR, CSC (ESE accounting), BSPC storage formats
 //	internal/compiler  matrix reorder, load elimination, auto-tuning, plans
@@ -66,7 +66,7 @@
 // The packed programs are what a deployed Engine serves from: every entry
 // point (Stream.Step/StepInto, Infer, BatchLease.Step, InferBatchInto, and
 // through leases the scheduler and the HTTP tier) runs
-// nn's steppers — which own the GRU/LSTM/Dense step order — bound to the
+// nn's steppers — which own the GRU/Dense step order — bound to the
 // weight matrices' compiled programs through their accumulate entries
 // (RunBatchAdd; RunAdd is its width 1), on either tier and whatever the
 // storage width; there is no dense path beside it. Model.NewStream/NewBatchStream

@@ -54,12 +54,6 @@ type ExecStats struct {
 	ThreadMACs   []int
 }
 
-// WeightBytesStreamed returns the weight traffic in bytes at the program's
-// value width.
-func (s ExecStats) WeightBytesStreamed(valueBits int) int {
-	return (s.StreamedVals*valueBits + 7) / 8
-}
-
 // TotalMACs sums per-thread MACs.
 func (s ExecStats) TotalMACs() int {
 	n := 0
@@ -146,13 +140,4 @@ func (p *Program) Execute(y, x []float32) (ExecStats, error) {
 		stats.ThreadMACs[t] = c.macs
 	}
 	return stats, nil
-}
-
-// NumInstrs counts instructions across threads.
-func (p *Program) NumInstrs() int {
-	n := 0
-	for _, t := range p.Threads {
-		n += len(t)
-	}
-	return n
 }

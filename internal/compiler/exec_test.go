@@ -116,7 +116,7 @@ func TestExecStatsMatchCompiledStats(t *testing.T) {
 			}
 			// Weight traffic: what the program streams equals the bytes
 			// the model charges for the payload.
-			if got, want := stats.WeightBytesStreamed(opt.ValueBits), ms.WeightBytes; got != want {
+			if got, want := (stats.StreamedVals*opt.ValueBits+7)/8, ms.WeightBytes; got != want {
 				t.Fatalf("%v elim=%v: streamed %dB, model priced %dB", format, elim, got, want)
 			}
 		}

@@ -466,15 +466,6 @@ func (p *PackedProgram) Stats() ExecStats {
 	return stats
 }
 
-// NumSegs counts segment descriptors across lanes.
-func (p *PackedProgram) NumSegs() int {
-	n := 0
-	for i := range p.Lanes {
-		n += len(p.Lanes[i].Segs)
-	}
-	return n
-}
-
 // PackedScratch is the reusable per-goroutine scratch arena of the packed
 // executor, shared by programs of any storage, tier and width. One scratch
 // must not be shared by concurrent executions; allocate one per goroutine

@@ -52,18 +52,6 @@ func (t *Target) Report(p *compiler.Plan) EnergyReport {
 	}
 }
 
-// BatteryHours projects continuous-recognition battery life for a battery
-// of the given capacity (mAh) and voltage, assuming the recognizer is the
-// only load and the processor idles free between frames. Returns +Inf-safe
-// large values as-is; callers format.
-func (r EnergyReport) BatteryHours(capacityMAh, voltage float64) float64 {
-	if r.AvgPowerMW <= 0 {
-		return 0
-	}
-	energyMWh := capacityMAh * voltage
-	return energyMWh / r.AvgPowerMW
-}
-
 // String renders the report.
 func (r EnergyReport) String() string {
 	return fmt.Sprintf("%s: %.1f uJ/frame, duty %.4f, avg %.2f mW (%s-bound)",

@@ -45,29 +45,17 @@ func broadcastRows(dst, src []float32, bw int) {
 	}
 }
 
-// addBroadcastRows accumulates a per-element vector into every lane:
-// dst[i*bw+l] += src[i].
-func addBroadcastRows(dst, src []float32, bw int) {
-	for i, v := range src {
-		row := dst[i*bw : (i+1)*bw]
-		for l := range row {
-			row[l] += v
-		}
-	}
-}
-
-// biasStaging returns a width-bw stepper's bias staging, set and accumulate.
+// biasStaging returns a width-bw stepper's bias staging.
 // A width-1 panel is the vector itself and is staged in bulk — the lane loop
 // there costs the live stream 10 µs a step (DESIGN.md, "Why the serial stream
 // is the width-1 panel"). Chosen here, once, and not by a width test inside
 // the lane loops' functions, which would change how those compile (+12 µs on
 // an eight-wide step).
-func biasStaging(bw int) (set, add func(dst, src []float32, bw int)) {
+func biasStaging(bw int) func(dst, src []float32, bw int) {
 	if bw == 1 {
-		return func(dst, src []float32, _ int) { copy(dst, src) },
-			func(dst, src []float32, _ int) { tensor.Axpy(1, src, dst) }
+		return func(dst, src []float32, _ int) { copy(dst, src) }
 	}
-	return broadcastRows, addBroadcastRows
+	return broadcastRows
 }
 
 // zeroLane clears lane l of an n-element state panel.
@@ -106,7 +94,7 @@ type gruBatchStream struct {
 // batchStream returns a stepper advancing bw independent streams over this
 // GRU's (shared, read-only) weights.
 func (g *GRU) batchStream(bw int, k Kernels) BatchStepper {
-	stage, _ := biasStaging(bw)
+	stage := biasStaging(bw)
 	return &gruBatchStream{
 		stage:  stage,
 		hidden: g.Hidden,
@@ -154,81 +142,6 @@ func (s *gruBatchStream) setStageTracer(tr *obs.Tracer, layerID int32) {
 	s.tracer, s.layer = tr, layerID
 }
 
-// lstmBatchStream is an LSTM cell's batched streaming state.
-type lstmBatchStream struct {
-	hidden int
-	bw     int
-	bx, bh []float32
-	wx, wh MatVec
-	h, c   []float32
-	act    []float32
-	out    []float32
-	stage  func(dst, src []float32, bw int)
-	add    func(dst, src []float32, bw int)
-}
-
-func (l *LSTM) batchStream(bw int, k Kernels) BatchStepper {
-	stage, add := biasStaging(bw)
-	return &lstmBatchStream{
-		stage: stage, add: add,
-		hidden: l.Hidden,
-		bw:     bw,
-		bx:     l.Bx.W.Data, bh: l.Bh.W.Data,
-		wx: k.MatVec(l.Wx, bw), wh: k.MatVec(l.Wh, bw),
-		h:   make([]float32, l.Hidden*bw),
-		c:   make([]float32, l.Hidden*bw),
-		act: make([]float32, 4*l.Hidden*bw),
-		out: make([]float32, l.Hidden*bw),
-	}
-}
-
-// StepBatch implements BatchStepper.
-func (s *lstmBatchStream) StepBatch(x []float32) []float32 {
-	H, bw := s.hidden, s.bw
-	s.stage(s.act, s.bx, bw)
-	s.add(s.act, s.bh, bw)
-	s.wx(s.act, x)
-	s.wh(s.act, s.h)
-	out := s.out
-	for j := 0; j < H; j++ {
-		ai := s.act[j*bw : (j+1)*bw]
-		af := s.act[(H+j)*bw : (H+j+1)*bw]
-		ag := s.act[(2*H+j)*bw : (2*H+j+1)*bw]
-		ao := s.act[(3*H+j)*bw : (3*H+j+1)*bw]
-		crow := s.c[j*bw : (j+1)*bw]
-		orow := out[j*bw : (j+1)*bw]
-		for k := range orow {
-			i := sigmoid(ai[k])
-			f := sigmoid(af[k])
-			g := tanh32(ag[k])
-			o := sigmoid(ao[k])
-			crow[k] = f*crow[k] + i*g
-			orow[k] = o * tanh32(crow[k])
-		}
-	}
-	copy(s.h, out)
-	return out
-}
-
-// Reset implements BatchStepper.
-func (s *lstmBatchStream) Reset() {
-	tensor.ZeroVec(s.h)
-	tensor.ZeroVec(s.c)
-}
-
-// ResetLane implements BatchStepper.
-func (s *lstmBatchStream) ResetLane(l int) {
-	zeroLane(s.h, s.hidden, s.bw, l)
-	zeroLane(s.c, s.hidden, s.bw, l)
-}
-
-// CopyLaneTo implements BatchStepper.
-func (s *lstmBatchStream) CopyLaneTo(dst BatchStepper, dl, l int) {
-	d := dst.(*lstmBatchStream)
-	copyLane(d.h, d.bw, dl, s.h, s.bw, l, s.hidden)
-	copyLane(d.c, d.bw, dl, s.c, s.bw, l, s.hidden)
-}
-
 // denseBatchStream steps a Dense layer over panels (stateless; the
 // persistent output panel keeps steady-state streaming allocation-free).
 type denseBatchStream struct {
@@ -240,7 +153,7 @@ type denseBatchStream struct {
 }
 
 func (d *Dense) batchStream(bw int, k Kernels) BatchStepper {
-	stage, _ := biasStaging(bw)
+	stage := biasStaging(bw)
 	return &denseBatchStream{
 		stage: stage,
 		bias:  d.Bias.W.Data, w: k.MatVec(d.Weight, bw), bw: bw,
@@ -315,8 +228,6 @@ func (m *Model) NewKernelBatchStream(bw int, k Kernels) *BatchStream {
 	for _, layer := range m.Layers {
 		switch v := layer.(type) {
 		case *GRU:
-			s.steppers = append(s.steppers, v.batchStream(bw, k))
-		case *LSTM:
 			s.steppers = append(s.steppers, v.batchStream(bw, k))
 		case *Dense:
 			s.steppers = append(s.steppers, v.batchStream(bw, k))

@@ -1,19 +1,14 @@
 package nn
 
 import (
-	"fmt"
 	"testing"
 
 	"rtmobile/internal/tensor"
 )
 
 // batchTestModel builds a small stack ending in a Dense head.
-func batchTestModel(seed uint64, lstm bool) *Model {
-	spec := ModelSpec{InputDim: 7, Hidden: 12, NumLayers: 2, OutputDim: 5, Seed: seed}
-	if lstm {
-		spec.Cell = CellLSTM
-	}
-	return NewModel(spec)
+func batchTestModel(seed uint64) *Model {
+	return NewModel(ModelSpec{InputDim: 7, Hidden: 12, NumLayers: 2, OutputDim: 5, Seed: seed})
 }
 
 // batchFrame produces a deterministic input frame for (lane, step).
@@ -76,32 +71,25 @@ func bitEqual(got, want float32) bool { return got == want }
 
 // TestBatchStreamBitIdentical: on the reference kernels lane l of a panel of
 // any width must emit byte-for-byte what Forward computes for lane l's
-// frames, and what the width-1 stream emits, for both cell types.
+// frames, and what the width-1 stream emits.
 func TestBatchStreamBitIdentical(t *testing.T) {
-	for _, lstm := range []bool{false, true} {
-		for _, bw := range laneWidths {
-			checkLanes(t, fmt.Sprintf("lstm=%v", lstm), batchTestModel(11, lstm), ReferenceKernels(), bw, bitEqual)
-		}
+	for _, bw := range laneWidths {
+		checkLanes(t, "gru", batchTestModel(11), ReferenceKernels(), bw, bitEqual)
 	}
 }
 
 // TestBroadcastRowsMatchLaneLoop pins the bias staging a stepper is built
-// with — bulk copy/Axpy at width 1, the lane loops above it — to
-// dst[i*bw+l] (+)= src[i] at widths on both sides of the fork.
+// with — a bulk copy at width 1, the lane loop above it — to
+// dst[i*bw+l] = src[i] at widths on both sides of the fork.
 func TestBroadcastRowsMatchLaneLoop(t *testing.T) {
 	src := batchFrame(7, 0, 0, 13)
 	for _, bw := range []int{1, 2, 8, 9} {
-		set := make([]float32, len(src)*bw)
-		add := batchFrame(7, 1, bw, len(src)*bw)
-		base := append([]float32(nil), add...)
-		stage, accumulate := biasStaging(bw)
-		stage(set, src, bw)
-		accumulate(add, src, bw)
+		set := batchFrame(7, 1, bw, len(src)*bw)
+		biasStaging(bw)(set, src, bw)
 		for i, v := range src {
 			for l := 0; l < bw; l++ {
-				if set[i*bw+l] != v || add[i*bw+l] != base[i*bw+l]+v {
-					t.Fatalf("bw=%d elem %d lane %d: staged %v, accumulated %v; want %v, %v",
-						bw, i, l, set[i*bw+l], add[i*bw+l], v, base[i*bw+l]+v)
+				if set[i*bw+l] != v {
+					t.Fatalf("bw=%d elem %d lane %d: staged %v, want %v", bw, i, l, set[i*bw+l], v)
 				}
 			}
 		}
@@ -113,46 +101,44 @@ func TestBroadcastRowsMatchLaneLoop(t *testing.T) {
 // the neighboring lanes' bytes untouched.
 func TestBatchStreamResetLane(t *testing.T) {
 	const bw, T, resetAt, victim = 4, 10, 5, 1
-	for _, lstm := range []bool{false, true} {
-		m := batchTestModel(17, lstm)
-		in := m.Spec.InputDim
-		out := m.Spec.OutputDim
+	m := batchTestModel(17)
+	in := m.Spec.InputDim
+	out := m.Spec.OutputDim
 
-		refs := make([]*Stream, bw)
-		for l := range refs {
-			refs[l] = m.NewStream()
-		}
-		bs := m.NewBatchStream(bw)
-		if !bs.Active(victim) {
-			t.Fatal("lanes should start active")
-		}
-		bs.Retire(victim)
-		if bs.Active(victim) {
-			t.Fatal("Retire did not deactivate the lane")
-		}
-		panel := make([]float32, in*bw)
-		for step := 0; step < T; step++ {
-			if step == resetAt {
-				bs.ResetLane(victim)
-				refs[victim].Reset()
-				if !bs.Active(victim) {
-					t.Fatal("ResetLane did not re-activate the lane")
-				}
+	refs := make([]*Stream, bw)
+	for l := range refs {
+		refs[l] = m.NewStream()
+	}
+	bs := m.NewBatchStream(bw)
+	if !bs.Active(victim) {
+		t.Fatal("lanes should start active")
+	}
+	bs.Retire(victim)
+	if bs.Active(victim) {
+		t.Fatal("Retire did not deactivate the lane")
+	}
+	panel := make([]float32, in*bw)
+	for step := 0; step < T; step++ {
+		if step == resetAt {
+			bs.ResetLane(victim)
+			refs[victim].Reset()
+			if !bs.Active(victim) {
+				t.Fatal("ResetLane did not re-activate the lane")
 			}
-			for l := 0; l < bw; l++ {
-				frame := batchFrame(5, l, step, in)
-				for i, v := range frame {
-					panel[i*bw+l] = v
-				}
+		}
+		for l := 0; l < bw; l++ {
+			frame := batchFrame(5, l, step, in)
+			for i, v := range frame {
+				panel[i*bw+l] = v
 			}
-			got := bs.StepBatch(panel)
-			for l := 0; l < bw; l++ {
-				logits := refs[l].Step(batchFrame(5, l, step, in))
-				for i := 0; i < out; i++ {
-					if got[i*bw+l] != logits[i] {
-						t.Fatalf("lstm=%v step %d lane %d elem %d: batch %v vs serial %v",
-							lstm, step, l, i, got[i*bw+l], logits[i])
-					}
+		}
+		got := bs.StepBatch(panel)
+		for l := 0; l < bw; l++ {
+			logits := refs[l].Step(batchFrame(5, l, step, in))
+			for i := 0; i < out; i++ {
+				if got[i*bw+l] != logits[i] {
+					t.Fatalf("step %d lane %d elem %d: batch %v vs serial %v",
+						step, l, i, got[i*bw+l], logits[i])
 				}
 			}
 		}
@@ -162,7 +148,7 @@ func TestBatchStreamResetLane(t *testing.T) {
 // TestBatchStreamZeroAlloc: steady-state lockstep stepping must not touch
 // the heap — the arena-reuse contract the engine's batch path builds on.
 func TestBatchStreamZeroAlloc(t *testing.T) {
-	m := batchTestModel(23, false)
+	m := batchTestModel(23)
 	const bw = 8
 	bs := m.NewBatchStream(bw)
 	panel := make([]float32, m.Spec.InputDim*bw)
@@ -179,7 +165,7 @@ func TestBatchStreamZeroAlloc(t *testing.T) {
 
 // TestNewBatchStreamValidation pins the constructor panics.
 func TestNewBatchStreamValidation(t *testing.T) {
-	m := batchTestModel(29, false)
+	m := batchTestModel(29)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -199,48 +185,46 @@ func TestNewBatchStreamValidation(t *testing.T) {
 // a width-1 Stream that never moved emits.
 func TestBatchStreamCopyLane(t *testing.T) {
 	const T = 8
-	for _, lstm := range []bool{false, true} {
-		m := batchTestModel(31, lstm)
-		in, out := m.Spec.InputDim, m.Spec.OutputDim
-		ref := m.NewStream()
-		cur, lane := m.NewBatchStream(1), 0
-		for step := 0; step < T; step++ {
-			// Hop to a fresh stream of another width whose every lane has
-			// already been stepped on junk.
-			bw := []int{8, 3, 1}[step%3]
-			next := m.NewBatchStream(bw)
-			junk := make([]float32, in*bw)
-			for i := range junk {
-				junk[i] = float32(i%7) - 3
-			}
-			next.StepBatch(junk)
-			nl := (lane + 2) % bw
-			next.Retire(nl)
-			cur.CopyLaneTo(next, nl, lane)
-			if !next.Active(nl) {
-				t.Fatalf("lstm=%v step %d: the live flag did not travel with the lane", lstm, step)
-			}
-			cur, lane = next, nl
+	m := batchTestModel(31)
+	in, out := m.Spec.InputDim, m.Spec.OutputDim
+	ref := m.NewStream()
+	cur, lane := m.NewBatchStream(1), 0
+	for step := 0; step < T; step++ {
+		// Hop to a fresh stream of another width whose every lane has
+		// already been stepped on junk.
+		bw := []int{8, 3, 1}[step%3]
+		next := m.NewBatchStream(bw)
+		junk := make([]float32, in*bw)
+		for i := range junk {
+			junk[i] = float32(i%7) - 3
+		}
+		next.StepBatch(junk)
+		nl := (lane + 2) % bw
+		next.Retire(nl)
+		cur.CopyLaneTo(next, nl, lane)
+		if !next.Active(nl) {
+			t.Fatalf("step %d: the live flag did not travel with the lane", step)
+		}
+		cur, lane = next, nl
 
-			frame := batchFrame(9, 0, step, in)
-			panel := make([]float32, in*bw)
-			for i, v := range frame {
-				panel[i*bw+lane] = v
-			}
-			got := cur.StepBatch(panel)
-			want := ref.Step(frame)
-			for i := 0; i < out; i++ {
-				if got[i*bw+lane] != want[i] {
-					t.Fatalf("lstm=%v step %d (width %d lane %d) elem %d: moved lane %v vs serial %v",
-						lstm, step, bw, lane, i, got[i*bw+lane], want[i])
-				}
+		frame := batchFrame(9, 0, step, in)
+		panel := make([]float32, in*bw)
+		for i, v := range frame {
+			panel[i*bw+lane] = v
+		}
+		got := cur.StepBatch(panel)
+		want := ref.Step(frame)
+		for i := 0; i < out; i++ {
+			if got[i*bw+lane] != want[i] {
+				t.Fatalf("step %d (width %d lane %d) elem %d: moved lane %v vs serial %v",
+					step, bw, lane, i, got[i*bw+lane], want[i])
 			}
 		}
-		cur.Retire(lane)
-		idle := m.NewBatchStream(2)
-		cur.CopyLaneTo(idle, 1, lane)
-		if idle.Active(1) {
-			t.Fatalf("lstm=%v: a retired lane arrived live", lstm)
-		}
+	}
+	cur.Retire(lane)
+	idle := m.NewBatchStream(2)
+	cur.CopyLaneTo(idle, 1, lane)
+	if idle.Active(1) {
+		t.Fatal("a retired lane arrived live")
 	}
 }

@@ -78,16 +78,14 @@ func TestStreamTiersFusedEpilogue(t *testing.T) {
 // split lands on different elements at different widths).
 func TestBatchStreamFusedEpilogueLanes(t *testing.T) {
 	within := func(got, want float32) bool { return math.Abs(float64(got-want)) <= epilogueStreamTol }
-	for _, lstm := range []bool{false, true} {
-		for _, tiers := range [][2]bool{{false, false}, {false, true}, {true, true}} {
-			ok := within
-			if !tiers[0] && !tiers[1] {
-				ok = bitEqual
-			}
-			for _, bw := range laneWidths {
-				checkLanes(t, fmt.Sprintf("lstm=%v tiers=%v", lstm, tiers), batchTestModel(41, lstm),
-					tierKernels(tiers[0], tiers[1]), bw, ok)
-			}
+	for _, tiers := range [][2]bool{{false, false}, {false, true}, {true, true}} {
+		ok := within
+		if !tiers[0] && !tiers[1] {
+			ok = bitEqual
+		}
+		for _, bw := range laneWidths {
+			checkLanes(t, fmt.Sprintf("tiers=%v", tiers), batchTestModel(41),
+				tierKernels(tiers[0], tiers[1]), bw, ok)
 		}
 	}
 }

@@ -56,7 +56,9 @@ func (g *GRU) OutDim() int { return g.Hidden }
 func (g *GRU) Params() []*Param { return []*Param{g.Wx, g.Wh, g.Bx, g.Bh} }
 
 // Forward runs the recurrence from a zero initial state and caches
-// activations for Backward.
+// activations for Backward. It is the exact tier's oracle, so its products
+// are rounded to float32 explicitly, as in tensor.GRUEpilogue: no target may
+// fuse them into a multiply-add.
 func (g *GRU) Forward(seq [][]float32) [][]float32 {
 	T := len(seq)
 	H := g.Hidden
@@ -88,11 +90,11 @@ func (g *GRU) Forward(seq [][]float32) [][]float32 {
 			r[i] = sigmoid(ax[H+i] + ah[H+i])
 		}
 		for i := 0; i < H; i++ {
-			c[i] = tanh32(ax[2*H+i] + r[i]*ahcT[i])
+			c[i] = tanh32(ax[2*H+i] + float32(r[i]*ahcT[i]))
 		}
 		hNew := make([]float32, H)
 		for i := 0; i < H; i++ {
-			hNew[i] = (1-z[i])*h[i] + z[i]*c[i]
+			hNew[i] = float32((1-z[i])*h[i]) + float32(z[i]*c[i])
 		}
 		g.zs[t], g.rs[t], g.cs[t], g.ahc[t] = z, r, c, ahcT
 		g.outputs[t] = hNew

@@ -16,23 +16,16 @@ type Model struct {
 	Spec ModelSpec
 }
 
-// CellType selects the recurrent cell of a model.
+// CellType is the recurrent cell word a model spec carries on disk. The
+// paper's GRU (CellGRU, 0) is its only value; loaders refuse any other
+// (ModelSpec.Validate).
 type CellType int
 
-const (
-	// CellGRU is the paper's evaluation architecture.
-	CellGRU CellType = iota
-	// CellLSTM mirrors the ESE / C-LSTM / E-RNN comparison systems.
-	CellLSTM
-)
+// CellGRU is the paper's evaluation architecture.
+const CellGRU CellType = 0
 
 // String names the cell.
-func (c CellType) String() string {
-	if c == CellLSTM {
-		return "lstm"
-	}
-	return "gru"
-}
+func (c CellType) String() string { return "gru" }
 
 // ModelSpec describes a recurrent classifier's architecture.
 type ModelSpec struct {
@@ -49,14 +42,47 @@ func (s ModelSpec) String() string {
 	return fmt.Sprintf("%s%dx%d-in%d-out%d", s.Cell, s.NumLayers, s.Hidden, s.InputDim, s.OutputDim)
 }
 
-// NewModel builds the model the spec describes (GRU or LSTM stack plus a
-// Dense classifier).
-func NewModel(spec ModelSpec) *Model {
-	if spec.Cell == CellLSTM {
-		return NewLSTMModel(spec)
+// Bounds on a model spec read from a file, so that a corrupt header can
+// neither overflow the model's shapes nor declare more weights than any
+// deployment holds (the paper's largest model has 9.6 M).
+const (
+	maxSpecDim     = 1 << 20
+	maxSpecLayers  = 1024
+	maxModelParams = 1 << 26
+)
+
+// Validate checks a spec read from a file before any shape is built from
+// it: positive bounded dimensions and layer count, at most maxModelParams
+// weights, and the GRU cell. Every loader calls it (Load, and the bundle
+// loaders in internal/rtmobile).
+func (s ModelSpec) Validate() error {
+	for _, d := range []int{s.InputDim, s.Hidden, s.OutputDim} {
+		if d < 1 || d > maxSpecDim {
+			return fmt.Errorf("nn: corrupt model spec %+v", s)
+		}
 	}
-	return NewGRUModel(spec)
+	if s.NumLayers < 1 || s.NumLayers > maxSpecLayers {
+		return fmt.Errorf("nn: corrupt layer count %d", s.NumLayers)
+	}
+	switch s.Cell {
+	case CellGRU:
+	case 1:
+		return fmt.Errorf("nn: cell type 1 is an LSTM; LSTM support was removed, only the GRU loads")
+	default:
+		return fmt.Errorf("nn: unknown cell type %d", s.Cell)
+	}
+	n := 0
+	for _, p := range NewModelShell(s).Params() {
+		n += p.W.Rows * p.W.Cols
+	}
+	if n > maxModelParams {
+		return fmt.Errorf("nn: model spec declares %d parameters (max %d)", n, maxModelParams)
+	}
+	return nil
 }
+
+// NewModel builds the model the spec describes: NewGRUModel, the one cell.
+func NewModel(spec ModelSpec) *Model { return NewGRUModel(spec) }
 
 // NewGRUModel constructs the paper's architecture: NumLayers stacked GRUs
 // followed by a Dense classifier.

@@ -143,11 +143,22 @@ func TestTrainDeterministic(t *testing.T) {
 	build := func() float64 {
 		m := NewGRUModel(ModelSpec{InputDim: 4, Hidden: 6, NumLayers: 1, OutputDim: 3, Seed: 2})
 		data := []Sequence{toyData(5, 10, 4, 3), toyData(6, 12, 4, 3)}
-		m.Train(data, NewSGD(0.05, 0.9, 0), TrainConfig{Epochs: 3, Seed: 4})
+		m.Train(data, NewAdam(0.01), TrainConfig{Epochs: 3, Seed: 4})
 		return m.Loss(data)
 	}
 	if build() != build() {
 		t.Fatal("training is not deterministic")
+	}
+}
+
+func TestNewModelDispatch(t *testing.T) {
+	spec := ModelSpec{InputDim: 3, Hidden: 4, NumLayers: 1, OutputDim: 2, Seed: 1, Cell: CellGRU}
+	g := NewModel(spec)
+	if _, ok := g.Layers[0].(*GRU); !ok {
+		t.Fatal("CellGRU did not build a GRU")
+	}
+	if g.Spec != spec || g.Spec.String() != "gru1x4-in3-out2" {
+		t.Fatalf("NewModel spec %v, want %v", g.Spec, spec)
 	}
 }
 
@@ -238,19 +249,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	p := NewParam("w", 1, 1)
-	p.W.Data[0] = 10
-	opt := NewSGD(0.05, 0.9, 0)
-	for i := 0; i < 300; i++ {
-		p.Grad.Data[0] = 2 * p.W.Data[0]
-		opt.Step([]*Param{p})
-	}
-	if math.Abs(float64(p.W.Data[0])) > 0.01 {
-		t.Fatalf("SGD converged to %v, want 0", p.W.Data[0])
-	}
-}
-
 func TestOptimizerReset(t *testing.T) {
 	p := NewParam("w", 1, 1)
 	opt := NewAdam(0.1)
@@ -265,7 +263,8 @@ func TestOptimizerReset(t *testing.T) {
 func TestWeightDecayShrinksWeights(t *testing.T) {
 	p := NewParam("w", 1, 1)
 	p.W.Data[0] = 1
-	opt := NewSGD(0.1, 0, 0.5)
+	opt := NewAdam(0.1)
+	opt.WeightDecay = 0.5
 	opt.Step([]*Param{p}) // grad 0, decay pulls toward 0
 	if p.W.Data[0] >= 1 {
 		t.Fatal("weight decay had no effect")

@@ -10,43 +10,6 @@ type Optimizer interface {
 	Reset()
 }
 
-// SGD is stochastic gradient descent with classical momentum and optional
-// weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	velocity    map[*Param][]float32
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay,
-		velocity: make(map[*Param][]float32)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	lr := float32(s.LR)
-	mom := float32(s.Momentum)
-	wd := float32(s.WeightDecay)
-	for _, p := range params {
-		v := s.velocity[p]
-		if v == nil {
-			v = make([]float32, len(p.W.Data))
-			s.velocity[p] = v
-		}
-		for i := range p.W.Data {
-			g := p.Grad.Data[i] + wd*p.W.Data[i]
-			v[i] = mom*v[i] + g
-			p.W.Data[i] -= lr * v[i]
-		}
-	}
-}
-
-// Reset implements Optimizer.
-func (s *SGD) Reset() { s.velocity = make(map[*Param][]float32) }
-
 // Adam is the Adam optimizer (Kingma & Ba) — the paper notes ADMM pruning
 // "requires the most advanced optimizer in stochastic gradient descent
 // (e.g., Adam optimizer)", so it is the default for BSP training.

@@ -92,11 +92,15 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, err
 		}
 	}
-	m := NewModel(ModelSpec{
+	ms := ModelSpec{
 		InputDim: int(spec[0]), Hidden: int(spec[1]),
 		NumLayers: int(spec[2]), OutputDim: int(spec[3]), Seed: spec[4],
 		Cell: CellType(spec[5]),
-	})
+	}
+	if err := ms.Validate(); err != nil {
+		return nil, err
+	}
+	m := NewModel(ms)
 	var count uint32
 	if err := binary.Read(r, le, &count); err != nil {
 		return nil, err

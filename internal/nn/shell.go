@@ -46,18 +46,6 @@ func newGRUShell(name string, inDim, hidden int) *GRU {
 	}
 }
 
-// newLSTMShell mirrors NewLSTM's shapes without allocating weight storage.
-func newLSTMShell(name string, inDim, hidden int) *LSTM {
-	return &LSTM{
-		InDim:  inDim,
-		Hidden: hidden,
-		Wx:     newParamShell(name+".Wx", 4*hidden, inDim),
-		Wh:     newParamShell(name+".Wh", 4*hidden, hidden),
-		Bx:     newParamShell(name+".bx", 1, 4*hidden),
-		Bh:     newParamShell(name+".bh", 1, 4*hidden),
-	}
-}
-
 // newDenseShell mirrors NewDense's shapes without allocating weight storage.
 func newDenseShell(name string, inDim, outDim int) *Dense {
 	return &Dense{
@@ -80,12 +68,7 @@ func NewModelShell(spec ModelSpec) *Model {
 	m := &Model{Spec: spec}
 	in := spec.InputDim
 	for l := 0; l < spec.NumLayers; l++ {
-		name := fmt.Sprintf("%s%d", spec.Cell, l)
-		if spec.Cell == CellLSTM {
-			m.Layers = append(m.Layers, newLSTMShell(name, in, spec.Hidden))
-		} else {
-			m.Layers = append(m.Layers, newGRUShell(name, in, spec.Hidden))
-		}
+		m.Layers = append(m.Layers, newGRUShell(fmt.Sprintf("%s%d", spec.Cell, l), in, spec.Hidden))
 		in = spec.Hidden
 	}
 	m.Layers = append(m.Layers, newDenseShell("out", in, spec.OutputDim))

@@ -25,11 +25,6 @@ func TestStreamMatchesBatchGRU(t *testing.T) {
 	streamMatchesForward(t, m, toyData(2, 20, 5, 4))
 }
 
-func TestStreamMatchesBatchLSTM(t *testing.T) {
-	m := NewLSTMModel(ModelSpec{InputDim: 5, Hidden: 8, NumLayers: 2, OutputDim: 4, Seed: 3})
-	streamMatchesForward(t, m, toyData(4, 20, 5, 4))
-}
-
 func TestStreamReset(t *testing.T) {
 	m := NewGRUModel(ModelSpec{InputDim: 4, Hidden: 6, NumLayers: 1, OutputDim: 3, Seed: 5})
 	data := toyData(6, 10, 4, 3)

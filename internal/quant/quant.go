@@ -138,33 +138,15 @@ func (q *QMatrix) Bytes() int {
 	return (bits + 7) / 8
 }
 
-// MaxError returns the largest absolute reconstruction error vs m.
-func (q *QMatrix) MaxError(m *tensor.Matrix) float64 {
-	d := q.Dequantize()
-	worst := 0.0
-	for i := range m.Data {
-		if e := math.Abs(float64(d.Data[i] - m.Data[i])); e > worst {
-			worst = e
-		}
-	}
-	return worst
-}
-
 // QuantizeModelWeights quantizes every matrix through bits and writes the
 // dequantized values back — the "deploy at b bits" accuracy experiment.
-// Returns the mean max-error across matrices.
-func QuantizeModelWeights(mats []*tensor.Matrix, bits int, scheme Scheme) (float64, error) {
-	if len(mats) == 0 {
-		return 0, nil
-	}
-	total := 0.0
+func QuantizeModelWeights(mats []*tensor.Matrix, bits int, scheme Scheme) error {
 	for _, m := range mats {
 		q, err := Quantize(m, bits, scheme)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		total += q.MaxError(m)
 		m.CopyFrom(q.Dequantize())
 	}
-	return total / float64(len(mats)), nil
+	return nil
 }

@@ -87,29 +87,27 @@ func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, tier diffTie
 
 // TestBatchStreamMatchesStream is the lane table: every width class (the
 // live stream, narrow portable panels, one vector chunk, chunk + remainder,
-// the widest) × cell × kernel tier, plus the fp16 (GPU) activation path,
+// the widest) × kernel tier, plus the fp16 (GPU) activation path,
 // with a mid-utterance lane reset.
 func TestBatchStreamMatchesStream(t *testing.T) {
-	for _, cell := range []nn.CellType{nn.CellGRU, nn.CellLSTM} {
-		for _, tier := range diffTiers {
-			for g, target := range []*device.Target{device.MobileCPU(), device.MobileGPU()} {
-				if g == 1 && tier.name != "exact" {
-					continue // fp16 staging is tier-independent: one row covers it
-				}
-				model := nn.NewModel(nn.ModelSpec{
-					InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 41, Cell: cell,
-				})
-				res := Prune(model, nil, PruneConfig{ColRate: 4, RowRate: 1, RowGroups: 4, ColBlocks: 4})
-				eng, err := Compile(model, res.Scheme, DeployConfig{
-					Target: target, Quant: tier.quant, Precision: tier.precision,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%v/%s/%s", cell, tier.name, target.Name)
-				for _, bw := range []int{1, 2, 7, 8, 9, 32} {
-					checkLeaseLanes(t, label, eng, bw, tier, false)
-				}
+	for _, tier := range diffTiers {
+		for g, target := range []*device.Target{device.MobileCPU(), device.MobileGPU()} {
+			if g == 1 && tier.name != "exact" {
+				continue // fp16 staging is tier-independent: one row covers it
+			}
+			model := nn.NewModel(nn.ModelSpec{
+				InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 41,
+			})
+			res := Prune(model, nil, PruneConfig{ColRate: 4, RowRate: 1, RowGroups: 4, ColBlocks: 4})
+			eng, err := Compile(model, res.Scheme, DeployConfig{
+				Target: target, Quant: tier.quant, Precision: tier.precision,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s/%s", tier.name, target.Name)
+			for _, bw := range []int{1, 2, 7, 8, 9, 32} {
+				checkLeaseLanes(t, label, eng, bw, tier, false)
 			}
 		}
 	}

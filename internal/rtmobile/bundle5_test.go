@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -138,8 +139,8 @@ func TestMapBundleBitIdentical(t *testing.T) {
 	if mb.Version() != 5 {
 		t.Fatalf("Version() = %d, want 5", mb.Version())
 	}
-	if mb.Mapped() != mmapBuilt {
-		t.Fatalf("Mapped() = %v on a build with mmap support = %v", mb.Mapped(), mmapBuilt)
+	if mb.mapped != mmapBuilt {
+		t.Fatalf("mapped = %v on a build with mmap support = %v", mb.mapped, mmapBuilt)
 	}
 	if mb.Scheme().ColRate != 4 {
 		t.Fatalf("scheme lost: %+v", mb.Scheme())
@@ -149,7 +150,7 @@ func TestMapBundleBitIdentical(t *testing.T) {
 		t.Fatalf("plan cache not honored from mapped tune section: %+v vs %+v",
 			mb.Engine().Tuned(), eng.Tuned())
 	}
-	names := mb.ProgramNames()
+	names := programNames(mb)
 	if len(names) == 0 {
 		t.Fatal("no packed programs in mapped bundle")
 	}
@@ -179,7 +180,7 @@ func TestMapBundleQuantized(t *testing.T) {
 	}
 	defer mb.Close()
 	sameEnginePosteriors(t, eng, mb.Engine(), 98)
-	for _, n := range mb.ProgramNames() {
+	for _, n := range programNames(mb) {
 		if pq := mb.Packed(n); pq == nil || pq.Bits != 8 || len(pq.Vals) == 0 {
 			t.Fatalf("Packed(%q) = %+v for 8-bit bundle, want an 8-bit program", n, pq)
 		}
@@ -207,7 +208,7 @@ func TestMapBundleLegacyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	if mb.Mapped() {
+	if mb.mapped {
 		t.Fatal("legacy bundle claims to be mapped")
 	}
 	if mb.Version() != 4 {
@@ -503,4 +504,14 @@ func FuzzMapBundle(f *testing.F) {
 			mb.Close()
 		}
 	})
+}
+
+// programNames lists the bundle engine's program names, sorted.
+func programNames(b *MappedBundle) []string {
+	names := make([]string, 0, len(b.img.eng.progs))
+	for _, p := range b.img.eng.progs {
+		names = append(names, p.Name)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -164,7 +164,7 @@ func roundWeights(model *nn.Model, bits int, fp16 bool) error {
 		for _, p := range model.WeightMatrices() {
 			mats = append(mats, p.W)
 		}
-		if _, err := quant.QuantizeModelWeights(mats, bits, quant.PerRow); err != nil {
+		if err := quant.QuantizeModelWeights(mats, bits, quant.PerRow); err != nil {
 			return err
 		}
 	}

@@ -109,29 +109,3 @@ func indexStr(s, sub string) int {
 	}
 	return -1
 }
-
-// TestLSTMBaselinePath mirrors the ESE/C-LSTM comparison systems' native
-// architecture through the same pipeline.
-func TestLSTMBaselinePath(t *testing.T) {
-	model := nn.NewLSTMModel(nn.ModelSpec{
-		InputDim: 10, Hidden: 16, NumLayers: 1, OutputDim: 5, Seed: 3,
-	})
-	// Magnitude (ESE-style) pruning on the LSTM weights.
-	assign := prune.UniformAssignment(model, prune.Magnitude{Rate: 8})
-	res := prune.ProjectOnly(model, assign)
-	if res.CompressionRate() <= 4 {
-		t.Fatalf("LSTM magnitude pruning rate %.2f", res.CompressionRate())
-	}
-	// The LSTM compiles and runs like the GRU (CSR format — unstructured
-	// sparsity has no BSP grid).
-	eng, err := Compile(model, prune.BSP{}, DeployConfig{
-		Target: device.MobileGPU(), Format: compiler.FormatCSR,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := eng.Infer(testFrames(5, 8, 10))
-	if len(post) != 8 || len(post[0]) != 5 {
-		t.Fatal("LSTM inference shape wrong")
-	}
-}

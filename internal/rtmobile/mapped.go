@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"sort"
 
 	"rtmobile/internal/compiler"
 	"rtmobile/internal/device"
@@ -46,7 +45,7 @@ type MappedBundle struct {
 	img     v5Image
 	data    []byte
 	unmap   func([]byte) error // nil when the backing is a heap arena
-	mapped  bool
+	mapped  bool               // storage aliases an OS file mapping (false: heap arena, or a v1–v4 file decoded)
 	version int
 	closed  bool
 }
@@ -58,11 +57,6 @@ func (b *MappedBundle) Engine() *Engine { return b.img.eng }
 // Scheme returns the BSP scheme stored in the bundle.
 func (b *MappedBundle) Scheme() prune.BSP { return b.img.scheme }
 
-// Mapped reports whether the bundle's storage aliases an OS file mapping
-// (false = heap arena fallback, or a legacy-version bundle loaded through
-// the decode path).
-func (b *MappedBundle) Mapped() bool { return b.mapped }
-
 // Version reports the on-disk format version that was loaded.
 func (b *MappedBundle) Version() int { return b.version }
 
@@ -70,16 +64,6 @@ func (b *MappedBundle) Version() int { return b.version }
 // weight matrix (nil for unknown names).
 func (b *MappedBundle) Packed(name string) *compiler.PackedProgram {
 	return b.img.eng.program(name)
-}
-
-// ProgramNames lists the engine's program names, sorted.
-func (b *MappedBundle) ProgramNames() []string {
-	names := make([]string, 0, len(b.img.eng.progs))
-	for _, p := range b.img.eng.progs {
-		names = append(names, p.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Close releases the mapping. The engine and every program obtained from
@@ -336,38 +320,14 @@ func decodeI8(b []byte) []int8 {
 	return out
 }
 
-// Bounds on a model spec read from a bundle, so that a corrupt header can
-// neither overflow the shell's shapes nor declare more weights than any
-// deployment holds (the paper's largest model has 9.6 M).
-const (
-	maxSpecDim     = 1 << 20
-	maxSpecLayers  = 1024
-	maxModelParams = 1 << 26
-)
-
-// specShell validates a model spec read from a bundle and returns its
-// shape-only shell (nn.NewModelShell): no weight storage is allocated.
+// specShell validates a model spec read from a bundle (nn.ModelSpec.Validate)
+// and returns its shape-only shell (nn.NewModelShell): no weight storage is
+// allocated.
 func specShell(spec nn.ModelSpec) (*nn.Model, error) {
-	for _, d := range []int{spec.InputDim, spec.Hidden, spec.OutputDim} {
-		if d < 1 || d > maxSpecDim {
-			return nil, fmt.Errorf("rtmobile: corrupt model spec %+v", spec)
-		}
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	if spec.NumLayers < 1 || spec.NumLayers > maxSpecLayers {
-		return nil, fmt.Errorf("rtmobile: corrupt layer count %d", spec.NumLayers)
-	}
-	if spec.Cell != nn.CellGRU && spec.Cell != nn.CellLSTM {
-		return nil, fmt.Errorf("rtmobile: unknown cell type %d", spec.Cell)
-	}
-	shell := nn.NewModelShell(spec)
-	n := 0
-	for _, p := range shell.Params() {
-		n += p.W.Rows * p.W.Cols
-	}
-	if n > maxModelParams {
-		return nil, fmt.Errorf("rtmobile: model spec declares %d parameters (max %d)", n, maxModelParams)
-	}
-	return shell, nil
+	return nn.NewModelShell(spec), nil
 }
 
 // v5MaxMetaBytes bounds the JSON metadata section so a corrupt directory

@@ -58,53 +58,51 @@ func hopRows(e *Engine, frames [][]float32, start int, hops map[int]int) [][]flo
 
 func TestBatchLeaseMigration(t *testing.T) {
 	const T = 7
-	for _, cell := range []nn.CellType{nn.CellGRU, nn.CellLSTM} {
-		for _, quant := range []int{0, 8, 16} {
-			model := nn.NewModel(nn.ModelSpec{
-				InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 91, Cell: cell,
-			})
-			res := Prune(model, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
-			exact, err := Compile(model, res.Scheme, DeployConfig{Target: device.MobileCPU(), Quant: quant})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The fast twin shares the weights Compile rounded in place.
-			fast, err := Compile(model.Clone(), res.Scheme, DeployConfig{
-				Target: device.MobileCPU(), Quant: quant, Precision: compiler.PrecisionFast,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames := testFrames(uint64(500+quant), T, 8)
-			want := exact.Infer(frames)
-			label := fmt.Sprintf("%v/q%d", cell, quant)
+	for _, quant := range []int{0, 8, 16} {
+		model := nn.NewModel(nn.ModelSpec{
+			InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 91,
+		})
+		res := Prune(model, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
+		exact, err := Compile(model, res.Scheme, DeployConfig{Target: device.MobileCPU(), Quant: quant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fast twin shares the weights Compile rounded in place.
+		fast, err := Compile(model.Clone(), res.Scheme, DeployConfig{
+			Target: device.MobileCPU(), Quant: quant, Precision: compiler.PrecisionFast,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := testFrames(uint64(500+quant), T, 8)
+		want := exact.Infer(frames)
+		label := fmt.Sprintf("q%d", quant)
 
-			// Exact tier: in place at width 1 ≡ serial Infer, and a trip
-			// 1 → 8 → 1 around every frame index changes nothing.
-			samePosteriors(t, hopRows(exact, frames, 1, nil), want, label+" exact in place vs Infer")
-			for k := 1; k < T; k++ {
-				trip := map[int]int{k: 8, k + 1: 1}
-				samePosteriors(t, hopRows(exact, frames, 1, trip), want, fmt.Sprintf("%s exact moved at frame %d", label, k))
-			}
+		// Exact tier: in place at width 1 ≡ serial Infer, and a trip
+		// 1 → 8 → 1 around every frame index changes nothing.
+		samePosteriors(t, hopRows(exact, frames, 1, nil), want, label+" exact in place vs Infer")
+		for k := 1; k < T; k++ {
+			trip := map[int]int{k: 8, k + 1: 1}
+			samePosteriors(t, hopRows(exact, frames, 1, trip), want, fmt.Sprintf("%s exact moved at frame %d", label, k))
+		}
 
-			// Fast tier: the copy itself is exact — hopping between leases
-			// of one width, at either width, matches staying put — and the
-			// width-changing trip stays inside the tier's tolerance.
-			for _, w := range []int{1, 8} {
-				still := hopRows(fast, frames, w, nil)
-				for k := 1; k < T; k++ {
-					samePosteriors(t, hopRows(fast, frames, w, map[int]int{k: w}), still,
-						fmt.Sprintf("%s fast width %d re-leased at frame %d", label, w, k))
-				}
-			}
+		// Fast tier: the copy itself is exact — hopping between leases
+		// of one width, at either width, matches staying put — and the
+		// width-changing trip stays inside the tier's tolerance.
+		for _, w := range []int{1, 8} {
+			still := hopRows(fast, frames, w, nil)
 			for k := 1; k < T; k++ {
-				got := hopRows(fast, frames, 1, map[int]int{k: 8, k + 1: 1})
-				for f := range want {
-					for j := range want[f] {
-						if d := math.Abs(float64(got[f][j] - want[f][j])); d > 1e-3 {
-							t.Fatalf("%s fast moved at frame %d: frame %d phone %d: %v vs exact %v (|Δ|=%g)",
-								label, k, f, j, got[f][j], want[f][j], d)
-						}
+				samePosteriors(t, hopRows(fast, frames, w, map[int]int{k: w}), still,
+					fmt.Sprintf("%s fast width %d re-leased at frame %d", label, w, k))
+			}
+		}
+		for k := 1; k < T; k++ {
+			got := hopRows(fast, frames, 1, map[int]int{k: 8, k + 1: 1})
+			for f := range want {
+				for j := range want[f] {
+					if d := math.Abs(float64(got[f][j] - want[f][j])); d > 1e-3 {
+						t.Fatalf("%s fast moved at frame %d: frame %d phone %d: %v vs exact %v (|Δ|=%g)",
+							label, k, f, j, got[f][j], want[f][j], d)
 					}
 				}
 			}

@@ -95,7 +95,7 @@ func TestPlanPricesExecutedEvents(t *testing.T) {
 						src.Name, exec.ThreadMACs, stats.ThreadMACs)
 				}
 				if tc.quant == 0 {
-					if got, want := exec.WeightBytesStreamed(plan.Options.ValueBits), stats.WeightBytes; got != want {
+					if got, want := (exec.StreamedVals*plan.Options.ValueBits+7)/8, stats.WeightBytes; got != want {
 						t.Fatalf("%s: streamed %dB, plan priced %dB", src.Name, got, want)
 					}
 				}

@@ -57,42 +57,32 @@ func (c *CSC) MatVec(y, x []float32) {
 	}
 }
 
-// ESEEncoding models ESE's storage: each nonzero carries a 4-bit *relative*
-// row index (distance from the previous nonzero in the column); whenever a
-// gap exceeds 15, padding zero entries are inserted to bridge it. Values
-// are 12-bit in the original design (12-bit quantization + 4-bit index =
-// 16 bits per entry).
-type ESEEncoding struct {
-	StoredEntries int // real nonzeros + padding zeros
-	PaddingZeros  int
-}
-
-// ESEEncode computes ESE's padded entry counts for this matrix.
-func (c *CSC) ESEEncode() ESEEncoding {
-	var enc ESEEncoding
+// eseEntries counts the entries ESE stores for this matrix: each nonzero
+// carries a 4-bit *relative* row index (distance from the previous nonzero
+// in the column); whenever a gap exceeds 16, padding zero entries are
+// inserted to bridge it. Values are 12-bit in the original design (12-bit
+// quantization + 4-bit index = 16 bits per entry).
+func (c *CSC) eseEntries() int {
+	n := 0
 	for j := 0; j < c.Cols; j++ {
 		prev := int32(-1)
 		for k := c.ColPtr[j]; k < c.ColPtr[j+1]; k++ {
-			gap := c.RowIdx[k] - prev
 			// Each stored entry can encode a relative offset of at most
 			// 16 (4 bits, offset-1 in 0..15). Larger gaps need pad zeros.
-			for gap > 16 {
-				enc.StoredEntries++
-				enc.PaddingZeros++
-				gap -= 16
+			for gap := c.RowIdx[k] - prev; gap > 16; gap -= 16 {
+				n++
 			}
-			enc.StoredEntries++
+			n++
 			prev = c.RowIdx[k]
 		}
 	}
-	return enc
+	return n
 }
 
 // BytesESE returns the ESE storage footprint: 16 bits per stored entry
 // (12-bit value + 4-bit relative index) plus 32-bit column pointers.
 func (c *CSC) BytesESE() int {
-	enc := c.ESEEncode()
-	bits := enc.StoredEntries*16 + len(c.ColPtr)*32
+	bits := c.eseEntries()*16 + len(c.ColPtr)*32
 	return (bits + 7) / 8
 }
 

@@ -130,9 +130,8 @@ func TestESEEncodeNoPadding(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Set(i, 0, 1)
 	}
-	enc := NewCSC(m).ESEEncode()
-	if enc.PaddingZeros != 0 || enc.StoredEntries != 10 {
-		t.Fatalf("dense column enc %+v", enc)
+	if n := NewCSC(m).eseEntries(); n != 10 {
+		t.Fatalf("dense column stores %d entries, want 10", n)
 	}
 }
 
@@ -141,13 +140,10 @@ func TestESEEncodePadding(t *testing.T) {
 	m := tensor.NewMatrix(64, 1)
 	m.Set(0, 0, 1)
 	m.Set(40, 0, 1)
-	enc := NewCSC(m).ESEEncode()
-	// gap from row 0 to 40 is 40 -> ceil-ish: two 16-steps leave 8 -> 2 pads.
-	if enc.PaddingZeros != 2 {
-		t.Fatalf("padding %d, want 2", enc.PaddingZeros)
-	}
-	if enc.StoredEntries != 4 {
-		t.Fatalf("stored %d, want 4", enc.StoredEntries)
+	// gap from row 0 to 40 is 40 -> ceil-ish: two 16-steps leave 8 -> 2 pads
+	// beside the 2 nonzeros.
+	if n := NewCSC(m).eseEntries(); n != 4 {
+		t.Fatalf("stored %d, want 4", n)
 	}
 }
 

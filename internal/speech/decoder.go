@@ -72,18 +72,3 @@ func absorbShortRuns(frames []int, minRun int) []int {
 	}
 	return out
 }
-
-// FrameAccuracy returns the fraction of frames whose argmax matches the
-// frame label — the training-time proxy metric (cheaper than full PER).
-func FrameAccuracy(posteriors [][]float32, labels []int) float64 {
-	if len(posteriors) == 0 {
-		return 0
-	}
-	correct := 0
-	for t, row := range posteriors {
-		if tensor.ArgMax(row) == labels[t] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(posteriors))
-}

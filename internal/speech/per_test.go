@@ -158,16 +158,3 @@ func TestPERAccumulates(t *testing.T) {
 		t.Fatalf("PER = %v, want 25", r.PER())
 	}
 }
-
-func TestFrameAccuracy(t *testing.T) {
-	mk := func(id int) []float32 {
-		row := make([]float32, NumPhones)
-		row[id] = 1
-		return row
-	}
-	post := [][]float32{mk(0), mk(1), mk(2), mk(3)}
-	labels := []int{0, 1, 9, 3}
-	if acc := FrameAccuracy(post, labels); acc != 0.75 {
-		t.Fatalf("FrameAccuracy = %v", acc)
-	}
-}

@@ -61,7 +61,11 @@ func checkGateLens(h, ax, ah []float32) int {
 // ax and ah are the [z | r | c] fused projections (length 3·len(h)). The
 // element order and every scalar operation match the unfused reference
 // loops the nn steppers used to run, so exact-tier outputs are
-// bit-identical to the pre-fusion code.
+// bit-identical to the pre-fusion code. Each product is wrapped in an
+// explicit float32 conversion, which rounds it and so forbids the compiler
+// from fusing it with the following add (Go spec, "Floating-point
+// operators"): arm64 and other FMA targets then round exactly as amd64 does.
+// `make vet` refuses a fused multiply-add here.
 //
 // nn's one stepper family calls it on column-major panels of any width: a
 // [3H × bw] gate panel flattened row-major is exactly the [z | r | c] layout
@@ -74,8 +78,8 @@ func GRUEpilogue(h, ax, ah []float32) {
 	for i := 0; i < n; i++ {
 		z := Sigmoid32(axz[i] + ahz[i])
 		r := Sigmoid32(axr[i] + ahr[i])
-		c := Tanh32(axc[i] + r*ahc[i])
-		h[i] = (1-z)*h[i] + z*c
+		c := Tanh32(axc[i] + float32(r*ahc[i]))
+		h[i] = float32((1-z)*h[i]) + float32(z*c)
 	}
 }
 
