@@ -98,8 +98,10 @@ fuzz-smoke:
 # and fails when one of FUNCS (package-qualified, as the listing names them)
 # holds a float32 fused multiply-add, or is missing from the listing: a
 # renamed function would otherwise empty the gate. The exact tier is
-# bit-identical to nn.Forward only while no float32 product on it is fused;
-# amd64 never fuses, arm64 does. Float64 FMADDD (DotF64) stays allowed: a
+# bit-identical to nn.Forward only while no float32 product on it is fused,
+# and training writes the same model bytes on every target only while none
+# in its backward pass, optimizer step and gradient kernels is; amd64 never
+# fuses, arm64 does. Float64 FMADDD (DotF64) stays allowed: a
 # float32×float32 product is exact in float64.
 define nofma32
 	@GOARCH=arm64 $(GO) build -gcflags='rtmobile/internal/$(1)=-S' ./internal/$(1) 2>&1 | awk -v want='$(2)' ' \
@@ -112,14 +114,15 @@ endef
 # Static checks: vet under both build configurations — the default build
 # (which includes the unsafe mmap/alias files in internal/rtmobile) and
 # the purego fallback used on targets without unsafe — a gofmt gate, and
-# the exact tier's no-fusion gate on arm64 (nofma32 above).
+# the no-fusion gate of the exact tier and of training on arm64 (nofma32
+# above).
 vet:
 	$(GO) vet ./...
 	GOFLAGS=-tags=purego $(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
-	$(call nofma32,tensor,tensor.GRUEpilogue tensor.Sigmoid32 tensor.Tanh32)
-	$(call nofma32,nn,nn.(*GRU).Forward nn.(*Dense).Forward)
+	$(call nofma32,tensor,tensor.GRUEpilogue tensor.Sigmoid32 tensor.Tanh32 tensor.Axpy tensor.OuterAdd tensor.outerAddRange tensor.OuterAdd.func1 tensor.MatTVecAdd tensor.matTVecAddCols tensor.MatTVecAdd.func1)
+	$(call nofma32,nn,nn.(*GRU).Forward nn.(*Dense).Forward nn.(*GRU).Backward nn.(*Adam).Step)
 
 # Regenerates the paper tables, then the two studies no `go run
 # ./benchmark` workload covers yet — precision tiers and the open-loop

@@ -393,10 +393,11 @@ func BenchmarkInferBatch(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("utts=%d", n), func(b *testing.B) {
 			eng, err := rtmobile.Compile(model.Clone(), res.Scheme,
-				rtmobile.DeployConfig{Target: device.MobileGPU(), Workers: 1})
+				rtmobile.DeployConfig{Target: device.MobileGPU()})
 			if err != nil {
 				b.Fatal(err)
 			}
+			eng.SetWorkers(1)
 			dst := eng.InferBatch(batch)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -429,10 +430,11 @@ func BenchmarkInferBatchWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eng, err := rtmobile.Compile(model.Clone(), res.Scheme,
-				rtmobile.DeployConfig{Target: device.MobileGPU(), Workers: workers})
+				rtmobile.DeployConfig{Target: device.MobileGPU()})
 			if err != nil {
 				b.Fatal(err)
 			}
+			eng.SetWorkers(workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.InferBatch(batch)
@@ -454,10 +456,11 @@ func panelBenchEngine(b *testing.B, hidden int, col, row float64) (*rtmobile.Eng
 	b.Helper()
 	model := nn.NewGRUModel(nn.ModelSpec{InputDim: 39, Hidden: hidden, NumLayers: 2, OutputDim: 39, Seed: 21})
 	res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: col, RowRate: row})
-	eng, err := rtmobile.Compile(model, res.Scheme, rtmobile.DeployConfig{Target: device.MobileCPU(), Workers: 1})
+	eng, err := rtmobile.Compile(model, res.Scheme, rtmobile.DeployConfig{Target: device.MobileCPU()})
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng.SetWorkers(1)
 	rng := tensor.NewRNG(22)
 	longest := make([][]float32, 59)
 	for t := range longest {

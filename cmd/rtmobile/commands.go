@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -237,8 +238,7 @@ func cmdCompile(args []string) error {
 	eng, err := rtmobile.Compile(model, scheme, rtmobile.DeployConfig{
 		Target: target, Format: format,
 		DisableReorder: *noReorder, DisableLoadElim: *noLoadElim,
-		AutoTuneTiling: *tune, Workers: *workers,
-		Quant: *quantBits, Precision: prec,
+		AutoTuneTiling: *tune, Quant: *quantBits, Precision: prec,
 	})
 	if err != nil {
 		return err
@@ -453,9 +453,9 @@ func cmdBench(args []string) error {
 
 func cmdDeploy(args []string) error {
 	fs := flag.NewFlagSet("deploy", flag.ExitOnError)
-	in := fs.String("in", "pruned.bin", "input model path")
+	in := fs.String("in", "pruned.bin", "input: a pruned model file, or a bundle of any version to lower again (a flag left unset keeps the bundle's recorded value)")
 	out := fs.String("out", "model.rtmb", "output bundle path")
-	targetName := fs.String("target", "gpu", "target: gpu or cpu")
+	targetName := fs.String("target", "gpu", "target: gpu or cpu (a bundle input must record the target's value width)")
 	col := fs.Float64("col", 16, "BSP column rate the model was pruned with")
 	row := fs.Float64("row", 2, "BSP row rate the model was pruned with")
 	rowGroups := fs.Int("row-groups", 8, "BSP row groups")
@@ -466,23 +466,43 @@ func cmdDeploy(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	model, err := loadModel(*in)
-	if err != nil {
-		return err
-	}
 	target, err := parseTarget(*targetName)
 	if err != nil {
 		return err
 	}
-	prec, err := compiler.ParsePrecision(*precName)
+	model, scheme, cfg, isBundle, err := readDeployInput(*in, target)
 	if err != nil {
 		return err
 	}
-	scheme := prune.BSP{ColRate: *col, RowRate: *row, NumRowGroups: *rowGroups, NumColBlocks: *colBlocks}
-	eng, err := rtmobile.Compile(model, scheme, rtmobile.DeployConfig{
-		Target: target, AutoTuneTiling: *tune,
-		Quant: *quantBits, Precision: prec,
-	})
+	// A model file takes every flag; a bundle keeps what it records
+	// wherever the flag is left unset.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	take := func(name string) bool { return !isBundle || set[name] }
+	if take("col") {
+		scheme.ColRate = *col
+	}
+	if take("row") {
+		scheme.RowRate = *row
+	}
+	if take("row-groups") {
+		scheme.NumRowGroups = *rowGroups
+	}
+	if take("col-blocks") {
+		scheme.NumColBlocks = *colBlocks
+	}
+	if take("autotune") {
+		cfg.AutoTuneTiling = *tune
+	}
+	if take("quant") {
+		cfg.Quant = *quantBits
+	}
+	if take("precision") {
+		if cfg.Precision, err = compiler.ParsePrecision(*precName); err != nil {
+			return err
+		}
+	}
+	eng, err := rtmobile.Compile(model, scheme, cfg)
 	if err != nil {
 		return err
 	}
@@ -508,6 +528,25 @@ func cmdDeploy(args []string) error {
 	return nil
 }
 
+// readDeployInput reads deploy's -in file: a model file (nn.Save) gives
+// the model and a DeployConfig of defaults; a bundle of any version gives
+// the dense model ReadBundle rebuilds, the recorded scheme and the
+// recorded DeployConfig, and isBundle.
+func readDeployInput(path string, target *device.Target) (model *nn.Model, scheme prune.BSP, cfg rtmobile.DeployConfig, isBundle bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, scheme, cfg, false, err
+	}
+	defer f.Close()
+	r := bufio.NewReader(f)
+	if magic, _ := r.Peek(4); string(magic) == "RTMB" {
+		model, scheme, cfg, err = rtmobile.ReadBundle(r, target)
+		return model, scheme, cfg, true, err
+	}
+	model, err = nn.Load(r)
+	return model, scheme, rtmobile.DeployConfig{Target: target}, false, err
+}
+
 // printTuneRecord reports the engine's plan-cache entry, if any.
 func printTuneRecord(eng *rtmobile.Engine) {
 	switch rec := eng.Tuned(); rec.Mode {
@@ -518,73 +557,19 @@ func printTuneRecord(eng *rtmobile.Engine) {
 	}
 }
 
-// printQuantStatus reports the engine's weight quantization, if any,
-// including the guardrail verdict when one was armed.
+// printQuantStatus reports the engine's weight quantization, if any.
 func printQuantStatus(eng *rtmobile.Engine) {
-	bits, delta, fell := eng.Quantized()
-	switch {
-	case fell:
-		fmt.Printf("quantization: guardrail fallback to float32 (PER delta %+.4f over limit)\n", delta)
-	case bits != 0 && delta != 0:
-		fmt.Printf("quantization: int%d weights (guardrail PER delta %+.4f)\n", bits, delta)
-	case bits != 0:
+	if bits := eng.Quantized(); bits != 0 {
 		fmt.Printf("quantization: int%d weights\n", bits)
 	}
 }
 
 // printPrecisionStatus reports the engine's kernel tier when it departs
-// from the exact default, including the guardrail verdict when one was
-// armed.
+// from the exact default.
 func printPrecisionStatus(eng *rtmobile.Engine) {
-	tier, delta, fell := eng.Precision()
-	switch {
-	case fell:
-		fmt.Printf("precision: guardrail fallback to exact kernels (PER delta %+.4f over limit)\n", delta)
-	case tier == compiler.PrecisionFast && delta != 0:
-		fmt.Printf("precision: fast tier (guardrail PER delta %+.4f)\n", delta)
-	case tier == compiler.PrecisionFast:
+	if eng.Precision() == compiler.PrecisionFast {
 		fmt.Printf("precision: fast tier (FMA + f32 accumulation)\n")
 	}
-}
-
-// applyQuantOverride implements the run/serve -quant override: -1 keeps
-// the bundle's width, any other value recompiles the loaded engine at
-// that width (0 = back to float32).
-func applyQuantOverride(eng *rtmobile.Engine, scheme prune.BSP, want int) (*rtmobile.Engine, error) {
-	bits, _, _ := eng.Quantized()
-	if want < 0 || want == bits {
-		return eng, nil
-	}
-	ne, err := eng.Requantize(want, scheme)
-	if err != nil {
-		return nil, err
-	}
-	nbits, _, _ := ne.Quantized()
-	fmt.Printf("requantized: int%d -> int%d weights (0 = float32)\n", bits, nbits)
-	return ne, nil
-}
-
-// applyPrecisionOverride implements the run/serve -precision override: an
-// empty value keeps the bundle's tier, "exact"/"fast" re-deploy the loaded
-// engine on that tier (a tier change drops the bundle's cached tuning
-// verdict — see Engine.Reprecision).
-func applyPrecisionOverride(eng *rtmobile.Engine, scheme prune.BSP, want string) (*rtmobile.Engine, error) {
-	if want == "" {
-		return eng, nil
-	}
-	tier, err := compiler.ParsePrecision(want)
-	if err != nil {
-		return nil, err
-	}
-	cur, _, _ := eng.Precision()
-	ne, err := eng.Reprecision(tier, scheme)
-	if err != nil {
-		return nil, err
-	}
-	if ne != eng {
-		fmt.Printf("reprecisioned: %s -> %s kernels (plan cache reset)\n", cur, tier)
-	}
-	return ne, nil
 }
 
 func cmdRun(args []string) error {
@@ -593,8 +578,6 @@ func cmdRun(args []string) error {
 	bundle := fs.String("bundle", "model.rtmb", "deployment bundle path")
 	targetName := fs.String("target", "gpu", "target: gpu or cpu")
 	stats := fs.Bool("stats", false, "trace the evaluation and print the per-layer latency table")
-	quantBits := fs.Int("quant", -1, "override the bundle's quantization width: 8, 12, 16, or 0 for float32 (-1 = keep bundle width)")
-	precName := fs.String("precision", "", "override the bundle's kernel tier: exact or fast (empty = keep bundle tier)")
 	workers := workersFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -612,12 +595,6 @@ func cmdRun(args []string) error {
 	}
 	defer mb.Close()
 	eng, scheme := mb.Engine(), mb.Scheme()
-	if eng, err = applyQuantOverride(eng, scheme, *quantBits); err != nil {
-		return err
-	}
-	if eng, err = applyPrecisionOverride(eng, scheme, *precName); err != nil {
-		return err
-	}
 	eng.SetWorkers(*workers)
 	if *stats {
 		eng.EnableTracing()

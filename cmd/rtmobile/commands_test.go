@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,33 +112,59 @@ func TestCLIWorkflow(t *testing.T) {
 
 // TestCmdDeployBundleVersions: deploy writes the one format this tree
 // writes (v5), smaller than the dense weights it was compiled from, and
-// the file scores bit-identically through both front doors — MapBundle,
-// which serve, registry and run use, and LoadBundle's io.Reader.
+// `deploy -in` lowers any bundle again — the one place a deployment is
+// lowered. Re-deploying a file with no flag set rewrites its bytes; every
+// fixture an earlier commit wrote re-deploys to exactly what deploying its
+// model writes; -quant and -precision re-deploy what a fresh Compile of the
+// deployed weights at that width or tier runs; and a plan cache recording
+// an analytic search is searched again to the same verdict.
 func TestCmdDeployBundleVersions(t *testing.T) {
 	dir := t.TempDir()
 	model := nn.NewGRUModel(nn.ModelSpec{
 		InputDim: 8, Hidden: 64, NumLayers: 1, OutputDim: 6, Seed: 9,
 	})
-	rtmobile.Prune(model, nil, rtmobile.PruneConfig{
+	res := rtmobile.Prune(model, nil, rtmobile.PruneConfig{
 		ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 2,
 	})
-	pruned := filepath.Join(dir, "p.bin")
-	f, err := os.Create(pruned)
-	if err != nil {
-		t.Fatal(err)
+	pruned := saveModel(t, dir, "p.bin", model)
+
+	schemeArgs := []string{"-col", "2", "-row", "1", "-row-groups", "2", "-col-blocks", "2"}
+	deploy := func(t *testing.T, in, out string, args ...string) *rtmobile.Engine {
+		t.Helper()
+		if err := cmdDeploy(append([]string{"-in", in, "-out", out}, args...)); err != nil {
+			t.Fatalf("deploy -in %s %v: %v", filepath.Base(in), args, err)
+		}
+		mb, err := rtmobile.MapBundle(out, device.MobileCPU())
+		if err != nil {
+			t.Fatalf("map %s: %v", filepath.Base(out), err)
+		}
+		t.Cleanup(func() { mb.Close() })
+		return mb.Engine()
 	}
-	if err := model.Save(f); err != nil {
-		t.Fatal(err)
+	sameBytes := func(t *testing.T, a, b string) {
+		t.Helper()
+		x, err := os.ReadFile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Fatalf("%s and %s differ", filepath.Base(a), filepath.Base(b))
+		}
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	scores := func(t *testing.T, got, want *rtmobile.Engine) {
+		t.Helper()
+		frames := serveFrames(5, want.InputDim())
+		if err := samePost(got.Infer(frames), want.Infer(frames)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	schemeArgs := []string{"-col", "2", "-row", "1", "-row-groups", "2", "-col-blocks", "2", "-target", "cpu"}
 	b5 := filepath.Join(dir, "m5.rtmb")
-	if err := cmdDeploy(append([]string{"-in", pruned, "-out", b5}, schemeArgs...)); err != nil {
-		t.Fatalf("deploy: %v", err)
-	}
+	eng := deploy(t, pruned, b5, append(schemeArgs, "-target", "cpu")...)
 	info, err := os.Stat(b5)
 	if err != nil {
 		t.Fatal(err)
@@ -145,29 +172,128 @@ func TestCmdDeployBundleVersions(t *testing.T) {
 	if dense := int64(4 * model.NumParams()); info.Size() >= dense {
 		t.Fatalf("bundle is %d bytes, not below the %d bytes of the dense model", info.Size(), dense)
 	}
+	t.Run("redeploy-as-is", func(t *testing.T) {
+		again := filepath.Join(dir, "again.rtmb")
+		scores(t, deploy(t, b5, again, "-target", "cpu"), eng)
+		sameBytes(t, again, b5)
+		// The bundle computes in fp32; a 16-bit target would round it again.
+		err := cmdDeploy([]string{"-in", b5, "-out", again})
+		if err == nil || !strings.Contains(err.Error(), "32-bit") || !strings.Contains(err.Error(), "16-bit") {
+			t.Fatalf("deploy -in an fp32 bundle for the gpu: error %v, want one naming both widths", err)
+		}
+	})
 
-	mb, err := rtmobile.MapBundle(b5, device.MobileCPU())
-	if err != nil {
-		t.Fatalf("map bundle: %v", err)
-	}
-	defer mb.Close()
-	if mb.Version() != 5 {
-		t.Fatalf("bundle version %d, want 5", mb.Version())
-	}
-	f, err = os.Open(b5)
+	// The fixtures' deployment (internal/rtmobile/testdata/README.md).
+	t.Run("fixtures", func(t *testing.T) {
+		fx := nn.NewModel(nn.ModelSpec{InputDim: 8, Hidden: 16, NumLayers: 2, OutputDim: 6, Seed: 48})
+		rtmobile.Prune(fx, nil, rtmobile.PruneConfig{ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 4})
+		fxModel := saveModel(t, dir, "fixture.bin", fx)
+		fxArgs := []string{"-col", "2", "-row", "1", "-row-groups", "2", "-col-blocks", "4", "-target", "cpu"}
+		files, err := filepath.Glob("../../internal/rtmobile/testdata/parent_*.rtmb")
+		if err != nil || len(files) != 8 {
+			t.Fatalf("found fixtures %v (%v), want 8", files, err)
+		}
+		for _, file := range files {
+			name := filepath.Base(file)
+			quant := "0"
+			if i := strings.Index(name, "_q"); i >= 0 {
+				quant = strings.TrimSuffix(name[i+2:], ".rtmb")
+			}
+			want := filepath.Join(dir, "fresh_q"+quant+".rtmb")
+			fresh := deploy(t, fxModel, want, append(fxArgs, "-quant", quant)...)
+			got := filepath.Join(dir, "re_"+name)
+			scores(t, deploy(t, file, got, "-target", "cpu"), fresh)
+			sameBytes(t, got, want)
+			if name == "parent_v5.rtmb" || name == "parent_v5_q16.rtmb" {
+				continue
+			}
+			if err := cmdRun([]string{"-bundle", file, "-target", "cpu", "-speakers", "1"}); err == nil ||
+				!strings.Contains(err.Error(), "rtmobile deploy -in "+file) {
+				t.Fatalf("run -bundle %s: error %v, want a refusal naming deploy -in", name, err)
+			}
+		}
+	})
+
+	// -quant and -precision on a bundle re-lower the weights it deployed:
+	// on the fp16 target those are the model's weights rounded to fp16.
+	t.Run("quant-and-precision", func(t *testing.T) {
+		bg := filepath.Join(dir, "gpu.rtmb")
+		if err := cmdDeploy(append([]string{"-in", pruned, "-out", bg}, schemeArgs...)); err != nil {
+			t.Fatal(err)
+		}
+		deployed, err := loadModel(pruned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rtmobile.Compile(deployed, res.Scheme, rtmobile.DeployConfig{Target: device.MobileGPU()}); err != nil {
+			t.Fatal(err) // rounds deployed in place to the weights bg holds
+		}
+		for _, tc := range []struct {
+			flag, value string
+			cfg         rtmobile.DeployConfig
+		}{
+			{"-quant", "8", rtmobile.DeployConfig{Target: device.MobileGPU(), Quant: 8}},
+			{"-precision", "fast", rtmobile.DeployConfig{Target: device.MobileGPU(), Precision: compiler.PrecisionFast}},
+		} {
+			want, err := rtmobile.Compile(deployed.Clone(), res.Scheme, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(dir, "gpu"+tc.flag+".rtmb")
+			if err := cmdDeploy([]string{"-in", bg, "-out", out, tc.flag, tc.value}); err != nil {
+				t.Fatal(err)
+			}
+			mb, err := rtmobile.MapBundle(out, device.MobileGPU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mb.Close()
+			got := mb.Engine()
+			if got.Quantized() != tc.cfg.Quant || got.Precision() != tc.cfg.Precision || mb.Scheme() != res.Scheme {
+				t.Fatalf("%s %s: deployed int%d %v %+v", tc.flag, tc.value, got.Quantized(), got.Precision(), mb.Scheme())
+			}
+			scores(t, got, want)
+		}
+	})
+
+	// The plan-cache rule: an analytic verdict is searched again — the same
+	// tile at the same cost — unless -autotune=false, which keeps the tile
+	// and records no search.
+	t.Run("plan-cache", func(t *testing.T) {
+		tuned := filepath.Join(dir, "tuned.rtmb")
+		first := deploy(t, pruned, tuned, append(schemeArgs, "-target", "cpu", "-autotune")...)
+		if first.Tuned().Mode != rtmobile.TuneAnalytic {
+			t.Fatalf("-autotune recorded %+v", first.Tuned())
+		}
+		again := filepath.Join(dir, "tuned-again.rtmb")
+		searched := deploy(t, tuned, again, "-target", "cpu")
+		if searched.Tuned() != first.Tuned() || searched.Plan().Options.Tile != first.Plan().Options.Tile {
+			t.Fatalf("re-deploy recorded %+v %+v, want %+v %+v", searched.Tuned(), searched.Plan().Options.Tile,
+				first.Tuned(), first.Plan().Options.Tile)
+		}
+		sameBytes(t, again, tuned)
+		kept := deploy(t, tuned, filepath.Join(dir, "untuned.rtmb"), "-target", "cpu", "-autotune=false")
+		if kept.Tuned().Mode != rtmobile.TuneNone || kept.Plan().Options.Tile != first.Plan().Options.Tile {
+			t.Fatalf("-autotune=false recorded %+v, tile %+v", kept.Tuned(), kept.Plan().Options.Tile)
+		}
+	})
+}
+
+// saveModel writes m to dir/name and returns the path.
+func saveModel(t *testing.T, dir, name string, m *nn.Model) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	loaded, _, err := rtmobile.LoadBundle(f, device.MobileCPU())
-	if err != nil {
-		t.Fatalf("load bundle: %v", err)
+	if err := m.Save(f); err != nil {
+		t.Fatal(err)
 	}
-
-	frames := serveFrames(5, mb.Engine().InputDim())
-	if err := samePost(loaded.Infer(frames), mb.Engine().Infer(frames)); err != nil {
-		t.Fatalf("LoadBundle and MapBundle inference diverge: %v", err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
+	return path
 }
 
 func TestCmdBenchUnknownExperiment(t *testing.T) {

@@ -64,7 +64,7 @@ commands:
   train      train a dense GRU baseline on the synthetic corpus
   prune      apply BSP (ADMM) pruning to a saved model
   compile    compile a model for the mobile GPU/CPU model and report latency
-  deploy     compile and write a deployment bundle (BSPC weight storage)
+  deploy     compile a model, or re-lower a bundle, into a deployment bundle
   run        load a deployment bundle and score it on the test corpus
   serve      load a bundle and expose /metrics, /healthz, /statz, pprof over HTTP
   loadgen    replay the seeded corpus open-loop at target QPS against a server

@@ -58,8 +58,6 @@ func cmdServe(args []string) error {
 	targetName := fs.String("target", "gpu", "target: gpu or cpu")
 	addr := fs.String("addr", "localhost:8090", "listen address")
 	trace := fs.Bool("trace", false, "total per-layer, epilogue and kernel time for the /statz table")
-	quantBits := fs.Int("quant", -1, "override the bundle's quantization width: 8, 12, 16, or 0 for float32 (-1 = keep bundle width)")
-	precName := fs.String("precision", "", "override the bundle's kernel tier: exact or fast (empty = keep bundle tier)")
 	maxBatch := fs.Int("max-batch", 8, fmt.Sprintf("wide panel shape, 1..%d: a lone request is stepped alone at width 1, and the panel grows to this width the moment a second one waits (1 = never batch)", rtmobile.MaxBatchWidth))
 	queueDepth := fs.Int("queue-depth", 64, "bound on waiting requests before 429s")
 	sloLatencyMs := fs.Float64("slo-latency-ms", 100, "per-request latency objective in milliseconds (a request is good when it succeeds within it)")
@@ -96,23 +94,14 @@ func cmdServe(args []string) error {
 	}
 
 	// Every load — initial registration and every later hot swap — goes
-	// through one loader: zero-copy map the bundle, then apply the CLI
-	// overrides so a swapped-in bundle serves under the same deployment
-	// configuration as the original.
+	// through one loader: zero-copy map the bundle and serve its programs
+	// as written, under the same pool size and tracing as the original.
 	loader := func(path string) (registry.Instance, error) {
 		mb, err := rtmobile.MapBundle(path, target)
 		if err != nil {
 			return registry.Instance{}, err
 		}
 		eng := mb.Engine()
-		if eng, err = applyQuantOverride(eng, mb.Scheme(), *quantBits); err != nil {
-			mb.Close()
-			return registry.Instance{}, err
-		}
-		if eng, err = applyPrecisionOverride(eng, mb.Scheme(), *precName); err != nil {
-			mb.Close()
-			return registry.Instance{}, err
-		}
 		eng.SetWorkers(*workers)
 		if *trace {
 			eng.EnableTracing()

@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -213,11 +215,12 @@ func nanScaleBundle(t *testing.T, dir string) string {
 
 // TestServeSwapRejectsCorruptScales: a replacement bundle with a NaN
 // quantization scale is refused with 400 and the serving version stays —
-// it used to be accepted, after which every /infer answered 500.
+// it used to be accepted, after which every /infer answered 500. So is one
+// serving cannot run as written (a version-4 file), naming the command that
+// lowers it again.
 func TestServeSwapRejectsCorruptScales(t *testing.T) {
 	dir := t.TempDir()
 	good, eng := swapBundle(t, dir, 41)
-	bad := nanScaleBundle(t, dir)
 	reg, err := registry.New(registry.Config{
 		Loader: registry.BundleLoader(device.MobileCPU()),
 		Sched:  sched.Config{MaxBatch: 8, QueueDepth: 8},
@@ -232,21 +235,27 @@ func TestServeSwapRejectsCorruptScales(t *testing.T) {
 	srv := httptest.NewServer(newServeMux(reg))
 	defer srv.Close()
 
-	body, _ := json.Marshal(map[string]string{"path": bad})
-	resp, err := srv.Client().Post(srv.URL+"/admin/models/asr/swap", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("swap to a NaN-scale bundle: status %d, want 400", resp.StatusCode)
-	}
-	if st, _ := reg.Stats("asr"); st.Version != 1 || st.Path != good {
-		t.Fatalf("after the refused swap the model is version %d at %q, want 1 at %q", st.Version, st.Path, good)
+	for bad, why := range map[string]string{
+		nanScaleBundle(t, dir):                            "scale",
+		"../../internal/rtmobile/testdata/parent_v4.rtmb": "rtmobile deploy -in",
+	} {
+		body, _ := json.Marshal(map[string]string{"path": bad})
+		resp, err := srv.Client().Post(srv.URL+"/admin/models/asr/swap", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), why) {
+			t.Fatalf("swap to %s: status %d %q, want 400 naming %q", bad, resp.StatusCode, msg, why)
+		}
+		if st, _ := reg.Stats("asr"); st.Version != 1 || st.Path != good {
+			t.Fatalf("after the refused swap the model is version %d at %q, want 1 at %q", st.Version, st.Path, good)
+		}
 	}
 	frames := serveFrames(4, eng.InputDim())
-	body, _ = json.Marshal(frames)
-	resp, err = srv.Client().Post(srv.URL+"/infer/asr", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(frames)
+	resp, err := srv.Client().Post(srv.URL+"/infer/asr", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,15 @@
 // non-finite input is 0·Inf = NaN in the dense reference and skipped by the
 // program). Compile lowers once, and the programs are the deployment: the
 // engine keeps them with the biases and nothing else, the v5 bundle stores
-// exactly that, and MapBundle runs the programs in place. Nothing holds the
-// dense weights after Compile; Requantize and Reprecision rebuild them from
-// the programs (PackedProgram.Dense) when they re-lower.
+// exactly that, and MapBundle runs the programs in place, as written.
+// Lowering happens in one place, `rtmobile deploy`: MapBundle refuses any
+// file it cannot run as written (a v1–v4 bundle, or a v5 bundle whose
+// programs or plan are not an engine's) with an error naming `rtmobile
+// deploy -in`, which reads a bundle of any version back (ReadBundle: the
+// programs' PackedProgram.Dense or the file's weight sections, plus the
+// recorded DeployConfig) and lowers it once more — also the way to change a
+// deployed bundle's width or tier. Nothing holds the dense weights after
+// Compile.
 //
 // Quantization is a storage format, not a kernel family:
 // compiler.PackQuant rounds a program's values to int8 (8-bit) or int16
@@ -90,11 +96,9 @@
 // kernels and a quantized engine is bit-identical to nn.Forward over its
 // dequantized model. The codes are what a bundle stores (a quarter or half
 // the bytes) and what the Table II footprint prices; the program re-derives
-// them exactly when it is saved. DeployConfig.Quant (the -quant CLI flag)
-// selects the width end to end: bundles persist the codes and scales,
-// Engine.Requantize rewidths a loaded bundle, and an optional guard set
-// makes Compile fall back to float32 weights when quantization costs more
-// PER than QuantGuardMaxDelta allows.
+// them exactly when it is saved. DeployConfig.Quant (the -quant flag of
+// compile and deploy) selects the width at deploy: bundles persist the
+// codes and scales, and serving runs the width a bundle records.
 //
 // # Concurrency and the ownership rule
 //
@@ -104,7 +108,7 @@
 // bit-identical to its serial counterpart: work is partitioned so each
 // output element is produced by exactly one worker in the serial float op
 // order, so results never depend on worker count or scheduling. Pool size
-// comes from DeployConfig.Workers / the -workers CLI flag, falling back to
+// comes from Engine.SetWorkers / the -workers CLI flag, falling back to
 // the RTMOBILE_WORKERS environment variable, then runtime.NumCPU().
 //
 // The ownership rule that makes shared use safe: an Engine holds its own

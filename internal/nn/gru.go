@@ -129,7 +129,7 @@ func (g *GRU) Backward(grad [][]float32) [][]float32 {
 			dc := dhi * z[i]
 			dhNext[i] = dhi * (1 - z[i])
 
-			dcPre := dc * (1 - c[i]*c[i])
+			dcPre := dc * (1 - float32(c[i]*c[i]))
 			dr := dcPre * ahc[i]
 			dahcI := dcPre * r[i]
 

@@ -47,7 +47,7 @@ func (a *Adam) Step(params []*Param) {
 			a.v[p] = v
 		}
 		for i := range p.W.Data {
-			g := float64(p.Grad.Data[i] + wd*p.W.Data[i])
+			g := float64(p.Grad.Data[i] + float32(wd*p.W.Data[i]))
 			m[i] = float32(b1*float64(m[i]) + (1-b1)*g)
 			v[i] = float32(b2*float64(v[i]) + (1-b2)*g*g)
 			p.W.Data[i] -= float32(stepSize * float64(m[i]) / (math.Sqrt(float64(v[i])) + a.Eps))

@@ -18,12 +18,13 @@ import (
 
 // Deployment bundles, versions 1–4: the per-field weight streams earlier
 // writers produced. This tree writes only version 5 (bundle5.go), whose
-// programs are the deployment; LoadBundle still reads every older version,
-// rebuilding the weights, lowering them once with Compile, and keeping only
-// what any engine keeps — spec, biases, programs. It validates the header's
-// spec before building anything from it and allocates each weight matrix
-// only as its payload arrives, so a corrupt file costs an error, not a
-// panic or an allocation the file cannot back.
+// programs are the deployment, and serves nothing else (MapBundle);
+// ReadBundle still reads every older version back into the dense weights
+// and recorded options, for `rtmobile deploy -in` to lower once. The
+// decoder validates the header's spec before building anything from it
+// and allocates each weight matrix only as its payload arrives, so a
+// corrupt file costs an error, not a panic or an allocation the file
+// cannot back.
 //
 // Layout (little-endian): magic "RTMB" | version u32 | spec 6×u64 |
 // scheme 4×f64 | format u32 | valueBits u32 | tile 3×u32 |
@@ -34,29 +35,27 @@ import (
 // payload.
 //
 // Version 2 added the plan cache: the auto-tuner's verdict (mode + cost)
-// and the tile's memory placement, so a tuned bundle reloads with its tuned
-// plan and never re-runs the search; a version-1 file loads with the cache
+// and the tile's memory placement; a version-1 file reads with the cache
 // empty. The tile words and the plan cache describe the modelled target's
 // kernel and how it was chosen; nothing in them selects what the host
 // executes. In particular the unroll word is read back but picks no kernel
 // (there is one per shape), and a TuneMeasured record — written by the
-// host-timing tuner earlier versions had — loads as the record it is.
+// host-timing tuner earlier versions had — keeps its tile untuned.
 //
 // Version 3 added integer weight quantization: the header records the
 // width (0 = float), and a quantized file ships its weight matrices as
 // payload kind 2 — per-row scales plus the raw integers (int8 for 8-bit,
-// int16 little-endian for 12/16-bit). Version 4 added the precision tier,
-// so a reloaded file re-selects the kernel tier it ran under; versions 1–3
-// load on the exact tier.
+// int16 little-endian for 12/16-bit). Version 4 added the precision tier;
+// versions 1–3 read as the exact tier.
 //
 // The fused byte once selected a plan that priced each layer's [Wx|Wh] as
 // one kernel. No engine ever executed such kernels and the pass is gone:
-// loaders read the byte and ignore it, so a file that carries it set loads
+// the reader reads past the byte, so a file that carries it set re-deploys
 // as the per-matrix deployment it always ran.
 
 const (
 	bundleMagic = "RTMB"
-	// bundleVersion is the newest per-field version LoadBundle reads.
+	// bundleVersion is the newest per-field version ReadBundle reads.
 	bundleVersion = 4
 	// maxBundleNameLen bounds a param-name length field so a corrupt
 	// bundle cannot drive a multi-gigabyte allocation before the name
@@ -147,67 +146,101 @@ func readQuantPayload(r io.Reader, dst *tensor.Matrix) error {
 	return nil
 }
 
-// LoadBundle reads a deployment artifact of any version for the target and
-// returns the engine and the scheme stored in the bundle. A version-5
-// stream is read into one arena and parsed as MapBundle parses a mapping;
-// versions 1–4 are decoded and compiled.
-func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) {
+// ReadBundle decodes a deployment bundle of any version into the dense
+// model its programs were lowered from, the scheme it records, and the
+// DeployConfig it was deployed with, Target set to target. Compile(model,
+// scheme, cfg) then lowers it again: it is how `rtmobile deploy -in`
+// re-deploys a file MapBundle refuses, or a deployment at another
+// quantization width or kernel tier. No tuning verdict is copied: a
+// recorded analytic search is armed again (cfg.AutoTuneTiling; the search
+// is deterministic), and any other record keeps its tile untuned.
+//
+// The target must compute at the width the file records (fp16 or fp32,
+// see valueBits): Compile takes the width from the target, and lowering a
+// deployment for another width would round its weights again.
+func ReadBundle(r io.Reader, target *device.Target) (model *nn.Model, scheme prune.BSP, cfg DeployConfig, err error) {
+	fail := func(err error) (*nn.Model, prune.BSP, DeployConfig, error) {
+		return nil, prune.BSP{}, DeployConfig{}, err
+	}
+	if target == nil {
+		return fail(fmt.Errorf("rtmobile: ReadBundle target is required"))
+	}
+	head := make([]byte, 8)
+	if _, err := io.ReadFull(r, head[:4]); err != nil {
+		return fail(fmt.Errorf("rtmobile: reading bundle magic: %w", err))
+	}
+	if string(head[:4]) != bundleMagic {
+		return fail(fmt.Errorf("rtmobile: bad bundle magic %q", head[:4]))
+	}
+	if _, err := io.ReadFull(r, head[4:]); err != nil {
+		return fail(fmt.Errorf("rtmobile: reading bundle version: %w", err))
+	}
+	var bits int
+	switch version := binary.LittleEndian.Uint32(head[4:]); {
+	case version == bundleVersion5:
+		var rest []byte
+		if rest, err = io.ReadAll(r); err != nil {
+			return fail(fmt.Errorf("rtmobile: reading v5 bundle: %w", err))
+		}
+		model, scheme, cfg, bits, err = readV5(append(head, rest...))
+	case version >= 1 && version <= bundleVersion:
+		model, scheme, cfg, bits, err = readV4(r, version)
+	default:
+		err = fmt.Errorf("rtmobile: unsupported bundle version %d", version)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if want := valueBits(target); bits != want {
+		return fail(fmt.Errorf("rtmobile: bundle computes in %d-bit values and target %s in %d-bit ones: lower it for a target of its own width",
+			bits, target.Name, want))
+	}
+	cfg.Target = target
+	return model, scheme, cfg, nil
+}
+
+// recordedConfig is the DeployConfig a bundle's recorded options and plan
+// cache describe (Target unset).
+func recordedConfig(opt compiler.Options, quantBits int, tuned TuneMode) DeployConfig {
+	return DeployConfig{
+		Format:          opt.Format,
+		DisableReorder:  !opt.Reorder,
+		DisableLoadElim: !opt.EliminateRedundantLoads,
+		AutoTuneTiling:  tuned == TuneAnalytic,
+		Tile:            opt.Tile,
+		Quant:           quantBits,
+		Precision:       opt.Precision,
+	}
+}
+
+// readV4 decodes the rest of a version-1–4 stream, after its magic and
+// version, into the dense model, the scheme, the recorded DeployConfig and
+// the recorded value width.
+func readV4(r io.Reader, version uint32) (*nn.Model, prune.BSP, DeployConfig, int, error) {
 	le := binary.LittleEndian
 	var zero prune.BSP
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, zero, fmt.Errorf("rtmobile: reading bundle magic: %w", err)
-	}
-	if string(head) != bundleMagic {
-		return nil, zero, fmt.Errorf("rtmobile: bad bundle magic %q", head)
-	}
-	var version uint32
-	if err := binary.Read(r, le, &version); err != nil {
-		return nil, zero, fmt.Errorf("rtmobile: reading bundle version: %w", err)
-	}
-	if version == bundleVersion5 {
-		// The portable v5 path: pull the whole stream into one arena
-		// allocation and parse the section table in place (the same parser
-		// MapBundle runs over mapped pages).
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading v5 bundle: %w", err)
-		}
-		data := make([]byte, 8+len(rest))
-		copy(data, head)
-		le.PutUint32(data[4:], version)
-		copy(data[8:], rest)
-		img, err := parseV5(data, target)
-		if err != nil {
-			return nil, zero, err
-		}
-		return img.eng, img.scheme, nil
-	}
-	if version < 1 || version > bundleVersion {
-		return nil, zero, fmt.Errorf("rtmobile: unsupported bundle version %d", version)
-	}
 	var specRaw [6]uint64
 	for i := range specRaw {
 		if err := binary.Read(r, le, &specRaw[i]); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle model spec: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle model spec: %w", err)
 		}
 	}
 	var schemeRaw [4]float64
 	for i := range schemeRaw {
 		if err := binary.Read(r, le, &schemeRaw[i]); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle prune scheme: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle prune scheme: %w", err)
 		}
 	}
 	var format, valueBits, rowTile, colTile, unroll uint32
 	for _, p := range []*uint32{&format, &valueBits, &rowTile, &colTile, &unroll} {
 		if err := binary.Read(r, le, p); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle compiler options: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle compiler options: %w", err)
 		}
 	}
 	var reorder, loadelim, fused uint8 // fused is read past and ignored
 	for _, p := range []*uint8{&reorder, &loadelim, &fused} {
 		if err := binary.Read(r, le, p); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle compiler flags: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle compiler flags: %w", err)
 		}
 	}
 	var tuneMode uint8
@@ -215,34 +248,34 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 	var tuneCost float64
 	if version >= 2 {
 		if err := binary.Read(r, le, &tuneMode); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle plan cache: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle plan cache: %w", err)
 		}
 		if err := binary.Read(r, le, &placement); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle plan cache: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle plan cache: %w", err)
 		}
 		if err := binary.Read(r, le, &tuneCost); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle plan cache: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle plan cache: %w", err)
 		}
 		if tuneMode > uint8(TuneMeasured) {
-			return nil, zero, fmt.Errorf("rtmobile: unknown tune mode %d", tuneMode)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: unknown tune mode %d", tuneMode)
 		}
 	}
 	var quantBits uint8
 	if version >= 3 {
 		if err := binary.Read(r, le, &quantBits); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle quantization width: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle quantization width: %w", err)
 		}
 		if quantBits != 0 && !compiler.QuantBitsValid(int(quantBits)) {
-			return nil, zero, fmt.Errorf("rtmobile: corrupt quantization width %d", quantBits)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: corrupt quantization width %d", quantBits)
 		}
 	}
 	var precByte uint8
 	if version >= 4 {
 		if err := binary.Read(r, le, &precByte); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: reading bundle precision tier: %w", err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle precision tier: %w", err)
 		}
 		if !compiler.PrecisionValid(compiler.Precision(precByte)) {
-			return nil, zero, fmt.Errorf("rtmobile: corrupt precision tier %d", precByte)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: corrupt precision tier %d", precByte)
 		}
 	}
 
@@ -253,7 +286,7 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 		Seed: specRaw[4], Cell: nn.CellType(specRaw[5]),
 	})
 	if err != nil {
-		return nil, zero, err
+		return nil, zero, DeployConfig{}, 0, err
 	}
 	scheme := prune.BSP{
 		ColRate: schemeRaw[0], RowRate: schemeRaw[1],
@@ -262,92 +295,85 @@ func LoadBundle(r io.Reader, target *device.Target) (*Engine, prune.BSP, error) 
 
 	var count uint32
 	if err := binary.Read(r, le, &count); err != nil {
-		return nil, zero, fmt.Errorf("rtmobile: reading bundle param count: %w", err)
+		return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: reading bundle param count: %w", err)
 	}
 	params := model.Params()
 	if int(count) != len(params) {
-		return nil, zero, fmt.Errorf("rtmobile: bundle has %d params, model expects %d", count, len(params))
+		return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: bundle has %d params, model expects %d", count, len(params))
 	}
 	for _, p := range params {
 		var nameLen uint32
 		if err := binary.Read(r, le, &nameLen); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: %s: reading name length: %w", p.Name, err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: reading name length: %w", p.Name, err)
 		}
 		// Param names are short dotted identifiers; a huge length means the
 		// stream is corrupt, and allocating it blindly would OOM on garbage.
 		if nameLen > maxBundleNameLen {
-			return nil, zero, fmt.Errorf("rtmobile: %s: corrupt name length %d (max %d)",
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: corrupt name length %d (max %d)",
 				p.Name, nameLen, maxBundleNameLen)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: %s: reading name: %w", p.Name, err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: reading name: %w", p.Name, err)
 		}
 		if string(name) != p.Name {
-			return nil, zero, fmt.Errorf("rtmobile: param order mismatch: %q vs %q", name, p.Name)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: param order mismatch: %q vs %q", name, p.Name)
 		}
 		var kind uint8
 		if err := binary.Read(r, le, &kind); err != nil {
-			return nil, zero, fmt.Errorf("rtmobile: %s: reading payload kind: %w", p.Name, err)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: reading payload kind: %w", p.Name, err)
 		}
 		switch kind {
 		case 2:
 			if quantBits == 0 {
-				return nil, zero, fmt.Errorf("rtmobile: %s: quantized payload in an unquantized bundle", p.Name)
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: quantized payload in an unquantized bundle", p.Name)
 			}
 			if err := readQuantPayload(r, p.W); err != nil {
-				return nil, zero, fmt.Errorf("rtmobile: %s: %w", p.Name, err)
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: %w", p.Name, err)
 			}
 		case 1:
 			b, err := sparse.DecodeBSPC(r)
 			if err != nil {
-				return nil, zero, fmt.Errorf("rtmobile: %s: %w", p.Name, err)
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: %w", p.Name, err)
 			}
 			if b.Rows != p.W.Rows || b.Cols != p.W.Cols {
-				return nil, zero, fmt.Errorf("rtmobile: %s shape %dx%d, want %dx%d",
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s shape %dx%d, want %dx%d",
 					p.Name, b.Rows, b.Cols, p.W.Rows, p.W.Cols)
 			}
 			p.W.Data = b.Dense().Data
 		case 0:
 			var rows, cols uint32
 			if err := binary.Read(r, le, &rows); err != nil {
-				return nil, zero, fmt.Errorf("rtmobile: %s: reading shape: %w", p.Name, err)
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: reading shape: %w", p.Name, err)
 			}
 			if err := binary.Read(r, le, &cols); err != nil {
-				return nil, zero, fmt.Errorf("rtmobile: %s: reading shape: %w", p.Name, err)
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: reading shape: %w", p.Name, err)
 			}
 			if int(rows) != p.W.Rows || int(cols) != p.W.Cols {
-				return nil, zero, fmt.Errorf("rtmobile: %s shape mismatch", p.Name)
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s shape mismatch", p.Name)
 			}
 			buf, err := readPayload(r, 4*p.W.Rows*p.W.Cols)
 			if err != nil {
-				return nil, zero, fmt.Errorf("rtmobile: %s: reading weights: %w", p.Name, err)
+				return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: %s: reading weights: %w", p.Name, err)
 			}
 			p.W.Data = make([]float32, p.W.Rows*p.W.Cols)
 			for i := range p.W.Data {
 				p.W.Data[i] = math.Float32frombits(le.Uint32(buf[4*i:]))
 			}
 		default:
-			return nil, zero, fmt.Errorf("rtmobile: unknown payload kind %d", kind)
+			return nil, zero, DeployConfig{}, 0, fmt.Errorf("rtmobile: unknown payload kind %d", kind)
 		}
 	}
 
-	eng, err := Compile(model, scheme, DeployConfig{
-		Target: target, Format: compiler.Format(format),
-		DisableReorder: reorder == 0, DisableLoadElim: loadelim == 0,
-		Quant:     int(quantBits),
-		Precision: compiler.Precision(precByte),
+	opt := compiler.Options{
+		Format:                  compiler.Format(format),
+		Reorder:                 reorder != 0,
+		EliminateRedundantLoads: loadelim != 0,
 		Tile: compiler.TileConfig{
 			RowTile: int(rowTile), ColTile: int(colTile), Unroll: int(unroll),
 			Placement: compiler.Placement(placement),
 		},
-	})
-	if err != nil {
-		return nil, zero, err
+		Precision: compiler.Precision(precByte),
 	}
-	// Restore the plan cache: the bundle's tile config is already the tuned
-	// one, so the loaded engine reports the original search verdict without
-	// ever re-running the search.
-	eng.tuned = TuneRecord{Mode: TuneMode(tuneMode), Cost: tuneCost}
-	return eng, scheme, nil
+	return model, scheme, recordedConfig(opt, int(quantBits), TuneMode(tuneMode)), int(valueBits), nil
 }

@@ -1,12 +1,20 @@
 package rtmobile
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
 
 	"rtmobile/internal/compiler"
+	"rtmobile/internal/device"
+	"rtmobile/internal/nn"
 	"rtmobile/internal/prune"
 	"rtmobile/internal/quant"
 	"rtmobile/internal/sparse"
@@ -14,10 +22,12 @@ import (
 )
 
 // The version-4 encoder, kept as a test helper: the product writes only v5,
-// but LoadBundle still reads v1–v4, so the reader tests need files of those
+// but ReadBundle still reads v1–v4, so the reader tests need files of those
 // versions (asV1/asV2/asV3 derive the older layouts from a v4 image). It
 // encodes the engine's dense model as rebuilt from its programs — the
-// weights every v4 file of a deployment carried.
+// weights every v4 file of a deployment carried. The helpers after it load
+// an image the two ways the product does: as written (MapBundle) and
+// lowered again (ReadBundle + Compile, what `rtmobile deploy -in` runs).
 
 // saveBundleV4 writes the version-4 per-field artifact of e.
 func (e *Engine) saveBundleV4(w io.Writer, scheme prune.BSP) error {
@@ -147,6 +157,59 @@ func writeQuantPayload(w io.Writer, m *tensor.Matrix, bits int) error {
 	}
 	_, err = w.Write(buf)
 	return err
+}
+
+// denseModel is the dense model e's programs were lowered from.
+func (e *Engine) denseModel() *nn.Model { return denseOf(e.shell, e.progs) }
+
+// mapImage writes image to a temp file and maps it for target; the bundle
+// is closed when the test ends.
+func mapImage(tb testing.TB, image []byte, target *device.Target) (*MappedBundle, error) {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "model.rtmb")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	mb, err := MapBundle(path, target)
+	if err == nil {
+		tb.Cleanup(func() { mb.Close() })
+	}
+	return mb, err
+}
+
+// mustMap is mapImage failing the test on an error; it returns the engine.
+func mustMap(tb testing.TB, image []byte, target *device.Target) *Engine {
+	tb.Helper()
+	mb, err := mapImage(tb, image, target)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mb.Engine()
+}
+
+// relower reads image back (ReadBundle) and lowers it again under its
+// recorded DeployConfig: the re-deploy `rtmobile deploy -in` runs when no
+// flag is set.
+func relower(tb testing.TB, image []byte, target *device.Target) (*Engine, prune.BSP) {
+	tb.Helper()
+	model, scheme, cfg, err := ReadBundle(bytes.NewReader(image), target)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := Compile(model, scheme, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng, scheme
+}
+
+// refused asserts err is MapBundle's refusal of a file it cannot serve as
+// written: it must name the command that lowers it again.
+func refused(tb testing.TB, label string, err error) {
+	tb.Helper()
+	if err == nil || !errors.Is(err, errNeedsDeploy) || !strings.Contains(err.Error(), "rtmobile deploy -in ") {
+		tb.Fatalf("%s: MapBundle error %v, want a refusal naming rtmobile deploy -in", label, err)
+	}
 }
 
 // saveVersion writes e as a bundle of the given version: the test encoder

@@ -24,7 +24,8 @@ import (
 // compiled Plan (including the tuned plan cache), and the section
 // directory of each param and program. A param a program covers keeps its
 // directory entry (name, shape) with section 0: its weights are the
-// program's values, and Dense re-derives them when an engine re-lowers.
+// program's values, and Dense re-derives them when ReadBundle reads the
+// deployment back.
 // MapBundle mmaps the file and aliases the sections in place: no per-weight
 // decode, no repack, no recompile. The one exception is a quantized
 // program's codes, dequantized once into float32 values at load (quantized
@@ -32,10 +33,12 @@ import (
 //
 // Files written before programs were the deployment also carry a dense
 // section for every covered param, and some carry programs no engine runs
-// any more (fused [Wx|Wh] programs, per-block lowerings). They still load:
-// when the stored programs are usable the dense sections are ignored;
-// otherwise the programs are lowered from those sections once at load and
-// the sections dropped. A section-0 param is accepted only beside usable
+// any more (fused [Wx|Wh] programs, per-block lowerings) or a plan that
+// does not price the programs they store. MapBundle serves such a file only
+// when its programs are usable and its plan prices them (the dense sections
+// are then ignored), and refuses it otherwise; ReadBundle reads its weights
+// back from the usable programs or those sections, for `rtmobile deploy
+// -in` to lower once. A section-0 param is accepted only beside usable
 // programs.
 //
 // Layout (little-endian):
@@ -101,12 +104,12 @@ type v5ProgramMeta struct {
 	SecLaneRows uint32 `json:"sec_lane_rows,omitempty"`
 }
 
-// v5Meta is the JSON metadata section: everything LoadBundle's v1–v4
+// v5Meta is the JSON metadata section: everything the v1–v4
 // header carried, plus the full compiled Plan (so a mapped load skips
 // Compile entirely) and the param/program section directories. Fused is the
 // retired fused-plan bit (see bundle.go): always written false; a file that
-// carries it true stores a plan priced per fused kernel, which the loader
-// re-prices per matrix.
+// carries it true stores a plan priced per fused kernel, which MapBundle
+// refuses and a re-deploy prices per matrix.
 type v5Meta struct {
 	Spec      nn.ModelSpec    `json:"spec"`
 	Scheme    prune.BSP       `json:"scheme"`

@@ -77,9 +77,9 @@ func sameEnginePosteriors(t *testing.T, want, got *Engine, seed uint64) {
 	}
 }
 
-// TestBundleV5V4CrossVersionBitIdentical: the same engine saved as v4 and
-// as v5 loads back to bit-identical inference, across float, fp16-valued
-// targets, and quantized deployments.
+// TestBundleV5V4CrossVersionBitIdentical: the same engine saved as v5 and
+// mapped as written, and saved as v4 and lowered again, infers bit for bit
+// alike, across float, fp16-valued targets, and quantized deployments.
 func TestBundleV5V4CrossVersionBitIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -100,14 +100,12 @@ func TestBundleV5V4CrossVersionBitIdentical(t *testing.T) {
 			if err := eng.SaveBundleVersion(&v5, testScheme(), 5); err != nil {
 				t.Fatal(err)
 			}
-			from4, s4, err := LoadBundle(bytes.NewReader(v4.Bytes()), eng.Target())
+			from4, s4 := relower(t, v4.Bytes(), eng.Target())
+			mb, err := mapImage(t, v5.Bytes(), eng.Target())
 			if err != nil {
-				t.Fatalf("v4 load: %v", err)
+				t.Fatalf("v5 map: %v", err)
 			}
-			from5, s5, err := LoadBundle(bytes.NewReader(v5.Bytes()), eng.Target())
-			if err != nil {
-				t.Fatalf("v5 load: %v", err)
-			}
+			from5, s5 := mb.Engine(), mb.Scheme()
 			if s4 != s5 {
 				t.Fatalf("schemes differ: %+v vs %+v", s4, s5)
 			}
@@ -116,18 +114,16 @@ func TestBundleV5V4CrossVersionBitIdentical(t *testing.T) {
 			if from4.Tuned() != from5.Tuned() {
 				t.Fatalf("plan cache differs: %+v vs %+v", from4.Tuned(), from5.Tuned())
 			}
-			if q4, _, _ := from4.Quantized(); true {
-				if q5, _, _ := from5.Quantized(); q4 != q5 {
-					t.Fatalf("quant width differs: %d vs %d", q4, q5)
-				}
+			if q4, q5 := from4.Quantized(), from5.Quantized(); q4 != q5 {
+				t.Fatalf("quant width differs: %d vs %d", q4, q5)
 			}
 		})
 	}
 }
 
 // TestMapBundleBitIdentical: a mapped engine serves bit-identical
-// posteriors to the decode-loaded engine, reports the mapped state, and
-// exposes the packed programs by name.
+// posteriors to the compiled engine, reports the mapped state, and exposes
+// the packed programs by name.
 func TestMapBundleBitIdentical(t *testing.T) {
 	eng, _ := v5TestEngine(t, 95, DeployConfig{})
 	path := writeBundleFile(t, eng, 5)
@@ -136,9 +132,6 @@ func TestMapBundleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mb.Close()
-	if mb.Version() != 5 {
-		t.Fatalf("Version() = %d, want 5", mb.Version())
-	}
 	if mb.mapped != mmapBuilt {
 		t.Fatalf("mapped = %v on a build with mmap support = %v", mb.mapped, mmapBuilt)
 	}
@@ -198,23 +191,37 @@ func TestMapBundleQuantized(t *testing.T) {
 	}
 }
 
-// TestMapBundleLegacyFallback: MapBundle on a v4 file transparently loads
-// through the decode path and reports itself unmapped.
+// TestMapBundleLegacyFallback: MapBundle refuses a v4 file, naming the
+// command that lowers it, and the file read back and lowered again scores
+// bit-equal to the engine it was written from and to nn.Forward.
 func TestMapBundleLegacyFallback(t *testing.T) {
-	eng, _ := v5TestEngine(t, 99, DeployConfig{})
-	path := writeBundleFile(t, eng, 4)
-	mb, err := MapBundle(path, device.MobileGPU())
+	m := testModel(99)
+	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
+	eng, err := Compile(m, res.Scheme, DeployConfig{Target: device.MobileGPU()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mb.Close()
-	if mb.mapped {
-		t.Fatal("legacy bundle claims to be mapped")
+	path := writeBundleFile(t, eng, 4)
+	_, err = MapBundle(path, device.MobileGPU())
+	refused(t, "v4 file", err)
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("refusal %q does not name the file", err)
 	}
-	if mb.Version() != 4 {
-		t.Fatalf("Version() = %d, want 4", mb.Version())
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameEnginePosteriors(t, eng, mb.Engine(), 100)
+	again, _ := relower(t, image, device.MobileGPU())
+	sameEnginePosteriors(t, eng, again, 100)
+	frames := testFrames(100, 12, eng.InputDim())
+	in := make([][]float32, len(frames)) // the fp16 path rounds its input
+	for i, f := range frames {
+		in[i] = tensor.CloneVec(f)
+		tensor.QuantizeHalfVec(in[i])
+	}
+	if !postEqual(again.Infer(frames), nn.Posteriors(m.Forward(in))) {
+		t.Fatal("re-deployed v4 file differs from nn.Forward")
+	}
 }
 
 // --- corruption ----------------------------------------------------------
@@ -235,7 +242,7 @@ func v5Mutate(image []byte, fixDir bool, mutate func([]byte)) []byte {
 }
 
 // TestLoadBundleV5Corrupt: every corruption class yields a contextual
-// error — never a panic, never a silent misload.
+// error from ReadBundle — never a panic, never a silent misload.
 func TestLoadBundleV5Corrupt(t *testing.T) {
 	eng, _ := v5TestEngine(t, 101, DeployConfig{})
 	var buf bytes.Buffer
@@ -288,7 +295,7 @@ func TestLoadBundleV5Corrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := LoadBundle(bytes.NewReader(tc.image), device.MobileGPU())
+			_, _, _, err := ReadBundle(bytes.NewReader(tc.image), device.MobileGPU())
 			if err == nil {
 				t.Fatal("corrupt v5 bundle accepted")
 			}
@@ -335,8 +342,8 @@ func TestLoadBundleRejectsCorruptScales(t *testing.T) {
 	dir := t.TempDir()
 	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, -0.01} {
 		bad := v5PatchScale(t, image, v)
-		if _, _, err := LoadBundle(bytes.NewReader(bad), device.MobileCPU()); err == nil || !strings.Contains(err.Error(), "scale") {
-			t.Errorf("scale %v: LoadBundle error %v, want one naming the scale", v, err)
+		if _, _, _, err := ReadBundle(bytes.NewReader(bad), device.MobileCPU()); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %v: ReadBundle error %v, want one naming the scale", v, err)
 		}
 		path := filepath.Join(dir, "bad.rtmb")
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
@@ -467,7 +474,8 @@ func TestMappedStreamStepIntoZeroAlloc(t *testing.T) {
 
 // FuzzMapBundle: arbitrary bytes through the full file-based loader must
 // produce an error or a working bundle — never a panic or an out-of-range
-// slice. Every section access length-checks before slicing.
+// slice. Every section access length-checks before slicing, and no input
+// but a v5 image is served.
 func FuzzMapBundle(f *testing.F) {
 	m := testModel(107)
 	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
@@ -494,6 +502,17 @@ func FuzzMapBundle(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v5PatchScale(f, q8, float32(math.NaN())))
+	// Legacy seeds: files serving cannot run as written (a v4 image, the q8
+	// fixture whose plan does not price its programs) are refused.
+	var v4 bytes.Buffer
+	if err := eng.saveBundleV4(&v4, testScheme()); err != nil {
+		f.Fatal(err)
+	}
+	for _, legacy := range [][]byte{v4.Bytes(), q8} {
+		_, err := mapImage(f, legacy, device.MobileGPU())
+		refused(f, "legacy seed", err)
+		f.Add(legacy)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.rtmb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -502,6 +521,9 @@ func FuzzMapBundle(f *testing.F) {
 		mb, err := MapBundle(path, device.MobileGPU())
 		if err == nil {
 			mb.Close()
+			if v := binary.LittleEndian.Uint32(data[4:]); v != bundleVersion5 {
+				t.Fatalf("version-%d image served", v)
+			}
 		}
 	})
 }

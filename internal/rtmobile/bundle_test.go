@@ -23,10 +23,11 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
-	loaded, scheme, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileGPU())
+	mb, err := mapImage(t, buf.Bytes(), device.MobileGPU())
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded, scheme := mb.Engine(), mb.Scheme()
 	if scheme.ColRate != 4 || scheme.RowRate != 2 {
 		t.Fatalf("scheme lost: %+v", scheme)
 	}
@@ -87,10 +88,7 @@ func TestBundleCPUPathRawWeights(t *testing.T) {
 	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileCPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := mustMap(t, buf.Bytes(), device.MobileCPU())
 	a, b := eng.denseModel().Params(), loaded.denseModel().Params()
 	for i := range a {
 		if !a[i].W.Equal(b[i].W) {
@@ -110,10 +108,7 @@ func TestBundleDenseFormat(t *testing.T) {
 	if err := eng.SaveBundle(&buf, PruneConfig{}.Scheme()); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileGPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := mustMap(t, buf.Bytes(), device.MobileGPU())
 	if loaded.Plan().Options.Format != compiler.FormatDense {
 		t.Fatal("format not preserved")
 	}
@@ -138,10 +133,7 @@ func TestBundlePlanCacheRoundTrip(t *testing.T) {
 		if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
 			t.Fatal(err)
 		}
-		loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileGPU())
-		if err != nil {
-			t.Fatal(err)
-		}
+		loaded := mustMap(t, buf.Bytes(), device.MobileGPU())
 		if loaded.Tuned() != rec {
 			t.Fatalf("plan cache lost on reload: %+v vs %+v", loaded.Tuned(), rec)
 		}
@@ -166,20 +158,17 @@ func TestBundlePreservesPlacement(t *testing.T) {
 	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileGPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := mustMap(t, buf.Bytes(), device.MobileGPU())
 	if got := loaded.Plan().Options.Tile.Placement; got != compiler.PlaceRegisters {
 		t.Fatalf("placement lost on reload: %v", got)
 	}
 }
 
 func TestLoadBundleRejectsGarbage(t *testing.T) {
-	if _, _, err := LoadBundle(bytes.NewReader([]byte("XXXXgarbage")), device.MobileGPU()); err == nil {
+	if _, _, _, err := ReadBundle(bytes.NewReader([]byte("XXXXgarbage")), device.MobileGPU()); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, _, err := LoadBundle(bytes.NewReader(nil), device.MobileGPU()); err == nil {
+	if _, _, _, err := ReadBundle(bytes.NewReader(nil), device.MobileGPU()); err == nil {
 		t.Fatal("empty accepted")
 	}
 }
@@ -243,16 +232,15 @@ func asV3(image []byte) []byte {
 	return v3
 }
 
+// The version tests read an image back and lower it again, as `rtmobile
+// deploy -in` does: the fields a version predates take their defaults.
 func TestLoadBundleVersion1(t *testing.T) {
 	image := validBundleImage(t)
-	eng, scheme, err := LoadBundle(bytes.NewReader(asV1(image)), device.MobileGPU())
-	if err != nil {
-		t.Fatalf("v1 bundle rejected: %v", err)
-	}
+	eng, scheme := relower(t, asV1(image), device.MobileGPU())
 	if scheme.ColRate != 2 {
 		t.Fatalf("v1 scheme lost: %+v", scheme)
 	}
-	// v1 predates the plan cache, so the loaded engine reports no tuning.
+	// v1 predates the plan cache, so the re-deployed engine reports no tuning.
 	if eng.Tuned().Mode != TuneNone {
 		t.Fatalf("v1 bundle invented a plan cache: %+v", eng.Tuned())
 	}
@@ -260,38 +248,32 @@ func TestLoadBundleVersion1(t *testing.T) {
 
 func TestLoadBundleVersion2(t *testing.T) {
 	image := validBundleImage(t)
-	eng, scheme, err := LoadBundle(bytes.NewReader(asV2(image)), device.MobileGPU())
-	if err != nil {
-		t.Fatalf("v2 bundle rejected: %v", err)
-	}
+	eng, scheme := relower(t, asV2(image), device.MobileGPU())
 	if scheme.ColRate != 2 {
 		t.Fatalf("v2 scheme lost: %+v", scheme)
 	}
-	// v2 predates quantization, so the loaded engine serves float weights.
-	if bits, _, _ := eng.Quantized(); bits != 0 {
+	// v2 predates quantization, so the re-deployed engine serves float weights.
+	if bits := eng.Quantized(); bits != 0 {
 		t.Fatalf("v2 bundle invented quantization: %d bits", bits)
 	}
 }
 
 func TestLoadBundleVersion3(t *testing.T) {
 	image := validBundleImage(t)
-	eng, scheme, err := LoadBundle(bytes.NewReader(asV3(image)), device.MobileGPU())
-	if err != nil {
-		t.Fatalf("v3 bundle rejected: %v", err)
-	}
+	eng, scheme := relower(t, asV3(image), device.MobileGPU())
 	if scheme.ColRate != 2 {
 		t.Fatalf("v3 scheme lost: %+v", scheme)
 	}
-	// v3 predates the precision tier, so the loaded engine runs exact
+	// v3 predates the precision tier, so the re-deployed engine runs exact
 	// kernels (the historical behavior).
-	if tier, _, _ := eng.Precision(); tier != compiler.PrecisionExact {
+	if tier := eng.Precision(); tier != compiler.PrecisionExact {
 		t.Fatalf("v3 bundle invented a precision tier: %v", tier)
 	}
 }
 
-// TestLoadBundleCorrupt drives corrupted and truncated images of both
-// bundle versions through LoadBundle: every case must return a descriptive
-// error, never panic or over-allocate.
+// TestLoadBundleCorrupt drives corrupted and truncated v4 and v1 images
+// through ReadBundle: every case must return a descriptive error, never
+// panic or over-allocate.
 func TestLoadBundleCorrupt(t *testing.T) {
 	image := validBundleImage(t)
 	nameLen := int(binary.LittleEndian.Uint32(image[bundleOffNameLen:]))
@@ -348,7 +330,7 @@ func TestLoadBundleCorrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := LoadBundle(bytes.NewReader(tc.image), device.MobileGPU())
+			_, _, _, err := ReadBundle(bytes.NewReader(tc.image), device.MobileGPU())
 			if err == nil {
 				t.Fatal("corrupt bundle accepted")
 			}
@@ -364,8 +346,44 @@ func TestLoadBundleCorrupt(t *testing.T) {
 func TestLoadBundleTruncationSweep(t *testing.T) {
 	image := validBundleImage(t)
 	for cut := 0; cut < len(image); cut += 97 {
-		if _, _, err := LoadBundle(bytes.NewReader(image[:cut]), device.MobileGPU()); err == nil {
+		if _, _, _, err := ReadBundle(bytes.NewReader(image[:cut]), device.MobileGPU()); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
 		}
 	}
+}
+
+// TestReadBundleKeepsValueWidth: a deployment is lowered again only at the
+// value width it records. ReadBundle refuses a target of the other width,
+// naming both, where lowering would round an fp32 deployment's weights to
+// fp16; MapBundle refuses the v4 file outright and serves the v5 file's
+// fp32 programs as written, whatever target prices them.
+func TestReadBundleKeepsValueWidth(t *testing.T) {
+	m := testModel(49)
+	res := Prune(m, nil, PruneConfig{ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 2})
+	eng, err := Compile(m, res.Scheme, DeployConfig{Target: device.MobileCPU()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v4, v5 bytes.Buffer
+	if err := eng.saveBundleV4(&v4, res.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveBundle(&v5, res.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	for version, image := range map[string][]byte{"v4": v4.Bytes(), "v5": v5.Bytes()} {
+		_, _, _, err := ReadBundle(bytes.NewReader(image), device.MobileGPU())
+		if err == nil || !strings.Contains(err.Error(), "32-bit") || !strings.Contains(err.Error(), "16-bit") {
+			t.Fatalf("%s: ReadBundle for a 16-bit target: error %v, want one naming both widths", version, err)
+		}
+		again, _ := relower(t, image, device.MobileCPU())
+		sameEnginePosteriors(t, eng, again, 50)
+	}
+	_, err = mapImage(t, v4.Bytes(), device.MobileGPU())
+	refused(t, "v4 file", err)
+	mapped := mustMap(t, v5.Bytes(), device.MobileGPU())
+	if bits := mapped.Plan().Options.ValueBits; bits != 32 {
+		t.Fatalf("mapped fp32 bundle runs %d-bit values", bits)
+	}
+	sameEnginePosteriors(t, eng, mapped, 51)
 }

@@ -18,15 +18,18 @@ import (
 	"rtmobile/internal/sparse"
 )
 
-// Loader compatibility: a bundle that carries no executable per-matrix
-// program still ends on the one serving path — its programs are lowered
-// from the weights once at load — a bundle that carries the retired
-// fused-plan bit loads as the per-matrix deployment it always ran, and a
-// bundle whose tile records an unroll factor (which once picked the host's
-// dot kernels) or a measured plan cache (written by the deleted host-timing
-// tuner) loads with both recorded and neither selecting anything. The table
-// loads one bundle of each such kind and checks the exact tier bit for bit
-// against nn.Forward.
+// Loader compatibility: serving runs a bundle's programs as written, and
+// lowering happens once, at deploy. A bundle that carries no executable
+// per-matrix program, the retired fused-plan bit, or any version 1–4 layout
+// is refused by MapBundle with an error naming `rtmobile deploy -in`; read
+// back (ReadBundle) and lowered again, it runs the per-matrix deployment it
+// always ran. A bundle whose tile records an unroll factor (which once
+// picked the host's dot kernels) or a measured plan cache (written by the
+// deleted host-timing tuner) keeps its unroll recorded and selecting
+// nothing: a v5 one maps as written with its record, and a re-deploy keeps
+// the tile but not a record no search of its own produced. The table
+// builds one bundle of each such kind and checks the exact tier bit for
+// bit against nn.Forward and a fresh Compile.
 
 // fixtureSpec and fixtureScheme are the deployment testdata/parent_*.rtmb
 // were written from (testdata/README.md).
@@ -158,21 +161,23 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 		// unpatched records; its plan cache is retiledRecord.
 		unroll    int
 		unpatched string
+		// served: MapBundle runs the file as written.
+		served bool
 	}
 	cases := []loaderCase{
-		{"v1", false, func(t *testing.T, eng *Engine) []byte { return asV1(save(t, eng, 4)) }, 0, ""},
-		{"v2", false, func(t *testing.T, eng *Engine) []byte { return asV2(save(t, eng, 4)) }, 0, ""},
-		{"v3", false, func(t *testing.T, eng *Engine) []byte { return asV3(save(t, eng, 4)) }, 0, ""},
-		{"v4", false, func(t *testing.T, eng *Engine) []byte { return save(t, eng, 4) }, 0, ""},
-		{"v1-fused", true, fixture("parent_v4_fused.rtmb", asV1), 0, ""},
-		{"v2-fused", true, fixture("parent_v4_fused.rtmb", asV2), 0, ""},
-		{"v3-fused", true, fixture("parent_v4_fused.rtmb", asV3), 0, ""},
-		{"v4-fused", true, fixture("parent_v4_fused.rtmb", asIs), 0, ""},
+		{"v1", false, func(t *testing.T, eng *Engine) []byte { return asV1(save(t, eng, 4)) }, 0, "", false},
+		{"v2", false, func(t *testing.T, eng *Engine) []byte { return asV2(save(t, eng, 4)) }, 0, "", false},
+		{"v3", false, func(t *testing.T, eng *Engine) []byte { return asV3(save(t, eng, 4)) }, 0, "", false},
+		{"v4", false, func(t *testing.T, eng *Engine) []byte { return save(t, eng, 4) }, 0, "", false},
+		{"v1-fused", true, fixture("parent_v4_fused.rtmb", asV1), 0, "", false},
+		{"v2-fused", true, fixture("parent_v4_fused.rtmb", asV2), 0, "", false},
+		{"v3-fused", true, fixture("parent_v4_fused.rtmb", asV3), 0, "", false},
+		{"v4-fused", true, fixture("parent_v4_fused.rtmb", asIs), 0, "", false},
 		// A fused deployment wrote the per-matrix programs it executed, beside
 		// a plan priced per [Wx|Wh] kernel.
-		{"v5-fused", true, fixture("parent_v5_fused.rtmb", asIs), 0, ""},
+		{"v5-fused", true, fixture("parent_v5_fused.rtmb", asIs), 0, "", false},
 		// A fused v5 file from before that: one [Wx|Wh] program per layer.
-		{"v5-fused-programs", true, fixture("parent_v5_fused_programs.rtmb", asIs), 0, ""},
+		{"v5-fused-programs", true, fixture("parent_v5_fused_programs.rtmb", asIs), 0, "", false},
 		// A v5 file from before the dense-order lowering: a row appears in
 		// one segment per column block.
 		{"v5-per-block-programs", false, func(t *testing.T, eng *Engine) []byte {
@@ -196,18 +201,18 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 				fp16: eng.fp16, tuned: eng.tuned, quant: eng.quant, precision: eng.precision,
 				progs: progs,
 			}, 5)
-		}, 0, ""},
+		}, 0, "", false},
 	}
 	// The unroll word once chose the host's dot kernels (2 and 8 named real
 	// families, 255 was clamped to one) and TuneMeasured came from a search
-	// that no longer exists: both still load, are reported back, and change
-	// no byte of output.
+	// that no longer exists: the unroll is kept, the record where the file
+	// maps as written, and neither changes a byte of output.
 	for _, unroll := range []int{2, 8, 255} {
 		cases = append(cases,
 			loaderCase{fmt.Sprintf("v4-unroll%d", unroll), true,
-				fixture("parent_v4.rtmb", v4Retile(unroll)), unroll, "parent_v4.rtmb"},
+				fixture("parent_v4.rtmb", v4Retile(unroll)), unroll, "parent_v4.rtmb", false},
 			loaderCase{fmt.Sprintf("v5-unroll%d", unroll), true,
-				fixture("parent_v5.rtmb", v5Retile(t, unroll)), unroll, "parent_v5.rtmb"})
+				fixture("parent_v5.rtmb", v5Retile(t, unroll)), unroll, "parent_v5.rtmb", true})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,21 +228,20 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 			want := nn.Posteriors(model.Forward(frames))
 			image := tc.image(t, eng)
 
-			loaded, _, err := LoadBundle(bytes.NewReader(image), device.MobileCPU())
-			if err != nil {
+			// As written: only a v5 file whose programs and plan are an
+			// engine's maps; every other file is refused.
+			mb, err := mapImage(t, image, device.MobileCPU())
+			if !tc.served {
+				refused(t, tc.name, err)
+			} else if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(t.TempDir(), "model.rtmb")
-			if err := os.WriteFile(path, image, 0o644); err != nil {
-				t.Fatal(err)
+			loaded, _ := relower(t, image, device.MobileCPU())
+			engines := map[string]*Engine{"Compile": eng, "ReadBundle+Compile": loaded}
+			if tc.served {
+				engines["MapBundle"] = mb.Engine()
 			}
-			mb, err := MapBundle(path, device.MobileCPU())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mb.Close()
-
-			for name, e := range map[string]*Engine{"Compile": eng, "LoadBundle": loaded, "MapBundle": mb.Engine()} {
+			for name, e := range engines {
 				if !postEqual(e.Infer(frames), want) {
 					t.Fatalf("%s: Infer differs from nn.Posteriors(model.Forward)", name)
 				}
@@ -259,13 +263,17 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 			if tc.unroll == 0 {
 				return
 			}
-			base, _, err := LoadBundle(bytes.NewReader(readFixture(t, tc.unpatched)), device.MobileCPU())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, e := range map[string]*Engine{"LoadBundle": loaded, "MapBundle": mb.Engine()} {
-				if e.Tuned() != retiledRecord {
-					t.Fatalf("%s: plan cache %+v, want %+v", name, e.Tuned(), retiledRecord)
+			// The recorded unroll stands; the measured record is the mapped
+			// file's, and a re-deploy, which ran no search, records none.
+			base, _ := relower(t, readFixture(t, tc.unpatched), device.MobileCPU())
+			delete(engines, "Compile")
+			for name, e := range engines {
+				rec := TuneRecord{}
+				if name == "MapBundle" {
+					rec = retiledRecord
+				}
+				if e.Tuned() != rec {
+					t.Fatalf("%s: plan cache %+v, want %+v", name, e.Tuned(), rec)
 				}
 				if got := e.plan.Options.Tile.Unroll; got != tc.unroll {
 					t.Fatalf("%s: recorded unroll %d, want %d", name, got, tc.unroll)

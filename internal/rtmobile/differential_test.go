@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -23,9 +24,9 @@ import (
 // a quantized deployment's model to the dequantized weights its programs
 // run. The fast
 // tier must satisfy tensor.FastActClose with the engine-level absolute arm.
-// Whatever the tier, an engine loaded
-// from a bundle must reproduce the compiled engine bit for bit: it runs the
-// same programs.
+// Whatever the tier, an engine mapped
+// from a bundle, or read back from an older one and lowered again, must
+// reproduce the compiled engine bit for bit: it runs the same programs.
 
 // diffTier is one kernel tier and its contract against the reference.
 type diffTier struct {
@@ -186,15 +187,13 @@ var diffLoaders = []struct {
 		t.Cleanup(func() { mb.Close() })
 		return mb.Engine()
 	}},
+	// A v4 file read back and lowered again (`rtmobile deploy -in`).
 	{"LoadBundleV4", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
 		var buf bytes.Buffer
 		if err := eng.saveBundleV4(&buf, scheme); err != nil {
 			t.Fatal(err)
 		}
-		loaded, _, err := LoadBundle(&buf, device.MobileCPU())
-		if err != nil {
-			t.Fatal(err)
-		}
+		loaded, _ := relower(t, buf.Bytes(), device.MobileCPU())
 		return loaded
 	}},
 }
@@ -282,27 +281,28 @@ func TestEngineDifferential(t *testing.T) {
 	}
 
 	// Bundles written by the commit before the packed program types were
-	// folded into one (testdata/README.md): they must load, score under
-	// their tier's contract and run what a fresh Compile runs. The v5 files
-	// also pin the section layout: a fresh Compile writes the same programs
-	// and metadata — only the param directory differs, the covered params'
-	// dense sections being gone — and re-saving a mapped fixture writes
-	// exactly a fresh Compile's bytes. The q8 v5 file's writer priced its
-	// programs from the unrounded weights; its plan is the one exception to
-	// the metadata's byte equality: a fresh Compile's plan, and the mapped
-	// engine's, must be the plan of the fixture's own stored programs.
+	// folded into one (testdata/README.md). The two whose programs and plan
+	// are an engine's map as written; MapBundle refuses the others, naming
+	// `rtmobile deploy -in`. Whichever way, every fixture re-deploys
+	// (ReadBundle + Compile) to exactly a fresh Compile's bytes, and the
+	// engine it serves scores under its tier's contract and bit-equal to a
+	// fresh Compile. The v5 files also pin the section layout: a fresh
+	// Compile writes the same programs and metadata — only the param
+	// directory differs, the covered params' dense sections being gone. The
+	// q8 v5 file's writer priced its programs from the unrounded weights, so
+	// its plan is the one exception to the metadata's byte equality: a fresh
+	// Compile's plan is the plan of the fixture's own programs lowered again.
 	utts = diffUtterances(fixtureSpec.InputDim)
 	for _, fx := range []struct {
-		file     string
-		version  int
-		tier     diffTier
-		repriced bool
+		file   string
+		served bool
+		tier   diffTier
 	}{
-		{"parent_v4.rtmb", 4, diffTiers[0], false},
-		{"parent_v5.rtmb", 5, diffTiers[0], false},
-		{"parent_v4_q8.rtmb", 4, diffTiers[2], false},
-		{"parent_v5_q8.rtmb", 5, diffTiers[2], true},
-		{"parent_v5_q16.rtmb", 5, diffTiers[3], false},
+		{"parent_v4.rtmb", false, diffTiers[0]},
+		{"parent_v5.rtmb", true, diffTiers[0]},
+		{"parent_v4_q8.rtmb", false, diffTiers[2]},
+		{"parent_v5_q8.rtmb", false, diffTiers[2]},
+		{"parent_v5_q16.rtmb", true, diffTiers[3]},
 	} {
 		t.Run(fx.file, func(t *testing.T) {
 			model := fixtureModel()
@@ -312,29 +312,44 @@ func TestEngineDifferential(t *testing.T) {
 			}
 			ref := diffRef(model, utts)
 			compiled := diffRun(t, eng, utts, ref, fx.tier.close)
-
-			mb, err := MapBundle(filepath.Join("testdata", fx.file), device.MobileCPU())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mb.Close()
-			if mb.Version() != fx.version {
-				t.Fatalf("fixture is version %d, want %d", mb.Version(), fx.version)
-			}
-			diffSame(t, diffRun(t, mb.Engine(), utts, ref, fx.tier.close), compiled)
-			if fx.version != 5 {
-				return
-			}
-
-			var fresh, resaved bytes.Buffer
+			var fresh bytes.Buffer
 			if err := eng.SaveBundle(&fresh, fixtureScheme); err != nil {
 				t.Fatal(err)
 			}
-			var storedPlan *compiler.Plan
-			if fx.repriced {
-				storedPlan = planOfPrograms(t, mb.Engine())
+
+			image := readFixture(t, fx.file)
+			mb, err := MapBundle(filepath.Join("testdata", fx.file), device.MobileCPU())
+			if fx.served {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mb.Close()
+				diffSame(t, diffRun(t, mb.Engine(), utts, ref, fx.tier.close), compiled)
+			} else {
+				refused(t, fx.file, err)
 			}
-			sameV5Layout(t, readFixture(t, fx.file), fresh.Bytes(), storedPlan)
+
+			var redeployed bytes.Buffer
+			again, _ := relower(t, image, device.MobileCPU())
+			if err := again.SaveBundle(&redeployed, fixtureScheme); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(redeployed.Bytes(), fresh.Bytes()) {
+				t.Fatalf("re-deploying %s does not give a fresh Compile's bytes", fx.file)
+			}
+			diffSame(t, diffRun(t, mustMap(t, redeployed.Bytes(), device.MobileCPU()), utts, ref, fx.tier.close), compiled)
+			if !strings.HasPrefix(fx.file, "parent_v5") {
+				return
+			}
+			var wantPlan *compiler.Plan
+			if !fx.served {
+				wantPlan = eng.Plan()
+			}
+			sameV5Layout(t, image, fresh.Bytes(), wantPlan)
+			if !fx.served {
+				return
+			}
+			var resaved bytes.Buffer
 			if err := mb.Engine().SaveBundle(&resaved, fixtureScheme); err != nil {
 				t.Fatal(err)
 			}
@@ -364,25 +379,17 @@ func TestEngineDifferential(t *testing.T) {
 			if quant == 0 { // v1 and v2 predate quantization
 				images["v1"], images["v2"] = asV1(v4.Bytes()), asV2(v4.Bytes())
 			}
-			files := []string{writeBundleFileScheme(t, eng, fixtureScheme, 4), writeBundleFileScheme(t, eng, fixtureScheme, 5)}
 			for _, name := range fixtureFiles {
-				files = append(files, filepath.Join("testdata", name))
+				images[name] = readFixture(t, name)
 			}
 			checkHoldsNoDenseWeights(t, "Compile", eng)
-			for version, image := range images {
-				loaded, _, err := LoadBundle(bytes.NewReader(image), device.MobileCPU())
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d LoadBundle %s", quant, version), loaded)
+			checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d MapBundle v5", quant), mustMap(t, v5.Bytes(), device.MobileCPU()))
+			if quant == 0 {
+				checkHoldsNoDenseWeights(t, "MapBundle parent_v5.rtmb", mustMap(t, images["parent_v5.rtmb"], device.MobileCPU()))
 			}
-			for _, path := range files {
-				mb, err := MapBundle(path, device.MobileCPU())
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d MapBundle %s (v%d)", quant, path, mb.Version()), mb.Engine())
-				mb.Close()
+			for name, image := range images {
+				again, _ := relower(t, image, device.MobileCPU())
+				checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d re-deployed %s", quant, name), again)
 			}
 		}
 	})
@@ -476,26 +483,6 @@ func v5Resolved(t *testing.T, image []byte) (v5Meta, func(id uint32) []byte) {
 		}
 		return sections[id]
 	}
-}
-
-// planOfPrograms returns the plan of a fixture engine's own programs: each
-// lowered again from its values (PackedProgram.Dense) under fixtureScheme and
-// the engine's plan options and storage width.
-func planOfPrograms(t *testing.T, e *Engine) *compiler.Plan {
-	t.Helper()
-	var srcs []compiler.MatrixSource
-	for _, pp := range e.progs {
-		s := fixtureScheme
-		srcs = append(srcs, compiler.MatrixSource{Name: pp.Name, W: pp.Dense(), Scheme: &s})
-	}
-	opt := e.plan.Options
-	opt.QuantBits = e.quant
-	plan, _, err := compiler.CompilePlan(e.plan.ModelName, srcs, opt, e.target.Threads(),
-		e.plan.TimestepsPerFrame, e.plan.ElementwisePerTimestep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan
 }
 
 // sameV5Layout asserts that got stores what want stores, section ids

@@ -1,7 +1,6 @@
 package rtmobile
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"rtmobile/internal/nn"
 	"rtmobile/internal/obs"
 	"rtmobile/internal/parallel"
-	"rtmobile/internal/prune"
 	"rtmobile/internal/quant"
 	"rtmobile/internal/tensor"
 )
@@ -32,7 +30,7 @@ import (
 // Ownership rule: an engine holds its spec, its biases and its programs,
 // and nothing else. Compile rounds the caller's model in place (fp16 or
 // integer, so nn.Forward on it stays the reference), lowers it, and keeps
-// copies of the biases; the loaders keep the same three things. No engine
+// copies of the biases; MapBundle keeps the same three things. No engine
 // points at a trainable model, so changing the caller's weights after
 // Compile changes nothing the engine serves. The engine's state is
 // read-only — every inference entry point (Infer, InferBatch, NewStream)
@@ -51,26 +49,16 @@ type Engine struct {
 
 	// progs holds one executable program per prunable weight matrix, under
 	// the parameter's name, in ModelSources order (position = plan matrix
-	// index). Lowered once at Compile (or once at load for bundles that
-	// carry none) and serialized as-is by the v5 writer; a mapped engine's
-	// programs alias file pages.
+	// index). Lowered once at Compile and serialized as-is by the v5
+	// writer; a mapped engine's programs alias file pages.
 	progs []*compiler.PackedProgram
 
 	// quant is the integer weight-quantization width (0 = float weights);
-	// quantPERDelta / quantFallback record the accuracy guardrail's verdict
-	// when DeployConfig.QuantGuardSet armed it (see compileQuantGuarded).
-	quant         int
-	quantPERDelta float64
-	quantFallback bool
-
 	// precision is the kernel tier the deployment executes under (exact is
 	// the bit-pinned default; fast runs the FMA'd float32-accumulation
-	// family). precPERDelta / precFallback record the fast-tier accuracy
-	// guardrail's verdict when DeployConfig.PrecisionGuardSet armed it
-	// (see compilePrecisionGuarded).
-	precision    compiler.Precision
-	precPERDelta float64
-	precFallback bool
+	// family).
+	quant     int
+	precision compiler.Precision
 
 	// Released panel sessions, keyed by width (see batch.go). Guarded by
 	// batchMu so concurrent InferBatch calls can share the free list.
@@ -142,7 +130,7 @@ const (
 // TuneRecord is the engine's plan-cache entry: how the tile configuration
 // was chosen and at what cost (cost-model units for TuneAnalytic, wall
 // nanoseconds for a TuneMeasured record loaded from an older bundle).
-// Persisted in bundles so a loaded deployment never re-tunes.
+// Persisted in bundles so a served deployment never re-tunes.
 type TuneRecord struct {
 	Mode TuneMode
 	Cost float64
@@ -189,97 +177,36 @@ func shellOf(model *nn.Model, progs []*compiler.PackedProgram) *nn.Model {
 	return shell
 }
 
-// denseModel rebuilds the dense model the programs were lowered from: the
-// shell's params plus each program's Dense(). It is how an engine re-lowers
-// (Requantize, Reprecision) without keeping a dense copy.
-func (e *Engine) denseModel() *nn.Model {
-	m := nn.NewModelShell(e.shell.Spec)
-	own := e.shell.Params()
+// denseOf rebuilds the dense model programs were lowered from: a shell of
+// own's spec whose params hold each covering program's Dense(), or else a
+// copy of own's storage. It is how a deployment is lowered again without
+// any engine keeping a dense copy (ReadBundle).
+func denseOf(own *nn.Model, progs []*compiler.PackedProgram) *nn.Model {
+	m := nn.NewModelShell(own.Spec)
+	src := own.Params()
 	for i, p := range m.Params() {
-		if prog := e.program(p.Name); prog != nil {
+		if prog := programFor(progs, p.Name); prog != nil {
 			p.W = prog.Dense()
 		} else {
-			p.W.Data = append([]float32(nil), own[i].W.Data...)
+			p.W.Data = append([]float32(nil), src[i].W.Data...)
 		}
 	}
 	return m
 }
 
-// Quantized reports the deployment's integer weight quantization: bits is
-// 0 for a float deployment. perDelta is the guardrail's measured PER
-// difference (quantized − float32) when DeployConfig.QuantGuardSet armed
-// it; fellBack reports that the guardrail rejected quantization and this
-// engine serves float weights.
-func (e *Engine) Quantized() (bits int, perDelta float64, fellBack bool) {
-	return e.quant, e.quantPERDelta, e.quantFallback
-}
+// Quantized reports the deployment's integer weight quantization width: 0
+// for a float deployment.
+func (e *Engine) Quantized() int { return e.quant }
 
 // Precision reports the kernel tier the deployment executes under.
-// perDelta is the fast-tier guardrail's measured PER difference
-// (fast − exact) when DeployConfig.PrecisionGuardSet armed it; fellBack
-// reports that the guardrail rejected the fast tier and this engine runs
-// exact kernels.
-func (e *Engine) Precision() (tier compiler.Precision, perDelta float64, fellBack bool) {
-	return e.precision, e.precPERDelta, e.precFallback
-}
-
-// Requantize rebuilds the deployment at a different integer quantization
-// width (0 = float weights), keeping the target, format, passes, tile
-// configuration, and plan cache — the run/serve -quant override for a
-// loaded bundle. The scheme must be the bundle's (it defines the BSPC
-// grid). The receiver is not modified; the new engine is compiled from the
-// weights the current programs hold, so narrowing is honest (widening
-// cannot restore precision they no longer carry).
-func (e *Engine) Requantize(bits int, scheme prune.BSP) (*Engine, error) {
-	opts := e.plan.Options
-	ne, err := Compile(e.denseModel(), scheme, DeployConfig{
-		Target: e.target, Format: opts.Format,
-		DisableReorder:  !opts.Reorder,
-		DisableLoadElim: !opts.EliminateRedundantLoads,
-		Quant:           bits, Tile: opts.Tile,
-		Precision: e.precision,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ne.tuned = e.tuned
-	return ne, nil
-}
-
-// Reprecision rebuilds the deployment on a different kernel tier, keeping
-// the target, format, passes, quantization width, and tile configuration —
-// the run/serve -precision override for a loaded bundle. Unlike
-// Requantize, the plan cache is NOT carried over: a measured TuneRecord
-// (older bundles carry them) prices one kernel family's wall time, so a
-// tier change invalidates it, and the rebuilt engine reports TuneNone until
-// a search is re-run (bundles saved from it record the reset, so a stale
-// exact-tier verdict can never pin a fast-tier deployment's plan, or vice
-// versa). Requesting the engine's current tier returns the receiver
-// unchanged. The receiver is never modified.
-func (e *Engine) Reprecision(tier compiler.Precision, scheme prune.BSP) (*Engine, error) {
-	if !compiler.PrecisionValid(tier) {
-		return nil, fmt.Errorf("rtmobile: unknown precision tier %d", tier)
-	}
-	if tier == e.precision {
-		return e, nil
-	}
-	opts := e.plan.Options
-	return Compile(e.denseModel(), scheme, DeployConfig{
-		Target: e.target, Format: opts.Format,
-		DisableReorder:  !opts.Reorder,
-		DisableLoadElim: !opts.EliminateRedundantLoads,
-		Quant:           e.quant, Tile: opts.Tile,
-		Precision: tier,
-	})
-}
+func (e *Engine) Precision() compiler.Precision { return e.precision }
 
 // Pool returns the worker pool serving requests use (the process default
-// unless DeployConfig.Workers chose a dedicated size).
+// unless SetWorkers chose a dedicated size).
 func (e *Engine) Pool() *parallel.Pool { return e.pool }
 
-// SetWorkers resizes the engine's serving pool after construction —
-// needed when the pool size is only known after LoadBundle (the CLI's
-// run -workers flag). n <= 0 restores the process default. Not safe to
+// SetWorkers sizes the engine's serving pool (the CLI's run and serve
+// -workers flag). n <= 0 restores the process default. Not safe to
 // call concurrently with in-flight InferBatch requests.
 func (e *Engine) SetWorkers(n int) {
 	if n <= 0 {

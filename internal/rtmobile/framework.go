@@ -25,7 +25,6 @@ import (
 	"rtmobile/internal/nn"
 	"rtmobile/internal/parallel"
 	"rtmobile/internal/prune"
-	"rtmobile/internal/speech"
 )
 
 // TimestepsPerFrame defines one Table II "inference frame" as 30 GRU
@@ -92,35 +91,20 @@ type DeployConfig struct {
 	DisableLoadElim bool
 	// AutoTuneTiling runs the offline tiling search over the target's
 	// analytic cost model before deployment. The chosen plan is recorded on
-	// the engine and persisted in bundles, so a deployment tunes once, ever.
+	// the engine and persisted in bundles, so serving never tunes; a
+	// re-deploy of the bundle (ReadBundle) runs the search again.
 	AutoTuneTiling bool
 	// Tile overrides the tile configuration when AutoTuneTiling is off.
 	// Like the search's result it parameterizes the modelled target's
 	// kernel — what the plan prices and the bundle records — never what the
 	// host's packed executor runs.
 	Tile compiler.TileConfig
-	// Workers sizes the engine's worker pool for batch serving
-	// (InferBatch). 0 uses the process default: RTMOBILE_WORKERS when
-	// set, else runtime.NumCPU().
-	Workers int
 	// Quant selects integer weight quantization for deployment: 0 keeps
 	// float weights (fp16/fp32 per target); 8, 12, or 16 round-trips every
 	// prunable weight matrix through symmetric per-row quantization
 	// (internal/quant) and makes the compiled plan price the quantized
 	// packed backend's storage (compiler.Options.QuantBits).
 	Quant int
-	// QuantGuardSet, when non-empty with Quant set, arms the accuracy
-	// guardrail: Compile builds both the quantized and the float
-	// deployment from clones of the model, scores PER on this set for
-	// each, and returns the float engine instead when quantization costs
-	// more than QuantGuardMaxDelta absolute PER. Engine.Quantized reports
-	// the verdict either way. The caller's model is left untouched on the
-	// guarded path.
-	QuantGuardSet []speech.Utterance
-	// QuantGuardMaxDelta is the largest tolerated PER increase (absolute,
-	// 0..1 scale) before the guardrail falls back to float weights.
-	// 0 uses DefaultQuantGuardDelta.
-	QuantGuardMaxDelta float64
 	// Precision selects the kernel tier: the zero value (PrecisionExact)
 	// keeps every kernel bit-pinned to the interpreter reference, as all
 	// prior deployments ran; compiler.PrecisionFast opts into the FMA'd
@@ -130,26 +114,7 @@ type DeployConfig struct {
 	// and the bundle, so a reloaded deployment re-selects the same kernel
 	// family.
 	Precision compiler.Precision
-	// PrecisionGuardSet, when non-empty with Precision fast, arms the
-	// fast-tier accuracy guardrail: Compile builds both tiers from clones,
-	// scores PER on this set for each, and returns the exact engine
-	// instead when the fast tier costs more than PrecisionGuardMaxDelta
-	// absolute PER. Engine.Precision reports the verdict either way.
-	PrecisionGuardSet []speech.Utterance
-	// PrecisionGuardMaxDelta is the largest tolerated PER increase
-	// (absolute, 0..1 scale) before the guardrail falls back to exact
-	// kernels. 0 uses DefaultPrecisionGuardDelta.
-	PrecisionGuardMaxDelta float64
 }
-
-// DefaultQuantGuardDelta is the guardrail's default PER-increase budget:
-// 2 absolute points.
-const DefaultQuantGuardDelta = 0.02
-
-// DefaultPrecisionGuardDelta is the fast-tier guardrail's default
-// PER-increase budget. Relaxed precision only reorders float rounding —
-// far gentler than integer quantization — so the budget is half a point.
-const DefaultPrecisionGuardDelta = 0.005
 
 // valueBits selects numeric width per target: the paper's GPU path runs
 // fp16, the CPU path fp32.
@@ -176,12 +141,6 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	}
 	if !compiler.PrecisionValid(cfg.Precision) {
 		return nil, fmt.Errorf("rtmobile: unknown precision tier %d", cfg.Precision)
-	}
-	if cfg.Quant != 0 && len(cfg.QuantGuardSet) > 0 {
-		return compileQuantGuarded(model, scheme, cfg)
-	}
-	if cfg.Precision == compiler.PrecisionFast && len(cfg.PrecisionGuardSet) > 0 {
-		return compilePrecisionGuarded(model, scheme, cfg)
 	}
 	if cfg.Format == compiler.FormatAuto {
 		cfg.Format = compiler.FormatBSPC
@@ -220,89 +179,12 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 		plan.Options.Tile = res.Tile
 		tuned = TuneRecord{Mode: TuneAnalytic, Cost: res.Cost}
 	}
-	pool := parallel.Default()
-	if cfg.Workers > 0 {
-		pool = parallel.NewPool(cfg.Workers)
-	}
 	return &Engine{shell: shellOf(model, progs), progs: progs,
-		plan: plan, target: cfg.Target, pool: pool,
+		plan: plan, target: cfg.Target, pool: parallel.Default(),
 		fp16: fp16, tuned: tuned,
 		quant: cfg.Quant, precision: opt.Precision,
 		stepMACs:  stepPricedMACs(plan),
 		stepBytes: uint64(plan.WeightBytes())}, nil
-}
-
-// compileQuantGuarded builds the quantized and the float32 deployments
-// from clones, scores both on the guard set, and returns the quantized
-// engine only when its PER stays within the configured delta of the float
-// engine's. Either returned engine records the measured delta.
-func compileQuantGuarded(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, error) {
-	guard := cfg.QuantGuardSet
-	maxDelta := cfg.QuantGuardMaxDelta
-	if maxDelta <= 0 {
-		maxDelta = DefaultQuantGuardDelta
-	}
-	qcfg := cfg
-	qcfg.QuantGuardSet = nil
-	qeng, err := Compile(model.Clone(), scheme, qcfg)
-	if err != nil {
-		return nil, err
-	}
-	fcfg := cfg
-	fcfg.Quant = 0
-	fcfg.QuantGuardSet = nil
-	feng, err := Compile(model.Clone(), scheme, fcfg)
-	if err != nil {
-		return nil, err
-	}
-	fPER := EvaluateEnginePER(feng, guard)
-	qPER := EvaluateEnginePER(qeng, guard)
-	delta := qPER - fPER
-	if delta > maxDelta {
-		feng.quantPERDelta = delta
-		feng.quantFallback = true
-		return feng, nil
-	}
-	qeng.quantPERDelta = delta
-	return qeng, nil
-}
-
-// compilePrecisionGuarded builds the fast-tier and the exact-tier
-// deployments from clones, scores both on the guard set, and returns the
-// fast engine only when its PER stays within the configured delta of the
-// exact engine's — the deployment-level complement of the kernel-level
-// tolerance bound (tensor.FastClose verifies individual dots; this
-// verifies the end-to-end recognizer). Either returned engine records the
-// measured delta.
-func compilePrecisionGuarded(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, error) {
-	guard := cfg.PrecisionGuardSet
-	maxDelta := cfg.PrecisionGuardMaxDelta
-	if maxDelta <= 0 {
-		maxDelta = DefaultPrecisionGuardDelta
-	}
-	fcfg := cfg
-	fcfg.PrecisionGuardSet = nil
-	feng, err := Compile(model.Clone(), scheme, fcfg)
-	if err != nil {
-		return nil, err
-	}
-	ecfg := cfg
-	ecfg.Precision = compiler.PrecisionExact
-	ecfg.PrecisionGuardSet = nil
-	eeng, err := Compile(model.Clone(), scheme, ecfg)
-	if err != nil {
-		return nil, err
-	}
-	ePER := EvaluateEnginePER(eeng, guard)
-	fPER := EvaluateEnginePER(feng, guard)
-	delta := fPER - ePER
-	if delta > maxDelta {
-		eeng.precPERDelta = delta
-		eeng.precFallback = true
-		return eeng, nil
-	}
-	feng.precPERDelta = delta
-	return feng, nil
 }
 
 // ModelSources extracts the compiler inputs from a model's prunable weight

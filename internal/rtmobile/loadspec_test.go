@@ -12,7 +12,7 @@ import (
 	"rtmobile/internal/nn"
 )
 
-// TestLoadersCheckSpec: every loader — nn.Load for a model file, LoadBundle
+// TestLoadersCheckSpec: every loader — nn.Load for a model file, ReadBundle
 // for a v4 bundle, MapBundle for a v5 one — refuses the same corrupt specs
 // with an error, before building any shape from them: the cell word of the
 // removed LSTM, an unknown cell word, zero layers and a hidden size no
@@ -54,7 +54,7 @@ func TestLoadersCheckSpec(t *testing.T) {
 			return err
 		}},
 		{"LoadBundle v4", func(t *testing.T, word int, v uint64) error {
-			_, _, err := LoadBundle(bytes.NewReader(setWord(v4.Bytes(), word, v)), device.MobileGPU())
+			_, _, _, err := ReadBundle(bytes.NewReader(setWord(v4.Bytes(), word, v)), device.MobileGPU())
 			return err
 		}},
 		{"MapBundle v5", func(t *testing.T, word int, v uint64) error {

@@ -1,9 +1,9 @@
 package rtmobile
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -27,8 +27,10 @@ import (
 // platform, or a purego / big-endian build that cannot alias) reads the
 // file into one arena and parses the identical format there. Either way
 // the engine holds what a compiled one holds — spec, biases, programs —
-// and the dense sections a file from before the compact format carries
-// are read only when its programs must be lowered again.
+// and runs the programs as the file stores them: MapBundle never lowers.
+// A file it cannot run as written (any version 1–4 file, or a v5 file
+// whose programs or plan are not what an engine executes) is refused with
+// an error naming `rtmobile deploy -in`, which lowers it once (ReadBundle).
 
 // v5Image is a parsed v5 bundle: the engine (its programs potentially
 // aliasing the backing bytes) and the stored scheme.
@@ -42,12 +44,11 @@ type v5Image struct {
 // Close, using them is a use-after-unmap (the registry's refcounted drain
 // exists to rule that out in serving).
 type MappedBundle struct {
-	img     v5Image
-	data    []byte
-	unmap   func([]byte) error // nil when the backing is a heap arena
-	mapped  bool               // storage aliases an OS file mapping (false: heap arena, or a v1–v4 file decoded)
-	version int
-	closed  bool
+	img    v5Image
+	data   []byte
+	unmap  func([]byte) error // nil when the backing is a heap arena
+	mapped bool               // storage aliases an OS file mapping (false: heap arena)
+	closed bool
 }
 
 // Engine returns the deployed engine. It aliases the mapping; do not use
@@ -56,9 +57,6 @@ func (b *MappedBundle) Engine() *Engine { return b.img.eng }
 
 // Scheme returns the BSP scheme stored in the bundle.
 func (b *MappedBundle) Scheme() prune.BSP { return b.img.scheme }
-
-// Version reports the on-disk format version that was loaded.
-func (b *MappedBundle) Version() int { return b.version }
 
 // Packed returns the packed program the engine executes for the named
 // weight matrix (nil for unknown names).
@@ -83,11 +81,15 @@ func (b *MappedBundle) Close() error {
 	return nil
 }
 
-// MapBundle loads a deployment bundle by path for the target. v5 bundles
-// map zero-copy (or arena-load where mmap / aliasing is unavailable);
-// v1–v4 bundles transparently load through the legacy decode path, so
-// callers can treat any bundle file uniformly.
+// MapBundle loads a v5 deployment bundle by path for the target, whose
+// cost model prices it, and serves its stored programs as written: mapped
+// zero-copy, or arena-loaded where mmap or aliasing is unavailable. Any
+// other file is refused with an error naming `rtmobile deploy -in <path>`,
+// which lowers it into one MapBundle serves.
 func MapBundle(path string, target *device.Target) (*MappedBundle, error) {
+	if target == nil {
+		return nil, fmt.Errorf("rtmobile: MapBundle target is required")
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -100,20 +102,11 @@ func MapBundle(path string, target *device.Target) (*MappedBundle, error) {
 	if string(head[:4]) != bundleMagic {
 		return nil, fmt.Errorf("rtmobile: bad bundle magic %q", head[:4])
 	}
-	version := int(binary.LittleEndian.Uint32(head[4:]))
-	if version != bundleVersion5 {
-		// Legacy format: decode-load. No shared mapping to manage.
-		if _, err := f.Seek(0, 0); err != nil {
-			return nil, err
-		}
-		eng, scheme, err := LoadBundle(bufio.NewReader(f), target)
-		if err != nil {
-			return nil, err
-		}
-		return &MappedBundle{
-			img:     v5Image{eng: eng, scheme: scheme},
-			version: version,
-		}, nil
+	switch version := binary.LittleEndian.Uint32(head[4:]); {
+	case version >= 1 && version <= bundleVersion:
+		return nil, fmt.Errorf("rtmobile: bundle is format version %d: %w %s", version, errNeedsDeploy, path)
+	case version != bundleVersion5:
+		return nil, fmt.Errorf("rtmobile: unsupported bundle version %d", version)
 	}
 
 	info, err := f.Stat()
@@ -140,12 +133,12 @@ func MapBundle(path string, target *device.Target) (*MappedBundle, error) {
 		if unmap != nil {
 			unmap(data)
 		}
+		if errors.Is(err, errNeedsDeploy) {
+			err = fmt.Errorf("%w %s", err, path)
+		}
 		return nil, err
 	}
-	return &MappedBundle{
-		img: img, data: data, unmap: unmap,
-		mapped: mapped, version: bundleVersion5,
-	}, nil
+	return &MappedBundle{img: img, data: data, unmap: unmap, mapped: mapped}, nil
 }
 
 // --- v5 parsing ----------------------------------------------------------
@@ -334,117 +327,134 @@ func specShell(spec nn.ModelSpec) (*nn.Model, error) {
 // cannot drive an absurd unmarshal.
 const v5MaxMetaBytes = 64 << 20
 
-// parseV5 reconstructs an engine (and its packed programs) from a complete
-// v5 image, aliasing the image's bytes wherever the host allows. The
-// target supplies the cost model, exactly as in LoadBundle.
-func parseV5(data []byte, target *device.Target) (v5Image, error) {
-	var zero v5Image
-	if target == nil {
-		return zero, fmt.Errorf("rtmobile: MapBundle target is required")
-	}
+// v5File is a decoded v5 image: its metadata, a shell whose params hold
+// the sections no usable stored program stands in for, and the stored
+// programs when they are what an engine executes (nil otherwise).
+type v5File struct {
+	meta  v5Meta
+	shell *nn.Model
+	progs []*compiler.PackedProgram
+}
+
+// decodeV5 validates a complete v5 image and resolves its sections,
+// aliasing the image's bytes wherever the host allows.
+func decodeV5(data []byte) (*v5File, error) {
 	sections, err := parseV5Sections(data)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	metaRaw, err := v5SectionBytes(sections, v5SecMeta, "bundle metadata")
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	if len(metaRaw) > v5MaxMetaBytes {
-		return zero, fmt.Errorf("rtmobile: metadata section is %d bytes (max %d)", len(metaRaw), v5MaxMetaBytes)
+		return nil, fmt.Errorf("rtmobile: metadata section is %d bytes (max %d)", len(metaRaw), v5MaxMetaBytes)
 	}
-	var meta v5Meta
-	if err := json.Unmarshal(metaRaw, &meta); err != nil {
-		return zero, fmt.Errorf("rtmobile: decoding bundle metadata: %w", err)
+	f := &v5File{}
+	if err := json.Unmarshal(metaRaw, &f.meta); err != nil {
+		return nil, fmt.Errorf("rtmobile: decoding bundle metadata: %w", err)
 	}
-
-	shell, err := specShell(meta.Spec)
-	if err != nil {
-		return zero, err
+	meta := &f.meta
+	if f.shell, err = specShell(meta.Spec); err != nil {
+		return nil, err
 	}
 	if meta.Plan == nil {
-		return zero, fmt.Errorf("rtmobile: bundle metadata has no plan")
+		return nil, fmt.Errorf("rtmobile: bundle metadata has no plan")
 	}
 	if !compiler.PrecisionValid(meta.Plan.Options.Precision) {
-		return zero, fmt.Errorf("rtmobile: corrupt precision tier %d", meta.Plan.Options.Precision)
+		return nil, fmt.Errorf("rtmobile: corrupt precision tier %d", meta.Plan.Options.Precision)
 	}
 	if meta.QuantBits != 0 && !compiler.QuantBitsValid(meta.QuantBits) {
-		return zero, fmt.Errorf("rtmobile: corrupt quantization width %d", meta.QuantBits)
+		return nil, fmt.Errorf("rtmobile: corrupt quantization width %d", meta.QuantBits)
 	}
 	if meta.TuneMode > uint8(TuneMeasured) {
-		return zero, fmt.Errorf("rtmobile: unknown tune mode %d", meta.TuneMode)
+		return nil, fmt.Errorf("rtmobile: unknown tune mode %d", meta.TuneMode)
 	}
 
 	// Check the param directory against the shell; storage comes later.
-	params := shell.Params()
+	params := f.shell.Params()
 	if len(meta.Params) != len(params) {
-		return zero, fmt.Errorf("rtmobile: bundle has %d params, model expects %d", len(meta.Params), len(params))
+		return nil, fmt.Errorf("rtmobile: bundle has %d params, model expects %d", len(meta.Params), len(params))
 	}
 	for i, p := range params {
 		pm := meta.Params[i]
 		if pm.Name != p.Name {
-			return zero, fmt.Errorf("rtmobile: param order mismatch: %q vs %q", pm.Name, p.Name)
+			return nil, fmt.Errorf("rtmobile: param order mismatch: %q vs %q", pm.Name, p.Name)
 		}
 		if pm.Rows != p.W.Rows || pm.Cols != p.W.Cols {
-			return zero, fmt.Errorf("rtmobile: %s shape %dx%d, want %dx%d",
+			return nil, fmt.Errorf("rtmobile: %s shape %dx%d, want %dx%d",
 				p.Name, pm.Rows, pm.Cols, p.W.Rows, p.W.Cols)
 		}
 	}
-	progs, err := storedPrograms(sections, &meta, shell)
-	if err != nil {
-		return zero, err
+	if f.progs, err = storedPrograms(sections, meta, f.shell); err != nil {
+		return nil, err
 	}
 	// Attach the param sections, aliased where the host allows, except
 	// those a usable stored program carries: a compact file has none for
 	// them, an older file's are ignored. Without such a program every param
 	// needs one.
 	for i, p := range params {
-		pm := meta.Params[i]
-		if programFor(progs, p.Name) != nil {
+		if programFor(f.progs, p.Name) != nil {
 			continue
 		}
-		w, err := v5F32(sections, pm.Section, "param "+p.Name, p.W.Rows*p.W.Cols)
+		w, err := v5F32(sections, meta.Params[i].Section, "param "+p.Name, p.W.Rows*p.W.Cols)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
 		p.W.Data = w
 	}
+	return f, nil
+}
 
-	// Lower once where the stored plan does not price what the engine will
-	// run: a fused plan priced [Wx|Wh] kernels nothing executes, an older
-	// writer priced quantized programs from their unrounded weights, and a
-	// bundle without usable programs runs the lowering's. Stored programs
-	// are lowered again from their own values (PackedProgram.Dense).
-	plan := meta.Plan
-	if meta.Fused || progs == nil || !plan.Prices(progs) {
-		opt := plan.Options
-		opt.QuantBits = meta.QuantBits
-		srcs := ModelSources(shell, meta.Scheme, opt.Format)
-		for i := range srcs {
-			if pp := programFor(progs, srcs[i].Name); pp != nil {
-				srcs[i].W = pp.Dense()
-			}
-		}
-		lowered, lprogs, err := compiler.CompilePlan(plan.ModelName, srcs, opt,
-			target.Threads(), plan.TimestepsPerFrame, plan.ElementwisePerTimestep)
-		if err != nil {
-			return zero, err
-		}
-		plan = lowered
-		if progs == nil {
-			progs = lprogs
-		}
+// errNeedsDeploy marks a bundle that serving cannot run as written.
+var errNeedsDeploy = errors.New("serving runs a bundle's programs as written; lower it again with rtmobile deploy -in")
+
+// parseV5 builds the engine a complete v5 image serves as written: its
+// stored programs, aliased in place, under its stored plan. The target
+// supplies the cost model. An image whose programs are not what an engine
+// executes, or whose plan does not price them, is refused (errNeedsDeploy).
+func parseV5(data []byte, target *device.Target) (v5Image, error) {
+	var zero v5Image
+	f, err := decodeV5(data)
+	if err != nil {
+		return zero, err
+	}
+	plan := f.meta.Plan
+	var reason string
+	switch {
+	case f.meta.Fused:
+		reason = "plan prices fused [Wx|Wh] kernels"
+	case f.progs == nil:
+		reason = "stores no programs an engine executes"
+	case !plan.Prices(f.progs):
+		reason = "plan does not price its programs"
+	}
+	if reason != "" {
+		return zero, fmt.Errorf("rtmobile: bundle %s: %w", reason, errNeedsDeploy)
 	}
 	eng := &Engine{
-		shell: shellOf(shell, progs), progs: progs, plan: plan, target: target,
+		shell: shellOf(f.shell, f.progs), progs: f.progs, plan: plan, target: target,
 		pool:  parallel.Default(),
 		fp16:  plan.Options.ValueBits == 16,
-		tuned: TuneRecord{Mode: TuneMode(meta.TuneMode), Cost: meta.TuneCost},
-		quant: meta.QuantBits, precision: plan.Options.Precision,
+		tuned: TuneRecord{Mode: TuneMode(f.meta.TuneMode), Cost: f.meta.TuneCost},
+		quant: f.meta.QuantBits, precision: plan.Options.Precision,
 		stepMACs:  stepPricedMACs(plan),
 		stepBytes: uint64(plan.WeightBytes()),
 	}
-	return v5Image{eng: eng, scheme: meta.Scheme}, nil
+	return v5Image{eng: eng, scheme: f.meta.Scheme}, nil
+}
+
+// readV5 decodes a complete v5 image for ReadBundle: the dense model (each
+// usable program's Dense(), else the param's own section), the scheme, the
+// recorded DeployConfig and the recorded value width.
+func readV5(data []byte) (*nn.Model, prune.BSP, DeployConfig, int, error) {
+	f, err := decodeV5(data)
+	if err != nil {
+		return nil, prune.BSP{}, DeployConfig{}, 0, err
+	}
+	opt := f.meta.Plan.Options
+	return denseOf(f.shell, f.progs), f.meta.Scheme,
+		recordedConfig(opt, f.meta.QuantBits, TuneMode(f.meta.TuneMode)), opt.ValueBits, nil
 }
 
 // storedPrograms rebuilds the bundle's programs over their sections and
@@ -454,7 +464,7 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 // tensor.MatVecAdd's per-row order). It returns nil programs for bundles
 // that carry anything else — the [Wx|Wh] programs old fused deployments
 // wrote, which sum what a GRU keeps apart, or a file written by the
-// per-block lowering — and the caller lowers from the weights instead.
+// per-block lowering — whose weights only ReadBundle reads.
 // Corrupt sections are an error either way. Only the shell's shapes are
 // read.
 func storedPrograms(sections map[uint32][]byte, meta *v5Meta, shell *nn.Model) ([]*compiler.PackedProgram, error) {

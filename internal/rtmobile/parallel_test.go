@@ -21,12 +21,11 @@ func parallelTestEngine(t *testing.T, seed uint64, gpu bool, workers int) *Engin
 	if gpu {
 		target = device.MobileGPU()
 	}
-	eng, err := Compile(m, res.Scheme, DeployConfig{
-		Target: target, Format: compiler.FormatBSPC, Workers: workers,
-	})
+	eng, err := Compile(m, res.Scheme, DeployConfig{Target: target, Format: compiler.FormatBSPC})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetWorkers(workers)
 	return eng
 }
 

@@ -48,13 +48,13 @@ func TestFastEngineInferWithinTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := fastEngine(t, 0)
-	if tier, _, fell := fast.Precision(); tier != compiler.PrecisionFast || fell {
-		t.Fatalf("Precision() = %v, fellBack=%v, want fast", tier, fell)
+	if tier := fast.Precision(); tier != compiler.PrecisionFast {
+		t.Fatalf("Precision() = %v, want fast", tier)
 	}
 	if fast.Plan().Options.Precision != compiler.PrecisionFast {
 		t.Fatalf("plan precision %v, want fast", fast.Plan().Options.Precision)
 	}
-	if tier, _, _ := exact.Precision(); tier != compiler.PrecisionExact {
+	if tier := exact.Precision(); tier != compiler.PrecisionExact {
 		t.Fatalf("exact engine reports tier %v", tier)
 	}
 
@@ -128,113 +128,8 @@ func TestFastEngineBatchWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestPrecisionGuardrail: a permissive budget keeps the fast tier, a
-// (practically) zero budget's verdict is internally consistent, and the
-// caller's model is never mutated on the guarded path.
-func TestPrecisionGuardrail(t *testing.T) {
-	m := testModel(63)
-	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
-	snapshot := m.Clone()
-	guard := guardSet(3, 12, 8)
-
-	keep, err := Compile(m, res.Scheme, DeployConfig{
-		Target: device.MobileCPU(), Precision: compiler.PrecisionFast,
-		PrecisionGuardSet: guard, PrecisionGuardMaxDelta: 1.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier, _, fell := keep.Precision(); tier != compiler.PrecisionFast || fell {
-		t.Fatalf("permissive guardrail rejected fast tier: tier=%v fellBack=%v", tier, fell)
-	}
-
-	drop, err := Compile(m, res.Scheme, DeployConfig{
-		Target: device.MobileCPU(), Precision: compiler.PrecisionFast,
-		PrecisionGuardSet: guard, PrecisionGuardMaxDelta: -1e-9, // any increase rejects
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fallback ⇔ the engine runs exact kernels; the delta is reported
-	// either way.
-	tier, delta, fell := drop.Precision()
-	if fell && tier != compiler.PrecisionExact {
-		t.Fatalf("fell back but tier=%v", tier)
-	}
-	if !fell && tier != compiler.PrecisionFast {
-		t.Fatalf("kept fast tier but tier=%v", tier)
-	}
-	if fell && delta <= 0 {
-		t.Fatalf("fallback with non-positive delta %v", delta)
-	}
-
-	snapParams := snapshot.Params()
-	for pi, p := range m.Params() {
-		want := snapParams[pi]
-		for i := range p.W.Data {
-			if p.W.Data[i] != want.W.Data[i] {
-				t.Fatalf("guarded Compile mutated caller model at %s[%d]", p.Name, i)
-			}
-		}
-	}
-}
-
-// TestReprecisionResetsPlanCache is the plan-cache invalidation contract:
-// switching tiers discards the tuning verdict (a measured TuneRecord
-// priced the old tier's kernels), while Requantize — which keeps the tier
-// — still carries both the record and the tier through.
-func TestReprecisionResetsPlanCache(t *testing.T) {
-	m := testModel(64)
-	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
-	eng, err := Compile(m, res.Scheme, DeployConfig{Target: device.MobileCPU()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.tuned = TuneRecord{Mode: TuneMeasured, Cost: 1234}
-
-	fast, err := eng.Reprecision(compiler.PrecisionFast, res.Scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier, _, _ := fast.Precision(); tier != compiler.PrecisionFast {
-		t.Fatalf("Reprecision tier %v, want fast", tier)
-	}
-	if fast.Tuned().Mode != TuneNone {
-		t.Fatalf("tier change kept the plan cache: %+v (want TuneNone)", fast.Tuned())
-	}
-	if eng.Tuned().Mode != TuneMeasured {
-		t.Fatalf("Reprecision mutated the receiver: %+v", eng.Tuned())
-	}
-
-	// Same tier: no rebuild, the receiver comes back unchanged.
-	same, err := eng.Reprecision(compiler.PrecisionExact, res.Scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != eng {
-		t.Fatal("same-tier Reprecision rebuilt the engine")
-	}
-	if _, err := eng.Reprecision(compiler.Precision(7), res.Scheme); err == nil {
-		t.Fatal("Reprecision accepted an invalid tier")
-	}
-
-	// Requantize keeps both the tier and the plan cache (weights and
-	// kernel family are re-priced identically; only storage width moves).
-	fast.tuned = TuneRecord{Mode: TuneMeasured, Cost: 99}
-	rq, err := fast.Requantize(8, res.Scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier, _, _ := rq.Precision(); tier != compiler.PrecisionFast {
-		t.Fatalf("Requantize dropped the fast tier: %v", tier)
-	}
-	if rq.Tuned().Mode != TuneMeasured {
-		t.Fatalf("Requantize dropped the plan cache: %+v", rq.Tuned())
-	}
-}
-
-// TestPrecisionBundleV4RoundTrip: the precision tier survives save/load
-// for both tiers and all storage widths, so a reloaded bundle re-selects
+// TestPrecisionBundleV4RoundTrip: the precision tier survives save/map
+// for both tiers and all storage widths, so a served bundle re-selects
 // the same kernel family.
 func TestPrecisionBundleV4RoundTrip(t *testing.T) {
 	for _, tier := range []compiler.Precision{compiler.PrecisionExact, compiler.PrecisionFast} {
@@ -251,11 +146,8 @@ func TestPrecisionBundleV4RoundTrip(t *testing.T) {
 			if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
 				t.Fatal(err)
 			}
-			loaded, _, err := LoadBundle(bytes.NewReader(buf.Bytes()), device.MobileCPU())
-			if err != nil {
-				t.Fatalf("tier=%v quant=%d: %v", tier, quant, err)
-			}
-			if got, _, _ := loaded.Precision(); got != tier {
+			loaded := mustMap(t, buf.Bytes(), device.MobileCPU())
+			if got := loaded.Precision(); got != tier {
 				t.Fatalf("tier=%v quant=%d: loaded bundle reports tier %v", tier, quant, got)
 			}
 			if loaded.Plan().Options.Precision != tier {

@@ -37,25 +37,11 @@ func RenderLayerStats(eng *rtmobile.Engine) string {
 	fmt.Fprintf(&b, "plan check: %d MACs/step x %d timesteps = %d MACs/frame (plan prices %d)\n",
 		totalMACs, rtmobile.TimestepsPerFrame,
 		totalMACs*rtmobile.TimestepsPerFrame, plan.FrameMACs())
-	if bits, delta, fell := eng.Quantized(); bits != 0 || fell {
-		switch {
-		case fell:
-			fmt.Fprintf(&b, "quantization: float32 (guardrail fallback, PER delta %+.4f)\n", delta)
-		case delta != 0:
-			fmt.Fprintf(&b, "quantization: int%d weights (guardrail PER delta %+.4f)\n", bits, delta)
-		default:
-			fmt.Fprintf(&b, "quantization: int%d weights\n", bits)
-		}
+	if bits := eng.Quantized(); bits != 0 {
+		fmt.Fprintf(&b, "quantization: int%d weights\n", bits)
 	}
-	if tier, delta, fell := eng.Precision(); tier != compiler.PrecisionExact || fell {
-		switch {
-		case fell:
-			fmt.Fprintf(&b, "precision: exact (guardrail fallback, PER delta %+.4f)\n", delta)
-		case delta != 0:
-			fmt.Fprintf(&b, "precision: %s kernels (guardrail PER delta %+.4f)\n", tier, delta)
-		default:
-			fmt.Fprintf(&b, "precision: %s kernels\n", tier)
-		}
+	if tier := eng.Precision(); tier != compiler.PrecisionExact {
+		fmt.Fprintf(&b, "precision: %s kernels\n", tier)
 	}
 	if m := obs.M(); m != nil {
 		fmt.Fprintf(&b, "bytes_streamed_total: %d\n", m.BytesStreamed.Value())

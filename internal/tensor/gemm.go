@@ -85,7 +85,7 @@ func matTVecAddCols(y []float32, w *Matrix, x []float32, lo, hi int) {
 		}
 		row := w.Row(i)[lo:hi]
 		for j, v := range row {
-			y[lo+j] += xi * v
+			y[lo+j] += float32(xi * v)
 		}
 	}
 }
@@ -114,7 +114,7 @@ func outerAddRange(w *Matrix, a, b []float32, lo, hi int) {
 		}
 		row := w.Row(i)
 		for j, bj := range b {
-			row[j] += ai * bj
+			row[j] += float32(ai * bj)
 		}
 	}
 }

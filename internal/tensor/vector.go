@@ -18,7 +18,7 @@ func Axpy(a float32, x, y []float32) {
 		panic("tensor: Axpy length mismatch")
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float32(a * v)
 	}
 }
 
