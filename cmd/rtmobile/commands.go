@@ -52,13 +52,6 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// precisionFlag adds the shared -precision knob selecting the kernel tier
-// a deployment compiles for.
-func precisionFlag(fs *flag.FlagSet) *string {
-	return fs.String("precision", "exact",
-		"kernel tier: exact (bit-pinned reference) or fast (FMA + f32 accumulation, tolerance-verified)")
-}
-
 // corpusFlags adds the shared corpus-shaping flags to a flag set.
 func corpusFlags(fs *flag.FlagSet) *speech.CorpusConfig {
 	cfg := speech.DefaultCorpusConfig()
@@ -193,71 +186,6 @@ func cmdPrune(args []string) error {
 		return err
 	}
 	fmt.Printf("saved %s\n", *out)
-	return nil
-}
-
-func cmdCompile(args []string) error {
-	fs := flag.NewFlagSet("compile", flag.ExitOnError)
-	in := fs.String("in", "pruned.bin", "input model path")
-	targetName := fs.String("target", "gpu", "target: gpu or cpu")
-	formatName := fs.String("format", "bspc", "storage format: bspc, csr, or dense")
-	col := fs.Float64("col", 16, "BSP column rate the model was pruned with")
-	row := fs.Float64("row", 2, "BSP row rate the model was pruned with")
-	rowGroups := fs.Int("row-groups", 8, "BSP row groups")
-	colBlocks := fs.Int("col-blocks", 4, "BSP column blocks")
-	noReorder := fs.Bool("no-reorder", false, "disable the matrix reorder pass")
-	noLoadElim := fs.Bool("no-loadelim", false, "disable redundant load elimination")
-	tune := fs.Bool("autotune", false, "search the modelled target's tile (rows x cols x unroll x placement) on its analytic cost model")
-	listing := fs.Bool("listing", false, "emit the generated kernel pseudo-code")
-	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights)")
-	precName := precisionFlag(fs)
-	workers := workersFlag(fs)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if err := applyWorkers(*workers); err != nil {
-		return err
-	}
-	model, err := loadModel(*in)
-	if err != nil {
-		return err
-	}
-	target, err := parseTarget(*targetName)
-	if err != nil {
-		return err
-	}
-	format, err := parseFormat(*formatName)
-	if err != nil {
-		return err
-	}
-	prec, err := compiler.ParsePrecision(*precName)
-	if err != nil {
-		return err
-	}
-	scheme := prune.BSP{ColRate: *col, RowRate: *row, NumRowGroups: *rowGroups, NumColBlocks: *colBlocks}
-	eng, err := rtmobile.Compile(model, scheme, rtmobile.DeployConfig{
-		Target: target, Format: format,
-		DisableReorder: *noReorder, DisableLoadElim: *noLoadElim,
-		AutoTuneTiling: *tune, Quant: *quantBits, Precision: prec,
-	})
-	if err != nil {
-		return err
-	}
-	lat := eng.Latency()
-	fmt.Printf("target %s, format %s\n", target, format)
-	fmt.Printf("plan: %s\n", eng.Plan())
-	printTuneRecord(eng)
-	printQuantStatus(eng)
-	printPrecisionStatus(eng)
-	fmt.Printf("per-frame latency: %.2f us (compute %.2f, memory %.2f, overhead %.2f)\n",
-		lat.TotalUS, lat.ComputeUS, lat.MemoryUS, lat.OverheadUS)
-	fmt.Printf("GOP/frame %.4f, GOP/s %.2f\n", eng.GOP(), eng.GOPs())
-	fmt.Printf("energy efficiency vs ESE FPGA: %.2fx\n", eng.EfficiencyVsESE())
-	fmt.Printf("real-time factor: %.1fx\n", eng.RealTimeFactor())
-	if *listing {
-		fmt.Println()
-		fmt.Print(compiler.EmitListing(eng.Plan()))
-	}
 	return nil
 }
 
@@ -453,16 +381,21 @@ func cmdBench(args []string) error {
 
 func cmdDeploy(args []string) error {
 	fs := flag.NewFlagSet("deploy", flag.ExitOnError)
-	in := fs.String("in", "pruned.bin", "input: a pruned model file, or a bundle of any version to lower again (a flag left unset keeps the bundle's recorded value)")
+	in := fs.String("in", "pruned.bin", "input: a pruned model file, or a bundle to lower again (a flag left unset keeps the bundle's recorded value)")
 	out := fs.String("out", "model.rtmb", "output bundle path")
-	targetName := fs.String("target", "gpu", "target: gpu or cpu (a bundle input must record the target's value width)")
+	targetName := fs.String("target", "gpu", "target: gpu or cpu (a bundle input keeps the target it was lowered for, and refuses another)")
+	formatName := fs.String("format", "bspc", "storage format: bspc, csr, or dense")
 	col := fs.Float64("col", 16, "BSP column rate the model was pruned with")
 	row := fs.Float64("row", 2, "BSP row rate the model was pruned with")
 	rowGroups := fs.Int("row-groups", 8, "BSP row groups")
 	colBlocks := fs.Int("col-blocks", 4, "BSP column blocks")
-	tune := fs.Bool("autotune", false, "search the modelled target's tile on its analytic cost model before bundling (the verdict is cached in the bundle)")
+	noReorder := fs.Bool("no-reorder", false, "disable the matrix reorder pass")
+	noLoadElim := fs.Bool("no-loadelim", false, "disable redundant load elimination")
+	tune := fs.Bool("autotune", false, "search the modelled target's tile (rows x cols x unroll x placement) on its analytic cost model before bundling (the verdict is cached in the bundle)")
+	listing := fs.Bool("listing", false, "emit the generated kernel pseudo-code")
 	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights; stored in the bundle)")
-	precName := precisionFlag(fs)
+	precName := fs.String("precision", "exact",
+		"kernel tier: exact (bit-pinned reference) or fast (FMA + f32 accumulation, tolerance-verified)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -470,15 +403,20 @@ func cmdDeploy(args []string) error {
 	if err != nil {
 		return err
 	}
-	model, scheme, cfg, isBundle, err := readDeployInput(*in, target)
-	if err != nil {
-		return err
-	}
 	// A model file takes every flag; a bundle keeps what it records
 	// wherever the flag is left unset.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	model, scheme, cfg, isBundle, err := readDeployInput(*in, target, !set["target"])
+	if err != nil {
+		return err
+	}
 	take := func(name string) bool { return !isBundle || set[name] }
+	if take("format") {
+		if cfg.Format, err = parseFormat(*formatName); err != nil {
+			return err
+		}
+	}
 	if take("col") {
 		scheme.ColRate = *col
 	}
@@ -490,6 +428,12 @@ func cmdDeploy(args []string) error {
 	}
 	if take("col-blocks") {
 		scheme.NumColBlocks = *colBlocks
+	}
+	if take("no-reorder") {
+		cfg.DisableReorder = *noReorder
+	}
+	if take("no-loadelim") {
+		cfg.DisableLoadElim = *noLoadElim
 	}
 	if take("autotune") {
 		cfg.AutoTuneTiling = *tune
@@ -518,21 +462,31 @@ func cmdDeploy(args []string) error {
 	if err != nil {
 		return err
 	}
+	lat := eng.Latency()
 	fmt.Printf("wrote %s (%d KiB, %s, %s storage)\n",
-		*out, info.Size()>>10, target.Name, eng.Plan().Options.Format)
+		*out, info.Size()>>10, eng.Target().Name, eng.Plan().Options.Format)
+	fmt.Printf("plan: %s\n", eng.Plan())
 	printTuneRecord(eng)
 	printQuantStatus(eng)
 	printPrecisionStatus(eng)
-	fmt.Printf("predicted %.2f us/frame, %.2fx energy efficiency vs ESE\n",
-		eng.Latency().TotalUS, eng.EfficiencyVsESE())
+	fmt.Printf("per-frame latency: %.2f us (compute %.2f, memory %.2f, overhead %.2f)\n",
+		lat.TotalUS, lat.ComputeUS, lat.MemoryUS, lat.OverheadUS)
+	fmt.Printf("GOP/frame %.4f, GOP/s %.2f\n", eng.GOP(), eng.GOPs())
+	fmt.Printf("energy efficiency vs ESE FPGA: %.2fx\n", eng.EfficiencyVsESE())
+	fmt.Printf("real-time factor: %.1fx\n", eng.RealTimeFactor())
+	if *listing {
+		fmt.Println()
+		fmt.Print(compiler.EmitListing(eng.Plan()))
+	}
 	return nil
 }
 
 // readDeployInput reads deploy's -in file: a model file (nn.Save) gives
-// the model and a DeployConfig of defaults; a bundle of any version gives
-// the dense model ReadBundle rebuilds, the recorded scheme and the
-// recorded DeployConfig, and isBundle.
-func readDeployInput(path string, target *device.Target) (model *nn.Model, scheme prune.BSP, cfg rtmobile.DeployConfig, isBundle bool, err error) {
+// the model and a DeployConfig of defaults for target; a v5 bundle gives
+// the dense model ReadBundle rebuilds, the recorded scheme and the recorded
+// DeployConfig — for the target the bundle was lowered for when
+// keepTarget, else for target, which must be that one — and isBundle.
+func readDeployInput(path string, target *device.Target, keepTarget bool) (model *nn.Model, scheme prune.BSP, cfg rtmobile.DeployConfig, isBundle bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, scheme, cfg, false, err
@@ -540,6 +494,9 @@ func readDeployInput(path string, target *device.Target) (model *nn.Model, schem
 	defer f.Close()
 	r := bufio.NewReader(f)
 	if magic, _ := r.Peek(4); string(magic) == "RTMB" {
+		if keepTarget {
+			target = nil
+		}
 		model, scheme, cfg, err = rtmobile.ReadBundle(r, target)
 		return model, scheme, cfg, true, err
 	}
@@ -549,11 +506,8 @@ func readDeployInput(path string, target *device.Target) (model *nn.Model, schem
 
 // printTuneRecord reports the engine's plan-cache entry, if any.
 func printTuneRecord(eng *rtmobile.Engine) {
-	switch rec := eng.Tuned(); rec.Mode {
-	case rtmobile.TuneAnalytic:
+	if rec := eng.Tuned(); rec.Mode == rtmobile.TuneAnalytic {
 		fmt.Printf("plan cache: analytic tuning, cost %.3f\n", rec.Cost)
-	case rtmobile.TuneMeasured: // recorded by an older writer
-		fmt.Printf("plan cache: measured tuning, %.0f ns/pass\n", rec.Cost)
 	}
 }
 
@@ -575,8 +529,7 @@ func printPrecisionStatus(eng *rtmobile.Engine) {
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	cfg := corpusFlags(fs)
-	bundle := fs.String("bundle", "model.rtmb", "deployment bundle path")
-	targetName := fs.String("target", "gpu", "target: gpu or cpu")
+	bundle := fs.String("bundle", "model.rtmb", "deployment bundle path (priced under the target it was lowered for)")
 	stats := fs.Bool("stats", false, "trace the evaluation and print the per-layer latency table")
 	workers := workersFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
@@ -585,21 +538,21 @@ func cmdRun(args []string) error {
 	if err := applyWorkers(*workers); err != nil {
 		return err
 	}
-	target, err := parseTarget(*targetName)
-	if err != nil {
-		return err
-	}
-	mb, err := rtmobile.MapBundle(*bundle, target)
+	mb, err := rtmobile.MapBundle(*bundle, nil)
 	if err != nil {
 		return err
 	}
 	defer mb.Close()
 	eng, scheme := mb.Engine(), mb.Scheme()
+	if in, classes := cfg.Features.Dim(), speech.NumPhones; eng.InputDim() != in || eng.OutputDim() != classes {
+		return fmt.Errorf("bundle %s takes %d-dim frames and scores %d classes; the corpus has %d-dim frames and %d phone classes",
+			*bundle, eng.InputDim(), eng.OutputDim(), in, classes)
+	}
 	eng.SetWorkers(*workers)
 	if *stats {
 		eng.EnableTracing()
 	}
-	fmt.Printf("loaded %s: scheme %s, %s\n", *bundle, scheme.Name(), eng.Plan())
+	fmt.Printf("loaded %s: scheme %s, %s, %s\n", *bundle, scheme.Name(), eng.Target().Name, eng.Plan())
 	printTuneRecord(eng)
 	printQuantStatus(eng)
 	printPrecisionStatus(eng)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,8 +75,8 @@ func TestExportWAVs(t *testing.T) {
 	}
 }
 
-// TestCLIWorkflow drives train → prune → compile → deploy → run through
-// the command functions end to end in a temp directory.
+// TestCLIWorkflow drives train → prune → deploy → run through the command
+// functions end to end in a temp directory.
 func TestCLIWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
@@ -92,11 +94,8 @@ func TestCLIWorkflow(t *testing.T) {
 		"-col", "2", "-row", "1", "-admm-iters", "1", "-finetune-epochs", "1"}, corpus...)); err != nil {
 		t.Fatalf("prune: %v", err)
 	}
-	if err := cmdCompile([]string{"-in", pruned, "-col", "2", "-row", "1", "-listing"}); err != nil {
-		t.Fatalf("compile: %v", err)
-	}
 	if err := cmdDeploy([]string{"-in", pruned, "-col", "2", "-row", "1", "-out", bundle,
-		"-autotune"}); err != nil {
+		"-autotune", "-listing"}); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	if err := cmdRun(append([]string{"-bundle", bundle, "-stats"}, corpus...)); err != nil {
@@ -111,10 +110,11 @@ func TestCLIWorkflow(t *testing.T) {
 }
 
 // TestCmdDeployBundleVersions: deploy writes the one format this tree
-// writes (v5), smaller than the dense weights it was compiled from, and
-// `deploy -in` lowers any bundle again — the one place a deployment is
-// lowered. Re-deploying a file with no flag set rewrites its bytes; every
-// fixture an earlier commit wrote re-deploys to exactly what deploying its
+// writes and reads (v5), smaller than the dense weights it was compiled
+// from, and `deploy -in` lowers a bundle again — the one place a deployment
+// is lowered. Deploying the same input with the same flags writes the same
+// bytes; re-deploying a file with no flag set rewrites its bytes, under the
+// target it records; each committed fixture is exactly what deploying its
 // model writes; -quant and -precision re-deploy what a fresh Compile of the
 // deployed weights at that width or tier runs; and a plan cache recording
 // an analytic search is searched again to the same verdict.
@@ -173,44 +173,36 @@ func TestCmdDeployBundleVersions(t *testing.T) {
 		t.Fatalf("bundle is %d bytes, not below the %d bytes of the dense model", info.Size(), dense)
 	}
 	t.Run("redeploy-as-is", func(t *testing.T) {
+		twice := filepath.Join(dir, "twice.rtmb")
+		deploy(t, pruned, twice, append(schemeArgs, "-target", "cpu")...)
+		sameBytes(t, twice, b5)
+		// No -target: the bundle keeps the cpu target it was lowered for.
 		again := filepath.Join(dir, "again.rtmb")
-		scores(t, deploy(t, b5, again, "-target", "cpu"), eng)
+		scores(t, deploy(t, b5, again), eng)
 		sameBytes(t, again, b5)
-		// The bundle computes in fp32; a 16-bit target would round it again.
-		err := cmdDeploy([]string{"-in", b5, "-out", again})
-		if err == nil || !strings.Contains(err.Error(), "32-bit") || !strings.Contains(err.Error(), "16-bit") {
-			t.Fatalf("deploy -in an fp32 bundle for the gpu: error %v, want one naming both widths", err)
+		// The bundle computes in fp32; the 16-bit gpu would round it again.
+		err := cmdDeploy([]string{"-in", b5, "-out", again, "-target", "gpu"})
+		if err == nil || !strings.Contains(err.Error(), "kryo485-cpu") || !strings.Contains(err.Error(), "adreno640-gpu") {
+			t.Fatalf("deploy -in an fp32 bundle -target gpu: error %v, want one naming both targets", err)
 		}
 	})
 
-	// The fixtures' deployment (internal/rtmobile/testdata/README.md).
+	// The fixtures' deployment (internal/rtmobile/testdata/README.md): each
+	// fixture is what deploying the model writes, and what re-deploying the
+	// fixture writes.
 	t.Run("fixtures", func(t *testing.T) {
 		fx := nn.NewModel(nn.ModelSpec{InputDim: 8, Hidden: 16, NumLayers: 2, OutputDim: 6, Seed: 48})
 		rtmobile.Prune(fx, nil, rtmobile.PruneConfig{ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 4})
 		fxModel := saveModel(t, dir, "fixture.bin", fx)
 		fxArgs := []string{"-col", "2", "-row", "1", "-row-groups", "2", "-col-blocks", "4", "-target", "cpu"}
-		files, err := filepath.Glob("../../internal/rtmobile/testdata/parent_*.rtmb")
-		if err != nil || len(files) != 8 {
-			t.Fatalf("found fixtures %v (%v), want 8", files, err)
-		}
-		for _, file := range files {
-			name := filepath.Base(file)
-			quant := "0"
-			if i := strings.Index(name, "_q"); i >= 0 {
-				quant = strings.TrimSuffix(name[i+2:], ".rtmb")
-			}
+		for name, quant := range map[string]string{"parent_v5.rtmb": "0", "parent_v5_q8.rtmb": "8", "parent_v5_q16.rtmb": "16"} {
+			file := filepath.Join("..", "..", "internal", "rtmobile", "testdata", name)
 			want := filepath.Join(dir, "fresh_q"+quant+".rtmb")
 			fresh := deploy(t, fxModel, want, append(fxArgs, "-quant", quant)...)
+			sameBytes(t, want, file)
 			got := filepath.Join(dir, "re_"+name)
-			scores(t, deploy(t, file, got, "-target", "cpu"), fresh)
-			sameBytes(t, got, want)
-			if name == "parent_v5.rtmb" || name == "parent_v5_q16.rtmb" {
-				continue
-			}
-			if err := cmdRun([]string{"-bundle", file, "-target", "cpu", "-speakers", "1"}); err == nil ||
-				!strings.Contains(err.Error(), "rtmobile deploy -in "+file) {
-				t.Fatalf("run -bundle %s: error %v, want a refusal naming deploy -in", name, err)
-			}
+			scores(t, deploy(t, file, got), fresh)
+			sameBytes(t, got, file)
 		}
 	})
 
@@ -266,13 +258,13 @@ func TestCmdDeployBundleVersions(t *testing.T) {
 			t.Fatalf("-autotune recorded %+v", first.Tuned())
 		}
 		again := filepath.Join(dir, "tuned-again.rtmb")
-		searched := deploy(t, tuned, again, "-target", "cpu")
+		searched := deploy(t, tuned, again)
 		if searched.Tuned() != first.Tuned() || searched.Plan().Options.Tile != first.Plan().Options.Tile {
 			t.Fatalf("re-deploy recorded %+v %+v, want %+v %+v", searched.Tuned(), searched.Plan().Options.Tile,
 				first.Tuned(), first.Plan().Options.Tile)
 		}
 		sameBytes(t, again, tuned)
-		kept := deploy(t, tuned, filepath.Join(dir, "untuned.rtmb"), "-target", "cpu", "-autotune=false")
+		kept := deploy(t, tuned, filepath.Join(dir, "untuned.rtmb"), "-autotune=false")
 		if kept.Tuned().Mode != rtmobile.TuneNone || kept.Plan().Options.Tile != first.Plan().Options.Tile {
 			t.Fatalf("-autotune=false recorded %+v, tile %+v", kept.Tuned(), kept.Plan().Options.Tile)
 		}
@@ -296,6 +288,93 @@ func saveModel(t *testing.T, dir, name string, m *nn.Model) string {
 	return path
 }
 
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	return string(<-out), ferr
+}
+
+// TestCmdRunPricesBundleTarget: run has no -target; it prices a bundle
+// under the target the bundle was lowered for, as MapBundle for that
+// target does.
+func TestCmdRunPricesBundleTarget(t *testing.T) {
+	dir := t.TempDir()
+	model := nn.NewGRUModel(nn.ModelSpec{
+		InputDim: speech.DefaultCorpusConfig().Features.Dim(), Hidden: 16, NumLayers: 1,
+		OutputDim: speech.NumPhones, Seed: 5,
+	})
+	rtmobile.Prune(model, nil, rtmobile.PruneConfig{ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 2})
+	bundle := filepath.Join(dir, "cpu.rtmb")
+	if err := cmdDeploy([]string{"-in", saveModel(t, dir, "p.bin", model), "-out", bundle,
+		"-col", "2", "-row", "1", "-row-groups", "2", "-col-blocks", "2", "-target", "cpu"}); err != nil {
+		t.Fatal(err)
+	}
+	mb, err := rtmobile.MapBundle(bundle, device.MobileCPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	eng := mb.Engine()
+	want := fmt.Sprintf("latency %.2f us/frame, real-time factor %.0fx\n", eng.Latency().TotalUS, eng.RealTimeFactor())
+	out, err := captureStdout(t, func() error {
+		return cmdRun([]string{"-bundle", bundle, "-speakers", "2", "-sentences", "1", "-phones", "4"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, want) || !strings.Contains(out, "kryo485-cpu") {
+		t.Fatalf("run printed\n%s\nwant the kryo485-cpu pricing %q", out, want)
+	}
+}
+
+// TestCmdRunChecksBundleShape: a bundle whose model does not take the
+// corpus's frames or score its phone classes is an error naming both
+// shapes, not a panic inside the engine.
+func TestCmdRunChecksBundleShape(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "rtmobile", "testdata", "parent_v5.rtmb")
+	err := cmdRun([]string{"-bundle", fixture, "-speakers", "2", "-sentences", "1", "-phones", "4"})
+	if err == nil || !strings.Contains(err.Error(), "8-dim frames and scores 6 classes") ||
+		!strings.Contains(err.Error(), "39-dim frames and 39 phone classes") {
+		t.Fatalf("run -bundle %s: error %v, want one naming both shapes", fixture, err)
+	}
+}
+
+// TestCmdErrorPrefix: a failed command prints one "rtmobile: " prefix,
+// whether the error comes from the library, which carries it already, or
+// from the command itself.
+func TestCmdErrorPrefix(t *testing.T) {
+	v4 := filepath.Join(t.TempDir(), "v4.rtmb")
+	if err := os.WriteFile(v4, append([]byte("RTMB\x04\x00\x00\x00"), make([]byte, 128)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{cmdRun([]string{"-bundle", v4}), "rtmobile: bundle is format version 4: re-deploy it with rtmobile deploy -in " + v4 + " at commit "},
+		{cmdDeploy([]string{"-target", "tpu"}), `rtmobile: unknown target "tpu"`},
+	} {
+		line := errorLine(tc.err)
+		if !strings.HasPrefix(line, tc.want) || strings.Count(line, "rtmobile: ") != 1 {
+			t.Fatalf("error line %q, want one prefix and %q", line, tc.want)
+		}
+	}
+}
+
 func TestCmdBenchUnknownExperiment(t *testing.T) {
 	for _, exp := range []string{"nope", "scaling", "quant"} {
 		if err := cmdBench([]string{"-exp", exp}); err == nil {
@@ -305,7 +384,7 @@ func TestCmdBenchUnknownExperiment(t *testing.T) {
 }
 
 func TestCmdErrorsOnMissingFiles(t *testing.T) {
-	if err := cmdCompile([]string{"-in", "/nonexistent/model.bin"}); err == nil {
+	if err := cmdDeploy([]string{"-in", "/nonexistent/model.bin"}); err == nil {
 		t.Fatal("missing model accepted")
 	}
 	if err := cmdRun([]string{"-bundle", "/nonexistent/b.rtmb"}); err == nil {
@@ -328,7 +407,6 @@ func TestCmdRejectsStrayArguments(t *testing.T) {
 		{"corpus", cmdCorpus, []string{"-speakers", "1", "stray"}, "stray"},
 		{"train", cmdTrain, []string{"-workers", "-1", "stray", "-epochs", "1"}, "stray"},
 		{"prune", cmdPrune, []string{"-in", "/nonexistent/m.bin", "stray"}, "stray"},
-		{"compile", cmdCompile, []string{"-in", "/nonexistent/m.bin", "stray", "-target", "cpu"}, "stray"},
 		{"autotune", cmdAutotune, []string{"-target", "nope", "stray"}, "stray"},
 		{"bench", cmdBench, []string{"-exp", "nope", "stray"}, "stray"},
 		{"deploy", cmdDeploy, []string{"-in", "/nonexistent/m.bin", "stray", "-out", "x.rtmb"}, "stray"},

@@ -55,7 +55,6 @@ func cmdServe(args []string) error {
 		models = append(models, modelArg{name: name, path: path})
 		return nil
 	})
-	targetName := fs.String("target", "gpu", "target: gpu or cpu")
 	addr := fs.String("addr", "localhost:8090", "listen address")
 	trace := fs.Bool("trace", false, "total per-layer, epilogue and kernel time for the /statz table")
 	maxBatch := fs.Int("max-batch", 8, fmt.Sprintf("wide panel shape, 1..%d: a lone request is stepped alone at width 1, and the panel grows to this width the moment a second one waits (1 = never batch)", rtmobile.MaxBatchWidth))
@@ -85,19 +84,16 @@ func cmdServe(args []string) error {
 	if *traceTail < 1 {
 		return fmt.Errorf("-trace-tail %d: need at least 1 retained trace", *traceTail)
 	}
-	target, err := parseTarget(*targetName)
-	if err != nil {
-		return err
-	}
 	if len(models) == 0 {
 		models = []modelArg{{name: "default", path: *bundle}}
 	}
 
 	// Every load — initial registration and every later hot swap — goes
 	// through one loader: zero-copy map the bundle and serve its programs
-	// as written, under the same pool size and tracing as the original.
+	// as written, priced under the target each file was lowered for, with
+	// the same pool size and tracing as the original.
 	loader := func(path string) (registry.Instance, error) {
-		mb, err := rtmobile.MapBundle(path, target)
+		mb, err := rtmobile.MapBundle(path, nil)
 		if err != nil {
 			return registry.Instance{}, err
 		}
@@ -128,7 +124,7 @@ func cmdServe(args []string) error {
 			reg.Close(context.Background())
 			return err
 		}
-		fmt.Printf("model %s: %s (%s)\n", m.name, m.path, lease.Engine().Plan())
+		fmt.Printf("model %s: %s (%s, %s)\n", m.name, m.path, lease.Engine().Target().Name, lease.Engine().Plan())
 		lease.Release()
 	}
 	slo, err := obs.NewSLO(obs.SLOConfig{

@@ -217,7 +217,7 @@ func nanScaleBundle(t *testing.T, dir string) string {
 // quantization scale is refused with 400 and the serving version stays —
 // it used to be accepted, after which every /infer answered 500. So is one
 // serving cannot run as written (a version-4 file), naming the command that
-// lowers it again.
+// upgrades it.
 func TestServeSwapRejectsCorruptScales(t *testing.T) {
 	dir := t.TempDir()
 	good, eng := swapBundle(t, dir, 41)
@@ -235,9 +235,13 @@ func TestServeSwapRejectsCorruptScales(t *testing.T) {
 	srv := httptest.NewServer(newServeMux(reg))
 	defer srv.Close()
 
+	v4 := filepath.Join(dir, "v4.rtmb")
+	if err := os.WriteFile(v4, append([]byte("RTMB\x04\x00\x00\x00"), make([]byte, 128)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for bad, why := range map[string]string{
-		nanScaleBundle(t, dir):                            "scale",
-		"../../internal/rtmobile/testdata/parent_v4.rtmb": "rtmobile deploy -in",
+		nanScaleBundle(t, dir): "scale",
+		v4:                     "rtmobile deploy -in",
 	} {
 		body, _ := json.Marshal(map[string]string{"path": bad})
 		resp, err := srv.Client().Post(srv.URL+"/admin/models/asr/swap", "application/json", bytes.NewReader(body))

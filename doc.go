@@ -80,14 +80,16 @@
 // program). Compile lowers once, and the programs are the deployment: the
 // engine keeps them with the biases and nothing else, the v5 bundle stores
 // exactly that, and MapBundle runs the programs in place, as written.
-// Lowering happens in one place, `rtmobile deploy`: MapBundle refuses any
-// file it cannot run as written (a v1–v4 bundle, or a v5 bundle whose
-// programs or plan are not an engine's) with an error naming `rtmobile
-// deploy -in`, which reads a bundle of any version back (ReadBundle: the
-// programs' PackedProgram.Dense or the file's weight sections, plus the
-// recorded DeployConfig) and lowers it once more — also the way to change a
-// deployed bundle's width or tier. Nothing holds the dense weights after
-// Compile.
+// Lowering happens in one place, `rtmobile deploy`, and a bundle names the
+// target it was lowered for (its plan's value width and thread count), so
+// `run` and `serve` take no target: MapBundle prices the engine as the file
+// says. `rtmobile deploy -in` reads a bundle back (ReadBundle: the
+// programs' PackedProgram.Dense plus the recorded DeployConfig and target)
+// and lowers it once more — the way to change a deployed bundle's width,
+// tier or passes. Both readers take only the v5 files an engine runs as
+// written; a v1–v4 file, or a v5 file whose programs or plan are not an
+// engine's, is refused with the reason and the commit whose `deploy -in`
+// upgrades it. Nothing holds the dense weights after Compile.
 //
 // Quantization is a storage format, not a kernel family:
 // compiler.PackQuant rounds a program's values to int8 (8-bit) or int16
@@ -97,7 +99,7 @@
 // dequantized model. The codes are what a bundle stores (a quarter or half
 // the bytes) and what the Table II footprint prices; the program re-derives
 // them exactly when it is saved. DeployConfig.Quant (the -quant flag of
-// compile and deploy) selects the width at deploy: bundles persist the
+// deploy) selects the width at deploy: bundles persist the
 // codes and scales, and serving runs the width a bundle records.
 //
 // # Concurrency and the ownership rule

@@ -45,9 +45,10 @@ type Instance struct {
 // BundleLoader; tests inject their own to observe lifecycle events.
 type Loader func(path string) (Instance, error)
 
-// BundleLoader loads deployment bundles for the target via the zero-copy
-// mapped path (MapBundle falls back internally: arena load where mmap is
-// unavailable, decode load for legacy v1–v4 bundles).
+// BundleLoader loads deployment bundles via the zero-copy mapped path
+// (MapBundle falls back to an arena load where mmap is unavailable), each
+// priced under the target it was lowered for; a non-nil target refuses
+// bundles lowered for another.
 func BundleLoader(target *device.Target) Loader {
 	return func(path string) (Instance, error) {
 		mb, err := rtmobile.MapBundle(path, target)

@@ -14,7 +14,8 @@ import (
 	"rtmobile/internal/quant"
 )
 
-// Bundle v5: the section-table format, and the only one this tree writes.
+// Bundle v5: the section-table format, and the only one this tree writes
+// or reads.
 // It stores what an engine holds — spec, biases, packed programs — and
 // nothing else: the flat arrays every inference entry point executes
 // (values or quantized codes and their scales, column indices, segment
@@ -32,14 +33,9 @@ import (
 // programs run the float32 kernels); its index sections are still aliased.
 //
 // Files written before programs were the deployment also carry a dense
-// section for every covered param, and some carry programs no engine runs
-// any more (fused [Wx|Wh] programs, per-block lowerings) or a plan that
-// does not price the programs they store. MapBundle serves such a file only
-// when its programs are usable and its plan prices them (the dense sections
-// are then ignored), and refuses it otherwise; ReadBundle reads its weights
-// back from the usable programs or those sections, for `rtmobile deploy
-// -in` to lower once. A section-0 param is accepted only beside usable
-// programs.
+// section for every covered param; both readers ignore it. A file whose
+// programs no engine runs (fused [Wx|Wh] programs, per-block lowerings) or
+// whose plan does not price them is refused (bundle.go).
 //
 // Layout (little-endian):
 //
@@ -80,15 +76,13 @@ type v5ParamMeta struct {
 }
 
 // v5ProgramMeta locates one packed program's sections (0 = absent) and
-// carries its scalar header fields. Unroll records the plan tile's unroll
-// factor, as every writer has; readers ignore it (no kernel depends on it).
+// carries its scalar header fields.
 type v5ProgramMeta struct {
 	Name      string             `json:"name"`
 	Rows      int                `json:"rows"`
 	Cols      int                `json:"cols"`
 	Format    compiler.Format    `json:"format"`
 	ValueBits int                `json:"value_bits"`
-	Unroll    int                `json:"unroll"`
 	Precision compiler.Precision `json:"precision"`
 	Bits      int                `json:"bits"`
 	Scheme    quant.Scheme       `json:"scheme"`
@@ -104,16 +98,13 @@ type v5ProgramMeta struct {
 	SecLaneRows uint32 `json:"sec_lane_rows,omitempty"`
 }
 
-// v5Meta is the JSON metadata section: everything the v1–v4
-// header carried, plus the full compiled Plan (so a mapped load skips
-// Compile entirely) and the param/program section directories. Fused is the
-// retired fused-plan bit (see bundle.go): always written false; a file that
-// carries it true stores a plan priced per fused kernel, which MapBundle
-// refuses and a re-deploy prices per matrix.
+// v5Meta is the JSON metadata section: the spec, scheme, plan cache and
+// quantization width, the full compiled Plan (so a mapped load skips
+// Compile entirely, and whose options and thread chunks name the target)
+// and the param/program section directories.
 type v5Meta struct {
 	Spec      nn.ModelSpec    `json:"spec"`
 	Scheme    prune.BSP       `json:"scheme"`
-	Fused     bool            `json:"fused"`
 	TuneMode  uint8           `json:"tune_mode"`
 	TuneCost  float64         `json:"tune_cost"`
 	QuantBits int             `json:"quant_bits"`
@@ -178,10 +169,10 @@ func encodeI8(src []int8) []byte {
 func align64(n uint64) uint64 { return (n + v5Align - 1) &^ uint64(v5Align-1) }
 
 // SaveBundleVersion writes the engine's deployment artifact in the given
-// format version, which must be 5: older versions are read, never written.
+// format version, which must be 5.
 func (e *Engine) SaveBundleVersion(w io.Writer, scheme prune.BSP, version int) error {
 	if version != bundleVersion5 {
-		return fmt.Errorf("rtmobile: unsupported bundle version %d (this writer emits 5; older versions are only read)", version)
+		return fmt.Errorf("rtmobile: unsupported bundle version %d (this writer emits 5)", version)
 	}
 	return e.SaveBundle(w, scheme)
 }
@@ -215,8 +206,7 @@ func (e *Engine) SaveBundle(w io.Writer, scheme prune.BSP) error {
 		s := p.Sections()
 		pm := v5ProgramMeta{
 			Name: s.Name, Rows: s.Rows, Cols: s.Cols,
-			Format: s.Format, ValueBits: s.ValueBits,
-			Unroll: e.plan.Options.Tile.Unroll, Precision: s.Precision,
+			Format: s.Format, ValueBits: s.ValueBits, Precision: s.Precision,
 			Bits: s.Bits, Scheme: s.Scheme, NumScales: s.NumScales,
 			SecColIdx:   vw.add(encodeI32(s.ColIdx)),
 			SecSegs:     vw.add(encodeI32(s.SegWords)),

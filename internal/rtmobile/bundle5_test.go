@@ -15,7 +15,6 @@ import (
 	"rtmobile/internal/device"
 	"rtmobile/internal/nn"
 	"rtmobile/internal/prune"
-	"rtmobile/internal/tensor"
 )
 
 // v5TestEngine compiles a pruned test engine for bundle round-trips.
@@ -38,22 +37,21 @@ func testScheme() (s prune.BSP) {
 	return s
 }
 
-// writeBundleFile saves the engine to a temp file at the given version and
-// returns the path.
-func writeBundleFile(t *testing.T, eng *Engine, version int) string {
+// writeBundleFile saves the engine to a temp file and returns the path.
+func writeBundleFile(t *testing.T, eng *Engine) string {
 	t.Helper()
-	return writeBundleFileScheme(t, eng, testScheme(), version)
+	return writeBundleFileScheme(t, eng, testScheme())
 }
 
 // writeBundleFileScheme is writeBundleFile recording the given scheme.
-func writeBundleFileScheme(t *testing.T, eng *Engine, scheme prune.BSP, version int) string {
+func writeBundleFileScheme(t *testing.T, eng *Engine, scheme prune.BSP) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "model.rtmb")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.saveVersion(f, scheme, version); err != nil {
+	if err := eng.SaveBundle(f, scheme); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -77,56 +75,12 @@ func sameEnginePosteriors(t *testing.T, want, got *Engine, seed uint64) {
 	}
 }
 
-// TestBundleV5V4CrossVersionBitIdentical: the same engine saved as v5 and
-// mapped as written, and saved as v4 and lowered again, infers bit for bit
-// alike, across float, fp16-valued targets, and quantized deployments.
-func TestBundleV5V4CrossVersionBitIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  DeployConfig
-	}{
-		{"float-gpu", DeployConfig{Target: device.MobileGPU()}},
-		{"float-cpu", DeployConfig{Target: device.MobileCPU()}},
-		{"quant8", DeployConfig{Target: device.MobileCPU(), Quant: 8}},
-		{"quant16", DeployConfig{Target: device.MobileCPU(), Quant: 16}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, _ := v5TestEngine(t, 91, tc.cfg)
-			var v4, v5 bytes.Buffer
-			if err := eng.saveBundleV4(&v4, testScheme()); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.SaveBundleVersion(&v5, testScheme(), 5); err != nil {
-				t.Fatal(err)
-			}
-			from4, s4 := relower(t, v4.Bytes(), eng.Target())
-			mb, err := mapImage(t, v5.Bytes(), eng.Target())
-			if err != nil {
-				t.Fatalf("v5 map: %v", err)
-			}
-			from5, s5 := mb.Engine(), mb.Scheme()
-			if s4 != s5 {
-				t.Fatalf("schemes differ: %+v vs %+v", s4, s5)
-			}
-			sameEnginePosteriors(t, from4, from5, 92)
-			sameEnginePosteriors(t, eng, from5, 93)
-			if from4.Tuned() != from5.Tuned() {
-				t.Fatalf("plan cache differs: %+v vs %+v", from4.Tuned(), from5.Tuned())
-			}
-			if q4, q5 := from4.Quantized(), from5.Quantized(); q4 != q5 {
-				t.Fatalf("quant width differs: %d vs %d", q4, q5)
-			}
-		})
-	}
-}
-
 // TestMapBundleBitIdentical: a mapped engine serves bit-identical
 // posteriors to the compiled engine, reports the mapped state, and exposes
 // the packed programs by name.
 func TestMapBundleBitIdentical(t *testing.T) {
 	eng, _ := v5TestEngine(t, 95, DeployConfig{})
-	path := writeBundleFile(t, eng, 5)
+	path := writeBundleFile(t, eng)
 	mb, err := MapBundle(path, device.MobileGPU())
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +120,7 @@ func TestMapBundleBitIdentical(t *testing.T) {
 // dequantized values are the ones in the file.
 func TestMapBundleQuantized(t *testing.T) {
 	eng, _ := v5TestEngine(t, 97, DeployConfig{Target: device.MobileCPU(), Quant: 8})
-	path := writeBundleFile(t, eng, 5)
+	path := writeBundleFile(t, eng)
 	mb, err := MapBundle(path, device.MobileCPU())
 	if err != nil {
 		t.Fatal(err)
@@ -188,39 +142,6 @@ func TestMapBundleQuantized(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), file) {
 		t.Fatal("a mapped 8-bit bundle no longer saves to the bytes it was loaded from")
-	}
-}
-
-// TestMapBundleLegacyFallback: MapBundle refuses a v4 file, naming the
-// command that lowers it, and the file read back and lowered again scores
-// bit-equal to the engine it was written from and to nn.Forward.
-func TestMapBundleLegacyFallback(t *testing.T) {
-	m := testModel(99)
-	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
-	eng, err := Compile(m, res.Scheme, DeployConfig{Target: device.MobileGPU()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeBundleFile(t, eng, 4)
-	_, err = MapBundle(path, device.MobileGPU())
-	refused(t, "v4 file", err)
-	if !strings.Contains(err.Error(), path) {
-		t.Fatalf("refusal %q does not name the file", err)
-	}
-	image, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, _ := relower(t, image, device.MobileGPU())
-	sameEnginePosteriors(t, eng, again, 100)
-	frames := testFrames(100, 12, eng.InputDim())
-	in := make([][]float32, len(frames)) // the fp16 path rounds its input
-	for i, f := range frames {
-		in[i] = tensor.CloneVec(f)
-		tensor.QuantizeHalfVec(in[i])
-	}
-	if !postEqual(again.Infer(frames), nn.Posteriors(m.Forward(in))) {
-		t.Fatal("re-deployed v4 file differs from nn.Forward")
 	}
 }
 
@@ -291,7 +212,7 @@ func TestLoadBundleV5Corrupt(t *testing.T) {
 		{"absurd spec", v5PatchMeta(t, image, func(m *v5Meta) { m.Spec.Hidden = 1 << 62 }), "corrupt model spec"},
 		{"program unusable beside a param without a section", v5PatchMeta(t, image, func(m *v5Meta) {
 			m.Programs[0].Name = "stale"
-		}), "param gru0.Wx: no section recorded"},
+		}), "stores no programs an engine executes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -355,18 +276,6 @@ func TestLoadBundleRejectsCorruptScales(t *testing.T) {
 			}
 			t.Errorf("scale %v: MapBundle error %v, want one naming the scale", v, err)
 		}
-	}
-	// The v1–v4 payload decoder holds the same line.
-	m := tensor.NewMatrix(3, 4)
-	m.RandNormal(tensor.NewRNG(5), 1)
-	var payload bytes.Buffer
-	if err := writeQuantPayload(&payload, m, 8); err != nil {
-		t.Fatal(err)
-	}
-	raw := payload.Bytes()
-	binary.LittleEndian.PutUint32(raw[14:], math.Float32bits(float32(math.NaN()))) // rows, cols, bits, scheme, count, then scales
-	if err := readQuantPayload(bytes.NewReader(raw), tensor.NewMatrix(3, 4)); err == nil || !strings.Contains(err.Error(), "scale") {
-		t.Errorf("v4 payload with a NaN scale: error %v, want one naming the scale", err)
 	}
 }
 
@@ -455,7 +364,7 @@ func TestMappedStreamStepIntoZeroAlloc(t *testing.T) {
 		t.Skip("race runtime allocates; alloc gate runs in the non-race suite")
 	}
 	eng, _ := v5TestEngine(t, 105, DeployConfig{})
-	path := writeBundleFile(t, eng, 5)
+	path := writeBundleFile(t, eng)
 	mb, err := MapBundle(path, device.MobileGPU())
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +384,7 @@ func TestMappedStreamStepIntoZeroAlloc(t *testing.T) {
 // FuzzMapBundle: arbitrary bytes through the full file-based loader must
 // produce an error or a working bundle — never a panic or an out-of-range
 // slice. Every section access length-checks before slicing, and no input
-// but a v5 image is served.
+// but a v5 image an engine runs as written is served.
 func FuzzMapBundle(f *testing.F) {
 	m := testModel(107)
 	res := Prune(m, nil, PruneConfig{ColRate: 4, RowRate: 2, RowGroups: 4, ColBlocks: 4})
@@ -489,7 +398,7 @@ func FuzzMapBundle(f *testing.F) {
 	}
 	image := buf.Bytes() // compact: biases and programs only
 	f.Add(image)
-	// Its first program no longer executable: refused, naming the param.
+	// Its first program no longer executable: refused.
 	f.Add(v5PatchMeta(f, image, func(m *v5Meta) { m.Programs[0].Name = "stale" }))
 	f.Add(image[:len(image)/2])
 	f.Add(v5Mutate(image, false, func(b []byte) { b[13] ^= 0xff }))
@@ -502,23 +411,21 @@ func FuzzMapBundle(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v5PatchScale(f, q8, float32(math.NaN())))
-	// Legacy seeds: files serving cannot run as written (a v4 image, the q8
-	// fixture whose plan does not price its programs) are refused.
-	var v4 bytes.Buffer
-	if err := eng.saveBundleV4(&v4, testScheme()); err != nil {
-		f.Fatal(err)
-	}
-	for _, legacy := range [][]byte{v4.Bytes(), q8} {
-		_, err := mapImage(f, legacy, device.MobileGPU())
+	// Files no engine runs as written — a version-4 header, a plan priced
+	// per fused [Wx|Wh] kernel with the fused bit set — are refused.
+	fusedPlan, _ := fusedLowering(f, m, eng, testScheme())
+	for _, legacy := range [][]byte{withVersion(image, 4), fusedImage(f, image, fusedPlan)} {
+		_, err := mapImage(f, legacy, nil)
 		refused(f, "legacy seed", err)
 		f.Add(legacy)
 	}
+	f.Add(q8)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.rtmb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		mb, err := MapBundle(path, device.MobileGPU())
+		mb, err := MapBundle(path, nil)
 		if err == nil {
 			mb.Close()
 			if v := binary.LittleEndian.Uint32(data[4:]); v != bundleVersion5 {

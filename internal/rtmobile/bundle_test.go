@@ -2,14 +2,16 @@ package rtmobile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"rtmobile/internal/compiler"
 	"rtmobile/internal/device"
 	"rtmobile/internal/nn"
+	"rtmobile/internal/prune"
 )
 
 func TestBundleRoundTrip(t *testing.T) {
@@ -125,22 +127,17 @@ func TestBundlePlanCacheRoundTrip(t *testing.T) {
 	if eng.Tuned().Mode != TuneAnalytic || eng.Tuned().Cost <= 0 {
 		t.Fatalf("tuning left no plan-cache entry: %+v", eng.Tuned())
 	}
-	// The search's own record, then a measured one as older writers stored
-	// them: both must survive the trip with the tuned tile.
-	for _, rec := range []TuneRecord{eng.Tuned(), {Mode: TuneMeasured, Cost: 1234}} {
-		eng.tuned = rec
-		var buf bytes.Buffer
-		if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
-			t.Fatal(err)
-		}
-		loaded := mustMap(t, buf.Bytes(), device.MobileGPU())
-		if loaded.Tuned() != rec {
-			t.Fatalf("plan cache lost on reload: %+v vs %+v", loaded.Tuned(), rec)
-		}
-		if loaded.Plan().Options.Tile != eng.Plan().Options.Tile {
-			t.Fatalf("tuned tile lost on reload: %+v vs %+v",
-				loaded.Plan().Options.Tile, eng.Plan().Options.Tile)
-		}
+	var buf bytes.Buffer
+	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	loaded := mustMap(t, buf.Bytes(), device.MobileGPU())
+	if loaded.Tuned() != eng.Tuned() {
+		t.Fatalf("plan cache lost on reload: %+v vs %+v", loaded.Tuned(), eng.Tuned())
+	}
+	if loaded.Plan().Options.Tile != eng.Plan().Options.Tile {
+		t.Fatalf("tuned tile lost on reload: %+v vs %+v",
+			loaded.Plan().Options.Tile, eng.Plan().Options.Tile)
 	}
 }
 
@@ -173,190 +170,28 @@ func TestLoadBundleRejectsGarbage(t *testing.T) {
 	}
 }
 
-// validBundleImage serializes a small engine to bytes for corruption tests.
-// Fixed header offsets (little-endian): magic 4 | version 4 | spec 48 |
-// scheme 32 | options 20 | flags 3 | plan cache 13 | quant 1 |
-// precision 1 | param count 4 | first param name length at 130.
-func validBundleImage(t *testing.T) []byte {
-	t.Helper()
-	m := testModel(48)
-	res := Prune(m, nil, PruneConfig{ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 2})
-	eng, err := Compile(m, res.Scheme, DeployConfig{Target: device.MobileGPU()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	// The fixed byte offsets below describe the v4 stream layout, so this
-	// helper pins version 4 regardless of the current default.
-	if err := eng.saveBundleV4(&buf, res.Scheme); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-const (
-	bundleOffVersion   = 4
-	bundleOffUnroll    = 104 // third tile word
-	bundleOffPlanCache = 111 // tuneMode u8 | placement u32 | tuneCost f64
-	bundleOffQuant     = 124 // quantBits u8 (v3)
-	bundleOffPrecision = 125 // precision u8 (v4)
-	bundleOffCount     = 126
-	bundleOffNameLen   = 130
-)
-
-// asV1 rewrites a v4 image as the version-1 layout: the 13-byte plan-cache
-// section, the quantization byte, and the precision byte did not exist,
-// and the version field says 1.
-func asV1(image []byte) []byte {
-	v1 := append([]byte(nil), image[:bundleOffPlanCache]...)
-	v1 = append(v1, image[bundleOffCount:]...)
-	binary.LittleEndian.PutUint32(v1[bundleOffVersion:], 1)
-	return v1
-}
-
-// asV2 rewrites a v4 image as the version-2 layout: plan cache present,
-// quantization and precision bytes absent.
-func asV2(image []byte) []byte {
-	v2 := append([]byte(nil), image[:bundleOffQuant]...)
-	v2 = append(v2, image[bundleOffCount:]...)
-	binary.LittleEndian.PutUint32(v2[bundleOffVersion:], 2)
-	return v2
-}
-
-// asV3 rewrites a v4 image as the version-3 layout: quantization byte
-// present, precision byte absent.
-func asV3(image []byte) []byte {
-	v3 := append([]byte(nil), image[:bundleOffPrecision]...)
-	v3 = append(v3, image[bundleOffCount:]...)
-	binary.LittleEndian.PutUint32(v3[bundleOffVersion:], 3)
-	return v3
-}
-
-// The version tests read an image back and lower it again, as `rtmobile
-// deploy -in` does: the fields a version predates take their defaults.
-func TestLoadBundleVersion1(t *testing.T) {
-	image := validBundleImage(t)
-	eng, scheme := relower(t, asV1(image), device.MobileGPU())
-	if scheme.ColRate != 2 {
-		t.Fatalf("v1 scheme lost: %+v", scheme)
-	}
-	// v1 predates the plan cache, so the re-deployed engine reports no tuning.
-	if eng.Tuned().Mode != TuneNone {
-		t.Fatalf("v1 bundle invented a plan cache: %+v", eng.Tuned())
-	}
-}
-
-func TestLoadBundleVersion2(t *testing.T) {
-	image := validBundleImage(t)
-	eng, scheme := relower(t, asV2(image), device.MobileGPU())
-	if scheme.ColRate != 2 {
-		t.Fatalf("v2 scheme lost: %+v", scheme)
-	}
-	// v2 predates quantization, so the re-deployed engine serves float weights.
-	if bits := eng.Quantized(); bits != 0 {
-		t.Fatalf("v2 bundle invented quantization: %d bits", bits)
-	}
-}
-
-func TestLoadBundleVersion3(t *testing.T) {
-	image := validBundleImage(t)
-	eng, scheme := relower(t, asV3(image), device.MobileGPU())
-	if scheme.ColRate != 2 {
-		t.Fatalf("v3 scheme lost: %+v", scheme)
-	}
-	// v3 predates the precision tier, so the re-deployed engine runs exact
-	// kernels (the historical behavior).
-	if tier := eng.Precision(); tier != compiler.PrecisionExact {
-		t.Fatalf("v3 bundle invented a precision tier: %v", tier)
-	}
-}
-
-// TestLoadBundleCorrupt drives corrupted and truncated v4 and v1 images
-// through ReadBundle: every case must return a descriptive error, never
-// panic or over-allocate.
-func TestLoadBundleCorrupt(t *testing.T) {
-	image := validBundleImage(t)
-	nameLen := int(binary.LittleEndian.Uint32(image[bundleOffNameLen:]))
-	kindOff := bundleOffNameLen + 4 + nameLen
-
-	patch := func(off int, b []byte) []byte {
-		out := append([]byte(nil), image...)
-		copy(out[off:], b)
-		return out
-	}
-	u32 := func(v uint32) []byte {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return b[:]
-	}
-	const offHidden = 16 // spec word 1
-	u64 := func(v uint64) []byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return b[:]
-	}
-	cases := []struct {
-		name    string
-		image   []byte
-		wantErr string
-	}{
-		{"bad magic", patch(0, []byte("NOPE")), "bad bundle magic"},
-		{"future version", patch(bundleOffVersion, u32(99)), "unsupported bundle version"},
-		{"truncated version", image[:6], "bundle version"},
-		{"truncated spec", image[:30], "model spec"},
-		// A spec is validated before any shape is built from it, and no
-		// weight storage exists before its payload arrives.
-		{"absurd spec", []byte("RTMB\x01\x00\x00\x00" + strings.Repeat("0", 110)), "corrupt model spec"},
-		{"spec past the parameter bound", patch(offHidden, u64(1<<20)), "parameters"},
-		{"spec larger than its payloads", patch(offHidden, u64(1<<10)), "shape"},
-		{"truncated scheme", image[:70], "prune scheme"},
-		{"truncated options", image[:100], "compiler options"},
-		{"truncated flags", image[:110], "compiler flags"},
-		{"truncated plan cache", image[:115], "plan cache"},
-		{"bad tune mode", patch(bundleOffPlanCache, []byte{200}), "unknown tune mode"},
-		{"truncated quant width", image[:bundleOffQuant], "quantization width"},
-		{"bad quant width", patch(bundleOffQuant, []byte{9}), "corrupt quantization width"},
-		{"truncated precision tier", image[:bundleOffPrecision], "precision tier"},
-		{"bad precision tier", patch(bundleOffPrecision, []byte{9}), "corrupt precision tier"},
-		{"truncated param count", image[:bundleOffCount+2], "param count"},
-		{"wrong param count", patch(bundleOffCount, u32(99)), "bundle has 99 params"},
-		{"huge name length", patch(bundleOffNameLen, u32(0xFFFFFFFF)), "corrupt name length"},
-		{"truncated name", image[:bundleOffNameLen+4+1], "reading name"},
-		{"wrong name", patch(bundleOffNameLen+4, []byte("zzz")), "param order mismatch"},
-		{"bad payload kind", patch(kindOff, []byte{7}), "unknown payload kind"},
-		{"truncated payload", image[:kindOff+3], ""},
-		{"v1 truncated header", asV1(image)[:80], "prune scheme"},
-		{"v1 truncated payload", asV1(image)[:200], ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, err := ReadBundle(bytes.NewReader(tc.image), device.MobileGPU())
-			if err == nil {
-				t.Fatal("corrupt bundle accepted")
-			}
-			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q missing %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 // TestLoadBundleTruncationSweep: no strict prefix of a valid bundle loads,
 // and none of them panic.
 func TestLoadBundleTruncationSweep(t *testing.T) {
-	image := validBundleImage(t)
+	eng, _ := v5TestEngine(t, 48, DeployConfig{})
+	var buf bytes.Buffer
+	if err := eng.SaveBundle(&buf, testScheme()); err != nil {
+		t.Fatal(err)
+	}
+	image := buf.Bytes()
 	for cut := 0; cut < len(image); cut += 97 {
-		if _, _, _, err := ReadBundle(bytes.NewReader(image[:cut]), device.MobileGPU()); err == nil {
+		if _, _, _, err := ReadBundle(bytes.NewReader(image[:cut]), nil); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
 		}
 	}
 }
 
-// TestReadBundleKeepsValueWidth: a deployment is lowered again only at the
-// value width it records. ReadBundle refuses a target of the other width,
-// naming both, where lowering would round an fp32 deployment's weights to
-// fp16; MapBundle refuses the v4 file outright and serves the v5 file's
-// fp32 programs as written, whatever target prices them.
+// TestReadBundleKeepsValueWidth: a bundle names the target it was lowered
+// for, through its plan's value width and thread count. Under a nil target
+// both readers take that one: MapBundle prices the engine as it, and
+// ReadBundle re-deploys for it. Either refuses a target of the other width,
+// naming both — lowering again would round an fp32 deployment's weights to
+// fp16, and serving would price fp32 programs as the GPU.
 func TestReadBundleKeepsValueWidth(t *testing.T) {
 	m := testModel(49)
 	res := Prune(m, nil, PruneConfig{ColRate: 2, RowRate: 1, RowGroups: 2, ColBlocks: 2})
@@ -364,26 +199,82 @@ func TestReadBundleKeepsValueWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v4, v5 bytes.Buffer
-	if err := eng.saveBundleV4(&v4, res.Scheme); err != nil {
+	var buf bytes.Buffer
+	if err := eng.SaveBundle(&buf, res.Scheme); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SaveBundle(&v5, res.Scheme); err != nil {
-		t.Fatal(err)
+	image := buf.Bytes()
+	namesBoth := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "kryo485-cpu") && strings.Contains(err.Error(), "adreno640-gpu")
 	}
-	for version, image := range map[string][]byte{"v4": v4.Bytes(), "v5": v5.Bytes()} {
-		_, _, _, err := ReadBundle(bytes.NewReader(image), device.MobileGPU())
-		if err == nil || !strings.Contains(err.Error(), "32-bit") || !strings.Contains(err.Error(), "16-bit") {
-			t.Fatalf("%s: ReadBundle for a 16-bit target: error %v, want one naming both widths", version, err)
-		}
-		again, _ := relower(t, image, device.MobileCPU())
-		sameEnginePosteriors(t, eng, again, 50)
+	if _, _, _, err := ReadBundle(bytes.NewReader(image), device.MobileGPU()); !namesBoth(err) {
+		t.Fatalf("ReadBundle for the gpu: error %v, want one naming both targets", err)
 	}
-	_, err = mapImage(t, v4.Bytes(), device.MobileGPU())
-	refused(t, "v4 file", err)
-	mapped := mustMap(t, v5.Bytes(), device.MobileGPU())
-	if bits := mapped.Plan().Options.ValueBits; bits != 32 {
-		t.Fatalf("mapped fp32 bundle runs %d-bit values", bits)
+	if _, err := mapImage(t, image, device.MobileGPU()); !namesBoth(err) {
+		t.Fatalf("MapBundle for the gpu: error %v, want one naming both targets", err)
+	}
+	_, _, cfg, err := ReadBundle(bytes.NewReader(image), nil)
+	if err != nil || cfg.Target.Name != "kryo485-cpu" {
+		t.Fatalf("ReadBundle for the recorded target: %v, target %v", err, cfg.Target)
+	}
+	again, _ := relower(t, image, nil)
+	sameEnginePosteriors(t, eng, again, 50)
+	mapped := mustMap(t, image, nil)
+	if name := mapped.Target().Name; name != "kryo485-cpu" || mapped.Latency() != eng.Latency() {
+		t.Fatalf("mapped under its own target: priced as %s at %+v, want kryo485-cpu at %+v", name, mapped.Latency(), eng.Latency())
 	}
 	sameEnginePosteriors(t, eng, mapped, 51)
+}
+
+// denseModel is the dense model e's programs were lowered from.
+func (e *Engine) denseModel() *nn.Model { return denseOf(e.shell, e.progs) }
+
+// mapImage writes image to a temp file and maps it for target; the bundle
+// is closed when the test ends.
+func mapImage(tb testing.TB, image []byte, target *device.Target) (*MappedBundle, error) {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "model.rtmb")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	mb, err := MapBundle(path, target)
+	if err == nil {
+		tb.Cleanup(func() { mb.Close() })
+	}
+	return mb, err
+}
+
+// mustMap is mapImage failing the test on an error; it returns the engine.
+func mustMap(tb testing.TB, image []byte, target *device.Target) *Engine {
+	tb.Helper()
+	mb, err := mapImage(tb, image, target)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mb.Engine()
+}
+
+// relower reads image back (ReadBundle) and lowers it again under its
+// recorded DeployConfig: the re-deploy `rtmobile deploy -in` runs when no
+// flag is set.
+func relower(tb testing.TB, image []byte, target *device.Target) (*Engine, prune.BSP) {
+	tb.Helper()
+	model, scheme, cfg, err := ReadBundle(bytes.NewReader(image), target)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := Compile(model, scheme, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng, scheme
+}
+
+// refused asserts err is a reader's refusal of a file it cannot run as
+// written: it must name the command that upgrades it.
+func refused(tb testing.TB, label string, err error) {
+	tb.Helper()
+	if err == nil || !strings.Contains(err.Error(), "re-deploy it with rtmobile deploy -in ") {
+		tb.Fatalf("%s: error %v, want a refusal naming rtmobile deploy -in", label, err)
+	}
 }

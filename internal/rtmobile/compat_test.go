@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -16,20 +16,16 @@ import (
 	"rtmobile/internal/nn"
 	"rtmobile/internal/prune"
 	"rtmobile/internal/sparse"
+	"rtmobile/internal/tensor"
 )
 
-// Loader compatibility: serving runs a bundle's programs as written, and
-// lowering happens once, at deploy. A bundle that carries no executable
-// per-matrix program, the retired fused-plan bit, or any version 1–4 layout
-// is refused by MapBundle with an error naming `rtmobile deploy -in`; read
-// back (ReadBundle) and lowered again, it runs the per-matrix deployment it
-// always ran. A bundle whose tile records an unroll factor (which once
-// picked the host's dot kernels) or a measured plan cache (written by the
-// deleted host-timing tuner) keeps its unroll recorded and selecting
-// nothing: a v5 one maps as written with its record, and a re-deploy keeps
-// the tile but not a record no search of its own produced. The table
-// builds one bundle of each such kind and checks the exact tier bit for
-// bit against nn.Forward and a fresh Compile.
+// Loader compatibility: both readers take exactly the v5 files an engine
+// runs as written. A version 1–4 file, a v5 file whose plan prices fused
+// [Wx|Wh] kernels (the retired fused deployment), and a v5 file whose
+// programs no engine executes (one [Wx|Wh] program per layer, or a row
+// rounded once per column block) are refused by MapBundle and ReadBundle
+// alike, with the reason and the command that upgrades the file. The table
+// builds one image of each kind.
 
 // fixtureSpec and fixtureScheme are the deployment testdata/parent_*.rtmb
 // were written from (testdata/README.md).
@@ -78,52 +74,79 @@ func perBlockProgram(name string, w *nn.Param, scheme prune.BSP) *compiler.Progr
 	return prog
 }
 
-// retiledRecord is the plan cache the retile helpers write.
-var retiledRecord = TuneRecord{Mode: TuneMeasured, Cost: 1234}
-
-// v4Retile rewrites a v4 image's unroll word and plan cache.
-func v4Retile(unroll int) func([]byte) []byte {
-	return func(image []byte) []byte {
-		out := append([]byte(nil), image...)
-		le := binary.LittleEndian
-		le.PutUint32(out[bundleOffUnroll:], uint32(unroll))
-		out[bundleOffPlanCache] = byte(retiledRecord.Mode)
-		le.PutUint64(out[bundleOffPlanCache+5:], math.Float64bits(retiledRecord.Cost))
-		return out
-	}
-}
-
-// v5Retile rewrites a v5 image's recorded unroll — the plan tile's and every
-// program's — and its plan cache.
-func v5Retile(t *testing.T, unroll int) func([]byte) []byte {
-	return func(image []byte) []byte {
-		return v5PatchMeta(t, image, func(meta *v5Meta) {
-			meta.Plan.Options.Tile.Unroll = unroll
-			for i := range meta.Programs {
-				meta.Programs[i].Unroll = unroll
-			}
-			meta.TuneMode, meta.TuneCost = uint8(retiledRecord.Mode), retiledRecord.Cost
-		})
-	}
-}
-
-// v5PatchMeta returns a copy of a v5 image whose metadata is patch applied
-// to the image's: the new metadata is appended as a fresh aligned payload
-// and the directory's first entry repointed to it.
-func v5PatchMeta(tb testing.TB, image []byte, patch func(*v5Meta)) []byte {
+// fusedLowering lowers model the way the retired fused deployment did: one
+// [Wx|Wh] matrix per GRU layer, then the classifier, under eng's options.
+func fusedLowering(tb testing.TB, model *nn.Model, eng *Engine, scheme prune.BSP) (*compiler.Plan, []*compiler.PackedProgram) {
 	tb.Helper()
-	le := binary.LittleEndian
+	var srcs []compiler.MatrixSource
+	for _, l := range model.Layers {
+		if g, ok := l.(*nn.GRU); ok {
+			wx, wh := g.Wx.W, g.Wh.W
+			w := tensor.NewMatrix(wx.Rows, wx.Cols+wh.Cols)
+			for r := 0; r < w.Rows; r++ {
+				copy(w.Data[r*w.Cols:], wx.Data[r*wx.Cols:(r+1)*wx.Cols])
+				copy(w.Data[r*w.Cols+wx.Cols:], wh.Data[r*wh.Cols:(r+1)*wh.Cols])
+			}
+			srcs = append(srcs, compiler.MatrixSource{Name: g.Wx.Name + "h", W: w, Scheme: &scheme})
+		}
+	}
+	mats := model.WeightMatrices()
+	out := mats[len(mats)-1]
+	srcs = append(srcs, compiler.MatrixSource{Name: out.Name, W: out.W, Scheme: &scheme})
+	plan, progs, err := compiler.CompilePlan(model.Spec.String(), srcs, eng.plan.Options,
+		eng.target.Threads(), TimestepsPerFrame, elementwiseOps(model))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan, progs
+}
+
+// fusedImage is image with its plan replaced by plan and the fused bit
+// fused deployments wrote beside it.
+func fusedImage(tb testing.TB, image []byte, plan *compiler.Plan) []byte {
+	tb.Helper()
+	meta := v5MetaOf(tb, image)
+	meta.Plan = plan
+	payload, err := json.Marshal(struct {
+		v5Meta
+		Fused bool `json:"fused"`
+	}{meta, true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v5SetMeta(image, payload)
+}
+
+// v5MetaOf decodes a v5 image's metadata.
+func v5MetaOf(tb testing.TB, image []byte) v5Meta {
+	tb.Helper()
 	entry := image[12 : 12+24] // section 1, the metadata, is always first
-	off, length := le.Uint64(entry[4:]), le.Uint64(entry[12:])
+	off, length := binary.LittleEndian.Uint64(entry[4:]), binary.LittleEndian.Uint64(entry[12:])
 	var meta v5Meta
 	if err := json.Unmarshal(image[off:off+length], &meta); err != nil {
 		tb.Fatal(err)
 	}
+	return meta
+}
+
+// v5PatchMeta returns a copy of a v5 image whose metadata is patch applied
+// to the image's.
+func v5PatchMeta(tb testing.TB, image []byte, patch func(*v5Meta)) []byte {
+	tb.Helper()
+	meta := v5MetaOf(tb, image)
 	patch(&meta)
 	payload, err := json.Marshal(&meta)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return v5SetMeta(image, payload)
+}
+
+// v5SetMeta returns a copy of a v5 image whose metadata is payload: it is
+// appended as a fresh aligned payload and the directory's first entry
+// repointed to it.
+func v5SetMeta(image, payload []byte) []byte {
+	le := binary.LittleEndian
 	at := int(align64(uint64(len(image))))
 	grown := append(append([]byte(nil), image...), make([]byte, at-len(image)+len(payload))...)
 	return v5Mutate(grown, true, func(b []byte) {
@@ -134,60 +157,60 @@ func v5PatchMeta(tb testing.TB, image []byte, patch func(*v5Meta)) []byte {
 	})
 }
 
-func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
-	spec := nn.ModelSpec{InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 48}
-	scheme := prune.BSP{ColRate: 2, RowRate: 1, NumRowGroups: 2, NumColBlocks: 4}
-	save := func(t *testing.T, eng *Engine, version int) []byte {
-		t.Helper()
+// withVersion is image with its version word set to v.
+func withVersion(image []byte, v uint32) []byte {
+	out := append([]byte(nil), image...)
+	binary.LittleEndian.PutUint32(out[4:], v)
+	return out
+}
+
+func TestLoadersRefuseBundlesTheyCannotRun(t *testing.T) {
+	model := fixtureModel()
+	eng, err := Compile(model, fixtureScheme, DeployConfig{Target: device.MobileCPU()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.SaveBundle(&buf, fixtureScheme); err != nil {
+		t.Fatal(err)
+	}
+	image := buf.Bytes()
+	fusedPlan, fusedProgs := fusedLowering(t, model, eng, fixtureScheme)
+	// save writes eng's plan over progs, beside the dense sections every
+	// writer of the time emitted for the params they cover.
+	save := func(progs []*compiler.PackedProgram) []byte {
 		var buf bytes.Buffer
-		if err := eng.saveVersion(&buf, scheme, version); err != nil {
+		if err := (&Engine{shell: eng.denseModel(), plan: eng.plan, progs: progs}).SaveBundle(&buf, fixtureScheme); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	// fixture cases load a file an earlier commit wrote from fixtureModel
-	// (the *-fused ones while the fused plan existed, with the fused bit set);
-	// the others serialize a fresh Compile.
-	fixture := func(name string, as func([]byte) []byte) func(*testing.T, *Engine) []byte {
-		return func(t *testing.T, _ *Engine) []byte { return as(readFixture(t, name)) }
-	}
-	asIs := func(image []byte) []byte { return image }
 
-	type loaderCase struct {
-		name    string
-		fixture bool
-		image   func(t *testing.T, eng *Engine) []byte
-		// unroll, when non-zero, is the factor a retiled copy of the fixture
-		// unpatched records; its plan cache is retiledRecord.
-		unroll    int
-		unpatched string
-		// served: MapBundle runs the file as written.
-		served bool
+	type refusal struct {
+		name, reason string
+		image        func(t *testing.T) []byte
 	}
-	cases := []loaderCase{
-		{"v1", false, func(t *testing.T, eng *Engine) []byte { return asV1(save(t, eng, 4)) }, 0, "", false},
-		{"v2", false, func(t *testing.T, eng *Engine) []byte { return asV2(save(t, eng, 4)) }, 0, "", false},
-		{"v3", false, func(t *testing.T, eng *Engine) []byte { return asV3(save(t, eng, 4)) }, 0, "", false},
-		{"v4", false, func(t *testing.T, eng *Engine) []byte { return save(t, eng, 4) }, 0, "", false},
-		{"v1-fused", true, fixture("parent_v4_fused.rtmb", asV1), 0, "", false},
-		{"v2-fused", true, fixture("parent_v4_fused.rtmb", asV2), 0, "", false},
-		{"v3-fused", true, fixture("parent_v4_fused.rtmb", asV3), 0, "", false},
-		{"v4-fused", true, fixture("parent_v4_fused.rtmb", asIs), 0, "", false},
-		// A fused deployment wrote the per-matrix programs it executed, beside
-		// a plan priced per [Wx|Wh] kernel.
-		{"v5-fused", true, fixture("parent_v5_fused.rtmb", asIs), 0, "", false},
+	var cases []refusal
+	for v := uint32(1); v <= 4; v++ {
+		cases = append(cases, refusal{fmt.Sprintf("v%d", v), fmt.Sprintf("is format version %d", v),
+			func(t *testing.T) []byte { return withVersion(image, v) }})
+	}
+	cases = append(cases,
+		// A fused deployment wrote the per-matrix programs it executed,
+		// beside a plan priced per [Wx|Wh] kernel.
+		refusal{"v5-fused", "plan does not price its programs", func(t *testing.T) []byte {
+			return fusedImage(t, image, fusedPlan)
+		}},
 		// A fused v5 file from before that: one [Wx|Wh] program per layer.
-		{"v5-fused-programs", true, fixture("parent_v5_fused_programs.rtmb", asIs), 0, "", false},
+		refusal{"v5-fused-programs", "stores no programs an engine executes", func(t *testing.T) []byte {
+			return fusedImage(t, save(fusedProgs), fusedPlan)
+		}},
 		// A v5 file from before the dense-order lowering: a row appears in
 		// one segment per column block.
-		{"v5-per-block-programs", false, func(t *testing.T, eng *Engine) []byte {
-			// The writer stores whatever params the engine holds: a dense
-			// model in place of the shell gives the file the dense
-			// sections every writer of that time emitted.
-			dense := eng.denseModel()
+		refusal{"v5-per-block-programs", "stores no programs an engine executes", func(t *testing.T) []byte {
 			var progs []*compiler.PackedProgram
-			for _, p := range dense.WeightMatrices() {
-				pp, err := compiler.Pack(perBlockProgram(p.Name, p, scheme), 0)
+			for _, p := range eng.denseModel().WeightMatrices() {
+				pp, err := compiler.Pack(perBlockProgram(p.Name, p, fixtureScheme), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,91 +219,25 @@ func TestLoadersLowerBundlesWithoutExecutablePrograms(t *testing.T) {
 				}
 				progs = append(progs, pp)
 			}
-			return save(t, &Engine{
-				shell: dense, plan: eng.plan, target: eng.target, pool: eng.pool,
-				fp16: eng.fp16, tuned: eng.tuned, quant: eng.quant, precision: eng.precision,
-				progs: progs,
-			}, 5)
-		}, 0, "", false},
-	}
-	// The unroll word once chose the host's dot kernels (2 and 8 named real
-	// families, 255 was clamped to one) and TuneMeasured came from a search
-	// that no longer exists: the unroll is kept, the record where the file
-	// maps as written, and neither changes a byte of output.
-	for _, unroll := range []int{2, 8, 255} {
-		cases = append(cases,
-			loaderCase{fmt.Sprintf("v4-unroll%d", unroll), true,
-				fixture("parent_v4.rtmb", v4Retile(unroll)), unroll, "parent_v4.rtmb", false},
-			loaderCase{fmt.Sprintf("v5-unroll%d", unroll), true,
-				fixture("parent_v5.rtmb", v5Retile(t, unroll)), unroll, "parent_v5.rtmb", true})
-	}
+			return save(progs)
+		}},
+	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			model := prunedModel(spec, scheme)
-			if tc.fixture {
-				model = fixtureModel()
-			}
-			eng, err := Compile(model, scheme, DeployConfig{Target: device.MobileCPU()})
-			if err != nil {
+			image := tc.image(t)
+			path := filepath.Join(t.TempDir(), "old.rtmb")
+			if err := os.WriteFile(path, image, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			frames := testFrames(49, 9, model.Spec.InputDim)
-			want := nn.Posteriors(model.Forward(frames))
-			image := tc.image(t, eng)
-
-			// As written: only a v5 file whose programs and plan are an
-			// engine's maps; every other file is refused.
-			mb, err := mapImage(t, image, device.MobileCPU())
-			if !tc.served {
-				refused(t, tc.name, err)
-			} else if err != nil {
-				t.Fatal(err)
+			_, err := MapBundle(path, nil)
+			refused(t, "MapBundle", err)
+			if !strings.Contains(err.Error(), tc.reason) || !strings.Contains(err.Error(), "deploy -in "+path+" at commit "+legacyReaderCommit) {
+				t.Fatalf("MapBundle error %q, want the reason %q and the command naming %s", err, tc.reason, path)
 			}
-			loaded, _ := relower(t, image, device.MobileCPU())
-			engines := map[string]*Engine{"Compile": eng, "ReadBundle+Compile": loaded}
-			if tc.served {
-				engines["MapBundle"] = mb.Engine()
-			}
-			for name, e := range engines {
-				if !postEqual(e.Infer(frames), want) {
-					t.Fatalf("%s: Infer differs from nn.Posteriors(model.Forward)", name)
-				}
-				if got, want := len(e.progs), len(model.WeightMatrices()); got != want {
-					t.Fatalf("%s: %d programs, want one per weight matrix (%d)", name, got, want)
-				}
-				for _, p := range e.progs {
-					if !p.Sections().RowsOnce() {
-						t.Fatalf("%s: program %s rounds a row more than once", name, p.Name)
-					}
-				}
-				// The plan prices what runs: one kernel per program, the
-				// same MACs a fresh Compile prices.
-				if len(e.plan.Matrices) != len(e.progs) || e.stepMACs != eng.stepMACs {
-					t.Fatalf("%s: plan prices %d kernels / %d MACs per step, want %d / %d",
-						name, len(e.plan.Matrices), e.stepMACs, len(e.progs), eng.stepMACs)
-				}
-			}
-			if tc.unroll == 0 {
-				return
-			}
-			// The recorded unroll stands; the measured record is the mapped
-			// file's, and a re-deploy, which ran no search, records none.
-			base, _ := relower(t, readFixture(t, tc.unpatched), device.MobileCPU())
-			delete(engines, "Compile")
-			for name, e := range engines {
-				rec := TuneRecord{}
-				if name == "MapBundle" {
-					rec = retiledRecord
-				}
-				if e.Tuned() != rec {
-					t.Fatalf("%s: plan cache %+v, want %+v", name, e.Tuned(), rec)
-				}
-				if got := e.plan.Options.Tile.Unroll; got != tc.unroll {
-					t.Fatalf("%s: recorded unroll %d, want %d", name, got, tc.unroll)
-				}
-				if !postEqual(e.Infer(frames), base.Infer(frames)) {
-					t.Fatalf("%s: Infer differs from the unpatched bundle's", name)
-				}
+			_, _, _, err = ReadBundle(bytes.NewReader(image), nil)
+			refused(t, "ReadBundle", err)
+			if !strings.Contains(err.Error(), tc.reason) {
+				t.Fatalf("ReadBundle error %q, want the reason %q", err, tc.reason)
 			}
 		})
 	}

@@ -2,11 +2,9 @@ package rtmobile
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -25,8 +23,8 @@ import (
 // run. The fast
 // tier must satisfy tensor.FastActClose with the engine-level absolute arm.
 // Whatever the tier, an engine mapped
-// from a bundle, or read back from an older one and lowered again, must
-// reproduce the compiled engine bit for bit: it runs the same programs.
+// from a bundle, or read back from one and lowered again, must reproduce
+// the compiled engine bit for bit: it runs the same programs.
 
 // diffTier is one kernel tier and its contract against the reference.
 type diffTier struct {
@@ -180,20 +178,20 @@ var diffLoaders = []struct {
 }{
 	{"Compile", func(t *testing.T, eng *Engine, _ prune.BSP) *Engine { return eng }},
 	{"MapBundleV5", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
-		mb, err := MapBundle(writeBundleFileScheme(t, eng, scheme, 5), device.MobileCPU())
+		mb, err := MapBundle(writeBundleFileScheme(t, eng, scheme), device.MobileCPU())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { mb.Close() })
 		return mb.Engine()
 	}},
-	// A v4 file read back and lowered again (`rtmobile deploy -in`).
-	{"LoadBundleV4", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
+	// The bundle read back and lowered again (`rtmobile deploy -in`).
+	{"Redeploy", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
 		var buf bytes.Buffer
-		if err := eng.saveBundleV4(&buf, scheme); err != nil {
+		if err := eng.SaveBundle(&buf, scheme); err != nil {
 			t.Fatal(err)
 		}
-		loaded, _ := relower(t, buf.Bytes(), device.MobileCPU())
+		loaded, _ := relower(t, buf.Bytes(), nil)
 		return loaded
 	}},
 }
@@ -280,29 +278,18 @@ func TestEngineDifferential(t *testing.T) {
 		}
 	}
 
-	// Bundles written by the commit before the packed program types were
-	// folded into one (testdata/README.md). The two whose programs and plan
-	// are an engine's map as written; MapBundle refuses the others, naming
-	// `rtmobile deploy -in`. Whichever way, every fixture re-deploys
-	// (ReadBundle + Compile) to exactly a fresh Compile's bytes, and the
-	// engine it serves scores under its tier's contract and bit-equal to a
-	// fresh Compile. The v5 files also pin the section layout: a fresh
-	// Compile writes the same programs and metadata — only the param
-	// directory differs, the covered params' dense sections being gone. The
-	// q8 v5 file's writer priced its programs from the unrounded weights, so
-	// its plan is the one exception to the metadata's byte equality: a fresh
-	// Compile's plan is the plan of the fixture's own programs lowered again.
+	// The committed fixtures (testdata/README.md): each is exactly what
+	// deploying its model writes, maps to an engine that scores under its
+	// tier's contract and bit-equal to a fresh Compile, and re-deploys
+	// (ReadBundle + Compile) to its own bytes.
 	utts = diffUtterances(fixtureSpec.InputDim)
 	for _, fx := range []struct {
-		file   string
-		served bool
-		tier   diffTier
+		file string
+		tier diffTier
 	}{
-		{"parent_v4.rtmb", false, diffTiers[0]},
-		{"parent_v5.rtmb", true, diffTiers[0]},
-		{"parent_v4_q8.rtmb", false, diffTiers[2]},
-		{"parent_v5_q8.rtmb", false, diffTiers[2]},
-		{"parent_v5_q16.rtmb", true, diffTiers[3]},
+		{"parent_v5.rtmb", diffTiers[0]},
+		{"parent_v5_q8.rtmb", diffTiers[2]},
+		{"parent_v5_q16.rtmb", diffTiers[3]},
 	} {
 		t.Run(fx.file, func(t *testing.T) {
 			model := fixtureModel()
@@ -312,85 +299,44 @@ func TestEngineDifferential(t *testing.T) {
 			}
 			ref := diffRef(model, utts)
 			compiled := diffRun(t, eng, utts, ref, fx.tier.close)
-			var fresh bytes.Buffer
+			image := readFixture(t, fx.file)
+			var fresh, redeployed bytes.Buffer
 			if err := eng.SaveBundle(&fresh, fixtureScheme); err != nil {
 				t.Fatal(err)
 			}
-
-			image := readFixture(t, fx.file)
-			mb, err := MapBundle(filepath.Join("testdata", fx.file), device.MobileCPU())
-			if fx.served {
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer mb.Close()
-				diffSame(t, diffRun(t, mb.Engine(), utts, ref, fx.tier.close), compiled)
-			} else {
-				refused(t, fx.file, err)
-			}
-
-			var redeployed bytes.Buffer
-			again, _ := relower(t, image, device.MobileCPU())
+			again, _ := relower(t, image, nil)
 			if err := again.SaveBundle(&redeployed, fixtureScheme); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(redeployed.Bytes(), fresh.Bytes()) {
-				t.Fatalf("re-deploying %s does not give a fresh Compile's bytes", fx.file)
+			if !bytes.Equal(fresh.Bytes(), image) || !bytes.Equal(redeployed.Bytes(), image) {
+				t.Fatalf("a fresh Compile or a re-deploy does not write %s's bytes", fx.file)
 			}
-			diffSame(t, diffRun(t, mustMap(t, redeployed.Bytes(), device.MobileCPU()), utts, ref, fx.tier.close), compiled)
-			if !strings.HasPrefix(fx.file, "parent_v5") {
-				return
-			}
-			var wantPlan *compiler.Plan
-			if !fx.served {
-				wantPlan = eng.Plan()
-			}
-			sameV5Layout(t, image, fresh.Bytes(), wantPlan)
-			if !fx.served {
-				return
-			}
-			var resaved bytes.Buffer
-			if err := mb.Engine().SaveBundle(&resaved, fixtureScheme); err != nil {
+			mb, err := MapBundle(filepath.Join("testdata", fx.file), nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(resaved.Bytes(), fresh.Bytes()) {
-				t.Fatalf("re-saving the mapped %s does not give a fresh Compile's bytes", fx.file)
-			}
+			defer mb.Close()
+			diffSame(t, diffRun(t, mb.Engine(), utts, ref, fx.tier.close), compiled)
 		})
 	}
 
 	// Every way of obtaining an engine builds the one shape Compile builds:
-	// spec, biases, programs — whatever the file it came from carried.
+	// spec, biases, programs.
 	t.Run("engines-hold-no-dense-weights", func(t *testing.T) {
-		fixtures := map[int][]string{0: {"parent_v4.rtmb", "parent_v5.rtmb"}, 8: {"parent_v4_q8.rtmb", "parent_v5_q8.rtmb"}}
-		for quant, fixtureFiles := range fixtures {
-			eng, err := Compile(fixtureModel(), fixtureScheme, DeployConfig{Target: device.MobileCPU(), Quant: quant})
+		for _, file := range []string{"parent_v5.rtmb", "parent_v5_q8.rtmb"} {
+			image := readFixture(t, file)
+			_, _, cfg, err := ReadBundle(bytes.NewReader(image), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var v4, v5 bytes.Buffer
-			if err := eng.saveBundleV4(&v4, fixtureScheme); err != nil {
+			eng, err := Compile(fixtureModel(), fixtureScheme, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.SaveBundle(&v5, fixtureScheme); err != nil {
-				t.Fatal(err)
-			}
-			images := map[string][]byte{"v3": asV3(v4.Bytes()), "v4": v4.Bytes(), "v5": v5.Bytes()}
-			if quant == 0 { // v1 and v2 predate quantization
-				images["v1"], images["v2"] = asV1(v4.Bytes()), asV2(v4.Bytes())
-			}
-			for _, name := range fixtureFiles {
-				images[name] = readFixture(t, name)
-			}
-			checkHoldsNoDenseWeights(t, "Compile", eng)
-			checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d MapBundle v5", quant), mustMap(t, v5.Bytes(), device.MobileCPU()))
-			if quant == 0 {
-				checkHoldsNoDenseWeights(t, "MapBundle parent_v5.rtmb", mustMap(t, images["parent_v5.rtmb"], device.MobileCPU()))
-			}
-			for name, image := range images {
-				again, _ := relower(t, image, device.MobileCPU())
-				checkHoldsNoDenseWeights(t, fmt.Sprintf("q%d re-deployed %s", quant, name), again)
-			}
+			again, _ := relower(t, image, nil)
+			checkHoldsNoDenseWeights(t, file+" Compile", eng)
+			checkHoldsNoDenseWeights(t, file+" MapBundle", mustMap(t, image, nil))
+			checkHoldsNoDenseWeights(t, file+" re-deployed", again)
 		}
 	})
 
@@ -462,82 +408,5 @@ func checkHoldsNoDenseWeights(t *testing.T, label string, e *Engine) {
 			t.Fatalf("%s: %s has no program and holds %d of its %d values",
 				label, p.Name, len(p.W.Data), p.W.Rows*p.W.Cols)
 		}
-	}
-}
-
-// v5Resolved parses a v5 image's metadata and returns it with the payload
-// lookup its section ids resolve through (nil for id 0).
-func v5Resolved(t *testing.T, image []byte) (v5Meta, func(id uint32) []byte) {
-	t.Helper()
-	sections, err := parseV5Sections(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta v5Meta
-	if err := json.Unmarshal(sections[v5SecMeta], &meta); err != nil {
-		t.Fatal(err)
-	}
-	return meta, func(id uint32) []byte {
-		if id == 0 {
-			return nil
-		}
-		return sections[id]
-	}
-}
-
-// sameV5Layout asserts that got stores what want stores, section ids
-// aside: every program's header and section payloads, and every metadata
-// field but the param directory, byte for byte. Of the param directory it
-// requires the same names and shapes, and that each section got keeps (a
-// param no program covers) holds want's bytes. A non-nil wantPlan replaces
-// want's stored plan in the comparison.
-func sameV5Layout(t *testing.T, want, got []byte, wantPlan *compiler.Plan) {
-	t.Helper()
-	wm, wsec := v5Resolved(t, want)
-	gm, gsec := v5Resolved(t, got)
-	if wantPlan != nil {
-		wm.Plan = wantPlan
-	}
-	if len(gm.Programs) != len(wm.Programs) || len(gm.Params) != len(wm.Params) {
-		t.Fatalf("%d programs / %d params, want %d / %d",
-			len(gm.Programs), len(gm.Params), len(wm.Programs), len(wm.Params))
-	}
-	for i := range wm.Programs {
-		w, g := &wm.Programs[i], &gm.Programs[i]
-		for _, sec := range []struct {
-			name string
-			w, g *uint32
-		}{
-			{"vals", &w.SecVals, &g.SecVals}, {"qvals", &w.SecQVals, &g.SecQVals},
-			{"scales", &w.SecScales, &g.SecScales}, {"colidx", &w.SecColIdx, &g.SecColIdx},
-			{"segs", &w.SecSegs, &g.SecSegs}, {"rows", &w.SecRows, &g.SecRows},
-			{"lane segs", &w.SecLaneSegs, &g.SecLaneSegs}, {"lane rows", &w.SecLaneRows, &g.SecLaneRows},
-		} {
-			if (*sec.w == 0) != (*sec.g == 0) || !bytes.Equal(wsec(*sec.w), gsec(*sec.g)) {
-				t.Fatalf("program %s: %s section differs", w.Name, sec.name)
-			}
-			*sec.w, *sec.g = 0, 0
-		}
-	}
-	for i := range wm.Params {
-		w, g := wm.Params[i], gm.Params[i]
-		if w.Name != g.Name || w.Rows != g.Rows || w.Cols != g.Cols {
-			t.Fatalf("param %d is %s %dx%d, want %s %dx%d", i, g.Name, g.Rows, g.Cols, w.Name, w.Rows, w.Cols)
-		}
-		if g.Section != 0 && !bytes.Equal(gsec(g.Section), wsec(w.Section)) {
-			t.Fatalf("param %s: section differs", g.Name)
-		}
-	}
-	wm.Params, gm.Params = nil, nil
-	wj, err := json.Marshal(&wm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gj, err := json.Marshal(&gm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wj, gj) {
-		t.Fatalf("metadata differs outside the param directory:\n got %s\nwant %s", gj, wj)
 	}
 }

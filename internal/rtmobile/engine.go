@@ -120,17 +120,11 @@ const (
 	TuneNone TuneMode = iota
 	// TuneAnalytic: TuneTiling over the target's analytic cost model.
 	TuneAnalytic
-	// TuneMeasured: a search over host wall time. No writer produces it any
-	// more (the tile never selected a host kernel, so the timing search was
-	// deleted); it stays so that plan caches recorded by earlier versions
-	// load and print as what they are.
-	TuneMeasured
 )
 
 // TuneRecord is the engine's plan-cache entry: how the tile configuration
-// was chosen and at what cost (cost-model units for TuneAnalytic, wall
-// nanoseconds for a TuneMeasured record loaded from an older bundle).
-// Persisted in bundles so a served deployment never re-tunes.
+// was chosen and at what cost (cost-model units). Persisted in bundles so a
+// served deployment never re-tunes.
 type TuneRecord struct {
 	Mode TuneMode
 	Cost float64

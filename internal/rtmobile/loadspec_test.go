@@ -3,8 +3,6 @@ package rtmobile
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,10 +11,10 @@ import (
 )
 
 // TestLoadersCheckSpec: every loader — nn.Load for a model file, ReadBundle
-// for a v4 bundle, MapBundle for a v5 one — refuses the same corrupt specs
-// with an error, before building any shape from them: the cell word of the
-// removed LSTM, an unknown cell word, zero layers and a hidden size no
-// allocation could hold.
+// and MapBundle for a bundle — refuses the same corrupt specs with an
+// error, before building any shape from them: the cell word of the removed
+// LSTM, an unknown cell word, zero layers and a hidden size no allocation
+// could hold.
 func TestLoadersCheckSpec(t *testing.T) {
 	m := testModel(61)
 	var model bytes.Buffer
@@ -28,22 +26,31 @@ func TestLoadersCheckSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v4, v5 bytes.Buffer
-	if err := eng.saveBundleV4(&v4, res.Scheme); err != nil {
-		t.Fatal(err)
-	}
+	var v5 bytes.Buffer
 	if err := eng.SaveBundleVersion(&v5, res.Scheme, 5); err != nil {
 		t.Fatal(err)
 	}
 
-	// The model file and the v4 stream both carry the spec as six u64
-	// words (input, hidden, layers, output, seed, cell) after an 8-byte
-	// magic and version; v5 carries it in its JSON metadata.
+	// The model file carries the spec as six u64 words (input, hidden,
+	// layers, output, seed, cell) after an 8-byte magic and version; a
+	// bundle carries it in its JSON metadata.
 	const specOff = 8
 	setWord := func(image []byte, word int, v uint64) []byte {
 		out := append([]byte(nil), image...)
 		binary.LittleEndian.PutUint64(out[specOff+8*word:], v)
 		return out
+	}
+	setSpec := func(t *testing.T, word int, v uint64) []byte {
+		return v5PatchMeta(t, v5.Bytes(), func(meta *v5Meta) {
+			switch word {
+			case 1:
+				meta.Spec.Hidden = int(v)
+			case 2:
+				meta.Spec.NumLayers = int(v)
+			case 5:
+				meta.Spec.Cell = nn.CellType(v)
+			}
+		})
 	}
 	loaders := []struct {
 		name string
@@ -53,29 +60,12 @@ func TestLoadersCheckSpec(t *testing.T) {
 			_, err := nn.Load(bytes.NewReader(setWord(model.Bytes(), word, v)))
 			return err
 		}},
-		{"LoadBundle v4", func(t *testing.T, word int, v uint64) error {
-			_, _, _, err := ReadBundle(bytes.NewReader(setWord(v4.Bytes(), word, v)), device.MobileGPU())
+		{"ReadBundle v5", func(t *testing.T, word int, v uint64) error {
+			_, _, _, err := ReadBundle(bytes.NewReader(setSpec(t, word, v)), nil)
 			return err
 		}},
 		{"MapBundle v5", func(t *testing.T, word int, v uint64) error {
-			image := v5PatchMeta(t, v5.Bytes(), func(meta *v5Meta) {
-				switch word {
-				case 1:
-					meta.Spec.Hidden = int(v)
-				case 2:
-					meta.Spec.NumLayers = int(v)
-				case 5:
-					meta.Spec.Cell = nn.CellType(v)
-				}
-			})
-			path := filepath.Join(t.TempDir(), "model.rtmb")
-			if err := os.WriteFile(path, image, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			mb, err := MapBundle(path, device.MobileGPU())
-			if err == nil {
-				mb.Close()
-			}
+			_, err := mapImage(t, setSpec(t, word, v), nil)
 			return err
 		}},
 	}

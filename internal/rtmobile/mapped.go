@@ -3,7 +3,6 @@ package rtmobile
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -27,10 +26,9 @@ import (
 // platform, or a purego / big-endian build that cannot alias) reads the
 // file into one arena and parses the identical format there. Either way
 // the engine holds what a compiled one holds — spec, biases, programs —
-// and runs the programs as the file stores them: MapBundle never lowers.
-// A file it cannot run as written (any version 1–4 file, or a v5 file
-// whose programs or plan are not what an engine executes) is refused with
-// an error naming `rtmobile deploy -in`, which lowers it once (ReadBundle).
+// and runs the programs as the file stores them, priced under the target
+// the plan was lowered for: MapBundle never lowers. A file it cannot run
+// as written is refused (bundle.go).
 
 // v5Image is a parsed v5 bundle: the engine (its programs potentially
 // aliasing the backing bytes) and the stored scheme.
@@ -81,34 +79,18 @@ func (b *MappedBundle) Close() error {
 	return nil
 }
 
-// MapBundle loads a v5 deployment bundle by path for the target, whose
-// cost model prices it, and serves its stored programs as written: mapped
-// zero-copy, or arena-loaded where mmap or aliasing is unavailable. Any
-// other file is refused with an error naming `rtmobile deploy -in <path>`,
-// which lowers it into one MapBundle serves.
+// MapBundle loads a v5 deployment bundle by path and serves its stored
+// programs as written: mapped zero-copy, or arena-loaded where mmap or
+// aliasing is unavailable. The engine is priced under the target the plan
+// was lowered for; a non-nil target must be that one (bundleTarget). Any
+// file it cannot run as written is refused with the reason and the
+// command that upgrades it (refuseBundle).
 func MapBundle(path string, target *device.Target) (*MappedBundle, error) {
-	if target == nil {
-		return nil, fmt.Errorf("rtmobile: MapBundle target is required")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var head [8]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return nil, fmt.Errorf("rtmobile: reading bundle header: %w", err)
-	}
-	if string(head[:4]) != bundleMagic {
-		return nil, fmt.Errorf("rtmobile: bad bundle magic %q", head[:4])
-	}
-	switch version := binary.LittleEndian.Uint32(head[4:]); {
-	case version >= 1 && version <= bundleVersion:
-		return nil, fmt.Errorf("rtmobile: bundle is format version %d: %w %s", version, errNeedsDeploy, path)
-	case version != bundleVersion5:
-		return nil, fmt.Errorf("rtmobile: unsupported bundle version %d", version)
-	}
-
 	info, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -128,13 +110,10 @@ func MapBundle(path string, target *device.Target) (*MappedBundle, error) {
 		}
 		unmap = nil
 	}
-	img, err := parseV5(data, target)
+	img, err := parseV5(data, target, path)
 	if err != nil {
 		if unmap != nil {
 			unmap(data)
-		}
-		if errors.Is(err, errNeedsDeploy) {
-			err = fmt.Errorf("%w %s", err, path)
 		}
 		return nil, err
 	}
@@ -149,19 +128,25 @@ type v5Section struct {
 }
 
 // parseV5Sections validates the header, directory, and checksums of a v5
-// image and returns the section map. Every slice boundary is length-checked
+// image and returns the section map; a version 1–4 header is refused
+// (refuseBundle, naming path). Every slice boundary is length-checked
 // before slicing — a corrupt or adversarial directory can produce an error,
 // never an out-of-range read.
-func parseV5Sections(data []byte) (map[uint32][]byte, error) {
+func parseV5Sections(data []byte, path string) (map[uint32][]byte, error) {
 	le := binary.LittleEndian
-	if len(data) < 12 {
-		return nil, fmt.Errorf("rtmobile: v5 bundle truncated: %d bytes", len(data))
+	if len(data) < 8 {
+		return nil, fmt.Errorf("rtmobile: bundle truncated: %d bytes", len(data))
 	}
 	if string(data[:4]) != bundleMagic {
 		return nil, fmt.Errorf("rtmobile: bad bundle magic %q", data[:4])
 	}
-	if v := le.Uint32(data[4:]); v != bundleVersion5 {
-		return nil, fmt.Errorf("rtmobile: v5 parser got version %d", v)
+	switch v := le.Uint32(data[4:]); {
+	case v >= 1 && v < bundleVersion5:
+		return nil, refuseBundle(fmt.Sprintf("is format version %d", v), path)
+	case v != bundleVersion5:
+		return nil, fmt.Errorf("rtmobile: unsupported bundle version %d", v)
+	case len(data) < 12:
+		return nil, fmt.Errorf("rtmobile: v5 bundle truncated: %d bytes", len(data))
 	}
 	count := le.Uint32(data[8:])
 	if count == 0 || count > v5MaxSections {
@@ -327,9 +312,8 @@ func specShell(spec nn.ModelSpec) (*nn.Model, error) {
 // cannot drive an absurd unmarshal.
 const v5MaxMetaBytes = 64 << 20
 
-// v5File is a decoded v5 image: its metadata, a shell whose params hold
-// the sections no usable stored program stands in for, and the stored
-// programs when they are what an engine executes (nil otherwise).
+// v5File is a decoded v5 image: its metadata, a shell holding the params
+// no stored program covers, and the stored programs.
 type v5File struct {
 	meta  v5Meta
 	shell *nn.Model
@@ -337,9 +321,11 @@ type v5File struct {
 }
 
 // decodeV5 validates a complete v5 image and resolves its sections,
-// aliasing the image's bytes wherever the host allows.
-func decodeV5(data []byte) (*v5File, error) {
-	sections, err := parseV5Sections(data)
+// aliasing the image's bytes wherever the host allows. An image whose
+// programs are not what an engine executes, or whose plan does not price
+// them, is refused (refuseBundle, naming path).
+func decodeV5(data []byte, path string) (*v5File, error) {
+	sections, err := parseV5Sections(data, path)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +353,7 @@ func decodeV5(data []byte) (*v5File, error) {
 	if meta.QuantBits != 0 && !compiler.QuantBitsValid(meta.QuantBits) {
 		return nil, fmt.Errorf("rtmobile: corrupt quantization width %d", meta.QuantBits)
 	}
-	if meta.TuneMode > uint8(TuneMeasured) {
+	if meta.TuneMode > uint8(TuneAnalytic) {
 		return nil, fmt.Errorf("rtmobile: unknown tune mode %d", meta.TuneMode)
 	}
 
@@ -389,10 +375,14 @@ func decodeV5(data []byte) (*v5File, error) {
 	if f.progs, err = storedPrograms(sections, meta, f.shell); err != nil {
 		return nil, err
 	}
-	// Attach the param sections, aliased where the host allows, except
-	// those a usable stored program carries: a compact file has none for
-	// them, an older file's are ignored. Without such a program every param
-	// needs one.
+	switch {
+	case f.progs == nil:
+		return nil, refuseBundle("stores no programs an engine executes", path)
+	case !meta.Plan.Prices(f.progs):
+		return nil, refuseBundle("plan does not price its programs", path)
+	}
+	// Attach the sections of the params no program covers, aliased where
+	// the host allows; a section a covered param still carries is ignored.
 	for i, p := range params {
 		if programFor(f.progs, p.Name) != nil {
 			continue
@@ -406,31 +396,18 @@ func decodeV5(data []byte) (*v5File, error) {
 	return f, nil
 }
 
-// errNeedsDeploy marks a bundle that serving cannot run as written.
-var errNeedsDeploy = errors.New("serving runs a bundle's programs as written; lower it again with rtmobile deploy -in")
-
 // parseV5 builds the engine a complete v5 image serves as written: its
-// stored programs, aliased in place, under its stored plan. The target
-// supplies the cost model. An image whose programs are not what an engine
-// executes, or whose plan does not price them, is refused (errNeedsDeploy).
-func parseV5(data []byte, target *device.Target) (v5Image, error) {
+// stored programs, aliased in place, under its stored plan, priced under
+// bundleTarget(plan, target).
+func parseV5(data []byte, target *device.Target, path string) (v5Image, error) {
 	var zero v5Image
-	f, err := decodeV5(data)
+	f, err := decodeV5(data, path)
 	if err != nil {
 		return zero, err
 	}
 	plan := f.meta.Plan
-	var reason string
-	switch {
-	case f.meta.Fused:
-		reason = "plan prices fused [Wx|Wh] kernels"
-	case f.progs == nil:
-		reason = "stores no programs an engine executes"
-	case !plan.Prices(f.progs):
-		reason = "plan does not price its programs"
-	}
-	if reason != "" {
-		return zero, fmt.Errorf("rtmobile: bundle %s: %w", reason, errNeedsDeploy)
+	if target, err = bundleTarget(plan, target); err != nil {
+		return zero, err
 	}
 	eng := &Engine{
 		shell: shellOf(f.shell, f.progs), progs: f.progs, plan: plan, target: target,
@@ -444,19 +421,6 @@ func parseV5(data []byte, target *device.Target) (v5Image, error) {
 	return v5Image{eng: eng, scheme: f.meta.Scheme}, nil
 }
 
-// readV5 decodes a complete v5 image for ReadBundle: the dense model (each
-// usable program's Dense(), else the param's own section), the scheme, the
-// recorded DeployConfig and the recorded value width.
-func readV5(data []byte) (*nn.Model, prune.BSP, DeployConfig, int, error) {
-	f, err := decodeV5(data)
-	if err != nil {
-		return nil, prune.BSP{}, DeployConfig{}, 0, err
-	}
-	opt := f.meta.Plan.Options
-	return denseOf(f.shell, f.progs), f.meta.Scheme,
-		recordedConfig(opt, f.meta.QuantBits, TuneMode(f.meta.TuneMode)), opt.ValueBits, nil
-}
-
 // storedPrograms rebuilds the bundle's programs over their sections and
 // returns them when they are what the engine executes: one per prunable
 // weight matrix, on the deployment's width and tier, each output row
@@ -464,9 +428,8 @@ func readV5(data []byte) (*nn.Model, prune.BSP, DeployConfig, int, error) {
 // tensor.MatVecAdd's per-row order). It returns nil programs for bundles
 // that carry anything else — the [Wx|Wh] programs old fused deployments
 // wrote, which sum what a GRU keeps apart, or a file written by the
-// per-block lowering — whose weights only ReadBundle reads.
-// Corrupt sections are an error either way. Only the shell's shapes are
-// read.
+// per-block lowering. Corrupt sections are an error either way. Only the
+// shell's shapes are read.
 func storedPrograms(sections map[uint32][]byte, meta *v5Meta, shell *nn.Model) ([]*compiler.PackedProgram, error) {
 	srcs := ModelSources(shell, meta.Scheme, meta.Plan.Options.Format)
 	progs := make([]*compiler.PackedProgram, 0, len(meta.Programs))

@@ -307,7 +307,7 @@ func TestStepIntoMetersMACsOnce(t *testing.T) {
 	withMetrics(t, func(m *obs.Metrics) {
 		for _, quantBits := range []int{0, 8} {
 			eng, _ := v5TestEngine(t, 111, DeployConfig{Target: device.MobileCPU(), Quant: quantBits})
-			mb, err := MapBundle(writeBundleFile(t, eng, 5), device.MobileCPU())
+			mb, err := MapBundle(writeBundleFile(t, eng), device.MobileCPU())
 			if err != nil {
 				t.Fatal(err)
 			}
