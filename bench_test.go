@@ -279,30 +279,15 @@ func BenchmarkDeviceLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkProgramExec is the packed-backend acceptance benchmark: the
-// interpreter vs the packed executor on the Table-I-sized GRU recurrent
-// projection (3072×1024, BSP 16×/2×). The packed row should clear ≥1.5×
-// over the interpreter row.
+// BenchmarkProgramExec is the packed executor on the Table-I-sized GRU
+// recurrent projection (3072×1024, BSP 16×/2×), serial.
 func BenchmarkProgramExec(b *testing.B) {
-	cfg := bench.DefaultWorkerSweepConfig()
-	prog, x, err := bench.BuildSweepProgram(cfg)
+	pp, x, err := bench.BuildSweepProgram(bench.DefaultWorkerSweepConfig(), compiler.PrecisionExact)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pp, err := compiler.Pack(prog, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y := make([]float32, prog.Rows)
+	y := make([]float32, pp.Rows)
 	scratch := pp.NewScratch()
-	b.Run("interp/serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Execute(y, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("packed/serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -342,24 +327,19 @@ func BenchmarkStreamStep(b *testing.B) {
 // ns/op grows with B, but MACs/s (each lane's work is real) should grow
 // past packed/serial as the weight stream amortizes over the panel.
 func BenchmarkRunBatch(b *testing.B) {
-	cfg := bench.DefaultWorkerSweepConfig()
-	prog, x, err := bench.BuildSweepProgram(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pp, err := compiler.Pack(prog, 0)
+	pp, x, err := bench.BuildSweepProgram(bench.DefaultWorkerSweepConfig(), compiler.PrecisionExact)
 	if err != nil {
 		b.Fatal(err)
 	}
 	scratch := pp.NewScratch()
 	for _, bw := range []int{1, 2, 4, 8, 16, 32} {
-		xp := make([]float32, prog.Cols*bw)
+		xp := make([]float32, pp.Cols*bw)
 		for l := 0; l < bw; l++ {
 			for i, v := range x {
 				xp[i*bw+l] = v
 			}
 		}
-		yp := make([]float32, prog.Rows*bw)
+		yp := make([]float32, pp.Rows*bw)
 		b.Run(fmt.Sprintf("B=%d", bw), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -18,20 +18,18 @@
 //
 // # Execution backends
 //
-// Compiled programs run two ways. The instruction interpreter
-// (Program.Execute) walks the per-op IR and counts its events — the
-// reference the packed backend and the plan's counts are tested against;
-// the plan the device models price is read off the packed program
-// (compiler.LowerMatrix lowers each matrix once). The packed backend (compiler.Pack) flattens
-// a program into flat value/column-index arrays with per-lane segment
-// descriptors and executes them through one dot kernel per shape
-// (internal/tensor) — same bytes out, roughly 1.6x faster serially, and
-// zero allocations per pass when the caller reuses a PackedScratch. The
-// auto-tuner searches the tile (rows x cols x unroll x placement) of the
-// modelled mobile target's kernel on the analytic device model, and
-// deployment bundles persist the winning plan; the tile never selects what
-// the host executes, and host wall time is `go run ./benchmark`'s to
-// report.
+// Each weight matrix has one lowered form: compiler.LowerMatrix lowers it
+// once, straight into a packed program — flat value and column-index
+// arrays, a row list and one list of segment descriptors — executed in
+// order through one dot kernel per shape (internal/tensor), with zero
+// allocations per pass when the caller reuses a PackedScratch. The plan the
+// device models price is read off that program: the modelled target's
+// thread split lives only there, as the rows of the storage order cut into
+// one contiguous chunk per thread. The auto-tuner searches the tile (rows x
+// cols x unroll x placement) of the modelled mobile target's kernel on the
+// analytic device model, and deployment bundles persist the winning plan;
+// neither the tile nor the thread count selects what the host executes,
+// and host wall time is `go run ./benchmark`'s to report.
 //
 // The packed backend also executes batched: PackedProgram.RunBatch steps B
 // input vectors through one weight stream as a column-major SpMM panel, so
@@ -54,12 +52,11 @@
 //
 // There is one packed program type and one executor. A PackedProgram's
 // values are float32 and its kernel tier (exact, fast) is resolved once,
-// when the program is built, into the segment kernels its lane loops call;
-// nothing is selected per execution.
-// The compiler's thread lanes are its load-balancing and statistics unit
-// and are visited in order — a lane-parallel executor existed, never beat
-// the serial one at any measured width or worker count, and was deleted
-// (DESIGN.md records the numbers). Parallelism lives one level up:
+// when the program is built, into the segment kernels its run loops call;
+// nothing is selected per execution. A program is one segment list — a
+// lane-parallel executor over the compiler's thread chunks existed, never
+// beat the serial one at any measured width or worker count, and was
+// deleted (DESIGN.md records the numbers). Parallelism lives one level up:
 // InferBatchInto shards whole utterances across the pool once a batch
 // carries enough arithmetic per worker to pay for the fork-join.
 //
@@ -72,10 +69,10 @@
 // storage width; there is no dense path beside it. Model.NewStream/NewBatchStream
 // bind tensor.MatVecAddBatch instead and stay the training-side reference.
 // The dense-order contract makes the two comparable bit for bit: the BSPC
-// lowering emits one segment per (lane, row group) whose dots span the
-// group's kept columns in ascending order, so a row is one float64 chain
-// rounded once — Program.Execute, packed Run and tensor.MatVecAdd on the
-// projected matrix agree exactly for finite inputs (a pruned weight times a
+// lowering emits one segment per row group whose dots span the group's kept
+// columns in ascending order, so a row is one float64 chain rounded once —
+// packed Run and tensor.MatVecAdd on the projected matrix agree exactly for
+// finite inputs (a pruned weight times a
 // non-finite input is 0·Inf = NaN in the dense reference and skipped by the
 // program). Compile lowers once, and the programs are the deployment: the
 // engine keeps them with the biases and nothing else, the v5 bundle stores
@@ -89,10 +86,12 @@
 // tier or passes. Both readers take only the v5 files an engine runs as
 // written; a v1–v4 file, or a v5 file whose programs or plan are not an
 // engine's, is refused with the reason and the commit whose `deploy -in`
-// upgrades it. Nothing holds the dense weights after Compile.
+// upgrades it. A v5 file written while programs were stored in one lane per
+// modelled thread is read into the one segment list and runs bit-equal.
+// Nothing holds the dense weights after Compile.
 //
-// Quantization is a storage format, not a kernel family:
-// compiler.PackQuant rounds a program's values to int8 (8-bit) or int16
+// Quantization is a storage format, not a kernel family: the lowering
+// (compiler.Options.QuantBits) rounds a program's values to int8 (8-bit) or int16
 // (12/16-bit) codes with per-row float32 scales and keeps each weight as
 // its dequantized float32 value, so a quantized program runs the float32
 // kernels and a quantized engine is bit-identical to nn.Forward over its

@@ -69,21 +69,17 @@ var tierName = [2]string{"exact", "fast"}
 // RunPrecisionBench measures exact vs fast packed execution, serial and at
 // every configured panel width.
 func RunPrecisionBench(cfg PrecisionBenchConfig) ([]PrecisionBenchRow, error) {
-	prog, x, err := BuildSweepProgram(cfg.WorkerSweepConfig)
-	if err != nil {
-		return nil, err
-	}
-	// The tier is a pack-time property, so the exact and fast programs share
-	// the IR but select different kernel families.
+	// The tier is fixed when a program is lowered, so the study lowers the
+	// projection once per tier.
 	var pp [2]*compiler.PackedProgram
+	var x []float32
 	for tier, prec := range []compiler.Precision{compiler.PrecisionExact, compiler.PrecisionFast} {
-		prog.Precision = prec
-		if pp[tier], err = compiler.Pack(prog, 0); err != nil {
+		var err error
+		if pp[tier], x, err = BuildSweepProgram(cfg.WorkerSweepConfig, prec); err != nil {
 			return nil, err
 		}
 	}
-	prog.Precision = compiler.PrecisionExact
-	s := pp[0].NewScratch()
+	prog, s := pp[0], pp[0].NewScratch()
 	macs := pp[0].TotalMACs()
 
 	maxB := 1
@@ -207,8 +203,8 @@ func PrecisionSpeedup(rows []PrecisionBenchRow) map[string]float64 {
 func RenderPrecisionBench(rows []PrecisionBenchRow, cfg PrecisionBenchConfig) string {
 	t := Table{
 		Title: fmt.Sprintf(
-			"Precision tiers (%dx%d %s, %d lanes, fast tolerance-checked against exact)",
-			3*cfg.Hidden, cfg.Hidden, cfg.Format, cfg.Lanes),
+			"Precision tiers (%dx%d %s, fast tolerance-checked against exact)",
+			3*cfg.Hidden, cfg.Hidden, cfg.Format),
 		Headers: []string{"Op", "tier", "B", "ns/op", "allocs/op", "GMACs/s"},
 	}
 	for _, r := range rows {

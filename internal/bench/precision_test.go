@@ -14,7 +14,7 @@ import (
 func smallSweepConfig() WorkerSweepConfig {
 	return WorkerSweepConfig{
 		Hidden: 96, ColRate: 4, RowRate: 1,
-		Format: compiler.FormatBSPC, Lanes: 4,
+		Format: compiler.FormatBSPC,
 	}
 }
 

@@ -23,9 +23,7 @@ type WorkerSweepConfig struct {
 	ColRate, RowRate float64
 	// Format of the compiled kernel (default BSPC).
 	Format compiler.Format
-	// Lanes is the program's thread-chunk count.
-	Lanes int
-	Logf  func(string, ...any)
+	Logf   func(string, ...any)
 }
 
 // DefaultWorkerSweepConfig measures the paper-scale layer (3072×1024 at
@@ -33,14 +31,14 @@ type WorkerSweepConfig struct {
 func DefaultWorkerSweepConfig() WorkerSweepConfig {
 	return WorkerSweepConfig{
 		Hidden: 1024, ColRate: 16, RowRate: 2,
-		Format: compiler.FormatBSPC, Lanes: 8,
+		Format: compiler.FormatBSPC,
 	}
 }
 
 // BuildSweepProgram compiles the study's kernel program: a BSP-pruned
-// [3H × H] projection lowered at the configured format and lane count.
+// [3H × H] projection lowered at the configured format on the given tier.
 // Exposed for the top-level Go benchmarks, which time it under b.N.
-func BuildSweepProgram(cfg WorkerSweepConfig) (*compiler.Program, []float32, error) {
+func BuildSweepProgram(cfg WorkerSweepConfig, prec compiler.Precision) (*compiler.PackedProgram, []float32, error) {
 	if cfg.Hidden <= 0 {
 		return nil, nil, fmt.Errorf("bench: worker sweep needs Hidden > 0")
 	}
@@ -58,7 +56,9 @@ func BuildSweepProgram(cfg WorkerSweepConfig) (*compiler.Program, []float32, err
 	if cfg.Format == compiler.FormatBSPC {
 		src.Scheme = &scheme
 	}
-	prog, err := compiler.CompileProgram(src, compiler.DefaultOptions(cfg.Format, 32), cfg.Lanes)
+	opt := compiler.DefaultOptions(cfg.Format, 32)
+	opt.Precision = prec
+	prog, _, err := compiler.LowerMatrix(src, opt, 1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -76,21 +76,21 @@ func TestAssignThreadsBalanced(t *testing.T) {
 	// with balance=false the first thread gets all heavy rows.
 	work := []int{100, 100, 100, 100, 0, 0, 0, 0}
 	order := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	naive := chunkWork(assignThreads(order, work, 2, false), work)
+	naive := chunkWork(assignThreads(order, work, 2, false), order, work)
 	if naive[0] != 400 || naive[1] != 0 {
 		t.Fatalf("naive chunking got %v", naive)
 	}
-	balanced := chunkWork(assignThreads(order, work, 2, true), work)
+	balanced := chunkWork(assignThreads(order, work, 2, true), order, work)
 	if balanced[0] != 200 || balanced[1] != 200 {
 		t.Fatalf("balanced chunking got %v", balanced)
 	}
 }
 
 // chunkWork sums per-row work per thread chunk.
-func chunkWork(chunks [][]int, work []int) []int {
-	out := make([]int, len(chunks))
-	for t, rows := range chunks {
-		for _, r := range rows {
+func chunkWork(cut, order, work []int) []int {
+	out := make([]int, len(cut)-1)
+	for t := range out {
+		for _, r := range order[cut[t]:cut[t+1]] {
 			out[t] += work[r]
 		}
 	}
@@ -109,10 +109,16 @@ func TestAssignThreadsCoversAllRows(t *testing.T) {
 			order[i] = i
 		}
 		for _, balance := range []bool{false, true} {
-			chunks := assignThreads(order, work, threads, balance)
+			cut := assignThreads(order, work, threads, balance)
+			if len(cut) != threads+1 || cut[0] != 0 || cut[threads] != n {
+				return false
+			}
 			seen := make([]bool, n)
-			for _, rows := range chunks {
-				for _, r := range rows {
+			for t := 0; t < threads; t++ {
+				if cut[t] > cut[t+1] {
+					return false
+				}
+				for _, r := range order[cut[t]:cut[t+1]] {
 					if seen[r] {
 						return false
 					}

@@ -2,10 +2,12 @@ package compiler
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"rtmobile/internal/prune"
+	"rtmobile/internal/sparse"
 	"rtmobile/internal/tensor"
 )
 
@@ -18,46 +20,54 @@ func randVec(seed uint64, n int) []float32 {
 	return x
 }
 
-func execEquiv(t *testing.T, w *tensor.Matrix, src MatrixSource, opt Options, threads int) ExecStats {
+// lower is LowerMatrix for a test that needs it to succeed.
+func lower(t testing.TB, src MatrixSource, opt Options, threads int) (*PackedProgram, MatrixStats) {
 	t.Helper()
-	prog, err := CompileProgram(src, opt, threads)
+	pp, ms, err := LowerMatrix(src, opt, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pp, ms
+}
+
+// matVecAddEquiv lowers w and asserts the dense-order contract: the program
+// accumulated onto a bias is tensor.MatVecAdd on w, bit for bit.
+func matVecAddEquiv(t *testing.T, w *tensor.Matrix, src MatrixSource, opt Options, threads int) (*PackedProgram, MatrixStats) {
+	t.Helper()
+	pp, ms := lower(t, src, opt, threads)
 	x := randVec(uint64(w.Rows)*31+uint64(w.Cols), w.Cols)
-	y := make([]float32, w.Rows)
-	stats, err := prog.Execute(y, x)
-	if err != nil {
+	got := randVec(uint64(w.Rows)+5, w.Rows)
+	want := append([]float32(nil), got...)
+	if err := pp.RunAdd(got, x, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float32, w.Rows)
-	tensor.MatVec(want, w, x)
-	for i := range y {
-		if math.Abs(float64(y[i]-want[i])) > 1e-3 {
-			t.Fatalf("row %d: exec %v vs dense %v", i, y[i], want[i])
+	tensor.MatVecAdd(want, w, x)
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("row %d: program %v vs tensor.MatVecAdd %v", i, got[i], want[i])
 		}
 	}
-	return stats
+	return pp, ms
 }
 
 func TestExecuteDenseEquivalence(t *testing.T) {
 	w := tensor.NewMatrix(17, 23)
 	w.RandNormal(tensor.NewRNG(1), 1)
-	stats := execEquiv(t, w, MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 16), 4)
-	if stats.GatherLoads != 0 {
+	pp, ms := matVecAddEquiv(t, w, MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 16), 4)
+	if ms.GatherLoads != 0 {
 		t.Fatal("dense program gathered")
 	}
-	if stats.StreamedVals != 17*23 {
-		t.Fatalf("streamed %d, want %d", stats.StreamedVals, 17*23)
+	if len(pp.Vals) != 17*23 {
+		t.Fatalf("streams %d values, want %d", len(pp.Vals), 17*23)
 	}
 }
 
 func TestExecuteCSREquivalence(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(2, 32, 32, scheme)
-	stats := execEquiv(t, w, MatrixSource{Name: "c", W: w}, DefaultOptions(FormatCSR, 16), 4)
-	if stats.GatherLoads != w.NNZ() {
-		t.Fatalf("CSR gathers %d, want nnz %d", stats.GatherLoads, w.NNZ())
+	_, ms := matVecAddEquiv(t, w, MatrixSource{Name: "c", W: w}, DefaultOptions(FormatCSR, 16), 4)
+	if ms.GatherLoads != w.NNZ() {
+		t.Fatalf("CSR gathers %d, want nnz %d", ms.GatherLoads, w.NNZ())
 	}
 }
 
@@ -70,81 +80,157 @@ func TestExecuteBSPCEquivalence(t *testing.T) {
 			opt := DefaultOptions(FormatBSPC, 16)
 			opt.EliminateRedundantLoads = elim
 			opt.Reorder = reorder
-			execEquiv(t, w, src, opt, 4)
+			matVecAddEquiv(t, w, src, opt, 4)
 		}
 	}
 }
 
-// The decisive validation: the executable program's measured event counts
-// equal the statistics the analytical cost model is fed.
+// chunkedCounts is what the lowering counted while it still cut every
+// program into one lane per modelled thread, recomputed from the matrix and
+// its encoding alone: the rows in storage order cut by assignThreads over
+// their schedule work (a dense row's width, a sparse row's nonzeros); a
+// lane's MACs are its rows' dot widths, and it gathers each CSR row once
+// and each BSPC row group once (per row without load elimination).
+func chunkedCounts(w *tensor.Matrix, scheme *prune.BSP, opt Options, threads int) (threadMACs []int, gathers int) {
+	order := identity(w.Rows)
+	if opt.Reorder && opt.Format != FormatDense {
+		order = Reorder(w)
+	}
+	work := make([]int, w.Rows)
+	for r := range work {
+		if opt.Format == FormatDense {
+			work[r] = w.Cols
+			continue
+		}
+		for _, v := range w.Row(r) {
+			if v != 0 {
+				work[r]++
+			}
+		}
+	}
+	chunkOf := make([]int, w.Rows)
+	cut := assignThreads(order, work, threads, opt.Reorder)
+	for t := 0; t+1 < len(cut); t++ {
+		for _, r := range order[cut[t]:cut[t+1]] {
+			chunkOf[r] = t
+		}
+	}
+	threadMACs = make([]int, len(cut)-1)
+	switch opt.Format {
+	case FormatDense:
+		for r := range work {
+			threadMACs[chunkOf[r]] += w.Cols
+		}
+	case FormatCSR:
+		for r, n := range work {
+			threadMACs[chunkOf[r]] += n
+			gathers += n
+		}
+	case FormatBSPC:
+		groups := map[int32][]sparse.Block{}
+		var los []int32
+		for _, blk := range sparse.NewBSPC(w, *scheme).Blocks {
+			if groups[blk.RowLo] == nil {
+				los = append(los, blk.RowLo)
+			}
+			groups[blk.RowLo] = append(groups[blk.RowLo], blk)
+		}
+		for _, lo := range los {
+			nc := 0
+			for _, blk := range groups[lo] {
+				nc += len(blk.ColIdx)
+			}
+			lanes := map[int]bool{}
+			for _, r := range groups[lo][0].RowIdx {
+				t := chunkOf[r]
+				threadMACs[t] += nc
+				if !opt.EliminateRedundantLoads || !lanes[t] {
+					gathers += nc
+					lanes[t] = true
+				}
+			}
+		}
+	}
+	return threadMACs, gathers
+}
+
+// TestExecStatsMatchCompiledStats: the plan's counted fields, read off the
+// one-lane program through the modelled thread chunks, are what the chunked
+// lowering counted, and the weight bytes are the program's stored values at
+// the plan's width.
 func TestExecStatsMatchCompiledStats(t *testing.T) {
 	scheme := prune.BSP{ColRate: 8, RowRate: 2, NumRowGroups: 8, NumColBlocks: 4}
 	w := bspMat(4, 128, 64, scheme)
-	src := MatrixSource{Name: "w", W: w, Scheme: &scheme}
 	for _, format := range []Format{FormatDense, FormatCSR, FormatBSPC} {
+		src := MatrixSource{Name: "w", W: w}
+		if format == FormatBSPC {
+			src.Scheme = &scheme
+		}
 		for _, elim := range []bool{true, false} {
-			opt := DefaultOptions(format, 16)
-			opt.EliminateRedundantLoads = elim
-
-			_, ms, err := LowerMatrix(src, opt, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := CompileProgram(src, opt, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := randVec(9, w.Cols)
-			y := make([]float32, w.Rows)
-			stats, err := prog.Execute(y, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if stats.GatherLoads != ms.GatherLoads {
-				t.Fatalf("%v elim=%v: executed %d gathers, model priced %d",
-					format, elim, stats.GatherLoads, ms.GatherLoads)
-			}
-			if len(stats.ThreadMACs) != len(ms.ThreadMACs) {
-				t.Fatalf("%v: thread count mismatch", format)
-			}
-			for i := range stats.ThreadMACs {
-				if stats.ThreadMACs[i] != ms.ThreadMACs[i] {
-					t.Fatalf("%v elim=%v: thread %d executed %d MACs, model priced %d",
-						format, elim, i, stats.ThreadMACs[i], ms.ThreadMACs[i])
+			for _, reorder := range []bool{true, false} {
+				for _, threads := range []int{1, 3, 8, 64} {
+					opt := DefaultOptions(format, 16)
+					opt.EliminateRedundantLoads = elim
+					opt.Reorder = reorder
+					pp, ms := lower(t, src, opt, threads)
+					macs, gathers := chunkedCounts(w, src.Scheme, opt, threads)
+					if !reflect.DeepEqual(ms.ThreadMACs, macs) {
+						t.Fatalf("%v elim=%v reorder=%v threads=%d: plan prices %v MACs per thread, the chunked lowering counted %v",
+							format, elim, reorder, threads, ms.ThreadMACs, macs)
+					}
+					if ms.GatherLoads != gathers {
+						t.Fatalf("%v elim=%v reorder=%v threads=%d: plan prices %d gathers, the chunked lowering counted %d",
+							format, elim, reorder, threads, ms.GatherLoads, gathers)
+					}
+					if format != FormatDense && ms.EliminatedLoads != pp.TotalMACs()-gathers {
+						t.Fatalf("%v elim=%v: eliminated %d, want %d", format, elim, ms.EliminatedLoads, pp.TotalMACs()-gathers)
+					}
+					if got, want := ms.WeightBytes, (len(pp.Vals)*opt.ValueBits+7)/8; got != want {
+						t.Fatalf("%v elim=%v: plan prices %dB, program stores %dB", format, elim, got, want)
+					}
 				}
-			}
-			// Weight traffic: what the program streams equals the bytes
-			// the model charges for the payload.
-			if got, want := (stats.StreamedVals*opt.ValueBits+7)/8, ms.WeightBytes; got != want {
-				t.Fatalf("%v elim=%v: streamed %dB, model priced %dB", format, elim, got, want)
 			}
 		}
 	}
 }
 
-func TestExecuteShapeValidation(t *testing.T) {
-	w := tensor.NewMatrix(4, 4)
-	prog, err := CompileProgram(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 16), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := make([]float32, 4)
-	if _, err := prog.Execute(y, make([]float32, 5)); err == nil {
-		t.Fatal("wrong x length accepted")
-	}
-	if _, err := prog.Execute(make([]float32, 3), make([]float32, 4)); err == nil {
-		t.Fatal("wrong y length accepted")
+// TestLowerMatrixThreadsOnlyInPlan: the modelled thread count is a pricing
+// input only — one source lowers to byte-identical sections at 1, 8 and 64
+// threads, while the plans, cut into that many chunks, differ.
+func TestLowerMatrixThreadsOnlyInPlan(t *testing.T) {
+	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 8, NumColBlocks: 4}
+	w := bspMat(41, 96, 64, scheme)
+	for _, format := range []Format{FormatDense, FormatCSR, FormatBSPC} {
+		src := MatrixSource{Name: "w", W: w}
+		if format == FormatBSPC {
+			src.Scheme = &scheme
+		}
+		opt := DefaultOptions(format, 32)
+		one, plan1 := lower(t, src, opt, 1)
+		for _, threads := range []int{8, 64} {
+			pp, plan := lower(t, src, opt, threads)
+			sameSections(t, format.String(), pp.Sections(), one.Sections())
+			if len(plan.ThreadMACs) != threads || reflect.DeepEqual(plan, plan1) {
+				t.Fatalf("%s: the %d-thread plan %+v does not differ from the 1-thread one", format, threads, plan)
+			}
+			if format == FormatBSPC && plan.GatherLoads <= plan1.GatherLoads {
+				t.Fatalf("%s: %d threads price %d gathers, one prices %d: a row group cut across chunks gathers once per chunk",
+					format, threads, plan.GatherLoads, plan1.GatherLoads)
+			}
+		}
 	}
 }
 
 func TestCompileProgramValidation(t *testing.T) {
-	if _, err := CompileProgram(MatrixSource{Name: "nil"}, DefaultOptions(FormatDense, 16), 2); err == nil {
+	if _, _, err := LowerMatrix(MatrixSource{Name: "nil"}, DefaultOptions(FormatDense, 16), 2); err == nil {
 		t.Fatal("nil weights accepted")
 	}
 	w := tensor.NewMatrix(4, 4)
-	if _, err := CompileProgram(MatrixSource{Name: "b", W: w}, DefaultOptions(FormatBSPC, 16), 2); err == nil {
+	if _, _, err := LowerMatrix(MatrixSource{Name: "b", W: w}, DefaultOptions(FormatBSPC, 16), 2); err == nil {
 		t.Fatal("BSPC without scheme accepted")
+	}
+	if _, _, err := LowerMatrix(MatrixSource{Name: "b", W: w}, Options{Format: Format(9)}, 2); err == nil {
+		t.Fatal("unknown format accepted")
 	}
 }
 
@@ -153,30 +239,17 @@ func TestCompileProgramValidation(t *testing.T) {
 func TestValueBitsDefault(t *testing.T) {
 	w := tensor.NewMatrix(6, 10)
 	w.RandNormal(tensor.NewRNG(12), 1)
-	src := MatrixSource{Name: "d", W: w}
-	opt := Options{Format: FormatDense}
-	prog, err := CompileProgram(src, opt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp, ms := lower(t, MatrixSource{Name: "d", W: w}, Options{Format: FormatDense}, 1)
 	if got, want := pp.WeightBytes(), 6*10*2; got != want {
 		t.Fatalf("packed dense program stores %dB, want %dB at the 16-bit default", got, want)
-	}
-	_, ms, err := LowerMatrix(src, opt, 1)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if ms.WeightBytes != pp.WeightBytes() {
 		t.Fatalf("plan prices %dB, program stores %dB", ms.WeightBytes, pp.WeightBytes())
 	}
 }
 
-// Property: program execution equals dense GEMV for arbitrary BSP-pruned
-// matrices under arbitrary pass combinations.
+// Property: the lowered program accumulated into y is tensor.MatVecAdd for
+// arbitrary BSP-pruned matrices under arbitrary pass combinations.
 func TestQuickExecuteEquivalence(t *testing.T) {
 	f := func(seed uint64, elim, reorder bool) bool {
 		rng := tensor.NewRNG(seed)
@@ -189,19 +262,19 @@ func TestQuickExecuteEquivalence(t *testing.T) {
 		opt := DefaultOptions(FormatBSPC, 16)
 		opt.EliminateRedundantLoads = elim
 		opt.Reorder = reorder
-		prog, err := CompileProgram(MatrixSource{Name: "q", W: w, Scheme: &scheme}, opt, 3)
+		pp, _, err := LowerMatrix(MatrixSource{Name: "q", W: w, Scheme: &scheme}, opt, 3)
 		if err != nil {
 			return false
 		}
 		x := randVec(seed^0xbeef, cols)
 		y := make([]float32, rows)
-		if _, err := prog.Execute(y, x); err != nil {
+		if err := pp.RunAdd(y, x, nil); err != nil {
 			return false
 		}
 		want := make([]float32, rows)
-		tensor.MatVec(want, w, x)
+		tensor.MatVecAdd(want, w, x)
 		for i := range y {
-			if math.Abs(float64(y[i]-want[i])) > 1e-3 {
+			if math.Float32bits(y[i]) != math.Float32bits(want[i]) {
 				return false
 			}
 		}

@@ -3,10 +3,11 @@
 // similar computation patterns to fix thread load imbalance, redundant-load
 // elimination across neighbouring rows that share a BSP column pattern, the
 // BSPC storage selection, and the auto-tuner that searches block size,
-// tiling and unrolling. Each matrix is lowered once into the packed program
-// a deployment runs, and the Plan — the statistics-level IR the device
-// models (internal/device) execute analytically — is counted off those
-// programs.
+// tiling and unrolling. Each matrix is lowered once, straight into the
+// packed program a deployment runs (one segment list, executed in order),
+// and the Plan — the statistics-level IR the device models
+// (internal/device) execute analytically — is counted off those programs,
+// cut into the modelled target's thread chunks.
 package compiler
 
 import (
@@ -99,8 +100,8 @@ type Options struct {
 	ValueBits               int // 16 on the GPU path, 32 on the CPU path
 	// QuantBits selects quantized packed weight storage: 0 keeps float
 	// values at ValueBits; 8, 12, or 16 stores integers plus per-row scales
-	// (see PackQuant). When set, footprint accounting prices the quantized
-	// backend.
+	// (see quantize, pack.go). When set, footprint accounting prices the
+	// quantized backend.
 	QuantBits int
 	// Precision selects the kernel tier: PrecisionExact (zero value) keeps
 	// the bit-exact float64-accumulation kernels; PrecisionFast lowers to

@@ -15,9 +15,17 @@ import (
 // form: the flat arrays plus the scalar header fields. Sections() flattens a
 // program into it; NewPackedFromSections rebuilds a program from it,
 // borrowing the big arrays zero-copy and validating every descriptor up
-// front so the unchecked hot-path kernels (runLane gathers x[c] without
+// front so the unchecked hot-path kernels (run gathers x[c] without
 // bounds checks) can never read out of range even from a corrupt or
 // adversarial bundle.
+//
+// The segments are stored in lanes: a table of segment counts and one of
+// row counts, one entry per lane, with each segment's RowOff relative to its
+// lane's rows. A program writes one lane. Files written while the lowering
+// still cut every program into the modelled target's thread lanes hold one
+// lane per thread; NewPackedFromSections rebases each lane's RowOff into the
+// one list, so they run as their lanes did, lane after lane — bit for bit,
+// since every row is one dot whatever list it sits in.
 //
 // The integer width of a quantized program is a property of these sections
 // only. Sections() re-derives each code as ClampRound(v/scale): a value is
@@ -27,7 +35,7 @@ import (
 // values stay borrowed).
 
 // segWordsPerSeg is the serialized width of one PackedSeg: six int32 words
-// (kind, nc, arg, valoff, rowoff, nr), lane-major.
+// (kind, nc, arg, valoff, rowoff, nr).
 const segWordsPerSeg = 6
 
 // PackedSections is the flat serialized form of a packed program. Exactly
@@ -53,10 +61,11 @@ type PackedSections struct {
 	Vals16 []int16   // quantized payloads (Bits == 12 or 16)
 	Scales []float32 // per-row scales (quantized programs; len == Rows)
 
-	ColIdx []int32 // all gather indices, lane-major
+	ColIdx []int32 // all gather indices
 	// SegWords serializes every lane's segment descriptors, lane-major,
 	// segWordsPerSeg int32 words each. LaneSegCounts[t] segments belong to
-	// lane t; LaneRowCounts[t] entries of RowIdx belong to lane t.
+	// lane t; LaneRowCounts[t] entries of RowIdx belong to lane t. Sections
+	// writes one lane.
 	SegWords      []int32
 	RowIdx        []int32
 	LaneSegCounts []int32
@@ -82,32 +91,6 @@ func (s *PackedSections) RowsOnce() bool {
 	return true
 }
 
-// flattenLanes serializes the shared lane structure (segments + rows) of a
-// packed program.
-func flattenLanes(lanes []PackedLane) (segWords, rowIdx, segCounts, rowCounts []int32) {
-	nSegs, nRows := 0, 0
-	for i := range lanes {
-		nSegs += len(lanes[i].Segs)
-		nRows += len(lanes[i].Rows)
-	}
-	segWords = make([]int32, 0, nSegs*segWordsPerSeg)
-	rowIdx = make([]int32, 0, nRows)
-	segCounts = make([]int32, len(lanes))
-	rowCounts = make([]int32, len(lanes))
-	for i := range lanes {
-		l := &lanes[i]
-		segCounts[i] = int32(len(l.Segs))
-		rowCounts[i] = int32(len(l.Rows))
-		for s := range l.Segs {
-			sg := &l.Segs[s]
-			segWords = append(segWords,
-				int32(sg.Kind), sg.NC, sg.Arg, sg.ValOff, sg.RowOff, sg.NR)
-		}
-		rowIdx = append(rowIdx, l.Rows...)
-	}
-	return segWords, rowIdx, segCounts, rowCounts
-}
-
 // Sections flattens the program for serialization. The flat arrays alias
 // the program's storage (treat both as immutable afterwards), except a
 // quantized program's codes, which are re-derived from its values.
@@ -126,14 +109,21 @@ func (p *PackedProgram) Sections() *PackedSections {
 	default:
 		s.Vals16 = codes[int16](p)
 	}
-	s.SegWords, s.RowIdx, s.LaneSegCounts, s.LaneRowCounts = flattenLanes(p.Lanes)
+	s.SegWords = make([]int32, 0, len(p.Segs)*segWordsPerSeg)
+	for i := range p.Segs {
+		sg := &p.Segs[i]
+		s.SegWords = append(s.SegWords, int32(sg.Kind), sg.NC, sg.Arg, sg.ValOff, sg.RowOff, sg.NR)
+	}
+	s.RowIdx = p.RowIdx
+	s.LaneSegCounts = []int32{int32(len(p.Segs))}
+	s.LaneRowCounts = []int32{int32(len(p.RowIdx))}
 	return s
 }
 
 // codes re-derives a quantized program's integer codes from its values.
 func codes[T int8 | int16](p *PackedProgram) []T {
 	q, qmax := make([]T, len(p.Vals)), quant.QMax(p.Bits)
-	p.forEachRowVals(func(row int32, off int, vals []float32) {
+	p.forEachRowVals(func(_ *PackedSeg, row int32, off int, vals []float32) {
 		s := float64(p.Scales[row])
 		for i, v := range vals {
 			q[off+i] = T(quant.ClampRound(float64(v)/s, qmax))
@@ -146,7 +136,7 @@ func codes[T int8 | int16](p *PackedProgram) []T {
 // quant.QMatrix.Dequantize's formula, one rounding per weight.
 func dequantize[T int8 | int16](p *PackedProgram, q []T) {
 	p.Vals = make([]float32, len(q))
-	p.forEachRowVals(func(row int32, off int, vals []float32) {
+	p.forEachRowVals(func(_ *PackedSeg, row int32, off int, vals []float32) {
 		s := p.Scales[row]
 		for i := range vals {
 			vals[i] = s * float32(q[off+i])
@@ -154,103 +144,87 @@ func dequantize[T int8 | int16](p *PackedProgram, q []T) {
 	})
 }
 
-// rebuildLanes reconstructs []PackedLane from the flat lane arrays,
-// validating every segment descriptor against the program bounds. numVals
-// is the length of whichever vals array the program carries. The returned
-// lanes borrow s.RowIdx (sub-sliced per lane) and materialize []PackedSeg —
-// O(segments), never O(weights).
-func (s *PackedSections) rebuildLanes(numVals int) (lanes []PackedLane, maxGather, totalMACs int, err error) {
+// segs reconstructs the one segment list from the flat lane arrays,
+// validating every segment descriptor against the program bounds and
+// rebasing each lane's RowOff into s.RowIdx. numVals is the length of
+// whichever vals array the program carries. Work is O(segments), never
+// O(weights).
+func (s *PackedSections) segs(numVals int) ([]PackedSeg, error) {
 	if s.Rows < 0 || s.Cols < 0 {
-		return nil, 0, 0, fmt.Errorf("compiler: sections %s: negative shape %dx%d", s.Name, s.Rows, s.Cols)
+		return nil, fmt.Errorf("compiler: sections %s: negative shape %dx%d", s.Name, s.Rows, s.Cols)
 	}
 	if len(s.LaneSegCounts) != len(s.LaneRowCounts) {
-		return nil, 0, 0, fmt.Errorf("compiler: sections %s: %d lane seg counts vs %d lane row counts",
+		return nil, fmt.Errorf("compiler: sections %s: %d lane seg counts vs %d lane row counts",
 			s.Name, len(s.LaneSegCounts), len(s.LaneRowCounts))
 	}
 	// Totals must tile the flat arrays exactly.
 	var totSegs, totRows int64
 	for i := range s.LaneSegCounts {
 		if s.LaneSegCounts[i] < 0 || s.LaneRowCounts[i] < 0 {
-			return nil, 0, 0, fmt.Errorf("compiler: sections %s: negative lane count", s.Name)
+			return nil, fmt.Errorf("compiler: sections %s: negative lane count", s.Name)
 		}
 		totSegs += int64(s.LaneSegCounts[i])
 		totRows += int64(s.LaneRowCounts[i])
 	}
 	if totSegs*segWordsPerSeg != int64(len(s.SegWords)) {
-		return nil, 0, 0, fmt.Errorf("compiler: sections %s: %d segments need %d words, have %d",
+		return nil, fmt.Errorf("compiler: sections %s: %d segments need %d words, have %d",
 			s.Name, totSegs, totSegs*segWordsPerSeg, len(s.SegWords))
 	}
 	if totRows != int64(len(s.RowIdx)) {
-		return nil, 0, 0, fmt.Errorf("compiler: sections %s: lane row counts total %d, row list has %d",
+		return nil, fmt.Errorf("compiler: sections %s: lane row counts total %d, row list has %d",
 			s.Name, totRows, len(s.RowIdx))
 	}
 	for _, r := range s.RowIdx {
 		if r < 0 || int(r) >= s.Rows {
-			return nil, 0, 0, fmt.Errorf("compiler: sections %s: output row %d out of range [0,%d)",
+			return nil, fmt.Errorf("compiler: sections %s: output row %d out of range [0,%d)",
 				s.Name, r, s.Rows)
 		}
 	}
-	// Every gather index feeds an unchecked x[c] in runLane — reject any
+	// Every gather index feeds an unchecked x[c] in run — reject any
 	// out-of-range column before the program can execute.
 	for _, c := range s.ColIdx {
 		if c < 0 || int(c) >= s.Cols {
-			return nil, 0, 0, fmt.Errorf("compiler: sections %s: gather column %d out of range [0,%d)",
+			return nil, fmt.Errorf("compiler: sections %s: gather column %d out of range [0,%d)",
 				s.Name, c, s.Cols)
 		}
 	}
-	lanes = make([]PackedLane, len(s.LaneSegCounts))
-	segOff, rowOff := 0, 0
-	for t := range lanes {
-		lane := &lanes[t]
-		nSegs := int(s.LaneSegCounts[t])
-		nRows := int(s.LaneRowCounts[t])
-		lane.Rows = s.RowIdx[rowOff : rowOff+nRows : rowOff+nRows]
-		lane.Segs = make([]PackedSeg, nSegs)
-		for i := 0; i < nSegs; i++ {
-			w := s.SegWords[(segOff+i)*segWordsPerSeg : (segOff+i+1)*segWordsPerSeg]
+	segs := make([]PackedSeg, 0, totSegs)
+	rowBase := int32(0)
+	for t := range s.LaneSegCounts {
+		nRows := s.LaneRowCounts[t]
+		for range s.LaneSegCounts[t] {
+			i := len(segs)
+			w := s.SegWords[i*segWordsPerSeg : (i+1)*segWordsPerSeg]
 			sg := PackedSeg{NC: w[1], Arg: w[2], ValOff: w[3], RowOff: w[4], NR: w[5]}
 			if w[0] != int32(segGather) && w[0] != int32(segStream) {
-				return nil, 0, 0, fmt.Errorf("compiler: sections %s lane %d seg %d: unknown kind %d",
-					s.Name, t, i, w[0])
+				return nil, fmt.Errorf("compiler: sections %s seg %d: unknown kind %d", s.Name, i, w[0])
 			}
 			sg.Kind = uint8(w[0])
 			if sg.NC < 0 || sg.NR < 0 || sg.Arg < 0 || sg.ValOff < 0 || sg.RowOff < 0 {
-				return nil, 0, 0, fmt.Errorf("compiler: sections %s lane %d seg %d: negative field",
-					s.Name, t, i)
+				return nil, fmt.Errorf("compiler: sections %s seg %d: negative field", s.Name, i)
 			}
-			if sg.Kind == segGather {
-				if int64(sg.Arg)+int64(sg.NC) > int64(len(s.ColIdx)) {
-					return nil, 0, 0, fmt.Errorf("compiler: sections %s lane %d seg %d: gather [%d,%d) beyond %d indices",
-						s.Name, t, i, sg.Arg, int64(sg.Arg)+int64(sg.NC), len(s.ColIdx))
-				}
-				if int(sg.NC) > maxGather {
-					maxGather = int(sg.NC)
-				}
-			} else if int64(sg.Arg)+int64(sg.NC) > int64(s.Cols) {
-				return nil, 0, 0, fmt.Errorf("compiler: sections %s lane %d seg %d: stream window [%d,%d) beyond %d columns",
-					s.Name, t, i, sg.Arg, int64(sg.Arg)+int64(sg.NC), s.Cols)
+			if sg.Kind == segGather && int64(sg.Arg)+int64(sg.NC) > int64(len(s.ColIdx)) {
+				return nil, fmt.Errorf("compiler: sections %s seg %d: gather [%d,%d) beyond %d indices",
+					s.Name, i, sg.Arg, int64(sg.Arg)+int64(sg.NC), len(s.ColIdx))
+			}
+			if sg.Kind == segStream && int64(sg.Arg)+int64(sg.NC) > int64(s.Cols) {
+				return nil, fmt.Errorf("compiler: sections %s seg %d: stream window [%d,%d) beyond %d columns",
+					s.Name, i, sg.Arg, int64(sg.Arg)+int64(sg.NC), s.Cols)
 			}
 			if int64(sg.RowOff)+int64(sg.NR) > int64(nRows) {
-				return nil, 0, 0, fmt.Errorf("compiler: sections %s lane %d seg %d: rows [%d,%d) beyond lane's %d",
-					s.Name, t, i, sg.RowOff, int64(sg.RowOff)+int64(sg.NR), nRows)
+				return nil, fmt.Errorf("compiler: sections %s seg %d: rows [%d,%d) beyond its lane's %d",
+					s.Name, i, sg.RowOff, int64(sg.RowOff)+int64(sg.NR), nRows)
 			}
-			payload := int64(sg.NR) * int64(sg.NC)
-			if int64(sg.ValOff)+payload > int64(numVals) {
-				return nil, 0, 0, fmt.Errorf("compiler: sections %s lane %d seg %d: payload [%d,%d) beyond %d vals",
-					s.Name, t, i, sg.ValOff, int64(sg.ValOff)+payload, numVals)
+			if payload := int64(sg.NR) * int64(sg.NC); int64(sg.ValOff)+payload > int64(numVals) {
+				return nil, fmt.Errorf("compiler: sections %s seg %d: payload [%d,%d) beyond %d vals",
+					s.Name, i, sg.ValOff, int64(sg.ValOff)+payload, numVals)
 			}
-			lane.counts.macs += int(payload)
-			lane.counts.streamed += int(payload)
-			if sg.Kind == segGather {
-				lane.counts.gathers += int(sg.NC)
-			}
-			lane.Segs[i] = sg
+			sg.RowOff += rowBase
+			segs = append(segs, sg)
 		}
-		totalMACs += lane.counts.macs
-		segOff += nSegs
-		rowOff += nRows
+		rowBase += nRows
 	}
-	return lanes, maxGather, totalMACs, nil
+	return segs, nil
 }
 
 // numVals validates the value storage against Bits — exactly the array
@@ -311,7 +285,7 @@ func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	lanes, maxGather, totalMACs, err := s.rebuildLanes(numVals)
+	segs, err := s.segs(numVals)
 	if err != nil {
 		return nil, err
 	}
@@ -321,10 +295,9 @@ func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 		Precision: s.Precision,
 		Bits:      s.Bits, Vals: s.Vals,
 		Scheme: s.Scheme, Scales: s.Scales, numScales: s.NumScales,
-		ColIdx: s.ColIdx, Lanes: lanes,
-		MaxGather: maxGather,
-		totalMACs: totalMACs,
+		ColIdx: s.ColIdx, Segs: segs, RowIdx: s.RowIdx,
 	}
+	p.index()
 	if s.Bits == 8 {
 		dequantize(p, s.Vals8)
 	} else if s.Bits != 0 {

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,29 +10,26 @@ import (
 	"rtmobile/internal/quant"
 )
 
-// sectionsTestProgram compiles and packs a BSPC test matrix.
-func sectionsTestProgram(t *testing.T, seed uint64) *PackedProgram {
+// sectionsTestProgram lowers a BSPC test matrix, returning the program and
+// its plan.
+func sectionsTestProgram(t *testing.T, seed uint64) (*PackedProgram, *Plan) {
 	t.Helper()
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(seed, 48, 40, scheme)
-	s := scheme
-	prog, err := CompileProgram(MatrixSource{Name: "m", W: w, Scheme: &s},
-		DefaultOptions(FormatBSPC, 32), 4)
+	plan, progs, err := CompilePlan("m", []MatrixSource{{Name: "m", W: w, Scheme: &scheme}},
+		DefaultOptions(FormatBSPC, 32), 4, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pp
+	return progs[0], plan
 }
 
 // TestPackedSectionsRoundTrip: Sections → NewPackedFromSections rebuilds a
-// program that executes bit-identically to the original.
+// program that executes bit-identically to the original and that the
+// original's plan prices.
 func TestPackedSectionsRoundTrip(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 4, 8} {
-		pp := sectionsTestProgram(t, seed)
+		pp, plan := sectionsTestProgram(t, seed)
 		re, err := NewPackedFromSections(pp.Sections())
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
@@ -45,20 +43,65 @@ func TestPackedSectionsRoundTrip(t *testing.T) {
 		if err := re.Run(got, x, nil); err != nil {
 			t.Fatal(err)
 		}
-		wantStats, gotStats := pp.Stats(), re.Stats()
 		for r := range want {
 			if want[r] != got[r] {
 				t.Fatalf("seed=%d row %d: %v vs %v", seed, r, want[r], got[r])
 			}
 		}
-		if wantStats.GatherLoads != gotStats.GatherLoads ||
-			wantStats.StreamedVals != gotStats.StreamedVals ||
-			wantStats.TotalMACs() != gotStats.TotalMACs() {
-			t.Fatalf("seed=%d stats differ: %+v vs %+v", seed, wantStats, gotStats)
+		if !plan.Prices([]*PackedProgram{re}) {
+			t.Fatalf("seed=%d: the plan does not price the rebuilt program", seed)
 		}
-		if re.MaxGather != pp.MaxGather {
-			t.Fatalf("MaxGather %d vs %d", re.MaxGather, pp.MaxGather)
+		if re.MaxGather != pp.MaxGather || re.TotalMACs() != pp.TotalMACs() {
+			t.Fatalf("MaxGather %d vs %d, TotalMACs %d vs %d", re.MaxGather, pp.MaxGather, re.TotalMACs(), pp.TotalMACs())
 		}
+	}
+}
+
+// inLanes re-serializes one-lane sections the way the chunked lowering
+// wrote them: the segments split into lanes of at most per segments, each
+// lane's RowOff relative to its own rows.
+func inLanes(s *PackedSections, per int) *PackedSections {
+	l := *s
+	l.LaneSegCounts, l.LaneRowCounts = nil, nil
+	l.SegWords = append([]int32(nil), s.SegWords...)
+	nsegs := len(s.SegWords) / segWordsPerSeg
+	for lo := 0; lo < nsegs; lo += per {
+		hi := min(lo+per, nsegs)
+		base := l.SegWords[lo*segWordsPerSeg+4]
+		rows := int32(0)
+		for i := lo; i < hi; i++ {
+			w := l.SegWords[i*segWordsPerSeg : (i+1)*segWordsPerSeg]
+			w[4] -= base
+			rows += w[5]
+		}
+		l.LaneSegCounts = append(l.LaneSegCounts, int32(hi-lo))
+		l.LaneRowCounts = append(l.LaneRowCounts, rows)
+	}
+	return &l
+}
+
+// TestPackedSectionsRebaseLanes: sections stored in several lanes — as
+// files written while the lowering cut programs into the modelled target's
+// thread lanes hold them — load into the one segment list, rows rebased, and
+// run the same bits.
+func TestPackedSectionsRebaseLanes(t *testing.T) {
+	pp, plan := sectionsTestProgram(t, 3)
+	for _, per := range []int{1, 2, 3} {
+		re, err := NewPackedFromSections(inLanes(pp.Sections(), per))
+		if err != nil {
+			t.Fatalf("%d segments per lane: %v", per, err)
+		}
+		if !reflect.DeepEqual(re.Segs, pp.Segs) || !plan.Prices([]*PackedProgram{re}) {
+			t.Fatalf("%d segments per lane: segments %+v, want %+v", per, re.Segs, pp.Segs)
+		}
+		sameSections(t, "rebased", re.Sections(), pp.Sections())
+	}
+	// A lane's rows bound its segments: a segment may not reach into the
+	// next lane's rows.
+	s := inLanes(pp.Sections(), 1)
+	s.SegWords[5]++
+	if _, err := NewPackedFromSections(s); err == nil || !strings.Contains(err.Error(), "lane") {
+		t.Fatalf("a segment reaching past its lane's rows: error %v", err)
 	}
 }
 
@@ -67,18 +110,10 @@ func TestPackedSectionsRoundTrip(t *testing.T) {
 func TestPackedQSectionsRoundTrip(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(5, 48, 40, scheme)
-	s := scheme
-	prog, err := CompileProgram(MatrixSource{Name: "m", W: w, Scheme: &s},
-		DefaultOptions(FormatBSPC, 32), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog, _ := lower(t, MatrixSource{Name: "m", W: w, Scheme: &scheme}, DefaultOptions(FormatBSPC, 32), 4)
 	for _, bits := range []int{8, 16} {
 		for _, sc := range []quant.Scheme{quant.PerTensor, quant.PerRow} {
-			pq, err := PackQuant(prog, bits, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pq := packQuant(t, prog, bits, sc)
 			re, err := NewPackedFromSections(pq.Sections())
 			if err != nil {
 				t.Fatalf("bits=%d scheme=%d: %v", bits, sc, err)
@@ -105,7 +140,11 @@ func TestPackedQSectionsRoundTrip(t *testing.T) {
 // gathers, so every malformed section shape must be rejected at
 // construction with a contextual error.
 func TestPackedSectionsRejectsCorrupt(t *testing.T) {
-	base := func() *PackedSections { return sectionsTestProgram(t, 11).Sections() }
+	// Sections alias the program's arrays, so every case lowers afresh.
+	base := func() *PackedSections {
+		pp, _ := sectionsTestProgram(t, 11)
+		return pp.Sections()
+	}
 	cases := []struct {
 		name    string
 		mutate  func(*PackedSections)
@@ -116,7 +155,7 @@ func TestPackedSectionsRejectsCorrupt(t *testing.T) {
 		{"rowidx out of range", func(s *PackedSections) { s.RowIdx[0] = int32(s.Rows) }, "output row"},
 		{"bad segment kind", func(s *PackedSections) { s.SegWords[0] = 99 }, "kind"},
 		{"ragged segment words", func(s *PackedSections) { s.SegWords = s.SegWords[:len(s.SegWords)-1] }, "segment"},
-		{"lane count mismatch", func(s *PackedSections) { s.LaneSegCounts = s.LaneSegCounts[:1] }, "lane"},
+		{"lane count mismatch", func(s *PackedSections) { s.LaneSegCounts = append(s.LaneSegCounts, 0) }, "lane"},
 		{"row total mismatch", func(s *PackedSections) { s.LaneRowCounts[0]++ }, "row"},
 		{"negative rows", func(s *PackedSections) { s.Rows = -1 }, "shape"},
 		{"vals too short", func(s *PackedSections) { s.Vals = s.Vals[:len(s.Vals)-1] }, "vals"},
@@ -140,17 +179,10 @@ func TestPackedSectionsRejectsCorrupt(t *testing.T) {
 func TestPackedQSectionsRejectsCorrupt(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(13, 48, 40, scheme)
-	s := scheme
-	prog, err := CompileProgram(MatrixSource{Name: "m", W: w, Scheme: &s},
-		DefaultOptions(FormatBSPC, 32), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := DefaultOptions(FormatBSPC, 32)
+	opt.QuantBits = 8
 	base := func() *PackedSections {
-		pq, err := PackQuant(prog, 8, quant.PerRow)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pq, _ := lower(t, MatrixSource{Name: "m", W: w, Scheme: &scheme}, opt, 4)
 		return pq.Sections()
 	}
 	cases := []struct {

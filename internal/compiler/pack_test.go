@@ -13,19 +13,20 @@ import (
 )
 
 // The packed equivalence table. One grid — {dense, CSR, BSPC ± load
-// elimination} × lane count × tier × panel width — with the value storage as
-// a column, and one contract per tier:
+// elimination} × tier × panel width — with the value storage as a column,
+// and one contract per tier:
 //
-//	exact            ≡ interpreter ≡ tensor.MatVecAdd, bit for bit
+//	exact            ≡ tensor.MatVecAdd, bit for bit
 //	exact, panel     lane l ≡ the serial run on lane l's vector, bit for bit
 //	fast             within tensor.FastDotBound of the same storage's exact run
-//	quantized        ≡ Pack of its dequantized values, bit for bit, on every tier
+//	quantized        ≡ the float program of its dequantized values, bit for bit, on every tier
 //
-// A quantized case's matrix and interpreter program are the dequantized ones
-// (quant.QMatrix.Dequantize of the projected matrix), so the exact and fast
-// contracts apply to every storage unchanged. Every execution of every test
-// below borrows tableScratch, so one PackedScratch is reused across storages,
-// tiers and widths throughout.
+// A quantized case's matrix is the dequantized one (quant.QMatrix.Dequantize
+// of the projected matrix), so the exact and fast contracts apply to every
+// storage unchanged. The modelled thread count is no column: it prices a
+// program and never shapes one (TestLowerMatrixThreadsOnlyInPlan). Every
+// execution of every test below borrows tableScratch, so one PackedScratch
+// is reused across storages, tiers and widths throughout.
 
 // storage is the value-storage column.
 type storage struct {
@@ -50,12 +51,11 @@ var (
 type packedCase struct {
 	label string
 	w     *tensor.Matrix // the matrix the programs compute (dequantized for a quantized storage)
-	prog  *Program       // the interpreter's program of w
 	exact *PackedProgram // the storage under test on the exact tier
 	pp    *PackedProgram // the storage and tier under test (exact itself on the exact tier)
-	ref   *PackedProgram // Pack of w's values on the tier under test (pp itself for f32)
-	// relower compiles and packs a matrix the way pp was: same format,
-	// options, lane count, tier and storage.
+	ref   *PackedProgram // the float program of w's values on the tier under test (pp itself for f32)
+	// relower lowers a matrix the way pp was: same format, options, tier
+	// and storage.
 	relower func(w *tensor.Matrix) (*PackedProgram, error)
 }
 
@@ -72,11 +72,11 @@ type tableMatrix struct {
 	w      *tensor.Matrix
 }
 
-// seamRows are the row counts of the grid's single-row-group matrices: on one
-// lane their dense lowering is one stream segment and their BSPC lowering one
-// gather segment of exactly that many rows, which puts the serial exact
-// kernel's eight-row group / pair / single-row seam — no group, one group,
-// one group plus a remainder, twelve groups — on both segment kinds
+// seamRows are the row counts of the grid's single-row-group matrices: their
+// dense lowering is one stream segment and their BSPC lowering one gather
+// segment of exactly that many rows, which puts the serial exact kernel's
+// eight-row group / pair / single-row seam — no group, one group, one group
+// plus a remainder, twelve groups — on both segment kinds
 // (TestPackedTableHitsGroupSeam holds the table to it).
 var seamRows = []int{7, 8, 9, 96}
 
@@ -110,32 +110,37 @@ func dequantized(t testing.TB, w *tensor.Matrix, st storage) *tensor.Matrix {
 	return qm.Dequantize()
 }
 
-// withValues returns prog with every weight replaced by its entry in wd —
-// the program the lowering would have produced from wd, without re-deriving
-// the sparsity structure from wd's (possibly fewer) nonzeros.
-func withValues(prog *Program, wd *tensor.Matrix) *Program {
-	dp := *prog
-	dp.Threads = make([][]Instr, len(prog.Threads))
-	for t, lane := range prog.Threads {
-		var cols []int32
-		for _, ins := range lane {
-			if ins.Op == OpGather {
-				cols = ins.Cols
-			} else {
-				vals := make([]float32, len(ins.Vals))
-				for j := range vals {
-					c := ins.ColLo + j
-					if ins.Op == OpDotGathered {
-						c = int(cols[j])
-					}
-					vals[j] = wd.At(ins.Row, c)
-				}
-				ins.Vals = vals
-			}
-			dp.Threads[t] = append(dp.Threads[t], ins)
-		}
+// packQuant is a copy of the float program p stored at the given width and
+// scale scheme: LowerMatrix's quantization, with the per-tensor scheme no
+// deployment writes as well.
+func packQuant(t testing.TB, p *PackedProgram, bits int, scheme quant.Scheme) *PackedProgram {
+	t.Helper()
+	q := *p
+	q.Vals = append([]float32(nil), p.Vals...)
+	if err := q.quantize(bits, scheme); err != nil {
+		t.Fatal(err)
 	}
-	return &dp
+	q.bind()
+	return &q
+}
+
+// withValues returns p with every weight replaced by its entry in wd — the
+// program the lowering would have produced from wd, without re-deriving the
+// sparsity structure from wd's (possibly fewer) nonzeros.
+func withValues(p *PackedProgram, wd *tensor.Matrix) *PackedProgram {
+	q := *p
+	q.Vals = make([]float32, len(p.Vals))
+	p.forEachRowVals(func(sg *PackedSeg, row int32, off int, vals []float32) {
+		for j := range vals {
+			c := int(sg.Arg) + j
+			if sg.Kind == segGather {
+				c = int(p.ColIdx[int(sg.Arg)+j])
+			}
+			q.Vals[off+j] = wd.At(int(row), c)
+		}
+	})
+	q.bind()
+	return &q
 }
 
 // forEachPackedCase walks the grid for the given storages on one tier.
@@ -148,117 +153,87 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 				s := m.scheme
 				src.Scheme = &s
 			}
-			for _, threads := range []int{1, 3, 8} {
-				opt := DefaultOptions(lo.format, 32)
-				opt.EliminateRedundantLoads = lo.elim
-				prog, err := CompileProgram(src, opt, threads)
-				if err != nil {
-					t.Fatal(err)
+			opt := DefaultOptions(lo.format, 32)
+			opt.EliminateRedundantLoads = lo.elim
+			prog, _ := lower(t, src, opt, 8)
+			tprog := prog
+			if tier != PrecisionExact {
+				opt.Precision = tier
+				tprog, _ = lower(t, src, opt, 8)
+			}
+			for _, st := range storages {
+				wd := dequantized(t, m.w, st)
+				c := packedCase{w: wd, label: fmt.Sprintf(
+					"%s fmt=%s elim=%v %s", m.name, lo.format, lo.elim, st.name)}
+				c.relower = func(w *tensor.Matrix) (*PackedProgram, error) {
+					s := src
+					s.W = w
+					p, _, err := LowerMatrix(s, opt, 8)
+					if err != nil || st.bits == 0 {
+						return p, err
+					}
+					return packQuant(t, p, st.bits, st.scheme), nil
 				}
-				tprog := prog
-				if tier != PrecisionExact {
-					opt.Precision = tier
-					if tprog, err = CompileProgram(src, opt, threads); err != nil {
-						t.Fatal(err)
+				c.exact, c.pp, c.ref = prog, tprog, tprog
+				if st.bits != 0 {
+					c.exact = packQuant(t, prog, st.bits, st.scheme)
+					c.pp = c.exact
+					if tprog != prog {
+						c.pp = packQuant(t, tprog, st.bits, st.scheme)
 					}
+					c.ref = withValues(tprog, wd)
 				}
-				for _, st := range storages {
-					wd := dequantized(t, m.w, st)
-					c := packedCase{w: wd, prog: withValues(prog, wd), label: fmt.Sprintf(
-						"%s fmt=%s elim=%v threads=%d %s",
-						m.name, lo.format, lo.elim, threads, st.name)}
-					c.relower = func(w *tensor.Matrix) (*PackedProgram, error) {
-						s := src
-						s.W = w
-						p, err := CompileProgram(s, opt, threads)
-						if err != nil {
-							return nil, err
-						}
-						return PackQuant(p, st.bits, st.scheme)
-					}
-					if c.exact, err = PackQuant(prog, st.bits, st.scheme); err != nil {
-						t.Fatal(err)
-					}
-					if c.pp = c.exact; tprog != prog {
-						if c.pp, err = PackQuant(tprog, st.bits, st.scheme); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if c.pp.Precision != tier {
-						t.Fatalf("%s: PackQuant dropped the precision tier: %v", c.label, c.pp.Precision)
-					}
-					if c.ref = c.pp; st.bits != 0 {
-						if c.ref, err = Pack(withValues(tprog, wd), 0); err != nil {
-							t.Fatal(err)
-						}
-					}
-					fn(c)
+				if c.pp.Precision != tier {
+					t.Fatalf("%s: quantization dropped the precision tier: %v", c.label, c.pp.Precision)
 				}
+				fn(c)
 			}
 		}
 	}
 }
 
-// equalStats asserts two executions counted exactly the same events.
-func equalStats(t *testing.T, want, got ExecStats, label string) {
-	t.Helper()
-	if want.GatherLoads != got.GatherLoads {
-		t.Fatalf("%s: gathers %d vs %d", label, want.GatherLoads, got.GatherLoads)
-	}
-	if want.StreamedVals != got.StreamedVals {
-		t.Fatalf("%s: streamed %d vs %d", label, want.StreamedVals, got.StreamedVals)
-	}
-	if len(want.ThreadMACs) != len(got.ThreadMACs) {
-		t.Fatalf("%s: lane count %d vs %d", label, len(want.ThreadMACs), len(got.ThreadMACs))
-	}
-	for i := range want.ThreadMACs {
-		if want.ThreadMACs[i] != got.ThreadMACs[i] {
-			t.Fatalf("%s: lane %d MACs %d vs %d", label, i, want.ThreadMACs[i], got.ThreadMACs[i])
-		}
-	}
-}
-
-// checkExactSerial: the exact tier's serial run against the interpreter,
-// the static stats against the interpreter's dynamic count, and the
-// dense-order contract: accumulating onto a bias is MatVecAdd.
+// checkExactSerial: the exact tier's serial run and the dense-order
+// contract — run into a cleared y and accumulated onto a bias, the program
+// is tensor.MatVecAdd on its matrix, bit for bit.
 func checkExactSerial(t *testing.T, storages []storage) {
 	forEachPackedCase(t, storages, PrecisionExact, func(c packedCase) {
 		x := randVec(uint64(len(c.label)), c.w.Cols)
-		want := make([]float32, c.w.Rows)
-		wantStats, err := c.prog.Execute(want, x)
-		if err != nil {
-			t.Fatal(err)
+		for _, bias := range [][]float32{make([]float32, c.w.Rows), randVec(uint64(len(c.label))+13, c.w.Rows)} {
+			got, want := append([]float32(nil), bias...), append([]float32(nil), bias...)
+			if err := c.pp.RunAdd(got, x, tableScratch); err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			tensor.MatVecAdd(want, c.w, x)
+			for r := range got {
+				if math.Float32bits(got[r]) != math.Float32bits(want[r]) {
+					t.Fatalf("%s: row %d: RunAdd %v vs tensor.MatVecAdd %v", c.label, r, got[r], want[r])
+				}
+			}
 		}
 		got := make([]float32, c.w.Rows)
+		for i := range got {
+			got[i] = 7 // Run clears y first
+		}
 		if err := c.pp.Run(got, x, tableScratch); err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
+		want := make([]float32, c.w.Rows)
+		tensor.MatVecAdd(want, c.w, x)
 		for r := range got {
-			if got[r] != want[r] {
-				t.Fatalf("%s: row %d: packed %v vs reference %v", c.label, r, got[r], want[r])
-			}
-		}
-		equalStats(t, wantStats, c.pp.Stats(), c.label)
-		bias := randVec(uint64(len(c.label))+13, c.w.Rows)
-		acc, ref := append([]float32(nil), bias...), append([]float32(nil), bias...)
-		if err := c.pp.RunAdd(acc, x, tableScratch); err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		tensor.MatVecAdd(ref, c.w, x)
-		for r := range acc {
-			if acc[r] != ref[r] {
-				t.Fatalf("%s: row %d: RunAdd %v vs tensor.MatVecAdd %v", c.label, r, acc[r], ref[r])
+			if math.Float32bits(got[r]) != math.Float32bits(want[r]) {
+				t.Fatalf("%s: row %d: Run %v vs tensor.MatVecAdd %v", c.label, r, got[r], want[r])
 			}
 		}
 	})
 }
 
-// sameAsRef asserts a quantized program is Pack of its dequantized values:
-// the same values bit for bit and the same output at the given width.
+// sameAsRef asserts a quantized program is the float program of its
+// dequantized values: the same values bit for bit and the same output at the
+// given width.
 func sameAsRef(t *testing.T, label string, pp, ref *PackedProgram, seed uint64, bw int) {
 	t.Helper()
 	if len(pp.Vals) != len(ref.Vals) {
-		t.Fatalf("%s: %d values, Pack of the dequantized values has %d", label, len(pp.Vals), len(ref.Vals))
+		t.Fatalf("%s: %d values, the dequantized program has %d", label, len(pp.Vals), len(ref.Vals))
 	}
 	for i, v := range pp.Vals {
 		if math.Float32bits(v) != math.Float32bits(ref.Vals[i]) {
@@ -275,13 +250,13 @@ func sameAsRef(t *testing.T, label string, pp, ref *PackedProgram, seed uint64, 
 	}
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s bw=%d: output %d is %v, Pack of the dequantized values gives %v", label, bw, i, got[i], want[i])
+			t.Fatalf("%s bw=%d: output %d is %v, the dequantized program gives %v", label, bw, i, got[i], want[i])
 		}
 	}
 }
 
 // checkStorage: on the given tier, at every width, a quantized program is
-// Pack of its dequantized values.
+// the float program of its dequantized values.
 func checkStorage(t *testing.T, tier Precision) {
 	forEachPackedCase(t, quantStorages, tier, func(c packedCase) {
 		for _, bw := range tableWidths {
@@ -293,8 +268,8 @@ func checkStorage(t *testing.T, tier Precision) {
 func TestPackedBitIdentical(t *testing.T) { checkExactSerial(t, f32Storage) }
 
 // TestPackQuantBitIdentical: quantized programs hold the exact and
-// dense-order contracts over their dequantized matrix, and are Pack of
-// their dequantized values on both tiers at every width.
+// dense-order contracts over their dequantized matrix, and are the float
+// programs of their dequantized values on both tiers at every width.
 func TestPackQuantBitIdentical(t *testing.T) {
 	checkExactSerial(t, quantStorages)
 	checkStorage(t, PrecisionExact)
@@ -302,9 +277,8 @@ func TestPackQuantBitIdentical(t *testing.T) {
 }
 
 // TestPackedDenseInverse: Dense is the inverse of lowering across formats,
-// lane counts, storages and tiers. It returns the matrix a program computes,
-// and lowering and packing that matrix again reproduces the program's
-// sections byte for byte. The second half holds for a program lowered from
+// storages and tiers. It returns the matrix a program computes, and lowering
+// that matrix again reproduces the program's sections byte for byte. The second half holds for a program lowered from
 // the weights it holds. An engine's programs always are (Compile rounds
 // before it lowers); a quantized c.pp was lowered from the unrounded
 // matrix, so the check re-lowers c.w, the rounded one, first.
@@ -368,10 +342,8 @@ func sameSections(t testing.TB, label string, got, want *PackedSections) {
 func TestPackedTableHitsGroupSeam(t *testing.T) {
 	seen := map[[2]int]bool{}
 	forEachPackedCase(t, f32Storage, PrecisionExact, func(c packedCase) {
-		for li := range c.pp.Lanes {
-			for _, sg := range c.pp.Lanes[li].Segs {
-				seen[[2]int{int(sg.Kind), int(sg.NR)}] = true
-			}
+		for _, sg := range c.pp.Segs {
+			seen[[2]int{int(sg.Kind), int(sg.NR)}] = true
 		}
 	})
 	for _, nr := range seamRows {
@@ -520,85 +492,47 @@ func TestPackedFastRunZeroAlloc(t *testing.T) {
 	checkZeroAlloc(t, allStorages, PrecisionFast, tableWidths)
 }
 
-// TestPackedStatsMatchInterpreter pins the static-stats claim: Pack's
-// precomputed counts equal what the interpreter counts while executing.
-func TestPackedStatsMatchInterpreter(t *testing.T) {
-	scheme := prune.BSP{ColRate: 8, RowRate: 2, NumRowGroups: 8, NumColBlocks: 4}
-	w := bspMat(6, 96, 64, scheme)
-	for _, format := range []Format{FormatDense, FormatCSR, FormatBSPC} {
-		src := MatrixSource{Name: "s", W: w}
-		if format == FormatBSPC {
-			s := scheme
-			src.Scheme = &s
-		}
-		prog, err := CompileProgram(src, DefaultOptions(format, 16), 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(8, w.Cols)
-		y := make([]float32, w.Rows)
-		want, err := prog.Execute(y, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := Pack(prog, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalStats(t, want, pp.Stats(), format.String())
-	}
-}
-
-// TestPackedRejectsMalformed: pack-time validation must catch the shapes the
-// interpreter only detects (or misses) at run time.
+// TestPackedRejectsMalformed: hand-built sections with the defects a
+// lowering never emits — an out-of-range gather column, a dot wider than its
+// payload, a stream window past the input, an out-of-range row — are refused
+// when the program is built, so execution needs no per-segment checks.
 func TestPackedRejectsMalformed(t *testing.T) {
-	base := func() *Program { return &Program{Name: "m", Rows: 4, Cols: 4} }
-
-	p := base()
-	p.Threads = [][]Instr{{{Op: OpGather, Cols: []int32{9}}}}
-	if _, err := Pack(p, 0); err == nil {
-		t.Fatal("out-of-range gather column accepted")
+	// base is one gather segment of two columns feeding row 1.
+	base := func() *PackedSections {
+		return &PackedSections{
+			Name: "m", Rows: 4, Cols: 4, ValueBits: 32,
+			Vals: []float32{1, 2}, ColIdx: []int32{0, 1}, RowIdx: []int32{1},
+			SegWords:      []int32{int32(segGather), 2, 0, 0, 0, 1},
+			LaneSegCounts: []int32{1}, LaneRowCounts: []int32{1},
+		}
 	}
-
-	p = base()
-	p.Threads = [][]Instr{{
-		{Op: OpGather, Cols: []int32{0, 1}},
-		{Op: OpDotGathered, Row: 1, Vals: []float32{1}},
-	}}
-	if _, err := Pack(p, 0); err == nil {
-		t.Fatal("dot width mismatch accepted")
+	if _, err := NewPackedFromSections(base()); err != nil {
+		t.Fatalf("the well-formed base is refused: %v", err)
 	}
-
-	p = base()
-	p.Threads = [][]Instr{{{Op: OpDotGathered, Row: 0, Vals: []float32{1, 2}}}}
-	if _, err := Pack(p, 0); err == nil {
-		t.Fatal("gathered dot before gather accepted")
-	}
-
-	p = base()
-	p.Threads = [][]Instr{{{Op: OpDotStream, Row: 0, ColLo: 2, Vals: []float32{1, 2, 3}}}}
-	if _, err := Pack(p, 0); err == nil {
-		t.Fatal("out-of-range stream window accepted")
-	}
-
-	p = base()
-	p.Threads = [][]Instr{{{Op: OpDotStream, Row: 5, Vals: []float32{1}}}}
-	if _, err := Pack(p, 0); err == nil {
-		t.Fatal("out-of-range row accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*PackedSections)
+	}{
+		{"out-of-range gather column", func(s *PackedSections) { s.ColIdx[1] = 9 }},
+		{"dot wider than its payload", func(s *PackedSections) { s.Vals = s.Vals[:1] }},
+		{"out-of-range stream window", func(s *PackedSections) {
+			s.SegWords = []int32{int32(segStream), 3, 2, 0, 0, 1}
+			s.Vals = []float32{1, 2, 3}
+		}},
+		{"out-of-range row", func(s *PackedSections) { s.RowIdx[0] = 5 }},
+	} {
+		s := base()
+		tc.mutate(s)
+		if _, err := NewPackedFromSections(s); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
 	}
 }
 
-// TestPackedShapeValidation keeps parity with the interpreter's checks.
+// TestPackedShapeValidation: Run and RunAdd refuse vectors of the wrong
+// length.
 func TestPackedShapeValidation(t *testing.T) {
-	w := tensor.NewMatrix(4, 4)
-	prog, err := CompileProgram(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 32), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp, _ := lower(t, MatrixSource{Name: "d", W: tensor.NewMatrix(4, 4)}, DefaultOptions(FormatDense, 32), 2)
 	if err := pp.Run(make([]float32, 3), make([]float32, 4), nil); err == nil {
 		t.Fatal("short y accepted")
 	}
@@ -609,15 +543,7 @@ func TestPackedShapeValidation(t *testing.T) {
 
 // TestRunBatchShapeValidation pins the panel entries' error paths.
 func TestRunBatchShapeValidation(t *testing.T) {
-	w := tensor.NewMatrix(4, 4)
-	prog, err := CompileProgram(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 32), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp, _ := lower(t, MatrixSource{Name: "d", W: tensor.NewMatrix(4, 4)}, DefaultOptions(FormatDense, 32), 2)
 	if err := pp.RunBatch(make([]float32, 8), make([]float32, 8), 0, nil); err == nil {
 		t.Fatal("zero batch width accepted")
 	}
@@ -635,20 +561,10 @@ func TestRunBatchShapeValidation(t *testing.T) {
 func TestPackedSharedProgram(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(13, 48, 40, scheme)
-	src := MatrixSource{Name: "s", W: w, Scheme: &scheme}
-	prog, err := CompileProgram(src, DefaultOptions(FormatBSPC, 32), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp, _ := lower(t, MatrixSource{Name: "s", W: w, Scheme: &scheme}, DefaultOptions(FormatBSPC, 32), 6)
 	x := randVec(14, 40)
 	want := make([]float32, 48)
-	if _, err := prog.Execute(want, x); err != nil {
-		t.Fatal(err)
-	}
+	tensor.MatVecAdd(want, w, x)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -682,60 +598,30 @@ func TestPackedSharedProgram(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPackedSegmentMerging pins the flattening layout: a dense lowering
-// collapses each lane into one stream segment, and a BSPC lowering with load
-// elimination shares one gather across a block's rows.
+// TestPackedSegmentMerging pins the one-list layout: a dense lowering is one
+// stream segment, and a BSPC lowering with load elimination shares one
+// gather across each row group's rows where without it every row
+// re-gathers.
 func TestPackedSegmentMerging(t *testing.T) {
 	w := tensor.NewMatrix(16, 8)
 	w.RandNormal(tensor.NewRNG(21), 1)
-	prog, err := CompileProgram(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 32), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := numSegs(pp), len(pp.Lanes); got != want {
-		t.Fatalf("dense packing has %d segments, want one per lane (%d)", got, want)
+	pp, _ := lower(t, MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 32), 4)
+	if len(pp.Segs) != 1 || pp.Segs[0].NR != 16 {
+		t.Fatalf("dense packing has segments %+v, want one of 16 rows", pp.Segs)
 	}
 
 	scheme := prune.BSP{ColRate: 2, RowRate: 1, NumRowGroups: 2, NumColBlocks: 2}
 	wb := bspMat(22, 32, 32, scheme)
 	src := MatrixSource{Name: "b", W: wb, Scheme: &scheme}
-	on, err := CompileProgram(src, DefaultOptions(FormatBSPC, 32), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ppOn, err := Pack(on, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ppOn, on := lower(t, src, DefaultOptions(FormatBSPC, 32), 2)
 	optOff := DefaultOptions(FormatBSPC, 32)
 	optOff.EliminateRedundantLoads = false
-	off, err := CompileProgram(src, optOff, 2)
-	if err != nil {
-		t.Fatal(err)
+	ppOff, off := lower(t, src, optOff, 2)
+	if len(ppOn.Segs) != scheme.NumRowGroups || len(ppOff.Segs) != len(ppOff.RowIdx) {
+		t.Fatalf("load elimination on: %d segments, want one per row group (%d); off: %d, want one per row (%d)",
+			len(ppOn.Segs), scheme.NumRowGroups, len(ppOff.Segs), len(ppOff.RowIdx))
 	}
-	ppOff, err := Pack(off, 0)
-	if err != nil {
-		t.Fatal(err)
+	if on.GatherLoads >= off.GatherLoads {
+		t.Fatalf("load elimination should shrink gathers: on=%d off=%d", on.GatherLoads, off.GatherLoads)
 	}
-	if numSegs(ppOn) >= numSegs(ppOff) {
-		t.Fatalf("load elimination should shrink segment count: on=%d off=%d",
-			numSegs(ppOn), numSegs(ppOff))
-	}
-	if ppOn.Stats().GatherLoads >= ppOff.Stats().GatherLoads {
-		t.Fatalf("load elimination should shrink gathers: on=%d off=%d",
-			ppOn.Stats().GatherLoads, ppOff.Stats().GatherLoads)
-	}
-}
-
-// numSegs counts segment descriptors across lanes.
-func numSegs(p *PackedProgram) int {
-	n := 0
-	for i := range p.Lanes {
-		n += len(p.Lanes[i].Segs)
-	}
-	return n
 }

@@ -3,7 +3,7 @@ package compiler
 import "rtmobile/internal/tensor"
 
 // Segment kernels. A packed program's kernel tier is fixed when it is built;
-// bind resolves it once into the two functions the lane loops call per
+// bind resolves it once into the two functions the run loops call per
 // segment, so the hot path never branches on it. Storage never reaches this
 // file: a quantized program holds its dequantized float32 values. Every
 // exact-tier kernel accumulates each (row, lane) output in a single float64

@@ -18,15 +18,7 @@ var quantBitModes = []int{8, 12, 16}
 func TestPackQuantAccuracy(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(3, 64, 48, scheme)
-	src := MatrixSource{Name: "acc", W: w, Scheme: &scheme}
-	prog, err := CompileProgram(src, DefaultOptions(FormatBSPC, 32), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp, _ := lower(t, MatrixSource{Name: "acc", W: w, Scheme: &scheme}, DefaultOptions(FormatBSPC, 32), 4)
 	x := randVec(4, w.Cols)
 	ref := make([]float32, w.Rows)
 	if err := pp.Run(ref, x, nil); err != nil {
@@ -34,10 +26,7 @@ func TestPackQuantAccuracy(t *testing.T) {
 	}
 	prevErr := math.Inf(1)
 	for _, bits := range quantBitModes {
-		pq, err := PackQuant(prog, bits, quant.PerRow)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pq := packQuant(t, pp, bits, quant.PerRow)
 		y := make([]float32, w.Rows)
 		if err := pq.Run(y, x, nil); err != nil {
 			t.Fatal(err)
@@ -66,15 +55,7 @@ func TestPackQuantAccuracy(t *testing.T) {
 func TestPackQuantStorage(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(8, 32, 32, scheme)
-	prog, err := CompileProgram(MatrixSource{Name: "s", W: w, Scheme: &scheme},
-		DefaultOptions(FormatBSPC, 32), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Pack(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp, _ := lower(t, MatrixSource{Name: "s", W: w, Scheme: &scheme}, DefaultOptions(FormatBSPC, 32), 2)
 	nvals := len(pp.Vals)
 	if pp.StreamBytes() != 4*nvals {
 		t.Fatalf("float StreamBytes %d, want %d", pp.StreamBytes(), 4*nvals)
@@ -85,10 +66,7 @@ func TestPackQuantStorage(t *testing.T) {
 	}{
 		{8, nvals}, {12, (nvals*12 + 7) / 8}, {16, 2 * nvals},
 	} {
-		pq, err := PackQuant(prog, tc.bits, quant.PerRow)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pq := packQuant(t, pp, tc.bits, quant.PerRow)
 		if len(pq.Vals) != nvals || pq.Bits != tc.bits {
 			t.Fatalf("bits=%d: %d vals recorded at %d bits, want %d", tc.bits, len(pq.Vals), pq.Bits, nvals)
 		}
@@ -105,11 +83,7 @@ func TestPackQuantStorage(t *testing.T) {
 		if pq.NumScales() != w.Rows {
 			t.Fatalf("bits=%d: per-row NumScales %d, want %d", tc.bits, pq.NumScales(), w.Rows)
 		}
-		pt, err := PackQuant(prog, tc.bits, quant.PerTensor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pt.NumScales() != 1 {
+		if pt := packQuant(t, pp, tc.bits, quant.PerTensor); pt.NumScales() != 1 {
 			t.Fatalf("bits=%d: per-tensor NumScales %d, want 1", tc.bits, pt.NumScales())
 		}
 		if pq.TotalMACs() != pp.TotalMACs() {
@@ -125,31 +99,16 @@ func TestPackQuantStorage(t *testing.T) {
 func TestPackQuantIdempotent(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(9, 32, 32, scheme)
-	src := MatrixSource{Name: "i", W: w, Scheme: &scheme}
-	prog, err := CompileProgram(src, DefaultOptions(FormatBSPC, 32), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, bits := range quantBitModes {
-		pq, err := PackQuant(prog, bits, quant.PerRow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Round-trip the matrix through quant, recompile, repack.
+		opt := DefaultOptions(FormatBSPC, 32)
+		opt.QuantBits = bits
+		pq, _ := lower(t, MatrixSource{Name: "i", W: w, Scheme: &scheme}, opt, 2)
+		// Round-trip the matrix through quant and lower it again.
 		qm, err := quant.Quantize(w, bits, quant.PerRow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w2 := qm.Dequantize()
-		src2 := MatrixSource{Name: "i", W: w2, Scheme: &scheme}
-		prog2, err := CompileProgram(src2, DefaultOptions(FormatBSPC, 32), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pq2, err := PackQuant(prog2, bits, quant.PerRow)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pq2, _ := lower(t, MatrixSource{Name: "i", W: qm.Dequantize(), Scheme: &scheme}, opt, 2)
 		for r := range pq.Scales {
 			if pq.Scales[r] != pq2.Scales[r] {
 				t.Fatalf("bits=%d row %d: scale %v != requantized %v", bits, r, pq.Scales[r], pq2.Scales[r])
@@ -168,25 +127,24 @@ func TestPackQuantIdempotent(t *testing.T) {
 
 // TestPackQuantRejects covers the validation surface.
 func TestPackQuantRejects(t *testing.T) {
-	w := tensor.NewMatrix(4, 4)
-	prog, err := CompileProgram(MatrixSource{Name: "d", W: w}, DefaultOptions(FormatDense, 32), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := MatrixSource{Name: "d", W: tensor.NewMatrix(4, 4)}
+	opt := DefaultOptions(FormatDense, 32)
 	for _, bits := range []int{1, 4, 7, 9, 13, 24, 32} {
-		if _, err := PackQuant(prog, bits, quant.PerRow); err == nil {
+		opt.QuantBits = bits
+		if _, _, err := LowerMatrix(src, opt, 2); err == nil {
 			t.Fatalf("bits=%d accepted", bits)
 		}
 	}
-	pq, err := PackQuant(prog, 8, quant.PerRow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt.QuantBits = 8
+	pq, _ := lower(t, src, opt, 2)
 	if err := pq.Run(make([]float32, 3), make([]float32, 4), nil); err == nil {
 		t.Fatal("short y accepted")
 	}
 	if err := pq.RunBatch(make([]float32, 4*3), make([]float32, 4*3), 0, nil); err == nil {
 		t.Fatal("zero batch width accepted")
+	}
+	if err := (&PackedProgram{Rows: 1}).quantize(8, quant.Scheme(7)); err == nil {
+		t.Fatal("unknown scale scheme accepted")
 	}
 }
 
@@ -206,14 +164,7 @@ func TestQuantFootprintMatchesMultiplier(t *testing.T) {
 		}
 		// Stored-value count from the float packed program (== what the old
 		// multiplier path charged for).
-		prog, err := CompileProgram(src, DefaultOptions(format, 32), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := Pack(prog, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pp, _ := lower(t, src, DefaultOptions(format, 32), 4)
 		nvals := len(pp.Vals)
 		for _, bits := range quantBitModes {
 			opt := DefaultOptions(format, 32)

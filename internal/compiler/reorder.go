@@ -6,12 +6,14 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// Matrix reorder (Section IV-B(a)). Threads execute contiguous row chunks;
-// without reordering, rows with very different nonzero counts land in the
-// same chunk and the busiest thread gates the kernel. The pass groups rows
-// with the same (or similar) computation pattern: rows are sorted by their
-// nonzero-column signature, then by descending work, and distributed so
-// chunk workloads equalize.
+// Matrix reorder (Section IV-B(a)). The modelled target's threads execute
+// contiguous row chunks; without reordering, rows with very different
+// nonzero counts land in the same chunk and the busiest thread gates the
+// kernel. The pass groups rows with the same (or similar) computation
+// pattern: rows are sorted by their nonzero-column signature, then by
+// descending work, and distributed so chunk workloads equalize. The host
+// runs every program as one segment list; the chunks exist only in the
+// plan's count (codegen.go).
 
 // rowPattern summarizes one row for grouping: its nonzero count and a
 // signature hash of its nonzero column set. Rows with equal signatures have
@@ -63,55 +65,21 @@ func Reorder(w *tensor.Matrix) []int {
 	return perm
 }
 
-// schedule is the lowering's row schedule: per-row work (MACs per output
-// element — Cols on dense, the row's nonzeros otherwise), the storage order
-// the reorder pass chooses (identity when it is off or the format is dense),
-// and that order cut into per-thread chunks.
-func schedule(w *tensor.Matrix, opt Options, threads int) (order []int, chunks [][]int) {
-	work := make([]int, w.Rows)
-	for i := range work {
-		if opt.Format == FormatDense {
-			work[i] = w.Cols
-			continue
-		}
-		for _, v := range w.Row(i) {
-			if v != 0 {
-				work[i]++
-			}
-		}
-	}
-	if opt.Reorder && opt.Format != FormatDense {
-		order = Reorder(w)
-	} else {
-		order = make([]int, w.Rows)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	return order, assignThreads(order, work, threads, opt.Reorder)
-}
-
-// assignThreads partitions rows (in the given storage order) into
-// contiguous per-thread chunks. With balance=true it uses work-aware
+// assignThreads cuts rows (in the given storage order) into contiguous
+// per-thread chunks: chunk t is order[cut[t]:cut[t+1]], len(cut) is the
+// thread count (at least 1) plus one. With balance=true it uses work-aware
 // boundaries (each chunk targets an equal share of total work, which is
 // what the reorder pass enables); with balance=false it splits by row
 // count only, modeling the untuned kernel.
-func assignThreads(order []int, work []int, threads int, balance bool) [][]int {
-	if threads < 1 {
-		threads = 1
-	}
-	chunks := make([][]int, threads)
+func assignThreads(order []int, work []int, threads int, balance bool) (cut []int) {
+	threads = max(threads, 1)
 	n := len(order)
-	if n == 0 {
-		return chunks
-	}
+	cut = make([]int, threads+1)
 	if !balance {
-		for t := 0; t < threads; t++ {
-			lo := t * n / threads
-			hi := (t + 1) * n / threads
-			chunks[t] = append(chunks[t], order[lo:hi]...)
+		for t := range cut {
+			cut[t] = t * n / threads
 		}
-		return chunks
+		return cut
 	}
 	total := 0
 	for _, r := range order {
@@ -120,14 +88,17 @@ func assignThreads(order []int, work []int, threads int, balance bool) [][]int {
 	target := float64(total) / float64(threads)
 	t := 0
 	acc := 0
-	for _, r := range order {
+	for i, r := range order {
 		// Advance to the next thread when this one has met its share and
 		// threads remain.
 		if t < threads-1 && float64(acc) >= target*float64(t+1) {
 			t++
+			cut[t] = i
 		}
-		chunks[t] = append(chunks[t], r)
 		acc += work[r]
 	}
-	return chunks
+	for t++; t <= threads; t++ {
+		cut[t] = n
+	}
+	return cut
 }

@@ -420,6 +420,12 @@ func FuzzMapBundle(f *testing.F) {
 		f.Add(legacy)
 	}
 	f.Add(q8)
+	// A file written while programs were still cut into thread lanes.
+	laned, err := os.ReadFile(filepath.Join("testdata", "lanes_v5.rtmb"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(laned)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.rtmb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,8 @@ import (
 // programs no engine executes (one [Wx|Wh] program per layer, or a row
 // rounded once per column block) are refused by MapBundle and ReadBundle
 // alike, with the reason and the command that upgrades the file. The table
-// builds one image of each kind.
+// builds one image of each kind. A v5 file whose programs are stored in one
+// lane per modelled thread is taken as written (TestLoadersReadLanedBundles).
 
 // fixtureSpec and fixtureScheme are the deployment testdata/parent_*.rtmb
 // were written from (testdata/README.md).
@@ -53,25 +55,30 @@ func readFixture(t *testing.T, name string) []byte {
 	return image
 }
 
-// perBlockProgram lowers a BSP matrix the way bundle writers before the
-// dense-order lowering did: one gather and one run of row dots per column
+// perBlockProgram is a BSP matrix as bundle writers before the dense-order
+// lowering stored it: one gather segment and one run of row dots per column
 // block, so a row is listed (and rounded) once per block.
-func perBlockProgram(name string, w *nn.Param, scheme prune.BSP) *compiler.Program {
-	prog := &compiler.Program{
+func perBlockProgram(tb testing.TB, name string, w *nn.Param, scheme prune.BSP) *compiler.PackedProgram {
+	tb.Helper()
+	s := &compiler.PackedSections{
 		Name: name, Rows: w.W.Rows, Cols: w.W.Cols,
 		Format: compiler.FormatBSPC, ValueBits: 32,
-		Threads: make([][]compiler.Instr, 1),
 	}
 	for _, blk := range sparse.NewBSPC(w.W, scheme).Blocks {
-		nc := len(blk.ColIdx)
-		prog.Threads[0] = append(prog.Threads[0], compiler.Instr{Op: compiler.OpGather, Cols: blk.ColIdx})
-		for ri, r := range blk.RowIdx {
-			prog.Threads[0] = append(prog.Threads[0], compiler.Instr{
-				Op: compiler.OpDotGathered, Row: int(r), Vals: blk.Vals[ri*nc : (ri+1)*nc],
-			})
-		}
+		const gather = 0 // the gather segment kind
+		s.SegWords = append(s.SegWords, gather, int32(len(blk.ColIdx)), int32(len(s.ColIdx)),
+			int32(len(s.Vals)), int32(len(s.RowIdx)), int32(len(blk.RowIdx)))
+		s.ColIdx = append(s.ColIdx, blk.ColIdx...)
+		s.Vals = append(s.Vals, blk.Vals...)
+		s.RowIdx = append(s.RowIdx, blk.RowIdx...)
 	}
-	return prog
+	s.LaneSegCounts = []int32{int32(len(s.SegWords) / 6)}
+	s.LaneRowCounts = []int32{int32(len(s.RowIdx))}
+	pp, err := compiler.NewPackedFromSections(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pp
 }
 
 // fusedLowering lowers model the way the retired fused deployment did: one
@@ -210,10 +217,7 @@ func TestLoadersRefuseBundlesTheyCannotRun(t *testing.T) {
 		refusal{"v5-per-block-programs", "stores no programs an engine executes", func(t *testing.T) []byte {
 			var progs []*compiler.PackedProgram
 			for _, p := range eng.denseModel().WeightMatrices() {
-				pp, err := compiler.Pack(perBlockProgram(p.Name, p, fixtureScheme), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				pp := perBlockProgram(t, p.Name, p, fixtureScheme)
 				if pp.Sections().RowsOnce() {
 					t.Fatalf("%s: the per-block lowering lists every row once; the case tests nothing", p.Name)
 				}
@@ -240,5 +244,82 @@ func TestLoadersRefuseBundlesTheyCannotRun(t *testing.T) {
 				t.Fatalf("ReadBundle error %q, want the reason %q", err, tc.reason)
 			}
 		})
+	}
+}
+
+// sameInference fails unless two engines score utts to the same bits.
+func sameInference(t *testing.T, label string, got, want *Engine, utts [][][]float32) {
+	t.Helper()
+	for i, u := range utts {
+		g, w := got.Infer(u), want.Infer(u)
+		for f := range w {
+			for j := range w[f] {
+				if math.Float32bits(g[f][j]) != math.Float32bits(w[f][j]) {
+					t.Fatalf("%s: utterance %d frame %d class %d: %v, want %v", label, i, f, j, g[f][j], w[f][j])
+				}
+			}
+		}
+	}
+}
+
+// TestLoadersReadLanedBundles: files written while the lowering cut every
+// program into the modelled target's thread lanes — testdata/lanes_v5*.rtmb,
+// the fixtures as they were before the one-lane lowering — are neither
+// refused nor re-lowered. MapBundle serves each bit-equal to its one-lane
+// fixture, and ReadBundle plus Compile re-deploys it to exactly the
+// fixture's bytes.
+func TestLoadersReadLanedBundles(t *testing.T) {
+	utts := diffUtterances(fixtureSpec.InputDim)
+	for _, q := range []string{"", "_q8", "_q16"} {
+		laned, fixture := readFixture(t, "lanes_v5"+q+".rtmb"), readFixture(t, "parent_v5"+q+".rtmb")
+		got, want := mustMap(t, laned, nil), mustMap(t, fixture, nil)
+		for i, p := range got.progs {
+			if len(p.Segs) <= len(want.progs[i].Segs) {
+				t.Fatalf("lanes_v5%s %s: %d segments, the fixture %d: the file holds no lanes to rebase",
+					q, p.Name, len(p.Segs), len(want.progs[i].Segs))
+			}
+		}
+		sameInference(t, "MapBundle lanes_v5"+q, got, want, utts)
+		again, _ := relower(t, laned, nil)
+		var buf bytes.Buffer
+		if err := again.SaveBundle(&buf, fixtureScheme); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), fixture) {
+			t.Fatalf("re-deploying lanes_v5%s does not write parent_v5%s.rtmb's bytes", q, q)
+		}
+	}
+}
+
+// TestMapBundleRefusesMovedChunkCut: the plan prices the one segment list
+// cut into the target's thread chunks, so a plan that moves one row's MACs
+// from a chunk into its neighbour — the same total, another cut — no longer
+// prices the stored programs, and both readers refuse it.
+func TestMapBundleRefusesMovedChunkCut(t *testing.T) {
+	image := readFixture(t, "parent_v5.rtmb")
+	row := mustMap(t, image, nil).progs[0].Segs[0] // a gather segment: each row's MACs are its width
+	moved := v5PatchMeta(t, image, func(m *v5Meta) {
+		macs := m.Plan.Matrices[0].ThreadMACs
+		for c := 0; c+1 < len(macs); c++ {
+			if macs[c+1] >= int(row.NC) {
+				macs[c] += int(row.NC)
+				macs[c+1] -= int(row.NC)
+				return
+			}
+		}
+		t.Fatalf("no chunk after the first holds a row of %d MACs: %v", row.NC, macs)
+	})
+	path := filepath.Join(t.TempDir(), "moved.rtmb")
+	if err := os.WriteFile(path, moved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := MapBundle(path, nil)
+	refused(t, "MapBundle", err)
+	if !strings.Contains(err.Error(), "plan does not price its programs") {
+		t.Fatalf("MapBundle error %q, want the plan refused", err)
+	}
+	_, _, _, err = ReadBundle(bytes.NewReader(moved), nil)
+	if err == nil || !strings.Contains(err.Error(), "plan does not price its programs") {
+		t.Fatalf("ReadBundle error %v, want the plan refused", err)
 	}
 }

@@ -106,8 +106,8 @@ type DeployConfig struct {
 	// packed backend's storage (compiler.Options.QuantBits).
 	Quant int
 	// Precision selects the kernel tier: the zero value (PrecisionExact)
-	// keeps every kernel bit-pinned to the interpreter reference, as all
-	// prior deployments ran; compiler.PrecisionFast opts into the FMA'd
+	// keeps every kernel bit-pinned to tensor.MatVecAdd on the deployed
+	// weights; compiler.PrecisionFast opts into the FMA'd
 	// float32-accumulation family, tolerance-verified against exact (see
 	// tensor.FastClose) and typically well over 1.3× faster on the
 	// quantized hot path. The tier is recorded on the plan, the engine,

@@ -13,11 +13,14 @@ import (
 )
 
 // TestPlanPricesExecutedEvents is the whole-model version of the
-// compiler's stats-vs-execution check: for every matrix of a deployed
-// engine, every counted field of the plan equals the engine's own packed
-// program's static counts, and the interpreter program lowered from the
-// same weights, run on real activations, produces exactly those events —
-// on float and quantized storage, BSPC and CSR alike.
+// compiler's stats-vs-program check: for every matrix of a deployed engine,
+// the plan prices the engine's own packed program cut into the target's
+// thread chunks, lowering the caller's rounded weights again yields that
+// very program and its stats, and the program run on real activations is
+// tensor.MatVecAdd on the weights it holds, bit for bit — on float and
+// quantized storage, BSPC and CSR alike. A float program holds the caller's
+// rounded weights; a quantized one on this fp16 target holds their 16-bit
+// values requantized, which stay close to them.
 func TestPlanPricesExecutedEvents(t *testing.T) {
 	for _, tc := range []struct {
 		format compiler.Format
@@ -55,56 +58,45 @@ func TestPlanPricesExecutedEvents(t *testing.T) {
 			if len(srcs) != len(plan.Matrices) || len(eng.progs) != len(srcs) {
 				t.Fatalf("%d sources vs %d plan matrices vs %d programs", len(srcs), len(plan.Matrices), len(eng.progs))
 			}
+			if !plan.Prices(eng.progs) {
+				t.Fatal("the plan does not price the engine's programs")
+			}
 			rng := tensor.NewRNG(96)
 			for i, src := range srcs {
-				stats := &plan.Matrices[i]
 				pp := eng.progs[i]
-				ps := pp.Stats()
-				if !reflect.DeepEqual(ps.ThreadMACs, stats.ThreadMACs) {
-					t.Fatalf("%s: program runs %v MACs per thread, plan priced %v", src.Name, ps.ThreadMACs, stats.ThreadMACs)
-				}
-				if ps.GatherLoads != stats.GatherLoads {
-					t.Fatalf("%s: program gathers %d, plan priced %d", src.Name, ps.GatherLoads, stats.GatherLoads)
-				}
-				if got := pp.TotalMACs() - ps.GatherLoads; got != stats.EliminatedLoads {
-					t.Fatalf("%s: program eliminated %d loads, plan priced %d", src.Name, got, stats.EliminatedLoads)
-				}
-				if got := pp.WeightBytes(); got != stats.WeightBytes {
-					t.Fatalf("%s: program stores %dB, plan priced %dB", src.Name, got, stats.WeightBytes)
-				}
-
-				prog, err := compiler.CompileProgram(src, plan.Options, device.MobileGPU().Threads())
+				again, stats, err := compiler.LowerMatrix(src, plan.Options, device.MobileGPU().Threads())
 				if err != nil {
 					t.Fatalf("%s: %v", src.Name, err)
+				}
+				if !reflect.DeepEqual(stats, plan.Matrices[i]) {
+					t.Fatalf("%s: re-lowering prices %+v, plan priced %+v", src.Name, stats, plan.Matrices[i])
+				}
+				if !reflect.DeepEqual(again.Sections(), pp.Sections()) {
+					t.Fatalf("%s: re-lowering the rounded weights changed the program", src.Name)
+				}
+				if got := pp.WeightBytes(); got != plan.Matrices[i].WeightBytes {
+					t.Fatalf("%s: program stores %dB, plan priced %dB", src.Name, got, plan.Matrices[i].WeightBytes)
 				}
 				x := make([]float32, src.W.Cols)
 				for j := range x {
 					x[j] = float32(rng.NormFloat64())
 				}
-				y := make([]float32, src.W.Rows)
-				exec, err := prog.Execute(y, x)
-				if err != nil {
+				held := pp.Dense()
+				if tc.quant == 0 && !reflect.DeepEqual(held.Data, src.W.Data) {
+					t.Fatalf("%s: the float program does not hold the rounded weights", src.Name)
+				}
+				y, want, near := make([]float32, src.W.Rows), make([]float32, src.W.Rows), make([]float32, src.W.Rows)
+				if err := pp.RunAdd(y, x, nil); err != nil {
 					t.Fatalf("%s: %v", src.Name, err)
 				}
-				if exec.GatherLoads != stats.GatherLoads {
-					t.Fatalf("%s: executed %d gathers, plan priced %d",
-						src.Name, exec.GatherLoads, stats.GatherLoads)
-				}
-				if !reflect.DeepEqual(exec.ThreadMACs, stats.ThreadMACs) {
-					t.Fatalf("%s: executed %v MACs per thread, plan priced %v",
-						src.Name, exec.ThreadMACs, stats.ThreadMACs)
-				}
-				if tc.quant == 0 {
-					if got, want := (exec.StreamedVals*plan.Options.ValueBits+7)/8, stats.WeightBytes; got != want {
-						t.Fatalf("%s: streamed %dB, plan priced %dB", src.Name, got, want)
-					}
-				}
-				// And the program computes the true product.
-				want := make([]float32, src.W.Rows)
-				tensor.MatVec(want, src.W, x)
+				tensor.MatVecAdd(want, held, x)
+				tensor.MatVecAdd(near, src.W, x)
 				for r := range y {
-					if math.Abs(float64(y[r]-want[r])) > 1e-2 {
-						t.Fatalf("%s row %d: exec %v vs dense %v", src.Name, r, y[r], want[r])
+					if math.Float32bits(y[r]) != math.Float32bits(want[r]) {
+						t.Fatalf("%s row %d: program %v vs tensor.MatVecAdd %v", src.Name, r, y[r], want[r])
+					}
+					if math.Abs(float64(y[r]-near[r])) > 1e-2 {
+						t.Fatalf("%s row %d: program %v vs the rounded weights' %v", src.Name, r, y[r], near[r])
 					}
 				}
 			}

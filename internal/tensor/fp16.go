@@ -7,9 +7,9 @@ import "math"
 // floating point", Table II caption); rounding weights and activations
 // through fp16 reproduces that quantization error path on the simulator.
 
-// Float32ToHalf converts an IEEE-754 binary32 value to binary16 bits with
+// float32ToHalf converts an IEEE-754 binary32 value to binary16 bits with
 // round-to-nearest-even, handling subnormals, infinities and NaN.
-func Float32ToHalf(f float32) uint16 {
+func float32ToHalf(f float32) uint16 {
 	bits := math.Float32bits(f)
 	sign := uint16(bits>>16) & 0x8000
 	exp := int32(bits>>23)&0xff - 127 + 15
@@ -49,8 +49,8 @@ func Float32ToHalf(f float32) uint16 {
 	return sign | half
 }
 
-// HalfToFloat32 converts binary16 bits to binary32.
-func HalfToFloat32(h uint16) float32 {
+// halfToFloat32 converts binary16 bits to binary32.
+func halfToFloat32(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1f
 	mant := uint32(h & 0x3ff)
@@ -79,7 +79,7 @@ func HalfToFloat32(h uint16) float32 {
 
 // RoundHalf rounds a float32 through binary16 and back, reproducing the
 // precision loss of storing the value in fp16.
-func RoundHalf(f float32) float32 { return HalfToFloat32(Float32ToHalf(f)) }
+func RoundHalf(f float32) float32 { return halfToFloat32(float32ToHalf(f)) }
 
 // QuantizeHalf rounds every element of m through fp16 in place and returns m.
 func QuantizeHalf(m *Matrix) *Matrix {

@@ -18,11 +18,11 @@ func TestHalfExactValues(t *testing.T) {
 
 func TestHalfSignedZero(t *testing.T) {
 	nz := float32(math.Copysign(0, -1))
-	bits := Float32ToHalf(nz)
+	bits := float32ToHalf(nz)
 	if bits != 0x8000 {
 		t.Fatalf("-0 encodes to %#x, want 0x8000", bits)
 	}
-	back := HalfToFloat32(bits)
+	back := halfToFloat32(bits)
 	if math.Signbit(float64(back)) != true || back != 0 {
 		t.Fatalf("-0 round trip = %v", back)
 	}
@@ -30,10 +30,10 @@ func TestHalfSignedZero(t *testing.T) {
 
 func TestHalfInfinity(t *testing.T) {
 	inf := float32(math.Inf(1))
-	if HalfToFloat32(Float32ToHalf(inf)) != inf {
+	if halfToFloat32(float32ToHalf(inf)) != inf {
 		t.Fatal("+Inf round trip failed")
 	}
-	if HalfToFloat32(Float32ToHalf(-inf)) != -inf {
+	if halfToFloat32(float32ToHalf(-inf)) != -inf {
 		t.Fatal("-Inf round trip failed")
 	}
 	// Overflow saturates to Inf.
@@ -44,7 +44,7 @@ func TestHalfInfinity(t *testing.T) {
 
 func TestHalfNaN(t *testing.T) {
 	nan := float32(math.NaN())
-	if !math.IsNaN(float64(HalfToFloat32(Float32ToHalf(nan)))) {
+	if !math.IsNaN(float64(halfToFloat32(float32ToHalf(nan)))) {
 		t.Fatal("NaN round trip failed")
 	}
 }
@@ -111,11 +111,11 @@ func TestQuickHalfIdempotent(t *testing.T) {
 func TestHalfBijectionOnHalfValues(t *testing.T) {
 	for bits := 0; bits <= 0xffff; bits++ {
 		h := uint16(bits)
-		f := HalfToFloat32(h)
+		f := halfToFloat32(h)
 		if math.IsNaN(float64(f)) {
 			continue // all NaNs collapse to the canonical quiet NaN
 		}
-		back := Float32ToHalf(f)
+		back := float32ToHalf(f)
 		if back != h {
 			t.Fatalf("half %#04x -> %v -> %#04x", h, f, back)
 		}
