@@ -17,7 +17,7 @@ build:
 # at forced pool sizes: "0 allocs/op" must hold whatever the host's core
 # count makes the default pool (internal/compiler never touches the pool).
 # The purego run covers the whole tree on the portable kernels — the single
-# specification of every exact-tier dot, and the only kernels a non-amd64
+# specification of every exact dot, and the only kernels a non-amd64
 # (i.e. mobile) target runs — and the copy-decoding bundle loader;
 # internal/bench is left out for its run time, not because it fails.
 ALLOC_GATES = Alloc
@@ -53,8 +53,6 @@ race:
 	$(call filtered,RTMOBILE_WORKERS=8,-race,Batch,./internal/rtmobile)
 	$(call filtered,RTMOBILE_WORKERS=2,-race,Quant,./internal/rtmobile)
 	$(call filtered,RTMOBILE_WORKERS=8,-race,Quant,./internal/rtmobile)
-	$(call filtered,RTMOBILE_WORKERS=2,-race,Fast|Precision,./internal/rtmobile)
-	$(call filtered,RTMOBILE_WORKERS=8,-race,Fast|Precision,./internal/rtmobile)
 	$(call filtered,RTMOBILE_WORKERS=2,-race,Epilogue|Fused,./internal/tensor ./internal/nn ./internal/rtmobile)
 	$(call filtered,RTMOBILE_WORKERS=8,-race,Epilogue|Fused,./internal/tensor ./internal/nn ./internal/rtmobile)
 	RTMOBILE_METRICS=1 $(GO) test -race ./internal/obs
@@ -75,13 +73,12 @@ race:
 # Short run of every fuzz target (compiler shapes +
 # pack lowering with its dense-order property: packed RunAdd ≡
 # tensor.MatVecAdd on BSP-projected matrices + quantized programs ≡ Pack of
-# their dequantized values + fast-tier tolerance
+# their dequantized values + the fast epilogue family's tolerance
 # equivalence + bundle mapping + the scheduler's trace invariants + the
 # /infer body scanner against encoding/json + the eight-row exact segment
 # driver against the rolled per-row dot, bit for bit).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDotSegF64 -fuzztime=$(FUZZTIME) ./internal/tensor
-	$(GO) test -run=^$$ -fuzz=FuzzFastEquiv -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=FuzzEpilogueEquiv -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=FuzzCompileProgram -fuzztime=$(FUZZTIME) ./internal/compiler
 	$(GO) test -run=^$$ -fuzz=FuzzPackProgram -fuzztime=$(FUZZTIME) ./internal/compiler
@@ -95,8 +92,8 @@ fuzz-smoke:
 # $(call nofma32,PKG,FUNCS) cross-compiles internal/PKG for arm64 with -S
 # and fails when one of FUNCS (package-qualified, as the listing names them)
 # holds a float32 fused multiply-add, or is missing from the listing: a
-# renamed function would otherwise empty the gate. The exact tier is
-# bit-identical to nn.Forward only while no float32 product on it is fused,
+# renamed function would otherwise empty the gate. An engine is
+# bit-identical to nn.Forward only while no float32 product on its path is fused,
 # and training writes the same model bytes on every target only while none
 # in its backward pass, optimizer step and gradient kernels is; amd64 never
 # fuses, arm64 does. Float64 FMADDD (DotF64) stays allowed: a
@@ -112,7 +109,7 @@ endef
 # Static checks: vet under both build configurations — the default build
 # (which includes the unsafe mmap/alias files in internal/rtmobile) and
 # the purego fallback used on targets without unsafe — a gofmt gate, and
-# the no-fusion gate of the exact tier and of training on arm64 (nofma32
+# the no-fusion gate of the engine's kernels and of training on arm64 (nofma32
 # above).
 vet:
 	$(GO) vet ./...
@@ -122,12 +119,11 @@ vet:
 	$(call nofma32,tensor,tensor.GRUEpilogue tensor.Sigmoid32 tensor.Tanh32 tensor.Axpy tensor.OuterAdd tensor.outerAddRange tensor.OuterAdd.func1 tensor.MatTVecAdd tensor.matTVecAddCols tensor.MatTVecAdd.func1)
 	$(call nofma32,nn,nn.(*GRU).Forward nn.(*Dense).Forward nn.(*GRU).Backward nn.(*Adam).Step)
 
-# Regenerates the paper tables, then the two studies no `go run
-# ./benchmark` workload covers yet — precision tiers and the open-loop
-# saturation knee — as machine-readable artifacts.
+# Regenerates the paper tables, then the study no `go run ./benchmark`
+# workload covers yet — the open-loop saturation knee — as a
+# machine-readable artifact.
 bench:
 	$(GO) test -bench=. -benchmem
-	$(GO) run ./cmd/rtmobile bench -exp precision -json BENCH_7.json
 	$(GO) run ./cmd/rtmobile bench -exp slo -json BENCH_9.json
 
 # Non-test source lines (*.go and *.s) per package and in total, benchmark/

@@ -282,7 +282,7 @@ func BenchmarkDeviceLatency(b *testing.B) {
 // BenchmarkProgramExec is the packed executor on the Table-I-sized GRU
 // recurrent projection (3072×1024, BSP 16×/2×), serial.
 func BenchmarkProgramExec(b *testing.B) {
-	pp, x, err := bench.BuildSweepProgram(bench.DefaultWorkerSweepConfig(), compiler.PrecisionExact)
+	pp, x, err := bench.BuildSweepProgram(bench.DefaultWorkerSweepConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func BenchmarkStreamStep(b *testing.B) {
 // ns/op grows with B, but MACs/s (each lane's work is real) should grow
 // past packed/serial as the weight stream amortizes over the panel.
 func BenchmarkRunBatch(b *testing.B) {
-	pp, x, err := bench.BuildSweepProgram(bench.DefaultWorkerSweepConfig(), compiler.PrecisionExact)
+	pp, x, err := bench.BuildSweepProgram(bench.DefaultWorkerSweepConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

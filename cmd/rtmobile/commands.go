@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"rtmobile/internal/bench"
 	"rtmobile/internal/compiler"
@@ -230,10 +229,10 @@ func cmdAutotune(args []string) error {
 
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	exp := fs.String("exp", "all", "experiment: table1, table2, fig4, ablation, blocksize, precision, slo, or all")
+	exp := fs.String("exp", "all", "experiment: table1, table2, fig4, ablation, blocksize, slo, or all")
 	full := fs.Bool("full", false, "full-scale Table I (minutes of training)")
 	stages := fs.Int("stages", 0, "override the BSP gradual-pruning stage count (0 = config default)")
-	jsonOut := fs.String("json", "", "with -exp precision or slo: also write the rows as JSON to this path (e.g. BENCH_9.json)")
+	jsonOut := fs.String("json", "", "with -exp slo: also write the report as JSON to this path (e.g. BENCH_9.json)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -313,45 +312,6 @@ func cmdBench(args []string) error {
 			return err
 		}
 		fmt.Println(bench.RenderBlockSizeStudy(results, best))
-	case "precision":
-		cfg := bench.DefaultPrecisionBenchConfig()
-		cfg.Logf = func(f string, a ...any) { fmt.Printf("  "+f+"\n", a...) }
-		rows, err := bench.RunPrecisionBench(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderPrecisionBench(rows, cfg))
-		gains := bench.PrecisionSpeedup(rows)
-		ops := make([]string, 0, len(gains))
-		for op := range gains {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for _, op := range ops {
-			fmt.Printf("  fast vs exact @ %s: %.2fx\n", op, gains[op])
-		}
-		if speed, ok := gains[bench.PrecisionHeadlineOp]; ok {
-			verdict := "meets"
-			if speed < bench.PrecisionSpeedupTarget {
-				verdict = "MISSES"
-			}
-			fmt.Printf("  headline fast f32 serial: %.2fx exact (%s the %.1fx target)\n",
-				speed, verdict, bench.PrecisionSpeedupTarget)
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WritePrecisionJSON(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
 	case "all":
 		rows, err := runT2()
 		if err != nil {
@@ -394,8 +354,6 @@ func cmdDeploy(args []string) error {
 	tune := fs.Bool("autotune", false, "search the modelled target's tile (rows x cols x unroll x placement) on its analytic cost model before bundling (the verdict is cached in the bundle)")
 	listing := fs.Bool("listing", false, "emit the generated kernel pseudo-code")
 	quantBits := fs.Int("quant", 0, "integer weight quantization width: 8, 12, or 16 (0 = float32 weights; stored in the bundle)")
-	precName := fs.String("precision", "exact",
-		"kernel tier: exact (bit-pinned reference) or fast (FMA + f32 accumulation, tolerance-verified)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -441,11 +399,6 @@ func cmdDeploy(args []string) error {
 	if take("quant") {
 		cfg.Quant = *quantBits
 	}
-	if take("precision") {
-		if cfg.Precision, err = compiler.ParsePrecision(*precName); err != nil {
-			return err
-		}
-	}
 	eng, err := rtmobile.Compile(model, scheme, cfg)
 	if err != nil {
 		return err
@@ -468,7 +421,6 @@ func cmdDeploy(args []string) error {
 	fmt.Printf("plan: %s\n", eng.Plan())
 	printTuneRecord(eng)
 	printQuantStatus(eng)
-	printPrecisionStatus(eng)
 	fmt.Printf("per-frame latency: %.2f us (compute %.2f, memory %.2f, overhead %.2f)\n",
 		lat.TotalUS, lat.ComputeUS, lat.MemoryUS, lat.OverheadUS)
 	fmt.Printf("GOP/frame %.4f, GOP/s %.2f\n", eng.GOP(), eng.GOPs())
@@ -518,14 +470,6 @@ func printQuantStatus(eng *rtmobile.Engine) {
 	}
 }
 
-// printPrecisionStatus reports the engine's kernel tier when it departs
-// from the exact default.
-func printPrecisionStatus(eng *rtmobile.Engine) {
-	if eng.Precision() == compiler.PrecisionFast {
-		fmt.Printf("precision: fast tier (FMA + f32 accumulation)\n")
-	}
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	cfg := corpusFlags(fs)
@@ -555,7 +499,6 @@ func cmdRun(args []string) error {
 	fmt.Printf("loaded %s: scheme %s, %s, %s\n", *bundle, scheme.Name(), eng.Target().Name, eng.Plan())
 	printTuneRecord(eng)
 	printQuantStatus(eng)
-	printPrecisionStatus(eng)
 	c, err := speech.GenerateCorpus(*cfg)
 	if err != nil {
 		return err

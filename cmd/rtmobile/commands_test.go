@@ -115,8 +115,8 @@ func TestCLIWorkflow(t *testing.T) {
 // is lowered. Deploying the same input with the same flags writes the same
 // bytes; re-deploying a file with no flag set rewrites its bytes, under the
 // target it records; each committed fixture is exactly what deploying its
-// model writes; -quant and -precision re-deploy what a fresh Compile of the
-// deployed weights at that width or tier runs; and a plan cache recording
+// model writes; -quant re-deploys what a fresh Compile of the deployed
+// weights at that width runs; and a plan cache recording
 // an analytic search is searched again to the same verdict.
 func TestCmdDeployBundleVersions(t *testing.T) {
 	dir := t.TempDir()
@@ -206,9 +206,9 @@ func TestCmdDeployBundleVersions(t *testing.T) {
 		}
 	})
 
-	// -quant and -precision on a bundle re-lower the weights it deployed:
-	// on the fp16 target those are the model's weights rounded to fp16.
-	t.Run("quant-and-precision", func(t *testing.T) {
+	// -quant on a bundle re-lowers the weights it deployed: on the fp16
+	// target those are the model's weights rounded to fp16.
+	t.Run("quant", func(t *testing.T) {
 		bg := filepath.Join(dir, "gpu.rtmb")
 		if err := cmdDeploy(append([]string{"-in", pruned, "-out", bg}, schemeArgs...)); err != nil {
 			t.Fatal(err)
@@ -220,32 +220,24 @@ func TestCmdDeployBundleVersions(t *testing.T) {
 		if _, err := rtmobile.Compile(deployed, res.Scheme, rtmobile.DeployConfig{Target: device.MobileGPU()}); err != nil {
 			t.Fatal(err) // rounds deployed in place to the weights bg holds
 		}
-		for _, tc := range []struct {
-			flag, value string
-			cfg         rtmobile.DeployConfig
-		}{
-			{"-quant", "8", rtmobile.DeployConfig{Target: device.MobileGPU(), Quant: 8}},
-			{"-precision", "fast", rtmobile.DeployConfig{Target: device.MobileGPU(), Precision: compiler.PrecisionFast}},
-		} {
-			want, err := rtmobile.Compile(deployed.Clone(), res.Scheme, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := filepath.Join(dir, "gpu"+tc.flag+".rtmb")
-			if err := cmdDeploy([]string{"-in", bg, "-out", out, tc.flag, tc.value}); err != nil {
-				t.Fatal(err)
-			}
-			mb, err := rtmobile.MapBundle(out, device.MobileGPU())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mb.Close()
-			got := mb.Engine()
-			if got.Quantized() != tc.cfg.Quant || got.Precision() != tc.cfg.Precision || mb.Scheme() != res.Scheme {
-				t.Fatalf("%s %s: deployed int%d %v %+v", tc.flag, tc.value, got.Quantized(), got.Precision(), mb.Scheme())
-			}
-			scores(t, got, want)
+		want, err := rtmobile.Compile(deployed, res.Scheme, rtmobile.DeployConfig{Target: device.MobileGPU(), Quant: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
+		out := filepath.Join(dir, "gpu-quant.rtmb")
+		if err := cmdDeploy([]string{"-in", bg, "-out", out, "-quant", "8"}); err != nil {
+			t.Fatal(err)
+		}
+		mb, err := rtmobile.MapBundle(out, device.MobileGPU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mb.Close()
+		got := mb.Engine()
+		if got.Quantized() != 8 || mb.Scheme() != res.Scheme {
+			t.Fatalf("-quant 8: deployed int%d %+v", got.Quantized(), mb.Scheme())
+		}
+		scores(t, got, want)
 	})
 
 	// The plan-cache rule: an analytic verdict is searched again — the same

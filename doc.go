@@ -50,10 +50,10 @@
 // across lanes with separate multiply and add (never FMA) so the bytes
 // match the portable path; -tags=purego restores pure Go.
 //
-// There is one packed program type and one executor. A PackedProgram's
-// values are float32 and its kernel tier (exact, fast) is resolved once,
-// when the program is built, into the segment kernels its run loops call;
-// nothing is selected per execution. A program is one segment list — a
+// There is one packed program type, one executor and one kernel tier. A
+// PackedProgram's values are float32 and every program runs the same exact
+// segment kernels; nothing is selected per execution. A program is one
+// segment list — a
 // lane-parallel executor over the compiler's thread chunks existed, never
 // beat the serial one at any measured width or worker count, and was
 // deleted (DESIGN.md records the numbers). Parallelism lives one level up:
@@ -65,8 +65,8 @@
 // through leases the scheduler and the HTTP tier) runs
 // nn's steppers — which own the GRU/Dense step order — bound to the
 // weight matrices' compiled programs through their accumulate entries
-// (RunBatchAdd; RunAdd is its width 1), on either tier and whatever the
-// storage width; there is no dense path beside it. Model.NewStream/NewBatchStream
+// (RunBatchAdd; RunAdd is its width 1), whatever the storage width; there
+// is no dense path beside it. Model.NewStream/NewBatchStream
 // bind tensor.MatVecAddBatch instead and stay the training-side reference.
 // The dense-order contract makes the two comparable bit for bit: the BSPC
 // lowering emits one segment per row group whose dots span the group's kept
@@ -82,12 +82,14 @@
 // `run` and `serve` take no target: MapBundle prices the engine as the file
 // says. `rtmobile deploy -in` reads a bundle back (ReadBundle: the
 // programs' PackedProgram.Dense plus the recorded DeployConfig and target)
-// and lowers it once more — the way to change a deployed bundle's width,
-// tier or passes. Both readers take only the v5 files an engine runs as
-// written; a v1–v4 file, or a v5 file whose programs or plan are not an
-// engine's, is refused with the reason and the commit whose `deploy -in`
-// upgrades it. A v5 file written while programs were stored in one lane per
-// modelled thread is read into the one segment list and runs bit-equal.
+// and lowers it once more — the way to change a deployed bundle's width or
+// passes. Both readers take only the v5 files an engine runs as written; a
+// v1–v4 file, or a v5 file whose programs or plan are not an engine's, is
+// refused with the reason and the commit whose `deploy -in` upgrades it. A
+// v5 file written while programs were stored in one lane per modelled
+// thread is read into the one segment list and runs bit-equal; one deployed
+// on the removed fast kernel tier is re-lowered by `deploy -in` and refused
+// by MapBundle, naming that command.
 // Nothing holds the dense weights after Compile.
 //
 // Quantization is a storage format, not a kernel family: the lowering

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"rtmobile/internal/quant"
 	"rtmobile/internal/sparse"
 	"rtmobile/internal/tensor"
 )
@@ -35,7 +34,6 @@ func LowerMatrix(src MatrixSource, opt Options, threads int) (*PackedProgram, Ma
 	pp := &PackedProgram{
 		Name: src.Name, Rows: w.Rows, Cols: w.Cols,
 		Format: opt.Format, ValueBits: opt.ValueBits,
-		Precision: opt.Precision,
 	}
 	ms := MatrixStats{
 		Name: src.Name, Rows: w.Rows, Cols: w.Cols,
@@ -73,11 +71,8 @@ func LowerMatrix(src MatrixSource, opt Options, threads int) (*PackedProgram, Ma
 	}
 	pp.index()
 	if opt.QuantBits != 0 {
-		if err := pp.quantize(opt.QuantBits, quant.PerRow); err != nil {
-			return nil, MatrixStats{}, err
-		}
+		pp.quantize(opt.QuantBits)
 	}
-	pp.bind()
 	ms.count(pp, threads, opt.Reorder)
 	return pp, ms, nil
 }

@@ -102,7 +102,7 @@ func FuzzCompileProgram(f *testing.F) {
 // biased y is tensor.MatVecAdd on the (BSP-projected) matrix bit for bit, in
 // every format — that its sections rebuild a program that runs the same
 // bits, and that Dense inverts the lowering: it returns the matrix, and
-// lowering it again reproduces the sections at a storage width and tier the
+// lowering it again reproduces the sections at a storage width the
 // seed picks, with the weight bytes the plan prices.
 func FuzzPackProgram(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint16(8), uint8(0), int16(4), uint8(3), uint8(3), false)
@@ -132,7 +132,6 @@ func FuzzPackProgram(f *testing.F) {
 		// lowers one.
 		bits := []int{0, 8, 12, 16}[seed%4]
 		opt := DefaultOptions(pp.Format, 32)
-		opt.Precision = []Precision{PrecisionExact, PrecisionFast}[seed/4%2]
 		opt.QuantBits = bits
 		src := MatrixSource{Name: "fuzz", W: w}
 		if pp.Format == FormatBSPC {
@@ -151,7 +150,7 @@ func FuzzPackProgram(f *testing.F) {
 		}
 		rounded := w
 		if bits != 0 {
-			qm, err := quant.Quantize(w, bits, quant.PerRow)
+			qm, err := quant.Quantize(w, bits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +160,7 @@ func FuzzPackProgram(f *testing.F) {
 		if !denseEqual(p.Dense(), rounded) {
 			t.Fatalf("q%d: Dense is not the lowered matrix", bits)
 		}
-		sameSections(t, fmt.Sprintf("fuzz q%d %s fmt=%s", bits, opt.Precision, pp.Format), relower(p.Dense()).Sections(), p.Sections())
+		sameSections(t, fmt.Sprintf("fuzz q%d fmt=%s", bits, pp.Format), relower(p.Dense()).Sections(), p.Sections())
 	})
 }
 
@@ -188,7 +187,7 @@ func FuzzRunBatch(f *testing.F) {
 }
 
 // FuzzPackQuant drives quantized storage over adversarially-shaped lowered
-// programs × bit widths × scale schemes × batch widths and checks that
+// programs × bit widths × batch widths and checks that
 // quantizing never panics, that the program is the float program of its
 // dequantized values bit for bit (values and output, serial and at the
 // batch width), that accumulating it is tensor.MatVecAdd on the dequantized
@@ -207,11 +206,11 @@ func FuzzPackQuant(f *testing.F) {
 		if prog == nil {
 			return
 		}
-		st := storage{bits: []int{8, 12, 16}[mode%3], scheme: []quant.Scheme{quant.PerRow, quant.PerTensor}[(mode/3)%2]}
-		pq := packQuant(t, prog, st.bits, st.scheme)
+		st := storage{bits: []int{8, 12, 16}[mode%3]}
+		pq := packQuant(prog, st.bits)
 		wd := dequantized(t, w, st)
 		ref := withValues(prog, wd)
-		label := fmt.Sprintf("fmt=%s bits=%d scheme=%v", prog.Format, st.bits, st.scheme)
+		label := fmt.Sprintf("fmt=%s bits=%d", prog.Format, st.bits)
 		sameAsRef(t, label, pq, ref, seed+7, 1)
 		sameAsRef(t, label, pq, ref, seed+8, int(batch%24)+1)
 

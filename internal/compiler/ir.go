@@ -103,11 +103,6 @@ type Options struct {
 	// (see quantize, pack.go). When set, footprint accounting prices the
 	// quantized backend.
 	QuantBits int
-	// Precision selects the kernel tier: PrecisionExact (zero value) keeps
-	// the bit-exact float64-accumulation kernels; PrecisionFast lowers to
-	// the FMA + float32-accumulation family under the tolerance contract
-	// (see precision.go).
-	Precision Precision
 }
 
 // DefaultOptions enables every RTMobile pass for the given format.

@@ -24,15 +24,13 @@ import (
 // Scales[row]·float32(q), the formula of quant.QMatrix.Dequantize, so the
 // integer width lives in the serialized sections (Sections,
 // NewPackedFromSections) and the footprint accounting, never in a kernel.
-// The kernel tier (exact or fast) is resolved once, when the program is
-// built, into the two segment kernels the run loops call (packkernels.go) —
-// nothing is selected per execution, as in the paper's compiler, which fixes
-// every tuning choice offline. The plan's TileConfig and thread count are
-// not among them: they describe the modelled mobile target's kernel, which
+// Nothing is selected per execution: the run loops call the same two segment
+// kernels (packkernels.go) for every program. The plan's TileConfig and
+// thread count describe the modelled mobile target's kernel, which
 // internal/device prices; the host executor runs one kernel per shape
 // whatever the tile says, and one segment list whatever the thread count.
 //
-// Determinism contract, exact tier: a program accumulated into y is
+// Determinism contract: a program accumulated into y is
 // tensor.MatVecAdd on the matrix it was lowered from, bit for bit — every
 // output row is one dot, accumulated in index order in a single float64 and
 // rounded once. A quantized program is the float program of its dequantized
@@ -41,8 +39,7 @@ import (
 // out as a column-major panel (element i of stream l at x[i*B+l]), reading
 // each weight once per step for the whole panel; lane l of the output panel
 // is bit-identical to the serial entry on lane l's vector, because batch
-// width changes data layout, never summation order. The fast tier replaces
-// bit-equality with the tolerance contract of precision.go. Event counts are
+// width changes data layout, never summation order. Event counts are
 // static per program — every gather and dot width is known when it is built
 // — so the plan's counted fields are read off the program (count,
 // codegen.go) without instrumenting the hot loop: the device models price
@@ -75,25 +72,16 @@ type PackedProgram struct {
 	// ValueBits is the float value width the plan prices; 0 on a quantized
 	// program, whose storage width is Bits.
 	ValueBits int
-	// Precision is the kernel tier: PrecisionExact runs the bit-exact
-	// float64-accumulation kernels, PrecisionFast the FMA +
-	// float32-accumulation family (see precision.go).
-	Precision Precision
 
 	// Vals holds all dot payloads, in segment order, contiguous.
 	Vals []float32
-	// Bits, Scheme and Scales are a quantized program's storage record:
-	// Bits 0 is a float program; 8, 12 or 16 means every value is
-	// Scales[row]·float32(q) for an integer code q of that width, which is
-	// what WeightBytes prices (12-bit codes pack to 1.5 bytes on device) and
-	// Sections serializes. Scales always holds one scale per output row
-	// (PerTensor repeats the single scale). No kernel reads them.
+	// Bits and Scales are a quantized program's storage record: Bits 0 is a
+	// float program; 8, 12 or 16 means every value is Scales[row]·float32(q)
+	// for an integer code q of that width, with one scale per output row,
+	// which is what WeightBytes prices (12-bit codes pack to 1.5 bytes on
+	// device) and Sections serializes. No kernel reads them.
 	Bits   int
-	Scheme quant.Scheme
 	Scales []float32
-	// numScales is the stored scale count of the scheme (1 or Rows) — what
-	// a serialized artifact ships.
-	numScales int
 
 	ColIdx []int32     // all gather indices, in segment order, contiguous
 	Segs   []PackedSeg // the segments, executed in order
@@ -105,11 +93,6 @@ type PackedProgram struct {
 	// totalMACs is the program's static work term, summed over the
 	// segments.
 	totalMACs int
-
-	// seg and segBatch are the segment kernels the tier resolves to; see
-	// bind.
-	seg      segKernel
-	segBatch segBatchKernel
 
 	// trace, when non-nil, totals one obs.StageKernel execution per run
 	// under traceID. Event counts are static, so the total plus the
@@ -135,11 +118,6 @@ func (p *PackedProgram) TotalMACs() int { return p.totalMACs }
 // execution (once per batched execution, regardless of width): 4 bytes per
 // value, whatever the storage width.
 func (p *PackedProgram) StreamBytes() int { return 4 * len(p.Vals) }
-
-// NumScales reports the stored scale count of a quantized program's scheme
-// (1 for PerTensor, Rows for PerRow) — the count a serialized artifact
-// ships; 0 for a float program.
-func (p *PackedProgram) NumScales() int { return p.numScales }
 
 // WeightBytes returns the device-format weight storage in bytes: the
 // storage width per stored value, bit-packed — the footprint Table II
@@ -186,10 +164,11 @@ func (p *PackedProgram) index() {
 	}
 }
 
-// quantize rounds the program's values to integer codes of the given width
-// and replaces each with its dequantized value, Scales[row]·float32(q): one
-// rounding, as quant.QMatrix.Dequantize computes it.
-func (p *PackedProgram) quantize(bits int, scheme quant.Scheme) error {
+// quantize rounds the program's values to integer codes of the given width,
+// one scale per row, and replaces each with its dequantized value,
+// Scales[row]·float32(q): one rounding, as quant.QMatrix.Dequantize
+// computes it.
+func (p *PackedProgram) quantize(bits int) {
 	// Row maxAbs over the packed vals. A row's packed values are its true
 	// nonzeros (possibly split across segments under column tiling), so this
 	// equals the dense row maxAbs restricted to stored weights.
@@ -204,26 +183,8 @@ func (p *PackedProgram) quantize(bits int, scheme quant.Scheme) error {
 		rowMax[row] = mx
 	})
 	p.Scales = make([]float32, p.Rows)
-	switch scheme {
-	case quant.PerTensor:
-		mx := 0.0
-		for _, m := range rowMax {
-			if m > mx {
-				mx = m
-			}
-		}
-		sc := quant.ScaleFor(mx, bits)
-		for r := range p.Scales {
-			p.Scales[r] = sc
-		}
-		p.numScales = 1
-	case quant.PerRow:
-		for r := range p.Scales {
-			p.Scales[r] = quant.ScaleFor(rowMax[r], bits)
-		}
-		p.numScales = p.Rows
-	default:
-		return fmt.Errorf("compiler: unknown quantization scheme %v", scheme)
+	for r := range p.Scales {
+		p.Scales[r] = quant.ScaleFor(rowMax[r], bits)
 	}
 
 	qmax := quant.QMax(bits)
@@ -233,8 +194,7 @@ func (p *PackedProgram) quantize(bits int, scheme quant.Scheme) error {
 			vals[i] = s * float32(quant.ClampRound(float64(v)/float64(s), qmax))
 		}
 	})
-	p.Bits, p.Scheme, p.ValueBits = bits, scheme, 0
-	return nil
+	p.Bits, p.ValueBits = bits, 0
 }
 
 // forEachRowVals walks every packed float32 row-dot payload: fn receives the
@@ -275,17 +235,15 @@ func (p *PackedProgram) Dense() *tensor.Matrix {
 }
 
 // PackedScratch is the reusable per-goroutine scratch arena of the packed
-// executor, shared by programs of any storage, tier and width. One scratch
+// executor, shared by programs of any storage and width. One scratch
 // must not be shared by concurrent executions; allocate one per goroutine
 // (steady-state reuse is what makes Run and RunBatch allocation-free).
 type PackedScratch struct {
 	// gather stages gathered input columns: MaxGather values for a serial
 	// run, MaxGather×bw (lane-contiguous) for a panel.
 	gather []float32
-	// acc holds the exact tier's per-lane float64 accumulators for a row
-	// pair (2×bw); facc the fast tier's float32 accumulators (bw).
-	acc  []float64
-	facc []float32
+	// acc holds the per-lane float64 accumulators for a row pair (2×bw).
+	acc []float64
 }
 
 // NewScratch returns a scratch arena sized for this program's serial path;
@@ -302,7 +260,6 @@ func (s *PackedScratch) ensure(maxGather, bw int) {
 	}
 	if bw > 1 && cap(s.acc) < 2*bw {
 		s.acc = make([]float64, 2*bw)
-		s.facc = make([]float32, bw)
 	}
 }
 

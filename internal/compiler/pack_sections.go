@@ -46,15 +46,10 @@ type PackedSections struct {
 	Rows, Cols int
 	Format     Format
 	ValueBits  int
-	Precision  Precision
 
-	// Quantized-program header: Bits is 0 for a float program; 8, 12, or
-	// 16 selects Vals8/Vals16 storage. NumScales is the scheme's stored
-	// scale count (1 per-tensor, Rows per-row) — Scales itself is always
-	// the per-row expansion.
-	Bits      int
-	Scheme    quant.Scheme
-	NumScales int
+	// Bits is 0 for a float program; 8, 12, or 16 selects Vals8/Vals16
+	// storage with one scale per row.
+	Bits int
 
 	Vals   []float32 // float dot payloads (Bits == 0)
 	Vals8  []int8    // quantized payloads (Bits == 8)
@@ -97,9 +92,8 @@ func (s *PackedSections) RowsOnce() bool {
 func (p *PackedProgram) Sections() *PackedSections {
 	s := &PackedSections{
 		Name: p.Name, Rows: p.Rows, Cols: p.Cols,
-		Format: p.Format, ValueBits: p.ValueBits, Precision: p.Precision,
-		Bits: p.Bits, Scheme: p.Scheme, NumScales: p.numScales,
-		Scales: p.Scales, ColIdx: p.ColIdx,
+		Format: p.Format, ValueBits: p.ValueBits,
+		Bits: p.Bits, Scales: p.Scales, ColIdx: p.ColIdx,
 	}
 	switch p.Bits {
 	case 0:
@@ -243,9 +237,6 @@ func (s *PackedSections) numVals() (int, error) {
 		return 0, fmt.Errorf("compiler: sections %s: quantized width %d invalid (want 8, 12, or 16)",
 			s.Name, s.Bits)
 	}
-	if s.Scheme != quant.PerTensor && s.Scheme != quant.PerRow {
-		return 0, fmt.Errorf("compiler: sections %s: unknown quant scheme %d", s.Name, s.Scheme)
-	}
 	n, other := n8, n16
 	if s.Bits != 8 {
 		n, other = n16, n8
@@ -256,10 +247,6 @@ func (s *PackedSections) numVals() (int, error) {
 	}
 	if len(s.Scales) != s.Rows {
 		return 0, fmt.Errorf("compiler: sections %s: %d scales for %d rows", s.Name, len(s.Scales), s.Rows)
-	}
-	if s.NumScales != 1 && s.NumScales != s.Rows {
-		return 0, fmt.Errorf("compiler: sections %s: stored scale count %d (want 1 or %d)",
-			s.Name, s.NumScales, s.Rows)
 	}
 	// quant.ScaleFor only produces positive finite scales; anything else
 	// would dequantize to NaN, ±Inf or sign-flipped weights.
@@ -278,9 +265,6 @@ func (s *PackedSections) numVals() (int, error) {
 // further validation. Work is O(segments + indices) for a float program; a
 // quantized one also dequantizes its codes into a fresh value array.
 func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
-	if !PrecisionValid(s.Precision) {
-		return nil, fmt.Errorf("compiler: sections %s: unknown precision tier %d", s.Name, s.Precision)
-	}
 	numVals, err := s.numVals()
 	if err != nil {
 		return nil, err
@@ -292,9 +276,7 @@ func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 	p := &PackedProgram{
 		Name: s.Name, Rows: s.Rows, Cols: s.Cols,
 		Format: s.Format, ValueBits: s.ValueBits,
-		Precision: s.Precision,
-		Bits:      s.Bits, Vals: s.Vals,
-		Scheme: s.Scheme, Scales: s.Scales, numScales: s.NumScales,
+		Bits: s.Bits, Vals: s.Vals, Scales: s.Scales,
 		ColIdx: s.ColIdx, Segs: segs, RowIdx: s.RowIdx,
 	}
 	p.index()
@@ -303,6 +285,5 @@ func NewPackedFromSections(s *PackedSections) (*PackedProgram, error) {
 	} else if s.Bits != 0 {
 		dequantize(p, s.Vals16)
 	}
-	p.bind()
 	return p, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rtmobile/internal/prune"
-	"rtmobile/internal/quant"
 )
 
 // sectionsTestProgram lowers a BSPC test matrix, returning the program and
@@ -105,32 +104,29 @@ func TestPackedSectionsRebaseLanes(t *testing.T) {
 	}
 }
 
-// TestPackedQSectionsRoundTrip: the quantized equivalent, at 8 and 16 bits
-// and both scale schemes.
+// TestPackedQSectionsRoundTrip: the quantized equivalent, at 8 and 16 bits.
 func TestPackedQSectionsRoundTrip(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(5, 48, 40, scheme)
 	prog, _ := lower(t, MatrixSource{Name: "m", W: w, Scheme: &scheme}, DefaultOptions(FormatBSPC, 32), 4)
 	for _, bits := range []int{8, 16} {
-		for _, sc := range []quant.Scheme{quant.PerTensor, quant.PerRow} {
-			pq := packQuant(t, prog, bits, sc)
-			re, err := NewPackedFromSections(pq.Sections())
-			if err != nil {
-				t.Fatalf("bits=%d scheme=%d: %v", bits, sc, err)
-			}
-			x := randVec(7, pq.Cols)
-			want := make([]float32, pq.Rows)
-			got := make([]float32, pq.Rows)
-			if err := pq.Run(want, x, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := re.Run(got, x, nil); err != nil {
-				t.Fatal(err)
-			}
-			for r := range want {
-				if want[r] != got[r] {
-					t.Fatalf("bits=%d scheme=%d row %d: %v vs %v", bits, sc, r, want[r], got[r])
-				}
+		pq := packQuant(prog, bits)
+		re, err := NewPackedFromSections(pq.Sections())
+		if err != nil {
+			t.Fatalf("bits=%d: %v", bits, err)
+		}
+		x := randVec(7, pq.Cols)
+		want := make([]float32, pq.Rows)
+		got := make([]float32, pq.Rows)
+		if err := pq.Run(want, x, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Run(got, x, nil); err != nil {
+			t.Fatal(err)
+		}
+		for r := range want {
+			if want[r] != got[r] {
+				t.Fatalf("bits=%d row %d: %v vs %v", bits, r, want[r], got[r])
 			}
 		}
 	}
@@ -191,9 +187,7 @@ func TestPackedQSectionsRejectsCorrupt(t *testing.T) {
 		wantErr string
 	}{
 		{"bad bits", func(s *PackedSections) { s.Bits = 9 }, "width"},
-		{"bad scale scheme", func(s *PackedSections) { s.Scheme = 7 }, "scheme"},
 		{"scales wrong length", func(s *PackedSections) { s.Scales = s.Scales[:1] }, "scale"},
-		{"bad numscales", func(s *PackedSections) { s.NumScales = 3 }, "scale"},
 		{"both val widths", func(s *PackedSections) { s.Vals16 = make([]int16, len(s.Vals8)) }, "int16"},
 		{"float into quantized", func(s *PackedSections) { s.Bits = 0 }, "quantized"},
 		{"nan scale", func(s *PackedSections) { s.Scales[1] = float32(math.NaN()) }, "scale"},

@@ -13,35 +13,30 @@ import (
 )
 
 // The packed equivalence table. One grid — {dense, CSR, BSPC ± load
-// elimination} × tier × panel width — with the value storage as a column,
-// and one contract per tier:
+// elimination} × panel width — with the value storage as a column, and
+// three contracts:
 //
-//	exact            ≡ tensor.MatVecAdd, bit for bit
-//	exact, panel     lane l ≡ the serial run on lane l's vector, bit for bit
-//	fast             within tensor.FastDotBound of the same storage's exact run
-//	quantized        ≡ the float program of its dequantized values, bit for bit, on every tier
+//	serial           ≡ tensor.MatVecAdd, bit for bit
+//	panel            lane l ≡ the serial run on lane l's vector, bit for bit
+//	quantized        ≡ the float program of its dequantized values, bit for bit
 //
 // A quantized case's matrix is the dequantized one (quant.QMatrix.Dequantize
-// of the projected matrix), so the exact and fast contracts apply to every
-// storage unchanged. The modelled thread count is no column: it prices a
-// program and never shapes one (TestLowerMatrixThreadsOnlyInPlan). Every
-// execution of every test below borrows tableScratch, so one PackedScratch
-// is reused across storages, tiers and widths throughout.
+// of the projected matrix), so the contracts apply to every storage
+// unchanged. The modelled thread count is no column: it prices a program and
+// never shapes one (TestLowerMatrixThreadsOnlyInPlan). Every execution of
+// every test below borrows tableScratch, so one PackedScratch is reused
+// across storages and widths throughout.
 
 // storage is the value-storage column.
 type storage struct {
-	name   string
-	bits   int
-	scheme quant.Scheme
+	name string
+	bits int
 }
 
 var (
-	f32Storage    = []storage{{"f32", 0, quant.PerRow}}
-	quantStorages = []storage{
-		{"q8", 8, quant.PerRow}, {"q12", 12, quant.PerRow}, {"q16", 16, quant.PerRow},
-		{"q8/tensor", 8, quant.PerTensor}, {"q16/tensor", 16, quant.PerTensor},
-	}
-	allStorages = append(append([]storage(nil), f32Storage...), quantStorages...)
+	f32Storage    = []storage{{"f32", 0}}
+	quantStorages = []storage{{"q8", 8}, {"q12", 12}, {"q16", 16}}
+	allStorages   = append(append([]storage(nil), f32Storage...), quantStorages...)
 
 	tableWidths  = []int{1, 3, 8, 16}
 	tableScratch = &PackedScratch{}
@@ -51,11 +46,10 @@ var (
 type packedCase struct {
 	label string
 	w     *tensor.Matrix // the matrix the programs compute (dequantized for a quantized storage)
-	exact *PackedProgram // the storage under test on the exact tier
-	pp    *PackedProgram // the storage and tier under test (exact itself on the exact tier)
-	ref   *PackedProgram // the float program of w's values on the tier under test (pp itself for f32)
-	// relower lowers a matrix the way pp was: same format, options, tier
-	// and storage.
+	pp    *PackedProgram // the storage under test
+	ref   *PackedProgram // the float program of w's values (pp itself for f32)
+	// relower lowers a matrix the way pp was: same format, options and
+	// storage.
 	relower func(w *tensor.Matrix) (*PackedProgram, error)
 }
 
@@ -103,24 +97,19 @@ func dequantized(t testing.TB, w *tensor.Matrix, st storage) *tensor.Matrix {
 	if st.bits == 0 {
 		return w
 	}
-	qm, err := quant.Quantize(w, st.bits, st.scheme)
+	qm, err := quant.Quantize(w, st.bits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return qm.Dequantize()
 }
 
-// packQuant is a copy of the float program p stored at the given width and
-// scale scheme: LowerMatrix's quantization, with the per-tensor scheme no
-// deployment writes as well.
-func packQuant(t testing.TB, p *PackedProgram, bits int, scheme quant.Scheme) *PackedProgram {
-	t.Helper()
+// packQuant is a copy of the float program p stored at the given width:
+// LowerMatrix's quantization.
+func packQuant(p *PackedProgram, bits int) *PackedProgram {
 	q := *p
 	q.Vals = append([]float32(nil), p.Vals...)
-	if err := q.quantize(bits, scheme); err != nil {
-		t.Fatal(err)
-	}
-	q.bind()
+	q.quantize(bits)
 	return &q
 }
 
@@ -139,12 +128,11 @@ func withValues(p *PackedProgram, wd *tensor.Matrix) *PackedProgram {
 			q.Vals[off+j] = wd.At(int(row), c)
 		}
 	})
-	q.bind()
 	return &q
 }
 
-// forEachPackedCase walks the grid for the given storages on one tier.
-func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func(c packedCase)) {
+// forEachPackedCase walks the grid for the given storages.
+func forEachPackedCase(t *testing.T, storages []storage, fn func(c packedCase)) {
 	t.Helper()
 	for _, m := range tableMatrices() {
 		for _, lo := range lowerings {
@@ -156,11 +144,6 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 			opt := DefaultOptions(lo.format, 32)
 			opt.EliminateRedundantLoads = lo.elim
 			prog, _ := lower(t, src, opt, 8)
-			tprog := prog
-			if tier != PrecisionExact {
-				opt.Precision = tier
-				tprog, _ = lower(t, src, opt, 8)
-			}
 			for _, st := range storages {
 				wd := dequantized(t, m.w, st)
 				c := packedCase{w: wd, label: fmt.Sprintf(
@@ -172,19 +155,11 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 					if err != nil || st.bits == 0 {
 						return p, err
 					}
-					return packQuant(t, p, st.bits, st.scheme), nil
+					return packQuant(p, st.bits), nil
 				}
-				c.exact, c.pp, c.ref = prog, tprog, tprog
+				c.pp, c.ref = prog, prog
 				if st.bits != 0 {
-					c.exact = packQuant(t, prog, st.bits, st.scheme)
-					c.pp = c.exact
-					if tprog != prog {
-						c.pp = packQuant(t, tprog, st.bits, st.scheme)
-					}
-					c.ref = withValues(tprog, wd)
-				}
-				if c.pp.Precision != tier {
-					t.Fatalf("%s: quantization dropped the precision tier: %v", c.label, c.pp.Precision)
+					c.pp, c.ref = packQuant(prog, st.bits), withValues(prog, wd)
 				}
 				fn(c)
 			}
@@ -192,11 +167,11 @@ func forEachPackedCase(t *testing.T, storages []storage, tier Precision, fn func
 	}
 }
 
-// checkExactSerial: the exact tier's serial run and the dense-order
-// contract — run into a cleared y and accumulated onto a bias, the program
-// is tensor.MatVecAdd on its matrix, bit for bit.
+// checkExactSerial: the serial run and the dense-order contract — run into
+// a cleared y and accumulated onto a bias, the program is tensor.MatVecAdd
+// on its matrix, bit for bit.
 func checkExactSerial(t *testing.T, storages []storage) {
-	forEachPackedCase(t, storages, PrecisionExact, func(c packedCase) {
+	forEachPackedCase(t, storages, func(c packedCase) {
 		x := randVec(uint64(len(c.label)), c.w.Cols)
 		for _, bias := range [][]float32{make([]float32, c.w.Rows), randVec(uint64(len(c.label))+13, c.w.Rows)} {
 			got, want := append([]float32(nil), bias...), append([]float32(nil), bias...)
@@ -255,10 +230,10 @@ func sameAsRef(t *testing.T, label string, pp, ref *PackedProgram, seed uint64, 
 	}
 }
 
-// checkStorage: on the given tier, at every width, a quantized program is
-// the float program of its dequantized values.
-func checkStorage(t *testing.T, tier Precision) {
-	forEachPackedCase(t, quantStorages, tier, func(c packedCase) {
+// checkStorage: at every width, a quantized program is the float program of
+// its dequantized values.
+func checkStorage(t *testing.T) {
+	forEachPackedCase(t, quantStorages, func(c packedCase) {
 		for _, bw := range tableWidths {
 			sameAsRef(t, c.label, c.pp, c.ref, uint64(bw)+5, bw)
 		}
@@ -269,40 +244,37 @@ func TestPackedBitIdentical(t *testing.T) { checkExactSerial(t, f32Storage) }
 
 // TestPackQuantBitIdentical: quantized programs hold the exact and
 // dense-order contracts over their dequantized matrix, and are the float
-// programs of their dequantized values on both tiers at every width.
+// programs of their dequantized values at every width.
 func TestPackQuantBitIdentical(t *testing.T) {
 	checkExactSerial(t, quantStorages)
-	checkStorage(t, PrecisionExact)
-	checkStorage(t, PrecisionFast)
+	checkStorage(t)
 }
 
-// TestPackedDenseInverse: Dense is the inverse of lowering across formats,
-// storages and tiers. It returns the matrix a program computes, and lowering
+// TestPackedDenseInverse: Dense is the inverse of lowering across formats
+// and storages. It returns the matrix a program computes, and lowering
 // that matrix again reproduces the program's sections byte for byte. The second half holds for a program lowered from
 // the weights it holds. An engine's programs always are (Compile rounds
 // before it lowers); a quantized c.pp was lowered from the unrounded
 // matrix, so the check re-lowers c.w, the rounded one, first.
 func TestPackedDenseInverse(t *testing.T) {
-	for _, tier := range []Precision{PrecisionExact, PrecisionFast} {
-		forEachPackedCase(t, allStorages, tier, func(c packedCase) {
-			for _, p := range []*PackedProgram{c.exact, c.pp, c.ref} {
-				if !denseEqual(p.Dense(), c.w) {
-					t.Fatalf("%s: Dense is not the matrix the program computes", c.label)
-				}
+	forEachPackedCase(t, allStorages, func(c packedCase) {
+		for _, p := range []*PackedProgram{c.pp, c.ref} {
+			if !denseEqual(p.Dense(), c.w) {
+				t.Fatalf("%s: Dense is not the matrix the program computes", c.label)
 			}
-			p, err := c.pp, error(nil)
-			if c.pp.Bits != 0 {
-				if p, err = c.relower(c.w); err != nil {
-					t.Fatal(err)
-				}
-			}
-			again, err := c.relower(p.Dense())
-			if err != nil {
+		}
+		p, err := c.pp, error(nil)
+		if c.pp.Bits != 0 {
+			if p, err = c.relower(c.w); err != nil {
 				t.Fatal(err)
 			}
-			sameSections(t, c.label, again.Sections(), p.Sections())
-		})
-	}
+		}
+		again, err := c.relower(p.Dense())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSections(t, c.label, again.Sections(), p.Sections())
+	})
 }
 
 // denseEqual reports whether two matrices have the same shape and equal
@@ -341,7 +313,7 @@ func sameSections(t testing.TB, label string, got, want *PackedSections) {
 // both segment kinds.
 func TestPackedTableHitsGroupSeam(t *testing.T) {
 	seen := map[[2]int]bool{}
-	forEachPackedCase(t, f32Storage, PrecisionExact, func(c packedCase) {
+	forEachPackedCase(t, f32Storage, func(c packedCase) {
 		for _, sg := range c.pp.Segs {
 			seen[[2]int{int(sg.Kind), int(sg.NR)}] = true
 		}
@@ -389,7 +361,7 @@ func checkLanes(t *testing.T, label string, pp *PackedProgram, seed uint64, bw i
 	}
 }
 
-// checkLanesMatchSerial: lane l of the exact tier's panel is byte-for-byte
+// checkLanesMatchSerial: lane l of the panel is byte-for-byte
 // the serial run on lane l's vector.
 func checkLanesMatchSerial(t *testing.T, label string, pp *PackedProgram, seed uint64, bw int) {
 	t.Helper()
@@ -407,7 +379,7 @@ func checkLanesMatchSerial(t *testing.T, label string, pp *PackedProgram, seed u
 }
 
 func checkExactLanes(t *testing.T, storages []storage) {
-	forEachPackedCase(t, storages, PrecisionExact, func(c packedCase) {
+	forEachPackedCase(t, storages, func(c packedCase) {
 		for _, bw := range tableWidths {
 			checkLanesMatchSerial(t, c.label, c.pp, uint64(bw), bw)
 		}
@@ -417,52 +389,10 @@ func checkExactLanes(t *testing.T, storages []storage) {
 func TestBatchedBitIdentical(t *testing.T)            { checkExactLanes(t, f32Storage) }
 func TestPackQuantBatchLanesMatchSerial(t *testing.T) { checkExactLanes(t, quantStorages) }
 
-// checkFastRows asserts a fast-tier output is within the tolerance contract
-// of the exact oracle, row by row: the hybrid ULP/absolute bound of the
-// row's dot, sized by its term count and product-magnitude sum.
-func checkFastRows(t *testing.T, label string, c packedCase, x, got, want []float32) {
-	t.Helper()
-	for r := range got {
-		sumAbs, n := 0.0, 0
-		for col, v := range c.w.Row(r) {
-			if v != 0 {
-				sumAbs += math.Abs(float64(v) * float64(x[col]))
-				n++
-			}
-		}
-		ulps, atol := tensor.FastULPBound(n), tensor.FastDotBound(n, sumAbs)
-		if !tensor.FastClose(got[r], want[r], ulps, atol) {
-			t.Fatalf("%s: row %d: fast %v vs exact %v outside bound (ulp=%d, atol=%g)",
-				label, r, got[r], want[r], tensor.ULPDiff32(got[r], want[r]), atol)
-		}
-	}
-}
-
-// checkFast: every lane of the fast tier's output at every width (1 is the
-// serial entry) is within bound of the exact serial oracle for that lane.
-func checkFast(t *testing.T, storages []storage, widths []int) {
-	forEachPackedCase(t, storages, PrecisionFast, func(c packedCase) {
-		want := make([]float32, c.w.Rows)
-		for _, bw := range widths {
-			label := fmt.Sprintf("%s bw=%d", c.label, bw)
-			checkLanes(t, label, c.pp, uint64(bw), bw, func(l int, x, got []float32) {
-				if err := c.exact.Run(want, x, tableScratch); err != nil {
-					t.Fatal(err)
-				}
-				checkFastRows(t, fmt.Sprintf("%s lane %d", label, l), c, x, got, want)
-			})
-		}
-	})
-}
-
-func TestPackedFastMatchesExactWithinBound(t *testing.T)  { checkFast(t, f32Storage, tableWidths[:1]) }
-func TestPackedBatchFastMatchesExact(t *testing.T)        { checkFast(t, f32Storage, tableWidths[1:]) }
-func TestPackedQFastMatchesExactWithinBound(t *testing.T) { checkFast(t, quantStorages, tableWidths) }
-
 // checkZeroAlloc is the allocation-regression gate: steady-state execution
 // on the shared scratch must not touch the heap, whatever ran on it before.
-func checkZeroAlloc(t *testing.T, storages []storage, tier Precision, widths []int) {
-	forEachPackedCase(t, storages, tier, func(c packedCase) {
+func checkZeroAlloc(t *testing.T, storages []storage, widths []int) {
+	forEachPackedCase(t, storages, func(c packedCase) {
 		for _, bw := range widths {
 			x := randVec(9, c.w.Cols*bw)
 			y := make([]float32, c.w.Rows*bw)
@@ -479,18 +409,9 @@ func checkZeroAlloc(t *testing.T, storages []storage, tier Precision, widths []i
 	})
 }
 
-func TestPackedRunZeroAlloc(t *testing.T) {
-	checkZeroAlloc(t, f32Storage, PrecisionExact, tableWidths[:1])
-}
-func TestRunBatchZeroAlloc(t *testing.T) {
-	checkZeroAlloc(t, f32Storage, PrecisionExact, tableWidths[1:])
-}
-func TestPackQuantZeroAlloc(t *testing.T) {
-	checkZeroAlloc(t, quantStorages, PrecisionExact, tableWidths)
-}
-func TestPackedFastRunZeroAlloc(t *testing.T) {
-	checkZeroAlloc(t, allStorages, PrecisionFast, tableWidths)
-}
+func TestPackedRunZeroAlloc(t *testing.T) { checkZeroAlloc(t, f32Storage, tableWidths[:1]) }
+func TestRunBatchZeroAlloc(t *testing.T)  { checkZeroAlloc(t, f32Storage, tableWidths[1:]) }
+func TestPackQuantZeroAlloc(t *testing.T) { checkZeroAlloc(t, quantStorages, tableWidths) }
 
 // TestPackedRejectsMalformed: hand-built sections with the defects a
 // lowering never emits — an out-of-range gather column, a dot wider than its

@@ -26,7 +26,7 @@ func TestPackQuantAccuracy(t *testing.T) {
 	}
 	prevErr := math.Inf(1)
 	for _, bits := range quantBitModes {
-		pq := packQuant(t, pp, bits, quant.PerRow)
+		pq := packQuant(pp, bits)
 		y := make([]float32, w.Rows)
 		if err := pq.Run(y, x, nil); err != nil {
 			t.Fatal(err)
@@ -50,8 +50,8 @@ func TestPackQuantAccuracy(t *testing.T) {
 // TestPackQuantStorage pins the storage accounting: the host streams 4
 // bytes per packed value whatever the storage (quantized programs hold
 // dequantized float32 values), device WeightBytes are Bits per value
-// bit-packed, serialized codes are 1 or 2 bytes each, and the stored scale
-// count follows the scheme.
+// bit-packed, serialized codes are 1 or 2 bytes each, with one scale per
+// row.
 func TestPackQuantStorage(t *testing.T) {
 	scheme := prune.BSP{ColRate: 4, RowRate: 2, NumRowGroups: 4, NumColBlocks: 4}
 	w := bspMat(8, 32, 32, scheme)
@@ -66,7 +66,7 @@ func TestPackQuantStorage(t *testing.T) {
 	}{
 		{8, nvals}, {12, (nvals*12 + 7) / 8}, {16, 2 * nvals},
 	} {
-		pq := packQuant(t, pp, tc.bits, quant.PerRow)
+		pq := packQuant(pp, tc.bits)
 		if len(pq.Vals) != nvals || pq.Bits != tc.bits {
 			t.Fatalf("bits=%d: %d vals recorded at %d bits, want %d", tc.bits, len(pq.Vals), pq.Bits, nvals)
 		}
@@ -80,11 +80,8 @@ func TestPackQuantStorage(t *testing.T) {
 		if pq.WeightBytes() != tc.weightByte {
 			t.Fatalf("bits=%d: WeightBytes %d, want %d", tc.bits, pq.WeightBytes(), tc.weightByte)
 		}
-		if pq.NumScales() != w.Rows {
-			t.Fatalf("bits=%d: per-row NumScales %d, want %d", tc.bits, pq.NumScales(), w.Rows)
-		}
-		if pt := packQuant(t, pp, tc.bits, quant.PerTensor); pt.NumScales() != 1 {
-			t.Fatalf("bits=%d: per-tensor NumScales %d, want 1", tc.bits, pt.NumScales())
+		if len(pq.Sections().Scales) != w.Rows {
+			t.Fatalf("bits=%d: %d scales, want one per row (%d)", tc.bits, len(pq.Sections().Scales), w.Rows)
 		}
 		if pq.TotalMACs() != pp.TotalMACs() {
 			t.Fatalf("bits=%d: TotalMACs %d, want %d", tc.bits, pq.TotalMACs(), pp.TotalMACs())
@@ -104,7 +101,7 @@ func TestPackQuantIdempotent(t *testing.T) {
 		opt.QuantBits = bits
 		pq, _ := lower(t, MatrixSource{Name: "i", W: w, Scheme: &scheme}, opt, 2)
 		// Round-trip the matrix through quant and lower it again.
-		qm, err := quant.Quantize(w, bits, quant.PerRow)
+		qm, err := quant.Quantize(w, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,9 +139,6 @@ func TestPackQuantRejects(t *testing.T) {
 	}
 	if err := pq.RunBatch(make([]float32, 4*3), make([]float32, 4*3), 0, nil); err == nil {
 		t.Fatal("zero batch width accepted")
-	}
-	if err := (&PackedProgram{Rows: 1}).quantize(8, quant.Scheme(7)); err == nil {
-		t.Fatal("unknown scale scheme accepted")
 	}
 }
 

@@ -86,7 +86,6 @@ type gruBatchStream struct {
 	h      []float32
 	ax, ah []float32
 	stage  func(dst, src []float32, bw int)
-	ep     func(h, ax, ah []float32)
 	tracer *obs.Tracer
 	layer  int32
 }
@@ -104,7 +103,6 @@ func (g *GRU) batchStream(bw int, k Kernels) BatchStepper {
 		h:  make([]float32, g.Hidden*bw),
 		ax: make([]float32, 3*g.Hidden*bw),
 		ah: make([]float32, 3*g.Hidden*bw),
-		ep: gruEpilogue(k.FastEpilogue),
 	}
 }
 
@@ -117,10 +115,10 @@ func (s *gruBatchStream) StepBatch(x []float32) []float32 {
 	s.wh(s.ah, s.h)
 	if s.tracer != nil {
 		t0 := time.Now()
-		s.ep(s.h, s.ax, s.ah)
+		tensor.GRUEpilogue(s.h, s.ax, s.ah)
 		s.tracer.RecordSince(obs.StageEpilogue, s.layer, t0)
 	} else {
-		s.ep(s.h, s.ax, s.ah)
+		tensor.GRUEpilogue(s.h, s.ax, s.ah)
 	}
 	return s.h
 }

@@ -22,37 +22,22 @@ type MatVec func(y, x []float32)
 
 // Kernels is the arithmetic a stream's steppers run. The steppers own the
 // step order (bias, projections, gate epilogue); Kernels says what executes
-// each projection and which epilogue tier blends the gates — the dense
-// reference here, a deployment's compiled programs in internal/rtmobile.
+// each projection — the dense reference here, a deployment's compiled
+// programs in internal/rtmobile.
 type Kernels struct {
 	// MatVec binds weight matrix p for bw-wide panels (bw == 1: vectors).
 	MatVec func(p *Param, bw int) MatVec
-	// FastEpilogue selects the SIMD polynomial σ/tanh gate blend
-	// (tolerance-verified, see tensor.FastActClose) over the bit-pinned
-	// exact one.
-	FastEpilogue bool
 }
 
 // ReferenceKernels binds every projection to tensor.MatVecAddBatch (which is
-// tensor.MatVecAdd at width 1) over the model's own dense weights with the
-// exact epilogue: the training-side reference whose steps replay Forward's
-// float operation order bit for bit.
+// tensor.MatVecAdd at width 1) over the model's own dense weights: the
+// training-side reference whose steps replay Forward's float operation order
+// bit for bit.
 func ReferenceKernels() Kernels {
 	return Kernels{MatVec: func(p *Param, bw int) MatVec {
 		w := p.W
 		return func(y, x []float32) { tensor.MatVecAddBatch(y, w, x, bw) }
 	}}
-}
-
-// gruEpilogue selects the gate-epilogue tier: the exact fused kernel is
-// bit-identical to the historical unfused gate loop, the fast kernel runs
-// the SIMD polynomial σ/tanh blend. Captured once at construction so the
-// per-step hot loop stays branch-cheap.
-func gruEpilogue(fast bool) func(h, ax, ah []float32) {
-	if fast {
-		return tensor.GRUEpilogueFast
-	}
-	return tensor.GRUEpilogue
 }
 
 // stageTraced is implemented by steppers that record sub-layer stage times

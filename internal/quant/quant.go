@@ -14,25 +14,6 @@ import (
 	"rtmobile/internal/tensor"
 )
 
-// Scheme selects how the quantization scale is chosen.
-type Scheme int
-
-const (
-	// PerTensor uses one scale for the whole matrix.
-	PerTensor Scheme = iota
-	// PerRow uses one scale per output row (finer, standard for RNN
-	// weights where gate rows have very different ranges).
-	PerRow
-)
-
-// String names the scheme.
-func (s Scheme) String() string {
-	if s == PerRow {
-		return "per-row"
-	}
-	return "per-tensor"
-}
-
 // QMatrix is a symmetric linearly-quantized matrix: value ≈ scale · q with
 // q an integer in [−(2^(bits−1)−1), 2^(bits−1)−1]. Zero is exactly
 // representable (symmetric, no zero-point), which matters because pruned
@@ -40,8 +21,8 @@ func (s Scheme) String() string {
 type QMatrix struct {
 	Rows, Cols int
 	Bits       int
-	Scheme     Scheme
-	// Scales has length 1 (PerTensor) or Rows (PerRow).
+	// Scales holds one scale per output row (the standard for RNN weights,
+	// whose gate rows have very different ranges).
 	Scales []float32
 	// Q holds the quantized integers, row-major.
 	Q []int32
@@ -77,41 +58,31 @@ func ClampRound(x, qmax float64) int32 {
 	return int32(r)
 }
 
-// Quantize converts a matrix at the given bit width (2..32).
-func Quantize(m *tensor.Matrix, bits int, scheme Scheme) (*QMatrix, error) {
+// Quantize converts a matrix at the given bit width (2..32), one scale per
+// row.
+func Quantize(m *tensor.Matrix, bits int) (*QMatrix, error) {
 	if bits < 2 || bits > 32 {
 		return nil, fmt.Errorf("quant: bits must be in [2,32], got %d", bits)
 	}
 	qmax := QMax(bits)
 	q := &QMatrix{
-		Rows: m.Rows, Cols: m.Cols, Bits: bits, Scheme: scheme,
-		Q: make([]int32, len(m.Data)),
+		Rows: m.Rows, Cols: m.Cols, Bits: bits,
+		Scales: make([]float32, m.Rows),
+		Q:      make([]int32, len(m.Data)),
 	}
-	switch scheme {
-	case PerTensor:
-		q.Scales = []float32{ScaleFor(float64(m.MaxAbs()), bits)}
-		s := float64(q.Scales[0])
-		for i, v := range m.Data {
-			q.Q[i] = ClampRound(float64(v)/s, qmax)
-		}
-	case PerRow:
-		q.Scales = make([]float32, m.Rows)
-		for r := 0; r < m.Rows; r++ {
-			row := m.Row(r)
-			maxAbs := 0.0
-			for _, v := range row {
-				if a := math.Abs(float64(v)); a > maxAbs {
-					maxAbs = a
-				}
-			}
-			q.Scales[r] = ScaleFor(maxAbs, bits)
-			s := float64(q.Scales[r])
-			for c, v := range row {
-				q.Q[r*m.Cols+c] = ClampRound(float64(v)/s, qmax)
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		maxAbs := 0.0
+		for _, v := range row {
+			if a := math.Abs(float64(v)); a > maxAbs {
+				maxAbs = a
 			}
 		}
-	default:
-		return nil, fmt.Errorf("quant: unknown scheme %v", scheme)
+		q.Scales[r] = ScaleFor(maxAbs, bits)
+		s := float64(q.Scales[r])
+		for c, v := range row {
+			q.Q[r*m.Cols+c] = ClampRound(float64(v)/s, qmax)
+		}
 	}
 	return q, nil
 }
@@ -120,10 +91,7 @@ func Quantize(m *tensor.Matrix, bits int, scheme Scheme) (*QMatrix, error) {
 func (q *QMatrix) Dequantize() *tensor.Matrix {
 	m := tensor.NewMatrix(q.Rows, q.Cols)
 	for r := 0; r < q.Rows; r++ {
-		s := q.Scales[0]
-		if q.Scheme == PerRow {
-			s = q.Scales[r]
-		}
+		s := q.Scales[r]
 		for c := 0; c < q.Cols; c++ {
 			m.Data[r*q.Cols+c] = s * float32(q.Q[r*q.Cols+c])
 		}
@@ -140,9 +108,9 @@ func (q *QMatrix) Bytes() int {
 
 // QuantizeModelWeights quantizes every matrix through bits and writes the
 // dequantized values back — the "deploy at b bits" accuracy experiment.
-func QuantizeModelWeights(mats []*tensor.Matrix, bits int, scheme Scheme) error {
+func QuantizeModelWeights(mats []*tensor.Matrix, bits int) error {
 	for _, m := range mats {
-		q, err := Quantize(m, bits, scheme)
+		q, err := Quantize(m, bits)
 		if err != nil {
 			return err
 		}

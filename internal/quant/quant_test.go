@@ -29,21 +29,19 @@ func maxError(q *QMatrix, m *tensor.Matrix) float64 {
 func TestQuantizeRoundTripBound(t *testing.T) {
 	m := randMat(1, 16, 16)
 	for _, bits := range []int{8, 12, 16} {
-		for _, scheme := range []Scheme{PerTensor, PerRow} {
-			q, err := Quantize(m, bits, scheme)
-			if err != nil {
-				t.Fatal(err)
+		q, err := Quantize(m, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Error bounded by half an LSB of the coarsest scale.
+		maxScale := 0.0
+		for _, s := range q.Scales {
+			if float64(s) > maxScale {
+				maxScale = float64(s)
 			}
-			// Error bounded by half an LSB of the coarsest scale.
-			maxScale := 0.0
-			for _, s := range q.Scales {
-				if float64(s) > maxScale {
-					maxScale = float64(s)
-				}
-			}
-			if e := maxError(q, m); e > maxScale/2+1e-7 {
-				t.Fatalf("bits=%d %v: error %v exceeds LSB/2 %v", bits, scheme, e, maxScale/2)
-			}
+		}
+		if e := maxError(q, m); e > maxScale/2+1e-7 {
+			t.Fatalf("bits=%d: error %v exceeds LSB/2 %v", bits, e, maxScale/2)
 		}
 	}
 }
@@ -52,7 +50,7 @@ func TestQuantizeErrorShrinksWithBits(t *testing.T) {
 	m := randMat(2, 20, 20)
 	prev := math.Inf(1)
 	for _, bits := range []int{4, 8, 12, 16} {
-		q, err := Quantize(m, bits, PerTensor)
+		q, err := Quantize(m, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +68,7 @@ func TestQuantizePreservesZeros(t *testing.T) {
 	for i := 0; i < len(m.Data); i += 3 {
 		m.Data[i] = 0
 	}
-	q, err := Quantize(m, 8, PerRow)
+	q, err := Quantize(m, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,34 +80,9 @@ func TestQuantizePreservesZeros(t *testing.T) {
 	}
 }
 
-func TestQuantizePerRowBeatsPerTensorOnSkewedRows(t *testing.T) {
-	// One row has tiny values; per-tensor scale wastes its precision.
-	m := tensor.NewMatrix(2, 8)
-	rng := tensor.NewRNG(4)
-	for c := 0; c < 8; c++ {
-		m.Set(0, c, float32(rng.NormFloat64()*10))
-		m.Set(1, c, float32(rng.NormFloat64()*0.01))
-	}
-	qt, _ := Quantize(m, 8, PerTensor)
-	qr, _ := Quantize(m, 8, PerRow)
-	// Compare error restricted to the small row.
-	errOn := func(d *tensor.Matrix) float64 {
-		worst := 0.0
-		for c := 0; c < 8; c++ {
-			if e := math.Abs(float64(d.At(1, c) - m.At(1, c))); e > worst {
-				worst = e
-			}
-		}
-		return worst
-	}
-	if errOn(qr.Dequantize()) >= errOn(qt.Dequantize()) {
-		t.Fatal("per-row scale did not help the small-magnitude row")
-	}
-}
-
 func TestQuantizeAllZeroMatrix(t *testing.T) {
 	m := tensor.NewMatrix(4, 4)
-	q, err := Quantize(m, 8, PerTensor)
+	q, err := Quantize(m, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,34 +93,26 @@ func TestQuantizeAllZeroMatrix(t *testing.T) {
 
 func TestQuantizeValidation(t *testing.T) {
 	m := randMat(5, 2, 2)
-	if _, err := Quantize(m, 1, PerTensor); err == nil {
+	if _, err := Quantize(m, 1); err == nil {
 		t.Fatal("1 bit accepted")
 	}
-	if _, err := Quantize(m, 33, PerTensor); err == nil {
+	if _, err := Quantize(m, 33); err == nil {
 		t.Fatal("33 bits accepted")
-	}
-	if _, err := Quantize(m, 8, Scheme(9)); err == nil {
-		t.Fatal("unknown scheme accepted")
 	}
 }
 
 func TestQuantizeBytes(t *testing.T) {
 	m := randMat(6, 10, 10)
-	q, _ := Quantize(m, 12, PerTensor)
-	want := (100*12 + 32 + 7) / 8
-	if q.Bytes() != want {
+	q, _ := Quantize(m, 12)
+	if want := (100*12 + 10*32 + 7) / 8; q.Bytes() != want {
 		t.Fatalf("Bytes %d, want %d", q.Bytes(), want)
-	}
-	qr, _ := Quantize(m, 12, PerRow)
-	if qr.Bytes() <= q.Bytes() {
-		t.Fatal("per-row must cost more scale storage")
 	}
 }
 
 func TestQuantizeModelWeights(t *testing.T) {
 	mats := []*tensor.Matrix{randMat(7, 8, 8), randMat(8, 8, 8)}
 	orig := []*tensor.Matrix{mats[0].Clone(), mats[1].Clone()}
-	if err := QuantizeModelWeights(mats, 12, PerRow); err != nil {
+	if err := QuantizeModelWeights(mats, 12); err != nil {
 		t.Fatal(err)
 	}
 	// Weights were rewritten with dequantized values (close to original).
@@ -160,10 +125,10 @@ func TestQuantizeModelWeights(t *testing.T) {
 		}
 	}
 	// Empty input is a no-op.
-	if err := QuantizeModelWeights(nil, 8, PerTensor); err != nil {
+	if err := QuantizeModelWeights(nil, 8); err != nil {
 		t.Fatal("empty input mishandled")
 	}
-	if err := QuantizeModelWeights(mats, 1, PerTensor); err == nil {
+	if err := QuantizeModelWeights(mats, 1); err == nil {
 		t.Fatal("1-bit quantization accepted")
 	}
 }
@@ -173,12 +138,12 @@ func TestQuantizeModelWeights(t *testing.T) {
 func TestQuickQuantizeIdempotent(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := randMat(seed, 6, 6)
-		q, err := Quantize(m, 10, PerRow)
+		q, err := Quantize(m, 10)
 		if err != nil {
 			return false
 		}
 		d := q.Dequantize()
-		q2, err := Quantize(d, 10, PerRow)
+		q2, err := Quantize(d, 10)
 		if err != nil {
 			return false
 		}

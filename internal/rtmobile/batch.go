@@ -53,9 +53,8 @@ func forkJoinWorthwhile(work, workers int) bool {
 // each utterance on). It owns all mutable state — the layer panels, the
 // fp16 staging panel, the softmax staging rows, its In/Out panels — so one
 // goroutine per session; the engine weights underneath stay shared and
-// read-only. On the exact tier lane l of every output panel is
-// bit-identical to Infer on lane l's frames at any width (the fast tier's
-// panel kernels round width-dependently, inside its tolerance).
+// read-only. Lane l of every output panel is bit-identical to Infer on
+// lane l's frames at any width.
 //
 // As a lease it is what external serving tiers (internal/sched) drive: the
 // caller fills the input panel column-major, Steps, and reads the posterior
@@ -82,9 +81,6 @@ type BatchLease struct {
 	shard  uint32
 	solo   bool
 	tracer *obs.Tracer
-	// sm is the per-lane posterior softmax on the engine's kernel tier (see
-	// softmaxTier), captured at open time like the steppers' epilogue.
-	sm func(dst, src []float32)
 	// lastStepNs is the wall time of the most recent step, captured only
 	// when the step is already being timed for metrics or stage tracing (0
 	// otherwise) — see LastStepNs.
@@ -104,7 +100,6 @@ func (e *Engine) newSession(bw int, solo bool) *BatchLease {
 		shard:  obs.NextShard(),
 		solo:   solo,
 		tracer: e.tracer,
-		sm:     softmaxTier(e.precision == compiler.PrecisionFast),
 	}
 	if e.fp16 {
 		l.qbuf = make([]float32, in*bw)
@@ -153,7 +148,7 @@ func (l *BatchLease) step(dst, panel []float32) {
 		for i := range lane {
 			lane[i] = logits[i*bw+k]
 		}
-		l.sm(row, lane)
+		tensor.Softmax(row, lane)
 		for i, v := range row {
 			dst[i*bw+k] = v
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"rtmobile/internal/compiler"
 	"rtmobile/internal/device"
 	"rtmobile/internal/nn"
 	"rtmobile/internal/tensor"
@@ -14,11 +13,10 @@ import (
 // checkLeaseLanes drives a width-bw lease for T steps, re-seating one lane
 // with a fresh utterance mid-flight (retiring it first when retire is set —
 // the scheduler's hand-over — or with a bare ResetLane), and holds every
-// lane of every step to two references: nn.Posteriors(model.Forward) on the
-// lane's utterance, which shares no stepping code, under the tier's
-// contract; and a width-1 Stream fed the same frames — bit for bit, except
-// on the fast tier, whose panel kernels round width-dependently.
-func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, tier diffTier, retire bool) {
+// lane of every step to two references, bit for bit:
+// nn.Posteriors(model.Forward) on the lane's utterance, which shares no
+// stepping code, and a width-1 Stream fed the same frames.
+func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, retire bool) {
 	t.Helper()
 	const T = 8
 	in, out := e.InputDim(), e.OutputDim()
@@ -33,11 +31,6 @@ func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, tier diffTie
 		}
 		return nn.Posteriors(e.denseModel().Forward(frames))
 	}
-	sameWidth := tier.close
-	if tier.precision == compiler.PrecisionExact {
-		sameWidth = func(got, want float32) bool { return got == want }
-	}
-
 	l := e.AcquireBatch(bw)
 	defer l.Release()
 	if l.Width() != bw {
@@ -72,11 +65,11 @@ func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, tier diffTie
 			solo[k].StepInto(one, utts[k][pos])
 			for i := 0; i < out; i++ {
 				got := l.Out()[i*bw+k]
-				if !tier.close(got, want[k][pos][i]) {
+				if got != want[k][pos][i] {
 					t.Fatalf("%s bw=%d step %d lane %d elem %d: lease %v vs Forward %v",
 						label, bw, step, k, i, got, want[k][pos][i])
 				}
-				if !sameWidth(got, one[i]) {
+				if got != one[i] {
 					t.Fatalf("%s bw=%d step %d lane %d elem %d: lease %v vs width-1 stream %v",
 						label, bw, step, k, i, got, one[i])
 				}
@@ -87,27 +80,25 @@ func checkLeaseLanes(t *testing.T, label string, e *Engine, bw int, tier diffTie
 
 // TestBatchStreamMatchesStream is the lane table: every width class (the
 // live stream, narrow portable panels, one vector chunk, chunk + remainder,
-// the widest) × kernel tier, plus the fp16 (GPU) activation path,
+// the widest) × storage width, plus the fp16 (GPU) activation path,
 // with a mid-utterance lane reset.
 func TestBatchStreamMatchesStream(t *testing.T) {
-	for _, tier := range diffTiers {
+	for _, st := range diffStorages {
 		for g, target := range []*device.Target{device.MobileCPU(), device.MobileGPU()} {
-			if g == 1 && tier.name != "exact" {
-				continue // fp16 staging is tier-independent: one row covers it
+			if g == 1 && st.quant != 0 {
+				continue // fp16 staging is width-independent: one row covers it
 			}
 			model := nn.NewModel(nn.ModelSpec{
 				InputDim: 8, Hidden: 32, NumLayers: 2, OutputDim: 6, Seed: 41,
 			})
 			res := Prune(model, nil, PruneConfig{ColRate: 4, RowRate: 1, RowGroups: 4, ColBlocks: 4})
-			eng, err := Compile(model, res.Scheme, DeployConfig{
-				Target: target, Quant: tier.quant, Precision: tier.precision,
-			})
+			eng, err := Compile(model, res.Scheme, DeployConfig{Target: target, Quant: st.quant})
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("%s/%s", tier.name, target.Name)
+			label := fmt.Sprintf("%s/%s", st.name, target.Name)
 			for _, bw := range []int{1, 2, 7, 8, 9, 32} {
-				checkLeaseLanes(t, label, eng, bw, tier, false)
+				checkLeaseLanes(t, label, eng, bw, false)
 			}
 		}
 	}

@@ -18,7 +18,10 @@ import (
 // a v5 file an older writer left with programs no engine runs or a plan
 // that does not price them) is refused with the reason and the way to
 // upgrade it: commit legacyReaderCommit is the last whose `deploy -in`
-// reads every older file and writes one these readers take.
+// reads every older file and writes one these readers take. One kind of v5
+// file only ReadBundle takes: one deployed on the fast kernel tier, which is
+// gone; its programs hold exact weights, so `deploy -in` here re-lowers it
+// and MapBundle names that command (fastTier).
 
 const (
 	bundleMagic = "RTMB"
@@ -30,10 +33,15 @@ const (
 // refuseBundle is the error for a bundle this tree cannot run as written:
 // the reason, and the command that upgrades it (naming path when known).
 func refuseBundle(reason, path string) error {
+	return fmt.Errorf("rtmobile: bundle %s: re-deploy it with rtmobile deploy -in %s at commit %s", reason, pathOr(path), legacyReaderCommit)
+}
+
+// pathOr is path, or "<file>" when the bundle came from no named file.
+func pathOr(path string) string {
 	if path == "" {
-		path = "<file>"
+		return "<file>"
 	}
-	return fmt.Errorf("rtmobile: bundle %s: re-deploy it with rtmobile deploy -in %s at commit %s", reason, path, legacyReaderCommit)
+	return path
 }
 
 // loweredFor reports whether plan was lowered for target: its value width
@@ -74,7 +82,9 @@ func bundleTarget(plan *compiler.Plan, target *device.Target) (*device.Target, e
 // programs were lowered from, the scheme it records, and the DeployConfig
 // it was deployed with. Compile(model, scheme, cfg) then lowers it again:
 // it is how `rtmobile deploy -in` re-deploys a file at another quantization
-// width, kernel tier or pass setting. cfg.Target is the target the bundle
+// width or pass setting, and how a file deployed on the removed fast kernel
+// tier (fastTier) is lowered again: its programs hold the same weights an
+// exact deployment's do. cfg.Target is the target the bundle
 // was lowered for when target is nil; a non-nil target must be that one
 // (bundleTarget), since lowering a deployment for another value width would
 // round its weights again. No tuning verdict is copied: a recorded analytic
@@ -100,7 +110,6 @@ func ReadBundle(r io.Reader, target *device.Target) (model *nn.Model, scheme pru
 		AutoTuneTiling:  TuneMode(f.meta.TuneMode) == TuneAnalytic,
 		Tile:            opt.Tile,
 		Quant:           f.meta.QuantBits,
-		Precision:       opt.Precision,
 	}
 	return denseOf(f.shell, f.progs), f.meta.Scheme, cfg, nil
 }

@@ -11,7 +11,6 @@ import (
 	"rtmobile/internal/compiler"
 	"rtmobile/internal/nn"
 	"rtmobile/internal/prune"
-	"rtmobile/internal/quant"
 )
 
 // Bundle v5: the section-table format, and the only one this tree writes
@@ -78,15 +77,20 @@ type v5ParamMeta struct {
 // v5ProgramMeta locates one packed program's sections (0 = absent) and
 // carries its scalar header fields.
 type v5ProgramMeta struct {
-	Name      string             `json:"name"`
-	Rows      int                `json:"rows"`
-	Cols      int                `json:"cols"`
-	Format    compiler.Format    `json:"format"`
-	ValueBits int                `json:"value_bits"`
-	Precision compiler.Precision `json:"precision"`
-	Bits      int                `json:"bits"`
-	Scheme    quant.Scheme       `json:"scheme"`
-	NumScales int                `json:"num_scales"`
+	Name      string          `json:"name"`
+	Rows      int             `json:"rows"`
+	Cols      int             `json:"cols"`
+	Format    compiler.Format `json:"format"`
+	ValueBits int             `json:"value_bits"`
+	// Tier is only read: writers that still had a second kernel tier
+	// recorded 1 on a program deployed on the fast tier (fastTier), and
+	// this writer omits the key.
+	Tier uint8 `json:"precision,omitempty"`
+	Bits int   `json:"bits"`
+	// Scheme and NumScales record the scale layout, which is always
+	// scaleLayout(Bits, Rows).
+	Scheme    int `json:"scheme"`
+	NumScales int `json:"num_scales"`
 
 	SecVals     uint32 `json:"sec_vals,omitempty"`
 	SecQVals    uint32 `json:"sec_qvals,omitempty"`
@@ -96,6 +100,19 @@ type v5ProgramMeta struct {
 	SecRows     uint32 `json:"sec_rows,omitempty"`
 	SecLaneSegs uint32 `json:"sec_lane_segs,omitempty"`
 	SecLaneRows uint32 `json:"sec_lane_rows,omitempty"`
+}
+
+// fastTier is the Tier a program deployed on the removed fast
+// (float32-accumulation) kernel tier records.
+const fastTier = 1
+
+// scaleLayout is the (scheme, num_scales) pair a v5 program records: one
+// scale per row (scheme 1) on a quantized program, none on a float one.
+func scaleLayout(bits, rows int) (scheme, numScales int) {
+	if bits == 0 {
+		return 0, 0
+	}
+	return 1, rows
 }
 
 // v5Meta is the JSON metadata section: the spec, scheme, plan cache and
@@ -206,14 +223,14 @@ func (e *Engine) SaveBundle(w io.Writer, scheme prune.BSP) error {
 		s := p.Sections()
 		pm := v5ProgramMeta{
 			Name: s.Name, Rows: s.Rows, Cols: s.Cols,
-			Format: s.Format, ValueBits: s.ValueBits, Precision: s.Precision,
-			Bits: s.Bits, Scheme: s.Scheme, NumScales: s.NumScales,
+			Format: s.Format, ValueBits: s.ValueBits, Bits: s.Bits,
 			SecColIdx:   vw.add(encodeI32(s.ColIdx)),
 			SecSegs:     vw.add(encodeI32(s.SegWords)),
 			SecRows:     vw.add(encodeI32(s.RowIdx)),
 			SecLaneSegs: vw.add(encodeI32(s.LaneSegCounts)),
 			SecLaneRows: vw.add(encodeI32(s.LaneRowCounts)),
 		}
+		pm.Scheme, pm.NumScales = scaleLayout(s.Bits, s.Rows)
 		switch {
 		case s.Bits == 8:
 			pm.SecQVals = vw.add(encodeI8(s.Vals8))

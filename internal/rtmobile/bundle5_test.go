@@ -279,6 +279,40 @@ func TestLoadBundleRejectsCorruptScales(t *testing.T) {
 	}
 }
 
+// TestLoadBundleRejectsScaleLayout: a program records the scale layout
+// scaleLayout gives it — one scale per row (scheme 1) when quantized, none
+// when float — and both loaders refuse any other pair, the per-tensor
+// layout (scheme 0, one scale) no writer emits among them, as they refuse a
+// tier no writer knew.
+func TestLoadBundleRejectsScaleLayout(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, file string
+		patch      func(*v5ProgramMeta)
+		want       string
+	}{
+		{"q8 per-tensor", "parent_v5_q8.rtmb", func(p *v5ProgramMeta) { p.Scheme, p.NumScales = 0, 1 }, "scale scheme"},
+		{"q8 scale count", "parent_v5_q8.rtmb", func(p *v5ProgramMeta) { p.NumScales-- }, "scale scheme"},
+		{"float with scales", "parent_v5.rtmb", func(p *v5ProgramMeta) { p.Scheme, p.NumScales = 1, p.Rows }, "scale scheme"},
+		{"unknown tier", "parent_v5.rtmb", func(p *v5ProgramMeta) { p.Tier = 7 }, "precision tier"},
+	} {
+		bad := v5PatchMeta(t, readFixture(t, tc.file), func(m *v5Meta) { tc.patch(&m.Programs[0]) })
+		if _, _, _, err := ReadBundle(bytes.NewReader(bad), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadBundle error %v, want one naming the %s", tc.name, err, tc.want)
+		}
+		path := filepath.Join(dir, "bad.rtmb")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if mb, err := MapBundle(path, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err == nil {
+				mb.Close()
+			}
+			t.Errorf("%s: MapBundle error %v, want one naming the %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestMapBundleCorruptFile: the file-based loader surfaces the same
 // contextual errors (and unmaps on the way out).
 func TestMapBundleCorruptFile(t *testing.T) {

@@ -27,7 +27,10 @@ import (
 // rounded once per column block) are refused by MapBundle and ReadBundle
 // alike, with the reason and the command that upgrades the file. The table
 // builds one image of each kind. A v5 file whose programs are stored in one
-// lane per modelled thread is taken as written (TestLoadersReadLanedBundles).
+// lane per modelled thread is taken as written (TestLoadersReadLanedBundles);
+// one deployed on the removed fast kernel tier is re-lowered by ReadBundle
+// and refused by MapBundle with this tree's command
+// (TestLoadersFastTierBundle).
 
 // fixtureSpec and fixtureScheme are the deployment testdata/parent_*.rtmb
 // were written from (testdata/README.md).
@@ -321,5 +324,51 @@ func TestMapBundleRefusesMovedChunkCut(t *testing.T) {
 	_, _, _, err = ReadBundle(bytes.NewReader(moved), nil)
 	if err == nil || !strings.Contains(err.Error(), "plan does not price its programs") {
 		t.Fatalf("ReadBundle error %v, want the plan refused", err)
+	}
+}
+
+// fastTierImage is image as the writers that still had a fast kernel tier
+// wrote it when deployed on that tier: every program and the plan's options
+// record tier 1, over the same sections — the tier chose kernels and never
+// changed a weight.
+func fastTierImage(tb testing.TB, image []byte) []byte {
+	tb.Helper()
+	meta := v5MetaOf(tb, image)
+	for i := range meta.Programs {
+		meta.Programs[i].Tier = fastTier
+	}
+	payload, err := json.Marshal(&meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v5SetMeta(image, bytes.Replace(payload, []byte(`"Options":{`), []byte(`"Options":{"Precision":1,`), 1))
+}
+
+// TestLoadersFastTierBundle: a file deployed on the removed fast kernel
+// tier is refused by MapBundle (and so by a registry hot swap), naming the
+// command that upgrades it with this tree, and ReadBundle plus Compile —
+// `rtmobile deploy -in` — re-lowers it on the one tier to exactly the
+// bytes of the exact deployment's fixture.
+func TestLoadersFastTierBundle(t *testing.T) {
+	for _, q := range []string{"", "_q8", "_q16"} {
+		fixture := readFixture(t, "parent_v5"+q+".rtmb")
+		fast := fastTierImage(t, fixture)
+		path := filepath.Join(t.TempDir(), "fast"+q+".rtmb")
+		if err := os.WriteFile(path, fast, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := MapBundle(path, nil)
+		refused(t, "MapBundle fast"+q, err)
+		if !strings.Contains(err.Error(), "fast kernel tier") || !strings.HasSuffix(err.Error(), "deploy -in "+path) {
+			t.Fatalf("MapBundle fast%s: error %q, want the fast tier named and deploy -in %s", q, err, path)
+		}
+		again, _ := relower(t, fast, nil)
+		var buf bytes.Buffer
+		if err := again.SaveBundle(&buf, fixtureScheme); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), fixture) {
+			t.Fatalf("re-deploying the fast-tier parent_v5%s does not write the fixture's bytes", q)
+		}
 	}
 }

@@ -2,9 +2,17 @@ package rtmobile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"rtmobile/internal/compiler"
@@ -15,38 +23,110 @@ import (
 )
 
 // The differential suite: every way of obtaining an engine × every entry
-// point × BSP rates × worker counts × kernel tiers, each checked against the
-// training-side reference nn.Posteriors(model.Forward(..)) under the tier's
-// contract. The exact tier must be bit-equal — the dense-order contract of
-// the compiled programs — whatever the storage width, since Compile rounds
-// a quantized deployment's model to the dequantized weights its programs
-// run. The fast
-// tier must satisfy tensor.FastActClose with the engine-level absolute arm.
-// Whatever the tier, an engine mapped
-// from a bundle, or read back from one and lowered again, must reproduce
-// the compiled engine bit for bit: it runs the same programs.
+// point × targets × BSP rates × worker counts × storage widths, each checked
+// against the training-side reference nn.Posteriors(model.Forward(..)) bit
+// for bit — the dense-order contract of the compiled programs — whatever
+// the storage width, since Compile rounds a quantized deployment's model to
+// the dequantized weights its programs run. On the fp16 target the
+// reference sees the frames rounded through half precision, as the engine
+// does. An engine mapped from a bundle, or read back from one and lowered
+// again, must reproduce the compiled engine bit for bit: it runs the same
+// programs. Every operating point's posteriors are also pinned by digest
+// (goldenPosteriorsFile), so a change that moves the reference and the
+// engine together still shows.
 
-// diffTier is one kernel tier and its contract against the reference.
-type diffTier struct {
-	name      string
-	quant     int
-	precision compiler.Precision
-	// close reports whether got is acceptable for the reference value want.
-	close func(got, want float32) bool
+// diffWeights is one weight storage: float ("exact") or a quantized width.
+type diffWeights struct {
+	name  string
+	quant int
 }
 
-var diffTiers = []diffTier{
-	{"exact", 0, compiler.PrecisionExact, func(got, want float32) bool { return got == want }},
-	// Posteriors live in [0, 1]; the fast tier reorders float rounding in
-	// each projection and approximates the gates, and the recurrence
-	// compounds both: the engine-level absolute arm is 1e-3.
-	{"fast", 0, compiler.PrecisionFast, func(got, want float32) bool {
-		return tensor.FastActClose(got, want, 1e-3)
-	}},
-	// A quantized program holds the values of the model's dequantized
-	// matrices and runs the float32 kernels: exact, like the float tier.
-	{"q8", 8, compiler.PrecisionExact, func(got, want float32) bool { return got == want }},
-	{"q16", 16, compiler.PrecisionExact, func(got, want float32) bool { return got == want }},
+var diffStorages = []diffWeights{{"exact", 0}, {"q8", 8}, {"q16", 16}}
+
+// diffTargets are the deployment targets; the cpu rows keep the suite's
+// original subtest names, the gpu rows are prefixed.
+var diffTargets = []struct {
+	name   string
+	target *device.Target
+	prefix string
+}{
+	{"cpu", device.MobileCPU(), ""},
+	{"gpu", device.MobileGPU(), "gpu/"},
+}
+
+// goldenPosteriorsFile pins one sha256 per operating point of
+// TestEngineDifferential (target/rate/storage): the float32 bits,
+// little-endian, of the exact posteriors of every frame of
+// diffUtterances, in order. -update rewrites the points a run computes.
+const goldenPosteriorsFile = "testdata/posteriors.sha256"
+
+var updateGolden = flag.Bool("update", false, "rewrite "+goldenPosteriorsFile+" from the posteriors this tree computes")
+
+// posteriorDigest is the hex sha256 of the posteriors' float32 bits.
+func posteriorDigest(post [][][]float32) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, u := range post {
+		for _, f := range u {
+			for _, v := range f {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// readGolden reads the pinned digests, keyed by operating point.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.FromSlash(goldenPosteriorsFile))
+	if err != nil {
+		if *updateGolden && os.IsNotExist(err) {
+			return map[string]string{}
+		}
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		point, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenPosteriorsFile, line)
+		}
+		golden[point] = digest
+	}
+	return golden
+}
+
+// writeGolden writes the digests one "point sha256" line each, sorted.
+func writeGolden(t *testing.T, golden map[string]string) {
+	t.Helper()
+	points := make([]string, 0, len(golden))
+	for p := range golden {
+		points = append(points, p)
+	}
+	sort.Strings(points)
+	var b strings.Builder
+	for _, p := range points {
+		fmt.Fprintf(&b, "%s %s\n", p, golden[p])
+	}
+	if err := os.WriteFile(filepath.FromSlash(goldenPosteriorsFile), []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkGolden holds an operating point's posteriors to their pinned digest
+// (or records it under -update).
+func checkGolden(t *testing.T, golden map[string]string, point string, post [][][]float32) {
+	t.Helper()
+	got := posteriorDigest(post)
+	switch {
+	case *updateGolden:
+		golden[point] = got
+	case golden[point] != got:
+		t.Errorf("%s: posteriors digest %s, %s pins %q (go test -run TestEngineDifferential -update rewrites it)",
+			point, got, goldenPosteriorsFile, golden[point])
+	}
 }
 
 var diffRates = []struct {
@@ -178,7 +258,7 @@ var diffLoaders = []struct {
 }{
 	{"Compile", func(t *testing.T, eng *Engine, _ prune.BSP) *Engine { return eng }},
 	{"MapBundleV5", func(t *testing.T, eng *Engine, scheme prune.BSP) *Engine {
-		mb, err := MapBundle(writeBundleFileScheme(t, eng, scheme), device.MobileCPU())
+		mb, err := MapBundle(writeBundleFileScheme(t, eng, scheme), eng.Target())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,10 +277,9 @@ var diffLoaders = []struct {
 }
 
 // diffRun scores utts through every entry point at 1, 2 and 8 workers,
-// checks each result against ref under the tier's contract, and returns the
-// results keyed by entry point and worker count (hence by panel width, which
-// the fast tier's lane grouping follows).
-func diffRun(t *testing.T, e *Engine, utts, ref [][][]float32, ok func(got, want float32) bool) map[string][][][]float32 {
+// checks each result against ref bit for bit, and returns the results keyed
+// by entry point and worker count.
+func diffRun(t *testing.T, e *Engine, utts, ref [][][]float32) map[string][][][]float32 {
 	t.Helper()
 	out := map[string][][][]float32{}
 	for _, workers := range []int{1, 2, 8} {
@@ -208,7 +287,7 @@ func diffRun(t *testing.T, e *Engine, utts, ref [][][]float32, ok func(got, want
 		for _, entry := range diffEntries {
 			label := fmt.Sprintf("%s/w%d", entry.name, workers)
 			out[label] = entry.run(e, utts)
-			diffCheck(t, label, out[label], ref, ok)
+			diffCheck(t, label, out[label], ref)
 		}
 	}
 	return out
@@ -219,15 +298,24 @@ func diffRun(t *testing.T, e *Engine, utts, ref [][][]float32, ok func(got, want
 func diffSame(t *testing.T, got, compiled map[string][][][]float32) {
 	t.Helper()
 	for label, want := range compiled {
-		diffCheck(t, label+" vs compiled", got[label], want,
-			func(got, want float32) bool { return got == want })
+		diffCheck(t, label+" vs compiled", got[label], want)
 	}
 }
 
-// diffRef scores utts on the training-side reference.
-func diffRef(model *nn.Model, utts [][][]float32) [][][]float32 {
+// diffRef scores utts on the training-side reference; on an fp16 target
+// the frames are rounded through half precision first, as the engine
+// rounds its input panel.
+func diffRef(model *nn.Model, utts [][][]float32, fp16 bool) [][][]float32 {
 	ref := make([][][]float32, len(utts))
 	for i, u := range utts {
+		if fp16 {
+			q := make([][]float32, len(u))
+			for k, f := range u {
+				q[k] = tensor.CloneVec(f)
+				tensor.QuantizeHalfVec(q[k])
+			}
+			u = q
+		}
 		ref[i] = nn.Posteriors(model.Forward(u))
 	}
 	return ref
@@ -241,64 +329,70 @@ func TestEngineDifferential(t *testing.T) {
 	defer func(prev int) { forkJoinBreakEvenMACs = prev }(forkJoinBreakEvenMACs)
 	forkJoinBreakEvenMACs = 0
 
-	for _, rate := range diffRates {
-		for _, tier := range diffTiers {
-			model := nn.NewModel(spec)
-			res := Prune(model, nil, PruneConfig{ColRate: rate.col, RowRate: rate.row})
-			eng, err := Compile(model, res.Scheme, DeployConfig{
-				Target: device.MobileCPU(), Quant: tier.quant, Precision: tier.precision,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The caller's model after Compile's weight rounding: what the
-			// programs were lowered from.
-			ref := diffRef(model, utts)
-			var compiled map[string][][][]float32
-			for _, loader := range diffLoaders {
-				t.Run(fmt.Sprintf("%s/%s/%s", rate.name, tier.name, loader.name), func(t *testing.T) {
-					got := diffRun(t, loader.load(t, eng, res.Scheme), utts, ref, tier.close)
-					if loader.name == "Compile" {
-						compiled = got
+	golden := readGolden(t)
+	if *updateGolden {
+		defer writeGolden(t, golden)
+	}
+	for _, target := range diffTargets {
+		for _, rate := range diffRates {
+			for _, st := range diffStorages {
+				model := nn.NewModel(spec)
+				res := Prune(model, nil, PruneConfig{ColRate: rate.col, RowRate: rate.row})
+				eng, err := Compile(model, res.Scheme, DeployConfig{Target: target.target, Quant: st.quant})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The caller's model after Compile's weight rounding: what
+				// the programs were lowered from.
+				ref := diffRef(model, utts, eng.fp16)
+				checkGolden(t, golden, fmt.Sprintf("%s/%s/%s", target.name, rate.name, st.name), ref)
+				name := fmt.Sprintf("%s%s/%s", target.prefix, rate.name, st.name)
+				var compiled map[string][][][]float32
+				for _, loader := range diffLoaders {
+					t.Run(name+"/"+loader.name, func(t *testing.T) {
+						got := diffRun(t, loader.load(t, eng, res.Scheme), utts, ref)
+						if loader.name == "Compile" {
+							compiled = got
+						}
+						diffSame(t, got, compiled)
+					})
+				}
+				// The engine holds its own copies: training (here,
+				// shifting) every weight and bias of the caller's model
+				// afterwards changes nothing it serves.
+				t.Run(name+"/caller-model-changed", func(t *testing.T) {
+					for _, p := range model.Params() {
+						for i := range p.W.Data {
+							p.W.Data[i] += 0.5
+						}
 					}
-					diffSame(t, got, compiled)
+					diffSame(t, diffRun(t, eng, utts, ref), compiled)
 				})
 			}
-			// The engine holds its own copies: training (here, shifting)
-			// every weight and bias of the caller's model afterwards changes
-			// nothing it serves.
-			t.Run(fmt.Sprintf("%s/%s/caller-model-changed", rate.name, tier.name), func(t *testing.T) {
-				for _, p := range model.Params() {
-					for i := range p.W.Data {
-						p.W.Data[i] += 0.5
-					}
-				}
-				diffSame(t, diffRun(t, eng, utts, ref, tier.close), compiled)
-			})
 		}
 	}
 
 	// The committed fixtures (testdata/README.md): each is exactly what
-	// deploying its model writes, maps to an engine that scores under its
-	// tier's contract and bit-equal to a fresh Compile, and re-deploys
-	// (ReadBundle + Compile) to its own bytes.
+	// deploying its model writes, maps to an engine that scores bit-equal to
+	// the reference and to a fresh Compile, and re-deploys (ReadBundle +
+	// Compile) to its own bytes.
 	utts = diffUtterances(fixtureSpec.InputDim)
 	for _, fx := range []struct {
-		file string
-		tier diffTier
+		file  string
+		quant int
 	}{
-		{"parent_v5.rtmb", diffTiers[0]},
-		{"parent_v5_q8.rtmb", diffTiers[2]},
-		{"parent_v5_q16.rtmb", diffTiers[3]},
+		{"parent_v5.rtmb", 0},
+		{"parent_v5_q8.rtmb", 8},
+		{"parent_v5_q16.rtmb", 16},
 	} {
 		t.Run(fx.file, func(t *testing.T) {
 			model := fixtureModel()
-			eng, err := Compile(model, fixtureScheme, DeployConfig{Target: device.MobileCPU(), Quant: fx.tier.quant})
+			eng, err := Compile(model, fixtureScheme, DeployConfig{Target: device.MobileCPU(), Quant: fx.quant})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := diffRef(model, utts)
-			compiled := diffRun(t, eng, utts, ref, fx.tier.close)
+			ref := diffRef(model, utts, false)
+			compiled := diffRun(t, eng, utts, ref)
 			image := readFixture(t, fx.file)
 			var fresh, redeployed bytes.Buffer
 			if err := eng.SaveBundle(&fresh, fixtureScheme); err != nil {
@@ -316,7 +410,7 @@ func TestEngineDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mb.Close()
-			diffSame(t, diffRun(t, mb.Engine(), utts, ref, fx.tier.close), compiled)
+			diffSame(t, diffRun(t, mb.Engine(), utts, ref), compiled)
 		})
 	}
 
@@ -342,9 +436,9 @@ func TestEngineDifferential(t *testing.T) {
 
 	// The tile describes the modelled target's kernel: an engine compiled
 	// under another unroll factor records it and runs the very same
-	// programs — identical sections, identical bits — on every tier.
-	for _, tier := range diffTiers {
-		t.Run("tile-unroll8/"+tier.name, func(t *testing.T) {
+	// programs — identical sections, identical bits — at every width.
+	for _, st := range diffStorages {
+		t.Run("tile-unroll8/"+st.name, func(t *testing.T) {
 			var engs [2]*Engine
 			var model *nn.Model
 			for i, unroll := range []int{1, 8} {
@@ -352,7 +446,7 @@ func TestEngineDifferential(t *testing.T) {
 				tile.Unroll = unroll
 				model = fixtureModel()
 				eng, err := Compile(model, fixtureScheme, DeployConfig{
-					Target: device.MobileCPU(), Tile: tile, Quant: tier.quant, Precision: tier.precision,
+					Target: device.MobileCPU(), Tile: tile, Quant: st.quant,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -367,14 +461,14 @@ func TestEngineDifferential(t *testing.T) {
 					t.Fatalf("program %s differs between unroll 1 and 8", p.Name)
 				}
 			}
-			ref := diffRef(model, utts)
-			diffSame(t, diffRun(t, engs[1], utts, ref, tier.close), diffRun(t, engs[0], utts, ref, tier.close))
+			ref := diffRef(model, utts, false)
+			diffSame(t, diffRun(t, engs[1], utts, ref), diffRun(t, engs[0], utts, ref))
 		})
 	}
 }
 
-// diffCheck compares per-utterance, per-frame posteriors under a contract.
-func diffCheck(t *testing.T, label string, got, want [][][]float32, ok func(got, want float32) bool) {
+// diffCheck compares per-utterance, per-frame posteriors bit for bit.
+func diffCheck(t *testing.T, label string, got, want [][][]float32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d utterances, want %d", label, len(got), len(want))
@@ -385,7 +479,7 @@ func diffCheck(t *testing.T, label string, got, want [][][]float32, ok func(got,
 		}
 		for f := range want[u] {
 			for j := range want[u][f] {
-				if !ok(got[u][f][j], want[u][f][j]) {
+				if got[u][f][j] != want[u][f][j] {
 					t.Fatalf("%s: utterance %d frame %d phone %d: %v, want %v",
 						label, u, f, j, got[u][f][j], want[u][f][j])
 				}

@@ -20,10 +20,10 @@ import (
 //
 // Every inference entry point executes the compiled packed programs: nn's
 // steppers keep the step order (bias, projections, gate epilogue) and each
-// projection runs its weight matrix's compiler.PackedProgram. On
-// the exact tier with float weights that is bit-identical to
-// nn.Posteriors(model.Forward(..)) — the programs keep tensor.MatVecAdd's
-// per-row order (see compiler.PackedProgram.RunAdd) — with one caveat: a
+// projection runs its weight matrix's compiler.PackedProgram. That is
+// bit-identical to nn.Posteriors(model.Forward(..)) on the model Compile
+// rounded — the programs keep tensor.MatVecAdd's per-row order (see
+// compiler.PackedProgram.RunAdd) — with one caveat: a
 // pruned weight times a non-finite input is 0·Inf = NaN in the dense
 // reference and skipped by the program.
 //
@@ -53,12 +53,8 @@ type Engine struct {
 	// writer; a mapped engine's programs alias file pages.
 	progs []*compiler.PackedProgram
 
-	// quant is the integer weight-quantization width (0 = float weights);
-	// precision is the kernel tier the deployment executes under (exact is
-	// the bit-pinned default; fast runs the FMA'd float32-accumulation
-	// family).
-	quant     int
-	precision compiler.Precision
+	// quant is the integer weight-quantization width (0 = float weights).
+	quant int
 
 	// Released panel sessions, keyed by width (see batch.go). Guarded by
 	// batchMu so concurrent InferBatch calls can share the free list.
@@ -95,7 +91,6 @@ func programFor(progs []*compiler.PackedProgram, name string) *compiler.PackedPr
 // failure here is a bug and panics like tensor.MatVecAdd does.
 func (e *Engine) kernels(scratch *compiler.PackedScratch) nn.Kernels {
 	return nn.Kernels{
-		FastEpilogue: e.precision == compiler.PrecisionFast,
 		MatVec: func(p *nn.Param, bw int) nn.MatVec {
 			prog := e.program(p.Name)
 			if prog == nil {
@@ -136,23 +131,30 @@ func (e *Engine) Tuned() TuneRecord { return e.tuned }
 
 // roundWeights applies the deployment's weight rounding to model in place:
 // integer quantization of every prunable matrix (symmetric, per row) at
-// width bits, then fp16 rounding of every parameter — a quantized
-// deployment stores int weights and dequantizes into the target's compute
-// width. Compile lowers the programs from the result, so nn.Forward on it
-// scores exactly the numbers the engine produces.
+// width bits, and on an fp16 target half-precision rounding of every
+// parameter the quantization left alone. A quantized matrix keeps its
+// dequantized values: lowering quantizes them again and gets them back
+// (the scales are idempotent), where fp16 rounding would move them off the
+// integer grid and the programs would hold other weights than the model.
+// Compile lowers the programs from the result, so nn.Forward on it scores
+// exactly the numbers the engine produces.
 func roundWeights(model *nn.Model, bits int, fp16 bool) error {
+	quantized := map[*nn.Param]bool{}
 	if bits != 0 {
 		var mats []*tensor.Matrix
 		for _, p := range model.WeightMatrices() {
 			mats = append(mats, p.W)
+			quantized[p] = true
 		}
-		if err := quant.QuantizeModelWeights(mats, bits, quant.PerRow); err != nil {
+		if err := quant.QuantizeModelWeights(mats, bits); err != nil {
 			return err
 		}
 	}
 	if fp16 {
 		for _, p := range model.Params() {
-			tensor.QuantizeHalf(p.W)
+			if !quantized[p] {
+				tensor.QuantizeHalf(p.W)
+			}
 		}
 	}
 	return nil
@@ -192,9 +194,6 @@ func denseOf(own *nn.Model, progs []*compiler.PackedProgram) *nn.Model {
 // for a float deployment.
 func (e *Engine) Quantized() int { return e.quant }
 
-// Precision reports the kernel tier the deployment executes under.
-func (e *Engine) Precision() compiler.Precision { return e.precision }
-
 // Pool returns the worker pool serving requests use (the process default
 // unless SetWorkers chose a dedicated size).
 func (e *Engine) Pool() *parallel.Pool { return e.pool }
@@ -218,10 +217,10 @@ func (e *Engine) SetWorkers(n int) {
 // shared programs, row by row into one posteriors arena), so concurrent
 // Infer calls on one Engine are safe and each produces exactly the bytes a
 // solo call would. The layer steppers replay the batch Forward pass's float
-// operation order and the exact-tier float programs keep the dense per-row
-// order, so those results are also bit-identical to the training-side
-// Forward. The heap cost of a call is a fixed handful of allocations per
-// utterance — zero per timestep, however long the audio runs.
+// operation order and the programs keep the dense per-row order, so those
+// results are also bit-identical to the training-side Forward. The heap
+// cost of a call is a fixed handful of allocations per utterance — zero
+// per timestep, however long the audio runs.
 func (e *Engine) Infer(frames [][]float32) [][]float32 {
 	m := obs.M()
 	var t0 time.Time
@@ -271,17 +270,6 @@ func (e *Engine) InferBatch(batch [][][]float32) [][][]float32 {
 // the caller's own vectors. One goroutine per Stream; the engine weights
 // underneath stay shared and read-only.
 type Stream struct{ l *BatchLease }
-
-// softmaxTier selects the posterior softmax for a deployment's kernel
-// tier: exact deployments keep the bit-pinned float64-accumulation
-// normalize, fast deployments run tensor.SoftmaxFast (vectorized exp,
-// float32 sum — tolerance-verified, see tensor.FastSoftmaxTol).
-func softmaxTier(fast bool) func(dst, src []float32) {
-	if fast {
-		return tensor.SoftmaxFast
-	}
-	return tensor.Softmax
-}
 
 // NewStream opens a streaming session. State persists across Step calls
 // until Reset. Its steps meter the stream family (StepsTotal, StepLatency)

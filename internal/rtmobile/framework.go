@@ -105,15 +105,6 @@ type DeployConfig struct {
 	// (internal/quant) and makes the compiled plan price the quantized
 	// packed backend's storage (compiler.Options.QuantBits).
 	Quant int
-	// Precision selects the kernel tier: the zero value (PrecisionExact)
-	// keeps every kernel bit-pinned to tensor.MatVecAdd on the deployed
-	// weights; compiler.PrecisionFast opts into the FMA'd
-	// float32-accumulation family, tolerance-verified against exact (see
-	// tensor.FastClose) and typically well over 1.3× faster on the
-	// quantized hot path. The tier is recorded on the plan, the engine,
-	// and the bundle, so a reloaded deployment re-selects the same kernel
-	// family.
-	Precision compiler.Precision
 }
 
 // valueBits selects numeric width per target: the paper's GPU path runs
@@ -139,9 +130,6 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	if cfg.Quant != 0 && !compiler.QuantBitsValid(cfg.Quant) {
 		return nil, fmt.Errorf("rtmobile: unsupported quantization width %d bits (want 8, 12, or 16)", cfg.Quant)
 	}
-	if !compiler.PrecisionValid(cfg.Precision) {
-		return nil, fmt.Errorf("rtmobile: unknown precision tier %d", cfg.Precision)
-	}
 	if cfg.Format == compiler.FormatAuto {
 		cfg.Format = compiler.FormatBSPC
 	}
@@ -152,7 +140,6 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 		Tile:                    cfg.Tile,
 		ValueBits:               valueBits(cfg.Target),
 		QuantBits:               cfg.Quant,
-		Precision:               cfg.Precision,
 	}
 	if opt.Tile == (compiler.TileConfig{}) {
 		opt.Tile = compiler.DefaultTile()
@@ -182,7 +169,7 @@ func Compile(model *nn.Model, scheme prune.BSP, cfg DeployConfig) (*Engine, erro
 	return &Engine{shell: shellOf(model, progs), progs: progs,
 		plan: plan, target: cfg.Target, pool: parallel.Default(),
 		fp16: fp16, tuned: tuned,
-		quant: cfg.Quant, precision: opt.Precision,
+		quant:     cfg.Quant,
 		stepMACs:  stepPricedMACs(plan),
 		stepBytes: uint64(plan.WeightBytes())}, nil
 }

@@ -12,7 +12,7 @@ import (
 // Stream produce for each utterance: the contract the serve scheduler's
 // bit-identical response guarantee rests on.
 func TestBatchLeaseMatchesStream(t *testing.T) {
-	checkLeaseLanes(t, "lease", parallelTestEngine(t, 61, false, 1), 3, diffTiers[0], true)
+	checkLeaseLanes(t, "lease", parallelTestEngine(t, 61, false, 1), 3, true)
 }
 
 // TestBatchLeaseReuse: Release returns the lease to the engine arena, so

@@ -347,9 +347,6 @@ func decodeV5(data []byte, path string) (*v5File, error) {
 	if meta.Plan == nil {
 		return nil, fmt.Errorf("rtmobile: bundle metadata has no plan")
 	}
-	if !compiler.PrecisionValid(meta.Plan.Options.Precision) {
-		return nil, fmt.Errorf("rtmobile: corrupt precision tier %d", meta.Plan.Options.Precision)
-	}
 	if meta.QuantBits != 0 && !compiler.QuantBitsValid(meta.QuantBits) {
 		return nil, fmt.Errorf("rtmobile: corrupt quantization width %d", meta.QuantBits)
 	}
@@ -405,16 +402,21 @@ func parseV5(data []byte, target *device.Target, path string) (v5Image, error) {
 	if err != nil {
 		return zero, err
 	}
+	for _, pm := range f.meta.Programs {
+		if pm.Tier == fastTier {
+			return zero, fmt.Errorf("rtmobile: bundle was deployed on the fast kernel tier, which is gone: re-deploy it with rtmobile deploy -in %s", pathOr(path))
+		}
+	}
 	plan := f.meta.Plan
 	if target, err = bundleTarget(plan, target); err != nil {
 		return zero, err
 	}
 	eng := &Engine{
 		shell: shellOf(f.shell, f.progs), progs: f.progs, plan: plan, target: target,
-		pool:  parallel.Default(),
-		fp16:  plan.Options.ValueBits == 16,
-		tuned: TuneRecord{Mode: TuneMode(f.meta.TuneMode), Cost: f.meta.TuneCost},
-		quant: f.meta.QuantBits, precision: plan.Options.Precision,
+		pool:      parallel.Default(),
+		fp16:      plan.Options.ValueBits == 16,
+		tuned:     TuneRecord{Mode: TuneMode(f.meta.TuneMode), Cost: f.meta.TuneCost},
+		quant:     f.meta.QuantBits,
 		stepMACs:  stepPricedMACs(plan),
 		stepBytes: uint64(plan.WeightBytes()),
 	}
@@ -423,7 +425,7 @@ func parseV5(data []byte, target *device.Target, path string) (v5Image, error) {
 
 // storedPrograms rebuilds the bundle's programs over their sections and
 // returns them when they are what the engine executes: one per prunable
-// weight matrix, on the deployment's width and tier, each output row
+// weight matrix, on the deployment's width, each output row
 // produced by a single dot (so accumulating the program is
 // tensor.MatVecAdd's per-row order). It returns nil programs for bundles
 // that carry anything else — the [Wx|Wh] programs old fused deployments
@@ -442,8 +444,7 @@ func storedPrograms(sections map[uint32][]byte, meta *v5Meta, shell *nn.Model) (
 		progs = append(progs, pp)
 		usable = usable && pm.Name == srcs[i].Name &&
 			ps.Rows == srcs[i].W.Rows && ps.Cols == srcs[i].W.Cols &&
-			ps.Bits == meta.QuantBits && ps.Precision == meta.Plan.Options.Precision &&
-			ps.RowsOnce()
+			ps.Bits == meta.QuantBits && ps.RowsOnce()
 	}
 	if !usable {
 		return nil, nil
@@ -453,12 +454,18 @@ func storedPrograms(sections map[uint32][]byte, meta *v5Meta, shell *nn.Model) (
 
 // v5Program rebuilds one stored program, aliasing its sections in place.
 func v5Program(sections map[uint32][]byte, pm v5ProgramMeta) (*compiler.PackedProgram, *compiler.PackedSections, error) {
+	what := "program " + pm.Name
+	if pm.Tier > fastTier {
+		return nil, nil, fmt.Errorf("rtmobile: %s: corrupt precision tier %d", what, pm.Tier)
+	}
+	if sc, n := scaleLayout(pm.Bits, pm.Rows); pm.Scheme != sc || pm.NumScales != n {
+		return nil, nil, fmt.Errorf("rtmobile: %s: %d-bit program records scale scheme %d with %d scales, want %d with %d",
+			what, pm.Bits, pm.Scheme, pm.NumScales, sc, n)
+	}
 	ps := &compiler.PackedSections{
 		Name: pm.Name, Rows: pm.Rows, Cols: pm.Cols,
-		Format: pm.Format, ValueBits: pm.ValueBits, Precision: pm.Precision,
-		Bits: pm.Bits, Scheme: pm.Scheme, NumScales: pm.NumScales,
+		Format: pm.Format, ValueBits: pm.ValueBits, Bits: pm.Bits,
 	}
-	what := "program " + pm.Name
 	var err error
 	if ps.ColIdx, err = v5I32(sections, pm.SecColIdx, what+" colidx"); err != nil {
 		return nil, nil, err

@@ -47,7 +47,7 @@ func TestCompileQuantRoundTripsWeights(t *testing.T) {
 			t.Fatalf("plan QuantBits %d, want %d", eng.Plan().Options.QuantBits, bits)
 		}
 		for _, p := range eng.denseModel().WeightMatrices() {
-			qm, err := quant.Quantize(p.W, bits, quant.PerRow)
+			qm, err := quant.Quantize(p.W, bits)
 			if err != nil {
 				t.Fatal(err)
 			}

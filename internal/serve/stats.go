@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rtmobile/internal/compiler"
 	"rtmobile/internal/obs"
 	"rtmobile/internal/rtmobile"
 	"rtmobile/internal/tensor"
@@ -39,9 +38,6 @@ func RenderLayerStats(eng *rtmobile.Engine) string {
 		totalMACs*rtmobile.TimestepsPerFrame, plan.FrameMACs())
 	if bits := eng.Quantized(); bits != 0 {
 		fmt.Fprintf(&b, "quantization: int%d weights\n", bits)
-	}
-	if tier := eng.Precision(); tier != compiler.PrecisionExact {
-		fmt.Fprintf(&b, "precision: %s kernels\n", tier)
 	}
 	if m := obs.M(); m != nil {
 		fmt.Fprintf(&b, "bytes_streamed_total: %d\n", m.BytesStreamed.Value())

@@ -4,13 +4,14 @@ import "math"
 
 // Activation kernels and the fused GRU gate epilogue.
 //
-// Two tiers, mirroring the dot-kernel family: the exact tier reproduces the
-// historical scalar reference bit-for-bit (float64 exp round-trip, clamped
-// exactly as the nn package always has), while the fast tier evaluates
-// rational/polynomial float32 approximations — vectorized on AVX2+FMA, with
-// the portable scalar polynomials below defining the tier's semantics when
-// no vector unit is available. Fast outputs are tolerance-verified against
-// the exact oracle (see FastActClose in ulp.go), never bit-compared.
+// Two families: the exact kernels reproduce the historical scalar reference
+// bit-for-bit (float64 exp round-trip, clamped exactly as the nn package
+// always has) and are what every engine runs, while the fast family
+// evaluates rational/polynomial float32 approximations — vectorized on
+// AVX2+FMA, with the portable scalar polynomials below defining its
+// semantics when no vector unit is available. Fast outputs are
+// tolerance-verified against the exact oracle (see FastActClose in ulp.go),
+// never bit-compared.
 
 // Sigmoid32 is the exact-tier scalar logistic gate. This is the historical
 // nn-package body moved here verbatim: the clamps and the float64 exp
@@ -83,7 +84,7 @@ func GRUEpilogue(h, ax, ah []float32) {
 	}
 }
 
-// GRUEpilogueFast is GRUEpilogue on the relaxed-precision tier: one
+// GRUEpilogueFast is GRUEpilogue in the fast family: one
 // streaming AVX2+FMA pass evaluating the rational tanh/sigmoid
 // approximations in-register (portable scalar polynomials otherwise).
 // Outputs are within FastGRUTol/FastActULPs of GRUEpilogue's, not
@@ -98,7 +99,7 @@ func GRUEpilogueFast(h, ax, ah []float32) {
 	}
 }
 
-// SigmoidFast applies the fast-tier logistic element-wise (dst may alias
+// SigmoidFast applies the fast logistic element-wise (dst may alias
 // src). Tolerance contract: FastActClose(..., FastSigmoidTol) per element
 // against the exact Sigmoid.
 func SigmoidFast(dst, src []float32) {
@@ -110,7 +111,7 @@ func SigmoidFast(dst, src []float32) {
 	}
 }
 
-// TanhFast applies the fast-tier tanh element-wise (dst may alias src).
+// TanhFast applies the fast tanh element-wise (dst may alias src).
 // Tolerance contract: FastActClose(..., FastTanhTol) per element against
 // the exact Tanh.
 func TanhFast(dst, src []float32) {
@@ -122,7 +123,7 @@ func TanhFast(dst, src []float32) {
 	}
 }
 
-// SoftmaxFast is Softmax on the relaxed-precision tier: same max-subtract
+// SoftmaxFast is Softmax in the fast family: same max-subtract
 // shape, but the exp pass runs the vectorized float32 exp with a float32
 // sum. Per-element tolerance against the exact Softmax is
 // FastActClose(..., FastSoftmaxTol).
@@ -151,10 +152,10 @@ func SoftmaxFast(dst, src []float32) {
 	}
 }
 
-// Fast-tier scalar reference polynomials. These define the tier's semantics
+// Fast-family scalar reference polynomials. These define its semantics
 // on builds without the vector unit; the AVX2+FMA kernels evaluate the same
 // polynomials with fused roundings, so vector and scalar results are
-// mutually within the tier tolerance of the exact oracle rather than
+// mutually within the family's tolerance of the exact oracle rather than
 // bit-equal to each other.
 
 // tanhFastClamp bounds the rational approximation's input range;
@@ -179,7 +180,7 @@ const (
 
 // tanhFastScalar evaluates the rational tanh approximation in float32.
 // NaN input fails both clamp comparisons and rides through the polynomial
-// unchanged, so NaN propagates exactly like the exact tier.
+// unchanged, so NaN propagates exactly like the exact kernels.
 func tanhFastScalar(x float32) float32 {
 	if x > tanhFastClamp {
 		x = tanhFastClamp

@@ -4,8 +4,8 @@ package tensor
 
 import "math"
 
-// Dispatch for the fast-tier activation kernels (act_amd64.s). Like the
-// fast dot family these require AVX2+FMA; each wrapper returns the number
+// Dispatch for the fast activation kernels (act_amd64.s), which require
+// AVX2+FMA (the fastSIMD gate); each wrapper returns the number
 // of leading elements the vector kernel consumed (a multiple of 8, or 0
 // when the unit is unavailable) and the caller finishes the tail with the
 // portable scalar polynomials.

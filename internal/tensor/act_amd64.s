@@ -2,11 +2,11 @@
 
 #include "textflag.h"
 
-// Fast-tier activation kernels: rational tanh/sigmoid and Cephes-style exp
+// Fast activation kernels: rational tanh/sigmoid and Cephes-style exp
 // evaluated 8 lanes at a time under AVX2+FMA, plus the fused single-pass
-// GRU gate epilogue built from them. Like the fast dot kernels these do NOT
-// reproduce the exact tier's bytes — the polynomials themselves are
-// approximations and the FMAs fuse roundings — so the contract is the
+// GRU gate epilogue built from them. These do NOT reproduce the exact
+// kernels' bytes — the polynomials themselves are approximations and the
+// FMAs fuse roundings — so the contract is the
 // activation tolerance in ulp.go (FastActClose against the exact oracle),
 // enforced by the property/fuzz suites in act_test.go.
 //

@@ -2,9 +2,9 @@
 
 package tensor
 
-// Fast-tier activation dispatch without amd64 assembly (or under
+// Fast activation dispatch without amd64 assembly (or under
 // -tags=purego): every entry consumes nothing and the portable scalar
-// polynomials in act.go define the tier's semantics.
+// polynomials in act.go define the family's semantics.
 
 func tanhFastVec(dst, src []float32) int {
 	_, _ = dst, src

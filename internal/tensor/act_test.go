@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Activation-kernel suite. Three layers of contract: (1) the exact tier is
-// bit-pinned — Sigmoid32/Tanh32/Sigmoid/Tanh/GRUEpilogue must reproduce the
-// historical scalar formulas byte-for-byte, including the saturated
-// short-circuit branches; (2) the fast tier is tolerance-bound — every
+// Activation-kernel suite. Three layers of contract: (1) the exact kernels
+// are bit-pinned — Sigmoid32/Tanh32/Sigmoid/Tanh/GRUEpilogue must reproduce
+// the historical scalar formulas byte-for-byte, including the saturated
+// short-circuit branches; (2) the fast family is tolerance-bound — every
 // output within FastActClose of the exact oracle across vector bodies and
 // scalar tails; (3) the fast kernels keep the qualitative shape of the
 // functions they approximate (monotone, odd, saturating, NaN-transparent).

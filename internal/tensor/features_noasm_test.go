@@ -6,7 +6,7 @@ import "testing"
 
 // Under -tags=purego (or without amd64 assembly) the detected feature set
 // must be all-false and every dispatch gate closed, so the portable
-// fallbacks carry both tiers.
+// fallbacks carry the exact kernels and the fast epilogue family alike.
 
 func TestFeaturesAllFalsePurego(t *testing.T) {
 	if f := CPUFeatures(); f != (Features{}) {
@@ -26,18 +26,11 @@ func TestKernelSetPortablePurego(t *testing.T) {
 }
 
 func TestFastFallbacksReportUnavailable(t *testing.T) {
-	a := []float32{1, 2}
-	var out8 [8]float32
-	if _, ok := dotFast(a, a); ok {
-		t.Error("dotFast reported available without assembly")
-	}
-	if dotSegFast(a, []int32{0}, 2, a, a) != 0 {
-		t.Error("dotSegFast consumed rows without assembly")
-	}
-	if dotSegF64(a, []int32{0}, 2, a, a) != 0 {
+	a := make([]float32, 8)
+	if dotSegF64(a[:2], []int32{0}, 2, a[:2], a[:2]) != 0 {
 		t.Error("dotSegF64 consumed rows without assembly")
 	}
-	if dotBatchChunk8Fast(a, a, 1, &out8) {
-		t.Error("dotBatchChunk8Fast reported available without assembly")
+	if tanhFastVec(a, a) != 0 || sigmoidFastVec(a, a) != 0 {
+		t.Error("the fast activation kernels consumed elements without assembly")
 	}
 }

@@ -36,13 +36,7 @@ func TestFeatureBitsImplyBaseState(t *testing.T) {
 func TestKernelSetFollowsGates(t *testing.T) {
 	k := KernelSet()
 	exact := map[bool]string{true: "avx2", false: "portable"}[BatchSIMD()]
-	fast := "portable"
-	switch {
-	case FastSIMD512():
-		fast = "avx512"
-	case FastSIMD():
-		fast = "avx2+fma"
-	}
+	fast := map[bool]string{true: "avx2+fma", false: "portable"}[FastSIMD()]
 	if want := (Kernels{ExactSerial: exact, ExactPanel: exact, Fast: fast}); k != want {
 		t.Errorf("KernelSet() = %+v, want %+v", k, want)
 	}

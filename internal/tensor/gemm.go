@@ -25,6 +25,11 @@ func MatVec(y []float32, w *Matrix, x []float32) {
 	matVecRange(y, w, x, 0, w.Rows, false)
 }
 
+// MatVecAddFast is MatVecAdd. It survives as the projection the
+// benchmark's fast-epilogue stepper pairs with GRUEpilogueFast and
+// SoftmaxFast; no other caller remains.
+func MatVecAddFast(y []float32, w *Matrix, x []float32) { MatVecAdd(y, w, x) }
+
 // MatVecAdd computes y += W·x.
 func MatVecAdd(y []float32, w *Matrix, x []float32) {
 	if len(x) != w.Cols || len(y) != w.Rows {

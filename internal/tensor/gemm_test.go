@@ -135,3 +135,26 @@ func TestQuickMatVecLinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMatVecAddFastMatchesExact: MatVecAddFast is MatVecAdd, bit for bit.
+func TestMatVecAddFastMatchesExact(t *testing.T) {
+	rng := NewRNG(0x9E3C)
+	for _, dims := range [][2]int{{1, 1}, {3, 5}, {17, 33}, {64, 100}} {
+		w := NewMatrix(dims[0], dims[1])
+		for i := range w.Data {
+			w.Data[i] = float32(rng.NormFloat64())
+		}
+		x := make([]float32, dims[1])
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		yExact, yFast := make([]float32, dims[0]), make([]float32, dims[0])
+		MatVecAdd(yExact, w, x)
+		MatVecAddFast(yFast, w, x)
+		for i := range yFast {
+			if math.Float32bits(yFast[i]) != math.Float32bits(yExact[i]) {
+				t.Errorf("%dx%d y[%d] = %g, exact %g", dims[0], dims[1], i, yFast[i], yExact[i])
+			}
+		}
+	}
+}

@@ -2,16 +2,16 @@ package tensor
 
 import "math"
 
-// ULP-distance helpers for the relaxed-precision fast tier. The exact tier
-// is bit-identical to the scalar reference, so its tests compare bytes; the
-// fast tier reassociates sums (split vector accumulators), fuses
-// multiply-adds, and accumulates in float32, so its contract is a tolerance:
-// every output must sit within a small ULP distance of the exact oracle, or
-// within an absolute bound derived from the standard forward-error analysis
-// of a length-n product sum. Both arms are needed — a pure ULP bound fails
-// under catastrophic cancellation (the exact result's magnitude collapses
-// while the roundoff does not), and a pure absolute bound is meaninglessly
-// loose for large-magnitude outputs.
+// ULP-distance helpers for the fast activation family (SigmoidFast,
+// TanhFast, SoftmaxFast, GRUEpilogueFast). The exact kernels are
+// bit-identical to the scalar reference, so their tests compare bytes; the
+// fast kernels evaluate float32 polynomial approximations with fused
+// multiply-adds, so their contract is a tolerance: every output must sit
+// within a small ULP distance of the exact oracle, or within an absolute
+// bound sized to the kernel's output range. Both arms are needed — a pure
+// ULP bound fails where the exact result's magnitude collapses (sigmoid's
+// tail, tanh near 0, a GRU blend that cancels), and a pure absolute bound
+// is meaninglessly loose for large-magnitude outputs.
 
 // ulpIndex maps a float32 onto a signed integer line where adjacent
 // representable values (denormals included) are exactly one apart and
@@ -43,36 +43,9 @@ func ULPDiff32(a, b float32) uint64 {
 	return uint64(d)
 }
 
-// FastULPBound is the per-output ULP budget for a length-n fast-tier dot
-// compared against the exact oracle. Without cancellation the worst-case
-// relative divergence of the two accumulation orders is ~2n·u (u = 2⁻²⁴),
-// i.e. about n ULPs; the budget carries 4× headroom plus a constant floor
-// for the final float32 narrow of the oracle. Outputs that fail this bound
-// under cancellation must pass FastDotBound instead (see FastClose).
-func FastULPBound(n int) uint64 {
-	if n < 1 {
-		n = 1
-	}
-	return 32 + 4*uint64(n)
-}
-
-// FastDotBound is the absolute-error budget for a length-n fast-tier dot
-// whose products have absolute-value sum sumAbs: the classic forward bound
-// |fast − exact| ≤ γ_n·Σ|aᵢbᵢ| with γ_n ≈ n·u for each accumulation order,
-// doubled for the difference of the two and padded for the FMA fusions and
-// the oracle's final narrow. This is the arm that absorbs cancellation —
-// it scales with the magnitude of what was summed, not of the result.
-func FastDotBound(n int, sumAbs float64) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return (float64(n) + 8) * 0x1p-23 * sumAbs
-}
-
-// FastClose reports whether got is an acceptable fast-tier value for the
+// fastClose reports whether got is an acceptable fast-kernel value for the
 // exact oracle want: bit-equal, within ulps ULPs, or within atol absolutely.
-// Callers derive ulps from FastULPBound and atol from FastDotBound.
-func FastClose(got, want float32, ulps uint64, atol float64) bool {
+func fastClose(got, want float32, ulps uint64, atol float64) bool {
 	if got == want {
 		return true
 	}
@@ -82,7 +55,7 @@ func FastClose(got, want float32, ulps uint64, atol float64) bool {
 	return math.Abs(float64(got)-float64(want)) <= atol
 }
 
-// FastActULPs is the per-element ULP budget for the fast-tier activation
+// FastActULPs is the per-element ULP budget for the fast activation
 // kernels (SigmoidFast/TanhFast/SoftmaxFast/GRUEpilogueFast) against their
 // exact oracles. The rational tanh approximation is good to ~2 ULP over
 // most of its range, the derived sigmoid and the exp polynomial to a few
@@ -107,9 +80,9 @@ const (
 	FastGRUTol     = 1e-5
 )
 
-// FastActClose is FastClose with the shared activation ULP budget: callers
+// FastActClose is fastClose with the shared activation ULP budget: callers
 // pick the absolute arm for the kernel under test from the tolerances
 // above.
 func FastActClose(got, want float32, atol float64) bool {
-	return FastClose(got, want, FastActULPs, atol)
+	return fastClose(got, want, FastActULPs, atol)
 }
